@@ -6,7 +6,8 @@
 # (pytest-cov when installed, a stdlib settrace collector otherwise), with
 # the shard/claim/merge packs in its test list so the coverage floor spans
 # the distributed-coordination code too, and enforces the same floor on
-# src/repro/telemetry and src/repro/jobs via their test packs;
+# src/repro/telemetry, src/repro/jobs and src/repro/autodiff via their
+# test packs;
 # `shard-smoke` runs a real 2-shard matrix against one run directory and
 # merges it back end-to-end; `watch-smoke` runs two telemetry-emitting
 # shards, then exercises `runs watch --once` and `runs stats` against the
@@ -20,13 +21,15 @@
 # harness and writes the machine-readable BENCH_<date>.json report
 # (see docs/performance.md); `verify-bench` re-times the scalar-vs-batched verification
 # engines and refreshes the committed CSV; `train-bench` does the same for
-# the scalar-vs-vectorized training stages; `lint` is a fast syntax gate
-# (no third-party linter is vendored into the image).
+# the scalar-vs-vectorized training stages; `perf-train SEED=N` runs the
+# repo benchmark's `train` workload with the per-layer trace on (autodiff
+# backward, optimizer step, distillation, PPO update); `lint` is a fast
+# syntax gate (no third-party linter is vendored into the image).
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test test-fast test-cov shard-smoke watch-smoke serve-smoke scenario-smoke bench bench-json verify-bench train-bench lint
+.PHONY: test test-fast test-cov shard-smoke watch-smoke serve-smoke scenario-smoke bench bench-json verify-bench train-bench perf-train lint
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -50,6 +53,9 @@ test-cov:
 		tests/test_float32_mode.py
 	$(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/utils/profiling.py \
 		tests/test_utils_buffers.py
+	$(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/autodiff \
+		tests/test_autodiff_tensor.py tests/test_autodiff_functional.py \
+		tests/test_autodiff_fused.py
 
 SHARD_SMOKE_DIR ?= runs/shard-smoke
 shard-smoke:
@@ -101,6 +107,10 @@ verify-bench:
 
 train-bench:
 	REPRO_RECORD=1 $(PYTHON) -m pytest -q -s benchmarks/test_training_speed.py
+
+SEED ?= 0
+perf-train:
+	python3 perfbench/run.py --workload train --seed $(SEED) --seconds 36 --trace 1
 
 lint:
 	$(PYTHON) -m compileall -q src tests benchmarks examples

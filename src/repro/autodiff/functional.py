@@ -11,17 +11,34 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.autodiff.tensor import ArrayLike, Tensor
+from repro.autodiff.tensor import ArrayLike, Tensor, _unbroadcast
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 def mse_loss(prediction: Tensor, target: ArrayLike) -> Tensor:
-    """Mean squared error over every element."""
+    """Mean squared error over every element, as one tape node.
+
+    The VJP replays the ``sub -> mul -> mean`` tape it replaces: ``mean``
+    hands each element ``g / n``, the self-product ``diff * diff`` sends
+    ``(g / n) * diff`` to ``diff`` once per operand, summed in that order, and
+    ``sub`` passes the sum to the prediction and its negation to the target --
+    bit for bit the gradients of the composed ops.
+    """
 
     target = Tensor.ensure(target)
-    diff = prediction - target
-    return (diff * diff).mean()
+    diff = prediction.data - target.data
+    data = (diff * diff).mean()
+
+    def backward_fn(grad: np.ndarray):
+        share = np.asarray(grad, dtype=np.float64) / diff.size * diff
+        total = share + share
+        return (
+            _unbroadcast(total, prediction.data.shape),
+            _unbroadcast(-total, target.data.shape) if target.requires_grad else None,
+        )
+
+    return Tensor._from_op(data, (prediction, target), backward_fn, "mse")
 
 
 def huber_loss(prediction: Tensor, target: ArrayLike, delta: float = 1.0) -> Tensor:
@@ -39,12 +56,29 @@ def huber_loss(prediction: Tensor, target: ArrayLike, delta: float = 1.0) -> Ten
 
 
 def l2_penalty(parameters: Sequence[Tensor]) -> Tensor:
-    """Sum of squared parameter entries, the ``||q||_2^2`` regulariser."""
+    """Sum of squared parameter entries, the ``||q||_2^2`` regulariser.
 
-    total = Tensor(0.0)
-    for parameter in parameters:
-        total = total + (parameter * parameter).sum()
-    return total
+    One tape node whose parents list every parameter twice, once per operand
+    of the ``p * p`` it replaces: each copy receives ``g * p``, so a weight's
+    gradient accumulates as ``(other contributions + g * p) + g * p``, the
+    order (and therefore the bits) of the composed ``mul -> sum -> add`` tape.
+    """
+
+    parameters = list(parameters)
+    arrays = [parameter.data for parameter in parameters]
+    data = np.asarray(0.0)
+    for array in arrays:
+        data = data + (array * array).sum()
+
+    def backward_fn(grad: np.ndarray):
+        contributions = []
+        for parameter, array in zip(parameters, arrays):
+            share = grad * array if parameter.requires_grad else None
+            contributions += [share, share]
+        return contributions
+
+    doubled = [parameter for parameter in parameters for _ in range(2)]
+    return Tensor._from_op(data, doubled, backward_fn, "l2")
 
 
 def gaussian_log_prob(actions: ArrayLike, mean: Tensor, log_std: Tensor) -> Tensor:

@@ -3,8 +3,17 @@
 The design follows the classic tape-based approach: every differentiable
 operation builds a node that remembers its parents and a closure computing the
 vector-Jacobian product.  Calling :meth:`Tensor.backward` on a scalar output
-topologically sorts the graph and accumulates gradients into every tensor that
-was created with ``requires_grad=True``.
+topologically sorts the graph and accumulates gradients into every *leaf*
+tensor that was created with ``requires_grad=True``.  ``.grad`` lives on
+leaves only: interior nodes pass their gradient on to their parents and keep
+nothing, so the only ``.grad`` arrays a backward pass allocates are the ones
+an optimizer or an input-gradient attack actually reads.
+
+Hot composite operations are single nodes with hand-written VJPs -- the whole
+:class:`repro.nn.MLP` forward, :func:`repro.autodiff.functional.mse_loss` and
+:func:`repro.autodiff.functional.l2_penalty` -- whose float64 ops and
+gradient-accumulation order replay the composed tape exactly, so gradients are
+bit-identical to building the same graph out of the primitives below.
 
 Only the operations needed by the rest of the repository are implemented, but
 each of them supports full NumPy broadcasting with correct gradient
@@ -79,8 +88,9 @@ class Tensor:
     data:
         Anything convertible to a float64 NumPy array.
     requires_grad:
-        Whether gradients should be accumulated into :attr:`grad` during
-        :meth:`backward`.
+        Whether gradients flow through this tensor during :meth:`backward`;
+        a leaf (a tensor not produced by an operation) that requires grad
+        accumulates them into :attr:`grad`.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_op")
@@ -165,7 +175,9 @@ class Tensor:
         """Run reverse-mode accumulation from this tensor.
 
         ``grad`` defaults to ones (only valid for scalar outputs, matching
-        the usual loss.backward() idiom).
+        the usual loss.backward() idiom).  Gradients are summed into the
+        ``.grad`` of every reachable leaf that requires grad; interior nodes
+        keep no ``.grad``.
         """
 
         if not self.requires_grad:
@@ -185,11 +197,11 @@ class Tensor:
             node_grad = grads.pop(id(node), None)
             if node_grad is None:
                 continue
-            if node.grad is None:
-                node.grad = np.array(node_grad, copy=True)
-            else:
-                node.grad = node.grad + node_grad
             if node._backward_fn is None:
+                if node.grad is None:
+                    node.grad = np.array(node_grad, copy=True)
+                else:
+                    node.grad = node.grad + node_grad
                 continue
             contributions = node._backward_fn(node_grad)
             for parent, contribution in zip(node._parents, contributions):
@@ -313,12 +325,12 @@ class Tensor:
         self_data, other_data = self.data, other.data
 
         def backward_fn(grad: np.ndarray):
-            grad_self = grad @ np.swapaxes(other_data, -1, -2)
-            grad_other = np.swapaxes(self_data, -1, -2) @ grad
-            return (
-                _unbroadcast(grad_self, self_data.shape),
-                _unbroadcast(grad_other, other_data.shape),
-            )
+            grad_self = grad_other = None
+            if self.requires_grad:
+                grad_self = _unbroadcast(grad @ np.swapaxes(other_data, -1, -2), self_data.shape)
+            if other.requires_grad:
+                grad_other = _unbroadcast(np.swapaxes(self_data, -1, -2) @ grad, other_data.shape)
+            return grad_self, grad_other
 
         return Tensor._from_op(data, (self, other), backward_fn, "matmul")
 

@@ -149,7 +149,12 @@ class _BaseDistiller:
         self.student: Optional[MLP] = None
 
     # -- hooks -----------------------------------------------------------------
-    def _batch_loss(self, states: np.ndarray, controls: np.ndarray, student: MLP) -> Tensor:
+    def _batch_loss(
+        self, states: np.ndarray, controls: np.ndarray, student: MLP, parameters: Sequence[Tensor]
+    ) -> Tensor:
+        """Minibatch loss; ``parameters`` is ``student.parameters()``, hoisted
+        out of the per-batch loop."""
+
         raise NotImplementedError
 
     # -- training ----------------------------------------------------------------
@@ -166,13 +171,14 @@ class _BaseDistiller:
         """Train the student on the dataset and return it as a controller."""
 
         student = self._build_student()
-        optimizer = Adam(student.parameters(), lr=self.config.learning_rate)
+        parameters = student.parameters()
+        optimizer = Adam(parameters, lr=self.config.learning_rate)
         epochs = epochs if epochs is not None else self.config.epochs
         for _ in range(epochs):
             epoch_losses = []
             for states, controls in dataset.minibatches(self.config.batch_size, rng=self._rng):
                 optimizer.zero_grad()
-                loss = self._batch_loss(states, controls, student)
+                loss = self._batch_loss(states, controls, student, parameters)
                 loss.backward()
                 optimizer.step()
                 epoch_losses.append(float(loss.data))
@@ -203,7 +209,9 @@ class DirectDistiller(_BaseDistiller):
     def controller_name(self) -> str:
         return "kappaD"
 
-    def _batch_loss(self, states: np.ndarray, controls: np.ndarray, student: MLP) -> Tensor:
+    def _batch_loss(
+        self, states: np.ndarray, controls: np.ndarray, student: MLP, parameters: Sequence[Tensor]
+    ) -> Tensor:
         predictions = student(Tensor(states))
         return functional.mse_loss(predictions, controls)
 
@@ -233,12 +241,14 @@ class RobustDistiller(_BaseDistiller):
         delta = self.perturbation_bound() * gradient_sign
         return states + delta
 
-    def _batch_loss(self, states: np.ndarray, controls: np.ndarray, student: MLP) -> Tensor:
+    def _batch_loss(
+        self, states: np.ndarray, controls: np.ndarray, student: MLP, parameters: Sequence[Tensor]
+    ) -> Tensor:
         # Line 12: z ~ U[0, 1]; take the adversarial branch when z <= p.
         if float(self._rng.uniform()) <= self.config.adversarial_probability:
             states = self._fgsm_states(states, controls, student)
         predictions = student(Tensor(states))
         loss = functional.mse_loss(predictions, controls)
         # Line 14: + lambda * ||q||_2^2
-        penalty = functional.l2_penalty(student.parameters())
+        penalty = functional.l2_penalty(parameters)
         return loss + self.config.l2_weight * penalty

@@ -7,8 +7,9 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.autodiff import Tensor
-from repro.nn.layers import Activation, Identity, Linear, Module, make_activation
+from repro.autodiff import Tensor, is_grad_enabled
+from repro.autodiff.tensor import _unbroadcast
+from repro.nn.layers import Activation, Linear, Module, make_activation
 from repro.utils.buffers import global_arena
 
 
@@ -81,27 +82,76 @@ class MLP(Module):
 
     # ------------------------------------------------------------------
     def forward(self, inputs: Tensor) -> Tensor:
-        output = inputs
-        for layer in self.layers:
-            output = layer(output)
-        return output
+        """The whole network as one tape node.
+
+        The node's parents are the input followed by every layer's weight and
+        bias.  Its hand-written VJP walks the layers in reverse with the same
+        float64 ops, in the same order, as a tape of separate ``matmul``,
+        ``add`` and activation nodes -- activation VJP, then ``g.sum(axis=0)``
+        for the bias, ``x^T @ g`` for the weight and ``g @ W^T`` for the layer
+        input -- so every gradient is bit-identical to the layer-by-layer
+        composition.  The input VJP of the first layer is skipped when the
+        input does not require grad.  1-D input is run as a ``(1, d)`` row,
+        like :meth:`predict`.
+        """
+
+        linears = self.linear_layers()
+        parameters = [tensor for layer in linears for tensor in (layer.weight, layer.bias)]
+        single = inputs.data.ndim == 1
+        rows = inputs.data[None, :] if single else inputs.data
+        if not is_grad_enabled() or not (
+            inputs.requires_grad or any(parameter.requires_grad for parameter in parameters)
+        ):
+            output = self._run(rows)
+            return Tensor(output[0] if single else output)
+        saved: list = []
+        output = self._run(rows, saved)
+
+        def backward_fn(grad: np.ndarray):
+            grad = grad[None, :] if single else grad
+            layer_grads = []
+            for index in reversed(range(len(saved))):
+                layer_input, weight, name, activated = saved[index]
+                linear = linears[index]
+                grad = _activation_vjp(name, activated, grad)
+                layer_grads.append(
+                    (
+                        _unbroadcast(np.swapaxes(layer_input, -1, -2) @ grad, weight.shape)
+                        if linear.weight.requires_grad
+                        else None,
+                        _unbroadcast(grad, linear.bias.data.shape) if linear.bias.requires_grad else None,
+                    )
+                )
+                if index or inputs.requires_grad:
+                    grad = _unbroadcast(grad @ np.swapaxes(weight, -1, -2), layer_input.shape)
+            input_grad = (grad[0] if single else grad) if inputs.requires_grad else None
+            return [input_grad] + [g for pair in reversed(layer_grads) for g in pair]
+
+        return Tensor._from_op(output[0] if single else output, (inputs, *parameters), backward_fn, "mlp")
 
     def predict(self, inputs: np.ndarray) -> np.ndarray:
         """Plain-array forward pass (no graph), accepting 1-D or 2-D inputs."""
 
         array = np.asarray(inputs, dtype=np.float64)
         single = array.ndim == 1
-        if single:
-            array = array[None, :]
-        output = array
-        for layer in self.layers:
-            if isinstance(layer, Linear):
-                output = output @ layer.weight.data + layer.bias.data
-            elif isinstance(layer, Activation):
-                output = _apply_activation_array(layer, output)
-            else:  # pragma: no cover - defensive
-                output = layer(Tensor(output)).numpy()
+        output = self._run(array[None, :] if single else array)
         return output[0] if single else output
+
+    def _run(self, rows: np.ndarray, saved: Optional[list] = None) -> np.ndarray:
+        """The forward loop shared by :meth:`predict` and the tape node.
+
+        With ``saved`` it records, per layer, ``(layer input, weight,
+        activation name, activation output)`` for the node's VJP.
+        """
+
+        output = rows
+        for linear, activation in zip(self.layers[0::2], self.layers[1::2]):
+            weight = linear.weight.data
+            activated = _apply_activation_array_named(activation.name, output @ weight + linear.bias.data)
+            if saved is not None:
+                saved.append((output, weight, activation.name, activated))
+            output = activated
+        return output
 
     def predict_block(self, inputs: np.ndarray) -> np.ndarray:
         """Forward pass for one fixed evaluation block, reusing layer buffers.
@@ -187,10 +237,6 @@ class MLP(Module):
         )
 
 
-def _apply_activation_array(activation: Activation, values: np.ndarray) -> np.ndarray:
-    return _apply_activation_array_named(activation.name, values)
-
-
 def _apply_activation_array_named(name: str, values: np.ndarray) -> np.ndarray:
     if name == "relu":
         return np.maximum(values, 0.0)
@@ -199,6 +245,18 @@ def _apply_activation_array_named(name: str, values: np.ndarray) -> np.ndarray:
     if name == "sigmoid":
         return 1.0 / (1.0 + np.exp(-values))
     return values
+
+
+def _activation_vjp(name: str, activated: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """The activation nodes' VJPs, from the activation output ``activated``."""
+
+    if name == "tanh":
+        return grad * (1.0 - activated ** 2)
+    if name == "relu":
+        return grad * (activated > 0).astype(np.float64)
+    if name == "sigmoid":
+        return grad * activated * (1.0 - activated)
+    return grad
 
 
 def _apply_activation_array_inplace(name: str, values: np.ndarray) -> None:

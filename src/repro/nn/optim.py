@@ -98,21 +98,43 @@ class Adam(Optimizer):
         self.eps = eps
         self.weight_decay = weight_decay
         self._step_count = 0
-        self._m: List[np.ndarray] = [np.zeros_like(p.data) for p in self.parameters]
-        self._v: List[np.ndarray] = [np.zeros_like(p.data) for p in self.parameters]
+        self._sizes = [parameter.data.size for parameter in self.parameters]
+        # First/second moments of every parameter, concatenated in order.
+        self._m = np.zeros(sum(self._sizes))
+        self._v = np.zeros(sum(self._sizes))
 
     def step(self) -> None:
+        """One Adam update over all parameters as a single flat array chain.
+
+        The gradients (and data) of every parameter with a ``.grad`` are
+        concatenated and run through one elementwise chain, the same float64
+        ops per element as a per-parameter loop, so the update is bit for bit
+        the per-tensor one.  Each ``parameter.data`` is then *rebound* to its
+        slice of the fresh result -- never written in place -- because the
+        forward/IBP plan caches recognise current weights by array identity.
+        """
+
         self._step_count += 1
         bias1 = 1.0 - self.beta1 ** self._step_count
         bias2 = 1.0 - self.beta2 ** self._step_count
-        for index, parameter in enumerate(self.parameters):
-            if parameter.grad is None:
-                continue
-            grad = parameter.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * parameter.data
-            self._m[index] = self.beta1 * self._m[index] + (1.0 - self.beta1) * grad
-            self._v[index] = self.beta2 * self._v[index] + (1.0 - self.beta2) * grad ** 2
-            m_hat = self._m[index] / bias1
-            v_hat = self._v[index] / bias2
-            parameter.data = parameter.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        live = [parameter for parameter in self.parameters if parameter.grad is not None]
+        if not live:
+            return
+        grad = np.concatenate([parameter.grad.ravel() for parameter in live])
+        data = np.concatenate([parameter.data.ravel() for parameter in live])
+        if len(live) == len(self.parameters):
+            span = slice(None)
+        else:
+            span = np.repeat([parameter.grad is not None for parameter in self.parameters], self._sizes)
+        if self.weight_decay:
+            grad = grad + self.weight_decay * data
+        m = self.beta1 * self._m[span] + (1.0 - self.beta1) * grad
+        v = self.beta2 * self._v[span] + (1.0 - self.beta2) * grad ** 2
+        self._m[span] = m
+        self._v[span] = v
+        updated = data - self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+        start = 0
+        for parameter in live:
+            stop = start + parameter.data.size
+            parameter.data = updated[start:stop].reshape(parameter.data.shape)
+            start = stop
