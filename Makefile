@@ -23,13 +23,15 @@
 # engines and refreshes the committed CSV; `train-bench` does the same for
 # the scalar-vs-vectorized training stages; `perf-train SEED=N` runs the
 # repo benchmark's `train` workload with the per-layer trace on (autodiff
-# backward, optimizer step, distillation, PPO update); `lint` is a fast
+# backward, optimizer step, distillation, PPO update); `perf-matrix SEED=N`
+# runs its `matrix` workload with the trace on (expert batch_controls, FGSM,
+# evaluation, run store, shards and merge); `lint` is a fast
 # syntax gate (no third-party linter is vendored into the image).
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test test-fast test-cov shard-smoke watch-smoke serve-smoke scenario-smoke bench bench-json verify-bench train-bench perf-train lint
+.PHONY: test test-fast test-cov shard-smoke watch-smoke serve-smoke scenario-smoke bench bench-json verify-bench train-bench perf-train perf-matrix lint
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -111,6 +113,9 @@ train-bench:
 SEED ?= 0
 perf-train:
 	python3 perfbench/run.py --workload train --seed $(SEED) --seconds 36 --trace 1
+
+perf-matrix:
+	python3 perfbench/run.py --workload matrix --seed $(SEED) --seconds 36 --trace 1
 
 lint:
 	$(PYTHON) -m compileall -q src tests benchmarks examples

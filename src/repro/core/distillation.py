@@ -20,14 +20,14 @@ Two distillers share the same dataset and student architecture:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.autodiff import Tensor, functional
+from repro.autodiff import Tensor
 from repro.core.config import DistillationConfig
 from repro.experts.base import Controller, NeuralController
-from repro.nn.lipschitz import network_lipschitz
+from repro.nn.layers import Activation, Linear
 from repro.nn.network import MLP
 from repro.nn.optim import Adam
 from repro.systems.base import ControlSystem
@@ -149,11 +149,12 @@ class _BaseDistiller:
         self.student: Optional[MLP] = None
 
     # -- hooks -----------------------------------------------------------------
-    def _batch_loss(
+    def _batch_gradients(
         self, states: np.ndarray, controls: np.ndarray, student: MLP, parameters: Sequence[Tensor]
-    ) -> Tensor:
-        """Minibatch loss; ``parameters`` is ``student.parameters()``, hoisted
-        out of the per-batch loop."""
+    ) -> Tuple[float, List[np.ndarray]]:
+        """Minibatch loss and the gradient of each of ``parameters`` (which is
+        ``student.parameters()``, hoisted out of the per-batch loop), computed
+        without a tape."""
 
         raise NotImplementedError
 
@@ -177,14 +178,14 @@ class _BaseDistiller:
         for _ in range(epochs):
             epoch_losses = []
             for states, controls in dataset.minibatches(self.config.batch_size, rng=self._rng):
-                optimizer.zero_grad()
-                loss = self._batch_loss(states, controls, student, parameters)
-                loss.backward()
+                loss, grads = self._batch_gradients(states, controls, student, parameters)
+                for parameter, grad in zip(parameters, grads):
+                    parameter.grad = grad
                 optimizer.step()
-                epoch_losses.append(float(loss.data))
+                epoch_losses.append(float(loss))
             self.logger.log(
                 loss=float(np.mean(epoch_losses)) if epoch_losses else 0.0,
-                lipschitz=network_lipschitz(student),
+                lipschitz=_layer_norm_lipschitz(student),
             )
         self.student = student
         return NeuralController(student, name=self.controller_name())
@@ -209,11 +210,11 @@ class DirectDistiller(_BaseDistiller):
     def controller_name(self) -> str:
         return "kappaD"
 
-    def _batch_loss(
+    def _batch_gradients(
         self, states: np.ndarray, controls: np.ndarray, student: MLP, parameters: Sequence[Tensor]
-    ) -> Tensor:
-        predictions = student(Tensor(states))
-        return functional.mse_loss(predictions, controls)
+    ) -> Tuple[float, List[np.ndarray]]:
+        loss, _, grads = student.mse_gradients(states, controls)
+        return loss, grads
 
 
 class RobustDistiller(_BaseDistiller):
@@ -229,26 +230,59 @@ class RobustDistiller(_BaseDistiller):
 
         return self.config.perturbation_fraction * self.system.state_scale()
 
-    def _fgsm_states(self, states: np.ndarray, controls: np.ndarray, student: MLP) -> np.ndarray:
-        """Algorithm 1 line 13: ``delta = Delta * sign(grad_s l(kappa*(s), u))``."""
+    def _fgsm_states(
+        self, states: np.ndarray, controls: np.ndarray, student: MLP
+    ) -> Tuple[np.ndarray, List[np.ndarray]]:
+        """Algorithm 1 line 13: ``delta = Delta * sign(grad_s l(kappa*(s), u))``.
 
-        state_tensor = Tensor(states, requires_grad=True)
-        predictions = student(state_tensor)
-        loss = functional.mse_loss(predictions, controls)
-        loss.backward()
-        gradient_sign = np.sign(state_tensor.grad)
+        Also returns the clean-loss parameter gradients that the same
+        backward pass computes: :meth:`_batch_gradients` adds them to the
+        adversarial step's gradients (a known defect kept so trained weights
+        do not change; see ROADMAP).
+        """
+
+        _, input_gradient, clean_grads = student.mse_gradients(states, controls, input_grad=True)
+        gradient_sign = np.sign(input_gradient)
         gradient_sign[gradient_sign == 0.0] = 1.0
         delta = self.perturbation_bound() * gradient_sign
-        return states + delta
+        return states + delta, clean_grads
 
-    def _batch_loss(
+    def _batch_gradients(
         self, states: np.ndarray, controls: np.ndarray, student: MLP, parameters: Sequence[Tensor]
-    ) -> Tensor:
+    ) -> Tuple[float, List[np.ndarray]]:
+        """MSE + ``lambda * ||q||_2^2`` with the gradients summed in the
+        order of the composed tape: ``clean + ((mse + lambda q) + lambda q)``,
+        ``clean`` being the FGSM pass's leftover on the adversarial branch."""
+
+        clean_grads = None
         # Line 12: z ~ U[0, 1]; take the adversarial branch when z <= p.
         if float(self._rng.uniform()) <= self.config.adversarial_probability:
-            states = self._fgsm_states(states, controls, student)
-        predictions = student(Tensor(states))
-        loss = functional.mse_loss(predictions, controls)
+            states, clean_grads = self._fgsm_states(states, controls, student)
+        loss, _, grads = student.mse_gradients(states, controls)
         # Line 14: + lambda * ||q||_2^2
-        penalty = functional.l2_penalty(parameters)
-        return loss + self.config.l2_weight * penalty
+        weight = self.config.l2_weight
+        penalty = np.asarray(0.0)
+        for index, parameter in enumerate(parameters):
+            array = parameter.data
+            penalty = penalty + (array * array).sum()
+            share = weight * array
+            grads[index] = (grads[index] + share) + share
+            if clean_grads is not None:
+                grads[index] = clean_grads[index] + grads[index]
+        return loss + weight * penalty, grads
+
+
+def _layer_norm_lipschitz(network: MLP) -> float:
+    """The footnote-1 bound with exact layer norms, for the per-epoch log.
+
+    Unlike :func:`repro.nn.lipschitz.network_lipschitz` it keeps no memo: the
+    weights change every epoch, so a memo entry would never be read again.
+    """
+
+    constant = 1.0
+    for layer in network.layers:
+        if isinstance(layer, Linear):
+            constant *= float(np.linalg.norm(layer.weight.data, 2))
+        elif isinstance(layer, Activation):
+            constant *= layer.lipschitz_constant
+    return constant

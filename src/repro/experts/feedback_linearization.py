@@ -36,6 +36,21 @@ class VanDerPolFeedbackLinearization(Controller):
         stabilise = -self.k1 * s1 - self.k2 * s2
         return np.array([cancel + stabilise])
 
+    def batch_control(self, states: np.ndarray) -> np.ndarray:
+        """Row-for-row bit-identical to :meth:`control`.
+
+        The scalar ``s1**2`` on an ``np.float64`` goes through libm ``pow``;
+        the array ``s1**2`` is a plain multiply and rounds differently on a
+        few rows in 10^5, so the square is ``np.float_power(s1, 2.0)``.
+        """
+
+        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+        s1 = states[:, 0]
+        s2 = states[:, 1]
+        cancel = -(1.0 - np.float_power(s1, 2.0)) * self.mu * s2 + s1
+        stabilise = -self.k1 * s1 - self.k2 * s2
+        return (cancel + stabilise)[:, None]
+
 
 class PendulumFeedbackLinearization(Controller):
     """Gravity-cancelling torque controller for the inverted pendulum.

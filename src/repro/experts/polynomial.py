@@ -41,6 +41,20 @@ class PolynomialController(Controller):
             outputs.append(value)
         return np.asarray(outputs)
 
+    def batch_control(self, states: np.ndarray) -> np.ndarray:
+        """Row-for-row bit-identical to :meth:`control`: the same array
+        ``**`` per monomial, the product taken left to right, and the terms
+        summed in order from zero."""
+
+        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+        outputs = []
+        for monomials in self._polynomials:
+            value = np.zeros(len(states))
+            for coefficient, exponents in monomials:
+                value = value + coefficient * np.prod(states ** exponents, axis=1)
+            outputs.append(value)
+        return np.stack(outputs, axis=1)
+
     def degree(self) -> int:
         """Maximum total degree across all outputs."""
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import weakref
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -85,12 +85,8 @@ class MLP(Module):
         """The whole network as one tape node.
 
         The node's parents are the input followed by every layer's weight and
-        bias.  Its hand-written VJP walks the layers in reverse with the same
-        float64 ops, in the same order, as a tape of separate ``matmul``,
-        ``add`` and activation nodes -- activation VJP, then ``g.sum(axis=0)``
-        for the bias, ``x^T @ g`` for the weight and ``g @ W^T`` for the layer
-        input -- so every gradient is bit-identical to the layer-by-layer
-        composition.  The input VJP of the first layer is skipped when the
+        bias.  Its VJP is :meth:`_vjp`, bit-identical to the layer-by-layer
+        composition; the input VJP of the first layer is skipped when the
         input does not require grad.  1-D input is run as a ``(1, d)`` row,
         like :meth:`predict`.
         """
@@ -109,25 +105,69 @@ class MLP(Module):
 
         def backward_fn(grad: np.ndarray):
             grad = grad[None, :] if single else grad
-            layer_grads = []
-            for index in reversed(range(len(saved))):
-                layer_input, weight, name, activated = saved[index]
-                linear = linears[index]
-                grad = _activation_vjp(name, activated, grad)
-                layer_grads.append(
-                    (
-                        _unbroadcast(np.swapaxes(layer_input, -1, -2) @ grad, weight.shape)
-                        if linear.weight.requires_grad
-                        else None,
-                        _unbroadcast(grad, linear.bias.data.shape) if linear.bias.requires_grad else None,
-                    )
-                )
-                if index or inputs.requires_grad:
-                    grad = _unbroadcast(grad @ np.swapaxes(weight, -1, -2), layer_input.shape)
-            input_grad = (grad[0] if single else grad) if inputs.requires_grad else None
-            return [input_grad] + [g for pair in reversed(layer_grads) for g in pair]
+            input_grad, parameter_grads = self._vjp(saved, grad, inputs.requires_grad)
+            if input_grad is not None and single:
+                input_grad = input_grad[0]
+            return [input_grad] + parameter_grads
 
         return Tensor._from_op(output[0] if single else output, (inputs, *parameters), backward_fn, "mlp")
+
+    def mse_gradients(
+        self, inputs: np.ndarray, targets: np.ndarray, input_grad: bool = False
+    ) -> Tuple[float, Optional[np.ndarray], List[np.ndarray]]:
+        """One MSE regression step without a tape.
+
+        Runs the forward pass on ``(N, input_dim)`` rows, takes the gradient of
+        ``mean((output - targets)**2)`` the way :func:`repro.autodiff.
+        functional.mse_loss`'s node does, and walks the same layerwise VJP as
+        the :meth:`forward` node, so the results are bit for bit what
+        ``mse_loss(self(Tensor(inputs)), targets).backward()`` leaves behind.
+        Inputs and targets are cast to float64 exactly as ``Tensor()`` casts
+        them.
+
+        Returns ``(loss, input gradient or None, parameter gradients)``: one
+        gradient per weight and bias, layer by layer (the :meth:`parameters`
+        order when every parameter requires grad), ``None`` for one that
+        does not.
+        """
+
+        saved: list = []
+        output = self._run(np.asarray(inputs, dtype=np.float64), saved)
+        diff = output - np.asarray(targets, dtype=np.float64)
+        share = np.float64(1.0) / diff.size * diff
+        grad = _unbroadcast(share + share, output.shape)
+        input_gradient, parameter_grads = self._vjp(saved, grad, input_grad)
+        return (diff * diff).mean(), input_gradient, parameter_grads
+
+    def _vjp(self, saved: list, grad: np.ndarray, input_grad: bool):
+        """The layerwise VJP of the forward pass recorded in ``saved``.
+
+        Walks the layers in reverse with the same float64 ops, in the same
+        order, as a tape of separate ``matmul``, ``add`` and activation nodes
+        -- activation VJP, then ``g.sum(axis=0)`` for the bias, ``x^T @ g``
+        for the weight and ``g @ W^T`` for the layer input -- so every
+        gradient is bit-identical to the layer-by-layer composition.  The
+        first layer's input VJP runs only when ``input_grad`` is set.
+        Returns ``(input gradient or None, [weight, bias, ...] gradients)``.
+        """
+
+        linears = self.linear_layers()
+        layer_grads = []
+        for index in reversed(range(len(saved))):
+            layer_input, weight, name, activated = saved[index]
+            linear = linears[index]
+            grad = _activation_vjp(name, activated, grad)
+            layer_grads.append(
+                (
+                    _unbroadcast(np.swapaxes(layer_input, -1, -2) @ grad, weight.shape)
+                    if linear.weight.requires_grad
+                    else None,
+                    _unbroadcast(grad, linear.bias.data.shape) if linear.bias.requires_grad else None,
+                )
+            )
+            if index or input_grad:
+                grad = _unbroadcast(grad @ np.swapaxes(weight, -1, -2), layer_input.shape)
+        return (grad if input_grad else None), [g for pair in reversed(layer_grads) for g in pair]
 
     def predict(self, inputs: np.ndarray) -> np.ndarray:
         """Plain-array forward pass (no graph), accepting 1-D or 2-D inputs."""

@@ -15,7 +15,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.autodiff import Tensor, functional
+from repro.autodiff import Tensor
 from repro.nn.optim import Adam
 from repro.rl.buffers import RolloutBuffer
 from repro.rl.env import ControlEnv
@@ -236,11 +236,18 @@ class PPOTrainer:
             loss = loss - self.config.entropy_coefficient * self.policy.entropy()
         return loss
 
-    def _value_loss(self, batch: dict) -> Tensor:
-        states = Tensor(batch["states"])
-        predictions = self.value_network(states)
-        targets = batch["returns"].reshape(-1, 1)
-        return functional.mse_loss(predictions, targets)
+    def _value_step(self, batch: dict) -> float:
+        """One critic update on the MSE to the returns, without a tape;
+        returns the loss."""
+
+        loss, _, grads = self.value_network.net.mse_gradients(
+            batch["states"], batch["returns"].reshape(-1, 1)
+        )
+        for parameter, grad in zip(self.value_optimizer.parameters, grads):
+            parameter.grad = grad
+        self.value_optimizer.clip_grad_norm(self.config.max_grad_norm)
+        self.value_optimizer.step()
+        return float(loss)
 
     def update(self, buffer: RolloutBuffer) -> dict:
         """Run the PPO policy and value updates on one rollout buffer."""
@@ -271,12 +278,7 @@ class PPOTrainer:
                 self.policy_optimizer.step()
                 policy_losses.append(float(policy_loss.data))
 
-                self.value_optimizer.zero_grad()
-                value_loss = self._value_loss(batch)
-                value_loss.backward()
-                self.value_optimizer.clip_grad_norm(self.config.max_grad_norm)
-                self.value_optimizer.step()
-                value_losses.append(float(value_loss.data))
+                value_losses.append(self._value_step(batch))
 
                 approx_kl = self._approximate_kl(batch)
                 approx_kls.append(approx_kl)

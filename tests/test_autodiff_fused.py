@@ -3,8 +3,10 @@
 The training hot path builds three fused tape nodes -- the whole
 :meth:`repro.nn.MLP.forward`, :func:`functional.mse_loss` and
 :func:`functional.l2_penalty` -- and steps a flat :class:`repro.nn.optim.Adam`.
-Each of them must reproduce the tape it replaced **bit for bit**: a single
-flipped mantissa bit in a gradient changes every trained controller.
+The distillers and the PPO critic skip the tape altogether through
+:meth:`repro.nn.MLP.mse_gradients`.  Each of them must reproduce the tape it
+replaced **bit for bit**: a single flipped mantissa bit in a gradient changes
+every trained controller.
 
 The references below rebuild that tape inside this file: the layer-by-layer
 forward composes the network's own ``Linear`` and activation modules (one
@@ -24,10 +26,12 @@ import pytest
 from repro.attacks import fgsm
 from repro.autodiff import Tensor, functional, no_grad
 from repro.core.config import DistillationConfig
-from repro.core.distillation import RobustDistiller
+from repro.core.distillation import DirectDistiller, RobustDistiller
 from repro.experts.base import NeuralController
 from repro.nn.network import MLP
 from repro.nn.optim import Adam
+from repro.rl.ppo import PPOConfig, PPOTrainer
+from repro.rl.spaces import BoxSpace
 from repro.systems import VanDerPolOscillator
 
 # ---------------------------------------------------------------------------
@@ -278,12 +282,12 @@ def test_l2_node_skips_parameters_without_grad():
 
 
 # ---------------------------------------------------------------------------
-# The whole robust-distillation minibatch and the FGSM attack
+# The tape-free regression steps: distillation minibatches, FGSM, PPO critic
 # ---------------------------------------------------------------------------
 
 
-def _distiller() -> RobustDistiller:
-    config = DistillationConfig(hidden_sizes=(12, 12), adversarial_probability=1.0,
+def _distiller(adversarial_probability: float = 1.0) -> RobustDistiller:
+    config = DistillationConfig(hidden_sizes=(12, 12), adversarial_probability=adversarial_probability,
                                 l2_weight=1e-2, seed=3)
     return RobustDistiller(VanDerPolOscillator(), config=config, rng=3)
 
@@ -293,38 +297,108 @@ def _batch():
     return rng.uniform(-2.0, 2.0, size=(16, 2)), rng.normal(size=(16, 1))
 
 
-def test_robust_batch_loss_matches_composed_tape():
-    """FGSM branch plus MSE + L2, including the FGSM backward's leftover
-    parameter gradients: pins the full accumulation order of a minibatch."""
+@pytest.mark.parametrize("input_grad", [False, True])
+@pytest.mark.parametrize("activation", ["tanh", "relu", "sigmoid"])
+def test_mse_gradients_match_composed_tape(activation, input_grad):
+    network = _network(activation, "tanh")
+    rng = np.random.default_rng(14)
+    rows, targets = rng.normal(size=(9, 3)), rng.normal(size=(9, 2))
+    loss, input_gradient, grads = network.mse_gradients(rows, targets, input_grad=input_grad)
 
+    params = network.parameters()
+    _zero(params)
+    inputs = Tensor(rows, requires_grad=input_grad)
+    reference = _reference_mse(_reference_forward(network, inputs), targets)
+    reference.backward()
+    np.testing.assert_array_equal(loss, reference.data)
+    _assert_grads_equal(grads, _grads(params))
+    if input_grad:
+        np.testing.assert_array_equal(input_gradient, inputs.grad)
+    else:
+        assert input_gradient is None
+
+
+def test_direct_batch_gradients_match_composed_tape():
     states, controls = _batch()
-    distiller = _distiller()
+    config = DistillationConfig(hidden_sizes=(12, 12), seed=3)
+    distiller = DirectDistiller(VanDerPolOscillator(), config=config)
     student = distiller._build_student()
     params = student.parameters()
+    loss, grads = distiller._batch_gradients(states, controls, student, params)
 
     _zero(params)
-    loss = distiller._batch_loss(states, controls, student, params)
-    loss.backward()
-    fused_loss, fused_grads = loss.data, _grads(params)
+    reference = _reference_mse(_reference_forward(student, Tensor(states)), controls)
+    reference.backward()
+    np.testing.assert_array_equal(loss, reference.data)
+    _assert_grads_equal(grads, _grads(params))
+
+
+@pytest.mark.parametrize("adversarial", [True, False])
+def test_robust_batch_gradients_match_composed_tape(adversarial):
+    """MSE + L2 on either branch; on the FGSM branch the attack backward's
+    leftover parameter gradients come first, as they sat in ``.grad`` when
+    the composed tape accumulated: pins the full order of a minibatch."""
+
+    states, controls = _batch()
+    distiller = _distiller(1.0 if adversarial else 0.0)
+    student = distiller._build_student()
+    params = student.parameters()
+    loss, grads = distiller._batch_gradients(states, controls, student, params)
 
     _zero(params)
-    adversarial = _reference_fgsm_states(distiller, states, controls, student)
-    reference = _reference_mse(_reference_forward(student, Tensor(adversarial)), controls)
+    if adversarial:
+        states = _reference_fgsm_states(distiller, states, controls, student)
+    reference = _reference_mse(_reference_forward(student, Tensor(states)), controls)
     reference = reference + distiller.config.l2_weight * _reference_l2(params)
     reference.backward()
 
-    np.testing.assert_array_equal(fused_loss, reference.data)
-    _assert_grads_equal(fused_grads, _grads(params))
+    np.testing.assert_array_equal(loss, reference.data)
+    _assert_grads_equal(grads, _grads(params))
 
 
 def test_fgsm_states_match_composed_tape():
     states, controls = _batch()
     distiller = _distiller()
     student = distiller._build_student()
-    np.testing.assert_array_equal(
-        distiller._fgsm_states(states, controls, student),
-        _reference_fgsm_states(distiller, states, controls, student),
-    )
+    params = student.parameters()
+    adversarial, clean_grads = distiller._fgsm_states(states, controls, student)
+    _zero(params)
+    np.testing.assert_array_equal(adversarial, _reference_fgsm_states(distiller, states, controls, student))
+    _assert_grads_equal(clean_grads, _grads(params))
+
+
+class _CriticEnv:
+    state_dim = 3
+    action_dim = 1
+    action_space = BoxSpace([-1.0], [1.0])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("max_grad_norm", [5.0, 1e-3])
+def test_value_step_matches_composed_tape(dtype, max_grad_norm):
+    """The critic update on a rollout minibatch (float32 buffers too) against
+    ``mse_loss(V(Tensor(states)), returns)`` on the composed tape, with the
+    same clipping and Adam step; ``1e-3`` forces the clip."""
+
+    config = PPOConfig(hidden_sizes=(7, 5), max_grad_norm=max_grad_norm, seed=4)
+    trainer = PPOTrainer(_CriticEnv(), config=config)
+    twin = trainer.value_network.net.clone()
+    optimizer = Adam(twin.parameters(), lr=config.value_lr)
+    rng = np.random.default_rng(15)
+    batch = {"states": rng.normal(size=(11, 3)).astype(dtype), "returns": rng.normal(size=11).astype(dtype)}
+
+    for _ in range(3):
+        loss = trainer._value_step(batch)
+        optimizer.zero_grad()
+        reference = _reference_mse(
+            _reference_forward(twin, Tensor(batch["states"])), batch["returns"].reshape(-1, 1)
+        )
+        reference.backward()
+        optimizer.clip_grad_norm(max_grad_norm)
+        optimizer.step()
+        assert loss == float(reference.data)
+        for left, right in zip(trainer.value_network.parameters(), twin.parameters()):
+            np.testing.assert_array_equal(left.data, right.data)
 
 
 @pytest.mark.parametrize("scaled", [False, True])
@@ -347,22 +421,19 @@ def test_attack_input_gradients_match_composed_tape(scaled):
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "known defect: RobustDistiller._fgsm_states runs loss.backward() after "
-    "distill's zero_grad, so the clean-loss gradients stay in the student's "
-    ".grad and Adam steps on clean + adversarial gradients; fixing it changes "
-    "trained weights"
+    "known defect: RobustDistiller._batch_gradients adds the clean-loss "
+    "parameter gradients of the FGSM pass to the adversarial step's, so Adam "
+    "steps on clean + adversarial gradients; fixing it changes trained weights"
 ))
-def test_robust_batch_loss_gradients_are_the_adversarial_loss_alone():
+def test_robust_batch_gradients_are_the_adversarial_loss_alone():
     states, controls = _batch()
     distiller = _distiller()
     student = distiller._build_student()
     params = student.parameters()
 
-    _zero(params)
-    distiller._batch_loss(states, controls, student, params).backward()
-    actual = _grads(params)
+    _, actual = distiller._batch_gradients(states, controls, student, params)
 
-    adversarial = distiller._fgsm_states(states, controls, student)
+    adversarial, _ = distiller._fgsm_states(states, controls, student)
     _zero(params)
     alone = functional.mse_loss(student(Tensor(adversarial)), controls)
     (alone + distiller.config.l2_weight * functional.l2_penalty(params)).backward()

@@ -117,7 +117,7 @@ class TestRobustDistillation:
         student = distiller._build_student()
         states = small_dataset.states[:32]
         controls = small_dataset.controls[:32]
-        adversarial = distiller._fgsm_states(states, controls, student)
+        adversarial, _ = distiller._fgsm_states(states, controls, student)
         assert np.all(np.abs(adversarial - states) <= 0.2 + 1e-12)
         # FGSM moves every coordinate to the boundary of the Delta box.
         np.testing.assert_allclose(np.abs(adversarial - states), 0.2)

@@ -1,0 +1,86 @@
+"""The experts' array kernels against the row loop they replace.
+
+``Controller.batch_control`` -- the base-class fallback that calls the
+scalar controller once per row -- is the reference: every expert's own
+``batch_control`` must return exactly its bits, since the rollouts, the FGSM
+finite differences and the distillation labels all go through the kernel.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.experts.base import Controller
+from repro.experts.feedback_linearization import VanDerPolFeedbackLinearization
+from repro.experts.polynomial import PolynomialController
+from repro.scenarios import get_scenario, list_scenarios
+from repro.systems import ThreeDimensionalSystem, VanDerPolOscillator
+
+
+def _row_loop(expert: Controller, states) -> np.ndarray:
+    return Controller.batch_control(expert, states)
+
+
+def _experts():
+    return [
+        (VanDerPolFeedbackLinearization(k1=4.0, k2=6.0, mu=1.0), VanDerPolOscillator()),
+        (VanDerPolFeedbackLinearization(k1=2.5, k2=3.0, mu=1.7), VanDerPolOscillator()),
+        (PolynomialController.default_three_dimensional(), ThreeDimensionalSystem()),
+        (
+            PolynomialController(
+                [
+                    [(0.5, (2, 1, 0)), (-1.25, (0, 0, 3)), (0.75, (1, 1, 1))],
+                    [(-2.0, (0, 2, 0)), (0.1, (0, 0, 0))],
+                ]
+            ),
+            ThreeDimensionalSystem(),
+        ),
+    ]
+
+
+@pytest.mark.parametrize("index", range(len(_experts())))
+def test_kernel_matches_row_loop_on_safe_region_samples(index):
+    expert, system = _experts()[index]
+    states = system.safe_region.sample(np.random.default_rng(index), count=100_000)
+    np.testing.assert_array_equal(expert.batch_control(states), _row_loop(expert, states))
+
+
+@pytest.mark.parametrize("index", range(len(_experts())))
+def test_kernel_matches_row_loop_on_one_row(index):
+    expert, system = _experts()[index]
+    state = system.safe_region.sample(np.random.default_rng(10 + index), count=1)
+    single = expert.batch_control(state)
+    assert single.shape == _row_loop(expert, state).shape
+    np.testing.assert_array_equal(single, _row_loop(expert, state))
+    flat = expert.batch_control(state[0])
+    assert flat.shape == single.shape
+    np.testing.assert_array_equal(flat, single)
+    np.testing.assert_array_equal(flat[0], expert(state[0]))
+
+
+def test_vanderpol_kernel_squares_through_libm_pow():
+    """Rows where ``s1 * s1`` and the scalar ``s1**2`` (libm ``pow``) round
+    differently, enough to flip the control's last bit; an array ``s1**2``
+    in the kernel fails here."""
+
+    expert = VanDerPolFeedbackLinearization(k1=4.0, k2=6.0, mu=1.0)
+    states = np.array(
+        [
+            [-0.866608361102112, 0.26903890068114444],
+            [1.5571066176218546, -1.4818237857776584],
+            [1.470896019879993, -1.2184382282988864],
+        ]
+    )
+    np.testing.assert_array_equal(expert.batch_control(states), _row_loop(expert, states))
+
+
+@pytest.mark.parametrize("name", list_scenarios())
+def test_every_catalog_expert_has_its_own_kernel(name):
+    spec = get_scenario(name)
+    if spec.expert_factory is None:
+        pytest.skip(f"{name} registers no expert factory")
+    for expert in spec.make_experts(spec.make_system()):
+        assert type(expert).batch_control is not Controller.batch_control, (
+            f"{name}: {type(expert).__name__} falls back to the row loop"
+        )
