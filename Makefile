@@ -7,7 +7,8 @@
 # the shard/claim/merge packs in its test list so the coverage floor spans
 # the distributed-coordination code too, and enforces the same floor on
 # src/repro/telemetry, src/repro/jobs and src/repro/autodiff via their
-# test packs;
+# test packs, and on src/repro/verification via the verification packs plus
+# the kernel differential pack;
 # `shard-smoke` runs a real 2-shard matrix against one run directory and
 # merges it back end-to-end; `watch-smoke` runs two telemetry-emitting
 # shards, then exercises `runs watch --once` and `runs stats` against the
@@ -25,13 +26,15 @@
 # repo benchmark's `train` workload with the per-layer trace on (autodiff
 # backward, optimizer step, distillation, PPO update); `perf-matrix SEED=N`
 # runs its `matrix` workload with the trace on (expert batch_controls, FGSM,
-# evaluation, run store, shards and merge); `lint` is a fast
+# evaluation, run store, shards and merge); `perf-verify SEED=N` runs its
+# `verify` workload with the trace on (partition, Bernstein coefficients,
+# IBP, reach steps, invariant set); `lint` is a fast
 # syntax gate (no third-party linter is vendored into the image).
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test test-fast test-cov shard-smoke watch-smoke serve-smoke scenario-smoke bench bench-json verify-bench train-bench perf-train perf-matrix lint
+.PHONY: test test-fast test-cov shard-smoke watch-smoke serve-smoke scenario-smoke bench bench-json verify-bench train-bench perf-train perf-verify perf-matrix lint
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -49,8 +52,11 @@ test-cov:
 		tests/test_service_dedupe.py tests/test_service_faults.py
 	$(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/perf \
 		tests/test_bench_smoke.py
-	$(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/utils/buffers.py \
-		tests/test_utils_buffers.py
+	$(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/verification \
+		tests/test_verification_batch.py tests/test_verification_partition.py \
+		tests/test_verification_reachability.py tests/test_verification_bernstein.py \
+		tests/test_verification_intervals.py tests/test_verification_invariant.py \
+		tests/test_kernel_differential.py
 	$(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/utils/dtypes.py \
 		tests/test_float32_mode.py
 	$(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/utils/profiling.py \
@@ -113,6 +119,9 @@ train-bench:
 SEED ?= 0
 perf-train:
 	python3 perfbench/run.py --workload train --seed $(SEED) --seconds 36 --trace 1
+
+perf-verify:
+	python3 perfbench/run.py --workload verify --seed $(SEED) --seconds 36 --trace 1
 
 perf-matrix:
 	python3 perfbench/run.py --workload matrix --seed $(SEED) --seconds 36 --trace 1

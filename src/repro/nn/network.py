@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import weakref
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -10,7 +9,6 @@ import numpy as np
 from repro.autodiff import Tensor, is_grad_enabled
 from repro.autodiff.tensor import _unbroadcast
 from repro.nn.layers import Activation, Linear, Module, make_activation
-from repro.utils.buffers import global_arena
 
 
 class Sequential(Module):
@@ -180,7 +178,8 @@ class MLP(Module):
     def _run(self, rows: np.ndarray, saved: Optional[list] = None) -> np.ndarray:
         """The forward loop shared by :meth:`predict` and the tape node.
 
-        With ``saved`` it records, per layer, ``(layer input, weight,
+        The verification kernels also run it on ``(k, 64, input_dim)`` stacks
+        of row blocks; each 2-D slice rounds as it would alone.  With ``saved`` it records, per layer, ``(layer input, weight,
         activation name, activation output)`` for the node's VJP.
         """
 
@@ -191,48 +190,6 @@ class MLP(Module):
             if saved is not None:
                 saved.append((output, weight, activation.name, activated))
             output = activated
-        return output
-
-    def predict_block(self, inputs: np.ndarray) -> np.ndarray:
-        """Forward pass for one fixed evaluation block, reusing layer buffers.
-
-        Bit-identical to :meth:`predict` on 2-D input (same float64 ops in
-        the same order, run with ``out=`` into per-layer scratch), but the
-        per-layer activations are allocated once per ``(rows, width)`` and
-        reused across every subsequent block -- the allocation pattern the
-        blocked verification evaluator (:func:`repro.verification.intervals.
-        apply_row_blocked`) hits thousands of times per run.
-
-        The returned array is **transient arena scratch**: it is only valid
-        until the next ``predict_block`` call, so callers must copy anything
-        they keep (``apply_row_blocked`` copies each block into its fresh
-        output).
-        """
-
-        steps, buffers_by_rows = _forward_plan(self)
-        rows = inputs.shape[0]
-        buffers = buffers_by_rows.get(rows)
-        if buffers is None:
-            buffers = [
-                global_arena.take(f"mlp.forward.{rows}.{index}", (rows, payload[0].shape[1]))
-                for index, (kind, payload) in enumerate(steps)
-                if kind == "linear"
-            ]
-            buffers_by_rows[rows] = buffers
-        output = inputs
-        position = 0
-        for kind, payload in steps:
-            if kind == "linear":
-                weight, bias = payload
-                buffer = buffers[position]
-                position += 1
-                np.matmul(output, weight, out=buffer)
-                np.add(buffer, bias, out=buffer)
-                output = buffer
-            elif output is inputs:  # defensive: never mutate caller rows
-                output = _apply_activation_array_named(payload, output)
-            else:
-                _apply_activation_array_inplace(payload, output)
         return output
 
     # ------------------------------------------------------------------
@@ -297,57 +254,6 @@ def _activation_vjp(name: str, activated: np.ndarray, grad: np.ndarray) -> np.nd
     if name == "sigmoid":
         return grad * activated * (1.0 - activated)
     return grad
-
-
-def _apply_activation_array_inplace(name: str, values: np.ndarray) -> None:
-    """In-place activation: the same float64 op sequence as the allocating
-    form (``np.divide(1.0, x)`` is bitwise ``1.0 / x``), so results cannot
-    drift a bit."""
-
-    if name == "relu":
-        np.maximum(values, 0.0, out=values)
-    elif name == "tanh":
-        np.tanh(values, out=values)
-    elif name == "sigmoid":
-        np.negative(values, out=values)
-        np.exp(values, out=values)
-        np.add(values, 1.0, out=values)
-        np.divide(1.0, values, out=values)
-    # identity: unchanged
-
-
-#: Per-MLP blocked-forward plans (hoisted weight views + per-row-count layer
-#: buffers), invalidated by weight-array identity: the repo's optimizers
-#: always rebind ``parameter.data`` to fresh arrays and the cached plan keeps
-#: the old arrays alive, so an identity match proves the weights are current.
-_FORWARD_PLAN_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def _forward_plan(network: "MLP"):
-    refs = []
-    for layer in network.layers:
-        if isinstance(layer, Linear):
-            refs.append(layer.weight.data)
-            refs.append(layer.bias.data)
-    cached = _FORWARD_PLAN_CACHE.get(network)
-    if cached is not None:
-        cached_refs, steps, buffers_by_rows = cached
-        if len(cached_refs) == len(refs) and all(
-            left is right for left, right in zip(cached_refs, refs)
-        ):
-            return steps, buffers_by_rows
-    steps = []
-    for layer in network.layers:
-        if isinstance(layer, Linear):
-            steps.append(("linear", (layer.weight.data, layer.bias.data)))
-        elif isinstance(layer, Activation):
-            steps.append(("activation", layer.name))
-    buffers_by_rows: dict = {}
-    try:
-        _FORWARD_PLAN_CACHE[network] = (refs, steps, buffers_by_rows)
-    except TypeError:  # pragma: no cover - non-weakref-able stand-ins
-        pass
-    return steps, buffers_by_rows
 
 
 def soft_update(target: Module, source: Module, tau: float) -> None:

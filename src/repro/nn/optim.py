@@ -110,8 +110,8 @@ class Adam(Optimizer):
         concatenated and run through one elementwise chain, the same float64
         ops per element as a per-parameter loop, so the update is bit for bit
         the per-tensor one.  Each ``parameter.data`` is then *rebound* to its
-        slice of the fresh result -- never written in place -- because the
-        forward/IBP plan caches recognise current weights by array identity.
+        slice of the fresh result -- never written in place -- so an array
+        captured before the step keeps its values.
         """
 
         self._step_count += 1

@@ -40,7 +40,6 @@ from scipy.special import comb
 from repro.nn.lipschitz import network_lipschitz
 from repro.nn.network import MLP
 from repro.systems.sets import Box
-from repro.utils.buffers import global_arena
 from repro.verification.intervals import Interval, apply_row_blocked
 
 FunctionLike = Union[MLP, Callable[[np.ndarray], np.ndarray]]
@@ -108,34 +107,31 @@ def _normalised_degrees(degrees: Union[int, Sequence[int]], dimension: int) -> n
 
 
 def _normalised_box_stack(lows: np.ndarray, highs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``atleast_2d``/``asarray`` normalisation, hoisted to the batch boundary.
-
-    Every batched kernel funnels through this once; the private ``*_into``
-    kernels below assume already-normalised ``(P, dim)`` float64 stacks and
-    skip the per-call coercion that used to run (repeatedly) inside them.
-    """
+    """``atleast_2d``/``asarray`` normalisation of a ``(P, dim)`` box stack."""
 
     lows = np.atleast_2d(np.asarray(lows, dtype=np.float64))
     highs = np.atleast_2d(np.asarray(highs, dtype=np.float64))
     return lows, highs
 
 
-def _grid_batch_into(
-    lows: np.ndarray, highs: np.ndarray, degrees: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """Fill ``out`` (shape ``(P, G, dim)``) with the stacked coefficient grids.
+def bernstein_grid_batch(lows: np.ndarray, highs: np.ndarray, degrees: Sequence[int]) -> np.ndarray:
+    """Coefficient grids for a ``(P, dim)`` box stack, shape ``(P, G, dim)``.
 
-    Same per-axis ``linspace`` arithmetic as the original stacking
-    implementation.  In ``ij`` meshgrid order, axis ``k``'s column of the
+    ``G = prod(degrees + 1)`` points per box, in the same ``ij`` meshgrid
+    order (and with the same per-axis ``linspace`` arithmetic) as the
+    single-box grid, so row ``p`` reproduces ``Box(lows[p], highs[p])``'s
+    scalar grid exactly.  In ``ij`` order, axis ``k``'s column of the
     flattened grid is its ``degree + 1`` points with the trailing axes'
     point count as inner repeat and the leading axes' as outer tile -- a
     pattern a broadcast assignment reproduces directly, with no ``(G, dim)``
-    index table, no per-axis fancy-index temporary and no final ``np.stack``.
+    index table and no final ``np.stack``.
     """
 
-    count = lows.shape[0]
-    dimension = len(degrees)
+    lows, highs = _normalised_box_stack(lows, highs)
+    count, dimension = lows.shape
+    degrees = _normalised_degrees(degrees, dimension)
     sizes = [int(degree) + 1 for degree in degrees]
+    out = np.empty((count, int(np.prod(sizes)), dimension))
     inner = 1
     for axis in range(dimension - 1, -1, -1):
         side = sizes[axis]
@@ -147,27 +143,6 @@ def _grid_batch_into(
     return out
 
 
-def _grid_point_count(degrees: np.ndarray) -> int:
-    return int(np.prod([int(degree) + 1 for degree in degrees]))
-
-
-def bernstein_grid_batch(lows: np.ndarray, highs: np.ndarray, degrees: Sequence[int]) -> np.ndarray:
-    """Coefficient grids for a ``(P, dim)`` box stack, shape ``(P, G, dim)``.
-
-    ``G = prod(degrees + 1)`` points per box, in the same ``ij`` meshgrid
-    order (and with the same per-axis ``linspace`` arithmetic) as the
-    single-box grid, so row ``p`` reproduces ``Box(lows[p], highs[p])``'s
-    scalar grid exactly.  The returned array is freshly allocated (callers
-    may keep it); the coefficient kernel uses the arena-scratch variant.
-    """
-
-    lows, highs = _normalised_box_stack(lows, highs)
-    dimension = lows.shape[1]
-    degrees = _normalised_degrees(degrees, dimension)
-    out = np.empty((lows.shape[0], _grid_point_count(degrees), dimension))
-    return _grid_batch_into(lows, highs, degrees, out)
-
-
 def _evaluate_function_batch(function: FunctionLike, points: np.ndarray) -> np.ndarray:
     """Evaluate ``function`` on a flat ``(N, dim)`` point array -> ``(N, out)``.
 
@@ -177,10 +152,7 @@ def _evaluate_function_batch(function: FunctionLike, points: np.ndarray) -> np.n
     """
 
     if isinstance(function, MLP):
-        # predict_block is bit-identical to predict on 2-D blocks but reuses
-        # per-layer buffers; apply_row_blocked copies each block out of the
-        # scratch before the next block overwrites it.
-        return np.atleast_2d(apply_row_blocked(function.predict_block, points))
+        return np.atleast_2d(apply_row_blocked(function._run, points))
     return np.atleast_2d(np.stack([np.atleast_1d(function(point)) for point in points], axis=0))
 
 
@@ -198,16 +170,8 @@ def bernstein_coefficients_batch(
     lows, highs = _normalised_box_stack(lows, highs)
     count, dimension = lows.shape
     degrees = _normalised_degrees(degrees, dimension)
-    # The grids are consumed within this call, so they live in reusable
-    # arena scratch; the *output* is the fresh array allocated by the
-    # blocked evaluator (CoefficientCache stores rows of it persistently,
-    # so it must never alias the arena).
-    grids = global_arena.take(
-        "bernstein.grids", (count, _grid_point_count(degrees), dimension)
-    )
-    _grid_batch_into(lows, highs, degrees, grids)
-    flat = grids.reshape(-1, dimension)
-    values = _evaluate_function_batch(function, flat)
+    grids = bernstein_grid_batch(lows, highs, degrees)
+    values = _evaluate_function_batch(function, grids.reshape(-1, dimension))
     shape = (count,) + tuple(int(degree) + 1 for degree in degrees) + (values.shape[-1],)
     return values.reshape(shape)
 
@@ -291,8 +255,9 @@ class CoefficientCache:
         For an MLP this is a digest of the current weights, so sharing a
         cache across networks -- or mutating a network's weights between
         partitionings -- can never serve another function's coefficients.
-        Recomputed per batch: hashing a few kilobytes is negligible next to
-        a fit.  Non-MLP callables are keyed by object identity.
+        Computed once per batch call (:meth:`insert_batch`,
+        :meth:`get_batch`), never per box.  Non-MLP callables are keyed by
+        object identity.
         """
 
         if isinstance(self._function, MLP):
@@ -301,15 +266,22 @@ class CoefficientCache:
             return _weights_digest(self._function).encode("utf-8")
         return repr(id(self._function)).encode("utf-8")
 
-    def _key(self, tag: bytes, low: np.ndarray, high: np.ndarray, degrees: np.ndarray) -> bytes:
-        return tag + degrees.tobytes() + low.tobytes() + high.tobytes()
+    def _keys(self, lows: np.ndarray, highs: np.ndarray, degrees: np.ndarray) -> list:
+        """One key per row of a ``(P, dim)`` box stack, under one tag."""
+
+        prefix = self._function_tag() + degrees.tobytes()
+        return [prefix + lows[index].tobytes() + highs[index].tobytes() for index in range(lows.shape[0])]
 
     def __len__(self) -> int:
         return len(self._store)
 
-    def insert(self, low: np.ndarray, high: np.ndarray, degrees: Sequence[int], coefficients: np.ndarray) -> None:
-        degrees = _normalised_degrees(degrees, np.asarray(low).size)
-        self._store[self._key(self._function_tag(), np.asarray(low), np.asarray(high), degrees)] = coefficients
+    def insert_batch(self, lows: np.ndarray, highs: np.ndarray, degrees: Sequence[int], coefficients) -> None:
+        """Store ``coefficients[p]`` for box ``p`` of a ``(P, dim)`` stack."""
+
+        lows, highs = _normalised_box_stack(lows, highs)
+        degrees = _normalised_degrees(degrees, lows.shape[1])
+        for key, tensor in zip(self._keys(lows, highs, degrees), coefficients):
+            self._store[key] = tensor
         self._evict()
 
     def _evict(self) -> None:
@@ -319,11 +291,9 @@ class CoefficientCache:
     def get_batch(self, lows: np.ndarray, highs: np.ndarray, degrees: Sequence[int]) -> np.ndarray:
         """Stacked coefficients for a ``(P, dim)`` box stack, fitting only misses."""
 
-        lows = np.atleast_2d(np.asarray(lows, dtype=np.float64))
-        highs = np.atleast_2d(np.asarray(highs, dtype=np.float64))
+        lows, highs = _normalised_box_stack(lows, highs)
         degrees = _normalised_degrees(degrees, lows.shape[1])
-        tag = self._function_tag()
-        keys = [self._key(tag, lows[index], highs[index], degrees) for index in range(lows.shape[0])]
+        keys = self._keys(lows, highs, degrees)
         missing = [index for index, key in enumerate(keys) if key not in self._store]
         self.hits += len(keys) - len(missing)
         self.misses += len(missing)

@@ -17,13 +17,11 @@ helpers are their ``M = 1`` wrappers.
 
 from __future__ import annotations
 
-import weakref
 from typing import Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.systems.sets import Box
-from repro.utils.buffers import global_arena
 
 Scalar = Union[int, float]
 
@@ -35,6 +33,12 @@ Scalar = Union[int, float]
 #: for bit.
 EVAL_BLOCK_ROWS = 64
 
+#: Blocks handed to the blocked function per call, as one ``(k, 64, ...)``
+#: stack.  ``np.matmul`` runs one BLAS product per 2-D slice of a stacked
+#: operand, so every block rounds exactly as it would alone; the constant
+#: only bounds the temporaries of one call (1024 rows).
+STACK_BLOCKS = 16
+
 
 def apply_row_blocked(function, rows: np.ndarray) -> np.ndarray:
     """Apply ``function`` to ``(N, ...)`` rows in fixed 64-row padded blocks.
@@ -42,31 +46,23 @@ def apply_row_blocked(function, rows: np.ndarray) -> np.ndarray:
     The final partial block is padded by repeating its last row (each row of
     a matrix product is computed independently, so padding rows cannot
     perturb real ones) and the padding is sliced off the output.
-
-    The returned array is freshly allocated and owned by the caller; only
-    the padded-tail block uses reusable arena scratch, so ``function`` must
-    not retain references to its input chunk beyond the call.
+    ``function`` receives stacks of up to :data:`STACK_BLOCKS` whole blocks,
+    shaped ``(k, 64, ...)``, and must treat the leading axis as a batch of
+    independent blocks.  The returned array is freshly allocated.
     """
 
     count = rows.shape[0]
-    output = None
-    for start in range(0, count, EVAL_BLOCK_ROWS):
-        chunk = rows[start : start + EVAL_BLOCK_ROWS]
-        valid = chunk.shape[0]
-        if valid < EVAL_BLOCK_ROWS:
-            padded = global_arena.take(
-                "row_blocked.pad", (EVAL_BLOCK_ROWS,) + chunk.shape[1:], rows.dtype
-            )
-            padded[:valid] = chunk
-            padded[valid:] = chunk[-1]
-            chunk = padded
-        result = function(chunk)
-        if output is None:
-            output = np.empty((count,) + result.shape[1:], dtype=result.dtype)
-        output[start : start + valid] = result[:valid]
-    if output is None:  # preserve the historical empty-input error
-        return np.concatenate([], axis=0)
-    return output
+    if count == 0:
+        raise ValueError("apply_row_blocked needs at least one row")
+    blocks = -(-count // EVAL_BLOCK_ROWS)
+    padding = blocks * EVAL_BLOCK_ROWS - count
+    if padding:
+        rows = np.concatenate([rows, np.repeat(rows[-1:], padding, axis=0)], axis=0)
+    stack = rows.reshape((blocks, EVAL_BLOCK_ROWS) + rows.shape[1:])
+    output = np.concatenate(
+        [function(stack[start : start + STACK_BLOCKS]) for start in range(0, blocks, STACK_BLOCKS)], axis=0
+    )
+    return output.reshape((blocks * EVAL_BLOCK_ROWS,) + output.shape[2:])[:count]
 
 
 def _sin_range(lower: np.ndarray, upper: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -231,91 +227,6 @@ def interval_matmul(matrix: np.ndarray, interval: Interval) -> Interval:
     return Interval(new_center - new_radius, new_center + new_radius)
 
 
-def _inplace_activation(name: str, lower: np.ndarray, upper: np.ndarray) -> None:
-    """Apply a monotone activation to both bound arrays in place.
-
-    Each branch performs the exact same float64 operation sequence as the
-    original allocating expressions (``np.divide(1.0, x)`` is bitwise
-    ``1.0 / x``), so in-place evaluation cannot drift a single bit.
-    """
-
-    if name == "relu":
-        np.maximum(lower, 0.0, out=lower)
-        np.maximum(upper, 0.0, out=upper)
-    elif name == "tanh":
-        np.tanh(lower, out=lower)
-        np.tanh(upper, out=upper)
-    elif name == "sigmoid":
-        for bound in (lower, upper):
-            np.negative(bound, out=bound)
-            np.exp(bound, out=bound)
-            np.add(bound, 1.0, out=bound)
-            np.divide(1.0, bound, out=bound)
-    # identity: unchanged
-
-
-#: Per-network IBP propagation plans: hoisted weight views, |W| matrices and
-#: reusable 64-row block buffers.  Weak-keyed so dropping a network drops
-#: its plan.
-_IBP_PLAN_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def _ibp_plan(network):
-    """The network's propagation plan: ``[(kind, payload), ...]`` steps.
-
-    For linear layers the payload bundles ``(weight, bias, |weight|,
-    block_buffers)`` with ``|weight|`` computed once and six preallocated
-    ``EVAL_BLOCK_ROWS``-tall scratch blocks reused across every block of
-    every subsequent call.  Plans are memoised per network and invalidated
-    by *array identity*: the repo's optimizers always rebind
-    ``parameter.data`` to a fresh array (never mutate in place), and the
-    cached plan keeps references to the old arrays so their ids cannot be
-    recycled -- an identity match therefore guarantees the weights are
-    unchanged.
-    """
-
-    from repro.nn.layers import Activation, Linear
-
-    refs = []
-    for layer in network.layers:
-        if isinstance(layer, Linear):
-            refs.append(layer.weight.data)
-            refs.append(layer.bias.data)
-    cached = _IBP_PLAN_CACHE.get(network)
-    if cached is not None:
-        cached_refs, cached_steps = cached
-        if len(cached_refs) == len(refs) and all(
-            left is right for left, right in zip(cached_refs, refs)
-        ):
-            return cached_steps
-
-    arena = global_arena
-    rows = EVAL_BLOCK_ROWS
-    steps = []
-    linear_index = 0
-    for layer in network.layers:
-        if isinstance(layer, Linear):
-            weight = layer.weight.data
-            in_width, out_width = weight.shape
-            buffers = (
-                arena.take(f"ibp.center.{linear_index}", (rows, in_width)),
-                arena.take(f"ibp.radius.{linear_index}", (rows, in_width)),
-                arena.take(f"ibp.new_center.{linear_index}", (rows, out_width)),
-                arena.take(f"ibp.new_radius.{linear_index}", (rows, out_width)),
-                arena.take(f"ibp.lower.{linear_index}", (rows, out_width)),
-                arena.take(f"ibp.upper.{linear_index}", (rows, out_width)),
-            )
-            steps.append(("linear", (weight, layer.bias.data, np.abs(weight), buffers)))
-            linear_index += 1
-        elif isinstance(layer, Activation):
-            steps.append(("activation", layer.name))
-    try:
-        _IBP_PLAN_CACHE[network] = (refs, steps)
-    except TypeError:  # non-weakref-able network stand-ins: just rebuild
-        pass
-    return steps
-
-
 def network_output_bounds_batch(network, lows: np.ndarray, highs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Interval bound propagation through an MLP for an ``(M, dim)`` box stack.
 
@@ -326,31 +237,32 @@ def network_output_bounds_batch(network, lows: np.ndarray, highs: np.ndarray) ->
     :func:`network_output_bounds` is its ``M = 1`` wrapper.
     """
 
-    steps = _ibp_plan(network)
+    from repro.nn.layers import Activation, Linear
+    from repro.nn.network import _apply_activation_array_named
+
+    steps = []
+    for layer in network.layers:
+        if isinstance(layer, Linear):
+            weight = layer.weight.data
+            steps.append((weight, layer.bias.data, np.abs(weight)))
+        elif isinstance(layer, Activation):
+            steps.append(layer.name)
 
     def propagate(bounds: np.ndarray) -> np.ndarray:
-        # Copy the paired bounds into reusable contiguous blocks once per
-        # 64-row chunk; every later op then runs in place on arena scratch.
-        lower = global_arena.take("ibp.lower.in", bounds.shape[:-1])
-        upper = global_arena.take("ibp.upper.in", bounds.shape[:-1])
-        lower[...] = bounds[..., 0]
-        upper[...] = bounds[..., 1]
-        for kind, payload in steps:
-            if kind == "linear":
-                weight, bias, abs_weight, buffers = payload
-                center, radius, new_center, new_radius, new_lower, new_upper = buffers
-                np.add(lower, upper, out=center)
-                np.divide(center, 2.0, out=center)
-                np.subtract(upper, lower, out=radius)
-                np.divide(radius, 2.0, out=radius)
-                np.matmul(center, weight, out=new_center)
-                np.add(new_center, bias, out=new_center)
-                np.matmul(radius, abs_weight, out=new_radius)
-                np.subtract(new_center, new_radius, out=new_lower)
-                np.add(new_center, new_radius, out=new_upper)
-                lower, upper = new_lower, new_upper
-            else:
-                _inplace_activation(payload, lower, upper)
+        lower = bounds[..., 0]
+        upper = bounds[..., 1]
+        for step in steps:
+            if isinstance(step, str):
+                lower = _apply_activation_array_named(step, lower)
+                upper = _apply_activation_array_named(step, upper)
+                continue
+            weight, bias, abs_weight = step
+            center = (lower + upper) / 2.0
+            radius = (upper - lower) / 2.0
+            new_center = center @ weight + bias
+            new_radius = radius @ abs_weight
+            lower = new_center - new_radius
+            upper = new_center + new_radius
         return np.stack([lower, upper], axis=-1)
 
     stacked = np.stack(

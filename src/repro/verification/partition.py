@@ -56,12 +56,19 @@ class PartitionedApproximation:
     def __post_init__(self):
         if self.coefficient_cache is None:
             self.coefficient_cache = CoefficientCache(self.network)
-        degrees = self.models[0].degrees if self.models else None
-        for box, model in zip(self.boxes, self.models):
-            self.coefficient_cache.insert(box.low, box.high, model.degrees, model.coefficients)
-        self._degrees = degrees
         self._lows = np.stack([partition.low for partition in self.boxes], axis=0)
         self._highs = np.stack([partition.high for partition in self.boxes], axis=0)
+        self._degrees = self.models[0].degrees
+        self.coefficient_cache.insert_batch(
+            self._lows, self._highs, self._degrees, [model.coefficients for model in self.models]
+        )
+        # Every partition shares one degree vector, so the summaries are
+        # computed once here: row p of the batched bound is the scalar
+        # ``models[p].error_bound()`` bit for bit.
+        self._max_error = float(
+            bernstein_error_bound_batch(self.lipschitz_constant, self._lows, self._highs, self._degrees).max()
+        )
+        self._total_coefficients = self.num_partitions * int(np.prod(self._degrees + 1))
         # Refined-IBP bounds are memoised per partition (keyed by the split
         # count): the overlap boxes that recur across reachability steps are
         # exactly the ones covering a whole partition, and indexing by
@@ -76,10 +83,10 @@ class PartitionedApproximation:
     def max_error(self) -> float:
         """The overall approximation error ``epsilon = max_p eps_p``."""
 
-        return max(model.error_bound() for model in self.models)
+        return self._max_error
 
     def total_coefficients(self) -> int:
-        return sum(model.num_coefficients() for model in self.models)
+        return self._total_coefficients
 
     def _overlap_mask(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
         """Boolean ``(B, P)`` mask: query ``b`` intersects partition ``p``."""

@@ -501,16 +501,3 @@ def test_flat_adam_without_gradients_is_a_no_op():
     before = parameter.data
     optimizer.step()
     assert parameter.data is before
-
-
-def test_predict_block_sees_weights_right_after_an_adam_step():
-    network = _network("tanh", "identity")
-    rows = np.random.default_rng(13).normal(size=(5, 3))
-    stale = network.predict_block(rows).copy()
-    optimizer = Adam(network.parameters(), lr=0.05)
-    optimizer.zero_grad()
-    functional.mse_loss(network(Tensor(rows)), np.zeros((5, 2))).backward()
-    optimizer.step()
-    fresh = network.predict_block(rows).copy()
-    np.testing.assert_array_equal(fresh, network.predict(rows))
-    assert not np.array_equal(fresh, stale)

@@ -1,9 +1,9 @@
 """Differential test pack pinning the optimized kernels to frozen references.
 
 The batched hot-path kernels (Bernstein grid/coefficient/enclosure, the
-blocked-row evaluator and the IBP forward pass) were rewritten for speed in
-the kernel-audit PR: preallocated output buffers, ``out=`` fused ops and
-hoisted normalisation.  Speed work on verification kernels is only safe if
+blocked-row evaluator and the IBP forward pass) are rewritten for speed
+from time to time; today the blocked evaluator hands the kernels
+``(k, 64, ...)`` stacks of row blocks.  Speed work on verification kernels is only safe if
 the float64 results are **bit-identical** -- the repo's soundness story
 rests on the scalar path being the batch-of-one special case, and any
 rounding drift would silently invalidate the committed golden runs.
@@ -31,6 +31,7 @@ from repro.verification.bernstein import (
 )
 from repro.verification.intervals import (
     EVAL_BLOCK_ROWS,
+    STACK_BLOCKS,
     apply_row_blocked,
     network_output_bounds_batch,
 )
@@ -310,3 +311,76 @@ def test_coefficients_output_is_freshly_allocated():
     other_lows, other_highs = _box_stack(rng, 8, 2)
     bernstein_coefficients_batch(network, other_lows, other_highs, [3, 3])
     assert_bit_identical(first, snapshot, "coefficients mutated by a later call")
+
+
+# ----------------------------------------------------------------------
+# Stack edges: the blocked evaluator hands the kernels (k, 64, ...) stacks
+# of up to STACK_BLOCKS blocks, so row counts on either side of one block
+# and of one whole stack must still match the one-block-at-a-time
+# references.
+# ----------------------------------------------------------------------
+
+STACK_EDGE_ROWS = (1, 63, 64, 65, 1023, 1024, 1025, 4097)
+
+
+def _wide_network(rng, dimension, activation="tanh"):
+    """One 512-wide hidden layer.  At this width (OpenBLAS, x86-64) one
+    1024-row product rounds differently from sixteen 64-row products, so a
+    stack evaluated as one fused product fails the comparisons below."""
+
+    seed = int(rng.integers(0, 2**31 - 1))
+    return MLP(dimension, 2, hidden_sizes=(512,), activation=activation, seed=seed)
+
+
+def test_stack_edges_straddle_a_block_and_a_stack():
+    stack_rows = STACK_BLOCKS * EVAL_BLOCK_ROWS
+    assert {EVAL_BLOCK_ROWS - 1, EVAL_BLOCK_ROWS + 1} <= set(STACK_EDGE_ROWS)
+    assert {stack_rows - 1, stack_rows, stack_rows + 1} <= set(STACK_EDGE_ROWS)
+
+
+@pytest.mark.parametrize("count", STACK_EDGE_ROWS)
+def test_apply_row_blocked_bit_identical_at_stack_edges(count):
+    rng = np.random.default_rng(count)
+    rows = rng.normal(size=(count, 3))
+    network = _wide_network(rng, 3)
+    out = apply_row_blocked(network.predict, rows)
+    ref = _reference_apply_row_blocked(network.predict, rows)
+    assert_bit_identical(out, ref, f"apply_row_blocked at {count} rows")
+
+
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+@pytest.mark.parametrize("count", STACK_EDGE_ROWS)
+def test_ibp_bit_identical_at_stack_edges(count, activation):
+    rng = np.random.default_rng(count)
+    lows, highs = _box_stack(rng, count, 3)
+    network = _wide_network(rng, 3, activation=activation)
+    lo, hi = network_output_bounds_batch(network, lows, highs)
+    ref_lo, ref_hi = _reference_network_output_bounds_batch(network, lows, highs)
+    assert_bit_identical(lo, ref_lo, f"ibp lower at {count} rows")
+    assert_bit_identical(hi, ref_hi, f"ibp upper at {count} rows")
+
+
+def test_apply_row_blocked_rejects_empty_input():
+    network = _network(np.random.default_rng(2), 3)
+    with pytest.raises(ValueError):
+        apply_row_blocked(network.predict, np.empty((0, 3)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    blocks=st.integers(1, STACK_BLOCKS),
+    inner=st.sampled_from((1, 3, 16, 64, 512)),
+    outer=st.integers(1, 32),
+)
+def test_stacked_matmul_equals_each_slice_product(seed, blocks, inner, outer):
+    """The stacked blocks rest on this NumPy behaviour: ``np.matmul`` on a
+    ``(k, 64, K)`` stack is one 2-D product per slice.  If a NumPy release
+    ever fuses the slices into one larger product, this names the cause."""
+
+    rng = np.random.default_rng(seed)
+    stack = rng.normal(size=(blocks, EVAL_BLOCK_ROWS, inner))
+    weight = rng.normal(size=(inner, outer))
+    product = np.matmul(stack, weight)
+    for index in range(blocks):
+        assert_bit_identical(product[index], np.matmul(stack[index], weight), f"slice {index}")

@@ -1,98 +1,10 @@
-"""BufferArena reuse properties and StageTimer behavior.
-
-The arena is the allocation backbone of the optimized kernels, so the
-properties here are exactly the guarantees those kernels lean on: a take
-after a larger take returns a clean, correctly-shaped prefix view with no
-stale-row leaks into the result the caller sees, and repeated same-shape
-takes are idempotent (no growth, same backing storage).
-"""
+"""StageTimer behavior."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.utils.buffers import BufferArena, global_arena
 from repro.utils.profiling import StageTimer
-
-SHAPES = st.tuples(st.integers(1, 8), st.integers(1, 8))
-
-
-class TestBufferArena:
-    def test_take_shape_dtype_contiguity(self):
-        arena = BufferArena()
-        view = arena.take("t", (3, 5))
-        assert view.shape == (3, 5)
-        assert view.dtype == np.float64
-        assert view.flags["C_CONTIGUOUS"]
-        assert arena.take("t", (2, 2), dtype=np.float32).dtype == np.float32
-
-    @settings(max_examples=50, deadline=None)
-    @given(big=SHAPES, small=SHAPES)
-    def test_larger_then_smaller_take_has_no_stale_rows(self, big, small):
-        """What a caller writes into the smaller view is all it reads back:
-        sentinel data from an earlier, larger take never shows through."""
-
-        arena = BufferArena()
-        first = arena.take("scratch", big)
-        first.fill(7.0)
-        second = arena.take("scratch", small)
-        second.fill(3.0)
-        assert second.shape == small
-        np.testing.assert_array_equal(second, np.full(small, 3.0))
-
-    @settings(max_examples=50, deadline=None)
-    @given(shape=SHAPES, repeats=st.integers(2, 5))
-    def test_repeated_same_shape_takes_are_idempotent(self, shape, repeats):
-        """Same tag + shape: same backing buffer, no growth, reusable."""
-
-        arena = BufferArena()
-        first = arena.take("scratch", shape)
-        bytes_after_first = arena.nbytes()
-        for _ in range(repeats):
-            again = arena.take("scratch", shape)
-            assert again.base is first.base or again is first
-            assert arena.nbytes() == bytes_after_first
-            again.fill(1.0)
-            np.testing.assert_array_equal(arena.take("scratch", shape), np.ones(shape))
-
-    def test_tags_and_dtypes_are_independent_buffers(self):
-        arena = BufferArena()
-        a = arena.take("a", (4,))
-        b = arena.take("b", (4,))
-        c = arena.take("a", (4,), dtype=np.float32)
-        a.fill(1.0)
-        b.fill(2.0)
-        c.fill(3.0)
-        np.testing.assert_array_equal(arena.take("a", (4,)), np.ones(4))
-        np.testing.assert_array_equal(arena.take("b", (4,)), np.full(4, 2.0))
-        np.testing.assert_array_equal(arena.take("a", (4,), dtype=np.float32),
-                                      np.full(4, 3.0, dtype=np.float32))
-
-    def test_zeros_returns_zeroed_view(self):
-        arena = BufferArena()
-        arena.take("z", (3, 3)).fill(9.0)
-        np.testing.assert_array_equal(arena.zeros("z", (3, 3)), np.zeros((3, 3)))
-
-    def test_owns_walks_view_chain(self):
-        arena = BufferArena()
-        view = arena.take("o", (4, 4))
-        assert arena.owns(view)
-        assert arena.owns(view[1:, :2])
-        assert not arena.owns(np.empty((4, 4)))
-        assert not arena.owns(view.copy())
-
-    def test_clear_releases_storage(self):
-        arena = BufferArena()
-        arena.take("c", (64,))
-        assert arena.nbytes() > 0
-        arena.clear()
-        assert arena.nbytes() == 0
-
-    def test_global_arena_is_a_buffer_arena(self):
-        assert isinstance(global_arena, BufferArena)
 
 
 class TestStageTimer:

@@ -95,3 +95,53 @@ class TestPiecewiseEvaluation:
         wide = approx.control_bounds(Box([-1, -1], [1, 1]), include_error=False)
         narrow = approx.control_bounds(Box([-0.1, -0.1], [0.1, 0.1]), include_error=False)
         assert np.all(narrow.width <= wide.width + 1e-9)
+
+
+#: (domain, target error, degree, partition budget) per summary case.
+SUMMARY_CASES = {
+    "refined": (Box([-2, -2], [2, 2]), 0.4, 3, 4096),
+    "single-partition": (Box([-0.01, -0.01], [0.01, 0.01]), 0.5, 3, 4096),
+    "budget-capped": (Box([-2, -2], [2, 2]), 1e-4, 2, 300),
+}
+
+
+class TestSummaries:
+    """The summaries computed once at construction equal the per-model ones."""
+
+    @pytest.mark.parametrize("engine", ["batched", "scalar"])
+    @pytest.mark.parametrize("case", sorted(SUMMARY_CASES))
+    def test_summaries_match_the_models(self, small_network, case, engine):
+        domain, target, degree, budget = SUMMARY_CASES[case]
+        approx = partition_network(
+            small_network, domain, target_error=target, degree=degree, max_partitions=budget, engine=engine
+        )
+        assert approx.max_error == max(model.error_bound() for model in approx.models)
+        assert approx.total_coefficients() == sum(model.num_coefficients() for model in approx.models)
+        if case == "single-partition":
+            assert approx.num_partitions == 1
+        if case == "budget-capped":
+            assert approx.num_partitions == budget
+            assert approx.max_error > target
+
+    def test_one_weights_digest_per_cache_fill(self, small_network, domain, monkeypatch):
+        """Filling the coefficient cache hashes the weights once per batch,
+        not once per partition."""
+
+        from repro.nn import lipschitz
+
+        original = lipschitz._weights_digest
+        calls = []
+
+        def counting_digest(network):
+            calls.append(network)
+            return original(network)
+
+        monkeypatch.setattr(lipschitz, "_weights_digest", counting_digest)
+        digests = {}
+        for target in (0.4, 0.2):
+            calls.clear()
+            approx = partition_network(small_network, domain, target_error=target, degree=3)
+            digests[approx.num_partitions] = len(calls)
+        fewer, more = sorted(digests)
+        assert 256 <= fewer < more
+        assert digests[fewer] == digests[more]

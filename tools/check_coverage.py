@@ -117,7 +117,7 @@ def main(argv=None) -> int:
         sys.path.insert(0, src)
 
     if importlib.util.find_spec("pytest_cov") is not None:
-        # A single-module target (src/repro/utils/buffers.py) covs the module.
+        # A single-module target (src/repro/utils/profiling.py) covs the module.
         relative = args.target.resolve().relative_to(REPO / "src").with_suffix("")
         command = [
             sys.executable, "-m", "pytest", "-q",
