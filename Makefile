@@ -7,8 +7,10 @@
 # the shard/claim/merge packs in its test list so the coverage floor spans
 # the distributed-coordination code too, and enforces the same floor on
 # src/repro/telemetry, src/repro/jobs and src/repro/autodiff via their
-# test packs, and on src/repro/verification via the verification packs plus
-# the kernel differential pack;
+# test packs, and on src/repro/verification via the verification packs
+# (test_verification_batch.py holds the comparisons against the frozen
+# reference in tests/verification_reference.py) plus the kernel
+# differential pack;
 # `shard-smoke` runs a real 2-shard matrix against one run directory and
 # merges it back end-to-end; `watch-smoke` runs two telemetry-emitting
 # shards, then exercises `runs watch --once` and `runs stats` against the
@@ -20,9 +22,8 @@
 # pytest marker); `bench` regenerates the paper's tables/figures at the
 # quick scale; `bench-json` runs the `repro bench` perf-regression
 # harness and writes the machine-readable BENCH_<date>.json report
-# (see docs/performance.md); `verify-bench` re-times the scalar-vs-batched verification
-# engines and refreshes the committed CSV; `train-bench` does the same for
-# the scalar-vs-vectorized training stages; `perf-train SEED=N` runs the
+# (see docs/performance.md); `train-bench` re-times the scalar-vs-vectorized
+# training stages and refreshes the committed CSV; `perf-train SEED=N` runs the
 # repo benchmark's `train` workload with the per-layer trace on (autodiff
 # backward, optimizer step, distillation, PPO update); `perf-matrix SEED=N`
 # runs its `matrix` workload with the trace on (expert batch_controls, FGSM,
@@ -34,7 +35,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test test-fast test-cov shard-smoke watch-smoke serve-smoke scenario-smoke bench bench-json verify-bench train-bench perf-train perf-verify perf-matrix lint
+.PHONY: test test-fast test-cov shard-smoke watch-smoke serve-smoke scenario-smoke bench bench-json train-bench perf-train perf-verify perf-matrix lint
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -109,9 +110,6 @@ bench:
 BENCH_JSON_DIR ?= runs/bench
 bench-json:
 	$(PYTHON) -m repro bench --output $(BENCH_JSON_DIR) --json
-
-verify-bench:
-	REPRO_RECORD=1 $(PYTHON) -m pytest -q -s benchmarks/test_verification_speed.py
 
 train-bench:
 	REPRO_RECORD=1 $(PYTHON) -m pytest -q -s benchmarks/test_training_speed.py

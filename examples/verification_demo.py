@@ -37,13 +37,6 @@ def main() -> None:
     parser.add_argument("--fast", action="store_true")
     parser.add_argument("--grid", type=int, default=20, help="invariant-set grid resolution")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--engine",
-        default="batched",
-        choices=["batched", "scalar"],
-        help="verification engine: the vectorized default or the historical scalar flow "
-        "(identical results, different wall clock)",
-    )
     args = parser.parse_args()
 
     set_global_seed(args.seed)
@@ -77,7 +70,6 @@ def main() -> None:
             reach_initial_box=reach_box,
             reach_steps=15,
             invariant_grid=None if args.fast else args.grid,
-            engine=args.engine,
         )
         summary = report.summary()
         print(f"== {name} ==")

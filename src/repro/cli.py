@@ -18,7 +18,7 @@ Five sub-commands cover the daily workflow of the reproduction:
     Verify many saved controllers at once: expand a job matrix from one or
     more ``--spec system:dir[:controller]`` entries (or a single
     ``--system``/``--controller-dir`` pair), fan the jobs out across a
-    process pool (``--jobs``) running the batched verification engine, and
+    process pool (``--jobs``) running the batched verification analyses, and
     print an aggregated report (optionally written to ``--csv``).
 
 ``scenarios``
@@ -211,12 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--reach-box-scale", type=float, default=None,
                         help=f"initial reach box as a fraction of X0 {hint}")
     verify.add_argument("--invariant-grid", type=int, default=0, help="0 disables the invariant-set analysis")
-    verify.add_argument(
-        "--engine",
-        default="batched",
-        choices=["batched", "scalar"],
-        help="'batched' runs the vectorized engine; 'scalar' the historical one-box-at-a-time flow",
-    )
 
     sweep = subparsers.add_parser(
         "verify-sweep", help="verify many saved controllers across a process pool"
@@ -245,18 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
                        "exceeding it aborts with status 'resource-exhausted'")
     sweep.add_argument("--time-budget", type=float, default=0.0,
                        help="per-job wall-clock budget in seconds, checked at phase boundaries (0 = unbounded)")
-    sweep.add_argument(
-        "--engine",
-        default="batched",
-        choices=["batched", "scalar"],
-        help="'batched' runs the vectorized engine; 'scalar' the historical one-box-at-a-time flow",
-    )
     sweep.add_argument("--csv", type=Path, default=None, help="write one CSV row per job to this path")
     sweep.add_argument(
         "--run-dir",
         type=Path,
         default=None,
-        help="experiment run store; jobs whose (weight digest x budgets x engine) key "
+        help="experiment run store; jobs whose (weight digest x budgets) key "
         "is already present are replayed from it instead of re-verified",
     )
 
@@ -567,7 +555,6 @@ def _command_verify(args: argparse.Namespace) -> int:
         reach_initial_box=reach_box,
         reach_steps=_resolve_budget(args.reach_steps, hints, "reach_steps", 15),
         invariant_grid=args.invariant_grid or None,
-        engine=args.engine,
     )
     for key, value in report.summary().items():
         print(f"{key:20s}: {value}")
@@ -596,7 +583,6 @@ def _command_verify_sweep(args: argparse.Namespace) -> int:
         invariant_grid=args.invariant_grid,
         work_budget=args.work_budget,
         time_budget=args.time_budget,
-        engine=args.engine,
         jobs=args.jobs,
     )
     store = None

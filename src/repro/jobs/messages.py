@@ -81,7 +81,6 @@ JOB_STATES = ("queued", "running", "done", "failed", "cancelled", "cached", "att
 #: States a job never leaves (``wait``/``--wait`` stop polling here).
 TERMINAL_STATES = ("done", "failed", "cancelled", "cached")
 
-_ENGINES = ("batched", "scalar")
 _PERTURBATIONS = ("none", "attack", "noise")
 
 
@@ -98,13 +97,6 @@ _register_job = register_message(JOB_REGISTRY)
 @dataclass(frozen=True)
 class JobSpec(TypedMessage):
     """Base of every job description; ``TYPE`` is the job kind."""
-
-
-def _require_engine(spec: JobSpec) -> None:
-    if spec.engine not in _ENGINES:
-        raise MessageValidationError(
-            f"{type(spec).__name__}.engine must be one of {_ENGINES}, got {spec.engine!r}"
-        )
 
 
 @_register_job
@@ -171,10 +163,13 @@ class VerifySweepJobSpec(JobSpec):
     """Verify many saved controllers (mirrors ``repro verify-sweep``).
 
     ``specs`` entries use the CLI's ``SYSTEM:DIR[:CONTROLLER]`` syntax;
-    zero-valued budgets mean "unbounded", as on the command line.
+    zero-valued budgets mean "unbounded", as on the command line.  Schema
+    v2 dropped the ``engine`` field; a payload that still carries it is
+    refused.
     """
 
     TYPE: ClassVar[str] = "verify-sweep"
+    SCHEMA_VERSION: ClassVar[int] = 2
     specs: Tuple[str, ...] = ()
     target_error: float = 0.5
     degree: int = 3
@@ -184,7 +179,6 @@ class VerifySweepJobSpec(JobSpec):
     invariant_grid: int = 0
     work_budget: int = 0
     time_budget: float = 0.0
-    engine: str = "batched"
     jobs: int = 0
 
     def _validate(self) -> None:
@@ -192,7 +186,6 @@ class VerifySweepJobSpec(JobSpec):
             raise MessageValidationError(
                 "VerifySweepJobSpec.specs must name at least one SYSTEM:DIR[:CONTROLLER] entry"
             )
-        _require_engine(self)
 
 
 @_register_job
@@ -202,10 +195,13 @@ class MatrixJobSpec(JobSpec):
 
     An empty ``scenarios`` tuple means the whole catalog.  Shard fields are
     deliberately absent: sharding is a run-topology concern, not part of a
-    job's identity -- the daemon's worker pool plays that role.
+    job's identity -- the daemon's worker pool plays that role.  Schema v2
+    dropped the ``engine`` field; a payload that still carries it is
+    refused.
     """
 
     TYPE: ClassVar[str] = "matrix"
+    SCHEMA_VERSION: ClassVar[int] = 2
     scenarios: Tuple[str, ...] = ()
     perturbations: Tuple[str, ...] = _PERTURBATIONS
     samples: int = 32
@@ -217,14 +213,18 @@ class MatrixJobSpec(JobSpec):
     budget_scale: float = 1.0
     train_overrides: Dict = field(default_factory=dict)
     verify_overrides: Dict = field(default_factory=dict)
-    engine: str = "batched"
 
     def _validate(self) -> None:
         if self.samples <= 0:
             raise MessageValidationError("MatrixJobSpec.samples must be > 0")
         if not self.perturbations:
             raise MessageValidationError("MatrixJobSpec.perturbations must be non-empty")
-        _require_engine(self)
+        for perturbation in self.perturbations:
+            if perturbation not in _PERTURBATIONS:
+                raise MessageValidationError(
+                    f"MatrixJobSpec.perturbations entries must be one of {_PERTURBATIONS}, "
+                    f"got {perturbation!r}"
+                )
 
 
 def parse_job_spec(payload: Mapping) -> JobSpec:

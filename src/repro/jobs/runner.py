@@ -373,10 +373,7 @@ def expand_sweep_specs(spec: VerifySweepJobSpec) -> List:
 
 def _resolve_verify_sweep(spec: VerifySweepJobSpec) -> Dict:
     jobs = expand_sweep_specs(spec)
-    return {
-        "jobs": [job.cache_config(spec.engine) for job in jobs],
-        "engine": spec.engine,
-    }
+    return {"jobs": [job.cache_config() for job in jobs]}
 
 
 def execute_verify_sweep(
@@ -395,9 +392,7 @@ def execute_verify_sweep(
     from repro.verification.sweep import VerificationSweep
 
     jobs = expand_sweep_specs(spec)
-    sweep = VerificationSweep(
-        jobs, processes=spec.jobs or None, engine=spec.engine, store=store, force=force
-    )
+    sweep = VerificationSweep(jobs, processes=spec.jobs or None, store=store, force=force)
     report = sweep.run()
     say(report.table())
     if store is not None:
@@ -427,7 +422,6 @@ def sweep_payload(spec: VerifySweepJobSpec, report) -> Tuple[Dict, bool]:
         ):
             cacheable = False
     payload = {
-        "engine": report.engine,
         "num_verified": report.num_verified,
         "num_failed": report.num_failed,
         "records": records,
@@ -458,7 +452,6 @@ def _resolve_matrix(spec: MatrixJobSpec) -> Dict:
         budget_scale=spec.budget_scale,
         train_overrides=spec.train_overrides or None,
         verify_overrides=spec.verify_overrides or None,
-        engine=spec.engine,
     )
 
 
@@ -494,7 +487,6 @@ def execute_matrix(
         budget_scale=spec.budget_scale,
         train_overrides=spec.train_overrides or None,
         verify_overrides=spec.verify_overrides or None,
-        engine=spec.engine,
         progress=say if say is not _SILENT else None,
         store=store,
         run_dir=run_dir,

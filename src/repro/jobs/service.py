@@ -30,7 +30,7 @@ At submit time, under one lock:
 * otherwise the submission is the new primary (``queued`` -> ``running``),
   and its cacheable outcome is recorded under the digest.
 
-So any (controller, budgets, engine) query is verified once and served
+So any (controller, budgets) query is verified once and served
 from cache forever, no matter how many clients race to ask.
 
 Matrix jobs executed here emit telemetry into the shared run directory

@@ -20,23 +20,21 @@ import numpy as np
 #: Minimum batched-vs-scalar speedup each hot path must keep.  These are
 #: the single source of truth: the benchmark suite imports them, so a
 #: ratchet here tightens the committed floors everywhere at once.
-#: rollout/verification were ratcheted from the original 3.0 once the
-#: fixed-block kernels and the rollout fast path landed well clear of it.
+#: rollout was ratcheted from the original 3.0 once the rollout fast path
+#: landed well clear of it.
 FLOORS: Dict[str, float] = {
     "rollout": 5.0,
     "training": 3.0,
-    "verification": 4.0,
 }
 
 #: The measured hot paths, in report order.
-BENCH_PATHS: Tuple[str, ...] = ("rollout", "training", "verification")
+BENCH_PATHS: Tuple[str, ...] = ("rollout", "training")
 
 #: Committed baseline CSV (under :func:`results_dir`) per path, written by
 #: the full benchmarks under ``REPRO_RECORD=1``.
 BASELINE_CSVS: Dict[str, str] = {
     "rollout": "rollout_speed.csv",
     "training": "training_speed.csv",
-    "verification": "verification_speed.csv",
 }
 
 
@@ -99,8 +97,8 @@ def baseline_speedups(directory: Optional[Path] = None) -> Dict[str, Optional[fl
     """Headline speedup per path from the committed baseline CSVs.
 
     The headline row is the one each benchmark asserts its floor on: the
-    *minimum* per-system rollout speedup, the ``train-data-path`` training
-    row and the ``total`` verification row.  Paths whose CSV is missing
+    *minimum* per-system rollout speedup and the ``train-data-path``
+    training row.  Paths whose CSV is missing
     (e.g. a fresh clone before any ``REPRO_RECORD=1`` run) map to ``None``.
     """
 
@@ -115,12 +113,10 @@ def baseline_speedups(directory: Optional[Path] = None) -> Dict[str, Optional[fl
         try:
             if path_name == "rollout":
                 headline[path_name] = min(float(row[-1]) for row in rows)
-            elif path_name == "training":
+            else:
                 headline[path_name] = next(
                     float(row[-1]) for row in rows if row[0] == "train-data-path"
                 )
-            else:
-                headline[path_name] = next(float(row[-1]) for row in rows if row[0] == "total")
         except (StopIteration, ValueError, IndexError):
             headline[path_name] = None
     return headline
@@ -273,62 +269,9 @@ def _measure_training(
     )
 
 
-def _measure_verification(
-    repeats: int,
-    max_partitions: int = 1024,
-    reach_steps: int = 8,
-    invariant_grid: int = 10,
-) -> PathResult:
-    """Scale knobs exist for the ``bench_smoke`` tests; ``repro bench``
-    always runs the defaults so reports stay comparable."""
-
-    from repro.nn.network import MLP
-    from repro.systems import make_system
-    from repro.verification.sweep import SweepJob, run_sweep_job
-
-    system = make_system("vanderpol")
-    network = MLP(system.state_dim, system.control_dim, hidden_sizes=(12, 12), seed=0)
-    job = SweepJob.from_network(
-        "bench@vanderpol",
-        "vanderpol",
-        network,
-        target_error=0.45,
-        degree=3,
-        max_partitions=max_partitions,
-        reach_steps=reach_steps,
-        invariant_grid=invariant_grid,
-    )
-
-    def scalar_run():
-        result = run_sweep_job(job, engine="scalar")
-        assert result.status == "ok", result.error
-
-    def batched_run():
-        result = run_sweep_job(job, engine="batched")
-        assert result.status == "ok", result.error
-
-    scalar_seconds, batched_seconds = _ab_seconds(scalar_run, batched_run, repeats)
-    speedup = scalar_seconds / max(batched_seconds, 1e-12)
-    return PathResult(
-        name="verification",
-        speedup=speedup,
-        floor=FLOORS["verification"],
-        baseline_speedup=None,
-        passed=speedup >= FLOORS["verification"],
-        detail={
-            "bench@vanderpol": {
-                "scalar_seconds": scalar_seconds,
-                "batched_seconds": batched_seconds,
-                "speedup": round(speedup, 2),
-            }
-        },
-    )
-
-
 _MEASUREMENTS: Dict[str, Callable[[int], PathResult]] = {
     "rollout": _measure_rollout,
     "training": _measure_training,
-    "verification": _measure_verification,
 }
 
 

@@ -689,14 +689,14 @@ class _MatrixExecution:
             pending = [
                 (ctx, job)
                 for ctx, job in zip(ctxs, jobs)
-                if not self.store.contains(self.store.key("verify", job.cache_config(self.engine)))
+                if not self.store.contains(self.store.key("verify", job.cache_config()))
             ]
             if not pending:
                 return
             ctxs = [ctx for ctx, _ in pending]
             jobs = [job for _, job in pending]
         if self.offline:
-            keys = [self.store.key("verify", job.cache_config(self.engine)) for job in jobs]
+            keys = [self.store.key("verify", job.cache_config()) for job in jobs]
             present = []
             for ctx, job, key in zip(ctxs, jobs, keys):
                 if self.store.contains(key):
@@ -736,7 +736,6 @@ class _MatrixExecution:
         sweep = VerificationSweep(
             jobs,
             processes=self.jobs or None,
-            engine=self.engine,
             store=self.store,
             force=not self.reuse,
             claims=self.claims,
@@ -909,7 +908,7 @@ class _MatrixExecution:
 
     def _verify_done(self, ctx: _ScenarioContext) -> bool:
         job = self._verify_jobs([ctx])[0]
-        return self.store.contains(self.store.key("verify", job.cache_config(self.engine)))
+        return self.store.contains(self.store.key("verify", job.cache_config()))
 
     def _steal(self, contexts, by_name, cells) -> None:
         """Pick up unfinished cells until none are claimable.
@@ -1005,7 +1004,6 @@ def run_scenario_matrix(
     budget_scale: float = 1.0,
     train_overrides: Optional[Mapping[str, object]] = None,
     verify_overrides: Optional[Mapping[str, object]] = None,
-    engine: str = "batched",
     progress: Optional[Callable[[str], None]] = None,
     store=None,
     run_dir: Optional[Union[str, Path]] = None,
@@ -1118,7 +1116,6 @@ def run_scenario_matrix(
                 budget_scale=budget_scale,
                 train_overrides=train_overrides,
                 verify_overrides=verify_overrides,
-                engine=engine,
             ),
         )
 
@@ -1145,7 +1142,6 @@ def run_scenario_matrix(
         budget_scale=budget_scale,
         train_overrides=train_overrides,
         verify_overrides=verify_overrides,
-        engine=engine,
         say=progress if progress is not None else (lambda message: None),
         emit=on_cell if on_cell is not None else (lambda row: None),
         store=store,
@@ -1175,7 +1171,6 @@ def matrix_manifest(
     budget_scale: float,
     train_overrides: Optional[Mapping[str, object]],
     verify_overrides: Optional[Mapping[str, object]],
-    engine: str,
 ) -> Dict:
     """The identity a sharded run records so the merge can replay it."""
 
@@ -1190,7 +1185,6 @@ def matrix_manifest(
         "budget_scale": budget_scale,
         "train_overrides": dict(train_overrides or {}),
         "verify_overrides": dict(verify_overrides or {}),
-        "engine": engine,
     }
 
 
@@ -1222,7 +1216,6 @@ def merge_matrix_run(
         budget_scale=manifest["budget_scale"],
         train_overrides=manifest["train_overrides"] or None,
         verify_overrides=manifest["verify_overrides"] or None,
-        engine=manifest["engine"],
         progress=progress,
         run_dir=run_dir,
         offline=True,

@@ -16,18 +16,16 @@ and therefore longer verification time -- is preserved (see DESIGN.md).
 
 The hot path is **batched and parallel**: Bernstein coefficients, error
 bounds and IBP enclosures for whole stacks of boxes are computed with a few
-NumPy kernels (``engine="batched"``, the default), whole refinement
-frontiers are split per iteration, and many (controller, system) jobs fan
-out across processes via :class:`VerificationSweep`.  The historical
-one-box-at-a-time flow is kept as ``engine="scalar"``; both engines are
-bit-identical (see ``docs/verification.md``).
+NumPy kernels, whole refinement frontiers are split per iteration, and many
+(controller, system) jobs fan out across processes via
+:class:`VerificationSweep`.  A frozen one-box-at-a-time reference under
+``tests/`` pins the batched flow bit for bit (see ``docs/verification.md``).
 """
 
 from repro.verification.intervals import (
     Interval,
     network_output_bounds,
     network_output_bounds_batch,
-    refined_network_output_bounds,
     refined_network_output_bounds_batch,
 )
 from repro.verification.bernstein import (
@@ -57,7 +55,6 @@ __all__ = [
     "Interval",
     "network_output_bounds",
     "network_output_bounds_batch",
-    "refined_network_output_bounds",
     "refined_network_output_bounds_batch",
     "BernsteinApproximation",
     "CoefficientCache",

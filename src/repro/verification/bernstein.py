@@ -22,8 +22,8 @@ The module is organised around **batched kernels** that operate on a
 bounds, range enclosures and evaluations for a whole stack of boxes are
 computed with a handful of NumPy calls (one network forward pass for all
 grids).  :class:`BernsteinApproximation` is the single-box view: its fit is
-the batch-of-one special case of the same kernels, so scalar and batched
-verification engines produce bit-identical coefficients.
+the batch-of-one special case of the same kernels, so a box fitted alone and
+the same box fitted in a stack have bit-identical coefficients.
 :class:`CoefficientCache` memoises coefficient tensors keyed by box, so a
 box revisited during refinement or repeated reachability queries is never
 refit.
@@ -163,8 +163,7 @@ def bernstein_coefficients_batch(
 
     All ``P`` grids are evaluated with a *single* forward pass through the
     function (one stacked ``(P * G, dim)`` batch for an MLP), which is the
-    core speedup of the batched verification engine over fitting one
-    partition at a time.
+    core speedup over fitting one partition at a time.
     """
 
     lows, highs = _normalised_box_stack(lows, highs)
@@ -255,8 +254,7 @@ class CoefficientCache:
         For an MLP this is a digest of the current weights, so sharing a
         cache across networks -- or mutating a network's weights between
         partitionings -- can never serve another function's coefficients.
-        Computed once per batch call (:meth:`insert_batch`,
-        :meth:`get_batch`), never per box.  Non-MLP callables are keyed by
+        Computed once per :meth:`get_batch` call, never per box.  Non-MLP callables are keyed by
         object identity.
         """
 
@@ -274,15 +272,6 @@ class CoefficientCache:
 
     def __len__(self) -> int:
         return len(self._store)
-
-    def insert_batch(self, lows: np.ndarray, highs: np.ndarray, degrees: Sequence[int], coefficients) -> None:
-        """Store ``coefficients[p]`` for box ``p`` of a ``(P, dim)`` stack."""
-
-        lows, highs = _normalised_box_stack(lows, highs)
-        degrees = _normalised_degrees(degrees, lows.shape[1])
-        for key, tensor in zip(self._keys(lows, highs, degrees), coefficients):
-            self._store[key] = tensor
-        self._evict()
 
     def _evict(self) -> None:
         while len(self._store) > self.max_entries:

@@ -6,13 +6,13 @@ through the plants' dynamics and, together with the Bernstein range
 enclosure, through the neural controller.
 
 Every operation is elementwise, so an :class:`Interval` may carry bounds of
-any shape: the verification engine stacks many boxes into ``(N, dim)``
-intervals and pushes them through the same code paths as a single ``(dim,)``
+any shape: the verification analyses stack many boxes into ``(N, dim)``
+intervals and push them through the same code paths as a single ``(dim,)``
 interval.  The batched interval-bound-propagation kernels at the bottom of
 the module (:func:`network_output_bounds_batch`,
 :func:`refined_network_output_bounds_batch`) propagate a whole ``(M, dim)``
-stack of boxes through an MLP with one matrix product per layer; the scalar
-helpers are their ``M = 1`` wrappers.
+stack of boxes through an MLP with one matrix product per layer;
+:func:`network_output_bounds` is the single-box ``M = 1`` wrapper.
 """
 
 from __future__ import annotations
@@ -28,9 +28,8 @@ Scalar = Union[int, float]
 #: Verification kernels evaluate networks in fixed-width row blocks.  BLAS
 #: matrix products round slightly differently depending on the row count, so
 #: evaluating every stack in padded blocks of this exact height makes each
-#: row's result independent of how many boxes were batched together -- the
-#: property that lets the scalar and batched verification engines agree bit
-#: for bit.
+#: row's result independent of how many boxes were batched together, so a
+#: box's bounds agree bit for bit whether it was evaluated alone or stacked.
 EVAL_BLOCK_ROWS = 64
 
 #: Blocks handed to the blocked function per call, as one ``(k, 64, ...)``
@@ -233,7 +232,7 @@ def network_output_bounds_batch(network, lows: np.ndarray, highs: np.ndarray) ->
     Propagates all ``M`` boxes with one centre/radius matrix product per
     linear layer and one elementwise monotone map per activation, returning
     ``(lower, upper)`` arrays of shape ``(M, output_dim)``.  This is the
-    kernel behind every IBP query of the verification engine; the scalar
+    kernel behind every IBP query of the verification analyses; the scalar
     :func:`network_output_bounds` is its ``M = 1`` wrapper.
     """
 
@@ -327,15 +326,6 @@ def refined_network_output_bounds_batch(
     lower = piece_lower.reshape(count, pieces, -1).min(axis=1)
     upper = piece_upper.reshape(count, pieces, -1).max(axis=1)
     return lower, upper
-
-
-def refined_network_output_bounds(network, box: Box, splits_per_dim: int = 4) -> Interval:
-    """Refined IBP bounds of one box: the ``M = 1`` wrapper of the batch kernel."""
-
-    lower, upper = refined_network_output_bounds_batch(
-        network, box.low[None, :], box.high[None, :], splits_per_dim=splits_per_dim
-    )
-    return Interval(lower[0], upper[0])
 
 
 def network_output_bounds(network, box: Box) -> Interval:

@@ -23,9 +23,7 @@ Step 2 -- the dominant cost -- consumes the **batched** surrogate: the
 control enclosures of *all* cells are computed as one stacked Bernstein +
 IBP evaluation (:meth:`PartitionedApproximation.control_bounds_batch`), the
 one-step images as one vectorised interval-dynamics call, and the
-grid-index ranges as a few array expressions.  ``engine="scalar"`` keeps
-the historical per-cell loop for benchmarking; both engines produce
-bit-identical images and therefore identical invariant sets.
+grid-index ranges as a few array expressions.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ from repro.systems.base import ControlSystem
 from repro.systems.sets import Box
 from repro.verification.intervals import Interval
 from repro.verification.partition import PartitionedApproximation, partition_network
-from repro.verification.system_models import interval_dynamics, interval_dynamics_batch
+from repro.verification.system_models import interval_dynamics_batch
 
 
 @dataclass
@@ -81,26 +79,14 @@ class InvariantSetResult:
         return any(cell.contains(point) for cell in self.invariant_cells)
 
 
-def _cell_index_ranges(domain: Box, box: Box, resolution: int) -> Optional[List[Tuple[int, int]]]:
-    """Grid-index ranges overlapped by ``box``; ``None`` if it leaves the domain."""
-
-    ranges: List[Tuple[int, int]] = []
-    for axis in range(domain.dimension):
-        width = (domain.high[axis] - domain.low[axis]) / resolution
-        if box.low[axis] < domain.low[axis] - 1e-9 or box.high[axis] > domain.high[axis] + 1e-9:
-            return None
-        first = int(np.floor((box.low[axis] - domain.low[axis]) / width))
-        last = int(np.ceil((box.high[axis] - domain.low[axis]) / width)) - 1
-        first = int(np.clip(first, 0, resolution - 1))
-        last = int(np.clip(last, 0, resolution - 1))
-        ranges.append((first, last))
-    return ranges
-
-
 def _cell_index_ranges_batch(
     domain: Box, image_lows: np.ndarray, image_highs: np.ndarray, resolution: int
 ) -> List[Optional[List[Tuple[int, int]]]]:
-    """Vectorised :func:`_cell_index_ranges` for an ``(N, dim)`` image stack."""
+    """Grid-index ranges overlapped by each of an ``(N, dim)`` image stack.
+
+    Entry ``n`` lists one inclusive ``(first, last)`` cell range per axis,
+    or is ``None`` when image ``n`` leaves the domain.
+    """
 
     width = (domain.high - domain.low) / resolution
     outside = np.any(image_lows < domain.low - 1e-9, axis=-1) | np.any(
@@ -123,7 +109,6 @@ def compute_invariant_set(
     max_partitions: int = 2048,
     max_iterations: int = 200,
     approximation: Optional[PartitionedApproximation] = None,
-    engine: str = "batched",
 ) -> InvariantSetResult:
     """Grid-based inner approximation of the control invariant set."""
 
@@ -138,7 +123,6 @@ def compute_invariant_set(
             target_error=target_error,
             degree=degree,
             max_partitions=max_partitions,
-            engine=engine,
         )
     epsilon = approximation.max_error
     disturbance_interval = Interval.from_box(system.disturbance.bound())
@@ -150,34 +134,21 @@ def compute_invariant_set(
 
     # One-step image of every cell, computed once (it does not depend on the
     # current alive set).
-    images: List[Optional[List[Tuple[int, int]]]]
-    if engine == "batched":
-        cell_lows = np.stack([cell.low for cell in cells], axis=0)
-        cell_highs = np.stack([cell.high for cell in cells], axis=0)
-        # control_bounds_batch already includes the Bernstein approximation
-        # error; clip to the admissible control box like the scalar loop.
-        control_lower, control_upper = approximation.control_bounds_batch(cell_lows, cell_highs)
-        control_lower = np.clip(control_lower, system.control_bound.low, system.control_bound.high)
-        control_upper = np.clip(control_upper, system.control_bound.low, system.control_bound.high)
-        work = num_cells
-        image = interval_dynamics_batch(
-            system,
-            Interval(cell_lows, cell_highs),
-            Interval(control_lower, control_upper),
-            disturbance_interval,
-        )
-        images = _cell_index_ranges_batch(domain, image.lower, image.upper, grid_resolution)
-    else:
-        work = 0
-        images = []
-        for cell in cells:
-            # control_bounds already includes the Bernstein approximation error.
-            control = approximation.control_bounds(cell, engine="scalar").clip(
-                system.control_bound.low, system.control_bound.high
-            )
-            work += 1
-            image = interval_dynamics(system, Interval.from_box(cell), control, disturbance_interval)
-            images.append(_cell_index_ranges(domain, image.to_box(), grid_resolution))
+    cell_lows = np.stack([cell.low for cell in cells], axis=0)
+    cell_highs = np.stack([cell.high for cell in cells], axis=0)
+    # control_bounds_batch already includes the Bernstein approximation
+    # error; clip to the admissible control box.
+    control_lower, control_upper = approximation.control_bounds_batch(cell_lows, cell_highs)
+    control_lower = np.clip(control_lower, system.control_bound.low, system.control_bound.high)
+    control_upper = np.clip(control_upper, system.control_bound.low, system.control_bound.high)
+    work = num_cells
+    image = interval_dynamics_batch(
+        system,
+        Interval(cell_lows, cell_highs),
+        Interval(control_lower, control_upper),
+        disturbance_interval,
+    )
+    images = _cell_index_ranges_batch(domain, image.lower, image.upper, grid_resolution)
 
     alive_grid = alive.reshape(shape)
     iterations = 0

@@ -9,19 +9,18 @@ distillation (smaller ``L``) shortens verification time.
 
 Refinement is **frontier-batched**: every iteration scores the error bound
 of the whole pending frontier with one vectorised pass, accepts the boxes
-that meet the target, and bisects all refused boxes at once -- instead of
-popping one box at a time off a queue.  The acceptance order and the
-``max_partitions`` budget semantics replicate the historical breadth-first
-queue exactly, so both engines produce identical partitions.  Once the
-partition is fixed, all coefficient tensors are fitted with a single
-stacked network evaluation and memoised in a
-:class:`~repro.verification.bernstein.CoefficientCache`, so a box revisited
-by a later query (or a re-refinement) is never refit.
+that meet the target, and bisects all refused boxes at once.  The
+acceptance order and the ``max_partitions`` budget semantics are those of a
+breadth-first (FIFO) queue of boxes.  Once the partition is fixed, all
+coefficient tensors are fitted with a single stacked network evaluation and
+memoised in a :class:`~repro.verification.bernstein.CoefficientCache`, so a
+box revisited by a later query is never refit.  The partition is held as
+stacked arrays -- ``(P, dim)`` bounds and a ``(P, *degrees + 1, out)``
+coefficient stack -- never as per-partition objects.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -34,20 +33,24 @@ from repro.verification.bernstein import (
     BernsteinApproximation,
     CoefficientCache,
     bernstein_enclosure_batch,
-    bernstein_error_bound,
     bernstein_error_bound_batch,
 )
 from repro.verification.intervals import Interval
 
 
-@dataclass
+@dataclass(eq=False)
 class PartitionedApproximation:
-    """A set of per-partition Bernstein models covering one box."""
+    """Per-partition Bernstein models covering one box, as stacked arrays.
+
+    Partition ``p`` is the box ``[lows[p], highs[p]]`` with the coefficient
+    tensor ``coefficients[p]``; every partition shares one degree vector.
+    """
 
     network: MLP
     domain: Box
-    boxes: List[Box]
-    models: List[BernsteinApproximation]
+    lows: np.ndarray
+    highs: np.ndarray
+    coefficients: np.ndarray
     target_error: float
     lipschitz_constant: float
     refinement_steps: int = 0
@@ -56,17 +59,12 @@ class PartitionedApproximation:
     def __post_init__(self):
         if self.coefficient_cache is None:
             self.coefficient_cache = CoefficientCache(self.network)
-        self._lows = np.stack([partition.low for partition in self.boxes], axis=0)
-        self._highs = np.stack([partition.high for partition in self.boxes], axis=0)
-        self._degrees = self.models[0].degrees
-        self.coefficient_cache.insert_batch(
-            self._lows, self._highs, self._degrees, [model.coefficients for model in self.models]
-        )
+        self._degrees = np.array(self.coefficients.shape[1:-1], dtype=int) - 1
         # Every partition shares one degree vector, so the summaries are
-        # computed once here: row p of the batched bound is the scalar
-        # ``models[p].error_bound()`` bit for bit.
+        # computed once here: row p of the batched bound is partition p's
+        # scalar ``bernstein_error_bound`` bit for bit.
         self._max_error = float(
-            bernstein_error_bound_batch(self.lipschitz_constant, self._lows, self._highs, self._degrees).max()
+            bernstein_error_bound_batch(self.lipschitz_constant, self.lows, self.highs, self._degrees).max()
         )
         self._total_coefficients = self.num_partitions * int(np.prod(self._degrees + 1))
         # Refined-IBP bounds are memoised per partition (keyed by the split
@@ -77,7 +75,7 @@ class PartitionedApproximation:
 
     @property
     def num_partitions(self) -> int:
-        return len(self.boxes)
+        return self.lows.shape[0]
 
     @property
     def max_error(self) -> float:
@@ -91,21 +89,16 @@ class PartitionedApproximation:
     def _overlap_mask(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
         """Boolean ``(B, P)`` mask: query ``b`` intersects partition ``p``."""
 
-        return np.all(self._lows[None, :, :] <= highs[:, None, :], axis=-1) & np.all(
-            lows[:, None, :] <= self._highs[None, :, :], axis=-1
+        return np.all(self.lows[None, :, :] <= highs[:, None, :], axis=-1) & np.all(
+            lows[:, None, :] <= self.highs[None, :, :], axis=-1
         )
-
-    def _overlapping_indices(self, box: Box) -> np.ndarray:
-        """Indices of partitions intersecting ``box`` (vectorised scan)."""
-
-        return np.nonzero(self._overlap_mask(box.low[None, :], box.high[None, :])[0])[0]
 
     def locate(self, point: Sequence[float]) -> int:
         """Index of the partition containing ``point`` (first match)."""
 
         point = np.asarray(point, dtype=np.float64)
-        mask = np.all(point >= self._lows - 1e-12, axis=-1) & np.all(
-            point <= self._highs + 1e-12, axis=-1
+        mask = np.all(point >= self.lows - 1e-12, axis=-1) & np.all(
+            point <= self.highs + 1e-12, axis=-1
         )
         indices = np.nonzero(mask)[0]
         if indices.size == 0:
@@ -115,7 +108,15 @@ class PartitionedApproximation:
     def evaluate(self, point: Sequence[float]) -> np.ndarray:
         """Evaluate the piecewise-polynomial surrogate controller."""
 
-        return self.models[self.locate(point)].evaluate(point)
+        index = self.locate(point)
+        model = BernsteinApproximation.from_coefficients(
+            self.network,
+            Box(self.lows[index], self.highs[index]),
+            self._degrees,
+            self.coefficients[index],
+            lipschitz_constant=self.lipschitz_constant,
+        )
+        return model.evaluate(point)
 
     # ------------------------------------------------------------------
     # Output enclosures
@@ -134,13 +135,13 @@ class PartitionedApproximation:
         is served from a per-partition memo (a vectorised gather); partial
         overlaps are propagated fresh in one stacked pass.  The fixed-block
         network evaluation makes every result independent of how the pairs
-        are batched, so the memo cannot perturb the engine equivalence.
+        are batched, so the memo cannot perturb the bounds.
         """
 
         from repro.verification.intervals import refined_network_output_bounds_batch
 
-        covered = np.all(overlap_lows == self._lows[partition_index], axis=-1) & np.all(
-            overlap_highs == self._highs[partition_index], axis=-1
+        covered = np.all(overlap_lows == self.lows[partition_index], axis=-1) & np.all(
+            overlap_highs == self.highs[partition_index], axis=-1
         )
         count = overlap_lows.shape[0]
         output_dim = self.network.output_dim
@@ -168,7 +169,7 @@ class PartitionedApproximation:
             needed = np.unique(partition_index[covered & ~have[partition_index]])
             if needed.size:
                 fresh_lower, fresh_upper = refined_network_output_bounds_batch(
-                    self.network, self._lows[needed], self._highs[needed], splits_per_dim=splits
+                    self.network, self.lows[needed], self.highs[needed], splits_per_dim=splits
                 )
                 memo_lower[needed] = fresh_lower
                 memo_upper[needed] = fresh_upper
@@ -203,8 +204,8 @@ class PartitionedApproximation:
         if not np.all(mask.any(axis=1)):
             raise ValueError("query box does not intersect the partitioned domain")
         query_index, partition_index = np.nonzero(mask)  # pairs, grouped by query
-        overlap_lows = np.maximum(lows[query_index], self._lows[partition_index])
-        overlap_highs = np.minimum(highs[query_index], self._highs[partition_index])
+        overlap_lows = np.maximum(lows[query_index], self.lows[partition_index])
+        overlap_highs = np.minimum(highs[query_index], self.highs[partition_index])
 
         coefficients = self.coefficient_cache.get_batch(overlap_lows, overlap_highs, self._degrees)
         errors = None
@@ -231,49 +232,11 @@ class PartitionedApproximation:
         starts = np.searchsorted(query_index, np.arange(lows.shape[0]))
         return np.minimum.reduceat(lower, starts), np.maximum.reduceat(upper, starts)
 
-    def control_bounds(self, box: Box, include_error: bool = True, engine: str = "batched") -> Interval:
-        """Output enclosure over an arbitrary query box.
+    def control_bounds(self, box: Box, include_error: bool = True) -> Interval:
+        """Output enclosure over one query box: :meth:`control_bounds_batch` of one."""
 
-        The query box is intersected with every partition it overlaps; the
-        union (hull) of the per-partition range enclosures, inflated by the
-        approximation error, bounds the controller output over the box.
-        ``engine="batched"`` (the default) computes all overlaps at once via
-        :meth:`control_bounds_batch`; ``engine="scalar"`` keeps the
-        historical one-overlap-at-a-time loop for benchmarking and
-        equivalence tests -- both produce bit-identical bounds.
-        """
-
-        if engine == "batched":
-            lower, upper = self.control_bounds_batch(
-                box.low[None, :], box.high[None, :], include_error=include_error
-            )
-            return Interval(lower[0], upper[0])
-
-        from repro.verification.intervals import refined_network_output_bounds
-
-        splits = 4 if self.domain.dimension <= 2 else 2
-        enclosure: Optional[Interval] = None
-        for index in self._overlapping_indices(box):
-            partition_box = self.boxes[index]
-            model = self.models[index]
-            overlap = partition_box.intersection(box)
-            if overlap is None:
-                continue
-            local = BernsteinApproximation(
-                self.network,
-                overlap,
-                degrees=model.degrees,
-                lipschitz_constant=self.lipschitz_constant,
-            )
-            bounds = local.range_enclosure(include_error=include_error)
-            ibp = refined_network_output_bounds(self.network, overlap, splits_per_dim=splits)
-            lower = np.maximum(bounds.lower, ibp.lower)
-            upper = np.minimum(bounds.upper, ibp.upper)
-            tightened = Interval(np.minimum(lower, upper), upper)
-            enclosure = tightened if enclosure is None else enclosure.hull(tightened)
-        if enclosure is None:
-            raise ValueError("query box does not intersect the partitioned domain")
-        return enclosure
+        lower, upper = self.control_bounds_batch(box.low[None, :], box.high[None, :], include_error=include_error)
+        return Interval(lower[0], upper[0])
 
 
 def _refine_frontier(
@@ -287,9 +250,9 @@ def _refine_frontier(
 
     Scores the whole pending frontier per iteration (one vectorised error
     computation, one vectorised bisection of every refused box) while
-    replicating the historical FIFO-queue acceptance order and budget
-    semantics decision for decision, so the accepted boxes are identical to
-    the one-box-at-a-time loop's.
+    replicating a FIFO queue's acceptance order and budget semantics
+    decision for decision, so the accepted boxes are those a
+    one-box-at-a-time queue would accept, in the same order.
     """
 
     pending_lows = domain.low[None, :].copy()
@@ -306,7 +269,7 @@ def _refine_frontier(
         accept = np.zeros(frontier, dtype=bool)
         # The budget decision depends on the running accepted/pending counts,
         # so it stays a (cheap) sequential scan over the precomputed error
-        # verdicts: at the time the queue engine pops frontier box ``i`` its
+        # verdicts: at the time a FIFO queue would pop frontier box ``i`` it
         # queue holds the rest of the frontier plus two children per split
         # performed so far in this generation.
         splits_so_far = 0
@@ -353,8 +316,6 @@ def partition_network(
     degree: int = 3,
     max_partitions: int = 4096,
     lipschitz_constant: Optional[float] = None,
-    engine: str = "batched",
-    cache: Optional[CoefficientCache] = None,
 ) -> PartitionedApproximation:
     """Adaptively split ``domain`` until every partition meets the error target.
 
@@ -362,71 +323,26 @@ def partition_network(
     fine enough; each refused partition is bisected along its widest axis.
     The work performed (and the partition count) therefore scales with the
     network's Lipschitz constant -- the quantity the robust distillation
-    minimises.
-
-    ``engine="batched"`` (the default) refines whole frontiers per iteration
-    and fits every accepted partition's coefficients with one stacked
-    network evaluation; ``engine="scalar"`` keeps the historical
-    one-box-at-a-time queue for benchmarking.  Both produce bit-identical
-    partitions and coefficients.  A shared :class:`CoefficientCache` may be
-    passed in so successive partitionings of the same network (e.g. at
-    different target errors) reuse fitted boxes.
+    minimises.  Whole frontiers are refined per iteration and every accepted
+    partition's coefficients are fitted with one stacked network evaluation.
     """
 
     if target_error <= 0:
         raise ValueError("target_error must be positive")
     if max_partitions < 1:
         raise ValueError("max_partitions must be positive")
-    if engine not in ("batched", "scalar"):
-        raise ValueError(f"unknown engine {engine!r}; choose 'batched' or 'scalar'")
     if lipschitz_constant is None:
         lipschitz_constant = network_lipschitz(network)
 
     degrees = np.full(domain.dimension, int(degree), dtype=int)
-
-    if engine == "scalar":
-        # Breadth-first refinement: boxes are processed in FIFO order so
-        # that, when the partition budget runs out, the accepted boxes have
-        # roughly uniform size (instead of one deeply-refined corner and
-        # huge leftovers).
-        pending: deque = deque([domain])
-        accepted: List[Box] = []
-        refinements = 0
-        while pending:
-            box = pending.popleft()
-            error = bernstein_error_bound(lipschitz_constant, box, degrees)
-            if error <= target_error or (len(accepted) + len(pending) + 2) > max_partitions:
-                accepted.append(box)
-                continue
-            first, second = box.split()
-            pending.extend([first, second])
-            refinements += 1
-        models = [
-            BernsteinApproximation(network, box, degrees=degrees, lipschitz_constant=lipschitz_constant)
-            for box in accepted
-        ]
-    else:
-        lows, highs, refinements = _refine_frontier(
-            domain, degrees, lipschitz_constant, target_error, max_partitions
-        )
-        accepted = [Box(lows[index], highs[index]) for index in range(lows.shape[0])]
-        if cache is None:
-            cache = CoefficientCache(network)
-        elif cache._function is not network:
-            raise ValueError("the shared CoefficientCache was built for a different function")
-        coefficients = cache.get_batch(lows, highs, degrees)
-        models = [
-            BernsteinApproximation.from_coefficients(
-                network, box, degrees, coefficients[index], lipschitz_constant=lipschitz_constant
-            )
-            for index, box in enumerate(accepted)
-        ]
-
+    lows, highs, refinements = _refine_frontier(domain, degrees, lipschitz_constant, target_error, max_partitions)
+    cache = CoefficientCache(network)
     return PartitionedApproximation(
         network=network,
         domain=domain,
-        boxes=accepted,
-        models=models,
+        lows=lows,
+        highs=highs,
+        coefficients=cache.get_batch(lows, highs, degrees),
         target_error=target_error,
         lipschitz_constant=lipschitz_constant,
         refinement_steps=refinements,

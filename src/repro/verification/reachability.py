@@ -12,8 +12,6 @@ enclosure over the current box is one stacked Bernstein + IBP evaluation
 across every overlapped partition (through the partition's coefficient
 cache), followed by one vectorised interval-dynamics step -- a handful of
 NumPy calls per step instead of a Python loop over partitions.
-``engine="scalar"`` retains the historical one-overlap-at-a-time loop for
-benchmarking; both engines are bit-identical.
 
 A per-run resource budget models the behaviour the paper reports for
 ``kappa_D`` on the 3-D system ("memory segmentation fault after 12 reachable
@@ -68,7 +66,6 @@ def reachable_sets(
     initial_box: Box,
     steps: int,
     work_budget: Optional[int] = None,
-    engine: str = "batched",
 ) -> ReachabilityResult:
     """Propagate ``initial_box`` for ``steps`` steps under the surrogate controller."""
 
@@ -87,7 +84,7 @@ def reachable_sets(
             status = "unsafe"
             break
         clipped_query = system.safe_region.intersection(current) or current
-        control_bounds = approximation.control_bounds(clipped_query, engine=engine)
+        control_bounds = approximation.control_bounds(clipped_query)
         work += approximation.total_coefficients()
         if work_budget is not None and work > work_budget:
             status = "resource-exhausted"
@@ -127,7 +124,6 @@ def verify_reach_safety(
     degree: int = 3,
     max_partitions: int = 2048,
     work_budget: Optional[int] = None,
-    engine: str = "batched",
 ) -> ReachabilityResult:
     """End-to-end reachability verification of a neural controller.
 
@@ -142,6 +138,5 @@ def verify_reach_safety(
         target_error=target_error,
         degree=degree,
         max_partitions=max_partitions,
-        engine=engine,
     )
-    return reachable_sets(system, approximation, initial_box, steps, work_budget=work_budget, engine=engine)
+    return reachable_sets(system, approximation, initial_box, steps, work_budget=work_budget)

@@ -3,8 +3,8 @@
 The paper's verifiability comparison is inherently a *sweep*: many
 (controller, system, horizon, target-error) combinations, each an
 independent verification job.  :class:`VerificationSweep` runs such a job
-matrix through a ``multiprocessing`` pool -- every job executes the batched
-verification engine in its own worker process -- and aggregates the
+matrix through a ``multiprocessing`` pool -- every job runs the batched
+verification analyses in its own worker process -- and aggregates the
 per-job :class:`~repro.verification.verifier.VerificationReport` summaries
 into one :class:`SweepReport`.
 
@@ -12,7 +12,7 @@ Jobs are transported as plain data (system name, MLP architecture dict and
 weight arrays, analysis parameters), so they pickle cheaply and the worker
 rebuilds the network locally.  Two budgets bound each job:
 
-* ``work_budget`` -- the in-engine resource proxy (Bernstein coefficients
+* ``work_budget`` -- the in-analysis resource proxy (Bernstein coefficients
   evaluated during reachability); exceeding it aborts the reachability
   analysis with ``status='resource-exhausted'``, mirroring the paper's
   report of ``kappa_D`` dying after 12 reachable-set computations;
@@ -106,13 +106,13 @@ class SweepJob:
         )
         return f"job {self.name}: system={self.system}, {budgets}"
 
-    def cache_config(self, engine: str) -> Dict:
+    def cache_config(self) -> Dict:
         """The job's resolved identity for run-store caching.
 
         Keyed on the controller weight digest (same invalidation contract
         as the :func:`repro.nn.lipschitz.network_lipschitz` memo: any
-        weight update changes it) crossed with every analysis budget and
-        the engine; the system resolves through the scenario registry so
+        weight update changes it) crossed with every analysis budget; the
+        system resolves through the scenario registry so
         variant spellings (``vanderpol?mu=1.50`` vs ``?mu=1.5``) share one
         cache entry.
         """
@@ -127,7 +127,6 @@ class SweepJob:
             "system": spec.name,
             "params": params,
             "weights": weights_digest(self.weights, extra=self.architecture),
-            "engine": engine,
             "budgets": {
                 "target_error": self.target_error,
                 "degree": self.degree,
@@ -167,7 +166,6 @@ class SweepReport:
     results: List[SweepJobResult]
     elapsed_seconds: float
     processes: int
-    engine: str
 
     @property
     def num_verified(self) -> int:
@@ -236,7 +234,7 @@ class SweepReport:
         return "\n".join(lines)
 
 
-def run_sweep_job(job: SweepJob, engine: str = "batched") -> SweepJobResult:
+def run_sweep_job(job: SweepJob) -> SweepJobResult:
     """Execute one job (also the pool worker body; must stay picklable).
 
     Delegates to :func:`~repro.verification.verifier.verify_controller`,
@@ -260,7 +258,6 @@ def run_sweep_job(job: SweepJob, engine: str = "batched") -> SweepJobResult:
             reach_steps=job.reach_steps,
             reach_work_budget=job.work_budget,
             invariant_grid=job.invariant_grid,
-            engine=engine,
             time_budget_seconds=job.time_budget_seconds,
             dtype=job.dtype,
         )
@@ -284,11 +281,6 @@ def run_sweep_job(job: SweepJob, engine: str = "batched") -> SweepJobResult:
         )
 
 
-def _pool_worker(payload) -> SweepJobResult:
-    job, engine = payload
-    return run_sweep_job(job, engine=engine)
-
-
 class VerificationSweep:
     """Run many verification jobs, optionally fanned out across processes.
 
@@ -301,7 +293,7 @@ class VerificationSweep:
 
     ``store`` enables digest-keyed result caching: each job's identity is
     its :meth:`SweepJob.cache_config` (controller weight digest x analysis
-    budgets x engine), successful results are recorded in the
+    budgets), successful results are recorded in the
     :class:`~repro.experiments.store.RunStore`, and jobs whose digest is
     already present are replayed from disk instead of dispatched -- only
     the misses ever reach the pool.  Errors and wall-clock-truncated
@@ -329,7 +321,6 @@ class VerificationSweep:
         self,
         jobs: Sequence[SweepJob],
         processes: Optional[int] = None,
-        engine: str = "batched",
         store=None,
         force: bool = False,
         claims=None,
@@ -340,9 +331,6 @@ class VerificationSweep:
         if processes is None:
             processes = default_worker_count(jobs=len(self.jobs))
         self.processes = max(1, int(processes))
-        if engine not in ("batched", "scalar"):
-            raise ValueError(f"unknown engine {engine!r}; choose 'batched' or 'scalar'")
-        self.engine = engine
         self.store = store
         if claims is not None and store is None:
             raise ValueError("claim-coordinated sweeps need a run store")
@@ -407,7 +395,7 @@ class VerificationSweep:
     def run(self) -> SweepReport:
         start = time.perf_counter()
         if not self.jobs:
-            return SweepReport(results=[], elapsed_seconds=0.0, processes=self.processes, engine=self.engine)
+            return SweepReport(results=[], elapsed_seconds=0.0, processes=self.processes)
 
         keys: List = [None] * len(self.jobs)
         results: List[Optional[SweepJobResult]] = [None] * len(self.jobs)
@@ -415,7 +403,7 @@ class VerificationSweep:
         if self.store is not None:
             pending = []
             for index, job in enumerate(self.jobs):
-                keys[index] = self.store.key("verify", job.cache_config(self.engine))
+                keys[index] = self.store.key("verify", job.cache_config())
                 if not self.force and self.store.contains(keys[index]):
                     results[index] = self._load_cached(keys[index], job)
                 else:
@@ -455,19 +443,19 @@ class VerificationSweep:
                     fresh: List[SweepJobResult] = []
                     if self.processes <= 1 or len(pending) == 1:
                         for index in pending:
-                            result = run_sweep_job(self.jobs[index], engine=self.engine)
+                            result = run_sweep_job(self.jobs[index])
                             if self.on_result is not None:
                                 self.on_result(self.jobs[index], result)
                             fresh.append(result)
                     else:
-                        payloads = [(self.jobs[index], self.engine) for index in pending]
+                        pending_jobs = [self.jobs[index] for index in pending]
                         context = multiprocessing.get_context(
                             "fork" if "fork" in multiprocessing.get_all_start_methods() else None
                         )
                         with context.Pool(processes=min(self.processes, len(pending))) as pool:
                             # imap keeps job order but streams completions,
                             # so on_result fires as each worker reports.
-                            for index, result in zip(pending, pool.imap(_pool_worker, payloads)):
+                            for index, result in zip(pending, pool.imap(run_sweep_job, pending_jobs)):
                                 if self.on_result is not None:
                                     self.on_result(self.jobs[index], result)
                                 fresh.append(result)
@@ -486,5 +474,4 @@ class VerificationSweep:
             results=list(results),
             elapsed_seconds=time.perf_counter() - start,
             processes=self.processes,
-            engine=self.engine,
         )

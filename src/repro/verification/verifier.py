@@ -5,12 +5,8 @@ single call that reports everything the paper's verifiability comparison
 needs: verdicts, wall-clock times, the number of partitions, the Bernstein
 approximation error and the work performed, for a given neural controller.
 
-``engine="batched"`` (the default) runs the frontier-batched partitioner
-and the stacked Bernstein/IBP enclosure kernels; ``engine="scalar"`` runs
-the historical one-box-at-a-time flow.  Both produce bit-identical reports
--- the scalar path is the batch-of-one special case -- so the engines are
-interchangeable and the benchmarks can measure their speed ratio honestly.
-Many (controller, system) verification jobs can be fanned out across
+The analyses run the frontier-batched partitioner and the stacked
+Bernstein/IBP enclosure kernels.  Many (controller, system) verification jobs can be fanned out across
 processes with :class:`repro.verification.sweep.VerificationSweep`.
 """
 
@@ -92,7 +88,6 @@ def verify_controller(
     reach_steps: int = 15,
     reach_work_budget: Optional[int] = None,
     invariant_grid: Optional[int] = None,
-    engine: str = "batched",
     time_budget_seconds: Optional[float] = None,
     dtype: "str | object" = "float64",
 ) -> VerificationReport:
@@ -125,7 +120,6 @@ def verify_controller(
         degree=degree,
         max_partitions=max_partitions,
         lipschitz_constant=lipschitz_constant,
-        engine=engine,
     )
     partition_seconds = time.perf_counter() - start
 
@@ -151,7 +145,6 @@ def verify_controller(
                 reach_initial_box,
                 steps=reach_steps,
                 work_budget=reach_work_budget,
-                engine=engine,
             )
 
     invariant_result: Optional[InvariantSetResult] = None
@@ -164,7 +157,6 @@ def verify_controller(
             degree=degree,
             max_partitions=max_partitions,
             approximation=approximation,
-            engine=engine,
         )
 
     return VerificationReport(

@@ -126,17 +126,6 @@ class TestBenchSmoke:
         assert row["scalar_seconds"] > 0.0 and row["vectorized_seconds"] > 0.0
         assert row["num_envs"] >= 1 and row["train_batch_size"] >= 1
 
-    def test_verification_measurement_at_tiny_scale(self):
-        from repro.perf.bench import _measure_verification
-
-        result = _measure_verification(repeats=1, max_partitions=16,
-                                       reach_steps=2, invariant_grid=4)
-        assert result.name == "verification"
-        assert result.floor == FLOORS["verification"]
-        assert result.speedup > 0.0
-        row = result.detail["bench@vanderpol"]
-        assert row["scalar_seconds"] > 0.0 and row["batched_seconds"] > 0.0
-
     def test_cli_bench_verb_writes_report(self, tmp_path, capsys):
         from repro.cli import main
 

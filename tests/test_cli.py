@@ -77,11 +77,6 @@ class TestParser:
         assert args.command == "verify-sweep"
         assert args.spec == ["vanderpol:runs/vdp"]
         assert args.jobs == 0
-        assert args.engine == "batched"
-
-    def test_verify_sweep_rejects_unknown_engine(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["verify-sweep", "--spec", "vanderpol:x", "--engine", "turbo"])
 
     def test_verify_sweep_requires_a_source(self):
         with pytest.raises(SystemExit):

@@ -59,7 +59,6 @@ _positive = st.integers(min_value=1, max_value=10**6)
 _budget = st.none() | st.integers(min_value=1, max_value=10**6)
 _fraction = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 _unix = st.floats(min_value=0.0, max_value=2.0e9, allow_nan=False, allow_infinity=False)
-_engine = st.sampled_from(["batched", "scalar"])
 _perturbation = st.sampled_from(["none", "attack", "noise"])
 _state = st.sampled_from(JOB_STATES)
 _json_dict = st.dictionaries(_name, st.integers(min_value=0, max_value=99) | _name, max_size=3)
@@ -102,7 +101,6 @@ SPEC_STRATEGIES = {
         invariant_grid=_count,
         work_budget=_count,
         time_budget=_unix,
-        engine=_engine,
         jobs=_count,
     ),
     MatrixJobSpec: st.builds(
@@ -118,7 +116,6 @@ SPEC_STRATEGIES = {
         budget_scale=st.floats(min_value=0.01, max_value=10.0, allow_nan=False),
         train_overrides=_json_dict,
         verify_overrides=_json_dict,
-        engine=_engine,
     ),
 }
 
@@ -275,11 +272,32 @@ class TestSpecStrictness:
         with pytest.raises(MessageValidationError):
             VerifySweepJobSpec(specs=())
         with pytest.raises(MessageValidationError):
-            VerifySweepJobSpec(specs=("a:b",), engine="turbo")
-        with pytest.raises(MessageValidationError):
             MatrixJobSpec(samples=0)
         with pytest.raises(MessageValidationError):
             MatrixJobSpec(perturbations=())
+
+    def test_matrix_spec_rejects_unknown_perturbation(self):
+        payload = MatrixJobSpec(samples=4).to_json()
+        payload["perturbations"] = ["attack", "bogus"]
+        with pytest.raises(MessageValidationError) as excinfo:
+            parse_job_spec(payload)
+        assert "'bogus'" in str(excinfo.value)
+
+
+class TestEngineFieldRetired:
+    """Schema v2 of the verify-sweep and matrix specs has no ``engine``."""
+
+    @pytest.mark.parametrize("spec", [VerifySweepJobSpec(specs=("a:b",)), MatrixJobSpec(samples=4)])
+    def test_v1_payload_with_engine_is_refused(self, spec):
+        payload = dict(spec.to_json(), version=1, engine="batched")
+        with pytest.raises(MessageValidationError) as excinfo:
+            parse_job_spec(payload)
+        assert "'engine'" in str(excinfo.value)
+
+    @pytest.mark.parametrize("spec", [VerifySweepJobSpec(specs=("a:b",)), MatrixJobSpec(samples=4)])
+    def test_v1_payload_without_engine_decodes(self, spec):
+        assert type(spec).SCHEMA_VERSION == 2
+        assert parse_job_spec(dict(spec.to_json(), version=1)) == spec
 
 
 class TestApiTolerance:
@@ -344,10 +362,10 @@ class TestGoldenWireLog:
             '{"type":"evaluate","version":1,"system":"pendulum",'
             '"controller_dir":"runs/p","controller":"kappa_star",'
             '"perturbation":"none","fraction":0.1,"samples":8,"batch_size":0,"seed":0}\n'
-            '{"type":"verify-sweep","version":1,"specs":["pendulum:runs/p"],'
+            '{"type":"verify-sweep","version":2,"specs":["pendulum:runs/p"],'
             '"target_error":0.5,"degree":2,"max_partitions":2048,"reach_steps":15,'
             '"reach_box_scale":0.1,"invariant_grid":0,"work_budget":0,'
-            '"time_budget":0.0,"engine":"batched","jobs":0}\n'
+            '"time_budget":0.0,"jobs":0}\n'
             '{"type":"submit-job","version":1,'
             '"spec":{"type":"evaluate","version":1},"force":true}\n'
             '{"type":"job-status","version":1,"job_id":"j1-abcd1234"}\n'

@@ -173,7 +173,6 @@ class TestSweepSpecErrors:
 
 
 class _StubReport:
-    engine = "batched"
     num_verified = 1
     num_failed = 0
 
@@ -228,7 +227,7 @@ class TestMatrixEquivalence:
             scenarios=["pendulum"], perturbations=["none", "noise"],
             samples=4, fraction=0.1, train=False, verify=False,
             seed=0, budget_scale=1.0, train_overrides=None,
-            verify_overrides=None, engine="batched",
+            verify_overrides=None,
         )
 
     def test_digest_is_stable_and_sensitive(self, tmp_path):

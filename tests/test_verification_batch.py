@@ -1,4 +1,4 @@
-"""Scalar-vs-batched equivalence of the verification engine.
+"""Batched verification against single-box results and the frozen reference.
 
 The load-bearing guarantees, mirroring ``tests/test_systems_batch.py`` for
 the rollout engine:
@@ -7,15 +7,27 @@ the rollout engine:
   reproduce the single-box results **bit for bit** -- every network forward
   pass runs in fixed-width row blocks, so a box's numbers do not depend on
   how many boxes were batched with it;
-* ``engine="scalar"`` and ``engine="batched"`` produce identical
-  partitions, boxes, verdicts and work counts for seeded controllers on
-  all three systems -- reach tubes and invariant masks included;
+* the batched flow and the frozen one-box-at-a-time reference
+  (``verification_reference.py``) produce identical partitions, boxes,
+  verdicts and work counts for seeded controllers on every catalog system
+  -- reach tubes and invariant masks included;
 * the sweep harness returns the same verdicts inline and across a pool,
   and enforces its per-job budgets.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from verification_reference import (
+    reference_control_bounds,
+    reference_invariant_set,
+    reference_partition,
+    reference_reachable_sets,
+    reference_refine,
+    reference_verify_controller,
+    refined_network_output_bounds,
+)
 
 from repro.nn.network import MLP
 from repro.systems import make_system
@@ -34,7 +46,6 @@ from repro.verification.intervals import (
     Interval,
     network_output_bounds,
     network_output_bounds_batch,
-    refined_network_output_bounds,
     refined_network_output_bounds_batch,
 )
 from repro.verification.invariant import compute_invariant_set
@@ -45,6 +56,8 @@ from repro.verification.system_models import interval_dynamics, interval_dynamic
 from repro.verification.verifier import verify_controller
 
 SYSTEM_NAMES = ["vanderpol", "3d", "cartpole"]
+#: Every catalog system, for the comparisons against the frozen reference.
+REFERENCE_SYSTEMS = ["vanderpol", "3d", "cartpole", "pendulum", "acc"]
 
 
 def seeded_controller(system, seed=0, scale=0.7):
@@ -169,14 +182,6 @@ class TestBatchedKernels:
         np.testing.assert_array_equal(after, expected)
         assert not np.array_equal(before, after)
 
-    def test_shared_cache_for_other_network_rejected(self):
-        other = MLP(2, 1, hidden_sizes=(8,), seed=5)
-        cache = CoefficientCache(other)
-        with pytest.raises(ValueError):
-            partition_network(
-                self.network, Box([-1, -1], [1, 1]), target_error=1.0, degree=2, cache=cache
-            )
-
 
 class TestIntervalDynamicsBatch:
     @pytest.mark.parametrize("name", SYSTEM_NAMES)
@@ -202,129 +207,151 @@ class TestIntervalDynamicsBatch:
             np.testing.assert_array_equal(batched.upper[row], scalar.upper)
 
 
-class TestEngineEquivalence:
-    """The acceptance guarantee: both engines agree bit for bit end to end."""
+def assert_boxes_identical(lows, highs, boxes):
+    assert lows.shape[0] == len(boxes)
+    for index, box in enumerate(boxes):
+        assert lows[index].tobytes() == box.low.tobytes()
+        assert highs[index].tobytes() == box.high.tobytes()
 
-    @pytest.mark.parametrize("name", SYSTEM_NAMES)
+
+def centered_initial_box(system, fraction=0.05):
+    return Box(
+        system.initial_set.center - fraction * system.initial_set.widths,
+        system.initial_set.center + fraction * system.initial_set.widths,
+    )
+
+
+class TestEngineEquivalence:
+    """The batched flow agrees with the frozen scalar reference bit for bit."""
+
+    @pytest.mark.parametrize("name", REFERENCE_SYSTEMS)
     def test_partitions_boxes_and_coefficients_identical(self, name):
         system = make_system(name)
         network = seeded_controller(system)
-        scalar = partition_network(network, system.safe_region, target_error=0.4, degree=2, engine="scalar")
-        batched = partition_network(network, system.safe_region, target_error=0.4, degree=2, engine="batched")
-        assert scalar.num_partitions == batched.num_partitions
-        assert scalar.refinement_steps == batched.refinement_steps
-        assert scalar.max_error == batched.max_error
-        assert scalar.total_coefficients() == batched.total_coefficients()
-        for scalar_box, batched_box in zip(scalar.boxes, batched.boxes):
-            np.testing.assert_array_equal(scalar_box.low, batched_box.low)
-            np.testing.assert_array_equal(scalar_box.high, batched_box.high)
-        for scalar_model, batched_model in zip(scalar.models, batched.models):
-            np.testing.assert_array_equal(scalar_model.coefficients, batched_model.coefficients)
+        reference = reference_partition(network, system.safe_region, target_error=0.4, degree=2)
+        batched = partition_network(network, system.safe_region, target_error=0.4, degree=2)
+        assert reference.num_partitions == batched.num_partitions
+        assert reference.refinement_steps == batched.refinement_steps
+        assert reference.max_error == batched.max_error
+        assert reference.total_coefficients() == batched.total_coefficients()
+        assert_boxes_identical(batched.lows, batched.highs, reference.boxes)
+        for index, model in enumerate(reference.models):
+            np.testing.assert_array_equal(model.coefficients, batched.coefficients[index])
 
     def test_max_partitions_budget_identical(self):
         system = make_system("vanderpol")
         network = seeded_controller(system, scale=1.3)
-        scalar = partition_network(
-            network, system.safe_region, target_error=1e-3, degree=2, max_partitions=37, engine="scalar"
+        reference = reference_partition(
+            network, system.safe_region, target_error=1e-3, degree=2, max_partitions=37
         )
         batched = partition_network(
-            network, system.safe_region, target_error=1e-3, degree=2, max_partitions=37, engine="batched"
+            network, system.safe_region, target_error=1e-3, degree=2, max_partitions=37
         )
-        assert scalar.num_partitions == batched.num_partitions <= 37
-        for scalar_box, batched_box in zip(scalar.boxes, batched.boxes):
-            np.testing.assert_array_equal(scalar_box.low, batched_box.low)
-            np.testing.assert_array_equal(scalar_box.high, batched_box.high)
+        assert reference.num_partitions == batched.num_partitions <= 37
+        assert_boxes_identical(batched.lows, batched.highs, reference.boxes)
 
-    @pytest.mark.parametrize("name", SYSTEM_NAMES)
+    @pytest.mark.parametrize("name", REFERENCE_SYSTEMS)
     def test_control_bounds_identical(self, name):
         system = make_system(name)
         network = seeded_controller(system)
-        approximation = partition_network(
-            network, system.safe_region, target_error=0.4, degree=2, engine="batched"
-        )
+        reference = reference_partition(network, system.safe_region, target_error=0.4, degree=2)
+        approximation = partition_network(network, system.safe_region, target_error=0.4, degree=2)
         rng = np.random.default_rng(7)
         lows, highs = random_boxes(system.safe_region, 6, rng)
         batched_lower, batched_upper = approximation.control_bounds_batch(lows, highs)
         for index in range(lows.shape[0]):
             query = Box(lows[index], highs[index])
-            scalar = approximation.control_bounds(query, engine="scalar")
-            np.testing.assert_array_equal(batched_lower[index], scalar.lower)
-            np.testing.assert_array_equal(batched_upper[index], scalar.upper)
+            expected = reference_control_bounds(reference, query)
+            single = approximation.control_bounds(query)
+            for lower, upper in ((batched_lower[index], batched_upper[index]), (single.lower, single.upper)):
+                np.testing.assert_array_equal(lower, expected.lower)
+                np.testing.assert_array_equal(upper, expected.upper)
 
-    @pytest.mark.parametrize("name", SYSTEM_NAMES)
+    @pytest.mark.parametrize("name", REFERENCE_SYSTEMS)
     def test_reachability_identical(self, name):
         system = make_system(name)
         network = seeded_controller(system)
-        approximation = partition_network(
-            network, system.safe_region, target_error=0.4, degree=2, engine="batched"
-        )
-        initial_box = Box(
-            system.initial_set.center - 0.05 * system.initial_set.widths,
-            system.initial_set.center + 0.05 * system.initial_set.widths,
-        )
-        scalar = reachable_sets(system, approximation, initial_box, steps=6, engine="scalar")
-        batched = reachable_sets(system, approximation, initial_box, steps=6, engine="batched")
-        assert scalar.status == batched.status
-        assert scalar.steps_completed == batched.steps_completed
-        assert scalar.work == batched.work
-        assert len(scalar.boxes) == len(batched.boxes)
-        for scalar_box, batched_box in zip(scalar.boxes, batched.boxes):
-            np.testing.assert_array_equal(scalar_box.low, batched_box.low)
-            np.testing.assert_array_equal(scalar_box.high, batched_box.high)
+        reference = reference_partition(network, system.safe_region, target_error=0.4, degree=2)
+        approximation = partition_network(network, system.safe_region, target_error=0.4, degree=2)
+        initial_box = centered_initial_box(system)
+        expected = reference_reachable_sets(system, reference, initial_box, steps=6)
+        batched = reachable_sets(system, approximation, initial_box, steps=6)
+        assert expected.status == batched.status
+        assert expected.steps_completed == batched.steps_completed
+        assert expected.work == batched.work
+        assert expected.approximation_error == batched.approximation_error
+        assert len(expected.boxes) == len(batched.boxes)
+        for expected_box, batched_box in zip(expected.boxes, batched.boxes):
+            assert expected_box.low.tobytes() == batched_box.low.tobytes()
+            assert expected_box.high.tobytes() == batched_box.high.tobytes()
 
     def test_invariant_set_identical(self):
         system = make_system("vanderpol")
         network = seeded_controller(system)
-        scalar = compute_invariant_set(
-            system, network, grid_resolution=10, target_error=0.4, degree=2, engine="scalar"
-        )
-        batched = compute_invariant_set(
-            system, network, grid_resolution=10, target_error=0.4, degree=2, engine="batched"
-        )
-        np.testing.assert_array_equal(scalar.invariant_mask, batched.invariant_mask)
-        assert scalar.iterations == batched.iterations
-        assert scalar.work == batched.work
-        assert scalar.num_partitions == batched.num_partitions
+        reference = reference_partition(network, system.safe_region, target_error=0.4, degree=2)
+        expected = reference_invariant_set(system, reference, grid_resolution=10)
+        batched = compute_invariant_set(system, network, grid_resolution=10, target_error=0.4, degree=2)
+        np.testing.assert_array_equal(expected.invariant_mask, batched.invariant_mask)
+        assert expected.iterations == batched.iterations
+        assert expected.work == batched.work
+        assert expected.num_partitions == batched.num_partitions
 
     def test_verify_controller_reports_identical(self):
         system = make_system("vanderpol")
         network = seeded_controller(system)
-        initial_box = Box([0.05, 0.05], [0.15, 0.15])
         deterministic = (
             "controller", "lipschitz", "partitions", "epsilon", "verified",
             "reach_status", "reach_work", "reach_steps", "invariant_fraction", "invariant_work",
         )
-        reports = {
-            engine: verify_controller(
-                system,
-                network,
-                target_error=0.4,
-                degree=2,
-                reach_initial_box=initial_box,
-                reach_steps=6,
-                invariant_grid=8,
-                engine=engine,
-            ).summary()
-            for engine in ("scalar", "batched")
-        }
+        options = dict(
+            target_error=0.4,
+            degree=2,
+            reach_initial_box=Box([0.05, 0.05], [0.15, 0.15]),
+            reach_steps=6,
+            invariant_grid=8,
+        )
+        expected = reference_verify_controller(system, network, **options)
+        batched = verify_controller(system, network, **options)
+        np.testing.assert_array_equal(expected.invariant.invariant_mask, batched.invariant.invariant_mask)
+        expected, batched = expected.summary(), batched.summary()
         for key in deterministic:
-            assert reports["scalar"][key] == reports["batched"][key], key
+            assert expected[key] == batched[key], key
 
     def test_work_budget_exhaustion_identical(self):
         system = make_system("vanderpol")
         network = seeded_controller(system)
-        approximation = partition_network(
-            network, system.safe_region, target_error=0.2, degree=3, engine="batched"
-        )
+        reference = reference_partition(network, system.safe_region, target_error=0.2, degree=3)
+        approximation = partition_network(network, system.safe_region, target_error=0.2, degree=3)
         initial_box = Box([0.0, 0.0], [0.1, 0.1])
-        scalar = reachable_sets(
-            system, approximation, initial_box, steps=10, work_budget=1, engine="scalar"
+        expected = reference_reachable_sets(system, reference, initial_box, steps=10, work_budget=1)
+        batched = reachable_sets(system, approximation, initial_box, steps=10, work_budget=1)
+        assert expected.status == batched.status == "resource-exhausted"
+        assert expected.work == batched.work
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dimension=st.integers(1, 4),
+        data=st.data(),
+        lipschitz=st.floats(0.05, 50.0),
+        degree=st.sampled_from([1, 2, 3]),
+        max_partitions=st.integers(1, 300),
+        target_error=st.floats(1e-3, 5.0),
+    )
+    def test_frontier_refinement_matches_the_fifo_queue(
+        self, dimension, data, lipschitz, degree, max_partitions, target_error
+    ):
+        low = np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=dimension, max_size=dimension)))
+        width = np.array(data.draw(st.lists(st.floats(0.01, 5.0), min_size=dimension, max_size=dimension)))
+        domain = Box(low, low + width)
+        network = MLP(dimension, 1, hidden_sizes=(4,), seed=0)
+        degrees = np.full(dimension, degree, dtype=int)
+        boxes, refinements = reference_refine(domain, degrees, lipschitz, target_error, max_partitions)
+        batched = partition_network(
+            network, domain, target_error, degree=degree, max_partitions=max_partitions, lipschitz_constant=lipschitz
         )
-        batched = reachable_sets(
-            system, approximation, initial_box, steps=10, work_budget=1, engine="batched"
-        )
-        assert scalar.status == batched.status == "resource-exhausted"
-        assert scalar.work == batched.work
+        assert_boxes_identical(batched.lows, batched.highs, boxes)
+        assert batched.refinement_steps == refinements
+        assert batched.max_error == max(bernstein_error_bound(lipschitz, box, degrees) for box in boxes)
 
 
 DETERMINISTIC_SUMMARY_KEYS = (
@@ -365,11 +392,21 @@ class TestVerificationSweep:
 
     def test_scalar_and_batched_sweeps_agree(self):
         jobs = self._jobs()
-        scalar = VerificationSweep(jobs, processes=1, engine="scalar").run()
-        batched = VerificationSweep(jobs, processes=1, engine="batched").run()
-        for scalar_result, batched_result in zip(scalar.results, batched.results):
+        report = VerificationSweep(jobs, processes=1).run()
+        for job, result in zip(jobs, report.results):
+            system = make_system(job.system)
+            expected = reference_verify_controller(
+                system,
+                job.build_network(),
+                name=job.name,
+                target_error=job.target_error,
+                degree=job.degree,
+                max_partitions=job.max_partitions,
+                reach_initial_box=system.initial_set.scale(job.reach_box_scale),
+                reach_steps=job.reach_steps,
+            ).summary()
             for key in DETERMINISTIC_SUMMARY_KEYS:
-                assert scalar_result.summary[key] == batched_result.summary[key], key
+                assert expected[key] == result.summary[key], key
 
     def test_failed_job_is_contained(self):
         wrong_dims = MLP(4, 1, hidden_sizes=(8,), seed=1)

@@ -5,7 +5,12 @@ import pytest
 
 from repro.nn.network import MLP
 from repro.systems.sets import Box
+from repro.verification.bernstein import BernsteinApproximation
 from repro.verification.partition import partition_network
+
+
+def partition_boxes(approx):
+    return [Box(low, high) for low, high in zip(approx.lows, approx.highs)]
 
 
 @pytest.fixture
@@ -21,9 +26,9 @@ def domain():
 class TestPartitioning:
     def test_partitions_cover_domain(self, small_network, domain):
         approx = partition_network(small_network, domain, target_error=0.5, degree=3)
-        total_volume = sum(box.volume() for box in approx.boxes)
+        total_volume = sum(box.volume() for box in partition_boxes(approx))
         assert total_volume == pytest.approx(domain.volume(), rel=1e-9)
-        for box in approx.boxes:
+        for box in partition_boxes(approx):
             assert domain.contains_box(box, tolerance=1e-9)
 
     def test_every_partition_meets_error_target(self, small_network, domain):
@@ -67,7 +72,7 @@ class TestPiecewiseEvaluation:
         rng = np.random.default_rng(0)
         for point in domain.sample(rng, count=40):
             index = approx.locate(point)
-            assert approx.boxes[index].contains(point, tolerance=1e-9)
+            assert Box(approx.lows[index], approx.highs[index]).contains(point, tolerance=1e-9)
             surrogate = approx.evaluate(point)[0]
             actual = small_network.predict(point)[0]
             assert abs(surrogate - actual) <= approx.max_error + 1e-6
@@ -108,15 +113,20 @@ SUMMARY_CASES = {
 class TestSummaries:
     """The summaries computed once at construction equal the per-model ones."""
 
-    @pytest.mark.parametrize("engine", ["batched", "scalar"])
     @pytest.mark.parametrize("case", sorted(SUMMARY_CASES))
-    def test_summaries_match_the_models(self, small_network, case, engine):
+    def test_summaries_match_the_models(self, small_network, case):
         domain, target, degree, budget = SUMMARY_CASES[case]
         approx = partition_network(
-            small_network, domain, target_error=target, degree=degree, max_partitions=budget, engine=engine
+            small_network, domain, target_error=target, degree=degree, max_partitions=budget
         )
-        assert approx.max_error == max(model.error_bound() for model in approx.models)
-        assert approx.total_coefficients() == sum(model.num_coefficients() for model in approx.models)
+        models = [
+            BernsteinApproximation.from_coefficients(
+                small_network, box, degree, approx.coefficients[index], lipschitz_constant=approx.lipschitz_constant
+            )
+            for index, box in enumerate(partition_boxes(approx))
+        ]
+        assert approx.max_error == max(model.error_bound() for model in models)
+        assert approx.total_coefficients() == sum(model.num_coefficients() for model in models)
         if case == "single-partition":
             assert approx.num_partitions == 1
         if case == "budget-capped":
