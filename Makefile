@@ -4,15 +4,17 @@
 # when touching the experiments run store); `test-cov` enforces a >=80%
 # line-coverage floor on src/repro/experiments via tools/check_coverage.py
 # (pytest-cov when installed, a stdlib settrace collector otherwise), with
-# the shard/claim/merge packs in its test list so the coverage floor spans
-# the distributed-coordination code too, and enforces the same floor on
-# src/repro/telemetry, src/repro/jobs and src/repro/autodiff via their
-# test packs, and on src/repro/verification via the verification packs
+# the shard/merge packs in its test list so the coverage floor spans the
+# sharded-run code too, and enforces the same floor on src/repro/scenarios
+# via the matrix executor, shard and resume packs, on src/repro/telemetry,
+# src/repro/jobs and src/repro/autodiff via their test packs, and on
+# src/repro/verification via the verification packs
 # (test_verification_batch.py holds the comparisons against the frozen
 # reference in tests/verification_reference.py) plus the kernel
 # differential pack;
-# `shard-smoke` runs a real 2-shard matrix against one run directory and
-# merges it back end-to-end; `watch-smoke` runs two telemetry-emitting
+# `shard-smoke` runs a real 2-shard matrix against one run directory,
+# merges it back end-to-end, and `cmp`s the merged CSV with the same matrix
+# run unsharded on a 2-worker pool (`--jobs 2`); `watch-smoke` runs two telemetry-emitting
 # shards, then exercises `runs watch --once` and `runs stats` against the
 # shared event log; `serve-smoke` starts the job daemon, submits a matrix
 # over HTTP with `repro submit --wait`, lists the jobs, watches the run,
@@ -45,6 +47,10 @@ test-fast:
 
 test-cov:
 	$(PYTHON) tools/check_coverage.py --floor 80
+	$(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/scenarios \
+		tests/test_matrix_executor.py tests/test_matrix_shard.py \
+		tests/test_matrix_shard_faults.py tests/test_shard_properties.py \
+		tests/test_matrix_resume.py tests/test_scenario_matrix.py
 	$(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/telemetry \
 		tests/test_telemetry_events.py tests/test_telemetry_emitter.py \
 		tests/test_telemetry_aggregate.py
@@ -68,12 +74,16 @@ test-cov:
 
 SHARD_SMOKE_DIR ?= runs/shard-smoke
 shard-smoke:
-	rm -rf $(SHARD_SMOKE_DIR)
+	rm -rf $(SHARD_SMOKE_DIR) $(SHARD_SMOKE_DIR)-jobs2
 	$(PYTHON) -m repro scenarios run --scenario pendulum --scenario cartpole \
 		--no-train --no-verify --samples 4 --run-dir $(SHARD_SMOKE_DIR) --shard 1/2
 	$(PYTHON) -m repro scenarios run --scenario pendulum --scenario cartpole \
 		--no-train --no-verify --samples 4 --run-dir $(SHARD_SMOKE_DIR) --shard 2/2
 	$(PYTHON) -m repro runs merge --run-dir $(SHARD_SMOKE_DIR) --csv $(SHARD_SMOKE_DIR)/matrix.csv
+	$(PYTHON) -m repro scenarios run --scenario pendulum --scenario cartpole \
+		--no-train --no-verify --samples 4 --run-dir $(SHARD_SMOKE_DIR)-jobs2 --jobs 2 \
+		--csv $(SHARD_SMOKE_DIR)-jobs2/matrix.csv
+	cmp $(SHARD_SMOKE_DIR)/matrix.csv $(SHARD_SMOKE_DIR)-jobs2/matrix.csv
 
 WATCH_SMOKE_DIR ?= runs/watch-smoke
 watch-smoke:

@@ -13,7 +13,7 @@ Amdahl).  This harness therefore:
   + one full dataset generation) both ways -- ``num_envs=1`` /
   ``batch_size=1``, the scalar flow preserved as the bit-identical
   batch-of-one (pinned by ``tests/test_training_determinism.py``), versus
-  the CPU-derived vectorized widths -- and asserts the vectorized path
+  the pinned vectorized widths (16/128) -- and asserts the vectorized path
   keeps at least the 3x floor from ``repro.perf.FLOORS`` (observed
   ~5-9x on one core);
 * times the **full pipeline** (mixing + dataset + robust distillation) at
@@ -41,7 +41,7 @@ from repro.core.mixing import MixingTrainer
 from repro.experts import make_default_experts
 from repro.rl.ppo import PPOTrainer
 from repro.systems import make_system
-from repro.utils.parallel import default_num_envs, default_train_batch_size
+from repro.core.config import DEFAULT_NUM_ENVS, DEFAULT_TRAIN_BATCH_SIZE
 from repro.utils.seeding import set_global_seed
 
 OUTPUT_DIR = Path(__file__).resolve().parent / "results"
@@ -84,7 +84,7 @@ def _teacher(system, experts):
     trainer = MixingTrainer(
         system,
         experts,
-        config=MixingConfig(epochs=1, steps_per_epoch=256, num_envs=default_num_envs(), seed=0),
+        config=MixingConfig(epochs=1, steps_per_epoch=256, num_envs=DEFAULT_NUM_ENVS, seed=0),
         rng=0,
     )
     return trainer.train()
@@ -127,8 +127,8 @@ def _pipeline_seconds(system, experts, num_envs: int, batch_size: int) -> float:
 def test_training_stage_speedup():
     system = make_system(SYSTEM)
     experts = make_default_experts(system)
-    num_envs = default_num_envs()
-    batch_size = default_train_batch_size()
+    num_envs = DEFAULT_NUM_ENVS
+    batch_size = DEFAULT_TRAIN_BATCH_SIZE
     teacher = _teacher(system, experts)
 
     scalar_collect = _ppo_collect_seconds(system, experts, num_envs=1)
@@ -182,11 +182,11 @@ def test_training_stage_speedup():
     )
 
 
-def test_vectorized_widths_are_cpu_derived():
+def test_vectorized_widths_are_the_pinned_defaults():
     """The benchmark exercises the same defaults ``repro train`` resolves."""
 
     from repro.core.config import CocktailConfig
 
     config = CocktailConfig.from_budget_hints({}, seed=0)
-    assert config.mixing.num_envs == default_num_envs()
-    assert config.distillation.train_batch_size == default_train_batch_size()
+    assert config.mixing.num_envs == DEFAULT_NUM_ENVS
+    assert config.distillation.train_batch_size == DEFAULT_TRAIN_BATCH_SIZE

@@ -51,9 +51,9 @@ pipeline stage in a :class:`repro.experiments.RunStore` keyed by the
 digest of its resolved config: rerunning an unchanged command serves the
 results from the store, and an interrupted ``scenarios run`` resumed with
 ``--resume`` executes only the missing cells (see ``docs/experiments.md``).
-``scenarios run --shard i/N`` distributes one matrix across workers or
-hosts sharing a run directory, with work-stealing for stragglers, and
-``runs merge`` reproduces the byte-identical single-process CSV.
+``scenarios run --shard i/N`` splits one matrix into disjoint slices for
+hosts sharing a run directory, and ``runs merge`` reproduces the
+byte-identical single-process CSV.
 """
 
 from __future__ import annotations
@@ -142,22 +142,22 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--dataset-size", type=int, default=None, help=f"distillation dataset size {hint}")
     train.add_argument("--eval-samples", type=int, default=None, help=f"Monte-Carlo evaluation samples {hint}")
     # Vectorization widths default to the scenario hint and then to the
-    # CPU-derived defaults of repro.utils.parallel; 1 = the scalar training
+    # pinned repro.core.config defaults (16/128); 1 = the scalar training
     # path (bit-identical to the historical per-step/per-sample loops).
     train.add_argument(
         "--num-envs",
         type=int,
         default=None,
         help="parallel PPO mixing environments advanced in lockstep "
-        "(default: scenario hint, then a CPU-derived width; 1 = scalar path)",
+        "(default: scenario hint, then 16; 1 = scalar path)",
     )
     train.add_argument(
         "--train-batch-size",
         type=int,
         default=None,
         help="lockstep teacher rollouts / labels per batched query during "
-        "distillation dataset collection (default: scenario hint, then a "
-        "CPU-derived width; 1 = scalar path)",
+        "distillation dataset collection (default: scenario hint, then 128; "
+        "1 = scalar path)",
     )
     train.add_argument(
         "--eval-batch-size",
@@ -272,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="skip training kappa_star (evaluates the analytic experts only)")
     run.add_argument("--no-verify", action="store_true", help="skip the verification cells")
     run.add_argument("--jobs", type=int, default=0,
-                     help="verification worker processes (0 = one per scenario, capped at the CPU count)")
+                     help="worker processes running the matrix's train/evaluate/verify cells "
+                     "(0 = one per CPU, 1 = inline); results do not depend on it")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--csv", type=Path, default=None, help="write one CSV row per matrix cell")
     run.add_argument(
@@ -304,36 +305,13 @@ def build_parser() -> argparse.ArgumentParser:
         "reassembles the full CSV once all cells exist",
     )
     run.add_argument(
-        "--shard-workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="fan the matrix across N local shard worker processes against --run-dir "
-        "and merge when they finish (single-host alternative to running N --shard "
-        "commands)",
-    )
-    run.add_argument(
-        "--no-steal",
-        action="store_true",
-        help="with --shard/--shard-workers: do not pick up unfinished cells of other "
-        "shards (by default an idle shard steals stragglers' work)",
-    )
-    run.add_argument(
-        "--claim-lease",
-        type=float,
-        default=60.0,
-        metavar="SECONDS",
-        help="with --shard/--shard-workers: seconds without a heartbeat before another "
-        "shard may take over a claimed cell (default 60)",
-    )
-    run.add_argument(
         "--shard-time-budget",
         type=float,
         default=0.0,
         metavar="SECONDS",
         help="with --shard: wall-clock budget for this shard; on exhaustion the report "
-        "status is 'resource-exhausted' and the remaining cells stay unclaimed for "
-        "other shards (0 = unbounded)",
+        "status is 'resource-exhausted' and the remaining cells wait for a rerun of "
+        "this shard (0 = unbounded)",
     )
     run.add_argument(
         "--no-telemetry",
@@ -618,12 +596,8 @@ def _command_scenarios(args: argparse.Namespace) -> int:
 
     if (args.resume or args.force) and args.run_dir is None:
         raise SystemExit("--resume/--force need --run-dir (there is no store to resume from)")
-    if args.shard is not None and args.shard_workers:
-        raise SystemExit("--shard and --shard-workers are mutually exclusive "
-                         "(one names this worker's slice, the other spawns local workers)")
-    if (args.shard is not None or args.shard_workers) and args.run_dir is None:
-        raise SystemExit("--shard/--shard-workers need --run-dir "
-                         "(shards coordinate through a shared run store)")
+    if args.shard is not None and args.run_dir is None:
+        raise SystemExit("--shard needs --run-dir (shards share one run store)")
     if args.shard is not None and args.csv is not None:
         raise SystemExit("--csv is not available on a single shard (its rows are partial); "
                          "merge the full CSV afterwards with `repro runs merge --csv`")
@@ -641,24 +615,10 @@ def _command_scenarios(args: argparse.Namespace) -> int:
         force=args.force,
         telemetry=False if args.no_telemetry else None,
     )
-    if args.shard_workers:
-        from repro.scenarios import run_sharded_matrix
-
-        matrix_kwargs.pop("run_dir")
-        report = run_sharded_matrix(
-            args.shard_workers,
-            args.run_dir,
-            progress=print,
-            steal=not args.no_steal,
-            claim_lease=args.claim_lease,
-            **matrix_kwargs,
-        )
-    elif args.shard is not None:
+    if args.shard is not None:
         report = run_scenario_matrix(
             progress=print,
             shard=args.shard,
-            steal=not args.no_steal,
-            claim_lease=args.claim_lease,
             shard_time_budget=args.shard_time_budget or None,
             **matrix_kwargs,
         )
@@ -696,8 +656,8 @@ def _command_scenarios(args: argparse.Namespace) -> int:
         )
     if args.shard is not None:
         print(
-            f"shard {report.shard} ({report.status}): {report.cells_stolen} stolen, "
-            f"{report.cells_skipped} left to other shards; assemble the full matrix with "
+            f"shard {report.shard} ({report.status}): {report.cells_skipped} owned cell(s) "
+            f"left unrun; assemble the full matrix with "
             f"`repro runs merge --run-dir {args.run_dir}`"
         )
     if args.csv is not None:

@@ -14,6 +14,12 @@ from typing import Mapping, Optional, Tuple
 
 from repro.rl.ppo import PPOConfig
 
+#: Default lockstep environment width and dataset/teacher batch width of a
+#: budget-hint config.  Pinned rather than derived from the CPU count, so a
+#: config trains the same controller on every machine.
+DEFAULT_NUM_ENVS = 16
+DEFAULT_TRAIN_BATCH_SIZE = 128
+
 
 @dataclass
 class MixingConfig:
@@ -191,20 +197,18 @@ class CocktailConfig:
 
         Unlike the raw dataclasses (whose ``num_envs=1`` /
         ``train_batch_size=1`` defaults preserve the scalar training path),
-        budget-hint configs default to the *vectorized* trainer: the
-        ``num_envs`` and ``train_batch_size`` fallbacks are derived from
-        the machine via :mod:`repro.utils.parallel`, which is what ``repro
-        train`` and the scenario matrix runner want.
+        budget-hint configs default to the *vectorized* trainer at the
+        pinned widths :data:`DEFAULT_NUM_ENVS` / :data:`DEFAULT_TRAIN_BATCH_SIZE`,
+        never at a CPU-count-derived one: the same hints train the same
+        controller on every machine.
         """
-
-        from repro.utils.parallel import default_num_envs, default_train_batch_size
 
         hints = dict(hints or {})
         return cls(
             mixing=MixingConfig(
                 epochs=int(hints.get("mixing_epochs", 10)),
                 steps_per_epoch=int(hints.get("mixing_steps", 1024)),
-                num_envs=int(hints.get("num_envs", default_num_envs())),
+                num_envs=int(hints.get("num_envs", DEFAULT_NUM_ENVS)),
                 seed=seed,
             ),
             distillation=DistillationConfig(
@@ -213,7 +217,7 @@ class CocktailConfig:
                 hidden_sizes=tuple(hints.get("hidden_sizes", (32, 32))),
                 l2_weight=float(hints.get("l2_weight", 5e-3)),
                 trajectory_fraction=float(hints.get("trajectory_fraction", 0.6)),
-                train_batch_size=int(hints.get("train_batch_size", default_train_batch_size())),
+                train_batch_size=int(hints.get("train_batch_size", DEFAULT_TRAIN_BATCH_SIZE)),
                 seed=seed,
             ),
             evaluation=EvaluationConfig(samples=int(hints.get("eval_samples", 150))),

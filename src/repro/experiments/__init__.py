@@ -18,7 +18,7 @@ from repro.experiments.digest import (
     config_digest,
     weights_digest,
 )
-from repro.experiments.store import DEFAULT_CLAIM_LEASE, ClaimBoard, RunKey, RunStore
+from repro.experiments.store import RunKey, RunStore
 
 __all__ = [
     "canonicalize",
@@ -27,6 +27,4 @@ __all__ = [
     "weights_digest",
     "RunKey",
     "RunStore",
-    "ClaimBoard",
-    "DEFAULT_CLAIM_LEASE",
 ]

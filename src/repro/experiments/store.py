@@ -26,16 +26,14 @@ of the work, which is what the byte-stability regression tests pin.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import shutil
-import threading
 import time
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.experiments.digest import canonicalize, config_digest
 
@@ -44,11 +42,6 @@ PathLike = Union[str, Path]
 _ENTRY_FILE = "entry.json"
 _RESULT_FILE = "result.json"
 _TMP_PREFIX = ".tmp-"
-_CLAIMS_DIR = ".claims"
-_CLAIM_SUFFIX = ".claim"
-
-#: Default seconds before a claim with no heartbeat counts as abandoned.
-DEFAULT_CLAIM_LEASE = 60.0
 
 
 @dataclass(frozen=True)
@@ -62,155 +55,6 @@ class RunKey:
     def __post_init__(self) -> None:
         if not self.stage or "/" in self.stage or self.stage.startswith("."):
             raise ValueError(f"bad stage name {self.stage!r}")
-
-
-class ClaimBoard:
-    """Atomic claim files coordinating concurrent workers over one store.
-
-    A claim marks a :class:`RunKey` as *being computed* so that shards
-    sharing a run directory never duplicate in-flight work: claims are
-    plain files under ``<root>/.claims/`` created with ``O_EXCL`` (atomic
-    on POSIX filesystems), so exactly one worker wins each cell.  The file
-    mtime doubles as the claim's heartbeat; :meth:`hold` refreshes it from
-    a background thread during long computations, and a claim whose
-    heartbeat is older than ``lease_seconds`` counts as abandoned (its
-    worker was killed) and may be taken over by any other worker.
-
-    Takeover is itself race-free: the stale file is first renamed to a
-    unique tombstone -- only one renamer can win, everyone else sees
-    ``FileNotFoundError`` -- and the winner then recreates the claim with
-    ``O_EXCL``.  Claims are *advisory*: the store's digest-keyed atomic
-    publish stays the source of truth, so even a duplicated computation
-    (e.g. two hosts with skewed clocks) is idempotent, merely wasted work.
-
-    For observability the board counts stale-lease ``takeovers`` and flags
-    whether the most recent successful :meth:`acquire` reaped a dead
-    worker's claim (:attr:`last_acquire_was_takeover` -- telemetry marks
-    the resulting steal as ``stale``); an optional ``observer`` callback
-    receives ``(action, key)`` for every ``"claim"``, ``"release"`` and
-    ``"stale-takeover"``.
-    """
-
-    def __init__(self, root: PathLike, owner: str, lease_seconds: float = DEFAULT_CLAIM_LEASE):
-        self.root = Path(root) / _CLAIMS_DIR
-        self.owner = str(owner)
-        self.lease_seconds = float(lease_seconds)
-        #: Heartbeat period while :meth:`hold` runs; well inside the lease.
-        self.heartbeat_seconds = max(0.02, self.lease_seconds / 4.0)
-        #: Stale claims this board reaped over its lifetime.
-        self.takeovers = 0
-        #: Optional ``(action, key)`` callback for claim-lifecycle events.
-        self.observer: Optional[Callable[[str, RunKey], None]] = None
-        self._last_acquire_was_takeover = False
-
-    @property
-    def last_acquire_was_takeover(self) -> bool:
-        """Whether the latest successful acquire displaced a stale claim."""
-
-        return self._last_acquire_was_takeover
-
-    def _notify(self, action: str, key: RunKey) -> None:
-        if self.observer is not None:
-            self.observer(action, key)
-
-    def path(self, key: RunKey) -> Path:
-        return self.root / f"{key.stage}-{key.digest}{_CLAIM_SUFFIX}"
-
-    def holder(self, key: RunKey) -> Optional[Dict]:
-        """The claim payload (owner, pid, claimed_unix), or None if unclaimed."""
-
-        try:
-            with self.path(key).open() as handle:
-                return json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            return None
-
-    def is_stale(self, key: RunKey) -> bool:
-        """True when the claim exists but its heartbeat outlived the lease."""
-
-        try:
-            age = time.time() - self.path(key).stat().st_mtime
-        except OSError:
-            return False
-        return age > self.lease_seconds
-
-    def acquire(self, key: RunKey) -> bool:
-        """Claim ``key`` for this owner; steals abandoned claims.
-
-        Returns False when another live worker holds the claim.
-        """
-
-        self.root.mkdir(parents=True, exist_ok=True)
-        path = self.path(key)
-        self._last_acquire_was_takeover = False
-        payload = json.dumps(
-            {"owner": self.owner, "pid": os.getpid(), "claimed_unix": time.time()}
-        )
-        for _ in range(2):  # second attempt only after reaping a stale claim
-            try:
-                descriptor = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                if not self._reap_if_stale(path, key):
-                    return False
-                continue
-            with os.fdopen(descriptor, "w") as handle:
-                handle.write(payload)
-            self._notify("claim", key)
-            return True
-        return False
-
-    def _reap_if_stale(self, path: Path, key: Optional[RunKey] = None) -> bool:
-        """Remove an abandoned claim file; True when the path is now free."""
-
-        try:
-            age = time.time() - path.stat().st_mtime
-        except OSError:
-            return True  # released (or reaped) concurrently -- retry the create
-        if age <= self.lease_seconds:
-            return False
-        tombstone = path.with_name(f"{path.name}.stale-{uuid.uuid4().hex[:8]}")
-        try:
-            os.rename(path, tombstone)  # only one reaper wins the rename
-        except OSError:
-            return True
-        tombstone.unlink(missing_ok=True)
-        self.takeovers += 1
-        self._last_acquire_was_takeover = True
-        if key is not None:
-            self._notify("stale-takeover", key)
-        return True
-
-    def release(self, key: RunKey) -> None:
-        self.path(key).unlink(missing_ok=True)
-        self._notify("release", key)
-
-    def heartbeat(self, key: RunKey) -> None:
-        """Refresh the claim's lease (no-op if the claim is gone)."""
-
-        try:
-            os.utime(self.path(key))
-        except OSError:
-            pass
-
-    @contextlib.contextmanager
-    def hold(self, keys: Union[RunKey, Sequence[RunKey]]):
-        """Heartbeat ``keys`` from a background thread while the body runs."""
-
-        held: List[RunKey] = [keys] if isinstance(keys, RunKey) else list(keys)
-        stop = threading.Event()
-
-        def beat() -> None:
-            while not stop.wait(self.heartbeat_seconds):
-                for key in held:
-                    self.heartbeat(key)
-
-        thread = threading.Thread(target=beat, daemon=True)
-        thread.start()
-        try:
-            yield
-        finally:
-            stop.set()
-            thread.join()
 
 
 class RunStore:
@@ -327,17 +171,6 @@ class RunStore:
         self.misses += 1
         return self.load_result(key)
 
-    # -- coordination --------------------------------------------------
-    def claims(self, owner: str, lease_seconds: float = DEFAULT_CLAIM_LEASE) -> ClaimBoard:
-        """A :class:`ClaimBoard` for this store (shared ``.claims/`` dir)."""
-
-        return ClaimBoard(self.root, owner=owner, lease_seconds=lease_seconds)
-
-    def missing(self, keys: Iterable[RunKey]) -> List[RunKey]:
-        """The subset of ``keys`` with no complete entry (merge precondition)."""
-
-        return [key for key in keys if not self.contains(key)]
-
     # -- inspection ----------------------------------------------------
     def stages(self) -> List[str]:
         if not self.root.is_dir():
@@ -377,10 +210,7 @@ class RunStore:
 
         Returns ``(incomplete, removed_entries)`` -- the staging/incomplete
         directories swept and the complete entries deleted because their
-        stage was listed in ``stages``.  Claim debris left by sharded runs
-        (takeover tombstones, and claims whose entry was published -- a
-        worker died between publish and release) counts as incomplete.
-        ``dry_run=True`` only reports.
+        stage was listed in ``stages``.  ``dry_run=True`` only reports.
         """
 
         incomplete: List[Path] = []
@@ -394,21 +224,7 @@ class RunStore:
                     incomplete.append(entry_dir)
                 elif stages and stage_name in stages:
                     removed.append(entry_dir)
-        claims_dir = self.root / _CLAIMS_DIR
-        if claims_dir.is_dir():
-            for claim in sorted(claims_dir.iterdir()):
-                if not claim.is_file():
-                    continue
-                if ".stale-" in claim.name:
-                    incomplete.append(claim)
-                elif claim.name.endswith(_CLAIM_SUFFIX):
-                    stage_name, _, digest = claim.name[: -len(_CLAIM_SUFFIX)].rpartition("-")
-                    if (self.root / stage_name / digest / _RESULT_FILE).exists():
-                        incomplete.append(claim)
         if not dry_run:
             for path in incomplete + removed:
-                if path.is_dir():
-                    shutil.rmtree(path, ignore_errors=True)
-                else:
-                    path.unlink(missing_ok=True)
+                shutil.rmtree(path, ignore_errors=True)
         return incomplete, removed

@@ -105,7 +105,7 @@ class TrainJobSpec(JobSpec):
     """Run the Cocktail pipeline on one scenario (mirrors ``repro train``).
 
     ``None`` budgets resolve to the scenario's ``train_budget`` hints and
-    then to the CPU-derived defaults, exactly like the CLI flags.
+    then to the pinned defaults, exactly like the CLI flags.
     ``output`` is optional here (the daemon persists through the run store);
     the CLI always sets it.
     """

@@ -113,7 +113,7 @@ def _resolve_train(spec: TrainJobSpec):
     """(scenario, overrides, CocktailConfig, resolved identity dict)."""
 
     from repro import CocktailConfig, DistillationConfig, EvaluationConfig, MixingConfig
-    from repro.utils.parallel import default_num_envs, default_train_batch_size
+    from repro.core.config import DEFAULT_NUM_ENVS, DEFAULT_TRAIN_BATCH_SIZE
 
     scenario, overrides = _resolve_scenario(spec.system)
     hints = scenario.train_budget
@@ -121,7 +121,7 @@ def _resolve_train(spec: TrainJobSpec):
         mixing=MixingConfig(
             epochs=resolve_budget(spec.mixing_epochs, hints, "mixing_epochs", 10),
             steps_per_epoch=resolve_budget(spec.mixing_steps, hints, "mixing_steps", 1024),
-            num_envs=resolve_budget(spec.num_envs, hints, "num_envs", default_num_envs()),
+            num_envs=resolve_budget(spec.num_envs, hints, "num_envs", DEFAULT_NUM_ENVS),
             seed=spec.seed,
         ),
         distillation=DistillationConfig(
@@ -131,7 +131,7 @@ def _resolve_train(spec: TrainJobSpec):
             l2_weight=5e-3,
             trajectory_fraction=float(hints.get("trajectory_fraction", 0.6)),
             train_batch_size=resolve_budget(
-                spec.train_batch_size, hints, "train_batch_size", default_train_batch_size()
+                spec.train_batch_size, hints, "train_batch_size", DEFAULT_TRAIN_BATCH_SIZE
             ),
             seed=spec.seed,
         ),
@@ -404,8 +404,8 @@ def sweep_payload(spec: VerifySweepJobSpec, report) -> Tuple[Dict, bool]:
     """JSON-able sweep outcome + whether it may be cached at the job level.
 
     Per-job wall clocks are stripped (the job digest must serve identical
-    bytes forever); errors, skipped jobs and wall-clock-truncated verdicts
-    are never cached, mirroring ``VerificationSweep._cacheable``.
+    bytes forever); errors and wall-clock-truncated verdicts
+    are never cached, mirroring ``repro.verification.sweep.is_cacheable``.
     """
 
     records = []

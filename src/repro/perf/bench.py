@@ -198,19 +198,18 @@ def _measure_training(
     """Scale knobs exist for the ``bench_smoke`` tests; ``repro bench``
     always runs the defaults so reports stay comparable."""
 
-    from repro.core.config import MixingConfig
+    from repro.core.config import DEFAULT_NUM_ENVS, DEFAULT_TRAIN_BATCH_SIZE, MixingConfig
     from repro.core.distillation import collect_distillation_dataset
     from repro.core.mixing import MixingTrainer
     from repro.experts import make_default_experts
     from repro.rl.ppo import PPOTrainer
     from repro.systems import make_system
-    from repro.utils.parallel import default_num_envs, default_train_batch_size
     from repro.utils.seeding import set_global_seed
 
     system = make_system("vanderpol")
     experts = make_default_experts(system)
-    num_envs = default_num_envs()
-    batch_size = default_train_batch_size()
+    num_envs = DEFAULT_NUM_ENVS
+    batch_size = DEFAULT_TRAIN_BATCH_SIZE
 
     set_global_seed(0)
     teacher = MixingTrainer(

@@ -45,10 +45,10 @@ register_scenario(
         interval_dynamics=vanderpol_interval,
         aliases=("oscillator",),
         # The historical CLI default budgets.  Training vectorization
-        # widths (``num_envs``/``train_batch_size``) are deliberately left
-        # unset: they fall back to the CPU-derived defaults of
-        # :mod:`repro.utils.parallel`; pass ``--num-envs 1
-        # --train-batch-size 1`` for the historical scalar stream.
+        # widths (``num_envs``/``train_batch_size``) are left unset: they
+        # fall back to the pinned defaults of :mod:`repro.core.config`;
+        # pass ``--num-envs 1 --train-batch-size 1`` for the historical
+        # scalar stream.
         train_budget=dict(
             mixing_epochs=10,
             mixing_steps=1024,
@@ -106,7 +106,7 @@ register_scenario(
             # Cartpole episodes die fast early in training, so a wide
             # lockstep batch keeps the PPO collection loop busy; this also
             # exercises the explicit-hint path of the vectorized trainer
-            # (the other specs inherit the CPU-derived defaults).
+            # (the other specs inherit the same pinned defaults).
             num_envs=16,
             train_batch_size=128,
         ),

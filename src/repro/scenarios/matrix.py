@@ -3,8 +3,7 @@
 The ROADMAP's scenario-diversity goal is operationally a *matrix*: every
 registered scenario crossed with every controller of interest and every
 perturbation regime, each cell a Monte-Carlo evaluation on the batched
-rollout engine, plus one verification job per trained student fanned across
-the :class:`~repro.verification.sweep.VerificationSweep` process pool.
+rollout engine, plus one verification job per trained student.
 :func:`run_scenario_matrix` expands and runs that matrix and returns a
 :class:`ScenarioMatrixReport` whose ``to_csv`` emits one flat row per cell
 -- the cross-scenario CSV the CLI's ``repro scenarios run`` writes.
@@ -14,6 +13,20 @@ Per-scenario budgets come from each spec's ``train_budget`` /
 knobs uniformly (the ``make scenario-smoke`` target runs the whole catalog
 at a tiny scale this way).
 
+Execution
+---------
+The matrix is a DAG: ``train(s) -> {evaluate(s, kappa_star, p)..., verify(s)}``,
+and the expert evaluate cells depend on nothing.  ``jobs`` workers of one
+fork process pool run it: the trainings go first, longest budget first,
+then the expert evaluate cells, and a scenario's kappa* cells jump the
+queue as soon as its student lands.  Every task seeds itself
+(``set_global_seed`` plus its config for training, ``rng=seed`` for
+evaluation), so the schedule never changes a number.  Tasks are pure
+compute; the parent alone writes the run store and the telemetry log and
+calls ``on_cell``, and the rows are sorted into the canonical
+:func:`plan_matrix_cells` order before the report is returned.
+``jobs <= 1`` runs the same tasks inline.
+
 With a :class:`~repro.experiments.store.RunStore` (``store=``/``run_dir=``)
 the matrix becomes an *incremental* workload: every stage -- the kappa*
 training, each evaluation cell, each verification job -- is keyed by the
@@ -21,41 +34,39 @@ digest of its resolved config and flushed to the store as soon as it
 completes, so an interrupted sweep rerun with ``resume=True`` executes
 only the missing cells and a fully warmed store answers the whole matrix
 from disk.  Store-backed rows are deterministic (wall-clock timings stay
-in the store's entry metadata, not in the rows), which is what makes the
-resumed CSV byte-identical to an uninterrupted run.
+in the telemetry log, not in the rows), which is what makes the resumed
+CSV byte-identical to an uninterrupted run.
 
 Sharding
 --------
-The same digest-keyed store doubles as a distributed coordination
-substrate.  :func:`plan_matrix_cells` expands the grid into a canonical
-cell order, a :class:`ShardSpec` (``"i/N"``) assigns every position to
-exactly one of N shards round-robin, and each shard runs
-``run_scenario_matrix(..., shard=...)`` against the *shared* run
-directory -- on one host via :func:`run_sharded_matrix` worker processes,
-or across hosts via ``repro scenarios run --shard i/N``.  Shards
-coordinate through a :class:`~repro.experiments.store.ClaimBoard`: each
-in-flight cell is claimed atomically, heartbeats keep the claim alive,
-and idle shards *steal* unfinished foreign cells (including claims whose
-worker died, once the lease expires).  A shard-level wall-clock budget
-mirrors the sweep's ``resource-exhausted`` semantics: on exhaustion the
-remaining cells are simply left unclaimed for other shards.
+A :class:`ShardSpec` (``"i/N"``) gives each of N shards a disjoint slice
+of the grid, and each shard runs ``run_scenario_matrix(..., shard=...)``
+against a *shared* run directory -- on one host via
+:func:`run_sharded_matrix` worker processes, or across hosts via
+``repro scenarios run --shard i/N``.  Ownership is dealt so that shards
+never wait on each other (see :meth:`ShardSpec.owned`): a student's
+training, its kappa* evaluate cells and its verify cell belong to one
+shard, so every student is trained exactly once, and the expert evaluate
+cells are dealt after them, snake-wise.  A shard-level wall-clock budget mirrors the
+sweep's ``resource-exhausted`` semantics: on exhaustion the shard stops
+starting cells and a later run of the same shard resumes them.
 
 :func:`merge_matrix_run` then replays the whole grid from the store
 (``offline=True``: nothing may execute) and reassembles the rows in
 canonical order -- producing a CSV byte-identical to a single-process run,
-regardless of shard count, completion order or how often workers died.
+regardless of shard count or completion order.
 
 Telemetry
 ---------
 Store-backed runs additionally append a typed event log under
 ``<run_dir>/events/`` (see :mod:`repro.telemetry`): every counter
 increment in the report pairs with exactly one ``cell-finished`` /
-``cell-cached`` / ``cell-stolen`` event, plus run lifecycle, heartbeat,
-stage-timing and sweep-job events -- which is what ``repro runs watch``
-tails live and ``repro runs stats`` aggregates.  All wall-clock timings
-live *only* in that log; store entries and rows stay deterministic, so
-enabling telemetry cannot perturb the byte-identical CSV guarantee.
-Offline replays (the merge) execute nothing and therefore emit nothing.
+``cell-cached`` event, plus run lifecycle, heartbeat, stage-timing and
+sweep-job events -- which is what ``repro runs watch`` tails live and
+``repro runs stats`` aggregates.  All wall-clock timings live *only* in
+that log; store entries and rows stay deterministic, so enabling telemetry
+cannot perturb the byte-identical CSV guarantee.  Offline replays (the
+merge) execute nothing and therefore emit nothing.
 """
 
 from __future__ import annotations
@@ -69,6 +80,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 
 from repro.core.cocktail import CocktailPipeline
 from repro.core.config import CocktailConfig
+from repro.experts.base import NeuralController
 from repro.metrics.robustness import evaluate_robustness
 from repro.scenarios.registry import list_scenarios, resolve_scenario
 from repro.telemetry.emitter import NullTelemetryEmitter, TelemetryEmitter
@@ -76,12 +88,12 @@ from repro.telemetry.events import (
     CellCached,
     CellFinished,
     CellStarted,
-    CellStolen,
     RunFinished,
     RunStarted,
     StageTiming,
     SweepJobFinished,
 )
+from repro.utils.parallel import default_worker_count, single_threaded_blas
 from repro.utils.seeding import set_global_seed
 
 #: Non-deterministic keys stripped from store-backed verification rows.
@@ -93,10 +105,6 @@ _SCALABLE_HINTS = ("mixing_epochs", "mixing_steps", "distill_epochs", "dataset_s
 #: Manifest file a sharded run writes into its run directory so that
 #: ``repro runs merge`` can replay the exact same grid.
 MANIFEST_FILE = "matrix.json"
-
-#: Poll period while waiting for another shard to publish a dependency.
-_WAIT_POLL_SECONDS = 0.05
-
 
 def scale_budget_hints(hints: Mapping[str, object], factor: float) -> Dict[str, object]:
     """Uniformly shrink/grow the integer budget knobs (floored at 1)."""
@@ -113,11 +121,11 @@ def scale_budget_hints(hints: Mapping[str, object], factor: float) -> Dict[str, 
 class ShardSpec:
     """One shard of the matrix grid: 1-based ``index`` out of ``count``.
 
-    Ownership is round-robin over the canonical cell order
-    (:func:`plan_matrix_cells`), which makes the assignment a provable
-    partition: for any grid size, every position is owned by exactly one
-    shard, shards are pairwise disjoint, their union is exhaustive, and
-    shard sizes differ by at most one cell.
+    Ownership deals numbered *units* like cards in a snake (:meth:`owns`),
+    and :meth:`owned` maps the canonical cells (:func:`plan_matrix_cells`)
+    to units.  Every unit is owned by exactly one shard, shards are
+    pairwise disjoint, their union is exhaustive, and unit counts differ by
+    at most one.
     """
 
     index: int
@@ -144,10 +152,46 @@ class ShardSpec:
             raise ValueError(f"bad shard spec {text!r}: I and N must be integers")
         return cls(index=index, count=count)
 
-    def owns(self, position: int) -> bool:
-        """Whether the canonical cell at ``position`` belongs to this shard."""
+    def owns(self, unit: int) -> bool:
+        """Whether the unit numbered ``unit`` belongs to this shard.
 
-        return position % self.count == self.index - 1
+        Round ``unit // count`` deals shards ``1..N`` when even and ``N..1``
+        when odd.  The first units are the students, whose chains (training,
+        kappa* evaluations, verification) outweigh any single expert cell,
+        and the snake keeps one shard from collecting every round's first.
+        """
+
+        round_, seat = divmod(unit, self.count)
+        if round_ % 2:
+            seat = self.count - 1 - seat
+        return seat == self.index - 1
+
+    def owned(self, cells: Sequence["MatrixCell"]) -> List[int]:
+        """Positions in ``cells`` (a canonical plan) that this shard runs.
+
+        The dealing rule numbers the units in a fixed order: first one unit
+        per trained student, in scenario order -- its training, its
+        kappa_star evaluate cells and its verify cell travel together --
+        then one unit per expert evaluate cell, in plan order.  Every
+        student is therefore trained by exactly one shard, and no shard
+        needs a result another shard computes.  On a grid without students
+        the units are the plan positions themselves.
+        """
+
+        students: Dict[str, int] = {}
+        for cell in cells:
+            if cell.controller == "kappa_star":
+                students.setdefault(cell.scenario, len(students))
+        positions = []
+        expert_unit = len(students)
+        for position, cell in enumerate(cells):
+            if cell.controller == "kappa_star":
+                unit = students[cell.scenario]
+            else:
+                unit, expert_unit = expert_unit, expert_unit + 1
+            if self.owns(unit):
+                positions.append(position)
+        return positions
 
     def __str__(self) -> str:
         return f"{self.index}/{self.count}"
@@ -193,9 +237,8 @@ def plan_matrix_cells(
 ) -> List[MatrixCell]:
     """Expand the grid into its canonical cell order without running it.
 
-    The list index of each cell is its shard position
-    (:meth:`ShardSpec.owns`); the executor enumerates identically, so the
-    plan is the shard protocol's single source of truth.
+    The executor enumerates identically and :meth:`ShardSpec.owned` deals
+    this list, so the plan is the shard protocol's single source of truth.
     """
 
     names = list(scenarios) if scenarios is not None else list_scenarios()
@@ -235,9 +278,7 @@ class ScenarioMatrixReport:
     #: Stage executions vs run-store replays (both stay 0 without a store).
     cells_computed: int = 0
     cells_cached: int = 0
-    #: Sharded runs only: foreign cells this shard picked up, and owned
-    #: cells left to another live claimant.
-    cells_stolen: int = 0
+    #: Owned cells left unrun because ``shard_time_budget`` expired.
     cells_skipped: int = 0
     #: ``"resource-exhausted"`` when a shard wall-clock budget expired.
     status: str = "ok"
@@ -356,7 +397,7 @@ def read_matrix_manifest(root: Union[str, Path]) -> Dict:
         return json.load(handle)
 
 
-# -- execution ---------------------------------------------------------
+# -- tasks -------------------------------------------------------------
 
 
 @dataclass
@@ -365,16 +406,148 @@ class _ScenarioContext:
 
     name: str
     spec: object
-    overrides: Dict
     params: Dict
     system: object
     experts: Dict[str, object]
     controller_names: List[str]
-    student: Optional[object] = None
+    student: Optional[NeuralController] = None
+
+
+#: Scenario contexts of the running matrix, by name.  The pool forks after
+#: they are built, so workers inherit the plants and experts instead of
+#: unpickling them; tasks take a scenario name and look it up here.
+_CONTEXTS: Dict[str, _ScenarioContext] = {}
+
+
+def _network(state: Tuple[Dict, Dict]):
+    from repro.nn.network import MLP
+
+    architecture, weights = state
+    network = MLP.from_architecture(architecture)
+    network.load_state_dict(weights)
+    return network
+
+
+def _train_task(name: str, config: CocktailConfig, seed: int) -> Dict:
+    """Train one scenario's kappa*; returns its weights and stage seconds."""
+
+    ctx = _CONTEXTS[name]
+    start = time.perf_counter()
+    set_global_seed(seed)
+    result = CocktailPipeline(ctx.system, list(ctx.experts.values()), config).run(
+        include_direct_baseline=False
+    )
+    network = result.student.network
+    return {
+        "network": (network.architecture(), network.state_dict()),
+        "experts": [expert.name for expert in result.experts],
+        "dataset_size": len(result.dataset),
+        "stage_seconds": dict(result.stage_seconds),
+        "seconds": time.perf_counter() - start,
+    }
+
+
+def _evaluate_task(
+    name: str,
+    controller: str,
+    perturbation: str,
+    samples: int,
+    fraction: float,
+    seed: int,
+    student: Optional[Tuple[Dict, Dict]] = None,
+) -> Dict:
+    """One Monte-Carlo evaluation cell; ``student`` is kappa*'s
+    ``(architecture, weights)``."""
+
+    ctx = _CONTEXTS[name]
+    if controller == "kappa_star":
+        policy = NeuralController(_network(student), name="kappa_star")
+    else:
+        policy = ctx.experts[controller]
+    start = time.perf_counter()
+    outcome = evaluate_robustness(
+        ctx.system,
+        policy,
+        perturbation=perturbation,
+        fraction=fraction,
+        samples=samples,
+        rng=seed,
+    )
+    return {
+        "safe_rate": outcome.safe_rate,
+        "mean_energy": outcome.mean_energy,
+        "samples": outcome.samples,
+        "seconds": time.perf_counter() - start,
+    }
+
+
+def _verify_task(job):
+    """One verification job (looked up at call time, so tests can count it)."""
+
+    from repro.verification import sweep
+
+    return sweep.run_sweep_job(job)
+
+
+class MatrixWorkerLost(RuntimeError):
+    """A pool worker died (SIGKILL, out of memory) while running matrix cells.
+
+    ``cells`` names the cells whose results were lost with it; every cell
+    that completed before the loss is already in the run store, so rerunning
+    the same matrix against the same store resumes from there.
+    """
+
+    def __init__(self, cells: Sequence[str], stored: bool):
+        self.cells = list(cells)
+        hint = (
+            "completed cells are in the run store; rerun against it to resume"
+            if stored
+            else "rerun the matrix (with a run store to keep completed cells)"
+        )
+        super().__init__(f"a matrix pool worker died; lost cell(s): {', '.join(self.cells)} -- {hint}")
+
+
+@dataclass
+class _Work:
+    """One task call plus the parent-side step that records its outcome."""
+
+    identity: Dict[str, Optional[str]]
+    fn: Callable
+    args: Tuple
+    finish: Callable[[object], None]
+
+    @property
+    def label(self) -> str:
+        identity = self.identity
+        label = f"{identity['cell']} {identity['scenario']}:{identity['controller']}"
+        if identity.get("perturbation"):
+            label += f":{identity['perturbation']}"
+        return label
+
+
+def _row_position(cells: Sequence[MatrixCell]) -> Callable[[Dict], int]:
+    """Sort key putting rows into the canonical :func:`plan_matrix_cells` order."""
+
+    position = {
+        (cell.scenario, cell.controller, cell.kind, cell.perturbation): index
+        for index, cell in reversed(list(enumerate(cells)))
+    }
+    return lambda row: position[
+        (row["scenario"], row["controller"], row["cell"], row.get("perturbation"))
+    ]
+
+
+# -- execution ---------------------------------------------------------
 
 
 class _MatrixExecution:
-    """One ``run_scenario_matrix`` invocation (kept in a class for state)."""
+    """One ``run_scenario_matrix`` invocation (kept in a class for state).
+
+    The parent alone touches the run store, the telemetry log and
+    ``on_cell``; tasks are pure compute.  ``jobs <= 1`` runs the tasks
+    inline in the historical order (per scenario: train, its evaluate
+    cells; then every verify cell); wider runs go through one process pool.
+    """
 
     def __init__(self, **kwargs):
         self.__dict__.update(kwargs)
@@ -412,7 +585,6 @@ class _MatrixExecution:
                 _ScenarioContext(
                     name=name,
                     spec=spec,
-                    overrides=dict(overrides),
                     params=params,
                     system=system,
                     experts=experts,
@@ -421,62 +593,49 @@ class _MatrixExecution:
             )
         return contexts
 
-    def _controller(self, ctx: _ScenarioContext, name: str):
-        return ctx.student if name == "kappa_star" else ctx.experts[name]
+    def _record(self, row: Dict) -> None:
+        self.report.rows.append(row)
+        self.emit(row)
+
+    def _work(self, cell: MatrixCell) -> Optional[_Work]:
+        """The task for ``cell``; None when the store answers it (or lacks it)."""
+
+        ctx = _CONTEXTS[cell.scenario]
+        if cell.kind == "train":
+            return self._train_work(ctx)
+        if cell.controller == "kappa_star" and ctx.student is None:
+            return None  # offline replay without a stored student: reported missing
+        if cell.kind == "evaluate":
+            return self._evaluate_work(ctx, cell.controller, cell.perturbation)
+        return self._verify_work(ctx)
 
     # -- student (kappa_star) ------------------------------------------
-    def _train_key(self, ctx: _ScenarioContext, config: CocktailConfig):
-        # direct_baseline is part of the identity: the CLI's train command
-        # produces kappa_d + record.json under the same budgets, and must
-        # never restore a matrix entry without them.
-        return self.store.key(
-            "train",
-            {
-                "system": ctx.spec.name,
-                "params": ctx.params,
-                "cocktail": config,
-                "seed": self.seed,
-                "direct_baseline": False,
-            },
-        )
-
     def _train_config(self, ctx: _ScenarioContext) -> Tuple[CocktailConfig, Dict]:
         hints = scale_budget_hints(ctx.spec.train_budget, self.budget_scale)
         hints.update(self.train_overrides or {})
         return CocktailConfig.from_budget_hints(hints, seed=self.seed), hints
 
-    def _train_student(self, ctx: _ScenarioContext, config: CocktailConfig, hints: Dict):
-        self.say(
-            f"[{ctx.name}] training kappa_star ({hints.get('mixing_epochs', '?')} mixing epochs)"
-        )
-        set_global_seed(self.seed)
-        result = CocktailPipeline(ctx.system, list(ctx.experts.values()), config).run(
-            include_direct_baseline=False
-        )
-        return result
+    def _train_work(self, ctx: _ScenarioContext) -> Optional[_Work]:
+        """Restore kappa* from the store, or the task that trains it.
 
-    def _ensure_student(self, ctx: _ScenarioContext, wait: bool = True) -> bool:
-        """Make ``ctx.student`` available; False when it cannot be (yet).
-
-        Store-backed runs key the training stage like every other cell:
-        present entries restore the network, missing ones train it.  When
-        shards coordinate through claims, only one shard trains a given
-        scenario while the others wait for the publish (or take over the
-        claim if the trainer dies); ``wait=False`` -- the stealing pass --
-        moves on instead of waiting.
+        The key includes ``direct_baseline``: the CLI's train command
+        produces kappa_d + record.json under the same budgets, and must never
+        restore a matrix entry without them.
         """
 
-        if not self.train or ctx.student is not None:
-            return True
         config, hints = self._train_config(ctx)
-        if self.store is None:
-            ctx.student = self._train_student(ctx, config, hints).student
-            return True
-
-        from repro.experts.base import NeuralController
-
-        key = self._train_key(ctx, config)
-        while True:
+        key = None
+        if self.store is not None:
+            key = self.store.key(
+                "train",
+                {
+                    "system": ctx.spec.name,
+                    "params": ctx.params,
+                    "cocktail": config,
+                    "seed": self.seed,
+                    "direct_baseline": False,
+                },
+            )
             if self.reuse and self.store.contains(key):
                 network = self.store.load_network(key, "kappa_star")
                 ctx.student = NeuralController(network, name="kappa_star")
@@ -484,64 +643,46 @@ class _MatrixExecution:
                 self.report.cells_cached += 1
                 self.tele.emit(CellCached, scenario=ctx.name, controller="kappa_star", cell="train")
                 self.say(f"[{ctx.name}] kappa_star restored from the run store")
-                return True
+                return None
             if self.offline:
                 self.missing.append(f"train/{key.digest[:16]} ({ctx.name})")
-                return False
-            if self.claims is None or self.claims.acquire(key):
-                try:
-                    if (
-                        self.claims is not None
-                        and self.reuse
-                        and self.store.contains(key)
-                    ):
-                        continue  # published while we acquired; restore above
-                    hold = self.claims.hold(key) if self.claims is not None else _null_context()
-                    with hold:
-                        self.tele.emit(
-                            CellStarted, scenario=ctx.name, controller="kappa_star", cell="train"
-                        )
-                        train_start = time.perf_counter()
-                        result = self._train_student(ctx, config, hints)
-                        self.store.save(
-                            key,
-                            {
-                                "experts": [expert.name for expert in result.experts],
-                                "dataset_size": len(result.dataset),
-                            },
-                            networks={"kappa_star": result.student.network},
-                        )
-                    self.store.misses += 1
-                    self.report.cells_computed += 1
-                    for stage, stage_secs in result.stage_seconds.items():
-                        self.tele.emit(
-                            StageTiming, scenario=ctx.name, stage=stage, seconds=stage_secs
-                        )
-                    self.tele.emit(
-                        CellFinished,
-                        scenario=ctx.name,
-                        controller="kappa_star",
-                        cell="train",
-                        seconds=time.perf_counter() - train_start,
-                    )
-                    ctx.student = result.student
-                    return True
-                finally:
-                    if self.claims is not None:
-                        self.claims.release(key)
-            else:
-                if not wait or self._out_of_time():
-                    return False
-                time.sleep(_WAIT_POLL_SECONDS)
+                return None
+
+        def finish(outcome: Dict) -> None:
+            network = _network(outcome["network"])
+            if key is not None:
+                self.store.save(
+                    key,
+                    {"experts": outcome["experts"], "dataset_size": outcome["dataset_size"]},
+                    networks={"kappa_star": network},
+                )
+                self.store.misses += 1
+                self.report.cells_computed += 1
+            for stage, seconds in outcome["stage_seconds"].items():
+                self.tele.emit(StageTiming, scenario=ctx.name, stage=stage, seconds=seconds)
+            self.tele.emit(
+                CellFinished,
+                scenario=ctx.name,
+                controller="kappa_star",
+                cell="train",
+                seconds=outcome["seconds"],
+            )
+            ctx.student = NeuralController(network, name="kappa_star")
+
+        self.say(
+            f"[{ctx.name}] training kappa_star ({hints.get('mixing_epochs', '?')} mixing epochs)"
+        )
+        return _Work(
+            identity={"scenario": ctx.name, "controller": "kappa_star", "cell": "train"},
+            fn=_train_task,
+            args=(ctx.name, config, self.seed),
+            finish=finish,
+        )
 
     # -- evaluate cells ------------------------------------------------
-    def _evaluate_cell(
-        self, ctx: _ScenarioContext, controller_name: str, perturbation: str, stolen: bool = False
-    ) -> bool:
-        """Run (or replay) one evaluation cell; False when skipped/missing."""
-
-        controller = self._controller(ctx, controller_name)
-        cell_start = time.perf_counter()
+    def _evaluate_work(
+        self, ctx: _ScenarioContext, controller_name: str, perturbation: str
+    ) -> Optional[_Work]:
         identity = {
             "scenario": ctx.name,
             "controller": controller_name,
@@ -549,30 +690,21 @@ class _MatrixExecution:
             "perturbation": perturbation,
         }
 
-        def compute_cell():
-            self.tele.emit(CellStarted, **identity)
-            compute_start = time.perf_counter()
-            outcome = evaluate_robustness(
-                ctx.system,
-                controller,
-                perturbation=perturbation,
-                fraction=self.fraction,
-                samples=self.samples,
-                rng=self.seed,
-            )
-            self.tele.emit(
-                CellFinished,
-                seconds=time.perf_counter() - compute_start,
-                safe_rate=outcome.safe_rate,
-                **identity,
-            )
+        def row_of(payload: Dict) -> Dict:
             return {
-                "safe_rate": outcome.safe_rate,
-                "mean_energy": outcome.mean_energy,
-                "samples": outcome.samples,
+                **identity,
+                "safe_rate": payload["safe_rate"],
+                "mean_energy": payload["mean_energy"],
+                "samples": payload["samples"],
             }
 
+        student = None
+        if controller_name == "kappa_star":
+            network = ctx.student.network
+            student = (network.architecture(), network.state_dict())
+        key = None
         if self.store is not None:
+            controller = ctx.student if student is not None else ctx.experts[controller_name]
             key = self.store.key(
                 "evaluate",
                 {
@@ -585,220 +717,122 @@ class _MatrixExecution:
                     "seed": self.seed,
                 },
             )
-            if self.offline:
-                if not self.store.contains(key):
-                    self.missing.append(
-                        f"evaluate/{key.digest[:16]} ({ctx.name}:{controller_name}:{perturbation})"
-                    )
-                    return False
+            if self.reuse and self.store.contains(key):
                 payload = self.store.load_result(key)
                 self.store.hits += 1
                 self.report.cells_cached += 1
-            elif self.claims is not None:
-                if stolen and self.reuse and self.store.contains(key):
-                    return True  # already finished elsewhere; nothing to steal
-                payload = self._claimed_evaluate(key, compute_cell, stolen, identity)
-                if payload is None:
-                    return False
-            else:
-                hits_before = self.store.hits
-                payload = self.store.get_or_run(key, compute_cell, force=not self.reuse)
-                if self.store.hits > hits_before:
-                    self.report.cells_cached += 1
-                    self.tele.emit(CellCached, **identity)
-                else:
-                    self.report.cells_computed += 1
-        else:
-            payload = compute_cell()
-        row = {
-            "scenario": ctx.name,
-            "controller": controller_name,
-            "cell": "evaluate",
-            "perturbation": perturbation,
-            "safe_rate": payload["safe_rate"],
-            "mean_energy": payload["mean_energy"],
-            "samples": payload["samples"],
-        }
-        if self.store is None:
-            row["seconds"] = time.perf_counter() - cell_start
-        self.report.rows.append(row)
-        self.emit(row)
-        return True
-
-    def _claimed_evaluate(
-        self, key, compute_cell: Callable, stolen: bool, identity: Dict
-    ) -> Optional[Dict]:
-        """Claim-guarded execution of one evaluation cell (sharded runs)."""
-
-        if self.reuse and self.store.contains(key):
-            self.store.hits += 1
-            self.report.cells_cached += 1
-            self.tele.emit(CellCached, **identity)
-            return self.store.load_result(key)
-        if not self.claims.acquire(key):
-            if not stolen:  # an owned cell left to a live claimant
-                self.report.cells_skipped += 1
-            return None
-        stale_takeover = self.claims.last_acquire_was_takeover
-        try:
-            if self.reuse and self.store.contains(key):  # published while acquiring
-                self.store.hits += 1
-                self.report.cells_cached += 1
                 self.tele.emit(CellCached, **identity)
-                return self.store.load_result(key)
-            with self.claims.hold(key):
-                self.store.save(key, compute_cell())
+                self._record(row_of(payload))
+                return None
+            if self.offline:
+                self.missing.append(
+                    f"evaluate/{key.digest[:16]} ({ctx.name}:{controller_name}:{perturbation})"
+                )
+                return None
+
+        def finish(outcome: Dict) -> None:
+            seconds = outcome.pop("seconds")
+            self.tele.emit(CellFinished, seconds=seconds, safe_rate=outcome["safe_rate"], **identity)
+            if key is None:
+                self._record({**row_of(outcome), "seconds": seconds})
+                return
+            self.store.save(key, outcome)
             self.store.misses += 1
             self.report.cells_computed += 1
-            if stolen:
-                self.report.cells_stolen += 1
-                self.tele.emit(CellStolen, stale=stale_takeover, **identity)
-            return self.store.load_result(key)
-        finally:
-            self.claims.release(key)
+            self._record(row_of(self.store.load_result(key)))
+
+        return _Work(
+            identity=identity,
+            fn=_evaluate_task,
+            args=(
+                ctx.name,
+                controller_name,
+                perturbation,
+                self.samples,
+                self.fraction,
+                self.seed,
+                student,
+            ),
+            finish=finish,
+        )
 
     # -- verify cells --------------------------------------------------
-    def _verify_jobs(self, ctxs: Sequence[_ScenarioContext]):
-        from repro.verification.sweep import SweepJob
+    def _verify_work(self, ctx: _ScenarioContext) -> Optional[_Work]:
+        from repro.verification.sweep import (
+            SweepJob,
+            is_cacheable,
+            load_cached_result,
+            save_sweep_result,
+        )
 
-        jobs = []
-        for ctx in ctxs:
-            parameters = dict(ctx.spec.verify_budget)
-            parameters.update(self.verify_overrides or {})
-            jobs.append(
-                SweepJob.from_network(
-                    name=f"kappa_star@{ctx.name}",
-                    system=ctx.name,
-                    network=ctx.student.network,
-                    **parameters,
-                )
-            )
-        return jobs
+        parameters = dict(ctx.spec.verify_budget)
+        parameters.update(self.verify_overrides or {})
+        job = SweepJob.from_network(
+            name=f"kappa_star@{ctx.name}",
+            system=ctx.name,
+            network=ctx.student.network,
+            **parameters,
+        )
+        identity = {"scenario": ctx.name, "controller": "kappa_star", "cell": "verify"}
+        key = None
+        if self.store is not None:
+            key = self.store.key("verify", job.cache_config())
+            if self.reuse and self.store.contains(key):
+                result = load_cached_result(self.store, key, job)
+                self.report.cells_cached += 1
+                self.tele.emit(CellCached, **identity)
+                self._finish_verify(result)
+                return None
+            if self.offline:
+                self.missing.append(f"verify/{key.digest[:16]} ({ctx.name})")
+                return None
 
-    def _verify(self, ctxs: Sequence[_ScenarioContext], stolen: bool = False) -> None:
-        """Fan one verification job per scenario across the sweep pool."""
+        def finish(result) -> None:
+            if key is not None:
+                self.store.misses += 1
+                if is_cacheable(job, result):
+                    save_sweep_result(self.store, key, result)
+                self.report.cells_computed += 1
+            self._finish_verify(result)
 
-        if not ctxs:
-            return
-        from repro.verification.sweep import VerificationSweep
+        return _Work(identity=identity, fn=_verify_task, args=(job,), finish=finish)
 
-        jobs = self._verify_jobs(ctxs)
-        if stolen and self.reuse:
-            # Steal only unfinished verification work; completed foreign
-            # cells belong to the merge, not to this shard's report.
-            pending = [
-                (ctx, job)
-                for ctx, job in zip(ctxs, jobs)
-                if not self.store.contains(self.store.key("verify", job.cache_config()))
-            ]
-            if not pending:
-                return
-            ctxs = [ctx for ctx, _ in pending]
-            jobs = [job for _, job in pending]
-        if self.offline:
-            keys = [self.store.key("verify", job.cache_config()) for job in jobs]
-            present = []
-            for ctx, job, key in zip(ctxs, jobs, keys):
-                if self.store.contains(key):
-                    present.append((ctx, job))
-                else:
-                    self.missing.append(f"verify/{key.digest[:16]} ({ctx.name})")
-            if not present:
-                return
-            ctxs = [ctx for ctx, _ in present]
-            jobs = [job for _, job in present]
-        else:
-            self.say(
-                f"verifying {len(jobs)} student(s) across {max(1, self.jobs)} process(es)"
-            )
-        ctx_by_job = {id(job): ctx for ctx, job in zip(ctxs, jobs)}
-
-        def on_job_start(job) -> None:
-            # Fires in this process, right before the job enters execution.
+    def _finish_verify(self, result) -> None:
+        scenario = result.system
+        self.tele.emit(
+            SweepJobFinished,
+            job=result.name,
+            system=result.system,
+            status=result.status,
+            seconds=result.elapsed_seconds,
+            cached=result.cached,
+            verified=result.verified,
+        )
+        if not result.cached and self.store is not None:
             self.tele.emit(
-                CellStarted,
-                scenario=ctx_by_job[id(job)].name,
+                CellFinished,
+                scenario=scenario,
                 controller="kappa_star",
                 cell="verify",
-            )
-
-        def on_job_result(job, result) -> None:
-            self.tele.emit(
-                SweepJobFinished,
-                job=job.name,
-                system=job.system,
-                status=result.status,
                 seconds=result.elapsed_seconds,
-                cached=result.cached,
-                verified=result.verified,
+                status=result.status,
             )
-
-        sweep = VerificationSweep(
-            jobs,
-            processes=self.jobs or None,
-            store=self.store,
-            force=not self.reuse,
-            claims=self.claims,
-            on_start=on_job_start,
-            on_result=on_job_result,
-        )
-        sweep_report = sweep.run()
-        for ctx, result in zip(ctxs, sweep_report.results):
-            if result.status == "skipped":
-                if not stolen:  # an owned cell left to a live claimant
-                    self.report.cells_skipped += 1
-                continue
-            row = {
-                "scenario": ctx.name,
-                "controller": "kappa_star",
-                "cell": "verify",
-                "status": result.status,
-            }
-            if self.store is None:
-                row["seconds"] = result.elapsed_seconds
-            if result.error:
-                row["error"] = result.error
-            summary = dict(result.summary)
-            summary.pop("controller", None)  # the row's controller column is the matrix name
-            if self.store is not None:
-                for key in _TIMING_KEYS:
-                    summary.pop(key, None)
-                # Fresh summaries arrive in insertion order, replayed ones in
-                # JSON-sorted order; sort both so the CSV header -- and with
-                # it the whole file -- is byte-stable across resumed runs.
-                summary = {key: summary[key] for key in sorted(summary)}
-            row.update(summary)
-            self.report.rows.append(row)
-            if result.cached:
-                self.report.cells_cached += 1
-                self.tele.emit(
-                    CellCached, scenario=ctx.name, controller="kappa_star", cell="verify"
-                )
-                self.tele.emit(
-                    SweepJobFinished,
-                    job=result.name,
-                    system=result.system,
-                    status=result.status,
-                    seconds=result.elapsed_seconds,
-                    cached=True,
-                    verified=result.verified,
-                )
-            elif self.store is not None:
-                self.report.cells_computed += 1
-                self.tele.emit(
-                    CellFinished,
-                    scenario=ctx.name,
-                    controller="kappa_star",
-                    cell="verify",
-                    seconds=result.elapsed_seconds,
-                    status=result.status,
-                )
-                if stolen:
-                    self.report.cells_stolen += 1
-                    self.tele.emit(
-                        CellStolen, scenario=ctx.name, controller="kappa_star", cell="verify"
-                    )
-            self.emit(row)
+        row = {"scenario": scenario, "controller": "kappa_star", "cell": "verify", "status": result.status}
+        if self.store is None:
+            row["seconds"] = result.elapsed_seconds
+        if result.error:
+            row["error"] = result.error
+        summary = dict(result.summary)
+        summary.pop("controller", None)  # the row's controller column is the matrix name
+        if self.store is not None:
+            for key in _TIMING_KEYS:
+                summary.pop(key, None)
+            # Fresh summaries arrive in insertion order, replayed ones in
+            # JSON-sorted order; sort both so the CSV header -- and with
+            # it the whole file -- is byte-stable across resumed runs.
+            summary = {key: summary[key] for key in sorted(summary)}
+        row.update(summary)
+        self._record(row)
 
     # -- main flow -----------------------------------------------------
     def _telemetry_counters(self) -> Dict[str, int]:
@@ -809,23 +843,19 @@ class _MatrixExecution:
             "cells_done": report.cells_computed + report.cells_cached,
             "cells_computed": report.cells_computed,
             "cells_cached": report.cells_cached,
-            "cells_stolen": report.cells_stolen,
             "cells_skipped": report.cells_skipped,
         }
 
     def run(self) -> ScenarioMatrixReport:
+        global _CONTEXTS
+
         contexts = self._contexts()
-        by_name = {ctx.name: ctx for ctx in contexts}
         cells = _enumerate_cells(
             [(ctx.name, ctx.controller_names) for ctx in contexts],
             self.perturbations,
             include_verify=self.train and self.verify,
         )
-        owned = [
-            (position, cell)
-            for position, cell in enumerate(cells)
-            if self.shard is None or self.shard.owns(position)
-        ]
+        owned = cells if self.shard is None else [cells[p] for p in self.shard.owned(cells)]
         self.tele.emit(
             RunStarted,
             scenarios=tuple(self.names),
@@ -833,19 +863,25 @@ class _MatrixExecution:
             cells_owned=len(owned),
             pid=os.getpid(),
         )
-        with self.tele.heartbeats(self._telemetry_counters):
-            self._execute(contexts, by_name, cells, owned)
+        previous, _CONTEXTS = _CONTEXTS, {ctx.name: ctx for ctx in contexts}
+        try:
+            with self.tele.heartbeats(self._telemetry_counters):
+                self._execute(owned)
+        finally:
+            _CONTEXTS = previous
 
         if self.offline and self.missing:
             raise MatrixIncompleteError(self.missing)
 
+        self.report.rows.sort(key=_row_position(cells))
+        self.report.cells_skipped = len(owned) - len(self.report.rows)
         self.report.elapsed_seconds = time.perf_counter() - self.start
+        # RunFinished.cells_stolen keeps its default 0 (the repository benchmark reads it).
         self.tele.emit(
             RunFinished,
             status=self.report.status,
             cells_computed=self.report.cells_computed,
             cells_cached=self.report.cells_cached,
-            cells_stolen=self.report.cells_stolen,
             cells_skipped=self.report.cells_skipped,
             rows=len(self.report.rows),
             seconds=self.report.elapsed_seconds,
@@ -854,114 +890,114 @@ class _MatrixExecution:
             self._write_shard_summary()
         return self.report
 
-    def _execute(self, contexts, by_name, cells, owned) -> None:
-        """Evaluate, verify and steal -- the body between lifecycle events."""
+    def _execute(self, owned: Sequence[MatrixCell]) -> None:
+        """Run the owned cells and the trainings they depend on."""
 
-        owned_eval = [(p, c) for p, c in owned if c.kind == "evaluate"]
-        owned_verify = [(p, c) for p, c in owned if c.kind == "verify"]
-
-        for ctx in contexts:
-            if self._out_of_time():
-                break
-            scenario_eval = [(p, c) for p, c in owned_eval if c.scenario == ctx.name]
-            needs_student = self.train and (
-                self.shard is None
-                and not self.offline
-                or any(c.controller == "kappa_star" for _, c in scenario_eval)
-                or any(c.scenario == ctx.name for _, c in owned_verify)
-            )
-            if needs_student and not self._ensure_student(ctx):
-                continue  # offline: recorded as missing; sharded: budget expired
-            ran = set()
-            for position, cell in scenario_eval:
-                if self._out_of_time():
-                    break
-                self._evaluate_cell(ctx, cell.controller, cell.perturbation)
-                ran.add(cell.controller)
-            for controller_name in ctx.controller_names:
-                if controller_name in ran:
-                    self.say(
-                        f"[{ctx.name}] evaluated {controller_name} under "
-                        f"{len(list(self.perturbations))} regime(s)"
-                    )
-
-        if not self._out_of_time():
-            verify_ctxs = [
-                by_name[cell.scenario]
-                for _, cell in owned_verify
-                if by_name[cell.scenario].student is not None or not self.train
-            ]
-            verify_ctxs = [ctx for ctx in verify_ctxs if ctx.student is not None]
-            self._verify(verify_ctxs)
-
-        if self.shard is not None and self.steal and not self.force:
-            self._steal(contexts, by_name, cells)
-
-    def _has_row(self, cell: MatrixCell) -> bool:
-        return any(
-            row["scenario"] == cell.scenario
-            and row["controller"] == cell.controller
-            and row["cell"] == cell.kind
-            and row.get("perturbation") == cell.perturbation
-            for row in self.report.rows
+        students: Dict[str, List[MatrixCell]] = {}
+        for cell in owned:
+            if cell.controller == "kappa_star":
+                students.setdefault(cell.scenario, []).append(cell)
+        trains = [MatrixCell("train", name, "kappa_star") for name in students]
+        width = self.jobs if self.jobs else default_worker_count()
+        width = 0 if self.offline else min(width, len(owned) + len(trains))
+        self.say(
+            f"running {len(owned)} cell(s) and {len(trains)} training(s) "
+            f"across {max(1, width)} process(es)"
         )
+        if width <= 1:
+            self._run_inline(owned, trains)
+        else:
+            self._run_pool(owned, trains, students, width)
 
-    def _verify_done(self, ctx: _ScenarioContext) -> bool:
-        job = self._verify_jobs([ctx])[0]
-        return self.store.contains(self.store.key("verify", job.cache_config()))
+    def _run_inline(self, owned: Sequence[MatrixCell], trains: Sequence[MatrixCell]) -> None:
+        """Per scenario: train, then its evaluate cells; verify cells last."""
 
-    def _steal(self, contexts, by_name, cells) -> None:
-        """Pick up unfinished cells until none are claimable.
+        pending = {cell.scenario: cell for cell in trains}
+        for cell in owned:
+            if self._out_of_time():
+                return
+            for step in (pending.pop(cell.scenario, None), cell):
+                work = self._work(step) if step is not None else None
+                if work is not None:
+                    self.tele.emit(CellStarted, **work.identity)
+                    work.finish(work.fn(*work.args))
 
-        The worklist is every cell this shard produced no row for --
-        mostly foreign cells, plus own cells an earlier thief claimed and
-        then abandoned.  Already-published cells are dropped silently
-        (they belong to whichever shard computed them); rounds repeat
-        while progress is made, so a cell freshly claimed by a live shard
-        is skipped this round but stolen later if the claimant dies (its
-        lease expires).  Students still being trained elsewhere defer a
-        cell to the next round the same way.
+    def _run_pool(
+        self,
+        owned: Sequence[MatrixCell],
+        trains: Sequence[MatrixCell],
+        students: Mapping[str, List[MatrixCell]],
+        width: int,
+    ) -> None:
+        """The cell DAG on one fork pool of ``width`` workers.
+
+        Trains go first, longest budget first, then the expert evaluate
+        cells; a student's evaluate and verify cells jump the queue when it
+        lands.  One task beyond ``width`` stays in flight so no worker idles
+        while the parent records a result.  Each worker keeps one BLAS
+        thread: the pool is the parallelism.
         """
 
-        pending = [
-            (position, cell)
-            for position, cell in enumerate(cells)
-            if not self._has_row(cell)
-        ]
-        progress = True
-        while pending and progress and not self._out_of_time():
-            progress = False
-            done: List[int] = []
-            verify_steal: List[_ScenarioContext] = []
-            for position, cell in pending:
-                if self._out_of_time():
-                    return
-                ctx = by_name[cell.scenario]
-                if cell.controller == "kappa_star" and ctx.student is None:
-                    if not self._ensure_student(ctx, wait=False):
-                        continue  # being trained elsewhere; revisit next round
-                    progress = True
-                if cell.kind == "evaluate":
-                    if self._evaluate_cell(ctx, cell.controller, cell.perturbation, stolen=True):
-                        progress = True
-                        done.append(position)
-                else:
-                    verify_steal.append(ctx)
-            if verify_steal:
-                self._verify(verify_steal, stolen=True)
-            remaining = [
-                (position, cell)
-                for position, cell in pending
-                if position not in done
-                and not (
-                    cell.kind == "verify"
-                    and by_name[cell.scenario].student is not None
-                    and self._verify_done(by_name[cell.scenario])
-                )
-            ]
-            if len(remaining) < len(pending):
-                progress = True
-            pending = remaining
+        import multiprocessing
+        from collections import deque
+        from concurrent import futures
+        from concurrent.futures.process import BrokenProcessPool
+
+        def budget(cell: MatrixCell) -> Tuple[int, int]:
+            config = self._train_config(_CONTEXTS[cell.scenario])[0]
+            return (
+                config.mixing.epochs * config.mixing.steps_per_epoch,
+                config.distillation.epochs * config.distillation.dataset_size,
+            )
+
+        ready = deque(sorted(trains, key=budget, reverse=True))
+        ready.extend(cell for cell in owned if cell.controller != "kappa_star")
+
+        context = multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+        )
+        running: Dict[futures.Future, _Work] = {}
+        pool = futures.ProcessPoolExecutor(
+            max_workers=width, mp_context=context, initializer=single_threaded_blas
+        )
+        try:
+            while ready or running:
+                while ready and len(running) <= width and not self._out_of_time():
+                    cell = ready.popleft()
+                    work = self._work(cell)
+                    if work is None:
+                        if cell.kind == "train" and _CONTEXTS[cell.scenario].student is not None:
+                            ready.extendleft(reversed(students[cell.scenario]))
+                        continue
+                    self.tele.emit(CellStarted, **work.identity)
+                    running[pool.submit(work.fn, *work.args)] = work
+                if not running:
+                    break
+                done, _ = futures.wait(running, return_when=futures.FIRST_COMPLETED)
+                lost: List[str] = []
+                for future in [f for f in running if f in done]:  # submission order
+                    work = running.pop(future)
+                    try:
+                        outcome = future.result()
+                    except BrokenProcessPool:
+                        lost.append(work.label)
+                        continue
+                    work.finish(outcome)
+                    if work.identity["cell"] == "train":
+                        ready.extendleft(reversed(students[work.identity["scenario"]]))
+                if lost:
+                    # The pool is broken: the other in-flight tasks fail with
+                    # it, apart from any that completed before the loss.
+                    for future, work in running.items():
+                        try:
+                            outcome = future.result()
+                        except BrokenProcessPool:
+                            lost.append(work.label)
+                        else:
+                            work.finish(outcome)
+                    raise MatrixWorkerLost(lost, stored=self.store is not None)
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
 
     def _write_shard_summary(self) -> None:
         """Per-shard accounting dropped next to the store (ops + tests)."""
@@ -975,7 +1011,6 @@ class _MatrixExecution:
             "status": self.report.status,
             "cells_computed": self.report.cells_computed,
             "cells_cached": self.report.cells_cached,
-            "cells_stolen": self.report.cells_stolen,
             "cells_skipped": self.report.cells_skipped,
             "rows": len(self.report.rows),
             "elapsed_seconds": self.report.elapsed_seconds,
@@ -984,12 +1019,6 @@ class _MatrixExecution:
             json.dump(summary, handle, indent=2, sort_keys=True)
             handle.write("\n")
         os.replace(staging, path)
-
-
-def _null_context():
-    import contextlib
-
-    return contextlib.nullcontext()
 
 
 def run_scenario_matrix(
@@ -1011,8 +1040,6 @@ def run_scenario_matrix(
     force: bool = False,
     on_cell: Optional[Callable[[Dict], None]] = None,
     shard: Optional[Union[str, ShardSpec]] = None,
-    steal: bool = True,
-    claim_lease: Optional[float] = None,
     shard_time_budget: Optional[float] = None,
     offline: bool = False,
     telemetry: Optional[bool] = None,
@@ -1024,9 +1051,10 @@ def run_scenario_matrix(
     plant and its default experts, optionally trains a Cocktail student
     (``train=True``) on the scenario's budget hints scaled by
     ``budget_scale``, evaluates every controller under every perturbation
-    regime on the batched rollout engine, and finally fans one verification
-    job per trained student across a :class:`VerificationSweep` pool of
-    ``jobs`` processes.  ``train_overrides`` / ``verify_overrides`` replace
+    regime on the batched rollout engine, and verifies every trained
+    student.  ``jobs`` is the width of the process pool that runs all of
+    these cells (``0``/``None``: one worker per CPU; ``1``: inline, no
+    pool); results do not depend on it.  ``train_overrides`` / ``verify_overrides`` replace
     individual budget-hint keys after scaling (the smoke harness pins tiny
     values this way).
 
@@ -1040,19 +1068,18 @@ def run_scenario_matrix(
     and flushed as soon as it completes, cells already present are loaded
     instead of recomputed (``resume=True``, the default), and ``force=True``
     recomputes and overwrites everything.  Store-backed rows carry no
-    wall-clock columns -- timings live in the store entries -- so the same
+    wall-clock columns -- timings live in the telemetry log -- so the same
     matrix always serialises to byte-identical CSV.  ``on_cell`` is invoked
     with each row right after it is appended (and, store-backed, flushed);
     an exception raised there aborts the run but loses no completed cell.
 
     ``shard`` (a :class:`ShardSpec` or ``"i/N"`` string; requires a store)
-    restricts execution to that shard's round-robin slice of the canonical
-    cell order, coordinating with sibling shards through claim files:
-    ``steal=True`` (default) also picks up unfinished foreign cells --
-    including cells whose worker died, once ``claim_lease`` seconds pass
-    with no heartbeat -- and ``shard_time_budget`` bounds the shard's wall
-    clock, leaving the remainder unclaimed with
-    ``report.status == "resource-exhausted"``.  A sharded run writes a
+    restricts execution to that shard's slice of the grid
+    (:meth:`ShardSpec.owned`); shards share nothing but the store and never
+    wait on each other.  ``shard_time_budget`` bounds the shard's wall
+    clock: on expiry it starts no further cell, counts the rest as
+    ``cells_skipped`` and reports ``status == "resource-exhausted"``; a
+    rerun of the same shard resumes them.  A sharded run writes a
     matrix manifest into the run directory; assemble the full CSV
     afterwards with :func:`merge_matrix_run` (``repro runs merge``).
 
@@ -1097,12 +1124,7 @@ def run_scenario_matrix(
         if offline:
             raise ValueError("offline replay executes nothing; there is no telemetry to record")
 
-    claims = None
     if shard is not None:
-        from repro.experiments.store import DEFAULT_CLAIM_LEASE
-
-        lease = DEFAULT_CLAIM_LEASE if claim_lease is None else float(claim_lease)
-        claims = store.claims(owner=f"shard-{shard}", lease_seconds=lease)
         write_matrix_manifest(
             store.root,
             matrix_manifest(
@@ -1148,8 +1170,6 @@ def run_scenario_matrix(
         reuse=store is not None and resume and not force,
         force=force,
         shard=shard,
-        steal=steal,
-        claims=claims,
         shard_time_budget=shard_time_budget,
         offline=offline,
         tele=tele,
@@ -1235,15 +1255,14 @@ def run_sharded_matrix(
     merge: bool = True,
     **matrix_kwargs,
 ) -> ScenarioMatrixReport:
-    """Fan the matrix across ``shards`` local worker processes and merge.
+    """Run ``shards`` local ``--shard i/N`` processes against one store, then merge.
 
-    Each worker runs one :class:`ShardSpec` slice against the shared
-    ``run_dir`` (workers are plain non-daemonic processes, so each may
-    still host its own verification pool).  Work-stealing means a straggler
-    or crashed worker does not strand the grid: as long as the surviving
-    workers finish, the merge succeeds; otherwise
-    :class:`MatrixIncompleteError` names the missing cells and rerunning
-    (resume) completes them.
+    The single-host stand-in for N hosts: each worker runs one
+    :class:`ShardSpec` slice against the shared ``run_dir`` (workers are
+    plain non-daemonic processes, so each may host its own pool when
+    ``jobs > 1``).  A crashed worker leaves its unfinished cells missing:
+    the merge then raises :class:`MatrixIncompleteError` naming them, and
+    rerunning (resume) completes them.
     """
 
     from repro.utils.parallel import spawn_workers

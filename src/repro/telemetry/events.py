@@ -184,6 +184,9 @@ class CellCached(TelemetryEvent):
 class CellStolen(TelemetryEvent):
     """A shard computed a cell owned by another shard (work-stealing).
 
+    Only older versions, which stole work, write it; it stays registered so
+    their logs still fold.
+
     ``stale`` marks a stale-lease takeover: the owning worker's claim had
     stopped heartbeating (it died) and this shard reaped it.
     """

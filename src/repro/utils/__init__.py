@@ -2,12 +2,7 @@
 logging, plotting, persistence."""
 
 from repro.utils.seeding import get_rng, set_global_seed
-from repro.utils.parallel import (
-    available_cpu_count,
-    default_num_envs,
-    default_train_batch_size,
-    default_worker_count,
-)
+from repro.utils.parallel import available_cpu_count, default_worker_count
 from repro.utils.tables import ResultTable
 from repro.utils.logging import TrainingLogger
 from repro.utils.plotting import ascii_heatmap, ascii_series, box_series_table
@@ -21,8 +16,6 @@ __all__ = [
     "set_global_seed",
     "available_cpu_count",
     "default_worker_count",
-    "default_num_envs",
-    "default_train_batch_size",
     "ResultTable",
     "TrainingLogger",
     "ascii_series",

@@ -1,37 +1,21 @@
-"""CPU-aware defaults for worker pools and vectorized-batch widths.
+"""CPU-aware defaults for worker pools.
 
 The containers this reproduction runs in are often narrow (a single CPU),
 where spawning one worker process per job oversubscribes the machine and
 *loses* wall clock to context switching.  Every component that fans work
-out -- the verification sweep's process pool, the scenario matrix runner,
-the vectorized trainer -- derives its default worker count from
+out to processes -- the verification sweep's pool, the scenario matrix's
+cell pool, the job daemon -- derives its default worker count from
 :func:`available_cpu_count` instead of hard-coding one.
 
-Vectorized *environment* counts are a different axis: ``num_envs`` is a
-lockstep batch width (one process, wider NumPy calls), not a concurrency
-level, so it may exceed the CPU count -- but it still scales with it,
-because wider batches only pay off when the BLAS underneath has cores to
-feed (and amortising Python overhead saturates quickly on one core).
+The CPU count sizes process pools and nothing else: vectorization widths
+(``num_envs``, ``train_batch_size``) change the trained controller, so they
+are pinned in :mod:`repro.core.config`, never derived from the machine.
 """
 
 from __future__ import annotations
 
 import os
 from typing import Callable, List, Optional, Sequence, Tuple
-
-#: Default lockstep environment width per CPU, and its cap.  On a 1-CPU
-#: container this yields 8 environments: enough to amortise the per-step
-#: Python/BLAS call overhead (the dominant cost of scalar collection)
-#: without inflating the on-policy buffer shape.
-_ENVS_PER_CPU = 8
-_MAX_DEFAULT_ENVS = 32
-
-#: Default teacher-labelling / dataset-collection batch width.  Unlike
-#: ``num_envs`` this is a pure array width with no RL semantics, so it can
-#: be generous; it is still capped per CPU so narrow containers do not
-#: build huge intermediate arrays they cannot process any faster.
-_BATCH_PER_CPU = 64
-_MAX_DEFAULT_BATCH = 256
 
 
 def available_cpu_count() -> int:
@@ -56,6 +40,45 @@ def default_worker_count(jobs: Optional[int] = None) -> int:
     return max(1, workers)
 
 
+#: Thread-count setters of the OpenBLAS builds NumPy ships or links against.
+_OPENBLAS_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+
+def single_threaded_blas() -> None:
+    """Limit this process's OpenBLAS to one thread (a pool-worker initializer).
+
+    OpenBLAS starts one spinning thread per CPU in every process, so a pool
+    of one worker per CPU would run CPUs x CPUs BLAS threads: measured on a
+    2-CPU box, that made the scenario matrix's 2-worker pool slower than
+    one process.  The pool is the parallelism, so each worker keeps one.
+    Best effort: the library is found through ``/proc/self/maps`` (Linux);
+    elsewhere, or for other BLAS builds, nothing changes.
+    """
+
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as handle:
+            paths = sorted({line.split()[-1] for line in handle if "openblas" in line.lower()})
+    except OSError:
+        return
+    for path in paths:
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _OPENBLAS_SETTERS:
+            setter = getattr(library, name, None)
+            if setter is not None:
+                setter(1)
+                break
+
+
 def spawn_workers(
     target: Callable,
     args_list: Sequence[Tuple],
@@ -65,14 +88,12 @@ def spawn_workers(
     """Run ``target(*args)`` once per entry in plain worker processes.
 
     Unlike a ``multiprocessing.Pool`` these workers are *not* daemonic, so
-    each may fork its own pool -- which is exactly what a matrix shard does
-    when it fans its verification jobs out
-    (:func:`repro.scenarios.run_sharded_matrix`).  All workers are started
-    up front (the caller sizes the list; shards are coarse units, not a
-    queue of small jobs) and joined in order; returns one exit code per
-    worker (0 = clean, negative = killed by that signal), letting the
-    caller decide whether a crashed worker is fatal or -- with work-stealing
-    -- just a straggler the others covered for.
+    each may fork its own pool -- which is what a matrix shard with
+    ``jobs > 1`` does (:func:`repro.scenarios.run_sharded_matrix`).  All
+    workers are started up front (the caller sizes the list; shards are
+    coarse units, not a queue of small jobs) and joined in order; returns
+    one exit code per worker (0 = clean, negative = killed by that signal),
+    letting the caller decide whether a crashed worker is fatal.
     """
 
     import multiprocessing
@@ -91,15 +112,3 @@ def spawn_workers(
             worker.join()
         exit_codes.append(worker.exitcode if worker.exitcode is not None else -15)
     return exit_codes
-
-
-def default_num_envs() -> int:
-    """Default lockstep environment count for the vectorized trainer."""
-
-    return min(_MAX_DEFAULT_ENVS, _ENVS_PER_CPU * available_cpu_count())
-
-
-def default_train_batch_size() -> int:
-    """Default batch width for dataset collection / teacher labelling."""
-
-    return min(_MAX_DEFAULT_BATCH, _BATCH_PER_CPU * available_cpu_count())

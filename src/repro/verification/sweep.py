@@ -26,7 +26,6 @@ The CLI front end is ``python -m repro verify-sweep``.
 
 from __future__ import annotations
 
-import contextlib
 import multiprocessing
 import time
 from dataclasses import dataclass, field
@@ -37,7 +36,7 @@ import numpy as np
 
 from repro.nn.network import MLP
 from repro.systems import make_system
-from repro.utils.parallel import default_worker_count
+from repro.utils.parallel import default_worker_count, single_threaded_blas
 from repro.verification.verifier import VerificationReport, verify_controller
 
 
@@ -281,6 +280,65 @@ def run_sweep_job(job: SweepJob) -> SweepJobResult:
         )
 
 
+def load_cached_result(store, key, job: SweepJob) -> SweepJobResult:
+    """Replay ``job``'s stored result from ``store`` (counts a hit)."""
+
+    payload = store.load_result(key)
+    store.hits += 1
+    # Replay under the *requesting* job's labels: the digest canonicalises
+    # variant spellings, so the entry may have been produced by a job
+    # named after an equivalent spec (vanderpol?mu=1.50 vs ?mu=1.5).
+    summary = dict(payload.get("summary", {}))
+    if "controller" in summary:
+        summary["controller"] = job.name
+    return SweepJobResult(
+        name=job.name,
+        system=job.system,
+        status=payload["status"],
+        summary=summary,
+        error=payload.get("error"),
+        elapsed_seconds=float(payload.get("elapsed_seconds", 0.0)),
+        cached=True,
+    )
+
+
+def is_cacheable(job: SweepJob, result: SweepJobResult) -> bool:
+    """Only deterministic outcomes may be recorded.
+
+    Errors always rerun.  A wall-clock-truncated analysis
+    (``time_budget_seconds`` bound and a ``resource-exhausted`` verdict)
+    depends on machine load, so replaying it would make a transient
+    slowdown permanent; work-budget exhaustion is a deterministic count
+    and caches fine.
+    """
+
+    if result.status != "ok":
+        return False
+    if job.time_budget_seconds:
+        statuses = (
+            result.summary.get("reach_status"),
+            result.summary.get("invariant_status"),
+        )
+        if "resource-exhausted" in statuses:
+            return False
+    return True
+
+
+def save_sweep_result(store, key, result: SweepJobResult) -> None:
+    """Record ``result`` under ``key`` (callers check :func:`is_cacheable`)."""
+
+    payload = {
+        "name": result.name,
+        "system": result.system,
+        "status": result.status,
+        "summary": result.summary,
+        "elapsed_seconds": result.elapsed_seconds,
+    }
+    if result.error:
+        payload["error"] = result.error
+    store.save(key, payload)
+
+
 class VerificationSweep:
     """Run many verification jobs, optionally fanned out across processes.
 
@@ -298,23 +356,8 @@ class VerificationSweep:
     already present are replayed from disk instead of dispatched -- only
     the misses ever reach the pool.  Errors and wall-clock-truncated
     verdicts are never cached (they rerun on every sweep; see
-    :meth:`_cacheable`), and ``force=True`` executes every job but still
+    :func:`is_cacheable`), and ``force=True`` executes every job but still
     records the fresh results.
-
-    ``claims`` (a :class:`~repro.experiments.store.ClaimBoard`, sharded
-    matrix runs) coordinates concurrent sweeps over one store: each pending
-    job is claimed before dispatch and held (heartbeaten) while it runs;
-    jobs another worker already claims come back with
-    ``status='skipped'`` instead of executing twice.  Skipped jobs are not
-    failures -- the claimant publishes (or its claim goes stale and a later
-    sweep takes over).
-
-    ``on_start``/``on_result`` are the telemetry seams: ``on_start(job)``
-    fires for every job handed to execution (after cache probes and claim
-    acquisition), and ``on_result(job, result)`` fires per executed job as
-    its result streams back from the pool -- live, not after the barrier --
-    so a watch client sees jobs complete one by one.  Neither fires for
-    cached or skipped jobs; the caller observes those synchronously.
     """
 
     def __init__(
@@ -323,74 +366,13 @@ class VerificationSweep:
         processes: Optional[int] = None,
         store=None,
         force: bool = False,
-        claims=None,
-        on_start=None,
-        on_result=None,
     ):
         self.jobs = list(jobs)
         if processes is None:
             processes = default_worker_count(jobs=len(self.jobs))
         self.processes = max(1, int(processes))
         self.store = store
-        if claims is not None and store is None:
-            raise ValueError("claim-coordinated sweeps need a run store")
-        self.claims = claims
         self.force = bool(force)
-        self.on_start = on_start
-        self.on_result = on_result
-
-    def _load_cached(self, key, job: SweepJob) -> SweepJobResult:
-        payload = self.store.load_result(key)
-        self.store.hits += 1
-        # Replay under the *requesting* job's labels: the digest canonicalises
-        # variant spellings, so the entry may have been produced by a job
-        # named after an equivalent spec (vanderpol?mu=1.50 vs ?mu=1.5).
-        summary = dict(payload.get("summary", {}))
-        if "controller" in summary:
-            summary["controller"] = job.name
-        return SweepJobResult(
-            name=job.name,
-            system=job.system,
-            status=payload["status"],
-            summary=summary,
-            error=payload.get("error"),
-            elapsed_seconds=float(payload.get("elapsed_seconds", 0.0)),
-            cached=True,
-        )
-
-    @staticmethod
-    def _cacheable(job: SweepJob, result: SweepJobResult) -> bool:
-        """Only deterministic outcomes may be recorded.
-
-        Errors always rerun.  A wall-clock-truncated analysis
-        (``time_budget_seconds`` bound and a ``resource-exhausted`` verdict)
-        depends on machine load, so replaying it would make a transient
-        slowdown permanent; work-budget exhaustion is a deterministic count
-        and caches fine.
-        """
-
-        if result.status != "ok":
-            return False
-        if job.time_budget_seconds:
-            statuses = (
-                result.summary.get("reach_status"),
-                result.summary.get("invariant_status"),
-            )
-            if "resource-exhausted" in statuses:
-                return False
-        return True
-
-    def _save_result(self, key, result: SweepJobResult) -> None:
-        payload = {
-            "name": result.name,
-            "system": result.system,
-            "status": result.status,
-            "summary": result.summary,
-            "elapsed_seconds": result.elapsed_seconds,
-        }
-        if result.error:
-            payload["error"] = result.error
-        self.store.save(key, payload)
 
     def run(self) -> SweepReport:
         start = time.perf_counter()
@@ -405,70 +387,29 @@ class VerificationSweep:
             for index, job in enumerate(self.jobs):
                 keys[index] = self.store.key("verify", job.cache_config())
                 if not self.force and self.store.contains(keys[index]):
-                    results[index] = self._load_cached(keys[index], job)
+                    results[index] = load_cached_result(self.store, keys[index], job)
                 else:
                     pending.append(index)
 
-        claimed: List[int] = []
-        if pending and self.claims is not None:
-            for index in pending:
-                if not self.force and self.store.contains(keys[index]):
-                    results[index] = self._load_cached(keys[index], job=self.jobs[index])
-                elif self.claims.acquire(keys[index]):
-                    if not self.force and self.store.contains(keys[index]):
-                        # Published between the contains probe and the claim.
-                        self.claims.release(keys[index])
-                        results[index] = self._load_cached(keys[index], job=self.jobs[index])
-                    else:
-                        claimed.append(index)
-                else:
-                    results[index] = SweepJobResult(
-                        name=self.jobs[index].name,
-                        system=self.jobs[index].system,
-                        status="skipped",
-                    )
-            pending = claimed
-
-        try:
-            if pending:
-                hold = (
-                    self.claims.hold([keys[index] for index in pending])
-                    if self.claims is not None
-                    else contextlib.nullcontext()
+        if pending:
+            pending_jobs = [self.jobs[index] for index in pending]
+            if self.processes <= 1 or len(pending) == 1:
+                fresh = [run_sweep_job(job) for job in pending_jobs]
+            else:
+                context = multiprocessing.get_context(
+                    "fork" if "fork" in multiprocessing.get_all_start_methods() else None
                 )
-                with hold:
-                    if self.on_start is not None:
-                        for index in pending:
-                            self.on_start(self.jobs[index])
-                    fresh: List[SweepJobResult] = []
-                    if self.processes <= 1 or len(pending) == 1:
-                        for index in pending:
-                            result = run_sweep_job(self.jobs[index])
-                            if self.on_result is not None:
-                                self.on_result(self.jobs[index], result)
-                            fresh.append(result)
-                    else:
-                        pending_jobs = [self.jobs[index] for index in pending]
-                        context = multiprocessing.get_context(
-                            "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-                        )
-                        with context.Pool(processes=min(self.processes, len(pending))) as pool:
-                            # imap keeps job order but streams completions,
-                            # so on_result fires as each worker reports.
-                            for index, result in zip(pending, pool.imap(run_sweep_job, pending_jobs)):
-                                if self.on_result is not None:
-                                    self.on_result(self.jobs[index], result)
-                                fresh.append(result)
-                for index, result in zip(pending, fresh):
-                    if self.store is not None:
-                        self.store.misses += 1
-                        if self._cacheable(self.jobs[index], result):
-                            self._save_result(keys[index], result)
-                    results[index] = result
-        finally:
-            if self.claims is not None:
-                for index in claimed:
-                    self.claims.release(keys[index])
+                with context.Pool(
+                    processes=min(self.processes, len(pending)), initializer=single_threaded_blas
+                ) as pool:
+                    # imap hands out one job at a time: verification times vary widely.
+                    fresh = list(pool.imap(run_sweep_job, pending_jobs))
+            for index, result in zip(pending, fresh):
+                if self.store is not None:
+                    self.store.misses += 1
+                    if is_cacheable(self.jobs[index], result):
+                        save_sweep_result(self.store, keys[index], result)
+                results[index] = result
 
         return SweepReport(
             results=list(results),

@@ -183,20 +183,18 @@ class TestErrorPaths:
     def test_shard_without_run_dir(self):
         code = _exit_code(["scenarios", "run", "--scenario", "vanderpol", "--shard", "1/2"])
         assert isinstance(code, str)
-        assert "--shard/--shard-workers need --run-dir" in code
+        assert "--shard needs --run-dir" in code
 
-    def test_shard_workers_without_run_dir(self):
-        code = _exit_code(["scenarios", "run", "--scenario", "vanderpol", "--shard-workers", "2"])
-        assert isinstance(code, str)
-        assert "need --run-dir" in code
-
-    def test_shard_and_shard_workers_are_mutually_exclusive(self, tmp_path):
+    @pytest.mark.parametrize(
+        "flags", [["--shard-workers", "2"], ["--no-steal"], ["--claim-lease", "5"]]
+    )
+    def test_retired_shard_flags_are_rejected(self, flags, tmp_path, capsys):
         code = _exit_code(
             ["scenarios", "run", "--scenario", "vanderpol", "--run-dir", str(tmp_path / "s"),
-             "--shard", "1/2", "--shard-workers", "2"]
+             "--shard", "1/2", *flags]
         )
-        assert isinstance(code, str)
-        assert "mutually exclusive" in code
+        assert code == 2  # argparse: unrecognized arguments
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_shard_rejects_csv(self, tmp_path):
         code = _exit_code(
@@ -418,10 +416,10 @@ class TestEndToEnd:
         reference_csv = tmp_path / "reference.csv"
         assert main(base + ["--run-dir", str(tmp_path / "ref"), "--csv", str(reference_csv)]) == 0
         shard_dir = tmp_path / "sharded"
-        assert main(base + ["--run-dir", str(shard_dir), "--shard", "1/2", "--no-steal"]) == 0
+        assert main(base + ["--run-dir", str(shard_dir), "--shard", "1/2"]) == 0
         output = capsys.readouterr().out
         assert "shard 1/2 (ok)" in output and "repro runs merge" in output
-        assert main(base + ["--run-dir", str(shard_dir), "--shard", "2/2", "--no-steal"]) == 0
+        assert main(base + ["--run-dir", str(shard_dir), "--shard", "2/2"]) == 0
         capsys.readouterr()
         merged_csv = tmp_path / "merged.csv"
         assert main(["runs", "merge", "--run-dir", str(shard_dir), "--csv", str(merged_csv)]) == 0
@@ -433,7 +431,7 @@ class TestEndToEnd:
             "scenarios", "run", "--scenario", "pendulum", "--no-train", "--no-verify",
             "--samples", "4", "--run-dir", str(tmp_path / "partial"),
         ]
-        assert main(base + ["--shard", "1/2", "--no-steal"]) == 0
+        assert main(base + ["--shard", "1/2"]) == 0
         capsys.readouterr()
         code = _exit_code(["runs", "merge", "--run-dir", str(tmp_path / "partial")])
         assert isinstance(code, str)

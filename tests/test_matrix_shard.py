@@ -1,13 +1,12 @@
-"""Sharded scenario-matrix runs: split, steal, merge — byte-identically.
+"""Sharded scenario-matrix runs: split, merge — byte-identically.
 
 Integration pack for the shard protocol on the *real* engines (training,
 batched evaluation, verification): shards splitting one run directory must
-jointly compute every cell exactly once, stealing must change wall-clock
-ownership but never row content, and ``merge_matrix_run`` must reproduce
-the single-process CSV byte-for-byte regardless of shard count, execution
-order or which shard did the work.  (The algebraic shard properties are
-covered by Hypothesis in ``test_shard_properties.py``; the crash/rescue
-paths by ``test_matrix_shard_faults.py``.)
+jointly compute every cell exactly once, and ``merge_matrix_run`` must
+reproduce the single-process CSV byte-for-byte regardless of shard count
+or execution order.  (The algebraic shard properties are covered by
+Hypothesis in ``test_shard_properties.py`` and ``test_matrix_executor.py``;
+the crash/rescue paths by ``test_matrix_shard_faults.py``.)
 """
 
 import json
@@ -35,24 +34,6 @@ EVAL_KWARGS = dict(
 )
 NUM_EVAL_CELLS = 8
 
-TINY_TRAIN = dict(mixing_epochs=1, mixing_steps=64, distill_epochs=2, dataset_size=64, eval_samples=8)
-TINY_VERIFY = dict(target_error=1.0, degree=2, max_partitions=64, reach_steps=2)
-
-#: Full vanderpol matrix: train + 6 evaluate cells + verify = 8 cells.
-FULL_KWARGS = dict(
-    scenarios=["vanderpol"],
-    perturbations=("none", "noise"),
-    samples=4,
-    train=True,
-    verify=True,
-    jobs=1,
-    seed=0,
-    train_overrides=TINY_TRAIN,
-    verify_overrides=TINY_VERIFY,
-)
-FULL_NUM_CELLS = 8
-
-
 @pytest.fixture(scope="module")
 def eval_reference(tmp_path_factory):
     """Single-process evaluate-only run: (csv bytes, row list)."""
@@ -63,16 +44,6 @@ def eval_reference(tmp_path_factory):
     return report.to_csv(root / "reference.csv").read_bytes(), report.rows
 
 
-@pytest.fixture(scope="module")
-def full_reference(tmp_path_factory):
-    """Single-process train+verify run: (csv bytes, cells computed)."""
-
-    root = tmp_path_factory.mktemp("shard-full-ref")
-    report = run_scenario_matrix(run_dir=root / "store", **FULL_KWARGS)
-    assert report.cells_computed == FULL_NUM_CELLS
-    return report.to_csv(root / "reference.csv").read_bytes(), report.cells_computed
-
-
 class TestShardedMergeEquivalence:
     @pytest.mark.parametrize("count", [2, 3])
     def test_merge_reproduces_the_single_process_csv(self, count, eval_reference, tmp_path):
@@ -80,7 +51,7 @@ class TestShardedMergeEquivalence:
         shard_dir = tmp_path / "store"
         for index in range(1, count + 1):
             run_scenario_matrix(
-                run_dir=shard_dir, shard=ShardSpec(index, count), steal=False, **EVAL_KWARGS
+                run_dir=shard_dir, shard=ShardSpec(index, count), **EVAL_KWARGS
             )
         merged = merge_matrix_run(shard_dir)
         assert merged.to_csv(tmp_path / "merged.csv").read_bytes() == csv_bytes
@@ -91,7 +62,7 @@ class TestShardedMergeEquivalence:
         shard_dir = tmp_path / "store"
         for index in (3, 1, 2):
             run_scenario_matrix(
-                run_dir=shard_dir, shard=f"{index}/3", steal=False, **EVAL_KWARGS
+                run_dir=shard_dir, shard=f"{index}/3", **EVAL_KWARGS
             )
         merged = merge_matrix_run(shard_dir)
         assert merged.to_csv(tmp_path / "merged.csv").read_bytes() == csv_bytes
@@ -101,17 +72,17 @@ class TestShardedMergeEquivalence:
         shard_dir = tmp_path / "store"
         reports = [
             run_scenario_matrix(
-                run_dir=shard_dir, shard=ShardSpec(index, 2), steal=False, **EVAL_KWARGS
+                run_dir=shard_dir, shard=ShardSpec(index, 2), **EVAL_KWARGS
             )
             for index in (1, 2)
         ]
         assert sum(r.cells_computed for r in reports) == NUM_EVAL_CELLS
-        assert all(r.cells_cached == 0 and r.cells_stolen == 0 for r in reports)
+        assert all(r.cells_cached == 0 for r in reports)
         keys = [
             {(row["scenario"], row["controller"], row["perturbation"]) for row in r.rows}
             for r in reports
         ]
-        assert not (keys[0] & keys[1]), "shard rows must be disjoint without stealing"
+        assert not (keys[0] & keys[1]), "shard rows must be disjoint"
         merged_keys = keys[0] | keys[1]
         assert merged_keys == {
             (row["scenario"], row["controller"], row["perturbation"]) for row in reference_rows
@@ -125,16 +96,16 @@ class TestShardedMergeEquivalence:
 
 class TestManifest:
     def test_shard_run_writes_a_manifest(self, tmp_path):
-        run_scenario_matrix(run_dir=tmp_path / "s", shard="1/2", steal=False, **EVAL_KWARGS)
+        run_scenario_matrix(run_dir=tmp_path / "s", shard="1/2", **EVAL_KWARGS)
         manifest = read_matrix_manifest(tmp_path / "s")
         assert manifest["scenarios"] == ["vanderpol", "pendulum"]
         assert manifest["samples"] == 4 and manifest["train"] is False
 
     def test_conflicting_matrix_is_rejected(self, tmp_path):
-        run_scenario_matrix(run_dir=tmp_path / "s", shard="1/2", steal=False, **EVAL_KWARGS)
+        run_scenario_matrix(run_dir=tmp_path / "s", shard="1/2", **EVAL_KWARGS)
         with pytest.raises(ValueError, match="different matrix"):
             run_scenario_matrix(
-                run_dir=tmp_path / "s", shard="2/2", steal=False,
+                run_dir=tmp_path / "s", shard="2/2",
                 **{**EVAL_KWARGS, "samples": 5},
             )
 
@@ -151,7 +122,7 @@ class TestManifest:
 
 class TestIncompleteMerge:
     def test_merge_of_a_partial_store_names_the_missing_cells(self, tmp_path):
-        run_scenario_matrix(run_dir=tmp_path / "s", shard="1/2", steal=False, **EVAL_KWARGS)
+        run_scenario_matrix(run_dir=tmp_path / "s", shard="1/2", **EVAL_KWARGS)
         with pytest.raises(MatrixIncompleteError) as excinfo:
             merge_matrix_run(tmp_path / "s")
         missing_positions = [
@@ -173,61 +144,23 @@ class TestIncompleteMerge:
             run_scenario_matrix(shard="1/2", **EVAL_KWARGS)
 
 
-class TestWorkStealing:
-    def test_stealing_shard_covers_absent_siblings(self, full_reference, tmp_path):
-        csv_bytes, reference_computed = full_reference
-        report = run_scenario_matrix(run_dir=tmp_path / "s", shard="1/2", steal=True, **FULL_KWARGS)
-        assert report.cells_computed == reference_computed, "the lone shard must do all the work"
-        assert report.cells_stolen > 0
-        merged = merge_matrix_run(tmp_path / "s")
-        assert merged.to_csv(tmp_path / "merged.csv").read_bytes() == csv_bytes
-
-    def test_stealing_on_and_off_agree_on_rows_and_accounting(self, full_reference, tmp_path):
-        """Satellite: stealing changes who computes, never what is computed."""
-
-        csv_bytes, reference_computed = full_reference
-        stealing = run_scenario_matrix(
-            run_dir=tmp_path / "steal", shard="1/2", steal=True, **FULL_KWARGS
-        )
-        no_steal = [
-            run_scenario_matrix(
-                run_dir=tmp_path / "plain", shard=ShardSpec(index, 2), steal=False, **FULL_KWARGS
-            )
-            for index in (1, 2)
-        ]
-        # Same total work either way (the no-steal pair may add cache
-        # replays, e.g. the second shard restoring the trained student).
-        assert stealing.cells_computed == sum(r.cells_computed for r in no_steal)
-        assert stealing.cells_computed == reference_computed
-        merged_stealing = merge_matrix_run(tmp_path / "steal")
-        merged_plain = merge_matrix_run(tmp_path / "plain")
-        assert merged_stealing.rows == merged_plain.rows
-        assert merged_stealing.to_csv(tmp_path / "a.csv").read_bytes() == csv_bytes
-        assert merged_plain.to_csv(tmp_path / "b.csv").read_bytes() == csv_bytes
-
-    def test_late_straggler_finds_everything_done(self, full_reference, tmp_path):
-        run_scenario_matrix(run_dir=tmp_path / "s", shard="1/2", steal=True, **FULL_KWARGS)
-        straggler = run_scenario_matrix(
-            run_dir=tmp_path / "s", shard="2/2", steal=True, **FULL_KWARGS
-        )
-        assert straggler.cells_computed == 0
-        assert straggler.cells_stolen == 0
-        assert straggler.cells_cached > 0  # its own cells replay from the store
-
-
 class TestShardTimeBudget:
-    def test_exhausted_shard_reports_and_leaves_cells_unclaimed(self, eval_reference, tmp_path):
+    def test_exhausted_shard_reports_and_a_rerun_resumes(self, eval_reference, tmp_path):
         csv_bytes, _ = eval_reference
         exhausted = run_scenario_matrix(
             run_dir=tmp_path / "s", shard="1/2", shard_time_budget=1e-9, **EVAL_KWARGS
         )
         assert exhausted.status == "resource-exhausted"
         assert exhausted.cells_computed == 0
-        claims_dir = tmp_path / "s" / ".claims"
-        assert not claims_dir.exists() or not list(claims_dir.iterdir())
-        # A sibling with time picks up everything the exhausted shard left.
-        rescue = run_scenario_matrix(run_dir=tmp_path / "s", shard="2/2", steal=True, **EVAL_KWARGS)
-        assert rescue.cells_computed == NUM_EVAL_CELLS
+        assert exhausted.cells_skipped == NUM_EVAL_CELLS // 2
+        # Rerunning the exhausted shard (and its sibling) completes the grid.
+        rescue = [
+            run_scenario_matrix(run_dir=tmp_path / "s", shard=f"{index}/2", **EVAL_KWARGS)
+            for index in (1, 2)
+        ]
+        assert [r.status for r in rescue] == ["ok", "ok"]
+        assert sum(r.cells_computed for r in rescue) == NUM_EVAL_CELLS
+        assert all(r.cells_skipped == 0 for r in rescue)
         merged = merge_matrix_run(tmp_path / "s")
         assert merged.to_csv(tmp_path / "merged.csv").read_bytes() == csv_bytes
 

@@ -1,36 +1,30 @@
-"""Fault injection for sharded matrix runs: crashes, SIGKILL, stale claims.
+"""Fault injection for matrix runs: crashes and SIGKILLed pool workers.
 
-The shard protocol's central promise is that worker death is never fatal
-to the *matrix*: every completed cell is already published under its
-digest, an in-flight cell's claim goes stale once its lease expires, and
-any surviving (or restarted) shard takes the work over.  This pack kills
-workers three ways -- an exception raised from the ``on_cell`` hook, a
-``SIGKILL`` delivered mid-cell to a forked worker process, and a
-hand-planted foreign claim -- and asserts the rerun-and-merge flow always
-reproduces the byte-identical single-process CSV (the PR's acceptance
-criterion, pinned here for the 4-shard pendulum x cartpole grid).
-
-``ClaimBoard`` unit tests live here too: the lease/steal/heartbeat
-mechanics these recovery paths rest on.
+Worker death is never fatal to the *matrix*: every completed cell is
+already published under its digest, so rerunning against the same store
+executes exactly the missing cells.  This pack kills runs two ways -- an
+exception raised from the ``on_cell`` hook, and a ``SIGKILL`` delivered
+mid-cell to a pool worker -- and asserts that the failure surfaces as a
+typed error and that the resumed (and, for shards, merged) CSV is
+byte-identical to an uninterrupted run (pinned here for the 4-shard
+pendulum x cartpole grid).
 """
 
-import multiprocessing
 import os
 import signal
-import time
 
 import pytest
 
 import repro.scenarios.matrix as matrix_module
 from repro.core.cocktail import CocktailPipeline
-from repro.experiments import ClaimBoard, RunStore
+from repro.experiments import RunStore
 from repro.scenarios import (
     ShardSpec,
     merge_matrix_run,
     plan_matrix_cells,
-    resolve_scenario,
     run_scenario_matrix,
 )
+from repro.scenarios.matrix import MatrixWorkerLost
 
 TINY_TRAIN = dict(mixing_epochs=1, mixing_steps=64, distill_epochs=2, dataset_size=64, eval_samples=8)
 TINY_VERIFY = dict(target_error=1.0, degree=2, max_partitions=64, reach_steps=2)
@@ -50,7 +44,7 @@ ACCEPTANCE_KWARGS = dict(
 )
 ACCEPTANCE_NUM_CELLS = 16
 
-#: Small evaluate-only grid for the subprocess SIGKILL scenario.
+#: Small evaluate-only grid for the on_cell crash and SIGKILL scenarios.
 KILL_KWARGS = dict(
     scenarios=["pendulum"],
     perturbations=("none", "noise"),
@@ -159,11 +153,9 @@ class TestInterruptedShardsResumeByteIdentically:
 
         with pytest.raises(SimulatedCrash):
             run_scenario_matrix(run_dir=shard_dir, shard="1/1", on_cell=bomb, **KILL_KWARGS)
-        # The crash hit *after* the first cell was flushed; no claim leaks.
+        # The crash hit *after* the first cell was flushed.
         store = RunStore(shard_dir)
         assert len(store.entries(stage="evaluate")) == 1
-        claims = sorted((shard_dir / ".claims").glob("*.claim"))
-        assert claims == [], "on_cell fires after the claim is released"
 
         counter = WorkCounter(monkeypatch)
         report = run_scenario_matrix(run_dir=shard_dir, shard="1/1", **KILL_KWARGS)
@@ -171,173 +163,82 @@ class TestInterruptedShardsResumeByteIdentically:
         assert report.cells_cached == 1
 
 
-def _killer_worker(run_dir, kill_on_call, lease):
-    """Subprocess body: SIGKILL itself mid-cell, claim still held."""
+_REAL_TASKS = {"train": matrix_module._train_task, "evaluate": matrix_module._evaluate_task}
+_PARENT = os.getpid()
 
-    calls = {"n": 0}
-    real_evaluate = matrix_module.evaluate_robustness
 
-    def killing_evaluate(*args, **kwargs):
-        calls["n"] += 1
-        if calls["n"] == kill_on_call:
+class _DieIn:
+    """A stand-in task that SIGKILLs its pool worker on one cell (picklable)."""
+
+    def __init__(self, cell, scenario, controller, perturbation=None):
+        self.cell = cell
+        self.target = (scenario, controller, perturbation)
+
+    def __call__(self, name, *args):
+        if self.cell == "train":
+            hit = name == self.target[0]
+        else:
+            hit = (name, args[0], args[1]) == self.target
+        if hit:
+            assert os.getpid() != _PARENT, "the killer must run in a pool worker"
             os.kill(os.getpid(), signal.SIGKILL)
-        return real_evaluate(*args, **kwargs)
-
-    matrix_module.evaluate_robustness = killing_evaluate
-    run_scenario_matrix(run_dir=run_dir, shard="1/1", claim_lease=lease, **KILL_KWARGS)
+        return _REAL_TASKS[self.cell](name, *args)
 
 
-class TestSigkilledWorker:
-    LEASE = 0.2
+class _Deadline:
+    """Fail (instead of hanging) when the body outlives ``seconds``."""
 
-    def test_stale_claim_of_a_dead_worker_is_reclaimed(self, tmp_path):
-        shard_dir = tmp_path / "store"
-        reference = run_scenario_matrix(run_dir=tmp_path / "ref", **KILL_KWARGS)
+    def __init__(self, seconds):
+        self.seconds = seconds
+
+    def __enter__(self):
+        def expire(signum, frame):
+            raise TimeoutError(f"the matrix hung for {self.seconds}s after a worker died")
+
+        self.previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(self.seconds)
+
+    def __exit__(self, *exc_info):
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, self.previous)
+
+
+class TestSigkilledPoolWorker:
+    """SIGKILL a pool worker mid-cell: a typed error, no hang, nothing lost."""
+
+    @pytest.mark.parametrize(
+        "kwargs, target, label",
+        [
+            (KILL_KWARGS, ("evaluate", "pendulum", "kappa2", "noise"), "evaluate pendulum:kappa2:noise"),
+            (ACCEPTANCE_KWARGS, ("train", "cartpole", "kappa_star"), "train cartpole:kappa_star"),
+        ],
+        ids=["evaluate", "train"],
+    )
+    def test_lost_cell_is_named_and_the_resume_is_byte_identical(
+        self, kwargs, target, label, monkeypatch, tmp_path
+    ):
+        kwargs = {**kwargs, "jobs": 2}
+        reference = run_scenario_matrix(run_dir=tmp_path / "ref", **kwargs)
         reference_bytes = reference.to_csv(tmp_path / "reference.csv").read_bytes()
 
-        context = multiprocessing.get_context("fork")
-        worker = context.Process(target=_killer_worker, args=(shard_dir, 2, self.LEASE))
-        worker.start()
-        worker.join(60)
-        assert worker.exitcode == -signal.SIGKILL
+        store_dir = tmp_path / "store"
+        seen = []
+        with monkeypatch.context() as patch, _Deadline(120):
+            patch.setattr(matrix_module, f"_{target[0]}_task", _DieIn(*target))
+            with pytest.raises(MatrixWorkerLost) as excinfo:
+                run_scenario_matrix(run_dir=store_dir, on_cell=seen.append, **kwargs)
+        assert label in excinfo.value.cells
+        assert label in str(excinfo.value) and "resume" in str(excinfo.value)
 
-        # The worker died inside cell 2: cell 1 is published, cell 2's
-        # claim file survives its owner.
-        store = RunStore(shard_dir)
-        assert len(store.entries(stage="evaluate")) == 1
-        leaked = sorted((shard_dir / ".claims").glob("*.claim"))
-        assert len(leaked) == 1
+        # Every cell that completed before the loss is in the store.
+        store = RunStore(store_dir)
+        stored = len(store.entries(stage="evaluate")) + len(store.entries(stage="verify"))
+        assert stored == len(seen)
 
-        time.sleep(2.5 * self.LEASE)  # let the orphaned lease expire
-        rescue = run_scenario_matrix(
-            run_dir=shard_dir, shard="1/1", claim_lease=self.LEASE, **KILL_KWARGS
-        )
-        assert rescue.cells_computed == KILL_NUM_CELLS - 1
-        assert rescue.cells_cached == 1
-        merged = merge_matrix_run(shard_dir)
-        assert merged.to_csv(tmp_path / "merged.csv").read_bytes() == reference_bytes
-
-    def test_fresh_foreign_claim_is_respected_until_it_expires(self, tmp_path):
-        """A live sibling's claim defers the cell; an expired one is stolen."""
-
-        shard_dir = tmp_path / "store"
-        store = RunStore(shard_dir)
-        spec, overrides = resolve_scenario("pendulum")
-        params = dict(spec.default_params)
-        params.update(overrides)
-        # The exact key the matrix builds for (pendulum, kappa1, none).
-        key = store.key(
-            "evaluate",
-            {
-                "system": spec.name,
-                "params": params,
-                "controller": {"kind": "analytic", "name": "kappa1"},
-                "perturbation": "none",
-                "samples": 4,
-                "fraction": 0.1,
-                "seed": 0,
-            },
-        )
-        ghost = store.claims(owner="ghost", lease_seconds=60.0)
-        assert ghost.acquire(key)
-
-        blocked = run_scenario_matrix(run_dir=shard_dir, shard="1/1", **KILL_KWARGS)
-        assert blocked.cells_computed == KILL_NUM_CELLS - 1
-        assert blocked.cells_skipped == 1
-        assert not store.contains(key), "a fresh foreign claim must not be stolen"
-
-        # Age the ghost's claim past any lease and rerun: now it is stolen.
-        stale = time.time() - 3600.0
-        os.utime(ghost.path(key), (stale, stale))
-        rescued = run_scenario_matrix(run_dir=shard_dir, shard="1/1", **KILL_KWARGS)
-        assert rescued.cells_computed == 1
-        assert rescued.cells_cached == KILL_NUM_CELLS - 1
-        assert store.contains(key)
-        assert not ghost.path(key).exists(), "the reclaimed claim is released after publish"
-
-
-class TestClaimBoard:
-    def _key(self, store, tag="x"):
-        return store.key("evaluate", {"probe": tag})
-
-    def test_exactly_one_acquirer_wins(self, tmp_path):
-        store = RunStore(tmp_path / "store")
-        key = self._key(store)
-        a = store.claims(owner="a")
-        b = store.claims(owner="b")
-        assert a.acquire(key)
-        assert not b.acquire(key)
-        assert a.holder(key)["owner"] == "a"
-        a.release(key)
-        assert b.acquire(key)
-        assert b.holder(key)["owner"] == "b"
-
-    def test_expired_lease_is_stolen_fresh_one_is_not(self, tmp_path):
-        store = RunStore(tmp_path / "store")
-        key = self._key(store)
-        dead = store.claims(owner="dead", lease_seconds=0.05)
-        live = store.claims(owner="live", lease_seconds=0.05)
-        assert dead.acquire(key)
-        assert not live.acquire(key), "a fresh claim is respected"
-        time.sleep(0.12)
-        assert live.is_stale(key)
-        assert live.acquire(key), "an expired claim is taken over"
-        assert live.holder(key)["owner"] == "live"
-
-    def test_hold_heartbeats_keep_the_lease_alive(self, tmp_path):
-        store = RunStore(tmp_path / "store")
-        key = self._key(store)
-        board = store.claims(owner="beater", lease_seconds=0.08)
-        rival = store.claims(owner="rival", lease_seconds=0.08)
-        assert board.acquire(key)
-        with board.hold(key):
-            time.sleep(0.3)  # several leases; the heartbeat keeps it fresh
-            assert not rival.is_stale(key)
-            assert not rival.acquire(key)
-        board.release(key)
-
-    def test_hold_accepts_a_list_of_keys(self, tmp_path):
-        store = RunStore(tmp_path / "store")
-        keys = [self._key(store, tag) for tag in ("a", "b")]
-        board = store.claims(owner="multi", lease_seconds=0.08)
-        for key in keys:
-            assert board.acquire(key)
-        with board.hold(keys):
-            time.sleep(0.2)
-            assert not any(board.is_stale(key) for key in keys)
-
-    def test_release_is_idempotent_and_heartbeat_tolerates_absence(self, tmp_path):
-        store = RunStore(tmp_path / "store")
-        key = self._key(store)
-        board = store.claims(owner="solo")
-        board.release(key)  # never acquired: no error
-        board.heartbeat(key)  # no claim file: no error
-        assert board.holder(key) is None
-        assert not board.is_stale(key)
-
-    def test_store_missing_lists_unpublished_keys(self, tmp_path):
-        store = RunStore(tmp_path / "store")
-        present = self._key(store, "present")
-        absent = self._key(store, "absent")
-        store.save(present, {"value": 1})
-        assert store.missing([present, absent]) == [absent]
-
-    def test_gc_sweeps_published_claims_and_tombstones(self, tmp_path):
-        store = RunStore(tmp_path / "store")
-        key = self._key(store)
-        board = store.claims(owner="gc")
-        assert board.acquire(key)
-        store.save(key, {"value": 1})  # published but never released
-        tombstone = board.path(key).with_name(board.path(key).name + ".stale-dead0000")
-        tombstone.write_text("{}")
-        incomplete, removed = store.gc()
-        assert not board.path(key).exists(), "gc drops claims whose result is published"
-        assert not tombstone.exists(), "gc drops leftover takeover tombstones"
-        assert store.contains(key), "gc never touches published entries"
-        unpublished = self._key(store, "inflight")
-        assert board.acquire(unpublished)
-        store.gc()
-        assert board.path(unpublished).exists(), "gc keeps claims for unpublished work"
+        resumed = run_scenario_matrix(run_dir=store_dir, **kwargs)
+        assert resumed.status == "ok"
+        assert resumed.cells_cached >= len(seen)
+        assert resumed.to_csv(tmp_path / "resumed.csv").read_bytes() == reference_bytes
 
 
 class TestShardPlanMatchesExecutor:

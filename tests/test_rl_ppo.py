@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.rl.env import ControlEnv, RewardFunction
 from repro.rl.policies import CategoricalMLPPolicy
@@ -162,3 +164,57 @@ class TestPPOOnControlEnv:
         trainer = PPOTrainer(env, config=config, rng=0)
         logger = trainer.train()
         assert logger.epochs() == 1
+
+
+class TestPolicyLossRatio:
+    """The clip surrogate's ratio is ``exp(new - old)`` of the log-probs.
+
+    Dividing the log-probs instead (``log_prob / log_prob_orig``) is also 1
+    at the old policy, so only the shifted case tells the two apart.  The
+    entropy bonus is off, so the loss is the surrogate alone.
+    """
+
+    @staticmethod
+    def _trainer_and_batch(categorical, seed, rows):
+        from repro.autodiff import Tensor, no_grad
+
+        rng = np.random.default_rng(seed)
+        config = PPOConfig(hidden_sizes=(8,), entropy_coefficient=0.0, clip_ratio=0.2, seed=seed)
+        states = rng.uniform(-1.0, 1.0, size=(rows, 1))
+        if categorical:
+            policy = CategoricalMLPPolicy(1, 2, hidden_sizes=(8,), seed=seed)
+            trainer = PPOTrainer(DiscretePointMassEnv(), policy=policy, config=config, rng=seed)
+            actions = rng.integers(0, 2, size=(rows, 1)).astype(float)
+            query = actions.astype(int).reshape(-1)
+        else:
+            trainer = PPOTrainer(PointMassEnv(), config=config, rng=seed)
+            actions = rng.uniform(-1.0, 1.0, size=(rows, 1))
+            query = actions
+        with no_grad():
+            own = trainer.policy.log_prob(Tensor(states), query).data
+        batch = {
+            "states": states,
+            "actions": actions,
+            "advantages": rng.normal(size=rows),
+            "log_probs": own,
+        }
+        return trainer, batch
+
+    @given(
+        categorical=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**16),
+        rows=st.integers(min_value=1, max_value=24),
+        delta=st.floats(min_value=-0.18, max_value=0.18),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_clip_loss_is_the_exp_log_ratio_surrogate(self, categorical, seed, rows, delta):
+        trainer, batch = self._trainer_and_batch(categorical, seed, rows)
+        advantages = batch["advantages"]
+
+        at_old = float(trainer._policy_loss(batch).data)
+        assert at_old == pytest.approx(-np.mean(advantages), rel=1e-12, abs=1e-12)
+
+        # exp(-delta) stays inside the [0.8, 1.2] clip band for |delta| <= 0.18.
+        shifted = dict(batch, log_probs=batch["log_probs"] + delta)
+        loss = float(trainer._policy_loss(shifted).data)
+        assert loss == pytest.approx(-np.mean(np.exp(-delta) * advantages), rel=1e-9, abs=1e-12)

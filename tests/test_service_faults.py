@@ -34,8 +34,10 @@ from repro.jobs.service import (
     read_discovery,
 )
 
+#: ``jobs=1`` runs the matrix inline, so a SIGKILL inside a cell hits the
+#: daemon's job worker itself rather than one of the matrix's pool workers.
 MATRIX_SPEC = MatrixJobSpec(scenarios=("pendulum",), samples=4,
-                            train=False, verify=False, seed=0)
+                            train=False, verify=False, seed=0, jobs=1)
 
 
 def _wait_until(predicate, timeout=120.0, message="condition"):
@@ -148,6 +150,39 @@ class TestWorkerCrash:
         assert main([*argv, "--run-dir", str(tmp_path / "fresh-run"),
                      "--csv", str(fresh_csv)]) == 0
         assert replay_csv.read_bytes() == fresh_csv.read_bytes()
+
+    def test_sigkilled_pool_worker_fails_the_job_with_the_lost_cell(
+        self, tmp_path, monkeypatch
+    ):
+        """A matrix job on a pool: the typed error reaches the job record."""
+
+        flag = tmp_path / "crashed-once"
+        real_evaluate = matrix_module.evaluate_robustness
+
+        def crash_once(*args, **kwargs):
+            if not flag.exists():
+                flag.write_text("boom")
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(matrix_module, "evaluate_robustness", crash_once)
+        pooled = MatrixJobSpec(scenarios=("pendulum",), samples=4,
+                               train=False, verify=False, seed=0, jobs=2)
+        service = JobService(tmp_path / "run", workers=1)
+        view, _ = service.submit(pooled.to_json())
+        _wait_until(
+            lambda: service.status(view.job_id)[0].state == "failed",
+            message="job with a lost pool worker to fail",
+        )
+        failed = service.status(view.job_id)[0]
+        assert "MatrixWorkerLost" in failed.error
+        assert "lost cell(s): evaluate pendulum:" in failed.error
+        retry, _ = service.submit(pooled.to_json())
+        _wait_until(
+            lambda: service.status(retry.job_id)[0].state == "done",
+            message="resubmission to complete",
+        )
+        service.close()
 
     def test_followers_inherit_the_primary_crash(self, tmp_path, monkeypatch):
         def die(spec, **kwargs):

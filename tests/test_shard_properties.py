@@ -4,9 +4,9 @@ The shard protocol's correctness rests on three algebraic facts, checked
 here over arbitrary grid sizes and shard counts rather than hand-picked
 examples:
 
-* **partition** -- for any cell position and any ``N``, exactly one of the
-  shards ``1/N .. N/N`` owns it (shards are pairwise disjoint and jointly
-  exhaustive), and the assignment is balanced to within one cell;
+* **partition** -- for any unit and any ``N``, exactly one of the shards
+  ``1/N .. N/N`` owns it (the dealing of plan cells into units, and the
+  student-sharing property, live in ``test_matrix_executor.py``);
 * **canonical plan** -- :func:`plan_matrix_cells` enumerates the grid in
   the exact row order of a single-process run (all evaluate cells in
   scenario/controller/perturbation order, then one verify cell per
@@ -19,7 +19,6 @@ examples:
 
 import csv
 import io
-import itertools
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -65,20 +64,6 @@ class TestPartitionProperties:
     def test_every_position_is_owned_by_exactly_one_shard(self, position, count):
         owners = [index for index in range(1, count + 1) if ShardSpec(index, count).owns(position)]
         assert len(owners) == 1
-
-    @given(n_cells=st.integers(min_value=0, max_value=300), count=shard_counts)
-    @settings(max_examples=100, deadline=None)
-    def test_shards_are_disjoint_exhaustive_and_balanced(self, n_cells, count):
-        slices = [
-            {p for p in range(n_cells) if ShardSpec(index, count).owns(p)}
-            for index in range(1, count + 1)
-        ]
-        for a, b in itertools.combinations(slices, 2):
-            assert not (a & b), "two shards claim the same cell"
-        union = set().union(*slices) if slices else set()
-        assert union == set(range(n_cells)), "some cell is owned by no shard"
-        sizes = [len(s) for s in slices]
-        assert max(sizes) - min(sizes) <= 1, "round-robin must balance to within one cell"
 
     @given(count=shard_counts)
     @settings(max_examples=30, deadline=None)
@@ -131,8 +116,7 @@ class TestCanonicalPlan:
         cells = plan_matrix_cells(["vanderpol", "pendulum"], perturbations=("none", "noise"))
         seen = []
         for index in range(1, count + 1):
-            spec = ShardSpec(index, count)
-            seen.extend(p for p in range(len(cells)) if spec.owns(p))
+            seen.extend(ShardSpec(index, count).owned(cells))
         assert sorted(seen) == list(range(len(cells)))
 
 
@@ -185,33 +169,11 @@ class TestMergeInvariance:
                     run_scenario_matrix(
                         run_dir=shard_dir,
                         shard=ShardSpec(index, count),
-                        steal=False,
                         **self.KWARGS,
                     )
                 merged = merge_matrix_run(shard_dir)
         assert merged.rows == reference.rows
         assert _rows_csv(merged) == reference_csv
-
-    @given(data=st.data())
-    @settings(max_examples=6, deadline=None)
-    def test_merge_with_stealing_still_matches(self, data):
-        """Only a prefix of the shards ever runs; stealing covers the rest."""
-
-        count = data.draw(st.integers(min_value=2, max_value=4))
-        runners = data.draw(st.integers(min_value=1, max_value=count - 1))
-        with mock.patch.object(matrix_module, "evaluate_robustness", _fake_evaluate):
-            with tempfile.TemporaryDirectory() as tmp:
-                reference = run_scenario_matrix(run_dir=Path(tmp) / "ref", **self.KWARGS)
-                shard_dir = Path(tmp) / "sharded"
-                for index in range(1, runners + 1):
-                    run_scenario_matrix(
-                        run_dir=shard_dir,
-                        shard=ShardSpec(index, count),
-                        steal=True,
-                        **self.KWARGS,
-                    )
-                merged = merge_matrix_run(shard_dir)
-        assert merged.rows == reference.rows
 
 
 class TestMatrixCellValue:

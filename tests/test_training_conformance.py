@@ -21,7 +21,6 @@ from repro.core.config import CocktailConfig
 from repro.experts import make_default_experts
 from repro.scenarios import get_scenario, list_scenarios
 from repro.systems import make_system
-from repro.utils.parallel import default_num_envs, default_train_batch_size
 from repro.utils.persistence import load_student_controller, save_cocktail_result
 from repro.utils.seeding import set_global_seed
 
@@ -45,10 +44,10 @@ class TestBudgetHintThreading:
         assert config.distillation.train_batch_size == 24
         assert config.mixing.ppo_config().num_envs == 3
 
-    def test_missing_hints_fall_back_to_cpu_derived_defaults(self):
+    def test_missing_hints_fall_back_to_pinned_defaults(self):
         config = CocktailConfig.from_budget_hints({}, seed=0)
-        assert config.mixing.num_envs == default_num_envs()
-        assert config.distillation.train_batch_size == default_train_batch_size()
+        assert config.mixing.num_envs == 16
+        assert config.distillation.train_batch_size == 128
 
     def test_cartpole_spec_pins_explicit_widths(self):
         hints = get_scenario("cartpole").train_budget

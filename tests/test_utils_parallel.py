@@ -1,11 +1,12 @@
-"""Regression tests: worker/env defaults must track ``os.cpu_count()``.
+"""Regression tests: pool sizes track ``os.cpu_count()``, results do not.
 
 The original sin this guards against: a 1-CPU container where a process
 pool defaulted to one worker per *job* would fork dozens of workers that
-fight over a single core.  Every fan-out component derives its default from
-:mod:`repro.utils.parallel`, and these tests pin that the derivation (a)
-follows the CPU count and (b) caps the verification sweep's pool on a
-narrow machine.
+fight over a single core.  Every fan-out component derives its default pool
+size from :mod:`repro.utils.parallel`, and these tests pin that the
+derivation (a) follows the CPU count and (b) caps the verification sweep's
+pool on a narrow machine.  The CPU count must size pools and nothing else:
+the same ``repro train`` trains the same controller on any machine.
 """
 
 from __future__ import annotations
@@ -15,13 +16,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.config import CocktailConfig
-from repro.utils.parallel import (
-    available_cpu_count,
-    default_num_envs,
-    default_train_batch_size,
-    default_worker_count,
-)
+from repro.utils.parallel import available_cpu_count, default_worker_count
 from repro.verification.sweep import SweepJob, VerificationSweep
 
 
@@ -53,16 +48,6 @@ class TestCpuDerivation:
         assert default_worker_count(jobs=2) == 2
         assert default_worker_count(jobs=0) == 1
 
-    def test_env_and_batch_widths_scale_with_cpus_and_cap(self, monkeypatch):
-        _fake_cpu_count(monkeypatch, 1)
-        one_cpu_envs = default_num_envs()
-        one_cpu_batch = default_train_batch_size()
-        assert one_cpu_envs >= 1 and one_cpu_batch >= 1
-        _fake_cpu_count(monkeypatch, 256)
-        assert default_num_envs() >= one_cpu_envs
-        assert default_num_envs() <= 32  # capped: batch width, not a fork bomb
-        assert default_train_batch_size() <= 256
-
 
 class TestSweepPoolRegression:
     def test_one_cpu_container_gets_an_inline_sweep(self, monkeypatch):
@@ -83,15 +68,32 @@ class TestSweepPoolRegression:
 
 
 class TestTrainerWidthRegression:
-    def test_budget_hint_defaults_follow_the_cpu_count(self, monkeypatch):
-        _fake_cpu_count(monkeypatch, 1)
-        narrow = CocktailConfig.from_budget_hints({}, seed=0)
-        assert narrow.mixing.num_envs == default_num_envs()
-        assert narrow.distillation.train_batch_size == default_train_batch_size()
-        _fake_cpu_count(monkeypatch, 4)
-        wide = CocktailConfig.from_budget_hints({}, seed=0)
-        assert wide.mixing.num_envs >= narrow.mixing.num_envs
-        assert wide.mixing.num_envs <= 32
+    def test_train_gives_the_same_student_on_any_cpu_count(self, monkeypatch, tmp_path):
+        """The widths a train falls back to are pinned, not CPU-derived."""
+
+        from repro.experiments.digest import weights_digest
+        from repro.jobs.messages import TrainJobSpec
+        from repro.jobs.runner import execute_train
+        from repro.utils.persistence import load_student_controller
+
+        digests = {}
+        for cpus in (1, 2, 64):
+            _fake_cpu_count(monkeypatch, cpus)
+            output = tmp_path / f"cpus-{cpus}"
+            spec = TrainJobSpec(
+                system="vanderpol",
+                output=str(output),
+                mixing_epochs=1,
+                mixing_steps=64,
+                distill_epochs=2,
+                dataset_size=64,
+                eval_samples=4,
+                seed=3,
+            )
+            execute_train(spec)
+            network = load_student_controller(output, name="kappa_star").network
+            digests[cpus] = weights_digest(network.state_dict(), extra=network.architecture())
+        assert len(set(digests.values())) == 1, digests
 
     def test_num_envs_is_a_batch_width_not_a_process_count(self):
         """The vectorized trainer must not spawn OS threads/processes: the
@@ -115,3 +117,44 @@ class TestTrainerWidthRegression:
         )
         trainer.train()
         assert threading.active_count() == before
+
+
+def _openblas_thread_counts():
+    """``{library: threads}`` of every OpenBLAS loaded in this process."""
+
+    import ctypes
+
+    counts = {}
+    with open("/proc/self/maps") as handle:
+        paths = sorted({line.split()[-1] for line in handle if "openblas" in line.lower()})
+    for path in paths:
+        library = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            getter = getattr(library, name, None)
+            if getter is not None:
+                counts[path] = getter()
+                break
+    return counts
+
+
+class TestPoolWorkersKeepOneBlasThread:
+    def test_initializer_pins_the_worker_and_leaves_the_parent(self):
+        import multiprocessing
+        from concurrent import futures
+
+        from repro.utils.parallel import single_threaded_blas
+
+        try:
+            parent = _openblas_thread_counts()
+        except OSError:
+            pytest.skip("no /proc/self/maps on this platform")
+        if not parent:
+            pytest.skip("NumPy is not linked against OpenBLAS here")
+        context = multiprocessing.get_context("fork")
+        with futures.ProcessPoolExecutor(
+            1, mp_context=context, initializer=single_threaded_blas
+        ) as pool:
+            worker = pool.submit(_openblas_thread_counts).result()
+        assert worker and set(worker.values()) == {1}
+        assert _openblas_thread_counts() == parent
