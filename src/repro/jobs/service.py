@@ -44,7 +44,7 @@ import json
 import os
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
@@ -62,6 +62,7 @@ from repro.jobs.messages import (
     JobStatus,
     JobView,
     ListJobs,
+    MatrixJobSpec,
     ServerStatus,
     ServerStatusReply,
     Shutdown,
@@ -72,7 +73,7 @@ from repro.jobs.messages import (
     parse_job_spec,
 )
 from repro.utils.messages import MessageValidationError
-from repro.utils.parallel import default_worker_count
+from repro.utils.parallel import available_cpu_count, default_worker_count
 
 __all__ = [
     "ServiceError",
@@ -134,13 +135,19 @@ def _describe_spec(payload: Dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _service_worker(spec_payload: Dict, run_dir: str, job_id: str, force: bool) -> None:
+def _service_worker(
+    spec_payload: Dict, run_dir: str, job_id: str, force: bool, cpu_share: int
+) -> None:
     """Worker-process body: execute one job, publish the outcome file.
 
     Runs in a forked child.  ``runner.execute_job`` is looked up through
     the module at call time, so state inherited from the parent (including
     test monkeypatches) applies.  A crash that skips the outcome write is
     detected by the parent through the exit status.
+
+    A matrix job's ``jobs=0`` ("one worker per CPU") becomes ``cpu_share``,
+    this job's slice of the CPUs, so concurrent jobs do not each fork a
+    full-width cell pool.  The width is not part of the job's digest.
     """
 
     import sys
@@ -151,6 +158,8 @@ def _service_worker(spec_payload: Dict, run_dir: str, job_id: str, force: bool) 
     outcome: Dict = {"job_id": job_id}
     try:
         spec = parse_job_spec(spec_payload)
+        if isinstance(spec, MatrixJobSpec) and not spec.jobs:
+            spec = replace(spec, jobs=cpu_share)
         store = RunStore(run_dir)
         payload, cacheable = runner.execute_job(
             spec,
@@ -310,7 +319,13 @@ class JobService:
         record.started_unix = self._clock()
         process = self._context.Process(
             target=_service_worker,
-            args=(record.spec_payload, str(self.run_dir), record.job_id, record.force),
+            args=(
+                record.spec_payload,
+                str(self.run_dir),
+                record.job_id,
+                record.force,
+                max(1, available_cpu_count() // self.workers),
+            ),
         )
         process.start()
         record.process = process

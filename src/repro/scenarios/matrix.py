@@ -934,8 +934,9 @@ class _MatrixExecution:
         Trains go first, longest budget first, then the expert evaluate
         cells; a student's evaluate and verify cells jump the queue when it
         lands.  One task beyond ``width`` stays in flight so no worker idles
-        while the parent records a result.  Each worker keeps one BLAS
-        thread: the pool is the parallelism.
+        while the parent records a result, so ``CellStarted`` marks a cell
+        as handed to the pool, not yet necessarily running.  Each worker
+        keeps one BLAS thread: the pool is the parallelism.
         """
 
         import multiprocessing
@@ -957,6 +958,20 @@ class _MatrixExecution:
             "fork" if "fork" in multiprocessing.get_all_start_methods() else None
         )
         running: Dict[futures.Future, _Work] = {}
+
+        def abandon(lost: List[str]) -> None:
+            """The pool is broken: the other in-flight tasks fail with it,
+            apart from any that completed before the loss."""
+
+            for future, work in running.items():
+                try:
+                    outcome = future.result()
+                except BrokenProcessPool:
+                    lost.append(work.label)
+                else:
+                    work.finish(outcome)
+            raise MatrixWorkerLost(lost, stored=self.store is not None)
+
         pool = futures.ProcessPoolExecutor(
             max_workers=width, mp_context=context, initializer=single_threaded_blas
         )
@@ -969,8 +984,12 @@ class _MatrixExecution:
                         if cell.kind == "train" and _CONTEXTS[cell.scenario].student is not None:
                             ready.extendleft(reversed(students[cell.scenario]))
                         continue
+                    try:
+                        future = pool.submit(work.fn, *work.args)
+                    except BrokenProcessPool:  # a worker died since the last wait
+                        abandon([work.label])
                     self.tele.emit(CellStarted, **work.identity)
-                    running[pool.submit(work.fn, *work.args)] = work
+                    running[future] = work
                 if not running:
                     break
                 done, _ = futures.wait(running, return_when=futures.FIRST_COMPLETED)
@@ -986,16 +1005,7 @@ class _MatrixExecution:
                     if work.identity["cell"] == "train":
                         ready.extendleft(reversed(students[work.identity["scenario"]]))
                 if lost:
-                    # The pool is broken: the other in-flight tasks fail with
-                    # it, apart from any that completed before the loss.
-                    for future, work in running.items():
-                        try:
-                            outcome = future.result()
-                        except BrokenProcessPool:
-                            lost.append(work.label)
-                        else:
-                            work.finish(outcome)
-                    raise MatrixWorkerLost(lost, stored=self.store is not None)
+                    abandon(lost)
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
 

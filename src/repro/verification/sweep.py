@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.nn.network import MLP
 from repro.systems import make_system
-from repro.utils.parallel import default_worker_count, single_threaded_blas
+from repro.utils.parallel import default_worker_count
 from repro.verification.verifier import VerificationReport, verify_controller
 
 
@@ -399,9 +399,7 @@ class VerificationSweep:
                 context = multiprocessing.get_context(
                     "fork" if "fork" in multiprocessing.get_all_start_methods() else None
                 )
-                with context.Pool(
-                    processes=min(self.processes, len(pending)), initializer=single_threaded_blas
-                ) as pool:
+                with context.Pool(processes=min(self.processes, len(pending))) as pool:
                     # imap hands out one job at a time: verification times vary widely.
                     fresh = list(pool.imap(run_sweep_job, pending_jobs))
             for index, result in zip(pending, fresh):

@@ -240,6 +240,44 @@ class TestSigkilledPoolWorker:
         assert resumed.cells_cached >= len(seen)
         assert resumed.to_csv(tmp_path / "resumed.csv").read_bytes() == reference_bytes
 
+    def test_pool_broken_at_submit_names_the_cell(self, monkeypatch, tmp_path):
+        """A worker can die while the parent records another's result: the
+        next ``submit`` then meets a broken pool before any future fails."""
+
+        from concurrent import futures
+        from concurrent.futures.process import BrokenProcessPool
+
+        kwargs = {**KILL_KWARGS, "jobs": 2}
+        reference = run_scenario_matrix(run_dir=tmp_path / "ref", **kwargs)
+        refused = []
+
+        class BreaksOnFourthSubmit(futures.ProcessPoolExecutor):
+            submitted = 0
+
+            def submit(self, fn, *args, **kwargs):
+                BreaksOnFourthSubmit.submitted += 1
+                if BreaksOnFourthSubmit.submitted == 4:
+                    refused.append(f"evaluate {args[0]}:{args[1]}:{args[2]}")
+                    raise BrokenProcessPool("a worker died")
+                return super().submit(fn, *args, **kwargs)
+
+        store_dir = tmp_path / "store"
+        seen = []
+        with monkeypatch.context() as patch, _Deadline(120):
+            patch.setattr(futures, "ProcessPoolExecutor", BreaksOnFourthSubmit)
+            with pytest.raises(MatrixWorkerLost) as excinfo:
+                run_scenario_matrix(run_dir=store_dir, on_cell=seen.append, **kwargs)
+        assert excinfo.value.cells == refused
+        # The three tasks already in flight finished and were recorded.
+        assert len(seen) == 3
+        assert len(RunStore(store_dir).entries(stage="evaluate")) == 3
+
+        resumed = run_scenario_matrix(run_dir=store_dir, **kwargs)
+        assert resumed.cells_cached == 3 and resumed.cells_computed == 1
+        assert resumed.to_csv(tmp_path / "resumed.csv").read_bytes() == reference.to_csv(
+            tmp_path / "reference.csv"
+        ).read_bytes()
+
 
 class TestShardPlanMatchesExecutor:
     def test_acceptance_grid_cell_count(self):

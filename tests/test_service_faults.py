@@ -205,6 +205,32 @@ class TestWorkerCrash:
         service.close()
 
 
+class TestMatrixPoolWidth:
+    def test_jobs_zero_takes_the_job_s_share_of_the_cpus(self, tmp_path, monkeypatch):
+        """Concurrent matrix jobs must not each fork one pool worker per CPU."""
+
+        import repro.jobs.service as service_module
+
+        def record_width(spec, **kwargs):
+            return {"jobs": spec.jobs}, False
+
+        monkeypatch.setattr(runner_module, "execute_job", record_width)
+        monkeypatch.setattr(service_module, "available_cpu_count", lambda: 8)
+        service = JobService(tmp_path / "run", workers=4)
+        widths = []
+        for jobs in (0, 3):
+            view, _ = service.submit(
+                MatrixJobSpec(scenarios=("pendulum",), jobs=jobs).to_json()
+            )
+            _wait_until(
+                lambda: service.status(view.job_id)[0].state == "done",
+                message="matrix job to finish",
+            )
+            widths.append(service.status(view.job_id)[1]["jobs"])
+        service.close()
+        assert widths == [2, 3]
+
+
 class TestClientDisconnect:
     def test_half_sent_request_does_not_wedge_the_server(self, tmp_path):
         server = JobServer(tmp_path / "run", workers=1).start()
