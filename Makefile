@@ -7,7 +7,9 @@
 # the shard/merge packs in its test list so the coverage floor spans the
 # sharded-run code too, and enforces the same floor on src/repro/scenarios
 # via the matrix executor, shard and resume packs, on src/repro/telemetry,
-# src/repro/jobs and src/repro/autodiff via their test packs, and on
+# src/repro/jobs and src/repro/autodiff via their test packs, on
+# src/repro/core via the core packs plus the training-determinism pack
+# (the kappa_D worker pool and its failure paths included), and on
 # src/repro/verification via the verification packs
 # (test_verification_batch.py holds the comparisons against the frozen
 # reference in tests/verification_reference.py) plus the kernel
@@ -71,6 +73,9 @@ test-cov:
 	$(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/autodiff \
 		tests/test_autodiff_tensor.py tests/test_autodiff_functional.py \
 		tests/test_autodiff_fused.py
+	$(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/core \
+		tests/test_core_cocktail.py tests/test_core_distillation.py \
+		tests/test_core_mixing.py tests/test_training_determinism.py
 
 SHARD_SMOKE_DIR ?= runs/shard-smoke
 shard-smoke:

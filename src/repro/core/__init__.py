@@ -20,7 +20,7 @@ from repro.core.distillation import (
     RobustDistiller,
     collect_distillation_dataset,
 )
-from repro.core.cocktail import CocktailPipeline, CocktailResult
+from repro.core.cocktail import CocktailPipeline, CocktailResult, StageWorkerLost
 
 __all__ = [
     "MixingConfig",
@@ -36,4 +36,5 @@ __all__ = [
     "RobustDistiller",
     "CocktailPipeline",
     "CocktailResult",
+    "StageWorkerLost",
 ]

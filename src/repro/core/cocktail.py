@@ -6,7 +6,11 @@
    obtaining the mixed controller design ``A_W``;
 2. collect a teacher dataset from ``A_W``;
 3. distil it into a single student network, robustly (``kappa*``) and --
-   optionally, for the baseline comparison -- directly (``kappa_D``).
+   optionally, for the baseline comparison -- directly (``kappa_D``).  The
+   two distillations share only the dataset and the random stream, so
+   ``kappa_D`` trains in a forked worker beside ``kappa*`` on a copy of the
+   stream advanced past ``kappa*``'s draws: the same students, bit for bit,
+   as training them one after the other.
 
 The returned :class:`CocktailResult` bundles every controller the paper's
 tables compare, plus the training loggers, so the benchmark harnesses only
@@ -15,8 +19,11 @@ have to evaluate them.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.config import CocktailConfig
 from repro.core.distillation import (
@@ -27,10 +34,20 @@ from repro.core.distillation import (
 )
 from repro.core.mixing import MixedController, MixingTrainer
 from repro.experts.base import Controller, NeuralController
+from repro.nn.network import MLP
 from repro.systems.base import ControlSystem
 from repro.utils.logging import TrainingLogger
+from repro.utils.parallel import default_worker_count, single_threaded_blas
 from repro.utils.profiling import StageTimer
 from repro.utils.seeding import RngLike, get_rng
+
+
+class StageWorkerLost(RuntimeError):
+    """The worker process running a pipeline stage died before returning."""
+
+    def __init__(self, stage: str):
+        self.stage = stage
+        super().__init__(f"the {stage} worker process died before returning its result")
 
 
 @dataclass
@@ -56,6 +73,9 @@ class CocktailResult:
     #: Wall-clock seconds per pipeline stage (mixing, dataset, robust /
     #: direct distillation).  Telemetry emits these as ``StageTiming``
     #: events; they never enter persisted records, which stay timing-free.
+    #: With two CPUs ``direct_distillation`` runs beside
+    #: ``robust_distillation`` in a worker process, so those two overlap in
+    #: wall time and the stages can sum to more than the run took.
     stage_seconds: Dict[str, float] = field(default_factory=dict)
 
     def controllers(self) -> Dict[str, Controller]:
@@ -123,6 +143,57 @@ class CocktailPipeline:
         self._distillation_loggers[logger_key] = distiller.logger
         return student
 
+    def _distill_both(
+        self, dataset: DistillationDataset, timer: StageTimer
+    ) -> Tuple[NeuralController, NeuralController, float]:
+        """``kappa*`` here while ``kappa_D`` trains in a one-worker fork pool.
+
+        ``kappa_D``'s distiller gets a copy of the generator advanced past
+        ``kappa*``'s epochs, so it draws exactly what it would after
+        ``kappa*``; afterwards this generator skips ``kappa_D``'s epochs and
+        ends where the sequential order leaves it.  On one CPU (or in a
+        daemonic process, which may not fork) the same task runs inline,
+        ``kappa*`` first.  Returns both students and ``kappa_D``'s seconds.
+        """
+
+        import copy
+        import multiprocessing
+        from concurrent import futures
+        from concurrent.futures.process import BrokenProcessPool
+
+        config = self.config.distillation
+        size = len(dataset)
+        direct_rng = copy.deepcopy(self._rng)
+        _skip_epochs(RobustDistiller(self.system, config=config), direct_rng, size)
+        direct = DirectDistiller(self.system, config=config, rng=direct_rng)
+
+        def robust() -> NeuralController:
+            return timer.timed("robust_distillation", lambda: self.distill(dataset, robust=True))
+
+        if default_worker_count(2) <= 1 or multiprocessing.current_process().daemon:
+            student = robust()
+            outcome = _direct_distillation_task(direct, dataset)
+        else:
+            context = multiprocessing.get_context(
+                "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+            )
+            with futures.ProcessPoolExecutor(
+                max_workers=1, mp_context=context, initializer=single_threaded_blas
+            ) as pool:
+                future = pool.submit(_direct_distillation_task, direct, dataset)
+                student = robust()
+                try:
+                    outcome = future.result()
+                except BrokenProcessPool as error:
+                    raise StageWorkerLost("direct_distillation") from error
+        _skip_epochs(direct, self._rng, size)
+
+        (architecture, weights), logger, seconds = outcome
+        network = MLP.from_architecture(architecture)
+        network.load_state_dict(weights)
+        self._distillation_loggers["direct_distillation"] = logger
+        return student, NeuralController(network, name=direct.controller_name()), seconds
+
     # ------------------------------------------------------------------
     def run(self, include_direct_baseline: bool = True) -> CocktailResult:
         """Execute the full pipeline and return every controller of Table I."""
@@ -132,12 +203,14 @@ class CocktailPipeline:
 
         mixed = timer.timed("mixing", self.train_mixing)
         dataset = timer.timed("dataset", lambda: self.collect_dataset(mixed))
-        student = timer.timed("robust_distillation", lambda: self.distill(dataset, robust=True))
-        direct_student = (
-            timer.timed("direct_distillation", lambda: self.distill(dataset, robust=False))
-            if include_direct_baseline
-            else None
-        )
+        if include_direct_baseline:
+            student, direct_student, direct_seconds = self._distill_both(dataset, timer)
+        else:
+            student = timer.timed("robust_distillation", lambda: self.distill(dataset, robust=True))
+            direct_student = None
+        stage_seconds = timer.as_dict()
+        if direct_student is not None:
+            stage_seconds["direct_distillation"] = direct_seconds
 
         loggers: Dict[str, TrainingLogger] = dict(self._distillation_loggers)
         if getattr(self, "_mixing_logger", None) is not None:
@@ -150,5 +223,24 @@ class CocktailPipeline:
             dataset=dataset,
             loggers=loggers,
             config=self.config,
-            stage_seconds=timer.as_dict(),
+            stage_seconds=stage_seconds,
         )
+
+
+def _skip_epochs(distiller, rng: np.random.Generator, size: int) -> None:
+    """Advance ``rng`` past every epoch ``distiller`` draws on ``size`` rows."""
+
+    for _ in range(distiller.config.epochs):
+        distiller._draw_epoch(rng, size)
+
+
+def _direct_distillation_task(
+    distiller: DirectDistiller, dataset: DistillationDataset
+) -> Tuple[Tuple[Dict, Dict], TrainingLogger, float]:
+    """``kappa_D``'s distillation as a pool task: ``((architecture,
+    state_dict), logger, seconds)``, all picklable."""
+
+    start = time.perf_counter()
+    network = distiller.distill(dataset).network
+    seconds = time.perf_counter() - start
+    return (network.architecture(), network.state_dict()), distiller.logger, seconds

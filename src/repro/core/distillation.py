@@ -52,12 +52,6 @@ class DistillationDataset:
     def __len__(self) -> int:
         return len(self.states)
 
-    def minibatches(self, batch_size: int, rng: RngLike = None):
-        order = get_rng(rng).permutation(len(self))
-        for start in range(0, len(self), batch_size):
-            index = order[start : start + batch_size]
-            yield self.states[index], self.controls[index]
-
     def split(self, validation_fraction: float = 0.1, rng: RngLike = None) -> Tuple["DistillationDataset", "DistillationDataset"]:
         """Split into train/validation subsets."""
 
@@ -149,12 +143,31 @@ class _BaseDistiller:
         self.student: Optional[MLP] = None
 
     # -- hooks -----------------------------------------------------------------
+    def _draw_epoch(self, rng: np.random.Generator, size: int) -> Tuple[np.ndarray, np.ndarray]:
+        """One epoch's draws from ``rng``: the minibatch order of a ``size``-row
+        dataset, then one adversarial-branch flag per minibatch.
+
+        :meth:`distill` draws every epoch through here, before its batches,
+        so calling it ``epochs`` times on a copy of the generator advances
+        the copy exactly as far as a real :meth:`distill` would.  Plain
+        regression draws no branch coins.
+        """
+
+        order = rng.permutation(size)
+        return order, np.zeros(-(-size // self.config.batch_size), dtype=bool)
+
     def _batch_gradients(
-        self, states: np.ndarray, controls: np.ndarray, student: MLP, parameters: Sequence[Tensor]
+        self,
+        states: np.ndarray,
+        controls: np.ndarray,
+        student: MLP,
+        parameters: Sequence[Tensor],
+        adversarial: bool,
     ) -> Tuple[float, List[np.ndarray]]:
         """Minibatch loss and the gradient of each of ``parameters`` (which is
         ``student.parameters()``, hoisted out of the per-batch loop), computed
-        without a tape."""
+        without a tape; ``adversarial`` is the batch's flag from
+        :meth:`_draw_epoch`."""
 
         raise NotImplementedError
 
@@ -175,10 +188,15 @@ class _BaseDistiller:
         parameters = student.parameters()
         optimizer = Adam(parameters, lr=self.config.learning_rate)
         epochs = epochs if epochs is not None else self.config.epochs
+        batch_size = self.config.batch_size
         for _ in range(epochs):
             epoch_losses = []
-            for states, controls in dataset.minibatches(self.config.batch_size, rng=self._rng):
-                loss, grads = self._batch_gradients(states, controls, student, parameters)
+            order, adversarial = self._draw_epoch(self._rng, len(dataset))
+            for batch, start in enumerate(range(0, len(dataset), batch_size)):
+                index = order[start : start + batch_size]
+                loss, grads = self._batch_gradients(
+                    dataset.states[index], dataset.controls[index], student, parameters, adversarial[batch]
+                )
                 for parameter, grad in zip(parameters, grads):
                     parameter.grad = grad
                 optimizer.step()
@@ -211,7 +229,12 @@ class DirectDistiller(_BaseDistiller):
         return "kappaD"
 
     def _batch_gradients(
-        self, states: np.ndarray, controls: np.ndarray, student: MLP, parameters: Sequence[Tensor]
+        self,
+        states: np.ndarray,
+        controls: np.ndarray,
+        student: MLP,
+        parameters: Sequence[Tensor],
+        adversarial: bool,
     ) -> Tuple[float, List[np.ndarray]]:
         loss, _, grads = student.mse_gradients(states, controls)
         return loss, grads
@@ -247,16 +270,27 @@ class RobustDistiller(_BaseDistiller):
         delta = self.perturbation_bound() * gradient_sign
         return states + delta, clean_grads
 
+    def _draw_epoch(self, rng: np.random.Generator, size: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The permutation, then line 12's coin per minibatch: ``z ~ U[0, 1]``,
+        the adversarial branch when ``z <= p``."""
+
+        order, flags = super()._draw_epoch(rng, size)
+        return order, rng.uniform(size=len(flags)) <= self.config.adversarial_probability
+
     def _batch_gradients(
-        self, states: np.ndarray, controls: np.ndarray, student: MLP, parameters: Sequence[Tensor]
+        self,
+        states: np.ndarray,
+        controls: np.ndarray,
+        student: MLP,
+        parameters: Sequence[Tensor],
+        adversarial: bool,
     ) -> Tuple[float, List[np.ndarray]]:
         """MSE + ``lambda * ||q||_2^2`` with the gradients summed in the
         order of the composed tape: ``clean + ((mse + lambda q) + lambda q)``,
         ``clean`` being the FGSM pass's leftover on the adversarial branch."""
 
         clean_grads = None
-        # Line 12: z ~ U[0, 1]; take the adversarial branch when z <= p.
-        if float(self._rng.uniform()) <= self.config.adversarial_probability:
+        if adversarial:
             states, clean_grads = self._fgsm_states(states, controls, student)
         loss, _, grads = student.mse_gradients(states, controls)
         # Line 14: + lambda * ||q||_2^2

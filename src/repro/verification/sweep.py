@@ -26,7 +26,6 @@ The CLI front end is ``python -m repro verify-sweep``.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -396,6 +395,8 @@ class VerificationSweep:
             if self.processes <= 1 or len(pending) == 1:
                 fresh = [run_sweep_job(job) for job in pending_jobs]
             else:
+                import multiprocessing
+
                 context = multiprocessing.get_context(
                     "fork" if "fork" in multiprocessing.get_all_start_methods() else None
                 )

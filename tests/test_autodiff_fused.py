@@ -324,7 +324,7 @@ def test_direct_batch_gradients_match_composed_tape():
     distiller = DirectDistiller(VanDerPolOscillator(), config=config)
     student = distiller._build_student()
     params = student.parameters()
-    loss, grads = distiller._batch_gradients(states, controls, student, params)
+    loss, grads = distiller._batch_gradients(states, controls, student, params, False)
 
     _zero(params)
     reference = _reference_mse(_reference_forward(student, Tensor(states)), controls)
@@ -343,7 +343,7 @@ def test_robust_batch_gradients_match_composed_tape(adversarial):
     distiller = _distiller(1.0 if adversarial else 0.0)
     student = distiller._build_student()
     params = student.parameters()
-    loss, grads = distiller._batch_gradients(states, controls, student, params)
+    loss, grads = distiller._batch_gradients(states, controls, student, params, adversarial)
 
     _zero(params)
     if adversarial:
@@ -431,7 +431,7 @@ def test_robust_batch_gradients_are_the_adversarial_loss_alone():
     student = distiller._build_student()
     params = student.parameters()
 
-    _, actual = distiller._batch_gradients(states, controls, student, params)
+    _, actual = distiller._batch_gradients(states, controls, student, params, True)
 
     adversarial, _ = distiller._fgsm_states(states, controls, student)
     _zero(params)

@@ -132,3 +132,116 @@ class TestPipelineOnOtherSystems:
         result = pipeline.run(include_direct_baseline=False)
         assert safe_control_rate(cartpole, result.mixed_controller, samples=40, rng=0) > 0.8
         assert safe_control_rate(cartpole, result.student, samples=40, rng=0) > 0.5
+
+
+class TestDirectBaselineBesideRobust:
+    """``kappa_D`` trains in a worker beside ``kappa*``: same bits at any width."""
+
+    CONFIG = CocktailConfig(
+        mixing=MixingConfig(epochs=1, steps_per_epoch=64, seed=0),
+        distillation=DistillationConfig(epochs=4, dataset_size=150, batch_size=64, seed=0),
+        seed=0,
+    )
+
+    @staticmethod
+    def _cpus(monkeypatch, count):
+        monkeypatch.setattr("repro.utils.parallel.available_cpu_count", lambda: count)
+
+    def _pipeline(self):
+        from repro.systems import VanDerPolOscillator
+
+        system = VanDerPolOscillator()
+        return CocktailPipeline(system, make_default_experts(system), self.CONFIG)
+
+    def _sequential(self):
+        """The historical order on one generator: kappa*, then kappa_D."""
+
+        pipeline = self._pipeline()
+        pipeline._distillation_loggers = {}
+        dataset = pipeline.collect_dataset(pipeline.train_mixing())
+        student = pipeline.distill(dataset, robust=True)
+        direct = pipeline.distill(dataset, robust=False)
+        return pipeline, dataset, student, direct, pipeline._distillation_loggers
+
+    def test_students_rng_and_logs_match_the_sequential_order_at_any_width(self, monkeypatch):
+        runs = {}
+        for count in (1, 2):
+            self._cpus(monkeypatch, count)
+            pipeline = self._pipeline()
+            result = pipeline.run()
+            runs[count] = (
+                pipeline, result.dataset, result.student, result.direct_student, result.loggers
+            )
+        runs["sequential"] = self._sequential()
+
+        reference_pipeline, dataset, student, direct, loggers = runs["sequential"]
+        for pipeline, other_dataset, other_student, other_direct, other_loggers in (runs[1], runs[2]):
+            np.testing.assert_array_equal(other_dataset.states, dataset.states)
+            np.testing.assert_array_equal(other_dataset.controls, dataset.controls)
+            for left, right in ((other_student, student), (other_direct, direct)):
+                assert left.name == right.name
+                expected = right.network.state_dict()
+                for key, value in left.network.state_dict().items():
+                    np.testing.assert_array_equal(value, expected[key])
+            for stage in ("robust_distillation", "direct_distillation"):
+                assert dict(other_loggers[stage].history) == dict(loggers[stage].history)
+                assert other_loggers[stage].epochs() == 4
+            assert pipeline._rng.bit_generator.state == reference_pipeline._rng.bit_generator.state
+
+    def test_stage_seconds_carry_both_distillations(self, monkeypatch):
+        self._cpus(monkeypatch, 2)
+        seconds = self._pipeline().run().stage_seconds
+        assert list(seconds) == ["mixing", "dataset", "robust_distillation", "direct_distillation"]
+        assert all(value > 0.0 for value in seconds.values())
+
+    def test_one_cpu_or_a_daemonic_parent_distils_inline(self, monkeypatch):
+        import multiprocessing
+        import os
+
+        from repro.core.distillation import DirectDistiller
+
+        pids = []
+        original = DirectDistiller.distill
+
+        def record(self, dataset, epochs=None):
+            pids.append(os.getpid())
+            return original(self, dataset, epochs)
+
+        monkeypatch.setattr(DirectDistiller, "distill", record)
+        self._cpus(monkeypatch, 1)
+        self._pipeline().run()
+        self._cpus(monkeypatch, 2)
+        monkeypatch.setitem(multiprocessing.current_process()._config, "daemon", True)
+        self._pipeline().run()
+        assert pids == [os.getpid(), os.getpid()]
+
+    def test_worker_exception_is_reraised(self, monkeypatch):
+        from repro.core.distillation import DirectDistiller
+
+        def fail(self, dataset, epochs=None):
+            raise ArithmeticError("direct distillation diverged")
+
+        monkeypatch.setattr(DirectDistiller, "distill", fail)
+        self._cpus(monkeypatch, 2)
+        with pytest.raises(ArithmeticError, match="diverged"):
+            self._pipeline().run()
+
+    def test_killed_worker_raises_a_typed_error_naming_the_stage(self, monkeypatch):
+        import os
+        import signal
+
+        from repro.core.cocktail import StageWorkerLost
+        from repro.core.distillation import DirectDistiller
+
+        parent = os.getpid()
+
+        def die(self, dataset, epochs=None):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise AssertionError("kappa_D ran in the parent")
+
+        monkeypatch.setattr(DirectDistiller, "distill", die)
+        self._cpus(monkeypatch, 2)
+        with pytest.raises(StageWorkerLost, match="direct_distillation") as caught:
+            self._pipeline().run()
+        assert caught.value.stage == "direct_distillation"

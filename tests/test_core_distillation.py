@@ -66,10 +66,6 @@ class TestDataset:
         with pytest.raises(ValueError):
             DistillationDataset(np.zeros((5, 2)), np.zeros((4, 1)))
 
-    def test_minibatches_cover_dataset(self, small_dataset):
-        total = sum(len(states) for states, _ in small_dataset.minibatches(64, rng=0))
-        assert total == len(small_dataset)
-
     def test_split(self, small_dataset):
         train, valid = small_dataset.split(validation_fraction=0.25, rng=0)
         assert len(train) + len(valid) == len(small_dataset)
@@ -147,3 +143,51 @@ class TestRobustDistillation:
         distiller = RobustDistiller(vanderpol, config=config, rng=0)
         student = distiller.distill(small_dataset)
         assert np.isfinite(student(np.zeros(2))).all()
+
+
+class TestEpochDraws:
+    """``_draw_epoch`` is the one schedule of a distillation's random draws."""
+
+    CONFIG = dict(hidden_sizes=(8,), epochs=3, batch_size=64, adversarial_probability=0.5, seed=0)
+
+    def test_robust_batches_see_the_historical_draw_order(self, vanderpol, small_dataset, monkeypatch):
+        """Per epoch: the minibatch permutation, then one ``uniform()`` coin
+        per batch, as the loop drew them before the schedule was hoisted."""
+
+        seen = []
+        original = RobustDistiller._batch_gradients
+
+        def spy(self, states, controls, student, parameters, adversarial):
+            seen.append((states, bool(adversarial)))
+            return original(self, states, controls, student, parameters, adversarial)
+
+        monkeypatch.setattr(RobustDistiller, "_batch_gradients", spy)
+        rng = np.random.default_rng(3)
+        reference = np.random.default_rng(3)
+        config = DistillationConfig(**self.CONFIG)
+        RobustDistiller(vanderpol, config=config, rng=rng).distill(small_dataset)
+
+        expected = []
+        for _ in range(config.epochs):
+            order = reference.permutation(len(small_dataset))
+            for start in range(0, len(small_dataset), config.batch_size):
+                coin = float(reference.uniform()) <= config.adversarial_probability
+                expected.append((small_dataset.states[order[start : start + config.batch_size]], coin))
+        assert len(seen) == len(expected) == 3 * 7
+        assert {flag for _, flag in expected} == {True, False}
+        for (states, flag), (want_states, want_flag) in zip(seen, expected):
+            np.testing.assert_array_equal(states, want_states)
+            assert flag == want_flag
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("distiller_cls", [RobustDistiller, DirectDistiller])
+    def test_skip_ahead_lands_where_distill_does(self, vanderpol, small_dataset, distiller_cls):
+        import copy
+
+        rng = np.random.default_rng(4)
+        skipped = copy.deepcopy(rng)
+        distiller = distiller_cls(vanderpol, config=DistillationConfig(**self.CONFIG), rng=rng)
+        distiller.distill(small_dataset)
+        for _ in range(distiller.config.epochs):
+            distiller._draw_epoch(skipped, len(small_dataset))
+        assert skipped.bit_generator.state == rng.bit_generator.state

@@ -209,7 +209,22 @@ class TestVectorizedScalarEquivalence:
 
 
 class TestEndToEndGolden:
-    """``repro train`` twice with one seed -> byte-identical artefacts."""
+    """``repro train`` twice with one seed -> byte-identical artefacts, and
+    the students' weights digests pinned to their recorded values."""
+
+    #: ``weights_digest`` of each student at ``TRAIN_FLAGS``, by width.
+    #: ``kappaD`` trains in a worker process beside ``kappa*`` when two CPUs
+    #: are free, so these also pin that it draws the same stream.
+    DIGESTS = {
+        "vectorized": {
+            "kappa_star": "2a5285164f14f2b7e9adc006a676546cf1a8aeb17d16c351d21ba3e6d19e1a46",
+            "kappaD": "12f92b126268d86e95993403d3540e8aaee271944b60722b2a45934b4d6a7e8d",
+        },
+        "scalar": {
+            "kappa_star": "3d7bf2ef22a5dbf44417523a9610e7c34729f5cca55ff968f5a798179d9f15be",
+            "kappaD": "af84814c66a0bf2327a88b7cf63538e7a1502021243468d2d0d1bec44da15421",
+        },
+    }
 
     TRAIN_FLAGS = [
         "--mixing-epochs", "1",
@@ -235,7 +250,7 @@ class TestEndToEndGolden:
     @pytest.mark.parametrize(
         "widths",
         [
-            (),  # default: vectorized (CPU-derived num_envs / train_batch_size)
+            (),  # default: vectorized (the pinned num_envs / train_batch_size)
             ("--num-envs", "1", "--train-batch-size", "1"),  # scalar path
         ],
         ids=["vectorized", "scalar"],
@@ -245,6 +260,17 @@ class TestEndToEndGolden:
         second = self._train(tmp_path / "run2", widths)
         for name in first:
             assert first[name] == second[name], f"{name} differs between identical runs"
+
+    @pytest.mark.parametrize("width", ["vectorized", "scalar"])
+    def test_students_match_the_recorded_digests(self, tmp_path, width):
+        from repro.experiments.digest import weights_digest
+        from repro.utils.persistence import load_student_controller
+
+        widths = () if width == "vectorized" else ("--num-envs", "1", "--train-batch-size", "1")
+        self._train(tmp_path, widths)
+        for name, expected in self.DIGESTS[width].items():
+            network = load_student_controller(tmp_path, name=name).network
+            assert weights_digest(network.state_dict(), extra=network.architecture()) == expected, name
 
     def test_scalar_and_vectorized_widths_produce_loadable_students(self, tmp_path):
         from repro.utils.persistence import load_student_controller
