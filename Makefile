@@ -6,8 +6,11 @@
 # (pytest-cov when installed, a stdlib settrace collector otherwise), with
 # the shard/merge packs in its test list so the coverage floor spans the
 # sharded-run code too, and enforces the same floor on src/repro/scenarios
-# via the matrix executor, shard and resume packs, on src/repro/telemetry,
-# src/repro/jobs and src/repro/autodiff via their test packs, on
+# via the matrix executor, shard and resume packs, on src/repro/telemetry
+# and src/repro/jobs via their test packs, on src/repro/rl via the PPO,
+# DDPG, policy and component packs (the closed-form policy, critic and actor
+# gradients included), on src/repro/attacks/fgsm.py via the attack pack (the
+# FGSM input gradient), on
 # src/repro/core via the core packs plus the training-determinism pack
 # (the kappa_D worker pool and its failure paths included), and on
 # src/repro/verification via the verification packs
@@ -28,8 +31,8 @@
 # harness and writes the machine-readable BENCH_<date>.json report
 # (see docs/performance.md); `train-bench` re-times the scalar-vs-vectorized
 # training stages and refreshes the committed CSV; `perf-train SEED=N` runs the
-# repo benchmark's `train` workload with the per-layer trace on (autodiff
-# backward, optimizer step, distillation, PPO update); `perf-matrix SEED=N`
+# repo benchmark's `train` workload with the per-layer trace on (optimizer
+# step, distillation, PPO collect and update); `perf-matrix SEED=N`
 # runs its `matrix` workload with the trace on (expert batch_controls, FGSM,
 # evaluation, run store, shards and merge); `perf-verify SEED=N` runs its
 # `verify` workload with the trace on (partition, Bernstein coefficients,
@@ -70,9 +73,11 @@ test-cov:
 		tests/test_float32_mode.py
 	$(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/utils/profiling.py \
 		tests/test_utils_buffers.py
-	$(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/autodiff \
-		tests/test_autodiff_tensor.py tests/test_autodiff_functional.py \
-		tests/test_autodiff_fused.py
+	$(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/rl \
+		tests/test_rl_ppo.py tests/test_rl_ddpg.py tests/test_rl_policies.py \
+		tests/test_rl_components.py
+	$(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/attacks/fgsm.py \
+		tests/test_attacks.py
 	$(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/core \
 		tests/test_core_cocktail.py tests/test_core_distillation.py \
 		tests/test_core_mixing.py tests/test_training_determinism.py

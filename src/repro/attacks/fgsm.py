@@ -4,15 +4,15 @@ Two uses, matching Algorithm 1 and Section IV:
 
 * during robust distillation, FGSM generates the adversarial training state
   ``s + Delta * sign(grad_s l(kappa*(s; q), u))`` (that code path lives in
-  :mod:`repro.core.distillation` because it needs the training graph);
+  :mod:`repro.core.distillation`, on :meth:`repro.nn.MLP.mse_gradients`);
 * during evaluation, FGSM perturbs the measured state so as to maximally
   change the controller's output, which is the "optimized adversarial
   attack" of Table II.  :class:`FGSMAttack` implements the evaluation-time
   attacker as a perturbation callable for :func:`repro.systems.rollout`.
 
-For neural controllers the input gradient comes from the autodiff engine;
-for arbitrary (black-box) controllers a finite-difference fallback estimates
-the same sign vector.
+For neural controllers the input gradient is the network's closed-form VJP
+(:meth:`repro.nn.MLP._vjp`); for arbitrary (black-box) controllers a
+finite-difference fallback estimates the same sign vector.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.autodiff import Tensor
 from repro.experts.base import Controller, NeuralController
 from repro.systems.simulation import batch_controls
 from repro.utils.seeding import get_rng
@@ -42,10 +41,12 @@ def _control_change_gradient_batch(
     the gradient of ``c^T kappa(s)`` where ``c`` is the sign of the nominal
     control (pushing the control away from its current value).
 
-    Neural controllers get their per-row input gradients from one autodiff
-    backward pass over the whole batch; black-box controllers fall back to
-    central finite differences, vectorised so each state dimension costs two
-    batched controller evaluations instead of ``2 N`` scalar ones.
+    Neural controllers get their per-row input gradients from one VJP over
+    the whole batch, with ``c`` (times the output scale, when the controller
+    rescales its output) as the upstream gradient; black-box controllers
+    fall back to central finite differences, vectorised so each state
+    dimension costs two batched controller evaluations instead of ``2 N``
+    scalar ones.
     """
 
     states = np.atleast_2d(np.asarray(states, dtype=np.float64))
@@ -54,13 +55,11 @@ def _control_change_gradient_batch(
     direction[direction == 0.0] = 1.0
 
     if isinstance(controller, NeuralController):
-        tensor_states = Tensor(states, requires_grad=True)
-        output = controller.network(tensor_states)
-        if controller._scale is not None:
-            output = output * Tensor(controller._scale) + Tensor(controller._offset)
-        objective = (output * Tensor(direction)).sum()
-        objective.backward()
-        return tensor_states.grad
+        saved: list = []
+        controller.network._run(states, saved)
+        upstream = direction if controller._scale is None else direction * controller._scale
+        gradient, _ = controller.network._vjp(saved, upstream, True)
+        return gradient
 
     gradient = np.zeros_like(states, dtype=np.float64)
     for index in range(states.shape[1]):

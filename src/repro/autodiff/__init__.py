@@ -1,22 +1,19 @@
-"""Reverse-mode automatic differentiation on NumPy arrays.
+"""The parameter holder shared by the networks and the optimizers.
 
-This package is the lowest-level substrate of the reproduction: a small,
-self-contained autodiff engine that replaces PyTorch for every gradient
-computation in the repository -- policy gradients for PPO and DDPG, the
-regression losses of the distillation step, and the input gradients used by
-the FGSM adversarial attacks.
-
-The public surface mirrors a tiny subset of the PyTorch tensor API:
+:class:`Tensor` is a float64 array with a ``.grad`` slot.  Gradients are not
+computed here: every training loss in the repository -- the PPO policy and
+critic, the DDPG actor and critic, the distillers -- and the FGSM input
+gradient take theirs in closed form from :meth:`repro.nn.MLP._vjp`, one
+layerwise vector-Jacobian product, and store them in ``.grad`` for an
+optimizer to read.
 
 >>> from repro.autodiff import Tensor
->>> x = Tensor([[1.0, 2.0]], requires_grad=True)
->>> y = (x * x).sum()
->>> y.backward()
->>> x.grad
+>>> weight = Tensor([[1.0, 2.0]], requires_grad=True)
+>>> weight.grad = weight.data * 2.0
+>>> weight.grad
 array([[2., 4.]])
 """
 
-from repro.autodiff.tensor import Tensor, no_grad, is_grad_enabled
-from repro.autodiff import functional
+from repro.autodiff.tensor import Tensor
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled", "functional"]
+__all__ = ["Tensor"]

@@ -197,9 +197,7 @@ class _BaseDistiller:
                 loss, grads = self._batch_gradients(
                     dataset.states[index], dataset.controls[index], student, parameters, adversarial[batch]
                 )
-                for parameter, grad in zip(parameters, grads):
-                    parameter.grad = grad
-                optimizer.step()
+                optimizer.apply_gradients(grads)
                 epoch_losses.append(float(loss))
             self.logger.log(
                 loss=float(np.mean(epoch_losses)) if epoch_losses else 0.0,

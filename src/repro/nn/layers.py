@@ -12,16 +12,9 @@ from repro.autodiff import Tensor
 class Module:
     """Base class for anything that owns parameters.
 
-    Sub-modules are discovered automatically from instance attributes, so a
-    network simply assigns its layers to attributes (or uses
-    :class:`repro.nn.network.Sequential`).
+    Sub-modules are discovered automatically from instance attributes (or
+    lists of them), so a network simply assigns its layers to attributes.
     """
-
-    def forward(self, inputs: Tensor) -> Tensor:
-        raise NotImplementedError
-
-    def __call__(self, *inputs) -> Tensor:
-        return self.forward(*[Tensor.ensure(value) for value in inputs])
 
     # -- parameter management ------------------------------------------------
     def parameters(self) -> List[Tensor]:
@@ -126,9 +119,6 @@ class Linear(Module):
         )
         self.bias = Tensor(np.zeros(out_features), requires_grad=True)
 
-    def forward(self, inputs: Tensor) -> Tensor:
-        return inputs.matmul(self.weight) + self.bias
-
 
 class Activation(Module):
     """Base class for parameter-free activations.
@@ -142,40 +132,25 @@ class Activation(Module):
 
     name: str = "activation"
 
-    def forward(self, inputs: Tensor) -> Tensor:  # pragma: no cover - abstract
-        raise NotImplementedError
-
 
 class ReLU(Activation):
     lipschitz_constant = 1.0
     name = "relu"
-
-    def forward(self, inputs: Tensor) -> Tensor:
-        return inputs.relu()
 
 
 class Tanh(Activation):
     lipschitz_constant = 1.0
     name = "tanh"
 
-    def forward(self, inputs: Tensor) -> Tensor:
-        return inputs.tanh()
-
 
 class Sigmoid(Activation):
     lipschitz_constant = 0.25
     name = "sigmoid"
 
-    def forward(self, inputs: Tensor) -> Tensor:
-        return inputs.sigmoid()
-
 
 class Identity(Activation):
     lipschitz_constant = 1.0
     name = "identity"
-
-    def forward(self, inputs: Tensor) -> Tensor:
-        return inputs
 
 
 ACTIVATIONS = {

@@ -1,4 +1,11 @@
-"""Network containers: ``Sequential`` and the workhorse ``MLP``."""
+"""The workhorse ``MLP`` and its one gradient path.
+
+Every gradient in the repository comes from :meth:`MLP._vjp`, the layerwise
+vector-Jacobian product of a forward pass that :meth:`MLP._run` recorded:
+the regression losses through :meth:`MLP.mse_gradients`, and the PPO policy
+loss, the DDPG actor and the FGSM input gradient with their own closed-form
+upstream gradients.
+"""
 
 from __future__ import annotations
 
@@ -6,28 +13,26 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.autodiff import Tensor, is_grad_enabled
-from repro.autodiff.tensor import _unbroadcast
 from repro.nn.layers import Activation, Linear, Module, make_activation
 
 
-class Sequential(Module):
-    """Apply a list of modules in order."""
+def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
+    """Reduce ``grad`` so that it matches ``shape``.
 
-    def __init__(self, layers: Sequence[Module]):
-        self.layers = list(layers)
+    NumPy broadcasting can add leading dimensions and stretch size-1 axes;
+    the corresponding gradient must be summed back over those axes.
+    """
 
-    def forward(self, inputs: Tensor) -> Tensor:
-        output = inputs
-        for layer in self.layers:
-            output = layer(output)
-        return output
-
-    def __iter__(self):
-        return iter(self.layers)
-
-    def __len__(self) -> int:
-        return len(self.layers)
+    if grad.shape == shape:
+        return grad
+    # Sum over extra leading dimensions.
+    while grad.ndim > len(shape):
+        grad = grad.sum(axis=0)
+    # Sum over broadcast (size-1) axes.
+    for axis, size in enumerate(shape):
+        if size == 1 and grad.shape[axis] != 1:
+            grad = grad.sum(axis=axis, keepdims=True)
+    return grad.reshape(shape)
 
 
 class MLP(Module):
@@ -79,49 +84,15 @@ class MLP(Module):
         self.layers = layers
 
     # ------------------------------------------------------------------
-    def forward(self, inputs: Tensor) -> Tensor:
-        """The whole network as one tape node.
-
-        The node's parents are the input followed by every layer's weight and
-        bias.  Its VJP is :meth:`_vjp`, bit-identical to the layer-by-layer
-        composition; the input VJP of the first layer is skipped when the
-        input does not require grad.  1-D input is run as a ``(1, d)`` row,
-        like :meth:`predict`.
-        """
-
-        linears = self.linear_layers()
-        parameters = [tensor for layer in linears for tensor in (layer.weight, layer.bias)]
-        single = inputs.data.ndim == 1
-        rows = inputs.data[None, :] if single else inputs.data
-        if not is_grad_enabled() or not (
-            inputs.requires_grad or any(parameter.requires_grad for parameter in parameters)
-        ):
-            output = self._run(rows)
-            return Tensor(output[0] if single else output)
-        saved: list = []
-        output = self._run(rows, saved)
-
-        def backward_fn(grad: np.ndarray):
-            grad = grad[None, :] if single else grad
-            input_grad, parameter_grads = self._vjp(saved, grad, inputs.requires_grad)
-            if input_grad is not None and single:
-                input_grad = input_grad[0]
-            return [input_grad] + parameter_grads
-
-        return Tensor._from_op(output[0] if single else output, (inputs, *parameters), backward_fn, "mlp")
-
     def mse_gradients(
         self, inputs: np.ndarray, targets: np.ndarray, input_grad: bool = False
     ) -> Tuple[float, Optional[np.ndarray], List[np.ndarray]]:
-        """One MSE regression step without a tape.
+        """The loss and gradients of one MSE regression step.
 
-        Runs the forward pass on ``(N, input_dim)`` rows, takes the gradient of
-        ``mean((output - targets)**2)`` the way :func:`repro.autodiff.
-        functional.mse_loss`'s node does, and walks the same layerwise VJP as
-        the :meth:`forward` node, so the results are bit for bit what
-        ``mse_loss(self(Tensor(inputs)), targets).backward()`` leaves behind.
-        Inputs and targets are cast to float64 exactly as ``Tensor()`` casts
-        them.
+        Runs the forward pass on ``(N, input_dim)`` rows and hands
+        :meth:`_vjp` the gradient of ``mean((output - targets)**2)``:
+        ``(1 / n) * diff`` once per factor of ``diff * diff``, summed.
+        Inputs and targets are cast to float64 first.
 
         Returns ``(loss, input gradient or None, parameter gradients)``: one
         gradient per weight and bias, layer by layer (the :meth:`parameters`
@@ -140,12 +111,10 @@ class MLP(Module):
     def _vjp(self, saved: list, grad: np.ndarray, input_grad: bool):
         """The layerwise VJP of the forward pass recorded in ``saved``.
 
-        Walks the layers in reverse with the same float64 ops, in the same
-        order, as a tape of separate ``matmul``, ``add`` and activation nodes
-        -- activation VJP, then ``g.sum(axis=0)`` for the bias, ``x^T @ g``
-        for the weight and ``g @ W^T`` for the layer input -- so every
-        gradient is bit-identical to the layer-by-layer composition.  The
-        first layer's input VJP runs only when ``input_grad`` is set.
+        ``grad`` is the upstream gradient of the network output.  Walks the
+        layers in reverse: activation VJP, then ``g.sum(axis=0)`` for the
+        bias, ``x^T @ g`` for the weight and ``g @ W^T`` for the layer input.
+        The first layer's input VJP runs only when ``input_grad`` is set.
         Returns ``(input gradient or None, [weight, bias, ...] gradients)``.
         """
 
@@ -168,7 +137,7 @@ class MLP(Module):
         return (grad if input_grad else None), [g for pair in reversed(layer_grads) for g in pair]
 
     def predict(self, inputs: np.ndarray) -> np.ndarray:
-        """Plain-array forward pass (no graph), accepting 1-D or 2-D inputs."""
+        """Forward pass on 1-D or 2-D inputs."""
 
         array = np.asarray(inputs, dtype=np.float64)
         single = array.ndim == 1
@@ -176,11 +145,12 @@ class MLP(Module):
         return output[0] if single else output
 
     def _run(self, rows: np.ndarray, saved: Optional[list] = None) -> np.ndarray:
-        """The forward loop shared by :meth:`predict` and the tape node.
+        """The forward loop shared by :meth:`predict` and every gradient.
 
         The verification kernels also run it on ``(k, 64, input_dim)`` stacks
-        of row blocks; each 2-D slice rounds as it would alone.  With ``saved`` it records, per layer, ``(layer input, weight,
-        activation name, activation output)`` for the node's VJP.
+        of row blocks; each 2-D slice rounds as it would alone.  With
+        ``saved`` it records, per layer, ``(layer input, weight, activation
+        name, activation output)`` for :meth:`_vjp`.
         """
 
         output = rows
@@ -245,7 +215,7 @@ def _apply_activation_array_named(name: str, values: np.ndarray) -> np.ndarray:
 
 
 def _activation_vjp(name: str, activated: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """The activation nodes' VJPs, from the activation output ``activated``."""
+    """The activations' VJPs, from the activation output ``activated``."""
 
     if name == "tanh":
         return grad * (1.0 - activated ** 2)

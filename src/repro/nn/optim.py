@@ -24,6 +24,16 @@ class Optimizer:
     def step(self) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
 
+    def apply_gradients(self, grads: Sequence[np.ndarray], max_grad_norm: Optional[float] = None) -> None:
+        """Store ``grads`` (one per parameter, in order) in ``.grad``, clip
+        their global norm to ``max_grad_norm`` when given, and step."""
+
+        for parameter, grad in zip(self.parameters, grads):
+            parameter.grad = grad
+        if max_grad_norm is not None:
+            self.clip_grad_norm(max_grad_norm)
+        self.step()
+
     def clip_grad_norm(self, max_norm: float) -> float:
         """Clip the global gradient norm in place and return the pre-clip norm."""
 

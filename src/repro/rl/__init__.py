@@ -3,8 +3,11 @@
 The paper trains (a) the expert neural controllers with DDPG under different
 hyper-parameters and (b) the adaptive-mixing policy with PPO (Algorithm 1,
 line 10; Remark 1 notes DDPG also works).  Neither PyTorch nor an RL library
-is available offline, so this package implements both algorithms on top of
-:mod:`repro.autodiff` / :mod:`repro.nn`.
+is available offline, so this package implements both algorithms on
+:mod:`repro.nn`.  Their losses take closed-form gradients: the PPO surrogate
+through the policies' ``log_prob_vjp``, the DDPG actor through the critic's
+input gradient, and both critics through :meth:`repro.nn.MLP.mse_gradients`,
+all ending in the one layerwise VJP, :meth:`repro.nn.MLP._vjp`.
 """
 
 from repro.rl.spaces import BoxSpace, DiscreteSpace

@@ -14,7 +14,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.autodiff import Tensor, functional, no_grad
 from repro.nn.network import hard_update, soft_update
 from repro.nn.optim import Adam
 from repro.rl.buffers import ReplayBuffer
@@ -124,29 +123,28 @@ class DDPGTrainer:
         states, actions, rewards, next_states, dones = self.buffer.sample(self.config.batch_size)
 
         # Critic target: r + gamma * (1 - done) * Q_target(s', mu_target(s'))
-        with no_grad():
-            next_actions = self.target_actor.forward(Tensor(next_states)).data
-            next_q = self.target_critic.q_values(next_states, next_actions)
+        next_q = self.target_critic.q_values(next_states, self.target_actor.actions(next_states))
         targets = rewards + self.config.gamma * (1.0 - dones) * next_q
 
-        self.critic_optimizer.zero_grad()
-        predictions = self.critic(Tensor(states), Tensor(actions))
-        critic_loss = functional.mse_loss(predictions, targets.reshape(-1, 1))
-        critic_loss.backward()
-        self.critic_optimizer.clip_grad_norm(self.config.max_grad_norm)
-        self.critic_optimizer.step()
+        critic_loss, _, grads = self.critic.net.mse_gradients(
+            self.critic.joined(states, actions), targets.reshape(-1, 1)
+        )
+        self.critic_optimizer.apply_gradients(grads, self.config.max_grad_norm)
 
-        # Actor: maximise Q(s, mu(s)) -- gradient flows through the critic input.
-        self.actor_optimizer.zero_grad()
-        actor_actions = self.actor.forward(Tensor(states))
-        actor_loss = -self.critic(Tensor(states), actor_actions).mean()
-        actor_loss.backward()
-        self.actor_optimizer.clip_grad_norm(self.config.max_grad_norm)
-        self.actor_optimizer.step()
+        # Actor: maximise Q(s, mu(s)).  The gradient of -mean(Q) reaches the
+        # actor through the critic's input gradient at the action columns.
+        actor_saved: list = []
+        critic_saved: list = []
+        joined = self.critic.joined(states, self.actor.actions(states, actor_saved))
+        q = self.critic.net._run(joined, critic_saved)
+        actor_loss = -q.mean()
+        input_grad, _ = self.critic.net._vjp(critic_saved, np.full(q.shape, -1.0 / q.size), True)
+        grads = self.actor.actions_vjp(actor_saved, input_grad[:, self.critic.state_dim :])
+        self.actor_optimizer.apply_gradients(grads, self.config.max_grad_norm)
 
         soft_update(self.target_actor, self.actor, self.config.tau)
         soft_update(self.target_critic, self.critic, self.config.tau)
-        return {"critic_loss": float(critic_loss.data), "actor_loss": float(actor_loss.data)}
+        return {"critic_loss": float(critic_loss), "actor_loss": float(actor_loss)}
 
     # ------------------------------------------------------------------
     def train(self, episodes: Optional[int] = None) -> TrainingLogger:

@@ -10,18 +10,25 @@ All networks are thin wrappers around :class:`repro.nn.MLP`:
   by DDPG (the expert controllers).
 * :class:`ValueNetwork` / :class:`QNetwork` -- state-value and state-action
   critics.
+
+The training losses take closed-form gradients: each policy pairs an array
+forward that can record itself (``log_prob``/``actions`` with ``saved=``)
+with the matching VJP (``log_prob_vjp``/``actions_vjp``), which ends in
+:meth:`repro.nn.MLP._vjp`.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.autodiff import Tensor, functional
+from repro.autodiff import Tensor
 from repro.nn.layers import Module
 from repro.nn.network import MLP
 from repro.utils.seeding import RngLike, get_rng
+
+_LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 class GaussianMLPPolicy(Module):
@@ -47,21 +54,48 @@ class GaussianMLPPolicy(Module):
         self.mean_net = MLP(state_dim, action_dim, hidden_sizes, activation=activation, seed=seed)
         self.log_std = Tensor(np.full(action_dim, float(init_log_std)), requires_grad=True)
 
-    # -- graph-building calls (training) ---------------------------------------
-    def forward(self, states: Tensor) -> Tuple[Tensor, Tensor]:
-        """Return ``(mean, log_std)`` with gradients attached."""
+    # -- the PPO loss: log-probabilities and their VJP -------------------------
+    def log_prob(self, states: np.ndarray, actions: np.ndarray, saved: Optional[list] = None) -> np.ndarray:
+        """Log density of each row of ``actions`` at the matching row of
+        ``states``, summed over the action dimension.
 
-        mean = self.mean_net(states)
-        return mean, self.log_std
+        With ``saved`` it records the forward pass for :meth:`log_prob_vjp`.
+        """
 
-    def log_prob(self, states: Tensor, actions: np.ndarray) -> Tensor:
-        mean, log_std = self.forward(states)
-        return functional.gaussian_log_prob(actions, mean, log_std)
+        network_saved = [] if saved is not None else None
+        mean = self.mean_net._run(np.asarray(states, dtype=np.float64), network_saved)
+        log_std = self.log_std.data
+        std = np.exp(log_std)
+        diff = np.asarray(actions, dtype=np.float64) - mean
+        z = diff / std
+        if saved is not None:
+            saved += [network_saved, std, diff, z]
+        return (z * z * (-0.5) - log_std - 0.5 * _LOG_2PI).sum(axis=-1)
 
-    def entropy(self) -> Tensor:
-        return functional.gaussian_entropy(self.log_std, self.action_dim)
+    def log_prob_vjp(self, saved: list, grad: np.ndarray) -> List[np.ndarray]:
+        """Gradients of ``sum(grad * log_prob)`` for :meth:`parameters`.
 
-    # -- array-only calls (rollouts) ---------------------------------------------
+        ``log_prob = sum(-z^2 / 2 - log_std) - const`` with
+        ``z = (a - mean) / exp(log_std)``: the mean gets ``z / std`` per row
+        (through :meth:`MLP._vjp`), and ``log_std`` gets ``-1`` from its own
+        term plus ``z^2`` through ``std``, each summed over the rows.
+        """
+
+        network_saved, std, diff, z = saved
+        grad = np.broadcast_to(grad[:, None], z.shape).copy()
+        share = grad * (-0.5) * z
+        grad_z = share + share
+        grad_std = (-grad_z * diff / (std ** 2)).sum(axis=0)
+        grad_log_std = (-grad).sum(axis=0) + grad_std * std
+        _, grads = self.mean_net._vjp(network_saved, -(grad_z / std), False)
+        return grads + [grad_log_std]
+
+    def entropy(self) -> float:
+        """Entropy of the Gaussian; its gradient for ``log_std`` is one."""
+
+        return float(self.log_std.data.sum() + 0.5 * self.action_dim * (1.0 + _LOG_2PI))
+
+    # -- rollouts --------------------------------------------------------------
     def act(self, state: np.ndarray, rng: RngLike = None, deterministic: bool = False) -> Tuple[np.ndarray, float]:
         """Sample a clipped action and return it with its log probability."""
 
@@ -132,21 +166,35 @@ class CategoricalMLPPolicy(Module):
         self.num_actions = num_actions
         self.logits_net = MLP(state_dim, num_actions, hidden_sizes, activation=activation, seed=seed)
 
-    def forward(self, states: Tensor) -> Tensor:
-        return self.logits_net(states)
+    def log_prob(self, states: np.ndarray, actions: np.ndarray, saved: Optional[list] = None) -> np.ndarray:
+        """Log probability of integer actions under the softmax distribution.
 
-    def log_prob(self, states: Tensor, actions: np.ndarray) -> Tensor:
-        """Log probability of integer actions under the softmax distribution."""
+        With ``saved`` it records the forward pass for :meth:`log_prob_vjp`.
+        """
 
-        logits = self.forward(states)
+        network_saved = [] if saved is not None else None
+        logits = self.logits_net._run(np.asarray(states, dtype=np.float64), network_saved)
         # log softmax = logits - logsumexp(logits)
-        max_logits = Tensor(np.max(logits.data, axis=-1, keepdims=True))
-        shifted = logits - max_logits
-        log_norm = shifted.exp().sum(axis=-1, keepdims=True).log() + max_logits
-        log_probs = logits - log_norm
+        max_logits = np.max(logits, axis=-1, keepdims=True)
+        exp = np.exp(logits - max_logits)
+        total = exp.sum(axis=-1, keepdims=True)
+        log_probs = logits - (np.log(total) + max_logits)
         actions = np.asarray(actions, dtype=int).reshape(-1)
-        rows = np.arange(len(actions))
-        return log_probs[rows, actions]
+        if saved is not None:
+            saved += [network_saved, actions, exp, total]
+        return log_probs[np.arange(len(actions)), actions]
+
+    def log_prob_vjp(self, saved: list, grad: np.ndarray) -> List[np.ndarray]:
+        """Gradients of ``sum(grad * log_prob)`` for :meth:`parameters`: the
+        logits get ``grad`` at the taken action minus ``grad * softmax``."""
+
+        network_saved, actions, exp, total = saved
+        picked = np.zeros(exp.shape)
+        picked[np.arange(len(actions)), actions] += grad
+        grad_total = (-picked).sum(axis=-1, keepdims=True) / total
+        grad_logits = picked + np.broadcast_to(grad_total, exp.shape) * exp
+        _, grads = self.logits_net._vjp(network_saved, grad_logits, False)
+        return grads
 
     def act(self, state: np.ndarray, rng: RngLike = None, deterministic: bool = False) -> Tuple[int, float]:
         generator = get_rng(rng)
@@ -221,9 +269,19 @@ class DeterministicMLPPolicy(Module):
         self._scale = (self.action_high - self.action_low) / 2.0
         self._offset = (self.action_high + self.action_low) / 2.0
 
-    def forward(self, states: Tensor) -> Tensor:
-        squashed = self.net(states)
-        return squashed * Tensor(self._scale) + Tensor(self._offset)
+    def actions(self, states: np.ndarray, saved: Optional[list] = None) -> np.ndarray:
+        """Noise-free, unclipped actions for an ``(N, state_dim)`` batch.
+
+        With ``saved`` it records the forward pass for :meth:`actions_vjp`.
+        """
+
+        return self.net._run(np.asarray(states, dtype=np.float64), saved) * self._scale + self._offset
+
+    def actions_vjp(self, saved: list, grad: np.ndarray) -> List[np.ndarray]:
+        """Gradients of ``sum(grad * actions)`` for :meth:`parameters`."""
+
+        _, grads = self.net._vjp(saved, grad * self._scale, False)
+        return grads
 
     def act(self, state: np.ndarray, noise_scale: float = 0.0, rng: RngLike = None) -> np.ndarray:
         action = self.net.predict(np.asarray(state, dtype=np.float64)) * self._scale + self._offset
@@ -235,11 +293,10 @@ class DeterministicMLPPolicy(Module):
         """Deterministic actions for an ``(N, state_dim)`` batch (optional
         exploration noise, one draw per row)."""
 
-        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        actions = np.atleast_2d(self.net.predict(states)) * self._scale + self._offset
+        actions = self.actions(np.atleast_2d(states))
         if noise_scale > 0.0:
             actions = actions + noise_scale * self._scale * get_rng(rng).normal(
-                size=(len(states), self.action_dim)
+                size=(len(actions), self.action_dim)
             )
         return np.clip(actions, self.action_low, self.action_high)
 
@@ -249,9 +306,6 @@ class ValueNetwork(Module):
 
     def __init__(self, state_dim: int, hidden_sizes: Sequence[int] = (64, 64), activation: str = "tanh", seed: Optional[int] = None):
         self.net = MLP(state_dim, 1, hidden_sizes, activation=activation, seed=seed)
-
-    def forward(self, states: Tensor) -> Tensor:
-        return self.net(states)
 
     def value(self, state: np.ndarray) -> float:
         return float(np.atleast_1d(self.net.predict(np.asarray(state, dtype=np.float64)))[0])
@@ -275,13 +329,14 @@ class QNetwork(Module):
         self.action_dim = action_dim
         self.net = MLP(state_dim + action_dim, 1, hidden_sizes, activation=activation, seed=seed)
 
-    def forward(self, states: Tensor, actions: Tensor) -> Tensor:
-        joined = Tensor.concatenate([Tensor.ensure(states), Tensor.ensure(actions)], axis=-1)
-        return self.net(joined)
+    @staticmethod
+    def joined(states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        """The network's input rows ``[s, a]``."""
 
-    def q_values(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        joined = np.concatenate(
+        return np.concatenate(
             [np.atleast_2d(np.asarray(states, dtype=np.float64)), np.atleast_2d(np.asarray(actions, dtype=np.float64))],
             axis=-1,
         )
-        return self.net.predict(joined)[:, 0]
+
+    def q_values(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        return self.net.predict(self.joined(states, actions))[:, 0]

@@ -11,11 +11,10 @@ switching baseline).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.autodiff import Tensor
 from repro.nn.optim import Adam
 from repro.rl.buffers import RolloutBuffer
 from repro.rl.env import ControlEnv
@@ -204,49 +203,64 @@ class PPOTrainer:
     # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------
-    def _policy_loss(self, batch: dict) -> Tensor:
-        states = Tensor(batch["states"])
-        advantages = Tensor(batch["advantages"])
-        old_log_probs = batch["log_probs"]
-        if isinstance(self.policy, CategoricalMLPPolicy):
-            actions = batch["actions"].astype(int).reshape(-1)
-            new_log_probs = self.policy.log_prob(states, actions)
-        else:
-            new_log_probs = self.policy.log_prob(states, batch["actions"])
-        ratio = (new_log_probs - Tensor(old_log_probs)).exp()
+    def _policy_gradients(self, batch: dict) -> Tuple[float, List[np.ndarray]]:
+        """The surrogate loss of Algorithm 1 line 10 and its gradient for each
+        policy parameter, in closed form.
+
+        ``r = exp(log pi(a|s) - log pi_old(a|s))`` per row.  The clip
+        objective is ``-mean(min(r A, clip(r) A))`` with the min written
+        ``b + clip(a - b, -1e9, 0)``; the KL objective is
+        ``-(mean(r A) - beta * mean(log r ^ 2) / 2)``.  The gradient applies
+        the chain rule through those ops one factor at a time; the grouping
+        of each product and sum is part of the contract, because trained
+        weights are pinned bit for bit (``tests/test_gradient_digests.py``).
+        """
+
+        advantages = np.asarray(batch["advantages"], dtype=np.float64)
+        saved: list = []
+        log_ratio = self.policy.log_prob(batch["states"], batch["actions"], saved) - np.asarray(
+            batch["log_probs"], dtype=np.float64
+        )
+        ratio = np.exp(log_ratio)
+        # d(-mean)/d(row): the loss's gradient for each row's term.
+        row_share = np.full(ratio.shape, -1.0 / ratio.size)
 
         if self.config.objective == "clip":
-            clipped = ratio.clip(1.0 - self.config.clip_ratio, 1.0 + self.config.clip_ratio)
-            surrogate_a = ratio * advantages
+            low, high = 1.0 - self.config.clip_ratio, 1.0 + self.config.clip_ratio
+            clipped = np.clip(ratio, low, high)
             surrogate_b = clipped * advantages
             # elementwise min(a, b) = b + (a - b) clipped to (-inf, 0]
-            difference = surrogate_a - surrogate_b
-            minimum = surrogate_b + difference.clip(-1e9, 0.0)
-            loss = -minimum.mean()
+            difference = ratio * advantages - surrogate_b
+            loss = -(surrogate_b + np.clip(difference, -1e9, 0.0)).mean()
+            grad_a = row_share * _inside(difference, -1e9, 0.0)
+            grad_b = row_share - grad_a
+            grad_ratio = grad_a * advantages + grad_b * advantages * _inside(ratio, low, high)
+            grad_log_ratio = grad_ratio * ratio
         else:
+            beta = self._kl_coefficient
             surrogate = (ratio * advantages).mean()
             # KL[pi_old || pi_theta] penalty of Algorithm 1 line 10, estimated
             # from the sampled actions via the squared log-ratio, which agrees
-            # with KL to second order around the old policy and is
-            # differentiable with respect to the new parameters.
-            kl = ((new_log_probs - Tensor(old_log_probs)) ** 2).mean() * 0.5
-            loss = -(surrogate - self._kl_coefficient * kl)
+            # with KL to second order around the old policy.
+            kl = (log_ratio ** 2).mean() * 0.5
+            loss = -(surrogate - beta * kl)
+            # -mean(r A) through exp, plus beta * mean(log r ^ 2) / 2 through the square.
+            grad_log_ratio = row_share * advantages * ratio + beta * 0.5 / ratio.size * 2 * log_ratio
+        grads = self.policy.log_prob_vjp(saved, grad_log_ratio)
 
         if self.config.entropy_coefficient and isinstance(self.policy, GaussianMLPPolicy):
             loss = loss - self.config.entropy_coefficient * self.policy.entropy()
-        return loss
+            # d(-c * entropy)/d(log_std) = -c; log_std is the last parameter.
+            grads[-1] = grads[-1] - self.config.entropy_coefficient
+        return float(loss), grads
 
     def _value_step(self, batch: dict) -> float:
-        """One critic update on the MSE to the returns, without a tape;
-        returns the loss."""
+        """One critic update on the MSE to the returns; returns the loss."""
 
         loss, _, grads = self.value_network.net.mse_gradients(
             batch["states"], batch["returns"].reshape(-1, 1)
         )
-        for parameter, grad in zip(self.value_optimizer.parameters, grads):
-            parameter.grad = grad
-        self.value_optimizer.clip_grad_norm(self.config.max_grad_norm)
-        self.value_optimizer.step()
+        self.value_optimizer.apply_gradients(grads, self.config.max_grad_norm)
         return float(loss)
 
     def update(self, buffer: RolloutBuffer) -> dict:
@@ -271,12 +285,9 @@ class PPOTrainer:
         for _ in range(self.config.update_iterations):
             stop = False
             for batch in buffer.minibatches(self.config.minibatch_size, rng=self._rng):
-                self.policy_optimizer.zero_grad()
-                policy_loss = self._policy_loss(batch)
-                policy_loss.backward()
-                self.policy_optimizer.clip_grad_norm(self.config.max_grad_norm)
-                self.policy_optimizer.step()
-                policy_losses.append(float(policy_loss.data))
+                policy_loss, grads = self._policy_gradients(batch)
+                self.policy_optimizer.apply_gradients(grads, self.config.max_grad_norm)
+                policy_losses.append(policy_loss)
 
                 value_losses.append(self._value_step(batch))
 
@@ -304,15 +315,7 @@ class PPOTrainer:
         }
 
     def _approximate_kl(self, batch: dict) -> float:
-        from repro.autodiff import no_grad
-
-        with no_grad():
-            states = Tensor(batch["states"])
-            if isinstance(self.policy, CategoricalMLPPolicy):
-                actions = batch["actions"].astype(int).reshape(-1)
-                new_log_probs = self.policy.log_prob(states, actions).data
-            else:
-                new_log_probs = self.policy.log_prob(states, batch["actions"]).data
+        new_log_probs = self.policy.log_prob(batch["states"], batch["actions"])
         return float(np.mean(batch["log_probs"] - new_log_probs))
 
     # ------------------------------------------------------------------
@@ -327,3 +330,9 @@ class PPOTrainer:
             stats = self.update(buffer)
             self.logger.log(mean_return=self._last_mean_return, **stats)
         return self.logger
+
+
+def _inside(values: np.ndarray, low: float, high: float) -> np.ndarray:
+    """1.0 where ``np.clip(values, low, high)`` passes the gradient, else 0.0."""
+
+    return ((values >= low) & (values <= high)).astype(np.float64)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from finite_differences import numerical_gradient
 
 from repro.attacks import (
     FGSMAttack,
@@ -13,6 +14,7 @@ from repro.attacks import (
     perturbation_budget,
 )
 from repro.attacks.adversary import safety_margin
+from repro.attacks.fgsm import _control_change_gradient_batch
 from repro.experts import LinearStateFeedback, NeuralController
 from repro.nn.network import MLP
 from repro.systems.simulation import safe_control_rate
@@ -84,6 +86,21 @@ class TestFGSM:
             abs(controller(state + rng.uniform(-bound, bound, size=2))[0] - nominal[0]) for _ in range(32)
         ]
         assert adversarial_shift >= np.mean(random_shifts)
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_input_gradient_matches_finite_differences(self, scaled):
+        """The closed-form input gradient is ``d (c^T kappa(s)) / ds``, with
+        ``c`` the sign of the nominal control, scaled output included."""
+
+        network = MLP(3, 2, hidden_sizes=(6, 5), output_activation="tanh" if scaled else "identity", seed=4)
+        bounds = dict(output_low=[-3.0, 0.0], output_high=[1.0, 2.0]) if scaled else {}
+        controller = NeuralController(network, **bounds)
+        states = np.random.default_rng(5).normal(size=(7, 3))
+        direction = np.sign(controller.batch_control(states))
+        gradient = _control_change_gradient_batch(controller, states)
+        probe = states.copy()
+        numeric = numerical_gradient(lambda: np.sum(direction * controller.batch_control(probe)), probe)
+        np.testing.assert_allclose(gradient, numeric, rtol=1e-6, atol=1e-9)
 
     def test_black_box_fallback_for_non_neural_controller(self):
         controller = LinearStateFeedback([[2.0, -1.0]])

@@ -1,23 +1,24 @@
-"""Tests for MLP, Sequential and target-network updates."""
+"""Tests for MLP, its gradients and target-network updates."""
 
 import numpy as np
 import pytest
+from finite_differences import numerical_gradient
 
-from repro.autodiff import Tensor
-from repro.nn.layers import Linear, ReLU
-from repro.nn.network import MLP, Sequential, hard_update, soft_update
+from repro.nn.network import MLP, hard_update, soft_update
 
 
 class TestMLP:
     def test_forward_shape(self):
         net = MLP(3, 2, hidden_sizes=(8, 8), seed=0)
-        out = net(Tensor(np.ones((5, 3))))
-        assert out.shape == (5, 2)
+        assert net.predict(np.ones((5, 3))).shape == (5, 2)
 
-    def test_predict_matches_forward(self):
+    def test_predict_matches_manual_layers(self):
         net = MLP(4, 3, hidden_sizes=(16,), activation="relu", seed=1)
         batch = np.random.default_rng(0).normal(size=(6, 4))
-        np.testing.assert_allclose(net.predict(batch), net(Tensor(batch)).data, atol=1e-12)
+        first, second = net.linear_layers()
+        hidden = np.maximum(batch @ first.weight.data + first.bias.data, 0.0)
+        expected = hidden @ second.weight.data + second.bias.data
+        np.testing.assert_allclose(net.predict(batch), expected, atol=1e-12)
 
     def test_predict_single_vector(self):
         net = MLP(2, 1, seed=0)
@@ -65,24 +66,55 @@ class TestMLP:
 
     def test_gradients_reach_all_parameters(self):
         net = MLP(3, 2, hidden_sizes=(8, 8), seed=0)
-        loss = (net(Tensor(np.random.default_rng(0).normal(size=(4, 3)))) ** 2).sum()
-        loss.backward()
-        for parameter in net.parameters():
-            assert parameter.grad is not None
+        rng = np.random.default_rng(0)
+        _, _, grads = net.mse_gradients(rng.normal(size=(4, 3)), rng.normal(size=(4, 2)))
+        assert [grad.shape for grad in grads] == [parameter.shape for parameter in net.parameters()]
 
 
-class TestSequential:
-    def test_apply_in_order(self):
-        seq = Sequential([Linear(2, 3, rng=np.random.default_rng(0)), ReLU()])
-        out = seq(Tensor(np.ones((1, 2))))
-        assert out.shape == (1, 3)
-        assert np.all(out.data >= 0.0)
+class TestMSEGradients:
+    """``mse_gradients`` against central differences of ``mean((f(x) - y)^2)``."""
 
-    def test_len_and_iter(self):
-        layers = [Linear(2, 2), ReLU()]
-        seq = Sequential(layers)
-        assert len(seq) == 2
-        assert list(seq) == layers
+    @pytest.mark.parametrize("activation", ["tanh", "relu", "sigmoid"])
+    def test_match_finite_differences(self, activation):
+        net = MLP(3, 2, hidden_sizes=(5, 4), activation=activation, output_activation="tanh", seed=2)
+        rng = np.random.default_rng(3)
+        rows, targets = rng.normal(size=(6, 3)), rng.normal(size=(6, 2))
+        loss, input_grad, grads = net.mse_gradients(rows, targets, input_grad=True)
+
+        def mse():
+            return np.mean((net.predict(rows) - targets) ** 2)
+
+        assert loss == pytest.approx(mse(), rel=1e-15)
+        np.testing.assert_allclose(input_grad, numerical_gradient(mse, rows), rtol=1e-6, atol=1e-9)
+        for parameter, grad in zip(net.parameters(), grads):
+            np.testing.assert_allclose(grad, numerical_gradient(mse, parameter.data), rtol=1e-6, atol=1e-9)
+
+    def test_input_gradient_only_on_request(self):
+        net = MLP(2, 1, hidden_sizes=(3,), seed=0)
+        _, input_grad, _ = net.mse_gradients(np.ones((2, 2)), np.zeros((2, 1)))
+        assert input_grad is None
+
+    def test_target_row_broadcasts_over_the_batch(self):
+        net = MLP(3, 2, hidden_sizes=(4,), seed=1)
+        rng = np.random.default_rng(5)
+        rows, target = rng.normal(size=(5, 3)), rng.normal(size=2)
+        loss, input_grad, grads = net.mse_gradients(rows, target, input_grad=True)
+        tiled = net.mse_gradients(rows, np.tile(target, (5, 1)), input_grad=True)
+        assert loss == tiled[0]
+        np.testing.assert_array_equal(input_grad, tiled[1])
+        for left, right in zip(grads, tiled[2]):
+            np.testing.assert_array_equal(left, right)
+
+    def test_float32_rows_give_their_float64_cast_gradients(self):
+        net = MLP(3, 1, hidden_sizes=(4,), seed=2)
+        rng = np.random.default_rng(6)
+        rows, targets = rng.normal(size=(6, 3)).astype(np.float32), rng.normal(size=(6, 1)).astype(np.float32)
+        loss, _, grads = net.mse_gradients(rows, targets)
+        cast = net.mse_gradients(rows.astype(np.float64), targets.astype(np.float64))
+        assert loss == cast[0]
+        for left, right in zip(grads, cast[2]):
+            assert left.dtype == np.float64
+            np.testing.assert_array_equal(left, right)
 
 
 class TestTargetUpdates:

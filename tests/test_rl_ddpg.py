@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from finite_differences import numerical_gradient
 
 from repro.nn.network import hard_update
 from repro.rl.ddpg import DDPGConfig, DDPGTrainer
 from repro.rl.env import ControlEnv, RewardFunction
-from tests.test_rl_ppo import PointMassEnv
+from test_rl_ppo import PointMassEnv
 
 
 class TestDDPGConfig:
@@ -89,6 +90,49 @@ class TestDDPGMechanics:
         for _ in range(20):
             action = trainer.select_action(np.array([0.5]), explore=True)
             assert np.all(np.abs(action) <= 1.0 + 1e-9)
+
+
+class TestDDPGGradients:
+    """The critic and actor gradients of one update against central
+    differences of their losses, taken just before each optimizer steps."""
+
+    def test_match_finite_differences(self):
+        config = DDPGConfig(episodes=1, batch_size=6, hidden_sizes=(5,), max_grad_norm=1e6, seed=1)
+        trainer = DDPGTrainer(PointMassEnv(seed=1), config=config, rng=1)
+        rng = np.random.default_rng(2)
+        states, actions = rng.uniform(-1, 1, size=(6, 1)), rng.uniform(-1, 1, size=(6, 1))
+        rewards, dones = rng.normal(size=6), np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+        next_states = states + 0.2 * actions
+        for row in range(6):
+            trainer.buffer.add(states[row], actions[row], rewards[row], next_states[row], bool(dones[row]))
+        trainer.buffer.sample = lambda size: (states, actions, rewards, next_states, dones)
+        next_q = trainer.target_critic.q_values(next_states, trainer.target_actor.actions(next_states))
+        targets = rewards + config.gamma * (1.0 - dones) * next_q
+
+        def critic_loss():
+            return np.mean((trainer.critic.q_values(states, actions) - targets) ** 2)
+
+        def actor_loss():
+            return -np.mean(trainer.critic.q_values(states, trainer.actor.actions(states)))
+
+        losses = []
+
+        def checking(optimizer, loss):
+            step = optimizer.apply_gradients
+
+            def apply_gradients(grads, max_grad_norm=None):
+                for parameter, grad in zip(optimizer.parameters, grads):
+                    numeric = numerical_gradient(loss, parameter.data)
+                    np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-9)
+                losses.append(loss())
+                step(grads, max_grad_norm)
+
+            return apply_gradients
+
+        trainer.critic_optimizer.apply_gradients = checking(trainer.critic_optimizer, critic_loss)
+        trainer.actor_optimizer.apply_gradients = checking(trainer.actor_optimizer, actor_loss)
+        stats = trainer.update()
+        assert [stats["critic_loss"], stats["actor_loss"]] == pytest.approx(losses, rel=1e-12)
 
 
 class TestDDPGLearning:

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.autodiff import Tensor, functional
 from repro.experts.base import NeuralController
 from repro.experts.feedback_linearization import VanDerPolFeedbackLinearization
 from repro.nn.network import MLP
@@ -29,10 +28,8 @@ def oscillator_student():
     net = MLP(2, 1, hidden_sizes=(12, 12), activation="tanh", seed=0)
     optimizer = Adam(net.parameters(), lr=5e-3)
     for _ in range(300):
-        optimizer.zero_grad()
-        loss = functional.mse_loss(net(Tensor(states)), controls)
-        loss.backward()
-        optimizer.step()
+        _, _, grads = net.mse_gradients(states, controls)
+        optimizer.apply_gradients(grads)
     return system, net
 
 

@@ -67,7 +67,6 @@ class TestReachability:
     def _trained_student(self, system, seed=0):
         """A small stabilising network obtained by regressing an LQR law."""
 
-        from repro.autodiff import Tensor, functional
         from repro.experts.lqr import LQRController
         from repro.nn.optim import Adam
 
@@ -78,10 +77,8 @@ class TestReachability:
         net = MLP(system.state_dim, system.control_dim, hidden_sizes=(12, 12), activation="tanh", seed=seed)
         optimizer = Adam(net.parameters(), lr=5e-3)
         for _ in range(250):
-            optimizer.zero_grad()
-            loss = functional.mse_loss(net(Tensor(states)), controls)
-            loss.backward()
-            optimizer.step()
+            _, _, grads = net.mse_gradients(states, controls)
+            optimizer.apply_gradients(grads)
         return net
 
     def test_reachable_boxes_enclose_simulated_trajectories(self):
