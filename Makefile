@@ -27,9 +27,7 @@
 # `scenario-smoke` runs the fast train->evaluate->verify cell for every
 # registered scenario (also collected by `test` via the scenario_smoke
 # pytest marker); `bench` regenerates the paper's tables/figures at the
-# quick scale; `bench-json` runs the `repro bench` perf-regression
-# harness and writes the machine-readable BENCH_<date>.json report
-# (see docs/performance.md); `train-bench` re-times the scalar-vs-vectorized
+# quick scale; `train-bench` re-times the scalar-vs-vectorized
 # training stages and refreshes the committed CSV; `perf-train SEED=N` runs the
 # repo benchmark's `train` workload with the per-layer trace on (optimizer
 # step, distillation, PPO collect and update); `perf-matrix SEED=N`
@@ -42,7 +40,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test test-fast test-cov shard-smoke watch-smoke serve-smoke scenario-smoke bench bench-json train-bench perf-train perf-verify perf-matrix lint
+.PHONY: test test-fast test-cov shard-smoke watch-smoke serve-smoke scenario-smoke bench train-bench perf-train perf-verify perf-matrix lint
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -62,15 +60,11 @@ test-cov:
 	$(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/jobs \
 		tests/test_jobs_messages.py tests/test_jobs_runner.py \
 		tests/test_service_dedupe.py tests/test_service_faults.py
-	$(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/perf \
-		tests/test_bench_smoke.py
 	$(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/verification \
 		tests/test_verification_batch.py tests/test_verification_partition.py \
 		tests/test_verification_reachability.py tests/test_verification_bernstein.py \
 		tests/test_verification_intervals.py tests/test_verification_invariant.py \
 		tests/test_kernel_differential.py
-	$(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/utils/dtypes.py \
-		tests/test_float32_mode.py
 	$(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/utils/profiling.py \
 		tests/test_utils_buffers.py
 	$(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/rl \
@@ -126,10 +120,6 @@ scenario-smoke:
 
 bench:
 	REPRO_SCALE=$${REPRO_SCALE:-quick} $(PYTHON) -m pytest -q benchmarks
-
-BENCH_JSON_DIR ?= runs/bench
-bench-json:
-	$(PYTHON) -m repro bench --output $(BENCH_JSON_DIR) --json
 
 train-bench:
 	REPRO_RECORD=1 $(PYTHON) -m pytest -q -s benchmarks/test_training_speed.py

@@ -438,21 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     jobs_shutdown = jobs_commands.add_parser("shutdown", help="stop the daemon")
     _add_endpoint_arguments(jobs_shutdown)
 
-    bench = subparsers.add_parser(
-        "bench", help="measure the batched hot paths and emit a BENCH_<date>.json report"
-    )
-    bench.add_argument("--paths", default=None, metavar="P1,P2",
-                       help="comma-separated subset of rollout,training,verification "
-                       "(default: all)")
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="interleaved A/B timing rounds per path (default 3)")
-    bench.add_argument("--output", type=Path, default=Path("."),
-                       help="directory for BENCH_<date>.json (default: current directory)")
-    bench.add_argument("--date", default=None, metavar="YYYY-MM-DD",
-                       help="override the report date stamp (default: today)")
-    bench.add_argument("--json", action="store_true",
-                       help="also print the full report JSON to stdout")
-
     return parser
 
 
@@ -968,40 +953,6 @@ def _command_jobs(args: argparse.Namespace) -> int:
     raise SystemExit(f"unknown jobs command {args.jobs_command!r}")  # pragma: no cover
 
 
-def _command_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.perf import bench_payload, run_bench, write_bench_report
-
-    try:
-        paths = None if args.paths is None else [
-            name.strip() for name in args.paths.split(",") if name.strip()
-        ]
-        report = run_bench(paths=paths, repeats=args.repeats)
-    except ValueError as error:
-        raise SystemExit(str(error))
-
-    output_path = write_bench_report(report, directory=args.output, date=args.date)
-    for result in report.results:
-        baseline = (
-            f"baseline {result.baseline_speedup:.2f}x"
-            if result.baseline_speedup is not None
-            else "no baseline"
-        )
-        status = "ok" if result.passed else "BELOW FLOOR"
-        print(
-            f"{result.name}: {result.speedup:.2f}x (floor {result.floor}x, {baseline}) {status}"
-        )
-    print(f"report: {output_path}")
-    if args.json:
-        print(json.dumps(bench_payload(report, date=args.date), indent=2, sort_keys=True))
-    if not report.passed:
-        failing = ", ".join(result.name for result in report.results if not result.passed)
-        print(f"FAILED: below floor on {failing}")
-        return 1
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
 
@@ -1024,8 +975,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _command_submit(args)
     if args.command == "jobs":
         return _command_jobs(args)
-    if args.command == "bench":
-        return _command_bench(args)
     raise SystemExit(f"unknown command {args.command!r}")  # pragma: no cover - argparse guards this
 
 

@@ -52,23 +52,16 @@ class MixingConfig:
     #: mixed controller competitive even with small RL budgets); pass a
     #: vector to start elsewhere, or ``0.0`` to disable the warm start.
     initial_weights: Optional[object] = None
-    #: Training precision for the PPO rollout buffer and GAE ("float64" or
-    #: "float32").  float32 is an opt-in training-only mode; verification is
-    #: always float64 (see :mod:`repro.utils.dtypes`).
-    dtype: str = "float64"
     seed: Optional[int] = None
     verbose: bool = False
 
     def __post_init__(self) -> None:
-        from repro.utils.dtypes import resolve_training_dtype
-
         if self.weight_bound < 1.0:
             raise ValueError("the paper requires AB_i >= 1 so a single expert is representable")
         if self.algorithm not in ("ppo", "ddpg"):
             raise ValueError("algorithm must be 'ppo' or 'ddpg'")
         if self.num_envs <= 0:
             raise ValueError("num_envs must be positive")
-        resolve_training_dtype(self.dtype)
 
     def ppo_config(self) -> PPOConfig:
         return PPOConfig(
@@ -80,7 +73,6 @@ class MixingConfig:
             value_lr=self.value_lr,
             objective=self.objective,
             hidden_sizes=self.hidden_sizes,
-            dtype=self.dtype,
             seed=self.seed,
             verbose=self.verbose,
         )

@@ -7,7 +7,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.utils.dtypes import resolve_training_dtype
 from repro.utils.seeding import RngLike, get_rng
 
 
@@ -26,11 +25,6 @@ class RolloutBuffer:
     The flattened ordering is time-major (all environments' step ``t``
     before any step ``t + 1``); with ``num_envs = 1`` it reduces exactly to
     the historical scalar append order.
-
-    ``dtype`` selects the storage precision of the float arrays
-    (``"float64"``, the default and the historical behavior, or
-    ``"float32"`` for the reduced-precision training mode -- see
-    :mod:`repro.utils.dtypes`).
     """
 
     states: List[np.ndarray] = field(default_factory=list)
@@ -41,8 +35,6 @@ class RolloutBuffer:
     log_probs: List[float] = field(default_factory=list)
     #: Number of parallel environments feeding the buffer.
     num_envs: int = 1
-    #: Storage precision of the float arrays ("float64" or "float32").
-    dtype: str = "float64"
     #: Bootstrap value of the single environment's final observation.
     last_value: float = 0.0
     #: Per-environment bootstrap values, shape ``(num_envs,)``; preferred
@@ -50,9 +42,6 @@ class RolloutBuffer:
     last_values: Optional[np.ndarray] = None
     advantages: Optional[np.ndarray] = None
     returns: Optional[np.ndarray] = None
-
-    def __post_init__(self) -> None:
-        self._float = resolve_training_dtype(self.dtype)
 
     def add(
         self,
@@ -65,8 +54,8 @@ class RolloutBuffer:
     ) -> None:
         if self.num_envs != 1:
             raise RuntimeError("add() is for single-env buffers; use add_batch()")
-        self.states.append(np.asarray(state, dtype=self._float))
-        self.actions.append(np.atleast_1d(np.asarray(action, dtype=self._float)))
+        self.states.append(np.asarray(state, dtype=np.float64))
+        self.actions.append(np.atleast_1d(np.asarray(action, dtype=np.float64)))
         self.rewards.append(float(reward))
         self.dones.append(bool(done))
         self.values.append(float(value))
@@ -87,16 +76,16 @@ class RolloutBuffer:
         ``(N,)`` vectors for the scalars, where ``N == num_envs``.
         """
 
-        states = np.atleast_2d(np.asarray(states, dtype=self._float))
-        actions = np.atleast_2d(np.asarray(actions, dtype=self._float))
+        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+        actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
         if len(states) != self.num_envs or len(actions) != self.num_envs:
             raise ValueError(f"add_batch() expects {self.num_envs} rows, got {len(states)}")
         self.states.append(states.copy())
         self.actions.append(actions.copy())
-        self.rewards.append(np.asarray(rewards, dtype=self._float).reshape(self.num_envs).copy())
+        self.rewards.append(np.asarray(rewards, dtype=np.float64).reshape(self.num_envs).copy())
         self.dones.append(np.asarray(dones, dtype=bool).reshape(self.num_envs).copy())
-        self.values.append(np.asarray(values, dtype=self._float).reshape(self.num_envs).copy())
-        self.log_probs.append(np.asarray(log_probs, dtype=self._float).reshape(self.num_envs).copy())
+        self.values.append(np.asarray(values, dtype=np.float64).reshape(self.num_envs).copy())
+        self.log_probs.append(np.asarray(log_probs, dtype=np.float64).reshape(self.num_envs).copy())
 
     @property
     def vectorized(self) -> bool:
@@ -120,23 +109,23 @@ class RolloutBuffer:
 
         horizon = len(self.rewards)
         envs = self.num_envs if self.vectorized else 1
-        states = np.asarray(self.states, dtype=self._float).reshape(horizon, envs, -1)
-        actions = np.asarray(self.actions, dtype=self._float).reshape(horizon, envs, -1)
+        states = np.asarray(self.states, dtype=np.float64).reshape(horizon, envs, -1)
+        actions = np.asarray(self.actions, dtype=np.float64).reshape(horizon, envs, -1)
         return {
             "states": states,
             "actions": actions,
-            "rewards": np.asarray(self.rewards, dtype=self._float).reshape(horizon, envs),
+            "rewards": np.asarray(self.rewards, dtype=np.float64).reshape(horizon, envs),
             "dones": np.asarray(self.dones, dtype=bool).reshape(horizon, envs),
-            "values": np.asarray(self.values, dtype=self._float).reshape(horizon, envs),
-            "log_probs": np.asarray(self.log_probs, dtype=self._float).reshape(horizon, envs),
+            "values": np.asarray(self.values, dtype=np.float64).reshape(horizon, envs),
+            "log_probs": np.asarray(self.log_probs, dtype=np.float64).reshape(horizon, envs),
         }
 
     def bootstrap_values(self) -> np.ndarray:
         """The per-environment GAE bootstrap, shape ``(num_envs,)``."""
 
         if self.last_values is not None:
-            return np.asarray(self.last_values, dtype=self._float).reshape(self.num_envs)
-        return np.full(self.num_envs, float(self.last_value), dtype=self._float)
+            return np.asarray(self.last_values, dtype=np.float64).reshape(self.num_envs)
+        return np.full(self.num_envs, float(self.last_value), dtype=np.float64)
 
     def arrays(self) -> Dict[str, np.ndarray]:
         """Flattened ``(T * N, ...)`` arrays in time-major order."""
@@ -162,12 +151,12 @@ class RolloutBuffer:
         }
 
     def set_advantages(self, advantages: np.ndarray, returns: np.ndarray, normalize: bool = True) -> None:
-        advantages = np.asarray(advantages, dtype=self._float)
+        advantages = np.asarray(advantages, dtype=np.float64)
         if normalize and advantages.size > 1:
             std = advantages.std()
             advantages = (advantages - advantages.mean()) / (std + 1e-8)
         self.advantages = advantages
-        self.returns = np.asarray(returns, dtype=self._float)
+        self.returns = np.asarray(returns, dtype=np.float64)
 
     def minibatches(self, batch_size: int, rng: RngLike = None) -> Iterator[Dict[str, np.ndarray]]:
         """Yield shuffled minibatches of the stored transitions."""

@@ -18,8 +18,6 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.utils.dtypes import resolve_training_dtype
-
 
 def discounted_returns(rewards: np.ndarray, dones: np.ndarray, gamma: float, last_value: float = 0.0) -> np.ndarray:
     """Discounted reward-to-go with bootstrapping at a truncated final step."""
@@ -79,7 +77,6 @@ def compute_gae_batch(
     gamma: float,
     lam: float,
     last_values: np.ndarray,
-    dtype: "str | np.dtype" = "float64",
 ) -> Tuple[np.ndarray, np.ndarray]:
     """GAE over ``(T, N)`` time-major batches from ``N`` parallel envs.
 
@@ -89,25 +86,20 @@ def compute_gae_batch(
     when that environment's last transition is truncated rather than done).
     Column ``n`` of the result equals ``compute_gae`` run on column ``n``
     alone, bit for bit -- episode boundaries never leak across columns.
-
-    ``dtype`` selects the working precision (``"float64"``, the default, or
-    ``"float32"`` for the reduced-precision training mode); the scalar
-    :func:`compute_gae` reference always runs in float64.
     """
 
-    dtype = resolve_training_dtype(dtype)
-    rewards = np.atleast_2d(np.asarray(rewards, dtype=dtype))
-    values = np.atleast_2d(np.asarray(values, dtype=dtype))
+    rewards = np.atleast_2d(np.asarray(rewards, dtype=np.float64))
+    values = np.atleast_2d(np.asarray(values, dtype=np.float64))
     dones = np.atleast_2d(np.asarray(dones, dtype=bool))
     if not (rewards.shape == values.shape == dones.shape):
         raise ValueError("rewards, values and dones must have equal (T, N) shapes")
     horizon, num_envs = rewards.shape
-    last_values = np.asarray(last_values, dtype=dtype).reshape(-1)
+    last_values = np.asarray(last_values, dtype=np.float64).reshape(-1)
     if last_values.shape != (num_envs,):
         raise ValueError(f"last_values must have shape ({num_envs},), got {last_values.shape}")
 
     advantages = np.zeros_like(rewards)
-    gae = np.zeros(num_envs, dtype=dtype)
+    gae = np.zeros(num_envs)
     for index in reversed(range(horizon)):
         if index == horizon - 1:
             next_value = np.where(dones[index], 0.0, last_values)

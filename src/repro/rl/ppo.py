@@ -20,7 +20,6 @@ from repro.rl.buffers import RolloutBuffer
 from repro.rl.env import ControlEnv
 from repro.rl.gae import compute_gae_batch
 from repro.rl.policies import CategoricalMLPPolicy, GaussianMLPPolicy, ValueNetwork
-from repro.utils.dtypes import resolve_training_dtype
 from repro.utils.logging import TrainingLogger
 from repro.utils.seeding import RngLike, get_rng
 
@@ -49,10 +48,6 @@ class PPOConfig:
     entropy_coefficient: float = 0.0
     max_grad_norm: float = 5.0
     hidden_sizes: tuple = (64, 64)
-    #: Precision of the rollout buffer and GAE ("float64" or "float32").
-    #: float32 is a training-only speed/memory mode; verification always
-    #: runs in float64 (see :mod:`repro.utils.dtypes`).
-    dtype: str = "float64"
     seed: Optional[int] = None
     verbose: bool = False
 
@@ -65,7 +60,6 @@ class PPOConfig:
             raise ValueError("num_envs must be positive")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("gamma must be in (0, 1]")
-        resolve_training_dtype(self.dtype)
 
 
 PolicyType = Union[GaussianMLPPolicy, CategoricalMLPPolicy]
@@ -176,7 +170,7 @@ class PPOTrainer:
 
         vec_env = self._vectorized_env()
         num_envs = vec_env.num_envs
-        buffer = RolloutBuffer(num_envs=num_envs, dtype=self.config.dtype)
+        buffer = RolloutBuffer(num_envs=num_envs)
         observations = vec_env.reset()
         episode_returns = []
         running_returns = np.zeros(num_envs)
@@ -274,7 +268,6 @@ class PPOTrainer:
             gamma=self.config.gamma,
             lam=self.config.gae_lambda,
             last_values=buffer.bootstrap_values(),
-            dtype=buffer.dtype,
         )
         # Flatten (T, N) time-major, matching ``RolloutBuffer.arrays()``.
         buffer.set_advantages(advantages.reshape(-1), returns.reshape(-1))

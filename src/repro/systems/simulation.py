@@ -42,7 +42,6 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from repro.systems.base import ControlSystem
-from repro.utils.dtypes import resolve_training_dtype
 from repro.utils.seeding import RngLike, get_rng
 
 #: A controller maps the observed state to a (possibly unclipped) control.
@@ -227,7 +226,6 @@ def rollout_batch(
     rng: RngLike = None,
     stop_on_violation: bool = True,
     record_states: bool = True,
-    dtype: "str | np.dtype" = "float64",
 ) -> TrajectoryBatch:
     """Simulate ``N`` closed loops in lockstep from the rows of ``initial_states``.
 
@@ -277,26 +275,15 @@ def rollout_batch(
         not stored (the returned arrays are empty); the scalar summaries
         (``safe``, ``steps``, ``energy``, ``violation_step``) are unaffected.
         Metric sweeps use this to avoid allocating ``(N, T, dim)`` arrays.
-    dtype:
-        Precision of the state/observation/control arrays, ``"float64"``
-        (the default, bit-identical to the historical engine) or
-        ``"float32"`` -- a training-side option that halves history memory
-        traffic (controllers and plants still compute through their own
-        precision; values are cast at each step boundary).  Verification
-        paths reject float32, see :mod:`repro.utils.dtypes`.
     """
 
     generator = get_rng(rng)
-    dtype = resolve_training_dtype(dtype)
-    native = dtype == np.float64
     horizon = int(horizon) if horizon is not None else system.horizon
     states = np.atleast_2d(np.asarray(initial_states, dtype=np.float64)).copy()
     if states.shape[-1] != system.state_dim:
         raise ValueError(
             f"initial_states have shape {states.shape}, expected (N, {system.state_dim})"
         )
-    if not native:
-        states = states.astype(dtype)
     count = len(states)
 
     initially_safe = system.is_safe_batch(states)
@@ -308,11 +295,11 @@ def rollout_batch(
     all_active = bool(active.all())
 
     if record_states:
-        states_history = np.empty((count, horizon + 1, system.state_dim), dtype=dtype)
+        states_history = np.empty((count, horizon + 1, system.state_dim))
         states_history[:, 0] = states
-        observed_history = np.empty((count, horizon + 1, system.state_dim), dtype=dtype)
+        observed_history = np.empty((count, horizon + 1, system.state_dim))
         observed_history[:, 0] = states
-        controls_history = np.zeros((count, horizon, system.control_dim), dtype=dtype)
+        controls_history = np.zeros((count, horizon, system.control_dim))
 
     executed = 0
     for step in range(horizon):
@@ -329,17 +316,11 @@ def rollout_batch(
         observations = current
         if perturbation is not None:
             observations = _perturbation_batch(perturbation, current, generator)
-            if not native:
-                observations = observations.astype(dtype, copy=False)
         commands = batch_controls(controller, observations)
         applied = system.clip_control_batch(commands)
-        if not native:
-            applied = np.asarray(applied, dtype=dtype)
 
         disturbances = system.disturbance.sample_batch(generator, count=len(current))
         next_states = system.dynamics_batch(current, applied, disturbances)
-        if not native:
-            next_states = np.asarray(next_states, dtype=dtype)
 
         if index is None:
             energy += np.sum(np.abs(applied), axis=1)

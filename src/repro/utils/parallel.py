@@ -19,8 +19,14 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 
 def available_cpu_count() -> int:
-    """The CPUs this process may use (``os.cpu_count()``, floored at 1)."""
+    """The CPUs this process may use, floored at 1.
 
+    That is the process's affinity mask where the OS has one, so ``taskset``
+    and cgroup cpusets narrow it; elsewhere it is ``os.cpu_count()``.
+    """
+
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
     return max(1, os.cpu_count() or 1)
 
 

@@ -1,12 +1,10 @@
-"""Stage-level wall-clock timing shared by the pipeline and the bench CLI.
+"""Stage-level wall-clock timing shared by the pipeline and the matrix.
 
 :class:`StageTimer` is the one way the repo measures named stages: the
 Cocktail pipeline times its four training stages with it (the
 ``stage_seconds`` dict on :class:`repro.core.cocktail.CocktailResult` is a
-``StageTimer`` export), the scenario matrix forwards those stages into
-``StageTiming`` telemetry events, and ``repro bench`` uses the same timer
-for its per-path measurements so every timing in the repo is produced by
-identical code.
+``StageTimer`` export), and the scenario matrix forwards those stages into
+``StageTiming`` telemetry events.
 """
 
 from __future__ import annotations

@@ -55,9 +55,6 @@ class SweepJob:
     work_budget: Optional[int] = None
     invariant_grid: Optional[int] = None
     time_budget_seconds: Optional[float] = None
-    #: Must stay "float64" -- verification is float64-only; any other value
-    #: makes the job fail fast in :func:`verify_controller`.
-    dtype: str = "float64"
 
     @classmethod
     def from_network(cls, name: str, system: str, network: MLP, **parameters) -> "SweepJob":
@@ -257,7 +254,6 @@ def run_sweep_job(job: SweepJob) -> SweepJobResult:
             reach_work_budget=job.work_budget,
             invariant_grid=job.invariant_grid,
             time_budget_seconds=job.time_budget_seconds,
-            dtype=job.dtype,
         )
         summary = report.summary()
         if job.invariant_grid and report.invariant is None:

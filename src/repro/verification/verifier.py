@@ -20,7 +20,6 @@ from repro.nn.lipschitz import network_lipschitz
 from repro.nn.network import MLP
 from repro.systems.base import ControlSystem
 from repro.systems.sets import Box
-from repro.utils.dtypes import require_float64
 from repro.verification.invariant import InvariantSetResult, compute_invariant_set
 from repro.verification.partition import PartitionedApproximation, partition_network
 from repro.verification.reachability import ReachabilityResult, reachable_sets
@@ -89,7 +88,6 @@ def verify_controller(
     reach_work_budget: Optional[int] = None,
     invariant_grid: Optional[int] = None,
     time_budget_seconds: Optional[float] = None,
-    dtype: "str | object" = "float64",
 ) -> VerificationReport:
     """Run the selected verification analyses on one neural controller.
 
@@ -101,15 +99,8 @@ def verify_controller(
     boundaries: a reachability analysis that has not started when the
     budget runs out is reported with ``status='resource-exhausted'`` (zero
     steps), and a pending invariant-set analysis is skipped.
-
-    ``dtype`` exists only to reject misconfiguration loudly: verification
-    is pinned to float64 (the soundness story rests on bit-identical
-    kernels and committed golden enclosures), so anything other than
-    float64 -- e.g. the training stack's float32 mode leaking in -- raises
-    ``ValueError`` before any analysis runs.
     """
 
-    require_float64(dtype, "verify_controller")
     start = time.perf_counter()
     deadline = start + float(time_budget_seconds) if time_budget_seconds is not None else None
     lipschitz_constant = network_lipschitz(network)

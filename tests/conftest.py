@@ -29,11 +29,6 @@ def pytest_configure(config):
         "scenario_smoke: fast train->evaluate->verify cell for every registered scenario "
         "(the `make scenario-smoke` selection)",
     )
-    config.addinivalue_line(
-        "markers",
-        "bench_smoke: tiny-scale run of the repro-bench perf-regression harness "
-        "(collected by tier-1; the full measurement lives in `make bench-json`)",
-    )
 
 
 @pytest.fixture

@@ -72,6 +72,18 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["scenarios", "run", "--scenario", "quadrotor"])
 
+    def test_unknown_verb_is_an_invalid_choice(self, capsys):
+        assert _exit_code(["bench"]) == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "verb",
+        ["train", "evaluate", "verify", "verify-sweep", "scenarios", "runs", "serve", "submit", "jobs"],
+    )
+    def test_every_verb_prints_its_help(self, verb, capsys):
+        assert _exit_code([verb, "--help"]) == 0
+        assert f"usage: repro {verb}" in capsys.readouterr().out
+
     def test_verify_sweep_defaults(self):
         args = build_parser().parse_args(["verify-sweep", "--spec", "vanderpol:runs/vdp"])
         assert args.command == "verify-sweep"

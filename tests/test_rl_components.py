@@ -93,6 +93,28 @@ class TestRolloutBuffer:
         assert len(buffer) == 0
         assert buffer.advantages is None
 
+    def test_arrays_are_float64_whatever_the_input_precision(self):
+        buffer = RolloutBuffer(num_envs=2)
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            buffer.add_batch(
+                states=rng.normal(size=(2, 3)).astype(np.float32),
+                actions=rng.normal(size=(2, 1)).astype(np.float32),
+                rewards=rng.normal(size=2).astype(np.float32),
+                dones=np.array([False, False]),
+                values=rng.normal(size=2).astype(np.float32),
+                log_probs=rng.normal(size=2).astype(np.float32),
+            )
+        buffer.last_values = rng.normal(size=2).astype(np.float32)
+        stacked = buffer.time_major()
+        for key in ("states", "actions", "rewards", "values", "log_probs"):
+            assert stacked[key].dtype == np.float64, key
+        assert stacked["dones"].dtype == bool
+        assert buffer.bootstrap_values().dtype == np.float64
+        buffer.set_advantages(np.ones(10, dtype=np.float32), np.ones(10, dtype=np.float32))
+        assert buffer.advantages.dtype == np.float64
+        assert buffer.returns.dtype == np.float64
+
 
 class TestReplayBuffer:
     def test_add_and_sample(self):

@@ -91,6 +91,21 @@ class TestBatchedGAEProperties:
         )
         np.testing.assert_array_equal(adv[0], [5.0, 0.0, -2.0])
 
+    def test_float32_inputs_give_float64_outputs_of_their_cast(self):
+        rng = np.random.default_rng(0)
+        rewards = rng.normal(size=(20, 4)).astype(np.float32)
+        values = rng.normal(size=(20, 4)).astype(np.float32)
+        dones = rng.random(size=(20, 4)) < 0.1
+        last = rng.normal(size=4).astype(np.float32)
+        adv, ret = compute_gae_batch(rewards, values, dones, 0.99, 0.95, last)
+        assert adv.dtype == np.float64 and ret.dtype == np.float64
+        adv64, ret64 = compute_gae_batch(
+            rewards.astype(np.float64), values.astype(np.float64), dones, 0.99, 0.95,
+            last.astype(np.float64),
+        )
+        np.testing.assert_array_equal(adv, adv64)
+        np.testing.assert_array_equal(ret, ret64)
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             compute_gae_batch(

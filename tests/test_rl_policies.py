@@ -192,6 +192,59 @@ class TestValueAndQNetworks:
         np.testing.assert_allclose(input_grad[:, 2:], numeric, rtol=1e-6, atol=1e-9)
 
 
+def _gaussian():
+    return GaussianMLPPolicy(2, 2, action_low=[-1.5, -1.5], action_high=[1.5, 1.5], hidden_sizes=(8,), seed=0)
+
+
+def _categorical():
+    return CategoricalMLPPolicy(2, 3, hidden_sizes=(8,), seed=0)
+
+
+def _deterministic():
+    return DeterministicMLPPolicy(2, 2, action_low=[-1, 0], action_high=[1, 4], hidden_sizes=(8,), seed=0)
+
+
+# Every policy and critic entry point, as ``(make, call(module, states, actions))``.
+_ENTRY_POINTS = {
+    "gaussian-log_prob": (_gaussian, lambda p, s, a: p.log_prob(s, a)),
+    "gaussian-act_batch": (_gaussian, lambda p, s, a: p.act_batch(s, rng=0)),
+    "gaussian-act": (_gaussian, lambda p, s, a: p.act(s[0], rng=0)),
+    "gaussian-mean_actions": (_gaussian, lambda p, s, a: p.mean_actions(s)),
+    "gaussian-mean_action": (_gaussian, lambda p, s, a: p.mean_action(s[0])),
+    "categorical-log_prob": (_categorical, lambda p, s, a: p.log_prob(s, np.array([0, 2, 1, 0]))),
+    "categorical-act_batch": (_categorical, lambda p, s, a: p.act_batch(s, rng=0)),
+    "categorical-probabilities": (_categorical, lambda p, s, a: p.probabilities(s[0])),
+    "deterministic-actions": (_deterministic, lambda p, s, a: p.actions(s)),
+    "deterministic-act_batch": (_deterministic, lambda p, s, a: p.act_batch(s, noise_scale=0.1, rng=0)),
+    "deterministic-act": (_deterministic, lambda p, s, a: p.act(s[0])),
+    "value-values": (lambda: ValueNetwork(2, hidden_sizes=(8,), seed=0), lambda p, s, a: p.values(s)),
+    "value-value": (lambda: ValueNetwork(2, hidden_sizes=(8,), seed=0), lambda p, s, a: p.value(s[0])),
+    "q-q_values": (lambda: QNetwork(2, 2, hidden_sizes=(8,), seed=0), lambda p, s, a: p.q_values(s, a)),
+}
+
+
+class TestFloat64EntryPoints:
+    """Training runs in float64 only: a float32 batch handed to any policy or
+    critic entry point is computed as its float64 cast, bit for bit."""
+
+    @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+    def test_float32_inputs_run_as_their_float64_cast(self, entry):
+        make, call = _ENTRY_POINTS[entry]
+        rng = np.random.default_rng(7)
+        states = rng.normal(size=(4, 2)).astype(np.float32)
+        actions = rng.normal(size=(4, 2)).astype(np.float32)
+        narrow = call(make(), states, actions)
+        wide = call(make(), states.astype(np.float64), actions.astype(np.float64))
+        narrow = narrow if isinstance(narrow, tuple) else (narrow,)
+        wide = wide if isinstance(wide, tuple) else (wide,)
+        for got, expected in zip(narrow, wide):
+            got, expected = np.asarray(got), np.asarray(expected)
+            if got.dtype.kind == "f":
+                assert got.dtype == np.float64
+            assert got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
+
+
 def _assert_matches_finite_differences(policy, loss, grads):
     assert len(grads) == len(policy.parameters())
     for parameter, grad in zip(policy.parameters(), grads):

@@ -9,7 +9,9 @@ covered automatically:
   one-step images of random sub-boxes land inside the interval image;
 * the default expert pair exists, is named ``kappa1``/``kappa2`` and maps
   batched states to batched controls;
-* the disturbance model's batch sampler matches its bound.
+* the disturbance model's batch sampler matches its bound;
+* closed-loop rollouts run in float64, a float32 batch of initial states
+  rolls out as its float64 cast, and a seed fixes the rollout bit for bit.
 """
 
 import numpy as np
@@ -140,32 +142,32 @@ class TestScenarioConformance:
         _, system = bundles[name]
         assert system.safe_region.contains_box(system.initial_set)
 
-    def test_rollout_supports_both_training_dtypes(self, name, bundles):
-        """Every scenario rolls out in both training precisions: float64 is
-        the default, and float32 stays within float32 tolerance of it on
-        the same seed (see repro.utils.dtypes for the policy)."""
-
+    def _expert_rollout(self, system, initial_states, seed=0):
         from repro.systems.simulation import rollout_batch
 
-        _, system = bundles[name]
         controller = make_default_experts(system)[0]
-        rng = np.random.default_rng(5)
-        initial_states = system.initial_set.sample(rng, count=6)
-        golden = rollout_batch(
-            system, controller, initial_states, horizon=20,
-            rng=np.random.default_rng(0), dtype="float64",
+        return rollout_batch(
+            system, controller, initial_states, horizon=20, rng=np.random.default_rng(seed)
         )
-        reduced = rollout_batch(
-            system, controller, initial_states, horizon=20,
-            rng=np.random.default_rng(0), dtype="float32",
-        )
-        assert golden.states.dtype == np.float64
-        assert reduced.states.dtype == np.float32
-        assert reduced.controls.dtype == np.float32
-        np.testing.assert_array_equal(reduced.safe, golden.safe)
-        np.testing.assert_array_equal(reduced.steps, golden.steps)
-        scale = max(1.0, float(np.max(np.abs(golden.states))))
-        np.testing.assert_allclose(
-            reduced.states, golden.states.astype(np.float32),
-            rtol=1e-3, atol=1e-3 * scale,
-        )
+
+    def test_rollout_runs_float32_initial_states_as_their_float64_cast(self, name, bundles):
+        _, system = bundles[name]
+        initial_states = system.initial_set.sample(np.random.default_rng(5), count=6)
+        narrowed = initial_states.astype(np.float32)
+        cast = self._expert_rollout(system, narrowed)
+        widened = self._expert_rollout(system, narrowed.astype(np.float64))
+        for field in ("states", "observed_states", "controls"):
+            assert getattr(cast, field).dtype == np.float64, field
+            assert getattr(cast, field).tobytes() == getattr(widened, field).tobytes(), field
+        np.testing.assert_array_equal(cast.safe, widened.safe)
+        np.testing.assert_array_equal(cast.steps, widened.steps)
+
+    def test_rollout_is_fixed_by_its_seed(self, name, bundles):
+        _, system = bundles[name]
+        initial_states = system.initial_set.sample(np.random.default_rng(5), count=6)
+        first = self._expert_rollout(system, initial_states, seed=3)
+        again = self._expert_rollout(system, initial_states, seed=3)
+        for field in ("states", "observed_states", "controls", "energy"):
+            assert getattr(first, field).tobytes() == getattr(again, field).tobytes(), field
+        np.testing.assert_array_equal(first.safe, again.safe)
+        np.testing.assert_array_equal(first.steps, again.steps)

@@ -257,6 +257,28 @@ class TestViolationMasking:
         with pytest.raises(ValueError):
             batch.trajectory(0)
 
+    def test_histories_are_float64_whatever_the_input_precision(self, vanderpol):
+        controller = NeuralController(
+            MLP(vanderpol.state_dim, vanderpol.control_dim, hidden_sizes=(16, 16), seed=0)
+        )
+        initial_states = sample_initial_states(vanderpol, 16, rng=0)
+        reference = rollout_batch(
+            vanderpol, controller, initial_states, rng=np.random.default_rng(0)
+        )
+        narrowed = initial_states.astype(np.float32)
+        cast = rollout_batch(
+            vanderpol, controller, narrowed, rng=np.random.default_rng(0)
+        )
+        widened = rollout_batch(
+            vanderpol, controller, narrowed.astype(np.float64), rng=np.random.default_rng(0)
+        )
+        for batch in (reference, cast):
+            for history in (batch.states, batch.observed_states, batch.controls):
+                assert history.dtype == np.float64
+        # float32 initial states run as their float64 cast, bit for bit.
+        for field in ("states", "observed_states", "controls", "energy"):
+            assert getattr(cast, field).tobytes() == getattr(widened, field).tobytes(), field
+
 
 class TestBatchedAttacks:
     def test_fgsm_batch_matches_scalar_rows(self, vanderpol):

@@ -1,4 +1,4 @@
-"""Regression tests: pool sizes track ``os.cpu_count()``, results do not.
+"""Regression tests: pool sizes track the usable CPU count, results do not.
 
 The original sin this guards against: a 1-CPU container where a process
 pool defaulted to one worker per *job* would fork dozens of workers that
@@ -20,8 +20,14 @@ from repro.utils.parallel import available_cpu_count, default_worker_count
 from repro.verification.sweep import SweepJob, VerificationSweep
 
 
-def _fake_cpu_count(monkeypatch, count):
+def _fake_cpu_count(monkeypatch, count, affinity=None):
+    """Pretend the machine has ``count`` CPUs, of which ``affinity`` (default:
+    all of them) are this process's."""
+
+    if affinity is None:
+        affinity = set(range(count or 0))
     monkeypatch.setattr(os, "cpu_count", lambda: count)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(affinity), raising=False)
 
 
 def _dummy_jobs(count):
@@ -48,6 +54,41 @@ class TestCpuDerivation:
         assert default_worker_count(jobs=2) == 2
         assert default_worker_count(jobs=0) == 1
 
+    def test_affinity_mask_narrows_the_count(self, monkeypatch):
+        """Under ``taskset``/a cpuset the pools size to the allowed CPUs."""
+
+        _fake_cpu_count(monkeypatch, 8, affinity={0})
+        assert available_cpu_count() == 1
+        assert default_worker_count() == 1
+        assert default_worker_count(jobs=64) == 1
+
+    def test_cpu_count_without_affinity_support(self, monkeypatch):
+        _fake_cpu_count(monkeypatch, 6)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert available_cpu_count() == 6
+
+    @pytest.mark.parametrize(
+        "count, affinity, jobs, expected",
+        [
+            (8, {0}, None, 1),
+            (8, {0, 1}, 64, 2),
+            (8, {2, 5, 7}, 64, 3),
+            (8, {2, 5, 7}, 2, 2),
+            (8, set(range(8)), None, 8),
+            (None, {0, 1, 2, 3}, 64, 4),
+        ],
+        ids=["one-of-8", "two-of-8", "three-scattered", "jobs-below-mask", "all-of-8", "no-cpu-count"],
+    )
+    def test_worker_count_follows_the_affinity_mask(self, monkeypatch, count, affinity, jobs, expected):
+        _fake_cpu_count(monkeypatch, count, affinity=affinity)
+        assert available_cpu_count() == len(affinity)
+        assert default_worker_count(jobs=jobs) == expected
+
+    def test_empty_affinity_mask_floors_at_one(self, monkeypatch):
+        _fake_cpu_count(monkeypatch, 8, affinity=set())
+        assert available_cpu_count() == 1
+        assert default_worker_count(jobs=64) == 1
+
 
 class TestSweepPoolRegression:
     def test_one_cpu_container_gets_an_inline_sweep(self, monkeypatch):
@@ -65,6 +106,12 @@ class TestSweepPoolRegression:
     def test_explicit_processes_still_win(self, monkeypatch):
         _fake_cpu_count(monkeypatch, 1)
         assert VerificationSweep(_dummy_jobs(4), processes=2).processes == 2
+
+    def test_pinned_to_one_cpu_of_many_gets_an_inline_sweep(self, monkeypatch):
+        """``taskset -c 0`` on a wide machine must not fork a wide pool."""
+
+        _fake_cpu_count(monkeypatch, 8, affinity={0})
+        assert VerificationSweep(_dummy_jobs(16), processes=None).processes == 1
 
 
 class TestTrainerWidthRegression:
