@@ -19,7 +19,8 @@
 # differential pack;
 # `shard-smoke` runs a real 2-shard matrix against one run directory,
 # merges it back end-to-end, and `cmp`s the merged CSV with the same matrix
-# run unsharded on a 2-worker pool (`--jobs 2`); `watch-smoke` runs two telemetry-emitting
+# run unsharded on a 2-worker pool (`--jobs 2`), once with a run directory and
+# once without (one CSV schema); `watch-smoke` runs two telemetry-emitting
 # shards, then exercises `runs watch --once` and `runs stats` against the
 # shared event log; `serve-smoke` starts the job daemon, submits a matrix
 # over HTTP with `repro submit --wait`, lists the jobs, watches the run,
@@ -88,6 +89,9 @@ shard-smoke:
 		--no-train --no-verify --samples 4 --run-dir $(SHARD_SMOKE_DIR)-jobs2 --jobs 2 \
 		--csv $(SHARD_SMOKE_DIR)-jobs2/matrix.csv
 	cmp $(SHARD_SMOKE_DIR)/matrix.csv $(SHARD_SMOKE_DIR)-jobs2/matrix.csv
+	$(PYTHON) -m repro scenarios run --scenario pendulum --scenario cartpole \
+		--no-train --no-verify --samples 4 --jobs 2 --csv $(SHARD_SMOKE_DIR)-jobs2/no-run-dir.csv
+	cmp $(SHARD_SMOKE_DIR)/matrix.csv $(SHARD_SMOKE_DIR)-jobs2/no-run-dir.csv
 
 WATCH_SMOKE_DIR ?= runs/watch-smoke
 watch-smoke:

@@ -49,8 +49,9 @@ such as ``vanderpol?mu=1.5`` are accepted everywhere.  ``train``,
 ``verify-sweep`` and ``scenarios run`` accept ``--run-dir`` to cache every
 pipeline stage in a :class:`repro.experiments.RunStore` keyed by the
 digest of its resolved config: rerunning an unchanged command serves the
-results from the store, and an interrupted ``scenarios run`` resumed with
-``--resume`` executes only the missing cells (see ``docs/experiments.md``).
+results from the store, and an interrupted ``scenarios run`` rerun against
+the same ``--run-dir`` executes only the missing cells (see
+``docs/experiments.md``).
 ``scenarios run --shard i/N`` splits one matrix into disjoint slices for
 hosts sharing a run directory, and ``runs merge`` reproduces the
 byte-identical single-process CSV.
@@ -285,12 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
         "instead of recomputed, so reruns are incremental",
     )
     run.add_argument(
-        "--resume",
-        action="store_true",
-        help="explicitly resume an interrupted sweep from --run-dir (reuse is already "
-        "the default with --run-dir; this flag just rejects a missing --run-dir)",
-    )
-    run.add_argument(
         "--force",
         action="store_true",
         help="recompute every cell and overwrite the store entries (needs --run-dir)",
@@ -317,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-telemetry",
         action="store_true",
         help="do not append the typed event log under <run-dir>/events/ "
-        "(store-backed runs write it by default; see `repro runs watch`)",
+        "(runs with --run-dir write it by default; see `repro runs watch`)",
     )
 
     runs = subparsers.add_parser("runs", help="inspect or clean an experiment run store")
@@ -353,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
         "watch", help="follow a running matrix fleet live from its event log"
     )
     runs_watch.add_argument("--run-dir", type=Path, required=True,
-                            help="the run directory a store-backed `scenarios run` writes into")
+                            help="the run directory a `scenarios run --run-dir` writes into")
     runs_watch.add_argument("--once", action="store_true",
                             help="print one snapshot frame and exit (for scripts and smoke tests)")
     runs_watch.add_argument("--interval", type=float, default=2.0, metavar="SECONDS",
@@ -579,8 +574,10 @@ def _command_scenarios(args: argparse.Namespace) -> int:
             )
         return 0
 
-    if (args.resume or args.force) and args.run_dir is None:
-        raise SystemExit("--resume/--force need --run-dir (there is no store to resume from)")
+    if args.force and args.run_dir is None:
+        raise SystemExit("--force needs --run-dir (there is no store to overwrite)")
+    if args.shard_time_budget and args.shard is None:
+        raise SystemExit("--shard-time-budget needs --shard")
     if args.shard is not None and args.run_dir is None:
         raise SystemExit("--shard needs --run-dir (shards share one run store)")
     if args.shard is not None and args.csv is not None:
@@ -661,7 +658,7 @@ def _runs_watch(args: argparse.Namespace) -> int:
     if not root.is_dir():
         raise SystemExit(
             f"no event log under {args.run_dir} (expected {root}); telemetry is written "
-            "by store-backed `scenarios run` -- pass the same --run-dir here"
+            "by `scenarios run --run-dir` -- pass the same --run-dir here"
         )
     tailer = EventTailer(args.run_dir)
     state = fold_events(tailer.poll())
@@ -690,7 +687,7 @@ def _runs_stats(args: argparse.Namespace) -> int:
     if missing:
         raise SystemExit(
             f"no event log under: {', '.join(missing)} (telemetry is written by "
-            "store-backed `scenarios run`)"
+            "`scenarios run --run-dir`)"
         )
     stats = fleet_stats(run_dirs, stale_after=args.stale_after)
     if args.json:

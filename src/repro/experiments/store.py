@@ -19,7 +19,7 @@ answer an unchanged request from disk instead of recomputing it.
 Entries are written atomically: artefacts land in a temporary sibling
 directory that is renamed into place only once ``result.json`` exists, so
 a run killed mid-cell leaves at most an ignorable ``.tmp`` directory and a
-subsequent ``--resume`` recomputes exactly the missing cells.  Timestamps
+rerun against the same store recomputes exactly the missing cells.  Timestamps
 live in ``entry.json`` only; ``result.json`` is a deterministic function
 of the work, which is what the byte-stability regression tests pin.
 """

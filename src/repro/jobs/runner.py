@@ -467,8 +467,10 @@ def execute_matrix(
 ):
     """Run the scenario matrix; returns the :class:`ScenarioMatrixReport`.
 
-    Sharded topologies stay on :func:`repro.scenarios.run_scenario_matrix`
-    directly -- a shard is one slice of a run, not a job.
+    Without ``store``/``run_dir`` the matrix runs against a temporary
+    store (same rows, no event log).  Sharded topologies stay on
+    :func:`repro.scenarios.run_scenario_matrix` directly -- a shard is one
+    slice of a run, not a job.
     """
 
     from repro.scenarios import run_scenario_matrix
@@ -499,7 +501,7 @@ def execute_matrix(
 def matrix_payload(report) -> Tuple[Dict, bool]:
     """JSON-able matrix outcome + job-level cacheability.
 
-    Store-backed rows carry no timings, so a completed (``status == "ok"``)
+    Matrix rows carry no timings, so a completed (``status == "ok"``)
     report serialises identically forever; anything else reruns.
     """
 

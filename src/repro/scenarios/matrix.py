@@ -27,15 +27,17 @@ calls ``on_cell``, and the rows are sorted into the canonical
 :func:`plan_matrix_cells` order before the report is returned.
 ``jobs <= 1`` runs the same tasks inline.
 
-With a :class:`~repro.experiments.store.RunStore` (``store=``/``run_dir=``)
-the matrix becomes an *incremental* workload: every stage -- the kappa*
-training, each evaluation cell, each verification job -- is keyed by the
-digest of its resolved config and flushed to the store as soon as it
-completes, so an interrupted sweep rerun with ``resume=True`` executes
-only the missing cells and a fully warmed store answers the whole matrix
-from disk.  Store-backed rows are deterministic (wall-clock timings stay
-in the telemetry log, not in the rows), which is what makes the resumed
-CSV byte-identical to an uninterrupted run.
+Every run goes through a :class:`~repro.experiments.store.RunStore`: the
+caller's (``store=``/``run_dir=``), or a temporary one removed when the
+run ends.  Every stage -- the kappa* training, each evaluation cell, each
+verification job -- is keyed by the digest of its resolved config and
+flushed to the store as soon as it completes, and every row is read back
+from what was stored.  Against a kept run directory the matrix is
+therefore *incremental*: an interrupted sweep rerun against it executes
+only the missing cells, and a fully warmed store answers the whole
+matrix from disk.  Rows are deterministic (wall-clock timings stay in the
+telemetry log, not in the rows), so the CSV has one schema and is
+byte-identical whether the run was fresh, resumed, pooled or merged.
 
 Sharding
 --------
@@ -58,8 +60,8 @@ regardless of shard count or completion order.
 
 Telemetry
 ---------
-Store-backed runs additionally append a typed event log under
-``<run_dir>/events/`` (see :mod:`repro.telemetry`): every counter
+Runs against a caller's run store additionally append a typed event log
+under ``<run_dir>/events/`` (see :mod:`repro.telemetry`): every counter
 increment in the report pairs with exactly one ``cell-finished`` /
 ``cell-cached`` event, plus run lifecycle, heartbeat, stage-timing and
 sweep-job events -- which is what ``repro runs watch`` tails live and
@@ -73,6 +75,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -80,6 +83,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 
 from repro.core.cocktail import CocktailPipeline
 from repro.core.config import CocktailConfig
+from repro.experiments.store import RunStore
 from repro.experts.base import NeuralController
 from repro.metrics.robustness import evaluate_robustness
 from repro.scenarios.registry import list_scenarios, resolve_scenario
@@ -96,7 +100,7 @@ from repro.telemetry.events import (
 from repro.utils.parallel import default_worker_count, single_threaded_blas
 from repro.utils.seeding import set_global_seed
 
-#: Non-deterministic keys stripped from store-backed verification rows.
+#: Non-deterministic keys stripped from verification rows.
 _TIMING_KEYS = ("total_seconds", "reach_seconds", "invariant_seconds")
 
 #: The training-budget keys that scale with ``budget_scale``.
@@ -263,8 +267,8 @@ class MatrixIncompleteError(RuntimeError):
             preview += ", ..."
         super().__init__(
             f"run store is missing {len(self.missing)} cell(s): {preview} -- "
-            "run the remaining shards (or rerun an interrupted shard with --resume) "
-            "before merging"
+            "run the remaining shards (or rerun an interrupted shard against the same "
+            "--run-dir) before merging"
         )
 
 
@@ -275,7 +279,7 @@ class ScenarioMatrixReport:
     rows: List[Dict] = field(default_factory=list)
     scenarios: List[str] = field(default_factory=list)
     elapsed_seconds: float = 0.0
-    #: Stage executions vs run-store replays (both stay 0 without a store).
+    #: Stage executions vs run-store replays.
     cells_computed: int = 0
     cells_cached: int = 0
     #: Owned cells left unrun because ``shard_time_budget`` expired.
@@ -287,12 +291,6 @@ class ScenarioMatrixReport:
     @property
     def num_cells(self) -> int:
         return len(self.rows)
-
-    @property
-    def num_unsafe_free(self) -> int:
-        """Evaluation cells with a perfect safe rate."""
-
-        return sum(1 for row in self.rows if row.get("safe_rate") == 1.0)
 
     def to_csv(self, path: Union[str, Path]) -> Path:
         """Write one row per matrix cell (union of all keys) to ``path``."""
@@ -317,7 +315,7 @@ class ScenarioMatrixReport:
 
         header = (
             f"{'scenario':12s} {'controller':12s} {'cell':10s} {'perturb':8s} "
-            f"{'Sr':>7s} {'energy':>9s} {'verdict':>12s} {'seconds':>8s}"
+            f"{'Sr':>7s} {'energy':>9s} {'verdict':>12s}"
         )
         lines = [header, "-" * len(header)]
         for row in self.rows:
@@ -329,7 +327,7 @@ class ScenarioMatrixReport:
                 f"{str(row.get('perturbation', '-')):8s} "
                 f"{(f'{100 * safe_rate:6.1f}%' if safe_rate is not None else '      -'):>7s} "
                 f"{(f'{energy:9.2f}' if energy is not None else '        -'):>9s} "
-                f"{str(verdict):>12s} {row.get('seconds', 0.0):8.2f}"
+                f"{str(verdict):>12s}"
             )
         lines.append(
             f"{self.num_cells} cells over {len(self.scenarios)} scenario(s) | "
@@ -497,14 +495,12 @@ class MatrixWorkerLost(RuntimeError):
     the same matrix against the same store resumes from there.
     """
 
-    def __init__(self, cells: Sequence[str], stored: bool):
+    def __init__(self, cells: Sequence[str]):
         self.cells = list(cells)
-        hint = (
+        super().__init__(
+            f"a matrix pool worker died; lost cell(s): {', '.join(self.cells)} -- "
             "completed cells are in the run store; rerun against it to resume"
-            if stored
-            else "rerun the matrix (with a run store to keep completed cells)"
         )
-        super().__init__(f"a matrix pool worker died; lost cell(s): {', '.join(self.cells)} -- {hint}")
 
 
 @dataclass
@@ -624,40 +620,37 @@ class _MatrixExecution:
         """
 
         config, hints = self._train_config(ctx)
-        key = None
-        if self.store is not None:
-            key = self.store.key(
-                "train",
-                {
-                    "system": ctx.spec.name,
-                    "params": ctx.params,
-                    "cocktail": config,
-                    "seed": self.seed,
-                    "direct_baseline": False,
-                },
-            )
-            if self.reuse and self.store.contains(key):
-                network = self.store.load_network(key, "kappa_star")
-                ctx.student = NeuralController(network, name="kappa_star")
-                self.store.hits += 1
-                self.report.cells_cached += 1
-                self.tele.emit(CellCached, scenario=ctx.name, controller="kappa_star", cell="train")
-                self.say(f"[{ctx.name}] kappa_star restored from the run store")
-                return None
-            if self.offline:
-                self.missing.append(f"train/{key.digest[:16]} ({ctx.name})")
-                return None
+        key = self.store.key(
+            "train",
+            {
+                "system": ctx.spec.name,
+                "params": ctx.params,
+                "cocktail": config,
+                "seed": self.seed,
+                "direct_baseline": False,
+            },
+        )
+        if self.reuse and self.store.contains(key):
+            network = self.store.load_network(key, "kappa_star")
+            ctx.student = NeuralController(network, name="kappa_star")
+            self.store.hits += 1
+            self.report.cells_cached += 1
+            self.tele.emit(CellCached, scenario=ctx.name, controller="kappa_star", cell="train")
+            self.say(f"[{ctx.name}] kappa_star restored from the run store")
+            return None
+        if self.offline:
+            self.missing.append(f"train/{key.digest[:16]} ({ctx.name})")
+            return None
 
         def finish(outcome: Dict) -> None:
             network = _network(outcome["network"])
-            if key is not None:
-                self.store.save(
-                    key,
-                    {"experts": outcome["experts"], "dataset_size": outcome["dataset_size"]},
-                    networks={"kappa_star": network},
-                )
-                self.store.misses += 1
-                self.report.cells_computed += 1
+            self.store.save(
+                key,
+                {"experts": outcome["experts"], "dataset_size": outcome["dataset_size"]},
+                networks={"kappa_star": network},
+            )
+            self.store.misses += 1
+            self.report.cells_computed += 1
             for stage, seconds in outcome["stage_seconds"].items():
                 self.tele.emit(StageTiming, scenario=ctx.name, stage=stage, seconds=seconds)
             self.tele.emit(
@@ -702,40 +695,35 @@ class _MatrixExecution:
         if controller_name == "kappa_star":
             network = ctx.student.network
             student = (network.architecture(), network.state_dict())
-        key = None
-        if self.store is not None:
-            controller = ctx.student if student is not None else ctx.experts[controller_name]
-            key = self.store.key(
-                "evaluate",
-                {
-                    "system": ctx.spec.name,
-                    "params": ctx.params,
-                    "controller": _controller_identity(controller_name, controller),
-                    "perturbation": perturbation,
-                    "samples": self.samples,
-                    "fraction": self.fraction,
-                    "seed": self.seed,
-                },
+        controller = ctx.student if student is not None else ctx.experts[controller_name]
+        key = self.store.key(
+            "evaluate",
+            {
+                "system": ctx.spec.name,
+                "params": ctx.params,
+                "controller": _controller_identity(controller_name, controller),
+                "perturbation": perturbation,
+                "samples": self.samples,
+                "fraction": self.fraction,
+                "seed": self.seed,
+            },
+        )
+        if self.reuse and self.store.contains(key):
+            payload = self.store.load_result(key)
+            self.store.hits += 1
+            self.report.cells_cached += 1
+            self.tele.emit(CellCached, **identity)
+            self._record(row_of(payload))
+            return None
+        if self.offline:
+            self.missing.append(
+                f"evaluate/{key.digest[:16]} ({ctx.name}:{controller_name}:{perturbation})"
             )
-            if self.reuse and self.store.contains(key):
-                payload = self.store.load_result(key)
-                self.store.hits += 1
-                self.report.cells_cached += 1
-                self.tele.emit(CellCached, **identity)
-                self._record(row_of(payload))
-                return None
-            if self.offline:
-                self.missing.append(
-                    f"evaluate/{key.digest[:16]} ({ctx.name}:{controller_name}:{perturbation})"
-                )
-                return None
+            return None
 
         def finish(outcome: Dict) -> None:
             seconds = outcome.pop("seconds")
             self.tele.emit(CellFinished, seconds=seconds, safe_rate=outcome["safe_rate"], **identity)
-            if key is None:
-                self._record({**row_of(outcome), "seconds": seconds})
-                return
             self.store.save(key, outcome)
             self.store.misses += 1
             self.report.cells_computed += 1
@@ -774,25 +762,22 @@ class _MatrixExecution:
             **parameters,
         )
         identity = {"scenario": ctx.name, "controller": "kappa_star", "cell": "verify"}
-        key = None
-        if self.store is not None:
-            key = self.store.key("verify", job.cache_config())
-            if self.reuse and self.store.contains(key):
-                result = load_cached_result(self.store, key, job)
-                self.report.cells_cached += 1
-                self.tele.emit(CellCached, **identity)
-                self._finish_verify(result)
-                return None
-            if self.offline:
-                self.missing.append(f"verify/{key.digest[:16]} ({ctx.name})")
-                return None
+        key = self.store.key("verify", job.cache_config())
+        if self.reuse and self.store.contains(key):
+            result = load_cached_result(self.store, key, job)
+            self.report.cells_cached += 1
+            self.tele.emit(CellCached, **identity)
+            self._finish_verify(result)
+            return None
+        if self.offline:
+            self.missing.append(f"verify/{key.digest[:16]} ({ctx.name})")
+            return None
 
         def finish(result) -> None:
-            if key is not None:
-                self.store.misses += 1
-                if is_cacheable(job, result):
-                    save_sweep_result(self.store, key, result)
-                self.report.cells_computed += 1
+            self.store.misses += 1
+            if is_cacheable(job, result):
+                save_sweep_result(self.store, key, result)
+            self.report.cells_computed += 1
             self._finish_verify(result)
 
         return _Work(identity=identity, fn=_verify_task, args=(job,), finish=finish)
@@ -808,7 +793,7 @@ class _MatrixExecution:
             cached=result.cached,
             verified=result.verified,
         )
-        if not result.cached and self.store is not None:
+        if not result.cached:
             self.tele.emit(
                 CellFinished,
                 scenario=scenario,
@@ -818,20 +803,16 @@ class _MatrixExecution:
                 status=result.status,
             )
         row = {"scenario": scenario, "controller": "kappa_star", "cell": "verify", "status": result.status}
-        if self.store is None:
-            row["seconds"] = result.elapsed_seconds
         if result.error:
             row["error"] = result.error
         summary = dict(result.summary)
         summary.pop("controller", None)  # the row's controller column is the matrix name
-        if self.store is not None:
-            for key in _TIMING_KEYS:
-                summary.pop(key, None)
-            # Fresh summaries arrive in insertion order, replayed ones in
-            # JSON-sorted order; sort both so the CSV header -- and with
-            # it the whole file -- is byte-stable across resumed runs.
-            summary = {key: summary[key] for key in sorted(summary)}
-        row.update(summary)
+        for key in _TIMING_KEYS:
+            summary.pop(key, None)
+        # Fresh summaries arrive in insertion order, replayed ones in
+        # JSON-sorted order; sort both so the CSV header -- and with it the
+        # whole file -- is byte-stable across resumed runs.
+        row.update({key: summary[key] for key in sorted(summary)})
         self._record(row)
 
     # -- main flow -----------------------------------------------------
@@ -970,7 +951,7 @@ class _MatrixExecution:
                     lost.append(work.label)
                 else:
                     work.finish(outcome)
-            raise MatrixWorkerLost(lost, stored=self.store is not None)
+            raise MatrixWorkerLost(lost)
 
         pool = futures.ProcessPoolExecutor(
             max_workers=width, mp_context=context, initializer=single_threaded_blas
@@ -1046,7 +1027,6 @@ def run_scenario_matrix(
     progress: Optional[Callable[[str], None]] = None,
     store=None,
     run_dir: Optional[Union[str, Path]] = None,
-    resume: bool = True,
     force: bool = False,
     on_cell: Optional[Callable[[Dict], None]] = None,
     shard: Optional[Union[str, ShardSpec]] = None,
@@ -1072,16 +1052,16 @@ def run_scenario_matrix(
     string travels into the verification worker, which rebuilds the exact
     plant through the registry.
 
-    ``store`` (or ``run_dir``, which opens a
-    :class:`~repro.experiments.store.RunStore` there) makes the run
-    resumable: every stage is keyed by the digest of its resolved config
-    and flushed as soon as it completes, cells already present are loaded
-    instead of recomputed (``resume=True``, the default), and ``force=True``
-    recomputes and overwrites everything.  Store-backed rows carry no
-    wall-clock columns -- timings live in the telemetry log -- so the same
-    matrix always serialises to byte-identical CSV.  ``on_cell`` is invoked
-    with each row right after it is appended (and, store-backed, flushed);
-    an exception raised there aborts the run but loses no completed cell.
+    Every stage is keyed by the digest of its resolved config and flushed
+    to a :class:`~repro.experiments.store.RunStore` as soon as it
+    completes: ``store``, or one opened at ``run_dir``, or else a temporary
+    store removed when the run returns or raises.  Cells already present
+    are loaded instead of recomputed, so a rerun against the same store
+    resumes; ``force=True`` recomputes and overwrites everything.  Rows
+    carry no wall-clock columns -- timings live in the telemetry log -- so
+    the same matrix always serialises to byte-identical CSV.  ``on_cell``
+    is invoked with each row right after it is flushed and appended; an
+    exception raised there aborts the run but loses no completed cell.
 
     ``shard`` (a :class:`ShardSpec` or ``"i/N"`` string; requires a store)
     restricts execution to that shard's slice of the grid
@@ -1101,11 +1081,12 @@ def run_scenario_matrix(
 
     ``telemetry`` controls the typed event log under ``<run_dir>/events/``
     (see :mod:`repro.telemetry`).  The default (``None``) turns it on for
-    every store-backed executing run and off otherwise; ``False`` disables
-    it explicitly, and ``True`` without a store (or with ``offline=True``,
-    which executes nothing) is an error.  The log never influences rows,
-    store entries or CSVs -- it is written beside them for ``repro runs
-    watch`` / ``repro runs stats``.  ``telemetry_source`` overrides the
+    every executing run against a caller's store and off otherwise (the
+    temporary store never gets one); ``False`` disables it explicitly, and
+    ``True`` without a store (or with ``offline=True``, which executes
+    nothing) is an error.  The log never influences rows, store entries or
+    CSVs -- it is written beside them for ``repro runs watch`` / ``repro
+    runs stats``.  ``telemetry_source`` overrides the
     event-log file name (default ``"main"`` / ``"shard-i-of-N"``); the job
     daemon uses it to give each job running against one run directory its
     own stream.
@@ -1116,23 +1097,25 @@ def run_scenario_matrix(
         raise ValueError("no scenarios to run; the catalog (or the requested list) is empty")
     if isinstance(shard, str):
         shard = ShardSpec.parse(shard)
-    if store is None and run_dir is not None:
-        from repro.experiments.store import RunStore
-
-        store = RunStore(run_dir)
-    if shard is not None and store is None:
-        raise ValueError("sharded runs need a run store (pass store= or run_dir=)")
-    if offline and store is None:
-        raise ValueError("offline replay needs a run store (pass store= or run_dir=)")
     if offline and (force or shard is not None):
         raise ValueError("offline replay cannot be combined with force= or shard=")
-    if telemetry is None:
-        telemetry = store is not None and not offline
-    elif telemetry:
-        if store is None:
-            raise ValueError("telemetry needs a run store (pass store= or run_dir=)")
-        if offline:
+    scratch = None
+    if store or run_dir is not None:
+        store = store or RunStore(run_dir)
+        if offline and telemetry:
             raise ValueError("offline replay executes nothing; there is no telemetry to record")
+        if telemetry is None:
+            telemetry = not offline
+    else:
+        for wanted, what in (
+            (shard is not None, "sharded runs need"),
+            (offline, "offline replay needs"),
+            (telemetry, "telemetry needs"),
+        ):
+            if wanted:
+                raise ValueError(f"{what} a run store (pass store= or run_dir=)")
+        scratch = tempfile.TemporaryDirectory(prefix="repro-matrix-")
+        store, telemetry = RunStore(scratch.name), False
 
     if shard is not None:
         write_matrix_manifest(
@@ -1177,8 +1160,7 @@ def run_scenario_matrix(
         say=progress if progress is not None else (lambda message: None),
         emit=on_cell if on_cell is not None else (lambda row: None),
         store=store,
-        reuse=store is not None and resume and not force,
-        force=force,
+        reuse=not force,
         shard=shard,
         shard_time_budget=shard_time_budget,
         offline=offline,
@@ -1188,6 +1170,8 @@ def run_scenario_matrix(
         return execution.run()
     finally:
         tele.close()
+        if scratch is not None:
+            scratch.cleanup()
 
 
 def matrix_manifest(
@@ -1262,7 +1246,6 @@ def run_sharded_matrix(
     shards: int,
     run_dir: Union[str, Path],
     progress: Optional[Callable[[str], None]] = None,
-    merge: bool = True,
     **matrix_kwargs,
 ) -> ScenarioMatrixReport:
     """Run ``shards`` local ``--shard i/N`` processes against one store, then merge.
@@ -1272,7 +1255,7 @@ def run_sharded_matrix(
     plain non-daemonic processes, so each may host its own pool when
     ``jobs > 1``).  A crashed worker leaves its unfinished cells missing:
     the merge then raises :class:`MatrixIncompleteError` naming them, and
-    rerunning (resume) completes them.
+    rerunning against the same ``run_dir`` completes them.
     """
 
     from repro.utils.parallel import spawn_workers
@@ -1293,8 +1276,4 @@ def run_sharded_matrix(
     failed = [index + 1 for index, code in enumerate(exit_codes) if code != 0]
     if failed:
         say(f"shard(s) {failed} exited abnormally; merging whatever the store holds")
-    if not merge:
-        report = ScenarioMatrixReport(scenarios=list(matrix_kwargs.get("scenarios") or []))
-        report.status = "ok" if not failed else "error"
-        return report
     return merge_matrix_run(run_dir, jobs=int(matrix_kwargs.get("jobs") or 1), progress=progress)

@@ -179,10 +179,24 @@ class TestErrorPaths:
         assert isinstance(code, str)
         assert "does not exist" in code
 
-    def test_scenarios_run_resume_without_run_dir(self):
-        code = _exit_code(["scenarios", "run", "--scenario", "vanderpol", "--resume"])
+    def test_scenarios_run_force_without_run_dir(self):
+        code = _exit_code(["scenarios", "run", "--scenario", "vanderpol", "--force"])
         assert isinstance(code, str)
-        assert "--resume/--force need --run-dir" in code
+        assert "--force needs --run-dir" in code
+
+    def test_scenarios_run_has_no_resume_flag(self, capsys):
+        # Reuse is the default against a --run-dir; there is nothing to opt into.
+        code = _exit_code(["scenarios", "run", "--scenario", "vanderpol", "--resume"])
+        assert code == 2
+        assert "unrecognized arguments: --resume" in capsys.readouterr().err
+
+    def test_shard_time_budget_without_shard(self, tmp_path):
+        code = _exit_code([
+            "scenarios", "run", "--scenario", "vanderpol", "--no-train",
+            "--run-dir", str(tmp_path / "store"), "--shard-time-budget", "5",
+        ])
+        assert code == "--shard-time-budget needs --shard"
+        assert not (tmp_path / "store").exists(), "the matrix must not start"
 
     # "-1/3" is absent: argparse consumes a leading dash as an option flag
     # before the validator runs (still exit 2, but a different message).

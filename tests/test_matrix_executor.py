@@ -4,12 +4,14 @@
 verify(s)}`` plus the dependency-free expert evaluate cells on a pool of
 ``jobs`` workers.  Every task seeds itself and the parent sorts the rows
 into the canonical plan order, so the pool width, the shard count and the
-completion order never change a byte of the store-backed CSV.  This pack
-pins that, the parent-only writes (``on_cell`` after the store flush), the
+completion order never change a byte of the CSV, with or without a run
+store of the caller's.  This pack pins that, the temporary store's
+cleanup, the parent-only writes (``on_cell`` after the store flush), the
 schedule (trainings first, longest budget first) and the shard dealing
 rule (every student belongs to exactly one shard).
 """
 
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -43,7 +45,6 @@ GRID = dict(
     verify_overrides=TINY_VERIFY,
 )
 NUM_ROWS = 14
-TIMING_COLUMNS = ("seconds", "total_seconds", "reach_seconds")
 
 
 @pytest.fixture(scope="module")
@@ -83,26 +84,39 @@ class TestWidthInvariance:
         merged = matrix_module.run_sharded_matrix(2, tmp_path / "store", jobs=2, **GRID)
         assert _csv(merged, tmp_path / "merged.csv") == reference
 
-    def test_store_less_rows_match_apart_from_timings(self):
-        def strip(report):
-            return [
-                {key: value for key, value in row.items() if key not in TIMING_COLUMNS}
-                for row in report.rows
-            ]
 
-        inline = run_scenario_matrix(jobs=1, **GRID)
-        pooled = run_scenario_matrix(jobs=2, **GRID)
-        assert all("seconds" in row for row in pooled.rows)
-        assert strip(pooled) == strip(inline)
-        assert [
-            (row["scenario"], row["controller"], row["cell"], row.get("perturbation"))
-            for row in pooled.rows
-        ] == [
-            (cell.scenario, cell.controller, cell.kind, cell.perturbation)
-            for cell in plan_matrix_cells(
-                GRID["scenarios"], GRID["perturbations"], GRID["train"], GRID["verify"]
-            )
-        ]
+class TestTemporaryStore:
+    """Without ``store=``/``run_dir=`` the matrix runs against a temporary
+    store: the same code path and CSV, and nothing left behind."""
+
+    @pytest.fixture(autouse=True)
+    def private_tempdir(self, monkeypatch, tmp_path):
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        return scratch
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_store_less_csv_is_byte_identical_to_the_store_backed_one(
+        self, jobs, reference, private_tempdir, tmp_path
+    ):
+        report = run_scenario_matrix(jobs=jobs, **GRID)
+        assert report.cells_computed == NUM_ROWS + 2
+        assert _csv(report, tmp_path / "m.csv") == reference
+        assert not list(private_tempdir.glob("repro-matrix-*"))
+
+    def test_temporary_store_is_removed_when_on_cell_raises(self, private_tempdir):
+        during = []
+
+        def bomb(row):
+            during.extend(private_tempdir.glob("repro-matrix-*"))
+            during.extend(private_tempdir.glob("repro-matrix-*/events"))
+            raise RuntimeError("on_cell exploded")
+
+        with pytest.raises(RuntimeError, match="on_cell exploded"):
+            run_scenario_matrix(jobs=2, on_cell=bomb, **{**GRID, "train": False})
+        assert len(during) == 1, "one temporary store, and no event log in it"
+        assert not list(private_tempdir.glob("repro-matrix-*"))
 
 
 class TestParentWrites:

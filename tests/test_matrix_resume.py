@@ -2,8 +2,8 @@
 
 Covers the two acceptance properties of the run store: a second identical
 run against the same store performs *zero* train/evaluate/verify work (all
-cells replayed), and a run interrupted after K cells resumed with
-``resume=True`` executes only the missing cells while producing a CSV
+cells replayed), and a run interrupted after K cells and rerun against the
+same store executes only the missing cells while producing a CSV
 byte-identical to an uninterrupted run.
 """
 
@@ -143,7 +143,7 @@ class TestResumeAfterInterruption:
         assert len(seen) == self.INTERRUPT_AFTER
 
         counter = WorkCounter(monkeypatch)
-        report = run_scenario_matrix(**MATRIX_KWARGS, run_dir=store_dir, resume=True)
+        report = run_scenario_matrix(**MATRIX_KWARGS, run_dir=store_dir)
         # The train stage and the K flushed cells are served from the store;
         # only the missing evaluate cells and the verify job execute.
         assert counter.trained == 0
@@ -181,16 +181,13 @@ class TestStoreArgumentPlumbing:
         assert again.cells_cached == 2
         assert again.rows == report.rows
 
-    def test_no_store_keeps_timing_columns(self):
-        report = run_scenario_matrix(
-            scenarios=["vanderpol"],
-            perturbations=("none",),
-            samples=4,
-            train=False,
-            verify=False,
+    def test_no_store_runs_against_a_temporary_one(self, tmp_path):
+        kwargs = dict(
+            scenarios=["vanderpol"], perturbations=("none",), samples=4, train=False, verify=False
         )
-        assert all("seconds" in row for row in report.rows)
-        assert report.cells_computed == 0 and report.cells_cached == 0
+        report = run_scenario_matrix(**kwargs)
+        assert report.cells_computed == 2 and report.cells_cached == 0
+        assert report.rows == run_scenario_matrix(**kwargs, run_dir=tmp_path / "store").rows
 
     def test_store_rows_are_timing_free(self, tmp_path):
         report = run_scenario_matrix(

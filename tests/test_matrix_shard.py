@@ -133,7 +133,7 @@ class TestIncompleteMerge:
         ]
         assert len(excinfo.value.missing) == len(missing_positions)
         assert all(entry.startswith("evaluate/") for entry in excinfo.value.missing)
-        assert "--resume" in str(excinfo.value)
+        assert "against the same --run-dir" in str(excinfo.value)
 
     def test_offline_flag_requires_a_store(self):
         with pytest.raises(ValueError, match="offline replay needs a run store"):

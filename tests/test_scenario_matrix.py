@@ -42,7 +42,7 @@ class TestMatrixEvaluateOnly:
         for row in report.rows:
             assert 0.0 <= row["safe_rate"] <= 1.0
             assert row["samples"] == 6
-            assert row["seconds"] >= 0.0
+            assert "seconds" not in row  # timings live in the telemetry log
 
     def test_table_and_csv(self, report, tmp_path):
         text = report.table()
