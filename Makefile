@@ -35,13 +35,16 @@
 # runs its `matrix` workload with the trace on (expert batch_controls, FGSM,
 # evaluation, run store, shards and merge); `perf-verify SEED=N` runs its
 # `verify` workload with the trace on (partition, Bernstein coefficients,
-# IBP, reach steps, invariant set); `lint` is a fast
+# IBP, reach steps, invariant set); `verify-digests` prints, per frozen
+# perfbench student, the reach status, partition count, epsilon and a
+# sha256 over the reach boxes and invariant mask (run it on two trees and
+# diff the output to check that verdicts are bit-identical); `lint` is a fast
 # syntax gate (no third-party linter is vendored into the image).
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test test-fast test-cov shard-smoke watch-smoke serve-smoke scenario-smoke bench train-bench perf-train perf-verify perf-matrix lint
+.PHONY: test test-fast test-cov shard-smoke watch-smoke serve-smoke scenario-smoke bench train-bench perf-train perf-verify perf-matrix verify-digests lint
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -137,6 +140,9 @@ perf-verify:
 
 perf-matrix:
 	python3 perfbench/run.py --workload matrix --seed $(SEED) --seconds 36 --trace 1
+
+verify-digests:
+	$(PYTHON) tools/verify_digests.py
 
 lint:
 	$(PYTHON) -m compileall -q src tests benchmarks examples

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import solve_discrete_are
 
 from repro.experts.base import Controller
 from repro.systems.base import ControlSystem
@@ -92,6 +91,8 @@ class LQRController(Controller):
             if np.isscalar(control_cost)
             else np.asarray(control_cost)
         )
+        from scipy.linalg import solve_discrete_are  # only LQR needs SciPy; keep it off `import repro`
+
         P = solve_discrete_are(A, B, Q, R)
         self.gain = np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
         self.A = A

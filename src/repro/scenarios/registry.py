@@ -52,8 +52,9 @@ class ScenarioSpec:
         plant instance.
     interval_dynamics:
         Batched-native inclusion function pushing ``(N, state_dim)``
-        interval stacks through one dynamics step; ``None`` falls back to
-        the (unsound) sampled enclosure.
+        interval stacks through one dynamics step; with ``None`` the
+        plant cannot be verified (reachability and invariant-set analyses
+        raise :class:`~repro.verification.system_models.MissingInclusionFunction`).
     default_params:
         Keyword arguments the factory is called with by default.
     aliases:

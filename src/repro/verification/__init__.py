@@ -30,7 +30,6 @@ from repro.verification.intervals import (
 )
 from repro.verification.bernstein import (
     BernsteinApproximation,
-    CoefficientCache,
     bernstein_coefficients_batch,
     bernstein_enclosure_batch,
     bernstein_error_bound,
@@ -39,7 +38,11 @@ from repro.verification.bernstein import (
     bernstein_grid_batch,
 )
 from repro.verification.partition import PartitionedApproximation, partition_network
-from repro.verification.system_models import interval_dynamics, interval_dynamics_batch
+from repro.verification.system_models import (
+    MissingInclusionFunction,
+    interval_dynamics,
+    interval_dynamics_batch,
+)
 from repro.verification.reachability import ReachabilityResult, reachable_sets, verify_reach_safety
 from repro.verification.invariant import InvariantSetResult, compute_invariant_set
 from repro.verification.verifier import VerificationReport, verify_controller
@@ -57,7 +60,6 @@ __all__ = [
     "network_output_bounds_batch",
     "refined_network_output_bounds_batch",
     "BernsteinApproximation",
-    "CoefficientCache",
     "bernstein_coefficients_batch",
     "bernstein_enclosure_batch",
     "bernstein_error_bound",
@@ -66,6 +68,7 @@ __all__ = [
     "bernstein_grid_batch",
     "PartitionedApproximation",
     "partition_network",
+    "MissingInclusionFunction",
     "interval_dynamics",
     "interval_dynamics_batch",
     "ReachabilityResult",

@@ -20,22 +20,22 @@ this useful for verification:
 The module is organised around **batched kernels** that operate on a
 ``(num_partitions, ...)`` stacked representation: grids, coefficients, error
 bounds, range enclosures and evaluations for a whole stack of boxes are
-computed with a handful of NumPy calls (one network forward pass for all
-grids).  :class:`BernsteinApproximation` is the single-box view: its fit is
-the batch-of-one special case of the same kernels, so a box fitted alone and
-the same box fitted in a stack have bit-identical coefficients.
-:class:`CoefficientCache` memoises coefficient tensors keyed by box, so a
-box revisited during refinement or repeated reachability queries is never
-refit.
+computed with a handful of NumPy calls (one network forward pass over the
+distinct points of all grids).  :class:`BernsteinApproximation` is the
+single-box view: its fit is the batch-of-one special case of the same
+kernels, so a box fitted alone and the same box fitted in a stack have
+bit-identical coefficients.  Each fit batch evaluates every distinct grid
+point once: boxes that tile a region share faces, edges and corners, and a
+shared grid point is evaluated once and gathered back onto every grid
+holding it.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import math
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.special import comb
 
 from repro.nn.lipschitz import network_lipschitz
 from repro.nn.network import MLP
@@ -93,6 +93,16 @@ def degrees_for_error(lipschitz_constant: float, box: Box, target_error: float, 
 # ----------------------------------------------------------------------
 # Batched kernels on the (num_partitions, ...) stacked representation
 # ----------------------------------------------------------------------
+
+
+def _binomials(degree: int) -> np.ndarray:
+    """``C(degree, k)`` for ``k = 0..degree`` as float64.
+
+    Exact integers rounded once; equal to SciPy's float ``comb`` bit for bit
+    up to degree 30, where SciPy's own rounding starts to differ.
+    """
+
+    return np.array([math.comb(degree, k) for k in range(degree + 1)], dtype=np.float64)
 
 
 def _normalised_degrees(degrees: Union[int, Sequence[int]], dimension: int) -> np.ndarray:
@@ -156,23 +166,90 @@ def _evaluate_function_batch(function: FunctionLike, points: np.ndarray) -> np.n
     return np.atleast_2d(np.stack([np.atleast_1d(function(point)) for point in points], axis=0))
 
 
+def _distinct_grid_points(
+    lows: np.ndarray, highs: np.ndarray, sizes: Tuple[int, ...]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct points of a box stack's grids and where each grid point is.
+
+    Returns ``(points, inverse)``: the ``(U, dim)`` distinct grid points and,
+    for each of the ``P * G`` flattened grid points, its row in ``points``,
+    so ``points[inverse]`` is ``bernstein_grid_batch(...).reshape(-1, dim)``
+    bit for bit.  Points are told apart by the bit patterns of their per-axis
+    ``linspace`` coordinates (so ``-0.0`` and ``0.0`` stay distinct).  Each
+    axis's coordinates get dense ids, which combine into one mixed-radix
+    integer key per grid point; the key is re-ranked to dense ids whenever
+    its radix outgrows ``2**(63 - bits)``, so it never overflows int64 and
+    ``key << bits | position`` (``bits`` wide enough for any position) packs
+    into one int64 whose plain sort groups equal points.  A dense key is
+    below the stack's point count, so this holds for any stack of fewer
+    than ``2**31`` grid points.
+    """
+
+    count, dimension = lows.shape
+    grid = int(np.prod(sizes))
+    total = count * grid
+    bits = total.bit_length()
+    axis_points = []
+    key = np.zeros(count, dtype=np.int64)
+    radix = 1
+    for axis, side in enumerate(sizes):
+        points = np.linspace(lows[:, axis], highs[:, axis], side, axis=-1)
+        axis_points.append(np.ravel(points))
+        values, ids = np.unique(points.view(np.uint64), return_inverse=True)
+        key = key[..., None] * values.size + ids.reshape((count,) + (1,) * axis + (side,))
+        radix *= values.size
+        if radix > 1 << (63 - bits):
+            ranks, dense = np.unique(key, return_inverse=True)
+            key, radix = dense.reshape(key.shape), ranks.size
+    # The arrays below each hold one integer per grid point; each is freed
+    # as soon as it is used, to keep the peak near that of the plain grid.
+    packed = key.reshape(-1)
+    packed <<= bits
+    packed |= np.arange(total)
+    packed.sort()
+    order = packed & ((1 << bits) - 1)
+    packed >>= bits
+    first = np.empty(total, dtype=bool)
+    first[:1] = True
+    np.not_equal(packed[1:], packed[:-1], out=first[1:])
+    del key, packed
+    ranks = np.cumsum(first)
+    ranks -= 1
+    inverse = np.empty_like(ranks)
+    inverse[order] = ranks
+    del ranks
+    # Decode each distinct point from its first grid position: the box, then
+    # the per-axis index in that box's ``ij`` grid (last axis fastest).
+    boxes, positions = np.divmod(order[first], grid)
+    del order, first
+    points = np.empty((boxes.size, dimension))
+    for axis in range(dimension - 1, -1, -1):
+        positions, index = np.divmod(positions, sizes[axis])
+        index += boxes * sizes[axis]
+        points[:, axis] = axis_points[axis].take(index)
+    return points, inverse
+
+
 def bernstein_coefficients_batch(
     function: FunctionLike, lows: np.ndarray, highs: np.ndarray, degrees: Sequence[int]
 ) -> np.ndarray:
     """Coefficient tensors for a box stack, shape ``(P, *degrees + 1, out)``.
 
-    All ``P`` grids are evaluated with a *single* forward pass through the
-    function (one stacked ``(P * G, dim)`` batch for an MLP), which is the
-    core speedup over fitting one partition at a time.
+    Boxes that share faces, edges or corners share grid points, so each
+    fit batch evaluates every distinct grid point once -- one stacked
+    ``(U, dim)`` batch through the function -- and gathers the values back
+    onto every box's grid.  Each row's value does not depend on the other
+    rows evaluated with it (see :func:`_evaluate_function_batch`), so the
+    coefficients equal a per-box fit bit for bit.
     """
 
     lows, highs = _normalised_box_stack(lows, highs)
     count, dimension = lows.shape
     degrees = _normalised_degrees(degrees, dimension)
-    grids = bernstein_grid_batch(lows, highs, degrees)
-    values = _evaluate_function_batch(function, grids.reshape(-1, dimension))
-    shape = (count,) + tuple(int(degree) + 1 for degree in degrees) + (values.shape[-1],)
-    return values.reshape(shape)
+    sizes = tuple(int(degree) + 1 for degree in degrees)
+    points, inverse = _distinct_grid_points(lows, highs, sizes)
+    values = _evaluate_function_batch(function, points)
+    return values[inverse].reshape((count,) + sizes + (values.shape[-1],))
 
 
 def bernstein_enclosure_batch(
@@ -226,76 +303,9 @@ def bernstein_evaluate_batch(
     for axis, degree in enumerate(degrees):
         ks = np.arange(int(degree) + 1)
         t_axis = t[:, axis : axis + 1]
-        basis = comb(int(degree), ks) * (t_axis**ks) * ((1.0 - t_axis) ** (int(degree) - ks))
+        basis = _binomials(int(degree)) * (t_axis**ks) * ((1.0 - t_axis) ** (int(degree) - ks))
         result = np.einsum("pk,pk...->p...", basis, result)
     return result
-
-
-class CoefficientCache:
-    """Memoises Bernstein coefficient tensors keyed by (box, degrees).
-
-    During refinement and reachability the same box is queried repeatedly --
-    most prominently when a reach box covers a whole partition, so the
-    "local" fit over the overlap *is* the partition's fit.  The cache keys
-    on the exact bound bytes, fits only the missing boxes (in one stacked
-    network evaluation) and keeps a bounded FIFO of tensors.
-    """
-
-    def __init__(self, function: FunctionLike, max_entries: int = 65536):
-        self._function = function
-        self._store: "OrderedDict[bytes, np.ndarray]" = OrderedDict()
-        self.max_entries = int(max_entries)
-        self.hits = 0
-        self.misses = 0
-
-    def _function_tag(self) -> bytes:
-        """Identity of the fitted function, folded into every key.
-
-        For an MLP this is a digest of the current weights, so sharing a
-        cache across networks -- or mutating a network's weights between
-        partitionings -- can never serve another function's coefficients.
-        Computed once per :meth:`get_batch` call, never per box.  Non-MLP callables are keyed by
-        object identity.
-        """
-
-        if isinstance(self._function, MLP):
-            from repro.nn.lipschitz import _weights_digest
-
-            return _weights_digest(self._function).encode("utf-8")
-        return repr(id(self._function)).encode("utf-8")
-
-    def _keys(self, lows: np.ndarray, highs: np.ndarray, degrees: np.ndarray) -> list:
-        """One key per row of a ``(P, dim)`` box stack, under one tag."""
-
-        prefix = self._function_tag() + degrees.tobytes()
-        return [prefix + lows[index].tobytes() + highs[index].tobytes() for index in range(lows.shape[0])]
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def _evict(self) -> None:
-        while len(self._store) > self.max_entries:
-            self._store.popitem(last=False)
-
-    def get_batch(self, lows: np.ndarray, highs: np.ndarray, degrees: Sequence[int]) -> np.ndarray:
-        """Stacked coefficients for a ``(P, dim)`` box stack, fitting only misses."""
-
-        lows, highs = _normalised_box_stack(lows, highs)
-        degrees = _normalised_degrees(degrees, lows.shape[1])
-        keys = self._keys(lows, highs, degrees)
-        missing = [index for index, key in enumerate(keys) if key not in self._store]
-        self.hits += len(keys) - len(missing)
-        self.misses += len(missing)
-        tensors = [self._store.get(key) for key in keys]
-        if missing:
-            fresh = bernstein_coefficients_batch(
-                self._function, lows[missing], highs[missing], degrees
-            )
-            for position, index in enumerate(missing):
-                tensors[index] = fresh[position]
-                self._store[keys[index]] = fresh[position]
-            self._evict()
-        return np.stack(tensors, axis=0)
 
 
 class BernsteinApproximation:
@@ -352,7 +362,7 @@ class BernsteinApproximation:
 
     def _basis(self, t: float, degree: int) -> np.ndarray:
         ks = np.arange(degree + 1)
-        return comb(degree, ks) * (t**ks) * ((1.0 - t) ** (degree - ks))
+        return _binomials(degree) * (t**ks) * ((1.0 - t) ** (degree - ks))
 
     def evaluate(self, point: Sequence[float]) -> np.ndarray:
         """Evaluate the Bernstein polynomial at one point inside the box."""

@@ -12,11 +12,12 @@ of the whole pending frontier with one vectorised pass, accepts the boxes
 that meet the target, and bisects all refused boxes at once.  The
 acceptance order and the ``max_partitions`` budget semantics are those of a
 breadth-first (FIFO) queue of boxes.  Once the partition is fixed, all
-coefficient tensors are fitted with a single stacked network evaluation and
-memoised in a :class:`~repro.verification.bernstein.CoefficientCache`, so a
-box revisited by a later query is never refit.  The partition is held as
-stacked arrays -- ``(P, dim)`` bounds and a ``(P, *degrees + 1, out)``
-coefficient stack -- never as per-partition objects.
+coefficient tensors are fitted with one stacked network evaluation: each
+fit batch evaluates every distinct grid point once; overlaps equal to a
+partition reuse its fit.  The partition is held as stacked arrays --
+``(P, dim)`` bounds and a ``(P, *degrees + 1, out)`` coefficient stack --
+never as per-partition objects, beside a frozen clone of the network it was
+fitted on.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from repro.nn.network import MLP
 from repro.systems.sets import Box
 from repro.verification.bernstein import (
     BernsteinApproximation,
-    CoefficientCache,
+    bernstein_coefficients_batch,
     bernstein_enclosure_batch,
     bernstein_error_bound_batch,
 )
@@ -44,6 +45,9 @@ class PartitionedApproximation:
 
     Partition ``p`` is the box ``[lows[p], highs[p]]`` with the coefficient
     tensor ``coefficients[p]``; every partition shares one degree vector.
+    ``network`` is replaced by a frozen clone (read-only weights) on
+    construction, so later updates to the caller's network cannot reach the
+    bounds of an approximation fitted on the old weights.
     """
 
     network: MLP
@@ -54,11 +58,9 @@ class PartitionedApproximation:
     target_error: float
     lipschitz_constant: float
     refinement_steps: int = 0
-    coefficient_cache: Optional[CoefficientCache] = None
 
     def __post_init__(self):
-        if self.coefficient_cache is None:
-            self.coefficient_cache = CoefficientCache(self.network)
+        self.network = _frozen_clone(self.network)
         self._degrees = np.array(self.coefficients.shape[1:-1], dtype=int) - 1
         # Every partition shares one degree vector, so the summaries are
         # computed once here: row p of the batched bound is partition p's
@@ -67,6 +69,9 @@ class PartitionedApproximation:
             bernstein_error_bound_batch(self.lipschitz_constant, self.lows, self.highs, self._degrees).max()
         )
         self._total_coefficients = self.num_partitions * int(np.prod(self._degrees + 1))
+        # Coefficient min/max per partition: the Bernstein range enclosure of
+        # every overlap that covers a whole partition.
+        self._coefficient_lower, self._coefficient_upper = bernstein_enclosure_batch(self.coefficients)
         # Refined-IBP bounds are memoised per partition (keyed by the split
         # count): the overlap boxes that recur across reachability steps are
         # exactly the ones covering a whole partition, and indexing by
@@ -87,11 +92,18 @@ class PartitionedApproximation:
         return self._total_coefficients
 
     def _overlap_mask(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-        """Boolean ``(B, P)`` mask: query ``b`` intersects partition ``p``."""
+        """Boolean ``(B, P)`` mask: query ``b`` intersects partition ``p``.
 
-        return np.all(self.lows[None, :, :] <= highs[:, None, :], axis=-1) & np.all(
-            lows[:, None, :] <= self.highs[None, :, :], axis=-1
-        )
+        Built axis by axis into one ``(B, P)`` mask (and one scratch of the
+        same shape), never as ``(B, P, dim)`` comparison stacks.
+        """
+
+        mask = np.ones((lows.shape[0], self.num_partitions), dtype=bool)
+        scratch = np.empty_like(mask)
+        for axis in range(lows.shape[1]):
+            mask &= np.less_equal(self.lows[:, axis], highs[:, axis, None], out=scratch)
+            mask &= np.less_equal(lows[:, axis, None], self.highs[:, axis], out=scratch)
+        return mask
 
     def locate(self, point: Sequence[float]) -> int:
         """Index of the partition containing ``point`` (first match)."""
@@ -124,25 +136,23 @@ class PartitionedApproximation:
     def _refined_ibp_for_overlaps(
         self,
         partition_index: np.ndarray,
+        covered: np.ndarray,
         overlap_lows: np.ndarray,
         overlap_highs: np.ndarray,
         splits: int,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Refined IBP bounds for (partition, overlap) pairs, memoised.
 
-        An overlap that equals its whole partition -- the case that recurs
-        across reachability steps once the reach box covers the partition --
-        is served from a per-partition memo (a vectorised gather); partial
-        overlaps are propagated fresh in one stacked pass.  The fixed-block
-        network evaluation makes every result independent of how the pairs
-        are batched, so the memo cannot perturb the bounds.
+        An overlap that equals its whole partition (``covered``) -- the case
+        that recurs across reachability steps once the reach box covers the
+        partition -- is served from a per-partition memo (a vectorised
+        gather); partial overlaps are propagated fresh in one stacked pass.
+        The fixed-block network evaluation makes every result independent of
+        how the pairs are batched, so the memo cannot perturb the bounds.
         """
 
         from repro.verification.intervals import refined_network_output_bounds_batch
 
-        covered = np.all(overlap_lows == self.lows[partition_index], axis=-1) & np.all(
-            overlap_highs == self.highs[partition_index], axis=-1
-        )
         count = overlap_lows.shape[0]
         output_dim = self.network.output_dim
         lower = np.empty((count, output_dim))
@@ -184,19 +194,17 @@ class PartitionedApproximation:
         """Output enclosures for a whole ``(B, dim)`` stack of query boxes.
 
         Every (query, partition) overlap of the stack is collected into one
-        flat pair list; the Bernstein fits over all overlaps run as a single
-        stacked network evaluation (through the coefficient cache, so an
-        overlap equal to a partition, or repeated across reachability
-        steps, is free), the IBP cross-check runs as one stacked bound
-        propagation, and the per-query hulls are segment reductions.  Each
+        flat pair list.  An overlap equal to its partition reuses the
+        partition's fit; the Bernstein fits over all other overlaps run as
+        a single stacked network evaluation of their distinct grid points,
+        the IBP cross-check runs as one stacked bound propagation, and the
+        per-query hulls are segment reductions.  Each
         per-overlap enclosure is the intersection of the Bernstein range
         enclosure (inflated by the approximation error when
         ``include_error``) with a refined interval-bound-propagation
         enclosure: both are sound, so their intersection is a sound but much
         tighter bound.  Returns ``(lower, upper)`` of shape ``(B, out)``.
         """
-
-        from repro.verification.intervals import refined_network_output_bounds_batch
 
         lows = np.atleast_2d(np.asarray(lows, dtype=np.float64))
         highs = np.atleast_2d(np.asarray(highs, dtype=np.float64))
@@ -207,19 +215,31 @@ class PartitionedApproximation:
         overlap_lows = np.maximum(lows[query_index], self.lows[partition_index])
         overlap_highs = np.minimum(highs[query_index], self.highs[partition_index])
 
-        coefficients = self.coefficient_cache.get_batch(overlap_lows, overlap_highs, self._degrees)
-        errors = None
+        covered = np.all(overlap_lows == self.lows[partition_index], axis=-1) & np.all(
+            overlap_highs == self.highs[partition_index], axis=-1
+        )
+
+        bern_lower = self._coefficient_lower[partition_index]
+        bern_upper = self._coefficient_upper[partition_index]
+        partial = ~covered
+        if partial.any():
+            coefficients = bernstein_coefficients_batch(
+                self.network, overlap_lows[partial], overlap_highs[partial], self._degrees
+            )
+            bern_lower[partial], bern_upper[partial] = bernstein_enclosure_batch(coefficients)
+            del coefficients
         if include_error:
             errors = bernstein_error_bound_batch(
                 self.lipschitz_constant, overlap_lows, overlap_highs, self._degrees
-            )
-        bern_lower, bern_upper = bernstein_enclosure_batch(coefficients, errors)
+            )[:, None]
+            np.subtract(bern_lower, errors, out=bern_lower)
+            np.add(bern_upper, errors, out=bern_upper)
 
         # Finer IBP refinement for low-dimensional plants (cheap), coarser in
         # higher dimensions where the sub-box count grows geometrically.
         splits = 4 if self.domain.dimension <= 2 else 2
         ibp_lower, ibp_upper = self._refined_ibp_for_overlaps(
-            partition_index, overlap_lows, overlap_highs, splits
+            partition_index, covered, overlap_lows, overlap_highs, splits
         )
         lower = np.maximum(bern_lower, ibp_lower)
         upper = np.minimum(bern_upper, ibp_upper)
@@ -237,6 +257,15 @@ class PartitionedApproximation:
 
         lower, upper = self.control_bounds_batch(box.low[None, :], box.high[None, :], include_error=include_error)
         return Interval(lower[0], upper[0])
+
+
+def _frozen_clone(network: MLP) -> MLP:
+    """A copy of ``network`` with its own read-only weight arrays."""
+
+    clone = network.clone()
+    for tensor in clone.parameters():
+        tensor.data.setflags(write=False)
+    return clone
 
 
 def _refine_frontier(
@@ -336,15 +365,13 @@ def partition_network(
 
     degrees = np.full(domain.dimension, int(degree), dtype=int)
     lows, highs, refinements = _refine_frontier(domain, degrees, lipschitz_constant, target_error, max_partitions)
-    cache = CoefficientCache(network)
     return PartitionedApproximation(
         network=network,
         domain=domain,
         lows=lows,
         highs=highs,
-        coefficients=cache.get_batch(lows, highs, degrees),
+        coefficients=bernstein_coefficients_batch(network, lows, highs, degrees),
         target_error=target_error,
         lipschitz_constant=lipschitz_constant,
         refinement_steps=refinements,
-        coefficient_cache=cache,
     )

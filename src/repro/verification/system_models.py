@@ -10,7 +10,7 @@ every registered :class:`~repro.scenarios.ScenarioSpec` carries an
 ``interval_dynamics`` hook, and :func:`interval_dynamics_batch` looks the
 plant up by its ``name``.  The functions below are the hooks the built-in
 catalog registers (one per bundled plant); a plant with no registered hook
-falls back to the sampled corner enclosure, which is *not* sound in general.
+cannot be verified and raises :class:`MissingInclusionFunction`.
 
 The inclusion functions are written **batched-native**: every state
 component is addressed with ``[..., i]`` slices, so the same formulas push
@@ -23,16 +23,16 @@ elementwise.
 
 from __future__ import annotations
 
-import warnings
-from typing import Sequence, Set
+from typing import Sequence
 
 import numpy as np
 
 from repro.systems.base import ControlSystem
 from repro.verification.intervals import Interval
 
-#: Plant names already warned about falling back to the sampled enclosure.
-_WARNED_UNSOUND: Set[str] = set()
+
+class MissingInclusionFunction(LookupError):
+    """The plant has no registered interval inclusion function to verify with."""
 
 
 def _stack_components(components: Sequence[Interval]) -> Interval:
@@ -57,27 +57,20 @@ def interval_dynamics_batch(
     across the stack.  Returns an ``(N, state_dim)`` interval.
 
     The inclusion function is resolved through the scenario registry by the
-    plant's ``name``; unregistered plants fall back to the (unsound) sampled
-    enclosure.
+    plant's ``name``; a plant without one raises
+    :class:`MissingInclusionFunction`.
     """
 
     from repro.scenarios import find_scenario
 
     name = getattr(system, "name", None)
     spec = find_scenario(name)
-    if spec is not None and spec.interval_dynamics is not None:
-        return spec.interval_dynamics(system, states, controls, disturbance)
-    if name not in _WARNED_UNSOUND:
-        _WARNED_UNSOUND.add(name)
-        warnings.warn(
+    if spec is None or spec.interval_dynamics is None:
+        raise MissingInclusionFunction(
             f"no interval inclusion function registered for system {name!r}: "
-            "falling back to the sampled corner enclosure, which is NOT a sound "
-            "over-approximation; register a scenario with interval_dynamics to "
-            "get trustworthy verification verdicts",
-            RuntimeWarning,
-            stacklevel=2,
+            "register one with register_scenario(..., interval_dynamics=...) to verify it"
         )
-    return _sampled_interval_batch(system, states, controls, disturbance)
+    return spec.interval_dynamics(system, states, controls, disturbance)
 
 
 def interval_dynamics(
@@ -198,51 +191,3 @@ def acc_interval(
     next_velocity = velocity + acceleration.scale(-tau) + w
     next_acceleration = acceleration.scale(1.0 - tau / system.lag) + u.scale(tau / system.lag)
     return _stack_components([next_gap, next_velocity, next_acceleration])
-
-
-def _sampled_interval(
-    system: ControlSystem, state: Interval, control: Interval, disturbance: Interval, samples_per_dim: int = 3
-) -> Interval:
-    """Fallback for plants without a registered inclusion function.
-
-    Evaluates the concrete dynamics on a grid of state/control corners and
-    takes the bounding box, then inflates by the disturbance width.  This is
-    *not* a sound over-approximation in general (documented in DESIGN.md),
-    but it is only used for user-supplied systems outside the catalog.
-    """
-
-    state_box = state.to_box()
-    control_box = control.to_box()
-    state_points = state_box.grid(samples_per_dim)
-    control_points = control_box.grid(samples_per_dim)
-    zero_disturbance = np.zeros(system.state_dim)
-    images = []
-    for state_point in state_points:
-        for control_point in control_points:
-            images.append(system.dynamics(state_point, control_point, zero_disturbance))
-    images = np.asarray(images)
-    result = Interval(images.min(axis=0), images.max(axis=0))
-    if len(disturbance) == system.state_dim:
-        result = result + disturbance
-    return result
-
-
-def _sampled_interval_batch(
-    system: ControlSystem, states: Interval, controls: Interval, disturbance: Interval
-) -> Interval:
-    """Row loop over :func:`_sampled_interval` for non-analytic plants."""
-
-    count = states.lower.shape[0]
-    rows = [
-        _sampled_interval(
-            system,
-            Interval(states.lower[index], states.upper[index]),
-            Interval(controls.lower[index], controls.upper[index]),
-            disturbance,
-        )
-        for index in range(count)
-    ]
-    return Interval(
-        np.stack([row.lower for row in rows], axis=0),
-        np.stack([row.upper for row in rows], axis=0),
-    )

@@ -24,7 +24,10 @@ from hypothesis import strategies as st
 
 from repro.nn.network import MLP
 from repro.scenarios import get_scenario, list_scenarios
+from repro.systems.sets import Box
 from repro.verification.bernstein import (
+    BernsteinApproximation,
+    _distinct_grid_points,
     bernstein_coefficients_batch,
     bernstein_enclosure_batch,
     bernstein_grid_batch,
@@ -35,6 +38,7 @@ from repro.verification.intervals import (
     apply_row_blocked,
     network_output_bounds_batch,
 )
+from repro.verification.partition import PartitionedApproximation
 
 # ----------------------------------------------------------------------
 # Frozen reference implementations (verbatim pre-audit copies -- do not
@@ -300,8 +304,9 @@ def test_apply_row_blocked_repeated_calls_identical():
 
 
 def test_coefficients_output_is_freshly_allocated():
-    """Coefficient tensors are cached persistently (CoefficientCache), so the
-    kernel's output must never alias reusable scratch memory."""
+    """Coefficient tensors are kept by their callers (a partitioning holds
+    its partitions' fits), so the kernel's output must never alias reusable
+    scratch memory."""
 
     rng = np.random.default_rng(1)
     network = _network(rng, 2)
@@ -384,3 +389,171 @@ def test_stacked_matmul_equals_each_slice_product(seed, blocks, inner, outer):
     product = np.matmul(stack, weight)
     for index in range(blocks):
         assert_bit_identical(product[index], np.matmul(stack[index], weight), f"slice {index}")
+
+
+# ----------------------------------------------------------------------
+# Deduplicated fits: a box stack's distinct grid points are evaluated once
+# and gathered back, which must equal fitting every box on its own.
+# ----------------------------------------------------------------------
+
+
+def _assert_matches_per_box_fits(function, lows, highs, degrees):
+    """The stacked fit equals each box's own fit and the full-grid reference."""
+
+    coeffs = bernstein_coefficients_batch(function, lows, highs, degrees)
+    per_box = np.stack(
+        [BernsteinApproximation(function, Box(low, high), degrees).coefficients for low, high in zip(lows, highs)]
+    )
+    assert_bit_identical(coeffs, per_box, "stacked fit vs per-box fits")
+    ref = _reference_bernstein_coefficients_batch(function, lows, highs, degrees)
+    assert_bit_identical(coeffs, ref, "stacked fit vs full-grid reference")
+    return coeffs
+
+
+def _distinct_count(lows, highs, degrees):
+    """Distinct rows of the full grid stack, compared by bit pattern."""
+
+    flat = bernstein_grid_batch(lows, highs, degrees).reshape(-1, lows.shape[1])
+    return np.unique(flat.view(np.uint64), axis=0).shape[0]
+
+
+def _uniform_tiling(domain_low, domain_high, cells):
+    edges = [np.linspace(low, high, cells + 1) for low, high in zip(domain_low, domain_high)]
+    index = np.stack(np.meshgrid(*[np.arange(cells)] * len(edges), indexing="ij"), axis=-1).reshape(-1, len(edges))
+    lows = np.stack([edges[axis][index[:, axis]] for axis in range(len(edges))], axis=-1)
+    highs = np.stack([edges[axis][index[:, axis] + 1] for axis in range(len(edges))], axis=-1)
+    return lows, highs
+
+
+def _kd_bisection(rng, dimension, leaves):
+    """Split a random leaf at a random fraction of a random axis until
+    ``leaves`` boxes tile ``[-2, 2]^dimension``."""
+
+    lows = [np.full(dimension, -2.0)]
+    highs = [np.full(dimension, 2.0)]
+    while len(lows) < leaves:
+        index = int(rng.integers(len(lows)))
+        axis = int(rng.integers(dimension))
+        low, high = lows.pop(index), highs.pop(index)
+        middle = low[axis] + rng.choice([0.5, 0.25, 1.0 / 3.0]) * (high[axis] - low[axis])
+        first_high, second_low = high.copy(), low.copy()
+        first_high[axis] = second_low[axis] = middle
+        lows += [low, second_low]
+        highs += [first_high, high]
+    return np.array(lows), np.array(highs)
+
+
+@pytest.mark.parametrize("dimension,cells,degree", [(1, 7, 3), (2, 5, 3), (3, 3, 2), (2, 4, 1)])
+def test_dedup_fit_on_a_uniform_tiling(dimension, cells, degree):
+    """Tiles share faces, edges and corners, so their grids share points."""
+
+    rng = np.random.default_rng(dimension * 100 + cells)
+    lows, highs = _uniform_tiling(np.full(dimension, -1.5), np.full(dimension, 1.5), cells)
+    degrees = [degree] * dimension
+    _assert_matches_per_box_fits(_network(rng, dimension, out_dim=2), lows, highs, degrees)
+    points, inverse = _distinct_grid_points(lows, highs, tuple(degree + 1 for degree in degrees))
+    assert points.shape[0] == _distinct_count(lows, highs, degrees) < inverse.size
+    flat = bernstein_grid_batch(lows, highs, degrees).reshape(-1, dimension)
+    assert_bit_identical(points[inverse], flat, "gathered distinct points")
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    dimension=st.integers(1, 3),
+    leaves=st.integers(1, 40),
+    degree=st.integers(1, 3),
+)
+def test_dedup_fit_on_a_kd_bisection(seed, dimension, leaves, degree):
+    rng = np.random.default_rng(seed)
+    lows, highs = _kd_bisection(rng, dimension, leaves)
+    _assert_matches_per_box_fits(_network(rng, dimension), lows, highs, [degree] * dimension)
+
+
+def _signed_zero_probe(point):
+    """Tells ``-0.0`` from ``0.0``: ``atan2(+-0, -1) = +-pi``."""
+
+    point = np.asarray(point)
+    return np.array([np.arctan2(point[0], -1.0), np.sum(np.copysign(1.0, point))])
+
+
+def test_dedup_keeps_signed_zeros_apart():
+    """``linspace`` keeps a ``-0.0`` upper bound as the last grid point (a
+    ``-0.0`` lower bound comes out as ``0.0``), so boxes ending at ``-0.0``
+    and at ``0.0`` have grids that compare equal but fit differently."""
+
+    lows = np.array([[-1.0, -1.0], [-1.0, -1.0], [-0.0, 0.0], [0.0, -0.0], [-1.0, -0.0]])
+    highs = np.array([[-0.0, 0.0], [0.0, -0.0], [1.0, 1.0], [1.0, 1.0], [-0.0, -0.0]])
+    coeffs = _assert_matches_per_box_fits(_signed_zero_probe, lows, highs, [2, 2])
+    assert not np.array_equal(coeffs[0], coeffs[1])
+    assert _distinct_grid_points(lows, highs, (3, 3))[0].shape[0] == _distinct_count(lows, highs, [2, 2])
+
+
+def test_dedup_evaluates_each_distinct_point_once_for_a_plain_callable():
+    seen = []
+
+    def function(point):
+        seen.append(np.asarray(point).tobytes())
+        return np.array([np.sin(point[0]) * np.cos(point[1]), point[0] - point[1] ** 2])
+
+    lows, highs = _uniform_tiling(np.array([-1.0, 0.0]), np.array([1.0, 2.0]), 4)
+    _assert_matches_per_box_fits(function, lows, highs, [3, 2])
+    seen.clear()
+    bernstein_coefficients_batch(function, lows, highs, [3, 2])
+    assert len(seen) == len(set(seen)) == _distinct_count(lows, highs, [3, 2])
+
+
+def test_dedup_fit_where_a_naive_key_overflows_int64():
+    """Seven axes with 2**11 distinct coordinates on the first and 2**10 on
+    each other one: the plain mixed-radix key needs 71 bits, and wrapped to
+    int64 it maps box ``i`` and box ``i + 512`` (which differ only on the
+    first axis) onto the same keys.  The key must be re-ranked on the way."""
+
+    boxes = np.arange(1024)
+    lows = np.empty((1024, 7))
+    lows[:, 0] = boxes / 1024.0
+    lows[:, 1:] = (boxes % 512 / 512.0)[:, None]
+    highs = lows.copy()
+    highs[:, 0] += 0.5 / 1024.0
+    highs[:, 1:] += 0.5 / 512.0
+    degrees = [1] * 7
+    radix = 1
+    for axis in range(7):
+        points = np.linspace(lows[:, axis], highs[:, axis], 2, axis=-1)
+        radix *= np.unique(points.view(np.uint64)).size
+    assert radix == 2**71 > np.iinfo(np.int64).max
+    coeffs = _assert_matches_per_box_fits(_network(np.random.default_rng(11), 7, out_dim=2), lows, highs, degrees)
+    assert not np.array_equal(coeffs[:512], coeffs[512:])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    dimension=st.integers(1, 4),
+    partitions=st.integers(1, 30),
+    queries=st.integers(1, 30),
+)
+def test_overlap_mask_equals_the_broadcast_form(seed, dimension, partitions, queries):
+    """Coordinates on a coarse lattice make touching faces common."""
+
+    rng = np.random.default_rng(seed)
+
+    def boxes(count):
+        corners = rng.integers(-4, 5, size=(2, count, dimension)) / 4.0
+        return corners.min(axis=0), corners.max(axis=0)
+
+    part_lows, part_highs = boxes(partitions)
+    approx = PartitionedApproximation(
+        network=_network(rng, dimension),
+        domain=Box(np.full(dimension, -1.0), np.full(dimension, 1.0)),
+        lows=part_lows,
+        highs=part_highs,
+        coefficients=np.zeros((partitions,) + (2,) * dimension + (1,)),
+        target_error=1.0,
+        lipschitz_constant=1.0,
+    )
+    lows, highs = boxes(queries)
+    expected = np.all(part_lows[None, :, :] <= highs[:, None, :], axis=-1) & np.all(
+        lows[:, None, :] <= part_highs[None, :, :], axis=-1
+    )
+    np.testing.assert_array_equal(approx._overlap_mask(lows, highs), expected)

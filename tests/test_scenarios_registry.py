@@ -217,25 +217,22 @@ class TestBudgetHints:
             assert set(spec.verify_budget) <= field_names
 
 
-class TestUnsoundFallbackWarning:
-    def test_unregistered_plant_warns_once_then_stays_quiet(self):
-        import warnings
-
+class TestMissingInclusionFunction:
+    def test_unregistered_plant_raises_a_typed_error(self):
         from repro.verification.intervals import Interval
-        from repro.verification.system_models import interval_dynamics
+        from repro.verification.system_models import MissingInclusionFunction, interval_dynamics
 
         class Anonymous(VanDerPolOscillator):
-            name = "anon-plant-warning-probe"
+            name = "anon-plant-inclusion-probe"
 
         system = Anonymous()
         state = Interval(np.zeros(2), np.full(2, 0.1))
         control = Interval([-1.0], [1.0])
         disturbance = Interval([-0.05], [0.05])
-        with pytest.warns(RuntimeWarning, match="NOT a sound"):
+        with pytest.raises(MissingInclusionFunction, match="anon-plant-inclusion-probe") as raised:
             interval_dynamics(system, state, control, disturbance)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a repeat call must not warn again
-            interval_dynamics(system, state, control, disturbance)
+        assert "register_scenario(..., interval_dynamics=...)" in str(raised.value)
+        assert isinstance(raised.value, LookupError)
 
 
 class TestNewPlants:

@@ -34,7 +34,6 @@ from repro.systems import make_system
 from repro.systems.sets import Box
 from repro.verification.bernstein import (
     BernsteinApproximation,
-    CoefficientCache,
     bernstein_coefficients_batch,
     bernstein_enclosure_batch,
     bernstein_error_bound,
@@ -151,36 +150,22 @@ class TestBatchedKernels:
             np.testing.assert_array_equal(lower[index], scalar.lower)
             np.testing.assert_array_equal(upper[index], scalar.upper)
 
-    def test_coefficient_cache_hits_and_reuse(self):
-        cache = CoefficientCache(self.network)
-        first = cache.get_batch(self.lows, self.highs, self.degrees)
-        assert cache.misses == self.lows.shape[0] and cache.hits == 0
-        again = cache.get_batch(self.lows, self.highs, self.degrees)
-        assert cache.hits == self.lows.shape[0]
-        np.testing.assert_array_equal(first, again)
-        # A partial overlap fits only the new boxes.
-        extra_lows = np.concatenate([self.lows[:3], self.lows[:3] + 0.01], axis=0)
-        extra_highs = np.concatenate([self.highs[:3], self.highs[:3] + 0.01], axis=0)
-        cache.get_batch(extra_lows, extra_highs, self.degrees)
-        assert cache.misses == self.lows.shape[0] + 3
-
-    def test_cache_eviction_bounds_memory(self):
-        cache = CoefficientCache(self.network, max_entries=4)
-        cache.get_batch(self.lows, self.highs, self.degrees)
-        assert len(cache) == 4
-
-    def test_cache_invalidated_by_weight_update(self):
-        cache = CoefficientCache(self.network)
-        before = cache.get_batch(self.lows, self.highs, self.degrees)
-        for layer in self.network.linear_layers():
-            layer.weight.data *= 1.5
-        after = cache.get_batch(self.lows, self.highs, self.degrees)
-        # The weight digest in the key must turn every lookup into a miss...
-        assert cache.hits == 0 and cache.misses == 2 * self.lows.shape[0]
-        # ...and the returned coefficients must belong to the new weights.
-        expected = bernstein_coefficients_batch(self.network, self.lows, self.highs, self.degrees)
-        np.testing.assert_array_equal(after, expected)
-        assert not np.array_equal(before, after)
+    def test_bounds_keep_the_weights_they_were_fitted_on(self):
+        domain = Box([-2, -2], [2, 2])
+        approx = partition_network(self.network, domain, target_error=0.5, degree=3)
+        before = approx.control_bounds_batch(self.lows, self.highs)
+        # Mutate the caller's network in place and by rebinding: the
+        # approximation holds its own frozen clone, so neither reaches it.
+        layers = self.network.linear_layers()
+        layers[0].weight.data *= 1.5
+        layers[1].weight.data = layers[1].weight.data * 0.5
+        after = approx.control_bounds_batch(self.lows, self.highs)
+        for old, new in zip(before, after):
+            np.testing.assert_array_equal(old, new)
+        assert not any(layer.weight.data.flags.writeable for layer in approx.network.linear_layers())
+        # The mutation is large enough to move the bounds of a fresh fit.
+        refitted = partition_network(self.network, domain, target_error=0.5, degree=3)
+        assert not np.array_equal(refitted.control_bounds_batch(self.lows, self.highs)[0], before[0])
 
 
 class TestIntervalDynamicsBatch:

@@ -1,12 +1,19 @@
 """Tests for the Bernstein-polynomial approximation of neural controllers."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.nn.lipschitz import network_lipschitz
 from repro.nn.network import MLP
 from repro.systems.sets import Box
-from repro.verification.bernstein import BernsteinApproximation, bernstein_error_bound, degrees_for_error
+from repro.verification.bernstein import (
+    BernsteinApproximation,
+    _binomials,
+    bernstein_error_bound,
+    degrees_for_error,
+)
 
 
 class TestErrorBound:
@@ -44,6 +51,24 @@ class TestErrorBound:
     def test_degrees_for_error_invalid_target(self):
         with pytest.raises(ValueError):
             degrees_for_error(1.0, Box([-1], [1]), 0.0)
+
+
+class TestBinomials:
+    @pytest.mark.parametrize("degree", range(31))
+    def test_equal_scipy_comb_bitwise_through_degree_30(self, degree):
+        from scipy.special import comb
+
+        expected = comb(degree, np.arange(degree + 1))
+        assert _binomials(degree).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("degree", [31, 40, 52])
+    def test_exact_beyond_degree_30(self, degree):
+        table = _binomials(degree)
+        # Every C(n, k) with n <= 52 is an integer below 2**53, so exact
+        # entries are symmetric and sum to 2**n with no rounding.
+        assert np.array_equal(table, table[::-1])
+        assert table.sum() == 2.0**degree
+        assert table[degree // 2] == math.comb(degree, degree // 2)
 
 
 class TestApproximationQuality:

@@ -133,9 +133,9 @@ class TestSummaries:
             assert approx.num_partitions == budget
             assert approx.max_error > target
 
-    def test_one_weights_digest_per_cache_fill(self, small_network, domain, monkeypatch):
-        """Filling the coefficient cache hashes the weights once per batch,
-        not once per partition."""
+    def test_weights_digests_do_not_scale_with_partitions(self, small_network, domain, monkeypatch):
+        """Partitioning hashes the weights a fixed number of times, never
+        once per partition."""
 
         from repro.nn import lipschitz
 
