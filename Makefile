@@ -12,11 +12,13 @@
 # gradients included), on src/repro/attacks/fgsm.py via the attack pack (the
 # FGSM input gradient), on
 # src/repro/core via the core packs plus the training-determinism pack
-# (the kappa_D worker pool and its failure paths included), and on
+# (the kappa_D worker pool and its failure paths included), on
 # src/repro/verification via the verification packs
 # (test_verification_batch.py holds the comparisons against the frozen
 # reference in tests/verification_reference.py) plus the kernel
-# differential pack;
+# differential pack, on src/repro/nn via the test_nn_*.py packs (layers,
+# Lipschitz bound, network, optimisers, serialisation, closed-form VJP),
+# and on src/repro/metrics via the metrics pack;
 # `shard-smoke` runs a real 2-shard matrix against one run directory,
 # merges it back end-to-end, and `cmp`s the merged CSV with the same matrix
 # run unsharded on a 2-worker pool (`--jobs 2`), once with a run directory and
@@ -79,6 +81,11 @@ test-cov:
 	$(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/core \
 		tests/test_core_cocktail.py tests/test_core_distillation.py \
 		tests/test_core_mixing.py tests/test_training_determinism.py
+	$(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/nn \
+		tests/test_nn_layers.py tests/test_nn_lipschitz.py tests/test_nn_network.py \
+		tests/test_nn_optim.py tests/test_nn_serialization.py tests/test_nn_vjp.py
+	$(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/metrics \
+		tests/test_metrics.py
 
 SHARD_SMOKE_DIR ?= runs/shard-smoke
 shard-smoke:

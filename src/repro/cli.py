@@ -65,7 +65,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro import make_system
-from repro.utils.persistence import load_student_controller
 from repro.verification import verify_controller
 
 
@@ -114,17 +113,6 @@ def _add_system_argument(parser: argparse.ArgumentParser, default: Optional[str]
         help=f"registered scenario, one of {list_scenarios()} "
         "(aliases and variants like vanderpol?mu=1.5 accepted)",
     )
-
-
-def _load_controller(directory: Path, name: str):
-    """Load a saved student, exiting with the available names on a miss."""
-
-    try:
-        return load_student_controller(directory, name=name)
-    except FileNotFoundError as error:
-        raise SystemExit(f"no saved controllers found in {directory}: {error}")
-    except KeyError as error:
-        raise SystemExit(str(error.args[0]) if error.args else str(error))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -436,14 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_budget(explicit, hints, key, fallback):
-    """An explicitly passed CLI value wins; then the scenario hint; then ``fallback``."""
-
-    if explicit is not None:
-        return explicit
-    return type(fallback)(hints.get(key, fallback))
-
-
 def _command_train(args: argparse.Namespace) -> int:
     from repro.jobs.messages import TrainJobSpec
     from repro.jobs.runner import JobSpecError, execute_train
@@ -495,23 +475,27 @@ def _command_evaluate(args: argparse.Namespace) -> int:
 
 
 def _command_verify(args: argparse.Namespace) -> int:
+    from repro.jobs.runner import JobSpecError, _load_controller, resolve_budget
     from repro.scenarios import get_scenario
 
     system = make_system(args.system)
-    controller = _load_controller(args.controller_dir, args.controller)
+    try:
+        controller = _load_controller(args.controller_dir, args.controller)
+    except JobSpecError as error:
+        raise SystemExit(str(error))
     hints = get_scenario(args.system).verify_budget
     reach_box = system.initial_set.scale(
-        _resolve_budget(args.reach_box_scale, hints, "reach_box_scale", 0.1)
+        resolve_budget(args.reach_box_scale, hints, "reach_box_scale", 0.1)
     )
     report = verify_controller(
         system,
         controller.network,
         name=args.controller,
-        target_error=_resolve_budget(args.target_error, hints, "target_error", 0.5),
-        degree=_resolve_budget(args.degree, hints, "degree", 3),
-        max_partitions=_resolve_budget(args.max_partitions, hints, "max_partitions", 4096),
+        target_error=resolve_budget(args.target_error, hints, "target_error", 0.5),
+        degree=resolve_budget(args.degree, hints, "degree", 3),
+        max_partitions=resolve_budget(args.max_partitions, hints, "max_partitions", 4096),
         reach_initial_box=reach_box,
-        reach_steps=_resolve_budget(args.reach_steps, hints, "reach_steps", 15),
+        reach_steps=resolve_budget(args.reach_steps, hints, "reach_steps", 15),
         invariant_grid=args.invariant_grid or None,
     )
     for key, value in report.summary().items():

@@ -27,7 +27,7 @@ import numpy as np
 from repro.autodiff import Tensor
 from repro.core.config import DistillationConfig
 from repro.experts.base import Controller, NeuralController
-from repro.nn.layers import Activation, Linear
+from repro.nn.lipschitz import network_lipschitz
 from repro.nn.network import MLP
 from repro.nn.optim import Adam
 from repro.systems.base import ControlSystem
@@ -201,7 +201,7 @@ class _BaseDistiller:
                 epoch_losses.append(float(loss))
             self.logger.log(
                 loss=float(np.mean(epoch_losses)) if epoch_losses else 0.0,
-                lipschitz=_layer_norm_lipschitz(student),
+                lipschitz=network_lipschitz(student),
             )
         self.student = student
         return NeuralController(student, name=self.controller_name())
@@ -303,18 +303,3 @@ class RobustDistiller(_BaseDistiller):
                 grads[index] = clean_grads[index] + grads[index]
         return loss + weight * penalty, grads
 
-
-def _layer_norm_lipschitz(network: MLP) -> float:
-    """The footnote-1 bound with exact layer norms, for the per-epoch log.
-
-    Unlike :func:`repro.nn.lipschitz.network_lipschitz` it keeps no memo: the
-    weights change every epoch, so a memo entry would never be read again.
-    """
-
-    constant = 1.0
-    for layer in network.layers:
-        if isinstance(layer, Linear):
-            constant *= float(np.linalg.norm(layer.weight.data, 2))
-        elif isinstance(layer, Activation):
-            constant *= layer.lipschitz_constant
-    return constant

@@ -94,11 +94,9 @@ def weights_digest(arrays: Mapping[str, np.ndarray], extra=None) -> str:
     """Hex digest of a named array collection (network weights, datasets).
 
     Hashes dtype, shape and raw bytes per sorted key, so any parameter
-    update changes the digest -- the same invalidation contract as the
-    :func:`repro.nn.lipschitz.network_lipschitz` memo (for live networks
-    prefer :func:`repro.nn.lipschitz.network_weights_digest`, which walks
-    the layers directly).  ``extra`` is any canonicalizable context
-    (architecture dict, analysis budgets) folded into the same hash.
+    update changes the digest (for live networks use
+    :func:`network_weights_digest`).  ``extra`` is any canonicalizable
+    context (architecture dict, analysis budgets) folded into the same hash.
     """
 
     hasher = hashlib.sha256()
@@ -111,3 +109,15 @@ def weights_digest(arrays: Mapping[str, np.ndarray], extra=None) -> str:
         hasher.update(repr(array.shape).encode("utf-8"))
         hasher.update(array.tobytes())
     return hasher.hexdigest()
+
+
+def network_weights_digest(network) -> str:
+    """Content address of a live :class:`~repro.nn.network.MLP`.
+
+    :func:`weights_digest` over its state dictionary with its architecture
+    folded in, so networks whose concatenated parameter bytes coincide but
+    are shaped or activated differently never collide.  The run store keys
+    evaluation results by it: any parameter update changes the digest.
+    """
+
+    return weights_digest(network.state_dict(), extra=network.architecture())

@@ -1,10 +1,11 @@
 """Lipschitz-constant reporting for arbitrary controllers.
 
 Table I reports ``L`` for every controller that has a well-defined network
-Lipschitz bound: the neural experts, ``kappa_D`` and ``kappa*``; linear and
-polynomial controllers get the analytic constant of their feedback law; the
-mixed design ``A_W`` and the switching baseline ``A_S`` have no single
-constant (the paper prints '-'), represented here as ``None``.
+Lipschitz bound: the neural experts, ``kappa_D`` and ``kappa*``; linear
+controllers get the norm of their gain; polynomial and other model-based
+experts get a sampled estimate over the safe region; the mixed design
+``A_W`` and the switching baseline ``A_S`` have no single constant (the
+paper prints '-'), represented here as ``None``.
 """
 
 from __future__ import annotations
@@ -15,18 +16,19 @@ import numpy as np
 
 from repro.experts.base import Controller, LinearStateFeedback, NeuralController
 from repro.experts.lqr import LQRController
-from repro.experts.polynomial import PolynomialController
 from repro.nn.lipschitz import empirical_lipschitz, network_lipschitz
 from repro.systems.base import ControlSystem
+from repro.systems.simulation import batch_controls
 
 
 def controller_lipschitz(controller: Controller, system: Optional[ControlSystem] = None) -> Optional[float]:
     """Best-available Lipschitz constant of a controller, or ``None``.
 
     Neural controllers use the paper's product-of-layer-norms bound; linear
-    feedback uses the gain's spectral norm; polynomial controllers use an
-    empirical bound over the safe region (requires ``system``); everything
-    else returns ``None`` (rendered as '-' in the tables).
+    feedback uses the gain's spectral norm; any other expert (polynomial,
+    feedback-linearising) gets a sampled estimate over the safe region
+    (requires ``system``); everything else returns ``None`` (rendered as
+    '-' in the tables).
     """
 
     # The mixed design A_W and the switching baseline A_S have no single
@@ -42,28 +44,12 @@ def controller_lipschitz(controller: Controller, system: Optional[ControlSystem]
         return float(network_lipschitz(network if network is not None else controller.network))
     if isinstance(controller, (LinearStateFeedback, LQRController)):
         return float(np.linalg.norm(controller.gain, 2))
-    if isinstance(controller, PolynomialController) and system is not None:
-        return _sampled_lipschitz(controller, system)
     if system is not None and isinstance(controller, Controller):
-        # Model-based experts without an analytic constant (e.g. the
-        # feedback-linearising oscillator expert): sampled estimate over X.
-        return _sampled_lipschitz(controller, system)
+        # Polynomial experts and model-based experts without an analytic
+        # constant (e.g. the feedback-linearising oscillator expert): a
+        # finite-difference estimate over the safe region X.
+        box = system.safe_region
+        return empirical_lipschitz(
+            lambda states: batch_controls(controller, states), box.low, box.high, epsilon=1e-4
+        )
     return None
-
-
-def _sampled_lipschitz(controller: Controller, system: ControlSystem, samples: int = 512, epsilon: float = 1e-4) -> float:
-    """Finite-difference estimate of the Lipschitz constant over the safe region."""
-
-    rng = np.random.default_rng(0)
-    box = system.safe_region
-    points = box.sample(rng, count=samples)
-    directions = rng.normal(size=points.shape)
-    norms = np.linalg.norm(directions, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    directions /= norms
-    best = 0.0
-    for point, direction in zip(points, directions):
-        base = np.atleast_1d(controller(point))
-        moved = np.atleast_1d(controller(point + epsilon * direction))
-        best = max(best, float(np.linalg.norm(moved - base) / epsilon))
-    return best

@@ -12,13 +12,7 @@ parameter holders; their gradients come from one path, :meth:`MLP._vjp`
 from repro.nn.layers import Activation, Identity, Linear, Module, ReLU, Sigmoid, Tanh
 from repro.nn.network import MLP
 from repro.nn.optim import SGD, Adam, Optimizer
-from repro.nn.lipschitz import (
-    empirical_lipschitz,
-    layer_lipschitz,
-    network_lipschitz,
-    network_weights_digest,
-    spectral_norm,
-)
+from repro.nn.lipschitz import empirical_lipschitz, network_lipschitz
 from repro.nn.serialization import load_state_dict, save_state_dict, state_dict_from_module
 
 __all__ = [
@@ -34,10 +28,7 @@ __all__ = [
     "SGD",
     "Adam",
     "network_lipschitz",
-    "network_weights_digest",
-    "layer_lipschitz",
     "empirical_lipschitz",
-    "spectral_norm",
     "save_state_dict",
     "load_state_dict",
     "state_dict_from_module",

@@ -83,6 +83,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 
 from repro.core.cocktail import CocktailPipeline
 from repro.core.config import CocktailConfig
+from repro.experiments.digest import network_weights_digest
 from repro.experiments.store import RunStore
 from repro.experts.base import NeuralController
 from repro.metrics.robustness import evaluate_robustness
@@ -347,8 +348,6 @@ def _controller_identity(name: str, controller) -> Dict[str, object]:
 
     network = getattr(controller, "network", None)
     if network is not None:
-        from repro.nn.lipschitz import network_weights_digest
-
         return {"kind": "network", "weights": network_weights_digest(network)}
     return {"kind": "analytic", "name": name}
 

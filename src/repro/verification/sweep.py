@@ -104,10 +104,10 @@ class SweepJob:
     def cache_config(self) -> Dict:
         """The job's resolved identity for run-store caching.
 
-        Keyed on the controller weight digest (same invalidation contract
-        as the :func:`repro.nn.lipschitz.network_lipschitz` memo: any
-        weight update changes it) crossed with every analysis budget; the
-        system resolves through the scenario registry so
+        Keyed on the controller weight digest (the bytes
+        :func:`repro.experiments.digest.network_weights_digest` hashes for
+        a live network: any weight update changes it) crossed with every
+        analysis budget; the system resolves through the scenario registry so
         variant spellings (``vanderpol?mu=1.50`` vs ``?mu=1.5``) share one
         cache entry.
         """

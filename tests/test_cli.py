@@ -34,12 +34,12 @@ class TestParser:
         assert args.mixing_epochs is None
 
     def test_budget_resolution_prefers_explicit_then_hint(self):
-        from repro.cli import _resolve_budget
+        from repro.jobs.runner import resolve_budget
 
         hints = {"mixing_epochs": 3}
-        assert _resolve_budget(7, hints, "mixing_epochs", 10) == 7
-        assert _resolve_budget(None, hints, "mixing_epochs", 10) == 3
-        assert _resolve_budget(None, {}, "mixing_epochs", 10) == 10
+        assert resolve_budget(7, hints, "mixing_epochs", 10) == 7
+        assert resolve_budget(None, hints, "mixing_epochs", 10) == 3
+        assert resolve_budget(None, {}, "mixing_epochs", 10) == 10
 
     def test_unknown_system_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -138,9 +138,10 @@ class TestErrorPaths:
         assert isinstance(code, str)
         assert "kappa_bogus" in code and "kappa_star" in code
 
-    def test_missing_controller_dir_names_the_directory(self, tmp_path):
+    @pytest.mark.parametrize("command", ["evaluate", "verify"])
+    def test_missing_controller_dir_names_the_directory(self, tmp_path, command):
         code = _exit_code(
-            ["evaluate", "--system", "vanderpol", "--controller-dir", str(tmp_path / "nope")]
+            [command, "--system", "vanderpol", "--controller-dir", str(tmp_path / "nope")]
         )
         assert isinstance(code, str)
         assert "no saved controllers found" in code and "nope" in code

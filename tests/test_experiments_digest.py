@@ -160,9 +160,10 @@ class TestWeightsDigest:
         assert weights_digest(weights, extra={"arch": 1}) != base
 
     def test_matches_network_weights_digest_contract(self):
-        # The live-network digest (the `network_lipschitz` memo key) must
+        # The live-network digest (the run store's controller identity) must
         # change whenever the raw-array digest changes.
-        from repro.nn import MLP, network_weights_digest
+        from repro.experiments.digest import network_weights_digest
+        from repro.nn import MLP
 
         network = MLP(2, 1, hidden_sizes=(4,))
         before = network_weights_digest(network)

@@ -87,6 +87,23 @@ class TestLipschitzMetric:
         # The zero controller is 0-Lipschitz; the sampled fallback finds that.
         assert controller_lipschitz(ZeroController(1), vanderpol) == pytest.approx(0.0)
 
+    @pytest.mark.parametrize(
+        "scenario, index, expected",
+        [
+            ("vanderpol", 0, 10.48525909128184),
+            ("3d", 1, 0.980994427252635),
+            ("pendulum", 0, 18.236381722367412),
+        ],
+    )
+    def test_sampled_expert_constants_are_pinned(self, scenario, index, expected):
+        # The sampled estimate is seeded: its value for the catalog experts
+        # must not move, bit for bit, under a rewrite of the sampler.
+        from repro import make_system
+
+        system = make_system(scenario)
+        expert = make_default_experts(system)[index]
+        assert controller_lipschitz(expert, system) == expected
+
     def test_mixed_and_switching_have_no_constant(self, vanderpol, vanderpol_experts):
         from repro.baselines.switching import SwitchingController
         from repro.core.mixing import MixedController

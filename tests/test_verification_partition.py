@@ -133,25 +133,28 @@ class TestSummaries:
             assert approx.num_partitions == budget
             assert approx.max_error > target
 
-    def test_weights_digests_do_not_scale_with_partitions(self, small_network, domain, monkeypatch):
-        """Partitioning hashes the weights a fixed number of times, never
-        once per partition."""
+    def test_lipschitz_bound_does_not_scale_with_partitions(self, small_network, domain, monkeypatch):
+        """Partitioning computes the Lipschitz bound once, never once per
+        partition: the bound has no memo, so a per-partition call would cost
+        one SVD per layer per box."""
 
-        from repro.nn import lipschitz
+        from repro.verification import bernstein, partition
 
-        original = lipschitz._weights_digest
+        original = partition.network_lipschitz
         calls = []
 
-        def counting_digest(network):
+        def counting_lipschitz(network):
             calls.append(network)
             return original(network)
 
-        monkeypatch.setattr(lipschitz, "_weights_digest", counting_digest)
-        digests = {}
+        monkeypatch.setattr(partition, "network_lipschitz", counting_lipschitz)
+        monkeypatch.setattr(bernstein, "network_lipschitz", counting_lipschitz)
+        counts = {}
         for target in (0.4, 0.2):
             calls.clear()
             approx = partition_network(small_network, domain, target_error=target, degree=3)
-            digests[approx.num_partitions] = len(calls)
-        fewer, more = sorted(digests)
+            approx.evaluate([0.1, -0.3])
+            counts[approx.num_partitions] = len(calls)
+        fewer, more = sorted(counts)
         assert 256 <= fewer < more
-        assert digests[fewer] == digests[more]
+        assert counts[fewer] == counts[more] == 1
