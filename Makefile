@@ -8,8 +8,10 @@
 # sharded-run code too, and enforces the same floor on src/repro/scenarios
 # via the matrix executor, shard and resume packs, on src/repro/telemetry
 # and src/repro/jobs via their test packs, on src/repro/rl via the PPO,
-# DDPG, policy and component packs (the closed-form policy, critic and actor
-# gradients included), on src/repro/attacks/fgsm.py via the attack pack (the
+# DDPG, policy, component, lockstep-env, GAE-property and training-digest
+# packs (the closed-form policy, critic and actor gradients, the caller-reset
+# ControlEnv and the trained-weight pins included), on src/repro/baselines
+# via the baselines pack, on src/repro/attacks/fgsm.py via the attack pack (the
 # FGSM input gradient), on
 # src/repro/core via the core packs plus the training-determinism pack
 # (the kappa_D worker pool and its failure paths included), on
@@ -75,7 +77,10 @@ test-cov:
 		tests/test_utils_buffers.py
 	$(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/rl \
 		tests/test_rl_ppo.py tests/test_rl_ddpg.py tests/test_rl_policies.py \
-		tests/test_rl_components.py
+		tests/test_rl_components.py tests/test_rl_env.py \
+		tests/test_rl_gae_properties.py tests/test_rl_digests.py
+	$(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/baselines \
+		tests/test_baselines.py
 	$(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/attacks/fgsm.py \
 		tests/test_attacks.py
 	$(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/core \

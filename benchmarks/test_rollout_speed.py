@@ -7,8 +7,8 @@ ways -- ``N`` scalar :func:`repro.systems.rollout` calls versus one
 :func:`repro.systems.rollout_batch` call -- records the ratio to
 ``results/rollout_speed.csv`` so future PRs can track the trajectory, and
 asserts the batched engine keeps at least the :data:`MIN_SPEEDUP` floor
-(ratcheted from the original 3x to 5x once the rollout fast path landed;
-observed ~10-40x depending on the plant and controller).
+(ratcheted from the original 3x to 5x; observed ~10-40x depending on the
+plant and controller).
 """
 
 from __future__ import annotations

@@ -36,18 +36,24 @@ class SwitchingEnv(ControlEnv):
         reward: Optional[RewardFunction] = None,
         horizon: Optional[int] = None,
         rng: RngLike = None,
+        num_envs: int = 1,
     ):
         if len(experts) < 2:
             raise ValueError("switching requires at least two experts")
         self.experts = list(experts)
-        super().__init__(system, reward=reward, horizon=horizon, rng=rng)
+        super().__init__(system, reward=reward, horizon=horizon, rng=rng, num_envs=num_envs)
 
     def build_action_space(self) -> DiscreteSpace:
         return DiscreteSpace(len(self.experts))
 
-    def action_to_control(self, action, state: np.ndarray) -> np.ndarray:
-        index = int(np.clip(int(np.atleast_1d(action)[0]), 0, len(self.experts) - 1))
-        return np.atleast_1d(self.experts[index](state))
+    def actions_to_controls(self, actions: np.ndarray, states: np.ndarray) -> np.ndarray:
+        """Each row's selected expert (index clamped to the expert list),
+        called on that row's state alone."""
+
+        indices = np.clip(actions[:, 0].astype(int), 0, len(self.experts) - 1)
+        return np.stack(
+            [np.atleast_1d(self.experts[index](state)) for index, state in zip(indices, states)]
+        )
 
     @property
     def action_dim(self) -> int:
@@ -98,7 +104,9 @@ class SwitchingTrainer:
             energy_weight=self.config.energy_weight,
             survival_bonus=self.config.survival_bonus,
         )
-        self.env = SwitchingEnv(system, self.experts, reward=reward, rng=self._rng)
+        self.env = SwitchingEnv(
+            system, self.experts, reward=reward, rng=self._rng, num_envs=self.config.num_envs
+        )
         self._trainer: Optional[PPOTrainer] = None
 
     def train(self, epochs: Optional[int] = None) -> SwitchingController:

@@ -130,15 +130,15 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--distill-epochs", type=int, default=None, help=f"distillation epochs {hint}")
     train.add_argument("--dataset-size", type=int, default=None, help=f"distillation dataset size {hint}")
     train.add_argument("--eval-samples", type=int, default=None, help=f"Monte-Carlo evaluation samples {hint}")
-    # Vectorization widths default to the scenario hint and then to the
-    # pinned repro.core.config defaults (16/128); 1 = the scalar training
-    # path (bit-identical to the historical per-step/per-sample loops).
+    # Batch widths default to the scenario hint and then to the pinned
+    # repro.core.config defaults (16/128); they change the trained
+    # controller, never the machine.
     train.add_argument(
         "--num-envs",
         type=int,
         default=None,
-        help="parallel PPO mixing environments advanced in lockstep "
-        "(default: scenario hint, then 16; 1 = scalar path)",
+        help="width of the PPO mixing environment: MDP copies advanced in "
+        "lockstep (default: scenario hint, then 16; 1 = one episode at a time)",
     )
     train.add_argument(
         "--train-batch-size",
@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="lockstep teacher rollouts / labels per batched query during "
         "distillation dataset collection (default: scenario hint, then 128; "
-        "1 = scalar path)",
+        "1 = one state at a time)",
     )
     train.add_argument(
         "--eval-batch-size",
@@ -323,8 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="the run directory the shards wrote into")
     runs_merge.add_argument("--csv", type=Path, default=None,
                             help="write the merged per-cell CSV to this path")
-    runs_merge.add_argument("--jobs", type=int, default=1,
-                            help="unused during replay; kept for symmetry with `scenarios run`")
     runs_gc = runs_commands.add_parser(
         "gc", help="remove incomplete entries (and, with --stage, whole stages)"
     )
@@ -730,7 +728,7 @@ def _command_runs(args: argparse.Namespace) -> int:
         from repro.scenarios import MatrixIncompleteError, merge_matrix_run
 
         try:
-            report = merge_matrix_run(args.run_dir, jobs=args.jobs, progress=print)
+            report = merge_matrix_run(args.run_dir, progress=print)
         except FileNotFoundError:
             raise SystemExit(
                 f"no matrix manifest in {args.run_dir}: only sharded `scenarios run "

@@ -32,10 +32,11 @@ class MixingConfig:
     #: PPO epochs N and steps per epoch.
     epochs: int = 30
     steps_per_epoch: int = 2048
-    #: Parallel mixing environments advanced in lockstep during PPO rollout
-    #: collection (the :class:`repro.rl.env.VecMixingEnv` width).  ``1`` is
-    #: the scalar path, bit-identical to the historical per-step loop for
-    #: the same seed; DDPG ignores this (its collection stays scalar).
+    #: Width of the PPO training environment: the number of mixing MDP
+    #: copies advanced in lockstep during rollout collection (the
+    #: ``num_envs`` of :class:`repro.core.mixing.AdaptiveMixingEnv` and of
+    #: the switching baseline's environment).  DDPG steps one transition at
+    #: a time, so the DDPG mixing environment always has width 1.
     num_envs: int = 1
     #: Reward shaping: punishment on safety violation and energy weight.
     punishment: float = -100.0
@@ -67,7 +68,6 @@ class MixingConfig:
         return PPOConfig(
             epochs=self.epochs,
             steps_per_epoch=self.steps_per_epoch,
-            num_envs=self.num_envs,
             gamma=self.gamma,
             policy_lr=self.policy_lr,
             value_lr=self.value_lr,
@@ -188,10 +188,10 @@ class CocktailConfig:
         to), so a spec only states what is scenario-specific.
 
         Unlike the raw dataclasses (whose ``num_envs=1`` /
-        ``train_batch_size=1`` defaults preserve the scalar training path),
-        budget-hint configs default to the *vectorized* trainer at the
-        pinned widths :data:`DEFAULT_NUM_ENVS` / :data:`DEFAULT_TRAIN_BATCH_SIZE`,
-        never at a CPU-count-derived one: the same hints train the same
+        ``train_batch_size=1`` defaults step one environment and label one
+        state at a time), budget-hint configs default to the pinned widths
+        :data:`DEFAULT_NUM_ENVS` / :data:`DEFAULT_TRAIN_BATCH_SIZE`, never
+        to a CPU-count-derived one: the same hints train the same
         controller on every machine.
         """
 

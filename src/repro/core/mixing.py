@@ -21,7 +21,7 @@ import numpy as np
 from repro.core.config import MixingConfig
 from repro.experts.base import Controller
 from repro.rl.ddpg import DDPGConfig, DDPGTrainer
-from repro.rl.env import ControlEnv, RewardFunction, VecMixingEnv
+from repro.rl.env import ControlEnv, RewardFunction
 from repro.rl.policies import DeterministicMLPPolicy, GaussianMLPPolicy
 from repro.rl.ppo import PPOTrainer
 from repro.rl.spaces import BoxSpace
@@ -43,6 +43,7 @@ class AdaptiveMixingEnv(ControlEnv):
         horizon: Optional[int] = None,
         perturbation=None,
         rng: RngLike = None,
+        num_envs: int = 1,
     ):
         if len(experts) < 2:
             raise ValueError("adaptive mixing requires at least two experts")
@@ -55,24 +56,24 @@ class AdaptiveMixingEnv(ControlEnv):
         if np.any(bounds < 1.0):
             raise ValueError("the paper requires AB_i >= 1")
         self.weight_bounds = bounds
-        super().__init__(system, reward=reward, horizon=horizon, perturbation=perturbation, rng=rng)
+        super().__init__(
+            system,
+            reward=reward,
+            horizon=horizon,
+            perturbation=perturbation,
+            rng=rng,
+            num_envs=num_envs,
+        )
 
     def build_action_space(self) -> BoxSpace:
         return BoxSpace(-self.weight_bounds, self.weight_bounds)
 
-    def action_to_control(self, action: np.ndarray, state: np.ndarray) -> np.ndarray:
-        """Eq. (4): clipped weighted sum of the experts' control inputs."""
+    def actions_to_controls(self, actions: np.ndarray, states: np.ndarray) -> np.ndarray:
+        """Eq. (4) on ``N`` rows: the weighted sum of the experts' batched
+        controls, weights clipped to ``[-AB_i, AB_i]`` (the plant clips the sum)."""
 
-        weights = np.clip(np.atleast_1d(action), -self.weight_bounds, self.weight_bounds)
-        control = np.zeros(self.system.control_dim)
-        for weight, expert in zip(weights, self.experts):
-            control = control + weight * np.atleast_1d(expert(state))
-        return self.system.clip_control(control)
-
-    def vectorized(self, num_envs: int) -> VecMixingEnv:
-        """The ``N``-environment lockstep mixing environment (same MDP)."""
-
-        return VecMixingEnv(self, num_envs, self.experts, self.weight_bounds)
+        weights = np.clip(np.atleast_2d(actions), -self.weight_bounds, self.weight_bounds)
+        return weighted_expert_controls(self.experts, weights, states, self.system.control_dim)
 
 
 class MixedController(Controller):
@@ -176,6 +177,7 @@ class MixingTrainer:
             reward=reward,
             perturbation=perturbation,
             rng=self._rng,
+            num_envs=self.config.num_envs if self.config.algorithm == "ppo" else 1,
         )
         self._trainer: Optional[object] = None
 

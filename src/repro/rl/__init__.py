@@ -11,9 +11,9 @@ all ending in the one layerwise VJP, :meth:`repro.nn.MLP._vjp`.
 """
 
 from repro.rl.spaces import BoxSpace, DiscreteSpace
-from repro.rl.env import ControlEnv, RewardFunction, VecControlEnv, VecMixingEnv
+from repro.rl.env import ControlEnv, RewardFunction
 from repro.rl.buffers import ReplayBuffer, RolloutBuffer
-from repro.rl.gae import compute_gae, compute_gae_batch, discounted_returns
+from repro.rl.gae import compute_gae, compute_gae_batch
 from repro.rl.policies import (
     CategoricalMLPPolicy,
     DeterministicMLPPolicy,
@@ -29,13 +29,10 @@ __all__ = [
     "DiscreteSpace",
     "ControlEnv",
     "RewardFunction",
-    "VecControlEnv",
-    "VecMixingEnv",
     "RolloutBuffer",
     "ReplayBuffer",
     "compute_gae",
     "compute_gae_batch",
-    "discounted_returns",
     "GaussianMLPPolicy",
     "CategoricalMLPPolicy",
     "DeterministicMLPPolicy",

@@ -14,52 +14,30 @@ from repro.utils.seeding import RngLike, get_rng
 class RolloutBuffer:
     """Stores one batch of on-policy transitions for PPO.
 
-    Transitions are appended step by step -- one scalar transition at a
-    time (:meth:`add`, ``num_envs = 1``) or one ``(N, ...)`` slice of ``N``
-    parallel environments per vector step (:meth:`add_batch`).  Episode
-    boundaries are recorded through the per-environment ``done`` flags so
-    GAE can reset its accumulator column by column.  After advantages are
-    attached, :meth:`minibatches` yields shuffled index batches over the
-    flattened ``T * N`` transitions for the policy/value updates.
+    Each lockstep step of the ``num_envs`` environments appends one
+    ``(N, ...)`` slice (:meth:`add_batch`).  Episode boundaries are recorded
+    through the per-environment ``done`` flags so GAE can reset its
+    accumulator column by column.  After advantages are attached,
+    :meth:`minibatches` yields shuffled index batches over the flattened
+    ``T * N`` transitions for the policy/value updates.
 
-    The flattened ordering is time-major (all environments' step ``t``
-    before any step ``t + 1``); with ``num_envs = 1`` it reduces exactly to
-    the historical scalar append order.
+    The flattened ordering is time-major: all environments' step ``t``
+    before any step ``t + 1``.
     """
 
     states: List[np.ndarray] = field(default_factory=list)
     actions: List[np.ndarray] = field(default_factory=list)
-    rewards: List[float] = field(default_factory=list)
-    dones: List[bool] = field(default_factory=list)
-    values: List[float] = field(default_factory=list)
-    log_probs: List[float] = field(default_factory=list)
+    rewards: List[np.ndarray] = field(default_factory=list)
+    dones: List[np.ndarray] = field(default_factory=list)
+    values: List[np.ndarray] = field(default_factory=list)
+    log_probs: List[np.ndarray] = field(default_factory=list)
     #: Number of parallel environments feeding the buffer.
     num_envs: int = 1
-    #: Bootstrap value of the single environment's final observation.
-    last_value: float = 0.0
-    #: Per-environment bootstrap values, shape ``(num_envs,)``; preferred
-    #: over ``last_value`` when set (the vectorized collection path sets it).
+    #: Per-environment bootstrap values of the observations after the final
+    #: stored step, shape ``(num_envs,)``.
     last_values: Optional[np.ndarray] = None
     advantages: Optional[np.ndarray] = None
     returns: Optional[np.ndarray] = None
-
-    def add(
-        self,
-        state: np.ndarray,
-        action: np.ndarray,
-        reward: float,
-        done: bool,
-        value: float,
-        log_prob: float,
-    ) -> None:
-        if self.num_envs != 1:
-            raise RuntimeError("add() is for single-env buffers; use add_batch()")
-        self.states.append(np.asarray(state, dtype=np.float64))
-        self.actions.append(np.atleast_1d(np.asarray(action, dtype=np.float64)))
-        self.rewards.append(float(reward))
-        self.dones.append(bool(done))
-        self.values.append(float(value))
-        self.log_probs.append(float(log_prob))
 
     def add_batch(
         self,
@@ -87,67 +65,36 @@ class RolloutBuffer:
         self.values.append(np.asarray(values, dtype=np.float64).reshape(self.num_envs).copy())
         self.log_probs.append(np.asarray(log_probs, dtype=np.float64).reshape(self.num_envs).copy())
 
-    @property
-    def vectorized(self) -> bool:
-        """Whether the buffer holds ``(N, ...)`` slices from :meth:`add_batch`."""
-
-        return bool(self.states) and np.asarray(self.states[0]).ndim == 2
-
     def __len__(self) -> int:
-        """Total stored transitions (``T * num_envs`` for a vectorized buffer)."""
+        """Total stored transitions, ``T * num_envs``."""
 
-        if self.vectorized:
-            return len(self.rewards) * self.num_envs
-        return len(self.rewards)
+        return len(self.rewards) * self.num_envs
 
     def time_major(self) -> Dict[str, np.ndarray]:
-        """Stacked ``(T, N, ...)`` / ``(T, N)`` views for the batched GAE.
+        """Stacked ``(T, N, ...)`` / ``(T, N)`` views for the batched GAE."""
 
-        A buffer filled through the scalar :meth:`add` path is treated as
-        ``N = 1``: the arrays gain a singleton environment axis.
-        """
-
-        horizon = len(self.rewards)
-        envs = self.num_envs if self.vectorized else 1
-        states = np.asarray(self.states, dtype=np.float64).reshape(horizon, envs, -1)
-        actions = np.asarray(self.actions, dtype=np.float64).reshape(horizon, envs, -1)
+        shape = (len(self.rewards), self.num_envs)
         return {
-            "states": states,
-            "actions": actions,
-            "rewards": np.asarray(self.rewards, dtype=np.float64).reshape(horizon, envs),
-            "dones": np.asarray(self.dones, dtype=bool).reshape(horizon, envs),
-            "values": np.asarray(self.values, dtype=np.float64).reshape(horizon, envs),
-            "log_probs": np.asarray(self.log_probs, dtype=np.float64).reshape(horizon, envs),
+            "states": np.asarray(self.states, dtype=np.float64).reshape(*shape, -1),
+            "actions": np.asarray(self.actions, dtype=np.float64).reshape(*shape, -1),
+            "rewards": np.asarray(self.rewards, dtype=np.float64).reshape(shape),
+            "dones": np.asarray(self.dones, dtype=bool).reshape(shape),
+            "values": np.asarray(self.values, dtype=np.float64).reshape(shape),
+            "log_probs": np.asarray(self.log_probs, dtype=np.float64).reshape(shape),
         }
 
     def bootstrap_values(self) -> np.ndarray:
         """The per-environment GAE bootstrap, shape ``(num_envs,)``."""
 
-        if self.last_values is not None:
-            return np.asarray(self.last_values, dtype=np.float64).reshape(self.num_envs)
-        return np.full(self.num_envs, float(self.last_value), dtype=np.float64)
+        return np.asarray(self.last_values, dtype=np.float64).reshape(self.num_envs)
 
     def arrays(self) -> Dict[str, np.ndarray]:
         """Flattened ``(T * N, ...)`` arrays in time-major order."""
 
-        if self.vectorized:
-            states = np.asarray(self.states)
-            actions = np.asarray(self.actions)
-            return {
-                "states": states.reshape(-1, states.shape[-1]),
-                "actions": actions.reshape(-1, actions.shape[-1]),
-                "rewards": np.asarray(self.rewards).reshape(-1),
-                "dones": np.asarray(self.dones, dtype=bool).reshape(-1),
-                "values": np.asarray(self.values).reshape(-1),
-                "log_probs": np.asarray(self.log_probs).reshape(-1),
-            }
+        count = len(self)
         return {
-            "states": np.asarray(self.states),
-            "actions": np.asarray(self.actions),
-            "rewards": np.asarray(self.rewards),
-            "dones": np.asarray(self.dones, dtype=bool),
-            "values": np.asarray(self.values),
-            "log_probs": np.asarray(self.log_probs),
+            key: value.reshape(count, -1) if value.ndim == 3 else value.reshape(count)
+            for key, value in self.time_major().items()
         }
 
     def set_advantages(self, advantages: np.ndarray, returns: np.ndarray, normalize: bool = True) -> None:
@@ -185,7 +132,6 @@ class RolloutBuffer:
         self.log_probs.clear()
         self.advantages = None
         self.returns = None
-        self.last_value = 0.0
         self.last_values = None
 
 

@@ -148,17 +148,19 @@ class DDPGTrainer:
 
     # ------------------------------------------------------------------
     def train(self, episodes: Optional[int] = None) -> TrainingLogger:
-        """Standard DDPG training loop over full episodes."""
+        """Standard DDPG training loop over full episodes of the width-1
+        environment: reset at every episode start, one transition per step."""
 
         episodes = episodes if episodes is not None else self.config.episodes
         max_steps = self.config.max_steps if self.config.max_steps is not None else self.env.horizon
         for _ in range(episodes):
-            observation = self.env.reset()
+            observation = self.env.reset()[0]
             episode_return = 0.0
             losses = {"critic_loss": 0.0, "actor_loss": 0.0}
             for _step in range(max_steps):
                 action = self.select_action(observation, explore=True)
-                next_observation, reward, done, _info = self.env.step(action)
+                next_observations, rewards, dones, _info = self.env.step(action[None, :])
+                next_observation, reward, done = next_observations[0], float(rewards[0]), bool(dones[0])
                 self.buffer.add(observation, action, reward, next_observation, done)
                 observation = next_observation
                 episode_return += reward

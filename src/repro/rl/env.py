@@ -1,49 +1,32 @@
-"""Gym-style environment wrappers around a :class:`repro.systems.ControlSystem`.
+"""The control MDP of Section III-A around a :class:`repro.systems.ControlSystem`.
 
-Two environments implement the MDP of Section III-A -- the observation is
-the (possibly perturbed) plant state, the episode terminates on a safety
-violation or after ``T`` steps, and the reward combines a large negative
-punishment for leaving the safe region with a monotonically-decreasing
-function of the applied control energy:
+:class:`ControlEnv` runs ``num_envs`` lockstep copies of one MDP -- the
+observation is the (possibly perturbed) plant state, an episode ends on a
+safety violation or after ``T`` steps, and the reward combines a large
+negative punishment for leaving the safe region with a
+monotonically-decreasing function of the applied control energy.  Every
+step is one batched control mapping, clip, plant update and safety check
+(``step_batch``/``is_safe_batch``).
 
-* :class:`ControlEnv` -- the scalar environment (``reset() -> obs``,
-  ``step(a) -> (obs, r, done, info)``), stepping one plant state at a time.
-* :class:`VecControlEnv` -- ``N`` simultaneous copies of the same MDP
-  advanced in lockstep on the plant's batched primitives
-  (``step_batch``/``is_safe_batch``), with per-environment auto-reset: a
-  member whose episode ends is immediately re-seeded from ``X0`` and its
-  fresh observation returned in the same step.  With ``num_envs = 1`` the
-  random stream consumption and every emitted array are bit-identical to
-  the scalar environment driven by the historical collection loop.
-
-:class:`VecMixingEnv` is the vectorised adaptive-mixing environment (the
-action is the expert weight vector, Eq. (4)); the scalar counterpart
-:class:`repro.core.mixing.AdaptiveMixingEnv` builds it via
-:meth:`ControlEnv.vectorized`.  Scalar environments that override
-:meth:`ControlEnv.action_to_control` without providing a vectorised
-environment still vectorize correctly -- :class:`VecControlEnv` falls back
-to applying the template's per-row hook.
-
-The same scalar wrapper trains the DDPG experts (action = control input),
-while the adaptive-mixing and switching environments in
-:mod:`repro.core.mixing` and :mod:`repro.baselines.switching` subclass it
-and override :meth:`ControlEnv.action_to_control`.
+Episodes end; the caller restarts them: ``step`` reports ``dones`` and
+never resets, and ``reset(rows=...)`` restarts the given rows.  PPO drives
+the environment at its configured width, DDPG at width 1.  Subclasses
+change only :meth:`ControlEnv.actions_to_controls`: the DDPG experts act
+on the raw control input (the default), the adaptive-mixing environment
+(:mod:`repro.core.mixing`) on the expert weight vector and the switching
+baseline (:mod:`repro.baselines.switching`) on the expert index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.rl.spaces import BoxSpace
 from repro.systems.base import ControlSystem
-from repro.systems.simulation import (
-    PerturbationFn,
-    _perturbation_batch,
-    weighted_expert_controls,
-)
+from repro.systems.simulation import PerturbationFn, _perturbation_batch
 from repro.utils.seeding import RngLike, get_rng
 
 
@@ -64,18 +47,10 @@ class RewardFunction:
     survival_bonus: float = 1.0
     state_weight: float = 0.0
 
-    def __call__(self, state: np.ndarray, control: np.ndarray, next_state: np.ndarray, safe: bool) -> float:
-        if not safe:
-            return float(self.punishment)
-        energy = float(np.sum(np.abs(control)))
-        state_cost = float(np.sum(np.asarray(next_state) ** 2)) if self.state_weight else 0.0
-        return float(self.survival_bonus - self.energy_weight * energy - self.state_weight * state_cost)
-
     def batch(
         self, states: np.ndarray, controls: np.ndarray, next_states: np.ndarray, safe: np.ndarray
     ) -> np.ndarray:
-        """Vectorised reward over ``(N, ...)`` batches; row ``i`` equals
-        ``self(states[i], controls[i], next_states[i], safe[i])`` bit for bit."""
+        """The ``(N,)`` rewards of ``N`` transitions given as ``(N, ...)`` rows."""
 
         energy = np.sum(np.abs(np.atleast_2d(controls)), axis=1)
         if self.state_weight:
@@ -87,7 +62,20 @@ class RewardFunction:
 
 
 class ControlEnv:
-    """Minimal gym-like API: ``reset() -> obs`` and ``step(a) -> (obs, r, done, info)``."""
+    """``num_envs`` lockstep copies of the control MDP on one plant.
+
+    The plant object is stateless (the environment owns the ``(N,
+    state_dim)`` states), so one system instance serves every row.  API:
+    ``reset(rows=None) -> (rows, state_dim)`` observations and
+    ``step(actions (N, action_dim)) -> (observations, rewards, dones,
+    info)`` with ``(N,)`` reward/done vectors; ``info`` carries the batched
+    ``controls``, per-row ``safe`` flags, step counts and ``next_states``.
+
+    Random draws happen in the order disturbance, observation perturbation
+    (in ``step``), then fresh initial states and their perturbation (in a
+    following ``reset``).  With ``N > 1`` the stream is consumed step-major
+    (like :func:`repro.systems.simulation.rollout_batch`).
+    """
 
     def __init__(
         self,
@@ -96,14 +84,18 @@ class ControlEnv:
         horizon: Optional[int] = None,
         perturbation: Optional[PerturbationFn] = None,
         rng: RngLike = None,
+        num_envs: int = 1,
     ):
+        if num_envs <= 0:
+            raise ValueError("num_envs must be positive")
         self.system = system
         self.reward = reward if reward is not None else RewardFunction()
         self.horizon = int(horizon) if horizon is not None else system.horizon
         self.perturbation = perturbation
+        self.num_envs = int(num_envs)
         self._rng = get_rng(rng)
-        self._state: Optional[np.ndarray] = None
-        self._steps = 0
+        self._states: Optional[np.ndarray] = None
+        self._steps = np.zeros(self.num_envs, dtype=int)
         self.observation_space = BoxSpace(system.safe_region.low, system.safe_region.high)
         self.action_space = self.build_action_space()
 
@@ -113,155 +105,38 @@ class ControlEnv:
 
         return BoxSpace(self.system.control_bound.low, self.system.control_bound.high)
 
-    def action_to_control(self, action: np.ndarray, state: np.ndarray) -> np.ndarray:
-        """Map the agent's action to the control applied to the plant."""
+    def actions_to_controls(self, actions: np.ndarray, states: np.ndarray) -> np.ndarray:
+        """Map ``(N, action_dim)`` agent actions to raw ``(N, control_dim)``
+        plant controls (clipped afterwards); default: the actions are the controls."""
 
-        return np.atleast_1d(np.asarray(action, dtype=np.float64))
+        return actions
 
     # -- gym API ----------------------------------------------------------------
-    def seed(self, seed: int) -> None:
-        self._rng = get_rng(seed)
+    def reset(self, rows=None, initial_states: Optional[np.ndarray] = None) -> np.ndarray:
+        """Restart the episodes of ``rows`` and return their observations.
 
-    def reset(self, initial_state: Optional[np.ndarray] = None) -> np.ndarray:
-        if initial_state is None:
-            initial_state = self.system.sample_initial_state(self._rng)
-        self._state = np.asarray(initial_state, dtype=np.float64).copy()
-        self._steps = 0
-        return self._observe(self._state)
-
-    def step(self, action: np.ndarray) -> Tuple[np.ndarray, float, bool, dict]:
-        if self._state is None:
-            raise RuntimeError("step() called before reset()")
-        state = self._state
-        control = self.system.clip_control(self.action_to_control(np.asarray(action, dtype=np.float64), state))
-        next_state = self.system.step(state, control, rng=self._rng)
-        safe = self.system.is_safe(next_state)
-        reward = self.reward(state, control, next_state, safe)
-        self._steps += 1
-        done = (not safe) or self._steps >= self.horizon
-        self._state = next_state
-        info = {
-            "safe": safe,
-            "control": control,
-            "steps": self._steps,
-            "true_state": next_state.copy(),
-        }
-        return self._observe(next_state), float(reward), bool(done), info
-
-    # -- helpers ---------------------------------------------------------------
-    def _observe(self, state: np.ndarray) -> np.ndarray:
-        if self.perturbation is None:
-            return state.copy()
-        return np.asarray(self.perturbation(state.copy(), self._rng), dtype=np.float64)
-
-    def vectorized(self, num_envs: int) -> "VecControlEnv":
-        """Build the ``N``-environment lockstep version of this environment.
-
-        The vectorised environment shares this environment's random
-        generator, so with ``num_envs = 1`` the returned environment
-        consumes the stream exactly like this one.  Subclasses with a
-        dedicated vectorised counterpart override this (e.g. the adaptive
-        mixing environment returns a :class:`VecMixingEnv`); the default
-        :class:`VecControlEnv` applies this environment's per-row
-        :meth:`action_to_control` hook, so overriding subclasses vectorize
-        correctly either way.
+        ``rows`` is a boolean mask or an index array over the ``num_envs``
+        rows (default: all of them; the first reset must restart all).
+        Fresh states are drawn from ``X0`` unless ``initial_states`` gives
+        one per restarted row.
         """
 
-        return VecControlEnv(self, num_envs)
-
-    @property
-    def state_dim(self) -> int:
-        return self.system.state_dim
-
-    @property
-    def action_dim(self) -> int:
-        return self.action_space.dimension
-
-
-class VecControlEnv:
-    """``N`` lockstep copies of a :class:`ControlEnv` MDP on one plant.
-
-    The plant object is stateless (the environment owns the state), so one
-    system instance serves all ``N`` members: ``step`` performs one batched
-    control mapping, one batched clip, one batched plant update and one
-    batched safety check per call.  Members whose episode ends (violation
-    or horizon) are auto-reset: their ``done`` flag is reported and the
-    observation returned for them is the fresh initial observation, which
-    is what an on-policy collection loop needs.
-
-    API: ``reset() -> (N, state_dim)`` and ``step(actions (N, action_dim))
-    -> (observations, rewards, dones, info)`` with ``(N,)`` reward/done
-    vectors; ``info`` carries the batched ``controls``, per-member ``safe``
-    flags and the true ``next_states`` (pre-reset).
-
-    With ``num_envs = 1`` every random draw (initial state, perturbation,
-    disturbance) happens in the same order and with the same shapes as the
-    scalar environment driven by the historical per-step loop, so seeded
-    results agree bit for bit; with ``N > 1`` the stream is consumed
-    step-major (like :func:`repro.systems.simulation.rollout_batch`) and
-    individual members differ from sequential scalar episodes on
-    stochastic plants -- statistically equivalent, not bitwise.
-    """
-
-    def __init__(self, template: ControlEnv, num_envs: int):
-        if num_envs <= 0:
-            raise ValueError("num_envs must be positive")
-        self.template = template
-        self.num_envs = int(num_envs)
-        self.system = template.system
-        self.reward = template.reward
-        self.horizon = template.horizon
-        self.perturbation = template.perturbation
-        self._rng = template._rng
-        self.observation_space = template.observation_space
-        self.action_space = template.action_space
-        self._states: Optional[np.ndarray] = None
-        self._steps = np.zeros(self.num_envs, dtype=int)
-
-    # -- hooks ---------------------------------------------------------------
-    def actions_to_controls(self, actions: np.ndarray, states: np.ndarray) -> np.ndarray:
-        """Map ``(N, action_dim)`` agent actions to raw plant controls.
-
-        Uses the template's ``action_to_control_batch`` when it provides
-        one, falling back to its per-row :meth:`ControlEnv.action_to_control`
-        hook -- so any scalar subclass vectorizes correctly out of the box.
-        """
-
-        batch = getattr(self.template, "action_to_control_batch", None)
-        if batch is not None:
-            return np.atleast_2d(np.asarray(batch(actions, states), dtype=np.float64))
-        return np.stack(
-            [
-                np.atleast_1d(self.template.action_to_control(action, state))
-                for action, state in zip(np.atleast_2d(actions), states)
-            ],
-            axis=0,
-        )
-
-    # -- vectorized gym API ----------------------------------------------------
-    def seed(self, seed: int) -> None:
-        self._rng = get_rng(seed)
-
-    def _sample_initial_states(self, count: int) -> np.ndarray:
-        return np.atleast_2d(self.system.initial_set.sample(self._rng, count=count))
-
-    def _observe(self, states: np.ndarray) -> np.ndarray:
-        if self.perturbation is None:
-            return states.copy()
-        return _perturbation_batch(self.perturbation, states, self._rng)
-
-    def reset(self, initial_states: Optional[np.ndarray] = None) -> np.ndarray:
+        index = np.arange(self.num_envs) if rows is None else np.arange(self.num_envs)[rows]
         if initial_states is None:
-            initial_states = self._sample_initial_states(self.num_envs)
-        states = np.atleast_2d(np.asarray(initial_states, dtype=np.float64)).copy()
-        if states.shape != (self.num_envs, self.system.state_dim):
+            initial_states = self.system.initial_set.sample(self._rng, count=index.size)
+        states = np.array(np.atleast_2d(initial_states), dtype=np.float64)
+        if states.shape != (index.size, self.system.state_dim):
             raise ValueError(
                 f"initial_states have shape {states.shape}, "
-                f"expected ({self.num_envs}, {self.system.state_dim})"
+                f"expected ({index.size}, {self.system.state_dim})"
             )
-        self._states = states
-        self._steps = np.zeros(self.num_envs, dtype=int)
-        return self._observe(self._states)
+        if self._states is None:
+            if index.size != self.num_envs:
+                raise RuntimeError("the first reset() must restart every row")
+            self._states = np.empty_like(states)
+        self._states[index] = states
+        self._steps[index] = 0
+        return self._observe(states)
 
     def step(self, actions: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
         if self._states is None:
@@ -269,8 +144,8 @@ class VecControlEnv:
         states = self._states
         actions = np.asarray(actions, dtype=np.float64)
         if actions.ndim <= 1:
-            # One scalar action per member (e.g. a categorical policy's
-            # ``(N,)`` vector) -- a column, never a single ``(1, N)`` row.
+            # One scalar action per row (e.g. a categorical policy's ``(N,)``
+            # vector) -- a column, never a single ``(1, N)`` row.
             actions = actions.reshape(self.num_envs, -1)
         if len(actions) != self.num_envs:
             raise ValueError(
@@ -282,23 +157,19 @@ class VecControlEnv:
         rewards = self.reward.batch(states, controls, next_states, safe)
         self._steps += 1
         dones = (~safe) | (self._steps >= self.horizon)
-
-        observations = self._observe(next_states)
+        self._states = next_states.copy()
         info = {
             "safe": safe,
             "controls": controls,
             "steps": self._steps.copy(),
-            "next_states": next_states.copy(),
+            "next_states": next_states,
         }
+        return self._observe(next_states), rewards, dones, info
 
-        self._states = next_states.copy()
-        done_index = np.flatnonzero(dones)
-        if done_index.size:
-            fresh = self._sample_initial_states(done_index.size)
-            self._states[done_index] = fresh
-            self._steps[done_index] = 0
-            observations[done_index] = self._observe(fresh)
-        return observations, rewards, dones, info
+    def _observe(self, states: np.ndarray) -> np.ndarray:
+        if self.perturbation is None:
+            return states.copy()
+        return _perturbation_batch(self.perturbation, states, self._rng)
 
     @property
     def state_dim(self) -> int:
@@ -307,41 +178,3 @@ class VecControlEnv:
     @property
     def action_dim(self) -> int:
         return self.action_space.dimension
-
-
-class VecMixingEnv(VecControlEnv):
-    """Vectorised adaptive-mixing environment (Section III-A, Eq. (4)).
-
-    The action is the ``(N, num_experts)`` weight matrix; the control
-    applied to each plant copy is the clipped weighted sum of the experts'
-    batched control outputs.  The scalar counterpart is
-    :class:`repro.core.mixing.AdaptiveMixingEnv`, whose ``vectorized``
-    method builds this class; the expert evaluation goes through
-    :func:`repro.systems.simulation.batch_controls`, so experts exposing a
-    vectorised ``batch_control`` run at array speed and the rest fall back
-    per row.
-    """
-
-    def __init__(
-        self,
-        template: ControlEnv,
-        num_envs: int,
-        experts: Sequence[Callable],
-        weight_bounds: Union[float, Sequence[float]],
-    ):
-        super().__init__(template, num_envs)
-        self.experts = list(experts)
-        if len(self.experts) < 2:
-            raise ValueError("adaptive mixing requires at least two experts")
-        bounds = np.atleast_1d(np.asarray(weight_bounds, dtype=np.float64))
-        if bounds.size == 1:
-            bounds = np.full(len(self.experts), float(bounds[0]))
-        if bounds.size != len(self.experts):
-            raise ValueError("weight_bounds must be scalar or one value per expert")
-        self.weight_bounds = bounds
-
-    def actions_to_controls(self, actions: np.ndarray, states: np.ndarray) -> np.ndarray:
-        """Eq. (4), batched: weighted sum of the experts' controls."""
-
-        weights = np.clip(np.atleast_2d(actions), -self.weight_bounds, self.weight_bounds)
-        return weighted_expert_controls(self.experts, weights, states, self.system.control_dim)

@@ -2,14 +2,15 @@
 
 Two kernels compute Generalised Advantage Estimation:
 
-* :func:`compute_gae` -- the scalar reference over one flat transition
-  sequence (a single environment's ``(T,)`` arrays);
-* :func:`compute_gae_batch` -- the vectorised kernel over ``(T, N)``
-  time-major arrays from ``N`` parallel environments.  Each column runs the
+* :func:`compute_gae_batch` -- the kernel PPO runs, over ``(T, N)``
+  time-major arrays from ``N`` lockstep environments.  Each column runs the
   same backward recurrence as the scalar kernel (same operation order, so a
   single column is bit-identical to :func:`compute_gae` on that column),
   with per-environment ``done`` masks resetting the accumulator and
-  per-environment bootstrap values at the truncated final step.
+  per-environment bootstrap values at the truncated final step;
+* :func:`compute_gae` -- the reference recurrence over one flat ``(T,)``
+  transition sequence, which the GAE property tests compare the batched
+  kernel against column by column.
 """
 
 from __future__ import annotations
@@ -17,21 +18,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-
-
-def discounted_returns(rewards: np.ndarray, dones: np.ndarray, gamma: float, last_value: float = 0.0) -> np.ndarray:
-    """Discounted reward-to-go with bootstrapping at a truncated final step."""
-
-    rewards = np.asarray(rewards, dtype=np.float64)
-    dones = np.asarray(dones, dtype=bool)
-    returns = np.zeros_like(rewards)
-    running = float(last_value)
-    for index in reversed(range(len(rewards))):
-        if dones[index]:
-            running = 0.0
-        running = rewards[index] + gamma * running
-        returns[index] = running
-    return returns
 
 
 def compute_gae(

@@ -10,7 +10,7 @@ switching baseline).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -30,11 +30,6 @@ class PPOConfig:
 
     epochs: int = 50
     steps_per_epoch: int = 2048
-    #: Parallel environments advanced in lockstep while collecting rollouts.
-    #: ``1`` is the scalar path (bit-identical to the historical per-step
-    #: loop for the same seed); larger values batch the policy/value forward
-    #: passes and the plant updates across environments.
-    num_envs: int = 1
     gamma: float = 0.99
     gae_lambda: float = 0.95
     clip_ratio: float = 0.2
@@ -56,43 +51,11 @@ class PPOConfig:
             raise ValueError("objective must be 'clip' or 'kl'")
         if self.epochs <= 0 or self.steps_per_epoch <= 0:
             raise ValueError("epochs and steps_per_epoch must be positive")
-        if self.num_envs <= 0:
-            raise ValueError("num_envs must be positive")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("gamma must be in (0, 1]")
 
 
 PolicyType = Union[GaussianMLPPolicy, CategoricalMLPPolicy]
-
-
-class _SingleEnvVecAdapter:
-    """Batch-of-one vectorised view of a plain gym-like environment.
-
-    Lets the vectorised collection loop drive environments that expose only
-    the scalar ``reset``/``step`` API (e.g. the toy test environments).
-    Every call forwards to the wrapped environment unchanged, so the random
-    stream consumption is identical to the historical scalar loop.
-    """
-
-    num_envs = 1
-
-    def __init__(self, env):
-        self.env = env
-
-    def reset(self) -> np.ndarray:
-        return np.atleast_2d(np.asarray(self.env.reset(), dtype=np.float64))
-
-    def step(self, actions: np.ndarray):
-        action = np.asarray(actions)[0]
-        observation, reward, done, info = self.env.step(action)
-        if done:
-            observation = self.env.reset()
-        return (
-            np.atleast_2d(np.asarray(observation, dtype=np.float64)),
-            np.array([float(reward)]),
-            np.array([bool(done)]),
-            info,
-        )
 
 
 class PPOTrainer:
@@ -126,52 +89,26 @@ class PPOTrainer:
         self.value_optimizer = Adam(self.value_network.parameters(), lr=self.config.value_lr)
         self.logger = TrainingLogger("ppo", verbose=self.config.verbose)
         self._kl_coefficient = self.config.kl_coefficient
-        self._vec_env = None
 
     # ------------------------------------------------------------------
     # Data collection
     # ------------------------------------------------------------------
-    def _vectorized_env(self):
-        """The ``num_envs``-wide lockstep view of the training environment.
-
-        Environments exposing :meth:`~repro.rl.env.ControlEnv.vectorized`
-        (every :class:`ControlEnv`) are vectorised natively; plain gym-like
-        environments fall back to a batch-of-one adapter, which supports
-        only ``num_envs = 1``.
-        """
-
-        num_envs = self.config.num_envs
-        if self._vec_env is not None and self._vec_env.num_envs == num_envs:
-            return self._vec_env
-        vectorize = getattr(self.env, "vectorized", None)
-        if vectorize is not None:
-            self._vec_env = vectorize(num_envs)
-        elif num_envs == 1:
-            self._vec_env = _SingleEnvVecAdapter(self.env)
-        else:
-            raise ValueError(
-                f"num_envs={num_envs} requires an environment with a vectorized() "
-                f"method; {type(self.env).__name__} has none"
-            )
-        return self._vec_env
-
     def collect_rollouts(self, steps: int) -> RolloutBuffer:
         """Run the current policy for at least ``steps`` transitions.
 
-        The policy acts on all ``num_envs`` environments in lockstep: one
-        batched policy sample, one batched value evaluation and one batched
-        environment step per iteration, with per-environment episode resets
-        handled by the vectorised environment.  ``ceil(steps / num_envs)``
-        lockstep iterations are executed, so the buffer holds
-        ``num_envs * ceil(steps / num_envs)`` transitions (exactly
-        ``steps`` when ``num_envs`` divides it; ``num_envs = 1`` reproduces
-        the historical scalar loop bit for bit).
+        The policy acts on all ``env.num_envs`` environments in lockstep:
+        one batched policy sample, one batched value evaluation and one
+        batched environment step per iteration, after which the rows whose
+        episode ended are restarted.  ``ceil(steps / num_envs)`` lockstep
+        iterations are executed, so the buffer holds ``num_envs *
+        ceil(steps / num_envs)`` transitions (exactly ``steps`` when
+        ``num_envs`` divides it).
         """
 
-        vec_env = self._vectorized_env()
-        num_envs = vec_env.num_envs
+        env = self.env
+        num_envs = env.num_envs
         buffer = RolloutBuffer(num_envs=num_envs)
-        observations = vec_env.reset()
+        observations = env.reset()
         episode_returns = []
         running_returns = np.zeros(num_envs)
         discrete = isinstance(self.policy, CategoricalMLPPolicy)
@@ -180,10 +117,11 @@ class PPOTrainer:
             actions, log_probs = self.policy.act_batch(observations, rng=self._rng)
             values = self.value_network.values(observations)
             stored_actions = actions[:, None].astype(np.float64) if discrete else actions
-            next_observations, rewards, dones, _info = vec_env.step(actions)
+            next_observations, rewards, dones, _info = env.step(actions)
             buffer.add_batch(observations, stored_actions, rewards, dones, values, log_probs)
             running_returns += rewards
-            if np.any(dones):
+            if dones.any():
+                next_observations[dones] = env.reset(rows=dones)
                 episode_returns.extend(float(value) for value in running_returns[dones])
                 running_returns[dones] = 0.0
             observations = next_observations

@@ -1203,7 +1203,6 @@ def matrix_manifest(
 
 def merge_matrix_run(
     run_dir: Union[str, Path],
-    jobs: int = 1,
     progress: Optional[Callable[[str], None]] = None,
 ) -> ScenarioMatrixReport:
     """Reassemble a sharded run into the canonical single-process report.
@@ -1224,7 +1223,6 @@ def merge_matrix_run(
         fraction=manifest["fraction"],
         train=manifest["train"],
         verify=manifest["verify"],
-        jobs=jobs,
         seed=manifest["seed"],
         budget_scale=manifest["budget_scale"],
         train_overrides=manifest["train_overrides"] or None,
@@ -1275,4 +1273,4 @@ def run_sharded_matrix(
     failed = [index + 1 for index, code in enumerate(exit_codes) if code != 0]
     if failed:
         say(f"shard(s) {failed} exited abnormally; merging whatever the store holds")
-    return merge_matrix_run(run_dir, jobs=int(matrix_kwargs.get("jobs") or 1), progress=progress)
+    return merge_matrix_run(run_dir, progress=progress)

@@ -186,8 +186,9 @@ def weighted_expert_controls(
 
     ``weights`` has shape ``(N, len(experts))``; the result is the unclipped
     ``(N, control_dim)`` mixed command ``sum_i w_i(s) kappa_i(s)``.  This is
-    the single batched kernel behind both the vectorized mixing environment
-    (:class:`repro.rl.env.VecMixingEnv`) and the mixed-controller teacher
+    the single batched kernel behind both the mixing environment
+    (:meth:`repro.core.mixing.AdaptiveMixingEnv.actions_to_controls`) and
+    the mixed-controller teacher
     (:meth:`repro.core.mixing.MixedController.batch_control`), so the
     training MDP and the distillation teacher can never diverge.
     """
@@ -234,12 +235,6 @@ def rollout_batch(
     every still-active trajectory; with ``stop_on_violation`` (the default)
     trajectories leave the active set at their first unsafe state, so a batch
     whose members all fail early terminates early too.
-
-    While every trajectory is still active the loop runs a *fast path* with
-    no active-set index: no ``flatnonzero``, no fancy-index gather of the
-    current states and direct (instead of freeze-then-overwrite) history
-    writes.  The arithmetic is identical, so results match the masked path
-    value for value; the masked path takes over at the first violation.
 
     With ``N = 1`` this consumes the random stream exactly like the
     historical scalar :func:`rollout` (perturbation draw, then disturbance
@@ -292,7 +287,6 @@ def rollout_batch(
     energy = np.zeros(count)
     steps = np.zeros(count, dtype=int)
     active = initially_safe.copy() if stop_on_violation else np.ones(count, dtype=bool)
-    all_active = bool(active.all())
 
     if record_states:
         states_history = np.empty((count, horizon + 1, system.state_dim))
@@ -303,14 +297,10 @@ def rollout_batch(
 
     executed = 0
     for step in range(horizon):
-        if all_active:
-            index = None
-            current = states
-        else:
-            index = np.flatnonzero(active)
-            if index.size == 0:
-                break
-            current = states[index]
+        index = np.flatnonzero(active)
+        if index.size == 0:
+            break
+        current = states[index]
         executed = step + 1
 
         observations = current
@@ -322,52 +312,27 @@ def rollout_batch(
         disturbances = system.disturbance.sample_batch(generator, count=len(current))
         next_states = system.dynamics_batch(current, applied, disturbances)
 
-        if index is None:
-            energy += np.sum(np.abs(applied), axis=1)
-            steps += 1
-            # Rebinding (not mutating) keeps this step's ``observations`` --
-            # which may alias the previous ``states`` array -- intact until
-            # the history write below.
-            states = next_states
-        else:
-            energy[index] += np.sum(np.abs(applied), axis=1)
-            steps[index] += 1
-            states[index] = next_states
+        energy[index] += np.sum(np.abs(applied), axis=1)
+        steps[index] += 1
+        states[index] = next_states
 
         if record_states:
-            if index is None:
-                states_history[:, step + 1] = next_states
-                observed_history[:, step + 1] = observations
-                controls_history[:, step] = applied
-            else:
-                # Frozen rows carry their previous value forward so padded
-                # slices stay well-defined; trajectory() trims them away.
-                states_history[:, step + 1] = states_history[:, step]
-                states_history[index, step + 1] = next_states
-                observed_history[:, step + 1] = observed_history[:, step]
-                observed_history[index, step + 1] = observations
-                controls_history[index, step] = applied
+            # Frozen rows carry their previous value forward so padded
+            # slices stay well-defined; trajectory() trims them away.
+            states_history[:, step + 1] = states_history[:, step]
+            states_history[index, step + 1] = next_states
+            observed_history[:, step + 1] = observed_history[:, step]
+            observed_history[index, step + 1] = observations
+            controls_history[index, step] = applied
 
         now_safe = system.is_safe_batch(next_states)
-        if index is None:
-            if not now_safe.all():
-                violated_mask = ~now_safe
-                safe[violated_mask] = False
-                violation_step[violated_mask & (violation_step < 0)] = step + 1
-                if stop_on_violation:
-                    active[violated_mask] = False
-                    all_active = False
-                    # The masked path mutates ``states`` by fancy index, so
-                    # it needs an owned, writable array.
-                    states = np.array(states)
-        else:
-            violated = index[~now_safe]
-            if violated.size:
-                safe[violated] = False
-                fresh = violated[violation_step[violated] < 0]
-                violation_step[fresh] = step + 1
-                if stop_on_violation:
-                    active[violated] = False
+        violated = index[~now_safe]
+        if violated.size:
+            safe[violated] = False
+            fresh = violated[violation_step[violated] < 0]
+            violation_step[fresh] = step + 1
+            if stop_on_violation:
+                active[violated] = False
 
     if record_states:
         states_out = states_history[:, : executed + 1]

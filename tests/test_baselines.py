@@ -26,21 +26,24 @@ class TestSwitchingEnv:
 
     def test_action_selects_single_expert(self, vanderpol, vanderpol_experts):
         env = SwitchingEnv(vanderpol, vanderpol_experts, rng=0)
-        state = np.array([0.4, -0.4])
-        np.testing.assert_allclose(env.action_to_control(0, state), vanderpol_experts[0](state))
-        np.testing.assert_allclose(env.action_to_control(1, state), vanderpol_experts[1](state))
+        states = np.array([[0.4, -0.4], [0.4, -0.4]])
+        controls = env.actions_to_controls(np.array([[0.0], [1.0]]), states)
+        np.testing.assert_array_equal(controls[0], vanderpol_experts[0](states[0]))
+        np.testing.assert_array_equal(controls[1], vanderpol_experts[1](states[1]))
 
     def test_out_of_range_action_clamped(self, vanderpol, vanderpol_experts):
         env = SwitchingEnv(vanderpol, vanderpol_experts, rng=0)
-        state = np.array([0.1, 0.1])
-        np.testing.assert_allclose(env.action_to_control(7, state), vanderpol_experts[1](state))
+        states = np.array([[0.1, 0.1], [0.1, 0.1]])
+        controls = env.actions_to_controls(np.array([[7.0], [-3.0]]), states)
+        np.testing.assert_array_equal(controls[0], vanderpol_experts[1](states[0]))
+        np.testing.assert_array_equal(controls[1], vanderpol_experts[0](states[1]))
 
     def test_episode_runs(self, vanderpol, vanderpol_experts):
         env = SwitchingEnv(vanderpol, vanderpol_experts, rng=0)
-        env.reset(initial_state=np.array([0.2, 0.2]))
-        _, reward, done, _ = env.step(0)
-        assert np.isfinite(reward)
-        assert isinstance(done, bool)
+        env.reset(initial_states=np.array([[0.2, 0.2]]))
+        _, rewards, dones, _ = env.step(np.array([0]))
+        assert np.isfinite(rewards[0])
+        assert dones.shape == (1,) and dones.dtype == bool
 
 
 class TestSwitchingController:
@@ -70,13 +73,12 @@ class TestSwitchingController:
         from repro.core.mixing import AdaptiveMixingEnv
 
         mixing_env = AdaptiveMixingEnv(vanderpol, vanderpol_experts, weight_bound=1.5, rng=0)
-        state = np.array([0.4, -0.2])
-        for index in range(len(vanderpol_experts)):
-            one_hot = np.zeros(len(vanderpol_experts))
-            one_hot[index] = 1.0
-            switching_control = np.clip(vanderpol_experts[index](state), -20, 20)
-            mixing_control = mixing_env.action_to_control(one_hot, state)
-            np.testing.assert_allclose(mixing_control, switching_control)
+        switching_env = SwitchingEnv(vanderpol, vanderpol_experts, rng=0)
+        count = len(vanderpol_experts)
+        states = np.tile([0.4, -0.2], (count, 1))
+        switching = switching_env.actions_to_controls(np.arange(count, dtype=float)[:, None], states)
+        mixing = mixing_env.actions_to_controls(np.eye(count), states)
+        np.testing.assert_allclose(vanderpol.clip_control_batch(mixing), vanderpol.clip_control_batch(switching))
 
 
 class TestSwitchingTrainer:

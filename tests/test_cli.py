@@ -238,6 +238,14 @@ class TestErrorPaths:
         assert isinstance(code, str)
         assert "no matrix manifest" in code
 
+    def test_runs_merge_has_no_jobs_flag(self, tmp_path, capsys):
+        """Replay runs inline, so the merge takes no pool width."""
+
+        store = tmp_path / "store"
+        store.mkdir()
+        assert _exit_code(["runs", "merge", "--run-dir", str(store), "--jobs", "2"]) == 2
+        assert "--jobs" in capsys.readouterr().err
+
     def test_runs_merge_missing_directory(self, tmp_path):
         code = _exit_code(["runs", "merge", "--run-dir", str(tmp_path / "absent")])
         assert isinstance(code, str)

@@ -46,34 +46,35 @@ class TestAdaptiveMixingEnv:
         env = AdaptiveMixingEnv(vanderpol, vanderpol_experts, weight_bound=[1.0, 2.0], rng=0)
         np.testing.assert_allclose(env.weight_bounds, [1.0, 2.0])
 
-    def test_action_to_control_is_clipped_weighted_sum(self, vanderpol, vanderpol_experts):
+    def test_actions_to_controls_is_the_weighted_sum(self, vanderpol, vanderpol_experts):
         env = AdaptiveMixingEnv(vanderpol, vanderpol_experts, weight_bound=1.5, rng=0)
         state = np.array([0.5, 0.5])
         weights = np.array([0.7, -0.3])
         expected = 0.7 * vanderpol_experts[0](state) - 0.3 * vanderpol_experts[1](state)
         expected = np.clip(expected, -20.0, 20.0)
-        np.testing.assert_allclose(env.action_to_control(weights, state), expected)
+        control = vanderpol.clip_control_batch(env.actions_to_controls(weights[None], state[None]))
+        np.testing.assert_allclose(control[0], expected)
 
-    def test_action_to_control_saturates_at_control_bound(self, vanderpol, vanderpol_experts):
+    def test_step_saturates_at_control_bound(self, vanderpol, vanderpol_experts):
         env = AdaptiveMixingEnv(vanderpol, vanderpol_experts, weight_bound=1.5, rng=0)
-        state = np.array([1.9, 1.9])  # both experts output large controls here
-        control = env.action_to_control(np.array([1.5, 1.5]), state)
-        assert np.all(np.abs(control) <= 20.0)
+        env.reset(initial_states=np.array([[1.9, 1.9]]))  # both experts output large controls here
+        _, _, _, info = env.step(np.array([[1.5, 1.5]]))
+        assert np.all(np.abs(info["controls"]) <= 20.0)
 
     def test_weights_outside_bound_are_clipped(self, vanderpol, vanderpol_experts):
         env = AdaptiveMixingEnv(vanderpol, vanderpol_experts, weight_bound=1.0, rng=0)
-        state = np.array([0.2, 0.1])
-        inside = env.action_to_control(np.array([1.0, 1.0]), state)
-        outside = env.action_to_control(np.array([5.0, 5.0]), state)
-        np.testing.assert_allclose(inside, outside)
+        states = np.array([[0.2, 0.1]])
+        inside = env.actions_to_controls(np.array([[1.0, 1.0]]), states)
+        outside = env.actions_to_controls(np.array([[5.0, 5.0]]), states)
+        np.testing.assert_array_equal(inside, outside)
 
     def test_episode_runs(self, vanderpol, vanderpol_experts):
         env = AdaptiveMixingEnv(vanderpol, vanderpol_experts, rng=0)
-        env.reset(initial_state=np.array([0.2, 0.2]))
+        env.reset(initial_states=np.array([[0.2, 0.2]]))
         for _ in range(5):
-            _, reward, done, info = env.step(np.array([0.5, 0.5]))
-            assert np.isfinite(reward)
-            if done:
+            _, rewards, dones, info = env.step(np.array([[0.5, 0.5]]))
+            assert np.isfinite(rewards[0])
+            if dones[0]:
                 break
 
 

@@ -68,6 +68,6 @@ class TestMPCBehaviour:
 
         mpc = MPCController(vanderpol, horizon=4, num_samples=16, num_iterations=1, rng=0)
         env = AdaptiveMixingEnv(vanderpol, [vanderpol_experts[0], mpc], weight_bound=1.5, rng=0)
-        env.reset(initial_state=np.array([0.2, 0.2]))
-        _, reward, _, _ = env.step(np.array([0.5, 0.5]))
-        assert np.isfinite(reward)
+        env.reset(initial_states=np.array([[0.2, 0.2]]))
+        _, rewards, _, _ = env.step(np.array([[0.5, 0.5]]))
+        assert np.isfinite(rewards[0])

@@ -54,12 +54,15 @@ class _PlanarEnv:
     """2-D point mass driven by a 2-D action clipped to ``[-1, 1]``.
 
     The policy's Gaussian samples often leave the box, so rollouts hold
-    clipped actions; two action dimensions make ``log_std`` a vector.
+    clipped actions; two action dimensions make ``log_std`` a vector.  It
+    speaks the width-1 lockstep API of :class:`repro.rl.env.ControlEnv`:
+    ``(1, 2)`` observations and ``(1,)`` rewards and dones.
     """
 
     horizon = 12
     state_dim = 2
     action_dim = 2
+    num_envs = 1
 
     def __init__(self, seed: int = 0):
         self.observation_space = BoxSpace([-2.0, -2.0], [2.0, 2.0])
@@ -68,17 +71,17 @@ class _PlanarEnv:
         self._state = None
         self._steps = 0
 
-    def reset(self):
+    def reset(self, rows=None):
         self._state = self._rng.uniform(-1.0, 1.0, size=2)
         self._steps = 0
-        return self._state.copy()
+        return self._state[None, :].copy()
 
-    def step(self, action):
-        action = np.clip(np.asarray(action, dtype=np.float64).reshape(-1), -1.0, 1.0)
+    def step(self, actions):
+        action = np.clip(np.asarray(actions, dtype=np.float64).reshape(-1), -1.0, 1.0)
         self._state = self._state + 0.3 * action
         self._steps += 1
         reward = -float(self._state @ self._state) - 0.05 * float(action @ action)
-        return self._state.copy(), reward, self._steps >= self.horizon, {}
+        return self._state[None, :].copy(), np.array([reward]), np.array([self._steps >= self.horizon]), {}
 
 
 class _ThreeWayEnv(_PlanarEnv):
@@ -88,8 +91,8 @@ class _ThreeWayEnv(_PlanarEnv):
         super().__init__(seed)
         self.action_space = DiscreteSpace(3)
 
-    def step(self, action):
-        push = float(np.asarray(action).reshape(-1)[0]) - 1.0
+    def step(self, actions):
+        push = float(np.asarray(actions).reshape(-1)[0]) - 1.0
         return super().step(np.array([push, -push]))
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.rl.buffers import ReplayBuffer, RolloutBuffer
 from repro.rl.env import ControlEnv, RewardFunction
-from repro.rl.gae import compute_gae, discounted_returns
+from repro.rl.gae import compute_gae
 from repro.rl.spaces import BoxSpace, DiscreteSpace
 
 
@@ -50,13 +50,13 @@ class TestRolloutBuffer:
     def _filled_buffer(self, length=10):
         buffer = RolloutBuffer()
         for index in range(length):
-            buffer.add(
-                state=np.array([float(index), 0.0]),
-                action=np.array([0.1 * index]),
-                reward=1.0,
-                done=(index == length - 1),
-                value=0.5,
-                log_prob=-1.0,
+            buffer.add_batch(
+                states=np.array([[float(index), 0.0]]),
+                actions=np.array([[0.1 * index]]),
+                rewards=[1.0],
+                dones=[index == length - 1],
+                values=[0.5],
+                log_probs=[-1.0],
             )
         return buffer
 
@@ -147,26 +147,35 @@ class TestReplayBuffer:
 
 
 class TestGAE:
+    """With ``lam = 1`` and zero values, GAE's returns are the discounted
+    reward-to-go, reset at episode ends and bootstrapped at truncation."""
+
+    @staticmethod
+    def _returns(rewards, dones, gamma, last_value=0.0):
+        rewards = np.asarray(rewards, dtype=np.float64)
+        advantages, returns = compute_gae(
+            rewards, np.zeros_like(rewards), dones, gamma=gamma, lam=1.0, last_value=last_value
+        )
+        np.testing.assert_array_equal(advantages, returns)
+        return returns
+
     def test_discounted_returns_simple(self):
-        returns = discounted_returns(np.array([1.0, 1.0, 1.0]), np.array([False, False, True]), gamma=0.5)
+        returns = self._returns([1.0, 1.0, 1.0], np.array([False, False, True]), gamma=0.5)
         np.testing.assert_allclose(returns, [1.75, 1.5, 1.0])
 
     def test_discounted_returns_bootstrap(self):
-        returns = discounted_returns(np.array([0.0]), np.array([False]), gamma=0.9, last_value=10.0)
+        returns = self._returns([0.0], np.array([False]), gamma=0.9, last_value=10.0)
         np.testing.assert_allclose(returns, [9.0])
 
     def test_episode_boundary_resets_return(self):
-        returns = discounted_returns(
-            np.array([1.0, 1.0, 5.0]), np.array([False, True, True]), gamma=1.0
-        )
+        returns = self._returns([1.0, 1.0, 5.0], np.array([False, True, True]), gamma=1.0)
         np.testing.assert_allclose(returns, [2.0, 1.0, 5.0])
 
     def test_gae_matches_returns_with_lambda_one_zero_values(self):
         rewards = np.array([1.0, 2.0, 3.0])
         dones = np.array([False, False, True])
-        values = np.zeros(3)
-        advantages, returns = compute_gae(rewards, values, dones, gamma=0.9, lam=1.0)
-        expected = discounted_returns(rewards, dones, gamma=0.9)
+        advantages, returns = compute_gae(rewards, np.zeros(3), dones, gamma=0.9, lam=1.0)
+        expected = [1.0 + 0.9 * 2.0 + 0.81 * 3.0, 2.0 + 0.9 * 3.0, 3.0]
         np.testing.assert_allclose(advantages, expected)
         np.testing.assert_allclose(returns, expected)
 
@@ -185,46 +194,48 @@ class TestGAE:
 class TestControlEnv:
     def test_reset_and_step(self, vanderpol):
         env = ControlEnv(vanderpol, rng=0)
-        observation = env.reset()
-        assert observation.shape == (2,)
-        next_observation, reward, done, info = env.step([0.0])
-        assert next_observation.shape == (2,)
-        assert isinstance(reward, float)
-        assert isinstance(done, bool)
-        assert "safe" in info and "control" in info
+        observations = env.reset()
+        assert observations.shape == (1, 2)
+        next_observations, rewards, dones, info = env.step([[0.0]])
+        assert next_observations.shape == (1, 2)
+        assert rewards.shape == dones.shape == (1,)
+        assert rewards.dtype == np.float64 and dones.dtype == bool
+        assert "safe" in info and "controls" in info
 
     def test_step_before_reset_raises(self, vanderpol):
         env = ControlEnv(vanderpol, rng=0)
         with pytest.raises(RuntimeError):
-            env.step([0.0])
+            env.step([[0.0]])
 
     def test_episode_terminates_at_horizon(self, vanderpol):
         env = ControlEnv(vanderpol, horizon=5, rng=0)
-        env.reset(initial_state=np.zeros(2))
+        env.reset(initial_states=np.zeros((1, 2)))
         done = False
         steps = 0
         while not done:
-            _, _, done, _ = env.step([0.0])
+            _, _, dones, _ = env.step([[0.0]])
+            done = bool(dones[0])
             steps += 1
         assert steps <= 5
 
     def test_safety_violation_terminates_and_punishes(self, vanderpol):
         env = ControlEnv(vanderpol, rng=0)
-        env.reset(initial_state=np.array([1.99, 1.99]))
-        _, reward, done, info = env.step([20.0])
-        assert done
-        assert not info["safe"]
-        assert reward == pytest.approx(env.reward.punishment)
+        env.reset(initial_states=np.array([[1.99, 1.99]]))
+        _, rewards, dones, info = env.step([[20.0]])
+        assert dones[0]
+        assert not info["safe"][0]
+        assert rewards[0] == pytest.approx(env.reward.punishment)
 
     def test_reward_decreases_with_energy(self):
         reward = RewardFunction(energy_weight=0.1, survival_bonus=1.0)
-        low = reward(np.zeros(2), np.array([1.0]), np.zeros(2), safe=True)
-        high = reward(np.zeros(2), np.array([10.0]), np.zeros(2), safe=True)
+        controls = np.array([[1.0], [10.0]])
+        low, high = reward.batch(np.zeros((2, 2)), controls, np.zeros((2, 2)), [True, True])
         assert high < low
 
     def test_reward_punishment_on_unsafe(self):
         reward = RewardFunction(punishment=-50.0)
-        assert reward(np.zeros(2), np.zeros(1), np.zeros(2), safe=False) == pytest.approx(-50.0)
+        rewards = reward.batch(np.zeros((1, 2)), np.zeros((1, 1)), np.zeros((1, 2)), [False])
+        assert rewards[0] == pytest.approx(-50.0)
 
     def test_action_space_matches_control_bound(self, vanderpol):
         env = ControlEnv(vanderpol)
@@ -233,5 +244,5 @@ class TestControlEnv:
 
     def test_reset_to_specific_state(self, vanderpol):
         env = ControlEnv(vanderpol, rng=0)
-        observation = env.reset(initial_state=np.array([0.3, -0.3]))
-        np.testing.assert_allclose(observation, [0.3, -0.3])
+        observations = env.reset(initial_states=np.array([[0.3, -0.3]]))
+        np.testing.assert_allclose(observations, [[0.3, -0.3]])

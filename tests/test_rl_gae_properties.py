@@ -9,7 +9,7 @@ properties:
 * ``compute_gae_batch`` equals per-column scalar ``compute_gae`` **bit for
   bit** under every done-mask -- episode boundaries never leak across
   columns, and the batch-of-one case is the scalar kernel;
-* the vectorized ``RolloutBuffer`` flattens time-major and its minibatches
+* the ``(T, N)`` ``RolloutBuffer`` flattens time-major and its minibatches
   partition exactly the ``T * N`` stored transitions.
 """
 
@@ -178,31 +178,31 @@ class TestVectorizedRolloutBufferProperties:
         assert count == total
         assert sorted(seen_advantages) == list(np.arange(float(total)))
 
-    def test_scalar_buffer_is_the_num_envs_1_case(self):
+    def test_width_1_buffer_flattens_to_its_steps(self):
         rng = np.random.default_rng(0)
-        scalar = RolloutBuffer()
-        vector = RolloutBuffer(num_envs=1)
+        buffer = RolloutBuffer(num_envs=1)
+        steps = []
         for _ in range(7):
-            state = rng.normal(size=3)
-            action = rng.normal(size=2)
-            reward, done = float(rng.normal()), bool(rng.uniform() < 0.3)
-            value, log_prob = float(rng.normal()), float(rng.normal())
-            scalar.add(state, action, reward, done, value, log_prob)
-            vector.add_batch(state[None], action[None], [reward], [done], [value], [log_prob])
-        scalar.last_value = 0.75
-        vector.last_values = np.array([0.75])
+            step = (
+                rng.normal(size=3), rng.normal(size=2), float(rng.normal()),
+                bool(rng.uniform() < 0.3), float(rng.normal()), float(rng.normal()),
+            )
+            state, action, reward, done, value, log_prob = step
+            buffer.add_batch(state[None], action[None], [reward], [done], [value], [log_prob])
+            steps.append(step)
+        buffer.last_values = np.array([0.75])
 
-        scalar_data, vector_data = scalar.arrays(), vector.arrays()
-        for key in scalar_data:
-            np.testing.assert_array_equal(scalar_data[key], vector_data[key])
-        np.testing.assert_array_equal(scalar.bootstrap_values(), vector.bootstrap_values())
-        for key, value in scalar.time_major().items():
-            np.testing.assert_array_equal(value, vector.time_major()[key])
+        data = buffer.arrays()
+        for index, key in enumerate(("states", "actions", "rewards", "dones", "values", "log_probs")):
+            np.testing.assert_array_equal(data[key], np.array([step[index] for step in steps]))
+            np.testing.assert_array_equal(buffer.time_major()[key].reshape(data[key].shape), data[key])
+        assert buffer.time_major()["states"].shape == (7, 1, 3)
+        np.testing.assert_array_equal(buffer.bootstrap_values(), [0.75])
 
-    def test_add_rejected_on_vectorized_buffer(self):
+    def test_add_batch_rejects_the_wrong_row_count(self):
         buffer = RolloutBuffer(num_envs=2)
-        with pytest.raises(RuntimeError):
-            buffer.add(np.zeros(2), np.zeros(1), 0.0, False, 0.0, 0.0)
+        with pytest.raises(ValueError):
+            buffer.add_batch(np.zeros((1, 2)), np.zeros((1, 1)), [0.0], [False], [0.0], [0.0])
         with pytest.raises(ValueError):
             buffer.add_batch(
                 np.zeros((3, 2)), np.zeros((3, 1)), np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3)

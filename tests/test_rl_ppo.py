@@ -16,9 +16,13 @@ from repro.rl.spaces import BoxSpace, DiscreteSpace
 class PointMassEnv:
     """1-D toy environment: drive the state to zero with small actions.
 
-    Matches the ControlEnv API closely enough for the PPO trainer; kept
-    minimal so learning tests stay fast and deterministic.
+    Speaks the width-1 lockstep API of :class:`repro.rl.env.ControlEnv`
+    (``(1, 1)`` observations, ``(1,)`` rewards and dones, caller resets)
+    closely enough for the PPO and DDPG trainers; kept minimal so learning
+    tests stay fast and deterministic.
     """
+
+    num_envs = 1
 
     def __init__(self, horizon=20, seed=0):
         self.horizon = horizon
@@ -36,18 +40,18 @@ class PointMassEnv:
     def action_dim(self):
         return 1
 
-    def reset(self, initial_state=None):
-        self._state = self._rng.uniform(-1.0, 1.0, size=1) if initial_state is None else np.asarray(initial_state)
+    def reset(self, rows=None):
+        self._state = self._rng.uniform(-1.0, 1.0, size=1)
         self._steps = 0
-        return self._state.copy()
+        return self._state[None, :].copy()
 
-    def step(self, action):
-        action = np.clip(np.atleast_1d(action), -1.0, 1.0)
+    def step(self, actions):
+        action = np.clip(np.asarray(actions, dtype=np.float64).reshape(1), -1.0, 1.0)
         self._state = self._state + 0.2 * action
         self._steps += 1
         reward = -float(self._state[0] ** 2) - 0.01 * float(action[0] ** 2)
         done = self._steps >= self.horizon
-        return self._state.copy(), reward, done, {}
+        return self._state[None, :].copy(), np.array([reward]), np.array([done]), {}
 
 
 class DiscretePointMassEnv(PointMassEnv):
@@ -57,8 +61,8 @@ class DiscretePointMassEnv(PointMassEnv):
         super().__init__(horizon=horizon, seed=seed)
         self.action_space = DiscreteSpace(2)
 
-    def step(self, action):
-        direction = -1.0 if int(np.atleast_1d(action)[0]) == 0 else 1.0
+    def step(self, actions):
+        direction = -1.0 if int(np.asarray(actions).reshape(-1)[0]) == 0 else 1.0
         return super().step(np.array([direction]))
 
 

@@ -12,12 +12,15 @@ verify cell in ``tests/test_scenarios_smoke.py`` and shares its marker so
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.cli import main
 from repro.core.cocktail import CocktailPipeline
 from repro.core.config import CocktailConfig
+from repro.core.mixing import MixingTrainer
 from repro.experts import make_default_experts
 from repro.scenarios import get_scenario, list_scenarios
 from repro.systems import make_system
@@ -42,7 +45,11 @@ class TestBudgetHintThreading:
         config = CocktailConfig.from_budget_hints(TINY_VECTORIZED, seed=0)
         assert config.mixing.num_envs == 3
         assert config.distillation.train_batch_size == 24
-        assert config.mixing.ppo_config().num_envs == 3
+        system = make_system("vanderpol")
+        experts = make_default_experts(system)
+        assert MixingTrainer(system, experts, config.mixing, rng=0).env.num_envs == 3
+        ddpg = dataclasses.replace(config.mixing, algorithm="ddpg")
+        assert MixingTrainer(system, experts, ddpg, rng=0).env.num_envs == 1
 
     def test_missing_hints_fall_back_to_pinned_defaults(self):
         config = CocktailConfig.from_budget_hints({}, seed=0)

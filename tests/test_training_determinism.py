@@ -2,14 +2,19 @@
 
 Two load-bearing guarantees pin the PR that vectorized training:
 
-* **Scalar path preserved bit-for-bit.**  ``num_envs=1`` /
-  ``train_batch_size=1`` runs the historical scalar training flow through
-  the batched kernels as the batch-of-one special case.  The reference
-  implementations frozen in this file are verbatim copies of the
-  pre-vectorization loops (PPO rollout collection, flat-sequence GAE,
-  per-trajectory dataset collection with per-state teacher labelling);
-  the vectorized code at width 1 must reproduce them exactly -- same
+* **Width 1 is the batch-of-one case, bit for bit.**  ``num_envs=1`` /
+  ``train_batch_size=1`` runs the historical per-step training flow
+  through the batched kernels.  The reference loops in this file are the
+  historical per-step bodies: PPO rollout collection with per-state
+  ``act``/``value`` calls (it drives row 0 of the same width-1
+  ``ControlEnv`` the trainer uses, so it pins the PPO loop against
+  ``act_batch``/``values``, not the environment), flat-sequence GAE, and
+  per-trajectory dataset collection with per-state teacher labelling.
+  The batched code at width 1 must reproduce them exactly -- same
   random-stream consumption, same floating-point operations, same bits.
+  The environment's own random-stream order and bits are pinned by the
+  weight digests in ``tests/test_rl_digests.py``, recorded before the
+  environment had one batched code path.
 
 * **End-to-end reproducibility.**  ``repro train`` with the same seed and
   flags twice produces byte-identical serialized controllers, at both the
@@ -33,23 +38,26 @@ from repro.utils.seeding import get_rng, set_global_seed
 
 
 # ---------------------------------------------------------------------------
-# Reference implementations: verbatim copies of the pre-vectorization code.
+# Reference implementations: the historical per-step loops (the PPO one
+# drives the shared width-1 environment; see the module docstring).
 # ---------------------------------------------------------------------------
 
 
 def legacy_collect_rollouts(env, policy, value_network, rng, steps):
-    """The historical scalar ``PPOTrainer.collect_rollouts`` body."""
+    """The historical scalar ``PPOTrainer.collect_rollouts`` body, driving
+    row 0 of a width-1 environment (per-state policy and value calls)."""
 
     transitions = []
-    observation = env.reset()
+    observation = env.reset()[0]
     for _ in range(steps):
         action, log_prob = policy.act(observation, rng=rng)
         value = value_network.value(observation)
-        next_observation, reward, done, _info = env.step(action)
+        next_observations, rewards, dones, _info = env.step(action[None, :])
+        reward, done = float(rewards[0]), bool(dones[0])
         transitions.append((observation, action, reward, done, value, log_prob))
-        observation = next_observation
+        observation = next_observations[0]
         if done:
-            observation = env.reset()
+            observation = env.reset()[0]
     last_value = value_network.value(observation)
     return transitions, last_value
 
@@ -97,7 +105,7 @@ class TestVectorizedScalarEquivalence:
     def test_collect_rollouts_num_envs_1_matches_legacy_reference(self):
         _system, _experts, trainer = _mixing_env_and_policy(seed=0)
         ppo_config = trainer.config.ppo_config()
-        assert ppo_config.num_envs == 1
+        assert trainer.env.num_envs == 1
 
         # Two identical trainers: one drives the vectorized collection path,
         # the other replays the frozen legacy loop on the same seeds.

@@ -107,6 +107,37 @@ class TestSweepPoolRegression:
         _fake_cpu_count(monkeypatch, 1)
         assert VerificationSweep(_dummy_jobs(4), processes=2).processes == 2
 
+    def test_pool_workers_run_single_threaded_blas(self, monkeypatch):
+        """Each sweep worker limits its BLAS to one thread, like the matrix
+        and kappa_D pools: the pool is the parallelism."""
+
+        import multiprocessing
+
+        from repro.utils.parallel import single_threaded_blas
+
+        created = []
+
+        class RecordingPool:
+            def __init__(self, processes, initializer=None):
+                created.append((processes, initializer))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def imap(self, function, jobs):
+                return [job.name for job in jobs]
+
+        class RecordingContext:
+            Pool = RecordingPool
+
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: RecordingContext())
+        report = VerificationSweep(_dummy_jobs(3), processes=2).run()
+        assert created == [(2, single_threaded_blas)]
+        assert report.results == ["job0", "job1", "job2"]
+
     def test_pinned_to_one_cpu_of_many_gets_an_inline_sweep(self, monkeypatch):
         """``taskset -c 0`` on a wide machine must not fork a wide pool."""
 
