@@ -11,8 +11,12 @@
 # DDPG, policy, component, lockstep-env, GAE-property and training-digest
 # packs (the closed-form policy, critic and actor gradients, the caller-reset
 # ControlEnv and the trained-weight pins included), on src/repro/baselines
-# via the baselines pack, on src/repro/attacks/fgsm.py via the attack pack (the
-# FGSM input gradient), on
+# via the baselines pack, on src/repro/attacks via the attack and PGD packs
+# (the FGSM input gradient, the batched closed-loop adversaries), on
+# src/repro/systems via the systems and scenario-conformance packs (every
+# plant's dynamics_batch, step_batch, the rollout engine), on
+# src/repro/experts via the expert, MPC and expert batch-kernel packs (the
+# batched LQR linearisation and MPC costs, the expert gain digest), on
 # src/repro/core via the core packs plus the training-determinism pack
 # (the kappa_D worker pool and its failure paths included), on
 # src/repro/verification via the verification packs
@@ -81,8 +85,14 @@ test-cov:
 		tests/test_rl_gae_properties.py tests/test_rl_digests.py
 	$(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/baselines \
 		tests/test_baselines.py
-	$(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/attacks/fgsm.py \
-		tests/test_attacks.py
+	$(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/attacks \
+		tests/test_attacks.py tests/test_attacks_pgd.py
+	$(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/systems \
+		tests/test_systems_batch.py tests/test_systems_dynamics.py \
+		tests/test_systems_sets.py tests/test_systems_simulation.py \
+		tests/test_scenarios_conformance.py
+	$(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/experts \
+		tests/test_experts.py tests/test_experts_mpc.py tests/test_expert_batch_kernels.py
 	$(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/core \
 		tests/test_core_cocktail.py tests/test_core_distillation.py \
 		tests/test_core_mixing.py tests/test_training_determinism.py

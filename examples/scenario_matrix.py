@@ -48,16 +48,6 @@ class DoubleIntegrator(ControlSystem):
             dt=dt,
         )
 
-    def dynamics(self, state, control, disturbance):
-        position, velocity = state
-        u = control[0]
-        next_position = position + self.dt * velocity
-        next_velocity = velocity + self.dt * (u - self.damping * velocity)
-        next_state = np.array([next_position, next_velocity])
-        if disturbance.size == self.state_dim:
-            next_state = next_state + disturbance
-        return next_state
-
     def dynamics_batch(self, states, controls, disturbances):
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
         controls = np.atleast_2d(np.asarray(controls, dtype=np.float64))

@@ -4,20 +4,20 @@ Besides the controller-only FGSM attack, the evaluation harness can use an
 adversary that exploits the plant model: at each step it searches the
 perturbation box for the observation that drives the *next true state*
 closest to the unsafe boundary.  This is the "optimized adversarial attack"
-interpretation in its strongest form and is used for the robustness
-stress-test benchmark; Table II itself uses the FGSM attacker.
+interpretation in its strongest form, available as a ``perturbation`` for
+:func:`repro.systems.rollout_batch`.  No benchmark uses it; Table II uses
+the FGSM attacker.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from repro.systems.base import ControlSystem
+from repro.systems.simulation import ControllerFn, batch_controls
 from repro.utils.seeding import get_rng
-
-ControllerFn = Callable[[np.ndarray], np.ndarray]
 
 
 def perturbation_budget(system: ControlSystem, fraction: float) -> np.ndarray:
@@ -32,20 +32,41 @@ def perturbation_budget(system: ControlSystem, fraction: float) -> np.ndarray:
     return fraction * system.state_scale()
 
 
-def safety_margin(system: ControlSystem, state: np.ndarray) -> float:
-    """Signed distance to the safe-region boundary (negative when unsafe)."""
+def safety_margin(system: ControlSystem, states: np.ndarray) -> np.ndarray:
+    """Signed distance to the safe-region boundary (negative when unsafe).
 
-    state = np.asarray(state, dtype=np.float64)
-    lower = state - system.safe_region.low
-    upper = system.safe_region.high - state
-    return float(np.min(np.concatenate([lower, upper])))
+    ``states`` has shape ``(..., state_dim)``; the result drops the last axis.
+    """
+
+    states = np.asarray(states, dtype=np.float64)
+    lower = states - system.safe_region.low
+    upper = system.safe_region.high - states
+    return np.minimum(lower.min(axis=-1), upper.min(axis=-1))
+
+
+def _margins_after(
+    system: ControlSystem, controller: ControllerFn, states: np.ndarray, observations: np.ndarray
+) -> np.ndarray:
+    """Next-state safety margins when ``controller`` sees ``observations``.
+
+    ``states`` and ``observations`` have shape ``(..., state_dim)``; the
+    plant steps on the nominal (disturbance-free) model from ``states``.
+    """
+
+    shape = observations.shape[:-1]
+    observations = observations.reshape(-1, system.state_dim)
+    states = np.broadcast_to(states, shape + (system.state_dim,)).reshape(-1, system.state_dim)
+    controls = system.clip_control_batch(batch_controls(controller, observations))
+    disturbances = np.zeros((len(states), system.disturbance.dimension))
+    next_states = system.dynamics_batch(states, controls, disturbances)
+    return safety_margin(system, next_states).reshape(shape)
 
 
 class WorstCaseSampler:
     """Random-search adversary: sample candidate perturbations, keep the worst.
 
     At every step it samples ``candidates`` corner/uniform perturbations of
-    the observation within the bound and picks the one that minimises the
+    each observation within the bound and picks the one that minimises the
     next-state safety margin under the plant model.  It is slower than FGSM
     but stronger; the number of candidates controls the compute/strength
     trade-off.
@@ -67,32 +88,32 @@ class WorstCaseSampler:
         self.candidates = int(candidates)
         self.include_corners = include_corners
 
-    def _candidate_offsets(self, rng: np.random.Generator, dimension: int) -> np.ndarray:
-        offsets = [np.zeros(dimension)]
+    def _candidate_offsets(self, rng: np.random.Generator, count: int, dimension: int) -> np.ndarray:
+        """``(count, candidates + 1, dimension)`` offsets: zero, corners, uniform draws.
+
+        The uniform draws fill row by row, each row's candidates in order.
+        """
+
+        fixed = [np.zeros(dimension)]
         if self.include_corners:
             # Sign-pattern corners of the perturbation box (capped for high dims).
-            count = min(2**dimension, self.candidates)
-            for index in range(count):
+            for index in range(min(2**dimension, self.candidates)):
                 signs = np.array([1.0 if (index >> axis) & 1 else -1.0 for axis in range(dimension)])
-                offsets.append(signs * self.bound)
-        while len(offsets) < self.candidates + 1:
-            offsets.append(rng.uniform(-self.bound, self.bound))
-        return np.asarray(offsets)
+                fixed.append(signs * self.bound)
+        fixed = np.broadcast_to(np.asarray(fixed), (count, len(fixed), dimension))
+        drawn = rng.uniform(
+            -self.bound, self.bound, size=(count, self.candidates + 1 - fixed.shape[1], dimension)
+        )
+        return np.concatenate([fixed, drawn], axis=1)
 
-    def __call__(self, state: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def perturb_batch(self, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """The worst candidate observation of each row of ``states``."""
+
         rng = get_rng(rng)
-        state = np.asarray(state, dtype=np.float64)
-        worst_observation = state
-        worst_margin = np.inf
-        for offset in self._candidate_offsets(rng, state.size):
-            observation = state + offset
-            control = self.system.clip_control(np.atleast_1d(self.controller(observation)))
-            next_state = self.system.dynamics(state, control, np.zeros(self.system.state_dim))
-            margin = safety_margin(self.system, next_state)
-            if margin < worst_margin:
-                worst_margin = margin
-                worst_observation = observation
-        return worst_observation
+        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+        observations = states[:, None, :] + self._candidate_offsets(rng, *states.shape)
+        margins = _margins_after(self.system, self.controller, states[:, None, :], observations)
+        return observations[np.arange(len(states)), np.argmin(margins, axis=1)]
 
 
 class GradientClosedLoopAttack:
@@ -115,23 +136,17 @@ class GradientClosedLoopAttack:
         self.bound = np.atleast_1d(np.asarray(bound, dtype=np.float64))
         self.epsilon = float(epsilon)
 
-    def _margin_after(self, state: np.ndarray, observation: np.ndarray) -> float:
-        control = self.system.clip_control(np.atleast_1d(self.controller(observation)))
-        next_state = self.system.dynamics(state, control, np.zeros(self.system.state_dim))
-        return safety_margin(self.system, next_state)
+    def perturb_batch(self, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """One closed-loop sign step per row of ``states``."""
 
-    def __call__(self, state: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        state = np.asarray(state, dtype=np.float64)
-        gradient = np.zeros_like(state)
-        for index in range(state.size):
-            plus = state.copy()
-            minus = state.copy()
-            plus[index] += self.epsilon
-            minus[index] -= self.epsilon
-            gradient[index] = (
-                self._margin_after(state, plus) - self._margin_after(state, minus)
-            ) / (2.0 * self.epsilon)
+        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+        dimension = states.shape[1]
+        offsets = self.epsilon * np.eye(dimension)[:, None, :]
+        # (2 * dimension, N, dimension): every row nudged up, then down, along each axis.
+        observations = np.concatenate([states + offsets, states - offsets])
+        margins = _margins_after(self.system, self.controller, states, observations)
+        gradient = ((margins[:dimension] - margins[dimension:]) / (2.0 * self.epsilon)).T
         sign = np.sign(gradient)
         sign[sign == 0.0] = 1.0
         # Step against the margin gradient: reduce the post-step safety margin.
-        return state - self.bound * sign
+        return states - self.bound * sign

@@ -8,7 +8,7 @@ Two uses, matching Algorithm 1 and Section IV:
 * during evaluation, FGSM perturbs the measured state so as to maximally
   change the controller's output, which is the "optimized adversarial
   attack" of Table II.  :class:`FGSMAttack` implements the evaluation-time
-  attacker as a perturbation callable for :func:`repro.systems.rollout`.
+  attacker as a perturbation for :func:`repro.systems.rollout_batch`.
 
 For neural controllers the input gradient is the network's closed-form VJP
 (:meth:`repro.nn.MLP._vjp`); for arbitrary (black-box) controllers a
@@ -17,7 +17,7 @@ finite-difference fallback estimates the same sign vector.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -73,33 +73,18 @@ def _control_change_gradient_batch(
     return gradient
 
 
-def fgsm_perturbation(
-    controller: ControllerLike,
-    state: np.ndarray,
-    bound: Union[float, Sequence[float]],
-    maximize_control: bool = True,
-) -> np.ndarray:
-    """One FGSM step: ``s + bound * sign(grad)`` against the controller.
-
-    ``maximize_control=True`` pushes the control further in its current
-    direction (wasting energy and overshooting); ``False`` pushes against it
-    (making the controller under-react near the safety boundary).  A
-    single-row wrapper over :func:`fgsm_perturbation_batch`.
-    """
-
-    state = np.asarray(state, dtype=np.float64)
-    return fgsm_perturbation_batch(
-        controller, state[None, :], bound, maximize_control=maximize_control
-    )[0]
-
-
 def fgsm_perturbation_batch(
     controller: ControllerLike,
     states: np.ndarray,
     bound: Union[float, Sequence[float]],
     maximize_control: bool = True,
 ) -> np.ndarray:
-    """Row-wise :func:`fgsm_perturbation` for an ``(N, state_dim)`` batch."""
+    """One FGSM step per row of an ``(N, state_dim)`` batch: ``s + bound * sign(grad)``.
+
+    ``maximize_control=True`` pushes the control further in its current
+    direction (wasting energy and overshooting); ``False`` pushes against it
+    (making the controller under-react near the safety boundary).
+    """
 
     states = np.atleast_2d(np.asarray(states, dtype=np.float64))
     bound = np.atleast_1d(np.asarray(bound, dtype=np.float64))
@@ -156,22 +141,13 @@ class FGSMAttack:
             return (self._step % 2) == 0
         return self.maximize_control
 
-    def __call__(self, state: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        rng = get_rng(rng)
-        self._step += 1
-        if self.probability < 1.0 and rng.uniform() > self.probability:
-            return state
-        return fgsm_perturbation(
-            self.controller, state, self.bound, maximize_control=self._direction()
-        )
-
     def perturb_batch(self, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Attack an ``(N, state_dim)`` batch of measurements at one time step.
 
         The step counter (and with it the ``alternate`` direction) advances
         once per *batch* step, so every batch member sees the same attack
-        direction at a given simulation time -- with ``N = 1`` this consumes
-        the random stream exactly like a scalar ``__call__``.
+        direction at a given simulation time.  With ``probability < 1`` one
+        uniform draw per row decides which rows are attacked.
         """
 
         rng = get_rng(rng)

@@ -22,10 +22,6 @@ class UniformMeasurementNoise:
         if np.any(self.bound < 0):
             raise ValueError("noise bound must be non-negative")
 
-    def __call__(self, state: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        rng = get_rng(rng)
-        return state + rng.uniform(-self.bound, self.bound, size=state.shape)
-
     def perturb_batch(self, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Perturb an ``(N, state_dim)`` batch with one vectorised draw."""
 
@@ -49,12 +45,6 @@ class GaussianMeasurementNoise:
         if np.any(self.std < 0):
             raise ValueError("noise std must be non-negative")
         self.bound_multiplier = float(bound_multiplier)
-
-    def __call__(self, state: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        rng = get_rng(rng)
-        noise = rng.normal(0.0, self.std, size=state.shape)
-        limit = self.bound_multiplier * self.std
-        return state + np.clip(noise, -limit, limit)
 
     def perturb_batch(self, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Perturb an ``(N, state_dim)`` batch with one vectorised draw."""

@@ -1,8 +1,8 @@
 """Projected gradient descent (PGD) attack: iterated FGSM.
 
 Table II uses single-step FGSM; PGD (Madry et al.) is its standard stronger
-multi-step variant and is used by the robustness stress-test ablation to
-check that the robust student's advantage survives a stronger adversary.
+multi-step variant, available to check that the robust student's advantage
+survives a stronger adversary (no benchmark uses it).
 Each step ascends the same objective as :mod:`repro.attacks.fgsm` (push the
 control output as far as possible) and re-projects onto the ``Delta`` box
 around the true state.
@@ -18,31 +18,6 @@ from repro.attacks.fgsm import ControllerLike, _control_change_gradient_batch
 from repro.utils.seeding import get_rng
 
 
-def pgd_perturbation(
-    controller: ControllerLike,
-    state: np.ndarray,
-    bound: Union[float, Sequence[float]],
-    steps: int = 5,
-    step_size_fraction: float = 0.5,
-) -> np.ndarray:
-    """Multi-step projected gradient attack around ``state``.
-
-    ``step_size_fraction`` scales each ascent step relative to the bound;
-    the iterate is projected back into ``[state - bound, state + bound]``
-    after every step so the final perturbation respects ``Delta``.  A
-    single-row wrapper over :func:`pgd_perturbation_batch`.
-    """
-
-    state = np.asarray(state, dtype=np.float64)
-    return pgd_perturbation_batch(
-        controller,
-        state[None, :],
-        bound,
-        steps=steps,
-        step_size_fraction=step_size_fraction,
-    )[0]
-
-
 def pgd_perturbation_batch(
     controller: ControllerLike,
     states: np.ndarray,
@@ -50,7 +25,12 @@ def pgd_perturbation_batch(
     steps: int = 5,
     step_size_fraction: float = 0.5,
 ) -> np.ndarray:
-    """Row-wise :func:`pgd_perturbation` for an ``(N, state_dim)`` batch."""
+    """Multi-step projected gradient attack around each row of ``states``.
+
+    ``step_size_fraction`` scales each ascent step relative to the bound;
+    every iterate is projected back into ``[states - bound, states + bound]``
+    after each step so the final perturbation respects ``Delta``.
+    """
 
     if steps <= 0:
         raise ValueError("steps must be positive")
@@ -87,18 +67,6 @@ class PGDAttack:
         self.steps = int(steps)
         self.step_size_fraction = float(step_size_fraction)
         self.probability = float(probability)
-
-    def __call__(self, state: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        rng = get_rng(rng)
-        if self.probability < 1.0 and rng.uniform() > self.probability:
-            return state
-        return pgd_perturbation(
-            self.controller,
-            state,
-            self.bound,
-            steps=self.steps,
-            step_size_fraction=self.step_size_fraction,
-        )
 
     def perturb_batch(self, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Attack an ``(N, state_dim)`` batch of measurements at one time step."""

@@ -11,7 +11,7 @@ the comparison is apples to apples.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -24,6 +24,22 @@ from repro.rl.spaces import DiscreteSpace
 from repro.systems.base import ControlSystem
 from repro.utils.logging import TrainingLogger
 from repro.utils.seeding import RngLike, get_rng
+
+
+def selected_expert_controls(
+    experts: Sequence[Controller], indices: np.ndarray, states: np.ndarray
+) -> np.ndarray:
+    """Row ``i``'s selected expert ``experts[indices[i]]`` called on ``states[i]`` alone.
+
+    The one kernel behind both the switching environment
+    (:meth:`SwitchingEnv.actions_to_controls`) and the trained baseline
+    (:meth:`SwitchingController.batch_control`); indices are clamped to the
+    expert list.  Each expert sees only its own row, so a row's control does
+    not depend on what else is in the batch.
+    """
+
+    indices = np.clip(np.asarray(indices).astype(int), 0, len(experts) - 1)
+    return np.stack([np.atleast_1d(experts[index](state)) for index, state in zip(indices, states)])
 
 
 class SwitchingEnv(ControlEnv):
@@ -47,13 +63,9 @@ class SwitchingEnv(ControlEnv):
         return DiscreteSpace(len(self.experts))
 
     def actions_to_controls(self, actions: np.ndarray, states: np.ndarray) -> np.ndarray:
-        """Each row's selected expert (index clamped to the expert list),
-        called on that row's state alone."""
+        """Each row's selected expert, called on that row's state alone."""
 
-        indices = np.clip(actions[:, 0].astype(int), 0, len(self.experts) - 1)
-        return np.stack(
-            [np.atleast_1d(self.experts[index](state)) for index, state in zip(indices, states)]
-        )
+        return selected_expert_controls(self.experts, actions[:, 0], states)
 
     @property
     def action_dim(self) -> int:
@@ -78,11 +90,20 @@ class SwitchingController(Controller):
         index = self.selected_expert(state)
         return self.system.clip_control(np.atleast_1d(self.experts[index](state)))
 
-    def switching_profile(self, states: np.ndarray) -> np.ndarray:
-        """Expert index chosen for each row of ``states`` (for diagnostics)."""
+    def batch_control(self, states: np.ndarray) -> np.ndarray:
+        """Clipped controls for an ``(N, state_dim)`` batch: one policy pass
+        picks every row's expert, then each row calls its expert."""
 
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        return np.array([self.selected_expert(state) for state in states], dtype=int)
+        indices = self.switching_profile(states)
+        return self.system.clip_control_batch(selected_expert_controls(self.experts, indices, states))
+
+    def switching_profile(self, states: np.ndarray) -> np.ndarray:
+        """Expert index chosen for each row of ``states`` (one policy pass)."""
+
+        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+        actions, _ = self.policy.act_batch(states, deterministic=True)
+        return actions.astype(int)
 
 
 class SwitchingTrainer:

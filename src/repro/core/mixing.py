@@ -14,7 +14,7 @@ teacher of the distillation step.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -268,25 +268,3 @@ class MixingTrainer:
     @property
     def logger(self) -> Optional[TrainingLogger]:
         return getattr(self._trainer, "logger", None)
-
-
-def uniform_mixture(system: ControlSystem, experts: Sequence[Controller], name: str = "uniform-mixture") -> Controller:
-    """Fixed equal-weight ensemble of the experts (a no-learning reference).
-
-    Corresponds to the pre-determined-weight ensembles in the distillation
-    literature the paper contrasts against; used by the ablation benchmark.
-    """
-
-    experts = list(experts)
-    weight = 1.0 / len(experts)
-
-    class _Uniform(Controller):
-        def control(self, state: np.ndarray) -> np.ndarray:
-            control = np.zeros(system.control_dim)
-            for expert in experts:
-                control = control + weight * np.atleast_1d(expert(state))
-            return system.clip_control(control)
-
-    mixture = _Uniform()
-    mixture.name = name
-    return mixture

@@ -38,27 +38,22 @@ def linearize(
         if control_equilibrium is None
         else np.asarray(control_equilibrium, dtype=np.float64)
     )
-    zero_disturbance = np.zeros(system.state_dim)
+    n, m = system.state_dim, system.control_dim
+    # One batch of the 2 (n + m) central-difference points: x0 +- eps e_k
+    # (rows 0..2n), then u0 +- eps e_k (rows 2n..2n+2m).
+    states = np.tile(x0, (2 * (n + m), 1))
+    controls = np.tile(u0, (2 * (n + m), 1))
+    states[:n] += epsilon * np.eye(n)
+    states[n : 2 * n] -= epsilon * np.eye(n)
+    controls[2 * n : 2 * n + m] += epsilon * np.eye(m)
+    controls[2 * n + m :] -= epsilon * np.eye(m)
+    disturbances = np.zeros((2 * (n + m), system.disturbance.dimension))
+    next_states = system.dynamics_batch(states, controls, disturbances)
 
-    def f(state: np.ndarray, control: np.ndarray) -> np.ndarray:
-        return system.dynamics(state, control, zero_disturbance)
-
-    A = np.zeros((system.state_dim, system.state_dim))
-    for index in range(system.state_dim):
-        plus = x0.copy()
-        minus = x0.copy()
-        plus[index] += epsilon
-        minus[index] -= epsilon
-        A[:, index] = (f(plus, u0) - f(minus, u0)) / (2.0 * epsilon)
-
-    B = np.zeros((system.state_dim, system.control_dim))
-    for index in range(system.control_dim):
-        plus = u0.copy()
-        minus = u0.copy()
-        plus[index] += epsilon
-        minus[index] -= epsilon
-        B[:, index] = (f(x0, plus) - f(x0, minus)) / (2.0 * epsilon)
-
+    A = np.ascontiguousarray((next_states[:n] - next_states[n : 2 * n]).T / (2.0 * epsilon))
+    B = np.ascontiguousarray(
+        (next_states[2 * n : 2 * n + m] - next_states[2 * n + m :]).T / (2.0 * epsilon)
+    )
     return A, B
 
 

@@ -4,23 +4,25 @@ The paper lists model-predictive control as one of the classic model-based
 experts Cocktail can mix ("They could be based on well-established
 model-based approaches, such as model-predictive control (MPC) or linear
 quadratic regulator (LQR)").  This module provides a derivative-free MPC
-that only needs the plant's ``dynamics`` function:
+that only needs the plant's ``dynamics_batch`` function:
 
 at every step it samples candidate control sequences (a shrinking-variance
-cross-entropy-method loop), rolls each out over the prediction horizon on
-the nominal (disturbance-free) model, scores them with a quadratic
-state/control cost plus a large penalty for leaving the safe region, and
-applies the first control of the best sequence.
+cross-entropy-method loop), rolls them all out in lockstep over the
+prediction horizon on the nominal (disturbance-free) model, scores them
+with a quadratic state/control cost plus a large penalty for every step
+outside the safe region, and applies the first control of the best
+sequence.
 
-It is slower than the analytic experts (hundreds of model rollouts per
-control step) and therefore not part of ``make_default_experts``, but it is
-a drop-in expert for the mixing step and is exercised by the unit tests and
-the ``examples`` on shortened horizons.
+It is slower than the analytic experts (one batched model rollout of
+``num_samples`` sequences per CEM iteration and control step) and
+therefore not part of ``make_default_experts``, but it is a drop-in expert
+for the mixing step and is exercised by the unit tests on shortened
+horizons.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -35,7 +37,7 @@ class MPCController(Controller):
     Parameters
     ----------
     system:
-        The plant whose ``dynamics`` are used as the prediction model.
+        The plant whose ``dynamics_batch`` is the prediction model.
     horizon:
         Prediction horizon (number of lookahead steps).
     num_samples:
@@ -88,20 +90,24 @@ class MPCController(Controller):
     def reset(self) -> None:
         self._warm_start = None
 
-    def _sequence_cost(self, state: np.ndarray, controls: np.ndarray) -> float:
-        """Quadratic cost of one control sequence on the nominal model."""
+    def _sequence_costs(self, state: np.ndarray, samples: np.ndarray) -> np.ndarray:
+        """Quadratic costs of ``(S, horizon, control_dim)`` control sequences.
 
-        cost = 0.0
-        current = state
-        zero_disturbance = np.zeros(self.system.state_dim)
+        All ``S`` sequences roll out in lockstep on the nominal model from
+        ``state``: one batched clip and plant update per lookahead step.
+        """
+
+        count = len(samples)
+        current = np.tile(np.asarray(state, dtype=np.float64), (count, 1))
+        zero_disturbance = np.zeros((count, self.system.disturbance.dimension))
+        costs = np.zeros(count)
         for step in range(self.horizon):
-            control = self.system.clip_control(controls[step])
-            current = self.system.dynamics(current, control, zero_disturbance)
-            cost += float(current @ self.state_cost @ current)
-            cost += float(control @ self.control_cost @ control)
-            if not self.system.is_safe(current):
-                cost += self.unsafe_penalty
-        return cost
+            controls = self.system.clip_control_batch(samples[:, step])
+            current = self.system.dynamics_batch(current, controls, zero_disturbance)
+            costs += np.einsum("ni,ij,nj->n", current, self.state_cost, current)
+            costs += np.einsum("ni,ij,nj->n", controls, self.control_cost, controls)
+            costs += np.where(self.system.is_safe_batch(current), 0.0, self.unsafe_penalty)
+        return costs
 
     def control(self, state: np.ndarray) -> np.ndarray:
         low = self.system.control_bound.low
@@ -119,7 +125,7 @@ class MPCController(Controller):
         for _ in range(self.num_iterations):
             samples = self._rng.normal(mean, std, size=(self.num_samples, self.horizon, self.system.control_dim))
             samples = np.clip(samples, low, high)
-            costs = np.array([self._sequence_cost(state, sample) for sample in samples])
+            costs = self._sequence_costs(state, samples)
             elite_index = np.argsort(costs)[: self.num_elites]
             elites = samples[elite_index]
             mean = elites.mean(axis=0)

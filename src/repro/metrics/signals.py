@@ -49,7 +49,7 @@ def control_signal_trace(
 
     generator = get_rng(rng)
     if initial_state is None:
-        initial_state = system.sample_initial_state(generator)
+        initial_state = system.initial_set.sample(generator)
     attack = FGSMAttack(controller, perturbation_budget(system, attack_fraction))
     trajectory = rollout(
         system,
@@ -81,7 +81,7 @@ def compare_signal_traces(
     """Trace every controller from the *same* initial state under attack."""
 
     generator = get_rng(seed)
-    initial_state = system.sample_initial_state(generator)
+    initial_state = system.initial_set.sample(generator)
     traces = {}
     for name, controller in controllers.items():
         traces[name] = control_signal_trace(

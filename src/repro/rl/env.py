@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.rl.spaces import BoxSpace
 from repro.systems.base import ControlSystem
-from repro.systems.simulation import PerturbationFn, _perturbation_batch
+from repro.systems.simulation import PerturbationFn
 from repro.utils.seeding import RngLike, get_rng
 
 
@@ -96,7 +96,6 @@ class ControlEnv:
         self._rng = get_rng(rng)
         self._states: Optional[np.ndarray] = None
         self._steps = np.zeros(self.num_envs, dtype=int)
-        self.observation_space = BoxSpace(system.safe_region.low, system.safe_region.high)
         self.action_space = self.build_action_space()
 
     # -- hooks ---------------------------------------------------------------
@@ -169,7 +168,7 @@ class ControlEnv:
     def _observe(self, states: np.ndarray) -> np.ndarray:
         if self.perturbation is None:
             return states.copy()
-        return _perturbation_batch(self.perturbation, states, self._rng)
+        return self.perturbation.perturb_batch(states, self._rng)
 
     @property
     def state_dim(self) -> int:

@@ -69,15 +69,6 @@ class AdaptiveCruiseControl(ControlSystem):
             dt=dt,
         )
 
-    def dynamics(self, state: np.ndarray, control: np.ndarray, disturbance: np.ndarray) -> np.ndarray:
-        gap, velocity, acceleration = state
-        u = control[0]
-        w = disturbance[0] if disturbance.size else 0.0
-        next_gap = gap + self.dt * velocity
-        next_velocity = velocity - self.dt * acceleration + w
-        next_acceleration = acceleration + (self.dt / self.lag) * (u - acceleration)
-        return np.array([next_gap, next_velocity, next_acceleration])
-
     def dynamics_batch(
         self, states: np.ndarray, controls: np.ndarray, disturbances: np.ndarray
     ) -> np.ndarray:

@@ -25,9 +25,10 @@ from repro.utils.seeding import RngLike, get_rng
 class ControlSystem:
     """Base class for the paper's discrete-time plants.
 
-    Sub-classes implement :meth:`dynamics` -- the deterministic part of the
-    state update given the applied (already clipped) control and the sampled
-    external disturbance -- and define the sets/box bounds in ``__init__``.
+    Sub-classes implement :meth:`dynamics_batch` -- the deterministic part of
+    the state update given the applied (already clipped) controls and the
+    sampled external disturbances, one row per plant -- and define the
+    sets/box bounds in ``__init__``.
 
     Attributes
     ----------
@@ -82,34 +83,19 @@ class ControlSystem:
     # ------------------------------------------------------------------
     # Interface to implement
     # ------------------------------------------------------------------
-    def dynamics(self, state: np.ndarray, control: np.ndarray, disturbance: np.ndarray) -> np.ndarray:
-        """One-step deterministic state update (control already clipped)."""
-
-        raise NotImplementedError
-
     def dynamics_batch(
         self, states: np.ndarray, controls: np.ndarray, disturbances: np.ndarray
     ) -> np.ndarray:
-        """Vectorised :meth:`dynamics` over ``(N, state_dim)`` batches.
+        """The deterministic one-step update ``f`` over ``(N, state_dim)`` batches.
 
         Inputs are ``states (N, state_dim)``, ``controls (N, control_dim)``
         (already clipped) and ``disturbances (N, omega_dim)``; the result has
-        shape ``(N, state_dim)`` and row ``i`` must equal
-        ``dynamics(states[i], controls[i], disturbances[i])``.  The default
-        loops over rows; the concrete test systems override it with NumPy
-        array expressions so the batched rollout engine runs at array speed.
+        shape ``(N, state_dim)``.  Rows are independent: row ``i`` of the
+        result depends on row ``i`` of the inputs alone, bit for bit, so a
+        batch of one is the single-state update.
         """
 
-        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        controls = np.atleast_2d(np.asarray(controls, dtype=np.float64))
-        disturbances = np.atleast_2d(np.asarray(disturbances, dtype=np.float64))
-        return np.stack(
-            [
-                self.dynamics(state, control, disturbance)
-                for state, control, disturbance in zip(states, controls, disturbances)
-            ],
-            axis=0,
-        )
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # Common behaviour
@@ -123,28 +109,6 @@ class ControlSystem:
                 f"control has dimension {control.size}, expected {self.control_dim}"
             )
         return self.control_bound.clip(control)
-
-    def step(
-        self,
-        state: Sequence[float],
-        control: Sequence[float],
-        rng: RngLike = None,
-        disturbance: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Advance the plant by one sampling period.
-
-        ``disturbance`` overrides random sampling when provided (used by the
-        verification code, which enumerates disturbance extremes instead).
-        """
-
-        state = np.asarray(state, dtype=np.float64)
-        if state.shape != (self.state_dim,):
-            raise ValueError(f"state has shape {state.shape}, expected ({self.state_dim},)")
-        clipped = self.clip_control(control)
-        if disturbance is None:
-            disturbance = self.disturbance.sample(get_rng(rng))
-        disturbance = np.atleast_1d(np.asarray(disturbance, dtype=np.float64))
-        return self.dynamics(state, clipped, disturbance)
 
     def clip_control_batch(self, controls: np.ndarray) -> np.ndarray:
         """Clip a ``(N, control_dim)`` batch of raw commands to ``U``."""
@@ -165,11 +129,9 @@ class ControlSystem:
     ) -> np.ndarray:
         """Advance a ``(N, state_dim)`` batch of plants by one period.
 
-        The vectorised counterpart of :meth:`step`: controls are clipped, one
-        disturbance is sampled per batch member (unless ``disturbances``
-        overrides the sampling) and :meth:`dynamics_batch` produces the next
-        states.  With ``N = 1`` this consumes the generator stream exactly
-        like a single :meth:`step` call.
+        Controls are clipped, one disturbance is sampled per batch member
+        (unless ``disturbances`` overrides the sampling) and
+        :meth:`dynamics_batch` produces the next states.
         """
 
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
@@ -181,18 +143,10 @@ class ControlSystem:
         disturbances = np.atleast_2d(np.asarray(disturbances, dtype=np.float64))
         return self.dynamics_batch(states, clipped, disturbances)
 
-    def is_safe(self, state: Sequence[float]) -> bool:
-        """Whether ``state`` lies inside the safe region ``X``."""
-
-        return self.safe_region.contains(state)
-
     def is_safe_batch(self, states: np.ndarray) -> np.ndarray:
         """Per-row safety mask for a ``(N, state_dim)`` batch of states."""
 
         return self.safe_region.contains_batch(states)
-
-    def sample_initial_state(self, rng: RngLike = None) -> np.ndarray:
-        return self.initial_set.sample(get_rng(rng))
 
     def state_scale(self) -> np.ndarray:
         """Half-width of the safe region, used to normalise perturbations.

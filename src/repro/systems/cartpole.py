@@ -68,30 +68,6 @@ class CartPole(ControlSystem):
             dt=dt,
         )
 
-    def dynamics(self, state: np.ndarray, control: np.ndarray, disturbance: np.ndarray) -> np.ndarray:
-        position, velocity, angle, angular_velocity = state
-        force = control[0]
-        sin_theta = np.sin(angle)
-        cos_theta = np.cos(angle)
-
-        psi = (force + self.pole_mass * self.pole_length * angular_velocity**2 * sin_theta) / self.total_mass
-        theta_acc = (self.gravity * sin_theta - cos_theta * psi) / (
-            self.pole_length * (4.0 / 3.0 - self.pole_mass * cos_theta**2 / self.total_mass)
-        )
-        s_acc = psi - self.pole_mass * self.pole_length * cos_theta * theta_acc / self.total_mass
-
-        next_state = np.array(
-            [
-                position + self.dt * velocity,
-                velocity + self.dt * s_acc,
-                angle + self.dt * angular_velocity,
-                angular_velocity + self.dt * theta_acc,
-            ]
-        )
-        if disturbance.size == self.state_dim:
-            next_state = next_state + disturbance
-        return next_state
-
     def dynamics_batch(
         self, states: np.ndarray, controls: np.ndarray, disturbances: np.ndarray
     ) -> np.ndarray:

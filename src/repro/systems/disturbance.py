@@ -18,23 +18,14 @@ from repro.utils.seeding import RngLike, get_rng
 
 
 class DisturbanceModel:
-    """Interface: produce a disturbance vector per step and report its bound."""
+    """Interface: draw a batch of disturbance vectors and report their bound."""
 
     dimension: int = 1
 
-    def sample(self, rng: RngLike = None) -> np.ndarray:  # pragma: no cover - abstract
+    def sample_batch(self, rng: RngLike = None, count: int = 1) -> np.ndarray:  # pragma: no cover - abstract
+        """Sample ``count`` independent disturbances, shape ``(count, dim)``."""
+
         raise NotImplementedError
-
-    def sample_batch(self, rng: RngLike = None, count: int = 1) -> np.ndarray:
-        """Sample ``count`` independent disturbances, shape ``(count, dim)``.
-
-        The default loops over :meth:`sample`; concrete models override it
-        with a single vectorised draw so the batched rollout engine consumes
-        the generator stream identically to ``count`` scalar draws.
-        """
-
-        generator = get_rng(rng)
-        return np.stack([self.sample(generator) for _ in range(count)], axis=0)
 
     def bound(self) -> Box:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -47,9 +38,6 @@ class NoDisturbance(DisturbanceModel):
         if dimension < 1:
             raise ValueError("dimension must be positive")
         self.dimension = dimension
-
-    def sample(self, rng: RngLike = None) -> np.ndarray:
-        return np.zeros(self.dimension)
 
     def sample_batch(self, rng: RngLike = None, count: int = 1) -> np.ndarray:
         return np.zeros((count, self.dimension))
@@ -68,9 +56,6 @@ class UniformDisturbance(DisturbanceModel):
             box = Box(low, high)
         self._box = box
         self.dimension = box.dimension
-
-    def sample(self, rng: RngLike = None) -> np.ndarray:
-        return self._box.sample(get_rng(rng))
 
     def sample_batch(self, rng: RngLike = None, count: int = 1) -> np.ndarray:
         return self._box.sample(get_rng(rng), count=count)

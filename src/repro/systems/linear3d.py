@@ -43,17 +43,6 @@ class ThreeDimensionalSystem(ControlSystem):
             dt=dt,
         )
 
-    def dynamics(self, state: np.ndarray, control: np.ndarray, disturbance: np.ndarray) -> np.ndarray:
-        x, y, z = state
-        u = control[0]
-        x_dot = y + 0.5 * z**2
-        y_dot = z
-        z_dot = u
-        next_state = np.array([x + self.dt * x_dot, y + self.dt * y_dot, z + self.dt * z_dot])
-        if disturbance.size == self.state_dim:
-            next_state = next_state + disturbance
-        return next_state
-
     def dynamics_batch(
         self, states: np.ndarray, controls: np.ndarray, disturbances: np.ndarray
     ) -> np.ndarray:

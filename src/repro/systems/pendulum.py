@@ -68,15 +68,6 @@ class InvertedPendulum(ControlSystem):
 
         return self.mass * self.length**2
 
-    def dynamics(self, state: np.ndarray, control: np.ndarray, disturbance: np.ndarray) -> np.ndarray:
-        theta, omega = state
-        u = control[0]
-        w = disturbance[0] if disturbance.size else 0.0
-        accel = (self.gravity / self.length) * np.sin(theta) - self.damping * omega + u / self.inertia
-        next_theta = theta + self.dt * omega
-        next_omega = omega + self.dt * accel + w
-        return np.array([next_theta, next_omega])
-
     def dynamics_batch(
         self, states: np.ndarray, controls: np.ndarray, disturbances: np.ndarray
     ) -> np.ndarray:

@@ -3,19 +3,17 @@
 The robustness (safe control rate) and energy metrics of Section II are
 Monte-Carlo estimates: sample initial states from ``X0``, roll the closed
 loop forward for ``T`` steps, check whether every visited state stays inside
-``X`` and accumulate the 1-norm of the applied control.  Two engines produce
+``X`` and accumulate the 1-norm of the applied control.  One engine produces
 those rollouts:
 
-* :func:`rollout_batch` -- the vectorised engine.  It advances an
-  ``(N, state_dim)`` batch of trajectories in lockstep, one NumPy array
-  operation per step, masking out trajectories that have already violated
-  safety.  All Monte-Carlo metrics (:func:`evaluate_rollouts`,
-  :func:`safe_control_rate`, :func:`control_energy` and everything in
-  :mod:`repro.metrics`) run on this engine.
-* :func:`rollout` -- the scalar engine, now a thin ``N = 1`` wrapper around
-  :func:`rollout_batch`.  With the same seed it reproduces the historical
-  per-trajectory results exactly (state for state, control for control),
-  which the batch equivalence tests assert.
+* :func:`rollout_batch` advances an ``(N, state_dim)`` batch of trajectories
+  in lockstep, one batched perturbation, controller evaluation, clip and
+  plant update (:meth:`ControlSystem.dynamics_batch`) per step, masking out
+  trajectories that have already violated safety.  All Monte-Carlo metrics
+  (:func:`evaluate_rollouts`, :func:`safe_control_rate`,
+  :func:`control_energy` and everything in :mod:`repro.metrics`) run on it.
+* :func:`rollout` is its ``N = 1`` case, returned as one
+  :class:`Trajectory`.
 
 Threat model (matching Section II of the paper): the perturbation ``delta``
 is applied to the *measurement only*.  At every step the controller observes
@@ -37,7 +35,7 @@ the first offence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -50,10 +48,12 @@ from repro.utils.seeding import RngLike, get_rng
 #: engine uses when present instead of looping over rows.
 ControllerFn = Callable[[np.ndarray], np.ndarray]
 
-#: A perturbation maps the true state to the observed (perturbed) state.
-#: Perturbations may additionally expose ``perturb_batch(states, rng)``
-#: (mapping ``(N, state_dim)`` to ``(N, state_dim)``) for batched rollouts.
-PerturbationFn = Callable[[np.ndarray, np.random.Generator], np.ndarray]
+
+class PerturbationFn(Protocol):
+    """Maps true states to the observed (perturbed) states."""
+
+    def perturb_batch(self, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Observations of an ``(N, state_dim)`` batch of true states."""
 
 
 @dataclass
@@ -201,23 +201,6 @@ def weighted_expert_controls(
     return controls
 
 
-def _perturbation_batch(
-    perturbation: PerturbationFn, states: np.ndarray, generator: np.random.Generator
-) -> np.ndarray:
-    """Perturb an ``(N, state_dim)`` batch of true states into observations."""
-
-    batch = getattr(perturbation, "perturb_batch", None)
-    if batch is not None:
-        return np.atleast_2d(np.asarray(batch(states, generator), dtype=np.float64))
-    return np.stack(
-        [
-            np.asarray(perturbation(state.copy(), generator), dtype=np.float64)
-            for state in states
-        ],
-        axis=0,
-    )
-
-
 def rollout_batch(
     system: ControlSystem,
     controller: ControllerFn,
@@ -236,14 +219,11 @@ def rollout_batch(
     trajectories leave the active set at their first unsafe state, so a batch
     whose members all fail early terminates early too.
 
-    With ``N = 1`` this consumes the random stream exactly like the
-    historical scalar :func:`rollout` (perturbation draw, then disturbance
-    draw, each step), so seeded single-trajectory results are preserved
-    bit for bit.  For ``N > 1`` the stream is consumed step-major (all
-    members' draws at step ``t`` before any draw at ``t + 1``) instead of
-    trajectory-major, so individual trajectories differ from sequential
-    scalar rollouts on stochastic plants -- the Monte-Carlo estimates are
-    statistically equivalent.
+    Each step draws the perturbation, then the disturbance.  The stream is
+    consumed step-major (all members' draws at step ``t`` before any draw
+    at ``t + 1``), so on stochastic plants a member of an ``N``-row batch
+    differs from the same initial state rolled out alone -- the
+    Monte-Carlo estimates are statistically equivalent.
 
     Parameters
     ----------
@@ -261,8 +241,7 @@ def rollout_batch(
         ``T``).
     perturbation:
         Optional attack/noise model applied to the measurement only (see the
-        module docstring for the threat model); ``perturb_batch`` is used
-        when available.
+        module docstring for the threat model).
     stop_on_violation:
         Stop each trajectory at its first unsafe state (see module docstring).
     record_states:
@@ -305,7 +284,7 @@ def rollout_batch(
 
         observations = current
         if perturbation is not None:
-            observations = _perturbation_batch(perturbation, current, generator)
+            observations = perturbation.perturb_batch(current, generator)
         commands = batch_controls(controller, observations)
         applied = system.clip_control_batch(commands)
 
@@ -365,11 +344,9 @@ def rollout(
 ) -> Trajectory:
     """Simulate one closed loop from ``initial_state`` for ``horizon`` steps.
 
-    A thin ``N = 1`` wrapper over :func:`rollout_batch`; the random stream
-    consumption and the returned :class:`Trajectory` are identical to the
-    historical scalar implementation for the same seed.  See
-    :func:`rollout_batch` for the parameters and the module docstring for
-    the threat model and the ``stop_on_violation`` semantics.
+    The ``N = 1`` case of :func:`rollout_batch`.  See :func:`rollout_batch`
+    for the parameters and the module docstring for the threat model and
+    the ``stop_on_violation`` semantics.
     """
 
     initial_state = np.asarray(initial_state, dtype=np.float64)

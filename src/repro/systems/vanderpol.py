@@ -44,14 +44,6 @@ class VanDerPolOscillator(ControlSystem):
             dt=dt,
         )
 
-    def dynamics(self, state: np.ndarray, control: np.ndarray, disturbance: np.ndarray) -> np.ndarray:
-        s1, s2 = state
-        u = control[0]
-        omega = disturbance[0] if disturbance.size else 0.0
-        next_s1 = s1 + self.dt * s2
-        next_s2 = s2 + self.dt * ((1.0 - s1**2) * self.mu * s2 - s1 + u) + omega
-        return np.array([next_s1, next_s2])
-
     def dynamics_batch(
         self, states: np.ndarray, controls: np.ndarray, disturbances: np.ndarray
     ) -> np.ndarray:

@@ -10,7 +10,7 @@ from repro.attacks import (
     GradientClosedLoopAttack,
     UniformMeasurementNoise,
     WorstCaseSampler,
-    fgsm_perturbation,
+    fgsm_perturbation_batch,
     perturbation_budget,
 )
 from repro.attacks.adversary import safety_margin
@@ -23,11 +23,10 @@ from repro.systems.simulation import safe_control_rate
 class TestNoise:
     def test_uniform_noise_bounded(self):
         noise = UniformMeasurementNoise([0.1, 0.2])
-        rng = np.random.default_rng(0)
-        state = np.array([1.0, -1.0])
-        for _ in range(200):
-            perturbed = noise(state, rng)
-            assert np.all(np.abs(perturbed - state) <= [0.1, 0.2])
+        states = np.tile([1.0, -1.0], (200, 1))
+        perturbed = noise.perturb_batch(states, np.random.default_rng(0))
+        assert perturbed.shape == states.shape
+        assert np.all(np.abs(perturbed - states) <= [0.1, 0.2])
 
     def test_uniform_noise_rejects_negative_bound(self):
         with pytest.raises(ValueError):
@@ -35,10 +34,9 @@ class TestNoise:
 
     def test_gaussian_noise_truncated(self):
         noise = GaussianMeasurementNoise(0.1, bound_multiplier=2.0)
-        rng = np.random.default_rng(0)
-        state = np.zeros(3)
-        for _ in range(200):
-            assert np.all(np.abs(noise(state, rng)) <= 0.2 + 1e-12)
+        perturbed = noise.perturb_batch(np.zeros((200, 3)), np.random.default_rng(0))
+        assert perturbed.shape == (200, 3)
+        assert np.all(np.abs(perturbed) <= 0.2 + 1e-12)
 
     def test_magnitude(self):
         np.testing.assert_allclose(UniformMeasurementNoise([0.3, 0.4]).magnitude(), [0.3, 0.4])
@@ -66,13 +64,13 @@ class TestFGSM:
     def test_perturbation_within_bound(self):
         controller = self._neural_controller()
         state = np.array([0.5, -0.5])
-        perturbed = fgsm_perturbation(controller, state, bound=[0.1, 0.2])
+        perturbed = fgsm_perturbation_batch(controller, state[None, :], bound=[0.1, 0.2])[0]
         assert np.all(np.abs(perturbed - state) <= [0.1 + 1e-12, 0.2 + 1e-12])
 
     def test_perturbation_moves_every_coordinate_to_the_bound(self):
         controller = self._neural_controller()
         state = np.array([0.5, -0.5])
-        perturbed = fgsm_perturbation(controller, state, bound=0.1)
+        perturbed = fgsm_perturbation_batch(controller, state[None, :], bound=0.1)[0]
         np.testing.assert_allclose(np.abs(perturbed - state), [0.1, 0.1])
 
     def test_maximize_changes_control_more_than_random(self):
@@ -81,7 +79,8 @@ class TestFGSM:
         state = np.array([0.3, 0.2])
         bound = 0.2
         nominal = controller(state)
-        adversarial_shift = abs(controller(fgsm_perturbation(controller, state, bound))[0] - nominal[0])
+        adversarial = fgsm_perturbation_batch(controller, state[None, :], bound)[0]
+        adversarial_shift = abs(controller(adversarial)[0] - nominal[0])
         random_shifts = [
             abs(controller(state + rng.uniform(-bound, bound, size=2))[0] - nominal[0]) for _ in range(32)
         ]
@@ -105,14 +104,14 @@ class TestFGSM:
     def test_black_box_fallback_for_non_neural_controller(self):
         controller = LinearStateFeedback([[2.0, -1.0]])
         state = np.array([0.4, 0.4])
-        perturbed = fgsm_perturbation(controller, state, bound=0.05)
+        perturbed = fgsm_perturbation_batch(controller, state[None, :], bound=0.05)[0]
         assert np.all(np.abs(perturbed - state) <= 0.05 + 1e-12)
 
     def test_attack_probability_zero_is_identity(self):
         controller = self._neural_controller()
         attack = FGSMAttack(controller, bound=0.1, probability=0.0)
-        state = np.array([0.1, 0.1])
-        np.testing.assert_allclose(attack(state, np.random.default_rng(0)), state)
+        states = np.array([[0.1, 0.1], [-0.3, 0.2]])
+        np.testing.assert_array_equal(attack.perturb_batch(states, np.random.default_rng(0)), states)
 
     def test_attack_probability_validation(self):
         with pytest.raises(ValueError):
@@ -138,18 +137,38 @@ class TestAdversaries:
         assert safety_margin(vanderpol, np.zeros(2)) > 0
         assert safety_margin(vanderpol, np.array([2.5, 0.0])) < 0
 
+    def test_safety_margin_keeps_leading_axes(self, vanderpol):
+        states = np.array([[[0.0, 0.0], [2.5, 0.0]], [[1.5, -1.0], [0.0, -1.9]]])
+        np.testing.assert_allclose(safety_margin(vanderpol, states), [[2.0, -0.5], [0.5, 0.1]])
+
     def test_worst_case_sampler_reduces_margin(self, vanderpol):
         controller = LinearStateFeedback([[0.4, 0.6]])
         adversary = WorstCaseSampler(vanderpol, controller, bound=perturbation_budget(vanderpol, 0.15), candidates=8)
         rng = np.random.default_rng(0)
-        state = np.array([1.2, 1.2])
+        states = np.array([[1.2, 1.2], [-1.0, 0.5], [0.3, -1.4]])
 
-        def next_margin(observation):
-            control = vanderpol.clip_control(controller(observation))
-            return safety_margin(vanderpol, vanderpol.dynamics(state, control, np.zeros(1)))
+        def next_margins(observations):
+            controls = vanderpol.clip_control_batch(controller.batch_control(observations))
+            return safety_margin(vanderpol, vanderpol.dynamics_batch(states, controls, np.zeros((3, 1))))
 
-        adversarial_observation = adversary(state, rng)
-        assert next_margin(adversarial_observation) <= next_margin(state) + 1e-12
+        adversarial_observations = adversary.perturb_batch(states, rng)
+        assert np.all(np.abs(adversarial_observations - states) <= adversary.bound + 1e-12)
+        assert np.all(next_margins(adversarial_observations) <= next_margins(states) + 1e-12)
+
+    def test_worst_case_sampler_draws_each_rows_candidates_in_turn(self, vanderpol):
+        """The batched draw consumes the stream like one candidate list per
+        row, in row order: with no corners and ``candidates=3``, row ``i``'s
+        random candidates are draws ``3i .. 3i + 2`` of the stream."""
+
+        controller = LinearStateFeedback([[0.4, 0.6]])
+        bound = np.array([0.2, 0.1])
+        adversary = WorstCaseSampler(vanderpol, controller, bound=bound, candidates=3, include_corners=False)
+        states = np.array([[1.2, 1.2], [-1.0, 0.5]])
+        observations = adversary.perturb_batch(states, np.random.default_rng(7))
+        reference = np.random.default_rng(7)
+        for state, observation in zip(states, observations):
+            candidates = [state] + [state + reference.uniform(-bound, bound) for _ in range(3)]
+            assert any(np.array_equal(observation, candidate) for candidate in candidates)
 
     def test_worst_case_sampler_validation(self, vanderpol):
         with pytest.raises(ValueError):
@@ -158,23 +177,42 @@ class TestAdversaries:
     def test_gradient_attack_within_budget(self, vanderpol):
         controller = LinearStateFeedback([[1.0, 2.0]])
         attack = GradientClosedLoopAttack(vanderpol, controller, bound=[0.1, 0.1])
-        state = np.array([0.5, 0.5])
-        perturbed = attack(state, np.random.default_rng(0))
-        assert np.all(np.abs(perturbed - state) <= 0.1 + 1e-12)
+        states = np.array([[0.5, 0.5], [-0.2, 1.1]])
+        perturbed = attack.perturb_batch(states, np.random.default_rng(0))
+        np.testing.assert_allclose(np.abs(perturbed - states), 0.1)
+
+    def test_gradient_attack_matches_one_axis_at_a_time(self, vanderpol):
+        """Reference: central differences of the next-state margin, one state
+        and one axis per plant step."""
+
+        controller = LinearStateFeedback([[0.4, 0.6]])
+        bound = np.array([0.2, 0.1])
+        attack = GradientClosedLoopAttack(vanderpol, controller, bound=bound, epsilon=1e-4)
+        states = vanderpol.initial_set.sample(np.random.default_rng(4), count=6) * 0.9
+
+        def margin_after(state, observation):
+            control = vanderpol.clip_control(controller(observation))
+            next_state = vanderpol.dynamics_batch(state[None, :], control[None, :], np.zeros((1, 1)))
+            return safety_margin(vanderpol, next_state[0])
+
+        for state, perturbed in zip(states, attack.perturb_batch(states, None)):
+            gradient = np.zeros(2)
+            for axis in range(2):
+                step = np.zeros(2)
+                step[axis] = 1e-4
+                gradient[axis] = (margin_after(state, state + step) - margin_after(state, state - step)) / 2e-4
+            sign = np.where(gradient == 0.0, 1.0, np.sign(gradient))
+            np.testing.assert_array_equal(perturbed, state - bound * sign)
 
     def test_gradient_attack_reduces_margin_on_average(self, vanderpol):
         controller = LinearStateFeedback([[0.4, 0.6]])
         attack = GradientClosedLoopAttack(vanderpol, controller, bound=perturbation_budget(vanderpol, 0.15))
         rng = np.random.default_rng(0)
-        reductions = []
-        for _ in range(20):
-            state = vanderpol.initial_set.sample(rng) * 0.8
-            control_clean = vanderpol.clip_control(controller(state))
-            clean_margin = safety_margin(vanderpol, vanderpol.dynamics(state, control_clean, np.zeros(1)))
-            observation = attack(state, rng)
-            control_attacked = vanderpol.clip_control(controller(observation))
-            attacked_margin = safety_margin(
-                vanderpol, vanderpol.dynamics(state, control_attacked, np.zeros(1))
-            )
-            reductions.append(clean_margin - attacked_margin)
-        assert np.mean(reductions) >= 0.0
+        states = vanderpol.initial_set.sample(rng, count=20) * 0.8
+
+        def next_margins(observations):
+            controls = vanderpol.clip_control_batch(controller.batch_control(observations))
+            return safety_margin(vanderpol, vanderpol.dynamics_batch(states, controls, np.zeros((20, 1))))
+
+        observations = attack.perturb_batch(states, rng)
+        assert np.mean(next_margins(states) - next_margins(observations)) >= 0.0

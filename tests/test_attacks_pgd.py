@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.attacks import PGDAttack, fgsm_perturbation, pgd_perturbation
+from repro.attacks import PGDAttack, fgsm_perturbation_batch, pgd_perturbation_batch
 from repro.experts import NeuralController
 from repro.nn.network import MLP
 
@@ -15,39 +15,37 @@ def controller():
 
 class TestPGDPerturbation:
     def test_stays_within_bound(self, controller):
-        state = np.array([0.4, -0.3])
-        perturbed = pgd_perturbation(controller, state, bound=[0.1, 0.2], steps=5)
-        assert np.all(np.abs(perturbed - state) <= [0.1 + 1e-12, 0.2 + 1e-12])
+        states = np.array([[0.4, -0.3], [-0.8, 0.6], [0.0, 0.05]])
+        perturbed = pgd_perturbation_batch(controller, states, bound=[0.1, 0.2], steps=5)
+        assert np.all(np.abs(perturbed - states) <= [0.1 + 1e-12, 0.2 + 1e-12])
 
     def test_invalid_steps(self, controller):
         with pytest.raises(ValueError):
-            pgd_perturbation(controller, np.zeros(2), bound=0.1, steps=0)
+            pgd_perturbation_batch(controller, np.zeros((1, 2)), bound=0.1, steps=0)
 
     def test_at_least_as_strong_as_fgsm(self, controller):
-        rng = np.random.default_rng(0)
-        stronger = 0
         total = 20
-        for _ in range(total):
-            state = rng.uniform(-1, 1, size=2)
-            nominal = controller(state)[0]
-            fgsm_shift = abs(controller(fgsm_perturbation(controller, state, 0.15))[0] - nominal)
-            pgd_shift = abs(controller(pgd_perturbation(controller, state, 0.15, steps=5))[0] - nominal)
-            if pgd_shift >= fgsm_shift - 1e-9:
-                stronger += 1
+        states = np.random.default_rng(0).uniform(-1, 1, size=(total, 2))
+        nominal = controller.batch_control(states)[:, 0]
+        fgsm = fgsm_perturbation_batch(controller, states, 0.15)
+        pgd = pgd_perturbation_batch(controller, states, 0.15, steps=5)
+        fgsm_shift = np.abs(controller.batch_control(fgsm)[:, 0] - nominal)
+        pgd_shift = np.abs(controller.batch_control(pgd)[:, 0] - nominal)
+        stronger = int(np.count_nonzero(pgd_shift >= fgsm_shift - 1e-9))
         assert stronger >= int(0.7 * total)
 
     def test_single_step_full_size_matches_fgsm(self, controller):
-        state = np.array([0.2, 0.7])
-        fgsm = fgsm_perturbation(controller, state, 0.1)
-        pgd = pgd_perturbation(controller, state, 0.1, steps=1, step_size_fraction=1.0)
+        states = np.array([[0.2, 0.7], [-0.5, 0.1]])
+        fgsm = fgsm_perturbation_batch(controller, states, 0.1)
+        pgd = pgd_perturbation_batch(controller, states, 0.1, steps=1, step_size_fraction=1.0)
         np.testing.assert_allclose(pgd, fgsm)
 
 
 class TestPGDAttackWrapper:
     def test_probability_zero_is_identity(self, controller):
         attack = PGDAttack(controller, bound=0.1, probability=0.0)
-        state = np.array([0.3, 0.3])
-        np.testing.assert_allclose(attack(state, np.random.default_rng(0)), state)
+        states = np.array([[0.3, 0.3], [-0.1, 0.4]])
+        np.testing.assert_array_equal(attack.perturb_batch(states, np.random.default_rng(0)), states)
 
     def test_validation(self, controller):
         with pytest.raises(ValueError):

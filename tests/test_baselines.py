@@ -11,8 +11,10 @@ from repro.baselines import (
     distill_fixed_ensemble,
 )
 from repro.core.config import DistillationConfig, MixingConfig
+from repro.experts import make_default_experts
 from repro.rl.policies import CategoricalMLPPolicy
-from repro.systems.simulation import safe_control_rate
+from repro.systems import make_system
+from repro.systems.simulation import rollout_batch, safe_control_rate
 
 
 class TestSwitchingEnv:
@@ -58,6 +60,34 @@ class TestSwitchingController:
         np.testing.assert_allclose(
             controller(state), np.clip(vanderpol_experts[index](state), -20, 20)
         )
+
+    @pytest.mark.parametrize("name", ["vanderpol", "3d", "cartpole"])
+    def test_batch_control_rows_equal_control(self, name):
+        system = make_system(name)
+        controller = self._controller(system, make_default_experts(system))
+        states = system.initial_set.sample(np.random.default_rng(3), count=200)
+        batched = controller.batch_control(states)
+        assert batched.shape == (200, system.control_dim)
+        for state, row in zip(states, batched):
+            np.testing.assert_array_equal(row, controller(state))
+        profile = controller.switching_profile(states)
+        assert profile.tolist() == [controller.selected_expert(state) for state in states]
+
+    def test_batched_rollout_takes_one_policy_pass_per_step(self, vanderpol, vanderpol_experts):
+        controller = self._controller(vanderpol, vanderpol_experts)
+        passes = []
+        act_batch = controller.policy.act_batch
+
+        def counting_act_batch(states, **kwargs):
+            passes.append(len(states))
+            return act_batch(states, **kwargs)
+
+        controller.policy.act = None  # a per-row fallback would fail here
+        controller.policy.act_batch = counting_act_batch
+        states = vanderpol.initial_set.sample(np.random.default_rng(0), count=8) * 0.5
+        batch = rollout_batch(vanderpol, controller, states, horizon=5, rng=0)
+        assert np.all(batch.steps == 5)
+        assert passes == [8] * 5
 
     def test_switching_profile_indices_valid(self, vanderpol, vanderpol_experts):
         controller = self._controller(vanderpol, vanderpol_experts)

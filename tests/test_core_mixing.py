@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.config import MixingConfig
-from repro.core.mixing import AdaptiveMixingEnv, MixedController, MixingTrainer, uniform_mixture
-from repro.experts import LinearStateFeedback, make_default_experts
+from repro.baselines import FixedWeightEnsemble
+from repro.core.mixing import AdaptiveMixingEnv, MixedController, MixingTrainer
 from repro.rl.policies import GaussianMLPPolicy
 from repro.systems.simulation import safe_control_rate
 
@@ -110,7 +110,8 @@ class TestMixedController:
         assert mixed.num_parameters() > 0
 
     def test_uniform_mixture_reference(self, vanderpol, vanderpol_experts):
-        mixture = uniform_mixture(vanderpol, vanderpol_experts)
+        # The no-learning reference: the fixed ensemble at its default equal weights.
+        mixture = FixedWeightEnsemble(vanderpol, vanderpol_experts)
         state = np.array([0.2, 0.3])
         expected = 0.5 * (vanderpol_experts[0](state) + vanderpol_experts[1](state))
         np.testing.assert_allclose(mixture(state), np.clip(expected, -20, 20))

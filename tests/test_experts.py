@@ -1,5 +1,7 @@
 """Tests for the expert controllers and the default expert factory."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,14 @@ from repro.experts import (
 )
 from repro.experts.ddpg_expert import DDPGExpertSpec, train_ddpg_expert
 from repro.nn.network import MLP
+from repro.scenarios import list_scenarios
+from repro.systems import make_system
 from repro.systems.simulation import rollout, safe_control_rate
+
+#: sha256 prefix over ``gain``, ``A`` and ``B`` (each made contiguous) of every
+#: default expert of the catalog scenarios plus ``vanderpol?mu=1.5``, in that
+#: order; recorded when ``linearize`` still stepped the plant one state at a time.
+EXPERT_GAIN_DIGEST = "25386f726b166418"
 
 
 class TestBaseControllers:
@@ -98,6 +107,22 @@ class TestLQR:
         gentle = LQRController(threed, control_cost=10.0)
         assert np.linalg.norm(aggressive.gain) > np.linalg.norm(gentle.gain)
 
+    def test_linearize_returns_contiguous_jacobians(self, cartpole):
+        A, B = linearize(cartpole, state_equilibrium=np.full(4, 0.01), control_equilibrium=[0.5])
+        assert A.shape == (4, 4) and B.shape == (4, 1)
+        assert A.flags.c_contiguous and B.flags.c_contiguous
+        # d(position')/d(velocity) = dt, d(angle')/d(angular velocity) = dt.
+        assert A[0, 1] == pytest.approx(cartpole.dt) and A[2, 3] == pytest.approx(cartpole.dt)
+
+    def test_expert_gains_keep_their_bits(self):
+        digest = hashlib.sha256()
+        for name in list(list_scenarios()) + ["vanderpol?mu=1.5"]:
+            for expert in make_default_experts(make_system(name)):
+                for attribute in ("gain", "A", "B"):
+                    if hasattr(expert, attribute):
+                        digest.update(np.ascontiguousarray(getattr(expert, attribute)).tobytes())
+        assert digest.hexdigest()[:16] == EXPERT_GAIN_DIGEST
+
     def test_batch_control_matches_single(self, cartpole):
         controller = LQRController(cartpole, control_cost=0.1)
         states = np.random.default_rng(0).normal(size=(6, 4)) * 0.1
@@ -160,12 +185,12 @@ class TestPolynomial:
 class TestFeedbackLinearization:
     def test_cancels_nonlinearity(self, vanderpol):
         controller = VanDerPolFeedbackLinearization(k1=4.0, k2=6.0)
-        s = np.array([1.5, -0.8])
-        u = controller(s)[0]
+        states = np.array([[1.5, -0.8], [-0.4, 1.9], [0.0, 0.3]])
+        controls = controller.batch_control(states)
         # After cancellation the closed loop is s2' = s2 + tau*(-k1 s1 - k2 s2)
-        next_state = vanderpol.dynamics(s, np.array([u]), np.zeros(1))
-        expected_s2 = s[1] + vanderpol.dt * (-4.0 * s[0] - 6.0 * s[1])
-        np.testing.assert_allclose(next_state[1], expected_s2, atol=1e-9)
+        next_states = vanderpol.dynamics_batch(states, controls, np.zeros((3, 1)))
+        expected_s2 = states[:, 1] + vanderpol.dt * (-4.0 * states[:, 0] - 6.0 * states[:, 1])
+        np.testing.assert_allclose(next_states[:, 1], expected_s2, atol=1e-9)
 
     def test_high_safe_rate(self, vanderpol):
         controller = VanDerPolFeedbackLinearization()

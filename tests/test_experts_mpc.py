@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.experts.mpc import MPCController
-from repro.systems import ThreeDimensionalSystem, VanDerPolOscillator
 from repro.systems.simulation import rollout
 
 
@@ -36,10 +35,9 @@ class TestMPCBehaviour:
             assert np.all(np.abs(control) <= 20.0 + 1e-12)
 
     def test_pushes_state_towards_origin(self, vanderpol, mpc):
-        state = np.array([1.0, 1.0])
-        control = mpc(state)
-        next_state = vanderpol.dynamics(state, control, np.zeros(1))
-        baseline = vanderpol.dynamics(state, np.zeros(1), np.zeros(1))
+        states = np.array([[1.0, 1.0], [1.0, 1.0]])
+        controls = np.stack([mpc(states[0]), np.zeros(1)])
+        next_state, baseline = vanderpol.dynamics_batch(states, controls, np.zeros((2, 1)))
         assert np.linalg.norm(next_state) < np.linalg.norm(baseline)
 
     def test_stabilises_short_rollout(self, vanderpol):
@@ -57,11 +55,29 @@ class TestMPCBehaviour:
     def test_unsafe_predictions_penalised(self, threed):
         # From a state near the boundary the MPC must brake rather than push out.
         mpc = MPCController(threed, horizon=5, num_samples=48, num_iterations=2, rng=0)
-        state = np.array([0.45, 0.3, 0.2])
-        control = mpc(state)
-        next_state = threed.dynamics(state, control, np.zeros(3))
-        uncontrolled = threed.dynamics(state, np.zeros(1), np.zeros(3))
+        states = np.array([[0.45, 0.3, 0.2], [0.45, 0.3, 0.2]])
+        controls = np.stack([mpc(states[0]), np.zeros(1)])
+        next_state, uncontrolled = threed.dynamics_batch(states, controls, np.zeros((2, 3)))
         assert next_state[2] <= uncontrolled[2]  # z is braked downward
+
+    def test_sequence_costs_match_one_sequence_at_a_time(self, vanderpol):
+        mpc = MPCController(vanderpol, horizon=4, num_samples=8, rng=0)
+        samples = np.random.default_rng(1).uniform(-30.0, 30.0, size=(8, 4, 1))
+        state = np.array([1.5, 1.0])
+        costs = mpc._sequence_costs(state, samples)
+        penalised = 0
+        for sample, cost in zip(samples, costs):
+            expected, current = 0.0, state[None, :]
+            for control in sample:
+                applied = vanderpol.clip_control_batch(control[None, :])
+                current = vanderpol.dynamics_batch(current, applied, np.zeros((1, 1)))
+                expected += current[0] @ mpc.state_cost @ current[0]
+                expected += applied[0] @ mpc.control_cost @ applied[0]
+                if not vanderpol.is_safe_batch(current)[0]:
+                    expected += mpc.unsafe_penalty
+                    penalised += 1
+            assert cost == pytest.approx(expected, rel=1e-12)
+        assert penalised > 0  # the unsafe penalty is exercised
 
     def test_usable_as_mixing_expert(self, vanderpol, vanderpol_experts):
         from repro.core.mixing import AdaptiveMixingEnv

@@ -65,7 +65,6 @@ class _PlanarEnv:
     num_envs = 1
 
     def __init__(self, seed: int = 0):
-        self.observation_space = BoxSpace([-2.0, -2.0], [2.0, 2.0])
         self.action_space = BoxSpace([-1.0, -1.0], [1.0, 1.0])
         self._rng = np.random.default_rng(seed)
         self._state = None

@@ -26,7 +26,6 @@ class PointMassEnv:
 
     def __init__(self, horizon=20, seed=0):
         self.horizon = horizon
-        self.observation_space = BoxSpace([-2.0], [2.0])
         self.action_space = BoxSpace([-1.0], [1.0])
         self._rng = np.random.default_rng(seed)
         self._state = None

@@ -240,16 +240,16 @@ class TestNewPlants:
         system = InvertedPendulum()
         assert system.state_dim == 2 and system.control_dim == 1
         assert system.safe_region.contains_box(system.initial_set)
-        state = system.initial_set.center
-        nxt = system.dynamics(state, np.zeros(1), np.zeros(1))
-        assert nxt.shape == (2,)
+        states = system.initial_set.center[None, :]
+        nxt = system.dynamics_batch(states, np.zeros((1, 1)), np.zeros((1, 1)))
+        assert nxt.shape == (1, 2)
 
     def test_pendulum_gravity_destabilises_open_loop(self):
         system = InvertedPendulum()
-        state = np.array([0.5, 0.0])
+        states = np.array([[0.5, 0.0], [-0.5, 0.0]])
         for _ in range(40):
-            state = system.dynamics(state, np.zeros(1), np.zeros(1))
-        assert abs(state[0]) > 0.5  # falls away from upright without control
+            states = system.dynamics_batch(states, np.zeros((2, 1)), np.zeros((2, 1)))
+        assert np.all(np.abs(states[:, 0]) > 0.5)  # falls away from upright without control
 
     def test_acc_shapes_and_sets(self):
         system = AdaptiveCruiseControl()
@@ -259,10 +259,11 @@ class TestNewPlants:
 
     def test_acc_lag_tracks_command(self):
         system = AdaptiveCruiseControl(lag=0.5, dt=0.1)
-        state = np.array([0.0, 0.0, 0.0])
+        states = np.zeros((2, 3))
+        commands = np.array([[1.0], [-0.5]])
         for _ in range(60):
-            state = system.dynamics(state, np.array([1.0]), np.zeros(1))
-        assert state[2] == pytest.approx(1.0, abs=1e-4)  # a converges to u
+            states = system.dynamics_batch(states, commands, np.zeros((2, 1)))
+        np.testing.assert_allclose(states[:, 2], commands[:, 0], atol=1e-4)  # a converges to u
 
     def test_acc_rejects_nonpositive_lag(self):
         with pytest.raises(ValueError):

@@ -4,10 +4,11 @@ The load-bearing guarantees:
 
 * ``rollout_batch`` with ``N = 1`` reproduces ``rollout`` exactly (same seed
   -> identical states, controls, energy), because ``rollout`` *is* the
-  ``N = 1`` wrapper and the batched primitives consume the random stream
-  identically to the scalar ones;
+  ``N = 1`` case;
+* the batched plant and attack kernels are row-independent: row ``i`` of a
+  batch equals the batch of one on row ``i``;
 * on deterministic plants (no disturbance, no perturbation) a batch of any
-  size matches per-trajectory scalar rollouts state for state;
+  size matches per-trajectory rollouts state for state;
 * violation masking freezes trajectories at their first unsafe state.
 """
 
@@ -18,9 +19,7 @@ from repro.attacks import (
     FGSMAttack,
     PGDAttack,
     UniformMeasurementNoise,
-    fgsm_perturbation,
     fgsm_perturbation_batch,
-    pgd_perturbation,
     pgd_perturbation_batch,
     perturbation_budget,
 )
@@ -49,7 +48,7 @@ SYSTEM_NAMES = ["vanderpol", "3d", "cartpole"]
 
 class TestDynamicsBatch:
     @pytest.mark.parametrize("name", SYSTEM_NAMES)
-    def test_matches_scalar_dynamics_row_for_row(self, name):
+    def test_rows_match_batches_of_one(self, name):
         system = make_system(name)
         rng = np.random.default_rng(0)
         states = system.safe_region.sample(rng, count=16)
@@ -57,30 +56,30 @@ class TestDynamicsBatch:
         disturbances = system.disturbance.sample_batch(rng, count=16)
         batched = system.dynamics_batch(states, controls, disturbances)
         for row in range(16):
-            scalar = system.dynamics(states[row], controls[row], disturbances[row])
-            np.testing.assert_array_equal(batched[row], scalar)
+            alone = system.dynamics_batch(
+                states[row : row + 1], controls[row : row + 1], disturbances[row : row + 1]
+            )
+            np.testing.assert_array_equal(batched[row], alone[0])
 
     @pytest.mark.parametrize("name", SYSTEM_NAMES)
-    def test_step_batch_single_row_matches_step_stream(self, name):
+    def test_step_batch_clips_then_draws_one_disturbance_per_row(self, name):
         system = make_system(name)
-        state = system.initial_set.sample(np.random.default_rng(1))
-        control = system.control_bound.sample(np.random.default_rng(2))
-        scalar = system.step(state, control, rng=np.random.default_rng(3))
-        batched = system.step_batch(state[None, :], control[None, :], rng=np.random.default_rng(3))
-        np.testing.assert_array_equal(batched[0], scalar)
+        states = system.initial_set.sample(np.random.default_rng(1), count=5)
+        controls = 3.0 * system.control_bound.sample(np.random.default_rng(2), count=5)
+        stepped = system.step_batch(states, controls, rng=np.random.default_rng(3))
+        disturbances = system.disturbance.sample_batch(np.random.default_rng(3), count=5)
+        expected = system.dynamics_batch(states, system.clip_control_batch(controls), disturbances)
+        np.testing.assert_array_equal(stepped, expected)
 
-    def test_base_class_fallback_loops_rows(self, vanderpol):
-        # Calling the non-overridden default on the base class must agree
-        # with the vectorised override.
+    def test_base_class_dynamics_batch_is_the_hook_to_implement(self, vanderpol):
         from repro.systems.base import ControlSystem
 
         rng = np.random.default_rng(0)
         states = vanderpol.safe_region.sample(rng, count=5)
         controls = vanderpol.control_bound.sample(rng, count=5)
         disturbances = vanderpol.disturbance.sample_batch(rng, count=5)
-        fallback = ControlSystem.dynamics_batch(vanderpol, states, controls, disturbances)
-        vectorised = vanderpol.dynamics_batch(states, controls, disturbances)
-        np.testing.assert_array_equal(fallback, vectorised)
+        with pytest.raises(NotImplementedError):
+            ControlSystem.dynamics_batch(vanderpol, states, controls, disturbances)
 
 
 class TestBatchScalarEquivalence:
@@ -281,33 +280,35 @@ class TestViolationMasking:
 
 
 class TestBatchedAttacks:
-    def test_fgsm_batch_matches_scalar_rows(self, vanderpol):
+    def test_fgsm_batch_rows_match_batches_of_one(self, vanderpol):
         controller = LinearStateFeedback([[0.4, 0.6]])
         bound = perturbation_budget(vanderpol, 0.1)
         states = sample_initial_states(vanderpol, 6, rng=0)
         for maximize in (True, False):
             batched = fgsm_perturbation_batch(controller, states, bound, maximize_control=maximize)
             for row in range(6):
-                scalar = fgsm_perturbation(controller, states[row], bound, maximize_control=maximize)
-                np.testing.assert_allclose(batched[row], scalar)
+                alone = fgsm_perturbation_batch(
+                    controller, states[row : row + 1], bound, maximize_control=maximize
+                )
+                np.testing.assert_allclose(batched[row], alone[0])
 
-    def test_fgsm_batch_neural_controller_matches_scalar_rows(self, vanderpol):
+    def test_fgsm_batch_neural_controller_rows_match_batches_of_one(self, vanderpol):
         controller = NeuralController(MLP(2, 1, hidden_sizes=(8,), seed=0))
         bound = perturbation_budget(vanderpol, 0.1)
         states = sample_initial_states(vanderpol, 6, rng=1)
         batched = fgsm_perturbation_batch(controller, states, bound)
         for row in range(6):
-            scalar = fgsm_perturbation(controller, states[row], bound)
-            np.testing.assert_allclose(batched[row], scalar)
+            alone = fgsm_perturbation_batch(controller, states[row : row + 1], bound)
+            np.testing.assert_allclose(batched[row], alone[0])
 
-    def test_pgd_batch_matches_scalar_rows(self, vanderpol):
+    def test_pgd_batch_rows_match_batches_of_one(self, vanderpol):
         controller = NeuralController(MLP(2, 1, hidden_sizes=(8,), seed=0))
         bound = perturbation_budget(vanderpol, 0.1)
         states = sample_initial_states(vanderpol, 4, rng=2)
         batched = pgd_perturbation_batch(controller, states, bound, steps=3)
         for row in range(4):
-            scalar = pgd_perturbation(controller, states[row], bound, steps=3)
-            np.testing.assert_allclose(batched[row], scalar)
+            alone = pgd_perturbation_batch(controller, states[row : row + 1], bound, steps=3)
+            np.testing.assert_allclose(batched[row], alone[0])
 
     def test_noise_batch_respects_bound(self, vanderpol):
         noise = UniformMeasurementNoise(perturbation_budget(vanderpol, 0.1))

@@ -1,4 +1,8 @@
-"""Tests for the three plants' dynamics against hand-computed values."""
+"""Tests for the three plants' dynamics against hand-computed values.
+
+Every value is checked on a row of :meth:`ControlSystem.dynamics_batch`,
+the one update each plant implements.
+"""
 
 import numpy as np
 import pytest
@@ -7,6 +11,12 @@ from repro.systems import CartPole, ThreeDimensionalSystem, VanDerPolOscillator,
 from repro.systems.base import ControlSystem
 from repro.systems.disturbance import NoDisturbance, UniformDisturbance
 from repro.systems.sets import Box
+
+
+def one_step(system, state, control, disturbance):
+    """``f(s, u, omega)`` for one state: the batch-of-one row."""
+
+    return system.dynamics_batch(state[None, :], control[None, :], disturbance[None, :])[0]
 
 
 class TestRegistry:
@@ -37,18 +47,18 @@ class TestVanDerPol:
     def test_dynamics_hand_computed(self, vanderpol):
         state = np.array([0.5, -1.0])
         control = np.array([2.0])
-        next_state = vanderpol.dynamics(state, control, np.zeros(1))
+        next_state = one_step(vanderpol, state, control, np.zeros(1))
         # s1' = 0.5 + 0.05 * (-1) = 0.45
         # s2' = -1 + 0.05 * ((1 - 0.25) * (-1) - 0.5 + 2) = -1 + 0.05 * 0.75 = -0.9625
         np.testing.assert_allclose(next_state, [0.45, -0.9625])
 
     def test_disturbance_added_to_second_state(self, vanderpol):
         state = np.array([0.0, 0.0])
-        next_state = vanderpol.dynamics(state, np.array([0.0]), np.array([0.03]))
+        next_state = one_step(vanderpol, state, np.array([0.0]), np.array([0.03]))
         np.testing.assert_allclose(next_state, [0.0, 0.03])
 
     def test_origin_is_equilibrium(self, vanderpol):
-        next_state = vanderpol.dynamics(np.zeros(2), np.zeros(1), np.zeros(1))
+        next_state = one_step(vanderpol, np.zeros(2), np.zeros(1), np.zeros(1))
         np.testing.assert_allclose(next_state, np.zeros(2))
 
     def test_disturbance_bound(self, vanderpol):
@@ -67,7 +77,7 @@ class TestThreeDimensional:
     def test_dynamics_hand_computed(self, threed):
         state = np.array([0.1, 0.2, 0.4])
         control = np.array([1.0])
-        next_state = threed.dynamics(state, control, np.zeros(3))
+        next_state = one_step(threed, state, control, np.zeros(3))
         # x' = 0.1 + 0.05*(0.2 + 0.5*0.16) = 0.114
         # y' = 0.2 + 0.05*0.4 = 0.22
         # z' = 0.4 + 0.05*1 = 0.45
@@ -88,17 +98,17 @@ class TestCartPole:
         assert cartpole.initial_set == Box.symmetric(0.2, dimension=4)
 
     def test_upright_equilibrium(self, cartpole):
-        next_state = cartpole.dynamics(np.zeros(4), np.zeros(1), np.zeros(4))
+        next_state = one_step(cartpole, np.zeros(4), np.zeros(1), np.zeros(4))
         np.testing.assert_allclose(next_state, np.zeros(4), atol=1e-12)
 
     def test_pole_falls_without_control(self, cartpole):
         state = np.array([0.0, 0.0, 0.05, 0.0])
         for _ in range(30):
-            state = cartpole.dynamics(state, np.zeros(1), np.zeros(4))
+            state = one_step(cartpole, state, np.zeros(1), np.zeros(4))
         assert state[2] > 0.05  # gravity increases the angle
 
     def test_force_pushes_cart(self, cartpole):
-        next_state = cartpole.dynamics(np.zeros(4), np.array([5.0]), np.zeros(4))
+        next_state = one_step(cartpole, np.zeros(4), np.array([5.0]), np.zeros(4))
         assert next_state[1] > 0.0  # positive force accelerates the cart
 
     def test_hand_computed_acceleration(self, cartpole):
@@ -108,7 +118,7 @@ class TestCartPole:
         psi = force / 1.1
         theta_acc = -psi / (1.0 * (4.0 / 3.0 - 0.1 / 1.1))
         s_acc = psi - 0.1 * 1.0 * theta_acc / 1.1
-        next_state = cartpole.dynamics(np.zeros(4), np.array([force]), np.zeros(4))
+        next_state = one_step(cartpole, np.zeros(4), np.array([force]), np.zeros(4))
         np.testing.assert_allclose(next_state[1], 0.02 * s_acc)
         np.testing.assert_allclose(next_state[3], 0.02 * theta_acc)
 
@@ -123,25 +133,32 @@ class TestControlSystemBase:
         with pytest.raises(ValueError):
             vanderpol.clip_control([1.0, 2.0])
 
-    def test_step_validates_state_shape(self, vanderpol):
+    def test_step_batch_validates_state_shape(self, vanderpol):
         with pytest.raises(ValueError):
-            vanderpol.step(np.zeros(3), np.zeros(1))
+            vanderpol.step_batch(np.zeros((1, 3)), np.zeros((1, 1)))
 
-    def test_step_clips_control(self, vanderpol):
+    def test_step_batch_clips_control(self, vanderpol):
         # A huge command must have the same effect as the saturated one.
-        a = vanderpol.step(np.zeros(2), [1000.0], disturbance=np.zeros(1))
-        b = vanderpol.step(np.zeros(2), [20.0], disturbance=np.zeros(1))
-        np.testing.assert_allclose(a, b)
+        a = vanderpol.step_batch(np.zeros((2, 2)), [[1000.0], [-1000.0]], disturbances=np.zeros((2, 1)))
+        b = vanderpol.step_batch(np.zeros((2, 2)), [[20.0], [-20.0]], disturbances=np.zeros((2, 1)))
+        np.testing.assert_array_equal(a, b)
 
-    def test_is_safe(self, vanderpol):
-        assert vanderpol.is_safe([0.0, 0.0])
-        assert not vanderpol.is_safe([2.5, 0.0])
+    def test_clip_control_batch(self, vanderpol):
+        np.testing.assert_array_equal(
+            vanderpol.clip_control_batch([[100.0], [-100.0], [3.0]]), [[20.0], [-20.0], [3.0]]
+        )
+        with pytest.raises(ValueError):
+            vanderpol.clip_control_batch([[1.0, 2.0]])
 
-    def test_sample_initial_state_inside_x0(self, any_system):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            state = any_system.sample_initial_state(rng)
-            assert any_system.initial_set.contains(state)
+    def test_is_safe_batch(self, vanderpol):
+        np.testing.assert_array_equal(
+            vanderpol.is_safe_batch([[0.0, 0.0], [2.5, 0.0], [-2.0, 2.0]]), [True, False, True]
+        )
+
+    def test_initial_states_inside_x0(self, any_system):
+        states = any_system.initial_set.sample(np.random.default_rng(0), count=20)
+        assert np.all(any_system.initial_set.contains_batch(states))
+        assert np.all(any_system.is_safe_batch(states))
 
     def test_state_scale_positive(self, any_system):
         assert np.all(any_system.state_scale() > 0)
@@ -167,22 +184,20 @@ class TestControlSystemBase:
 class TestDisturbanceModels:
     def test_no_disturbance(self):
         model = NoDisturbance(3)
-        np.testing.assert_allclose(model.sample(), np.zeros(3))
+        np.testing.assert_array_equal(model.sample_batch(count=4), np.zeros((4, 3)))
         assert model.bound().volume() == 0.0
 
     def test_uniform_disturbance_bounded(self):
         model = UniformDisturbance(0.1)
-        rng = np.random.default_rng(0)
-        samples = np.array([model.sample(rng) for _ in range(200)])
+        samples = model.sample_batch(np.random.default_rng(0), count=200)
+        assert samples.shape == (200, 1)
         assert np.all(np.abs(samples) <= 0.1)
 
     def test_uniform_disturbance_asymmetric(self):
         model = UniformDisturbance([-0.2, 0.0], [0.0, 0.3])
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            sample = model.sample(rng)
-            assert -0.2 <= sample[0] <= 0.0
-            assert 0.0 <= sample[1] <= 0.3
+        samples = model.sample_batch(np.random.default_rng(0), count=100)
+        assert np.all((-0.2 <= samples[:, 0]) & (samples[:, 0] <= 0.0))
+        assert np.all((0.0 <= samples[:, 1]) & (samples[:, 1] <= 0.3))
 
     def test_invalid_dimension(self):
         with pytest.raises(ValueError):

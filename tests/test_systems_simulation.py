@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.experts import ZeroController
-from repro.systems import VanDerPolOscillator
 from repro.systems.simulation import (
     control_energy,
     evaluate_rollouts,
@@ -75,9 +74,11 @@ class TestRollout:
             observed.append(state.copy())
             return np.array([0.0])
 
-        def zero_observation(state, rng):
-            return np.zeros_like(state)
+        class ZeroObservation:
+            def perturb_batch(self, states, rng):
+                return np.zeros_like(states)
 
+        zero_observation = ZeroObservation()
         trajectory = rollout(
             vanderpol, spy_controller, [0.5, 0.5], horizon=3, perturbation=zero_observation, rng=0
         )

@@ -31,7 +31,7 @@ from repro.core.config import CocktailConfig, DistillationConfig, MixingConfig
 from repro.core.distillation import collect_distillation_dataset
 from repro.core.mixing import AdaptiveMixingEnv, MixingTrainer
 from repro.rl.gae import compute_gae, compute_gae_batch
-from repro.rl.ppo import PPOConfig, PPOTrainer
+from repro.rl.ppo import PPOTrainer
 from repro.systems import make_system
 from repro.systems.simulation import rollout
 from repro.utils.seeding import get_rng, set_global_seed
@@ -69,10 +69,10 @@ def legacy_collect_dataset(system, teacher, size, trajectory_fraction, rng):
     trajectory_count = int(size * trajectory_fraction)
     states = []
     while len(states) < trajectory_count:
-        initial_state = system.sample_initial_state(generator)
+        initial_state = system.initial_set.sample(generator)
         trajectory = rollout(system, teacher, initial_state, rng=generator)
         for state in trajectory.states:
-            if system.is_safe(state):
+            if system.safe_region.contains(state):
                 states.append(state)
             if len(states) >= trajectory_count:
                 break

@@ -28,11 +28,10 @@ class TestIntervalDynamics:
         image = interval_dynamics(
             system, Interval.from_box(state_box), control_interval, Interval.from_box(disturbance_box)
         )
-        for _ in range(100):
-            state = state_box.sample(rng)
-            control = rng.uniform(-0.5, 0.5, size=system.control_dim)
-            disturbance = system.disturbance.sample(rng)
-            next_state = system.dynamics(state, control, disturbance)
+        states = state_box.sample(rng, count=100)
+        controls = rng.uniform(-0.5, 0.5, size=(100, system.control_dim))
+        disturbances = system.disturbance.sample_batch(rng, count=100)
+        for next_state in system.dynamics_batch(states, controls, disturbances):
             assert image.contains(next_state), f"{system.name}: {next_state} outside {image}"
 
     def test_point_interval_matches_dynamics_exactly(self):
@@ -42,7 +41,7 @@ class TestIntervalDynamics:
         image = interval_dynamics(
             system, Interval.point(state), Interval.point(control), Interval.point([0.0])
         )
-        expected = system.dynamics(state, control, np.zeros(1))
+        expected = system.dynamics_batch(state[None, :], control[None, :], np.zeros((1, 1)))[0]
         np.testing.assert_allclose(image.lower, expected, atol=1e-12)
         np.testing.assert_allclose(image.upper, expected, atol=1e-12)
 
@@ -88,14 +87,13 @@ class TestReachability:
         approx = partition_network(network, system.safe_region, target_error=0.3, degree=3)
         result = reachable_sets(system, approx, initial_box, steps=5)
         rng = np.random.default_rng(0)
-        for _ in range(30):
-            state = initial_box.sample(rng)
-            for step in range(1, min(len(result.boxes), 6)):
-                control = system.clip_control(network.predict(state))
-                state = system.step(state, control, rng=rng)
-                assert result.boxes[step].contains(state, tolerance=1e-6), (
-                    f"step {step}: state {state} escapes reach box {result.boxes[step]}"
-                )
+        states = initial_box.sample(rng, count=30)
+        for step in range(1, min(len(result.boxes), 6)):
+            states = system.step_batch(states, network.predict(states), rng=rng)
+            inside = result.boxes[step].contains_batch(states, tolerance=1e-6)
+            assert np.all(inside), (
+                f"step {step}: states {states[~inside]} escape reach box {result.boxes[step]}"
+            )
 
     def test_verified_status_for_stable_loop(self):
         system = ThreeDimensionalSystem()
