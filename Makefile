@@ -18,8 +18,9 @@
 # src/repro/experts via the expert, MPC and expert batch-kernel packs (the
 # batched LQR linearisation and MPC costs, the expert gain digest), on
 # src/repro/core via the core packs plus the training-determinism pack
-# (the kappa_D worker pool and its failure paths included), on
-# src/repro/verification via the verification packs
+# (the kappa_D worker and its failure paths included), on
+# src/repro/utils/parallel.py (the one task executor) via the parallel
+# pack plus the matrix fault pack, on src/repro/verification via the verification packs
 # (test_verification_batch.py holds the comparisons against the frozen
 # reference in tests/verification_reference.py) plus the kernel
 # differential pack, on src/repro/nn via the test_nn_*.py packs (layers,
@@ -79,6 +80,8 @@ test-cov:
 		tests/test_kernel_differential.py
 	$(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/utils/profiling.py \
 		tests/test_utils_buffers.py
+	$(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/utils/parallel.py \
+		tests/test_utils_parallel.py tests/test_matrix_shard_faults.py
 	$(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/rl \
 		tests/test_rl_ppo.py tests/test_rl_ddpg.py tests/test_rl_policies.py \
 		tests/test_rl_components.py tests/test_rl_env.py \

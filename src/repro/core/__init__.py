@@ -20,7 +20,7 @@ from repro.core.distillation import (
     RobustDistiller,
     collect_distillation_dataset,
 )
-from repro.core.cocktail import CocktailPipeline, CocktailResult, StageWorkerLost
+from repro.core.cocktail import CocktailPipeline, CocktailResult
 
 __all__ = [
     "MixingConfig",
@@ -36,5 +36,4 @@ __all__ = [
     "RobustDistiller",
     "CocktailPipeline",
     "CocktailResult",
-    "StageWorkerLost",
 ]

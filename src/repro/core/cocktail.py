@@ -37,17 +37,9 @@ from repro.experts.base import Controller, NeuralController
 from repro.nn.network import MLP
 from repro.systems.base import ControlSystem
 from repro.utils.logging import TrainingLogger
-from repro.utils.parallel import default_worker_count, single_threaded_blas
+from repro.utils.parallel import TaskExecutor, default_worker_count
 from repro.utils.profiling import StageTimer
 from repro.utils.seeding import RngLike, get_rng
-
-
-class StageWorkerLost(RuntimeError):
-    """The worker process running a pipeline stage died before returning."""
-
-    def __init__(self, stage: str):
-        self.stage = stage
-        super().__init__(f"the {stage} worker process died before returning its result")
 
 
 @dataclass
@@ -146,20 +138,20 @@ class CocktailPipeline:
     def _distill_both(
         self, dataset: DistillationDataset, timer: StageTimer
     ) -> Tuple[NeuralController, NeuralController, float]:
-        """``kappa*`` here while ``kappa_D`` trains in a one-worker fork pool.
+        """``kappa*`` here while ``kappa_D`` trains on a one-worker executor.
 
         ``kappa_D``'s distiller gets a copy of the generator advanced past
         ``kappa*``'s epochs, so it draws exactly what it would after
         ``kappa*``; afterwards this generator skips ``kappa_D``'s epochs and
         ends where the sequential order leaves it.  On one CPU (or in a
         daemonic process, which may not fork) the same task runs inline,
-        ``kappa*`` first.  Returns both students and ``kappa_D``'s seconds.
+        ``kappa*`` first.  A worker that dies raises
+        :class:`~repro.utils.parallel.WorkerLost` naming
+        ``direct_distillation``.  Returns both students and ``kappa_D``'s
+        seconds.
         """
 
         import copy
-        import multiprocessing
-        from concurrent import futures
-        from concurrent.futures.process import BrokenProcessPool
 
         config = self.config.distillation
         size = len(dataset)
@@ -167,28 +159,14 @@ class CocktailPipeline:
         _skip_epochs(RobustDistiller(self.system, config=config), direct_rng, size)
         direct = DirectDistiller(self.system, config=config, rng=direct_rng)
 
-        def robust() -> NeuralController:
-            return timer.timed("robust_distillation", lambda: self.distill(dataset, robust=True))
-
-        if default_worker_count(2) <= 1 or multiprocessing.current_process().daemon:
-            student = robust()
-            outcome = _direct_distillation_task(direct, dataset)
-        else:
-            context = multiprocessing.get_context(
-                "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-            )
-            with futures.ProcessPoolExecutor(
-                max_workers=1, mp_context=context, initializer=single_threaded_blas
-            ) as pool:
-                future = pool.submit(_direct_distillation_task, direct, dataset)
-                student = robust()
-                try:
-                    outcome = future.result()
-                except BrokenProcessPool as error:
-                    raise StageWorkerLost("direct_distillation") from error
+        outcomes: Dict[str, Tuple] = {}
+        with TaskExecutor(1 if default_worker_count(2) > 1 else 0, outcomes.__setitem__) as executor:
+            executor.submit("direct_distillation", _direct_distillation_task, direct, dataset)
+            student = timer.timed("robust_distillation", lambda: self.distill(dataset, robust=True))
+            executor.drain()
         _skip_epochs(direct, self._rng, size)
 
-        (architecture, weights), logger, seconds = outcome
+        (architecture, weights), logger, seconds = outcomes["direct_distillation"]
         network = MLP.from_architecture(architecture)
         network.load_state_dict(weights)
         self._distillation_loggers["direct_distillation"] = logger

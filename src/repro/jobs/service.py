@@ -73,7 +73,7 @@ from repro.jobs.messages import (
     parse_job_spec,
 )
 from repro.utils.messages import MessageValidationError
-from repro.utils.parallel import available_cpu_count, default_worker_count
+from repro.utils.parallel import _fork_context, available_cpu_count, default_worker_count
 
 __all__ = [
     "ServiceError",
@@ -226,7 +226,6 @@ class JobService:
         workers: Optional[int] = None,
         clock: Optional[Callable[[], float]] = None,
     ):
-        import multiprocessing
         import time
 
         from repro.experiments import RunStore
@@ -235,9 +234,7 @@ class JobService:
         self.store = RunStore(self.run_dir)
         self.workers = workers if workers else default_worker_count()
         self._clock = clock if clock is not None else time.time
-        self._context = multiprocessing.get_context(
-            "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-        )
+        self._context = _fork_context()
         self._lock = threading.Lock()
         self._jobs: Dict[str, _Job] = {}
         self._order: List[str] = []

@@ -25,7 +25,9 @@ evaluation), so the schedule never changes a number.  Tasks are pure
 compute; the parent alone writes the run store and the telemetry log and
 calls ``on_cell``, and the rows are sorted into the canonical
 :func:`plan_matrix_cells` order before the report is returned.
-``jobs <= 1`` runs the same tasks inline.
+``jobs <= 1`` runs the same schedule inline.  A lost pool worker raises
+:class:`~repro.utils.parallel.WorkerLost` naming the lost cells, after
+every finished cell was recorded.
 
 Every run goes through a :class:`~repro.experiments.store.RunStore`: the
 caller's (``store=``/``run_dir=``), or a temporary one removed when the
@@ -77,6 +79,7 @@ import json
 import os
 import tempfile
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -98,7 +101,7 @@ from repro.telemetry.events import (
     StageTiming,
     SweepJobFinished,
 )
-from repro.utils.parallel import default_worker_count, single_threaded_blas
+from repro.utils.parallel import TaskExecutor, default_worker_count
 from repro.utils.seeding import set_global_seed
 
 #: Non-deterministic keys stripped from verification rows.
@@ -486,22 +489,6 @@ def _verify_task(job):
     return sweep.run_sweep_job(job)
 
 
-class MatrixWorkerLost(RuntimeError):
-    """A pool worker died (SIGKILL, out of memory) while running matrix cells.
-
-    ``cells`` names the cells whose results were lost with it; every cell
-    that completed before the loss is already in the run store, so rerunning
-    the same matrix against the same store resumes from there.
-    """
-
-    def __init__(self, cells: Sequence[str]):
-        self.cells = list(cells)
-        super().__init__(
-            f"a matrix pool worker died; lost cell(s): {', '.join(self.cells)} -- "
-            "completed cells are in the run store; rerun against it to resume"
-        )
-
-
 @dataclass
 class _Work:
     """One task call plus the parent-side step that records its outcome."""
@@ -539,9 +526,9 @@ class _MatrixExecution:
     """One ``run_scenario_matrix`` invocation (kept in a class for state).
 
     The parent alone touches the run store, the telemetry log and
-    ``on_cell``; tasks are pure compute.  ``jobs <= 1`` runs the tasks
-    inline in the historical order (per scenario: train, its evaluate
-    cells; then every verify cell); wider runs go through one process pool.
+    ``on_cell``; tasks are pure compute.  Every width runs the same DAG
+    schedule on one :class:`~repro.utils.parallel.TaskExecutor`; at
+    ``jobs <= 1`` it runs the tasks inline.
     """
 
     def __init__(self, **kwargs):
@@ -871,7 +858,14 @@ class _MatrixExecution:
         return self.report
 
     def _execute(self, owned: Sequence[MatrixCell]) -> None:
-        """Run the owned cells and the trainings they depend on."""
+        """Run the owned cells and the trainings they depend on.
+
+        Trains go first, longest budget first, then the expert evaluate
+        cells; a student's evaluate and verify cells jump the queue when it
+        lands.  The executor keeps one task beyond ``width`` in flight, so
+        ``CellStarted`` marks a cell as handed to it, not yet necessarily
+        running.
+        """
 
         students: Dict[str, List[MatrixCell]] = {}
         for cell in owned:
@@ -884,45 +878,6 @@ class _MatrixExecution:
             f"running {len(owned)} cell(s) and {len(trains)} training(s) "
             f"across {max(1, width)} process(es)"
         )
-        if width <= 1:
-            self._run_inline(owned, trains)
-        else:
-            self._run_pool(owned, trains, students, width)
-
-    def _run_inline(self, owned: Sequence[MatrixCell], trains: Sequence[MatrixCell]) -> None:
-        """Per scenario: train, then its evaluate cells; verify cells last."""
-
-        pending = {cell.scenario: cell for cell in trains}
-        for cell in owned:
-            if self._out_of_time():
-                return
-            for step in (pending.pop(cell.scenario, None), cell):
-                work = self._work(step) if step is not None else None
-                if work is not None:
-                    self.tele.emit(CellStarted, **work.identity)
-                    work.finish(work.fn(*work.args))
-
-    def _run_pool(
-        self,
-        owned: Sequence[MatrixCell],
-        trains: Sequence[MatrixCell],
-        students: Mapping[str, List[MatrixCell]],
-        width: int,
-    ) -> None:
-        """The cell DAG on one fork pool of ``width`` workers.
-
-        Trains go first, longest budget first, then the expert evaluate
-        cells; a student's evaluate and verify cells jump the queue when it
-        lands.  One task beyond ``width`` stays in flight so no worker idles
-        while the parent records a result, so ``CellStarted`` marks a cell
-        as handed to the pool, not yet necessarily running.  Each worker
-        keeps one BLAS thread: the pool is the parallelism.
-        """
-
-        import multiprocessing
-        from collections import deque
-        from concurrent import futures
-        from concurrent.futures.process import BrokenProcessPool
 
         def budget(cell: MatrixCell) -> Tuple[int, int]:
             config = self._train_config(_CONTEXTS[cell.scenario])[0]
@@ -933,61 +888,29 @@ class _MatrixExecution:
 
         ready = deque(sorted(trains, key=budget, reverse=True))
         ready.extend(cell for cell in owned if cell.controller != "kappa_star")
+        running: Dict[str, _Work] = {}
 
-        context = multiprocessing.get_context(
-            "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-        )
-        running: Dict[futures.Future, _Work] = {}
+        def deliver(label: str, outcome) -> None:
+            work = running.pop(label)
+            work.finish(outcome)
+            if work.identity["cell"] == "train":
+                ready.extendleft(reversed(students[work.identity["scenario"]]))
 
-        def abandon(lost: List[str]) -> None:
-            """The pool is broken: the other in-flight tasks fail with it,
-            apart from any that completed before the loss."""
-
-            for future, work in running.items():
-                try:
-                    outcome = future.result()
-                except BrokenProcessPool:
-                    lost.append(work.label)
-                else:
-                    work.finish(outcome)
-            raise MatrixWorkerLost(lost)
-
-        pool = futures.ProcessPoolExecutor(
-            max_workers=width, mp_context=context, initializer=single_threaded_blas
-        )
-        try:
-            while ready or running:
-                while ready and len(running) <= width and not self._out_of_time():
+        with TaskExecutor(width if width > 1 else 0, deliver) as executor:
+            while True:
+                while ready and not executor.full and not self._out_of_time():
                     cell = ready.popleft()
                     work = self._work(cell)
                     if work is None:
                         if cell.kind == "train" and _CONTEXTS[cell.scenario].student is not None:
                             ready.extendleft(reversed(students[cell.scenario]))
                         continue
-                    try:
-                        future = pool.submit(work.fn, *work.args)
-                    except BrokenProcessPool:  # a worker died since the last wait
-                        abandon([work.label])
+                    executor.submit(work.label, work.fn, *work.args)
                     self.tele.emit(CellStarted, **work.identity)
-                    running[future] = work
+                    running[work.label] = work
                 if not running:
                     break
-                done, _ = futures.wait(running, return_when=futures.FIRST_COMPLETED)
-                lost: List[str] = []
-                for future in [f for f in running if f in done]:  # submission order
-                    work = running.pop(future)
-                    try:
-                        outcome = future.result()
-                    except BrokenProcessPool:
-                        lost.append(work.label)
-                        continue
-                    work.finish(outcome)
-                    if work.identity["cell"] == "train":
-                        ready.extendleft(reversed(students[work.identity["scenario"]]))
-                if lost:
-                    abandon(lost)
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
+                executor.wait()
 
     def _write_shard_summary(self) -> None:
         """Per-shard accounting dropped next to the store (ops + tests)."""

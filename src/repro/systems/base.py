@@ -120,27 +120,18 @@ class ControlSystem:
             )
         return np.clip(controls, self.control_bound.low, self.control_bound.high)
 
-    def step_batch(
-        self,
-        states: np.ndarray,
-        controls: np.ndarray,
-        rng: RngLike = None,
-        disturbances: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
+    def step_batch(self, states: np.ndarray, controls: np.ndarray, rng: RngLike = None) -> np.ndarray:
         """Advance a ``(N, state_dim)`` batch of plants by one period.
 
         Controls are clipped, one disturbance is sampled per batch member
-        (unless ``disturbances`` overrides the sampling) and
-        :meth:`dynamics_batch` produces the next states.
+        and :meth:`dynamics_batch` produces the next states.
         """
 
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
         if states.shape[-1] != self.state_dim:
             raise ValueError(f"states have shape {states.shape}, expected (N, {self.state_dim})")
         clipped = self.clip_control_batch(controls)
-        if disturbances is None:
-            disturbances = self.disturbance.sample_batch(get_rng(rng), count=len(states))
-        disturbances = np.atleast_2d(np.asarray(disturbances, dtype=np.float64))
+        disturbances = self.disturbance.sample_batch(get_rng(rng), count=len(states))
         return self.dynamics_batch(states, clipped, disturbances)
 
     def is_safe_batch(self, states: np.ndarray) -> np.ndarray:

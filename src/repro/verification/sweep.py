@@ -3,10 +3,12 @@
 The paper's verifiability comparison is inherently a *sweep*: many
 (controller, system, horizon, target-error) combinations, each an
 independent verification job.  :class:`VerificationSweep` runs such a job
-matrix through a ``multiprocessing`` pool -- every job runs the batched
-verification analyses in its own worker process -- and aggregates the
-per-job :class:`~repro.verification.verifier.VerificationReport` summaries
-into one :class:`SweepReport`.
+matrix on a :class:`~repro.utils.parallel.TaskExecutor` -- every job runs
+the batched verification analyses in a worker process -- and aggregates
+the per-job :class:`~repro.verification.verifier.VerificationReport`
+summaries into one :class:`SweepReport`.  A lost worker raises
+:class:`~repro.utils.parallel.WorkerLost` naming the lost jobs
+(``#index name``), after every finished job was recorded.
 
 Jobs are transported as plain data (system name, MLP architecture dict and
 weight arrays, analysis parameters), so they pickle cheaply and the worker
@@ -35,7 +37,7 @@ import numpy as np
 
 from repro.nn.network import MLP
 from repro.systems import make_system
-from repro.utils.parallel import default_worker_count, single_threaded_blas
+from repro.utils.parallel import TaskExecutor, default_worker_count
 from repro.verification.verifier import VerificationReport, verify_controller
 
 
@@ -371,42 +373,30 @@ class VerificationSweep:
 
     def run(self) -> SweepReport:
         start = time.perf_counter()
-        if not self.jobs:
-            return SweepReport(results=[], elapsed_seconds=0.0, processes=self.processes)
-
         keys: List = [None] * len(self.jobs)
         results: List[Optional[SweepJobResult]] = [None] * len(self.jobs)
-        pending = list(range(len(self.jobs)))
-        if self.store is not None:
-            pending = []
-            for index, job in enumerate(self.jobs):
+        labels: Dict[str, int] = {}
+        for index, job in enumerate(self.jobs):
+            if self.store is not None:
                 keys[index] = self.store.key("verify", job.cache_config())
                 if not self.force and self.store.contains(keys[index]):
                     results[index] = load_cached_result(self.store, keys[index], job)
-                else:
-                    pending.append(index)
+                    continue
+            labels[f"#{index} {job.name}"] = index
 
-        if pending:
-            pending_jobs = [self.jobs[index] for index in pending]
-            if self.processes <= 1 or len(pending) == 1:
-                fresh = [run_sweep_job(job) for job in pending_jobs]
-            else:
-                import multiprocessing
+        def deliver(label: str, result: SweepJobResult) -> None:
+            index = labels[label]
+            if self.store is not None:
+                self.store.misses += 1
+                if is_cacheable(self.jobs[index], result):
+                    save_sweep_result(self.store, keys[index], result)
+            results[index] = result
 
-                context = multiprocessing.get_context(
-                    "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-                )
-                with context.Pool(
-                    processes=min(self.processes, len(pending)), initializer=single_threaded_blas
-                ) as pool:
-                    # imap hands out one job at a time: verification times vary widely.
-                    fresh = list(pool.imap(run_sweep_job, pending_jobs))
-            for index, result in zip(pending, fresh):
-                if self.store is not None:
-                    self.store.misses += 1
-                    if is_cacheable(self.jobs[index], result):
-                        save_sweep_result(self.store, keys[index], result)
-                results[index] = result
+        width = min(self.processes, len(labels))
+        with TaskExecutor(width if width > 1 else 0, deliver) as executor:
+            for label, index in labels.items():
+                executor.submit(label, run_sweep_job, self.jobs[index])
+            executor.drain()
 
         return SweepReport(
             results=list(results),

@@ -230,8 +230,8 @@ class TestDirectBaselineBesideRobust:
         import os
         import signal
 
-        from repro.core.cocktail import StageWorkerLost
         from repro.core.distillation import DirectDistiller
+        from repro.utils.parallel import WorkerLost
 
         parent = os.getpid()
 
@@ -242,6 +242,6 @@ class TestDirectBaselineBesideRobust:
 
         monkeypatch.setattr(DirectDistiller, "distill", die)
         self._cpus(monkeypatch, 2)
-        with pytest.raises(StageWorkerLost, match="direct_distillation") as caught:
+        with pytest.raises(WorkerLost, match="direct_distillation") as caught:
             self._pipeline().run()
-        assert caught.value.stage == "direct_distillation"
+        assert caught.value.tasks == ["direct_distillation"]

@@ -24,7 +24,7 @@ from repro.scenarios import (
     plan_matrix_cells,
     run_scenario_matrix,
 )
-from repro.scenarios.matrix import MatrixWorkerLost
+from repro.utils.parallel import WorkerLost
 
 TINY_TRAIN = dict(mixing_epochs=1, mixing_steps=64, distill_epochs=2, dataset_size=64, eval_samples=8)
 TINY_VERIFY = dict(target_error=1.0, degree=2, max_partitions=64, reach_steps=2)
@@ -225,9 +225,9 @@ class TestSigkilledPoolWorker:
         seen = []
         with monkeypatch.context() as patch, _Deadline(120):
             patch.setattr(matrix_module, f"_{target[0]}_task", _DieIn(*target))
-            with pytest.raises(MatrixWorkerLost) as excinfo:
+            with pytest.raises(WorkerLost) as excinfo:
                 run_scenario_matrix(run_dir=store_dir, on_cell=seen.append, **kwargs)
-        assert label in excinfo.value.cells
+        assert label in excinfo.value.tasks
         assert label in str(excinfo.value) and "resume" in str(excinfo.value)
 
         # Every cell that completed before the loss is in the store.
@@ -265,9 +265,9 @@ class TestSigkilledPoolWorker:
         seen = []
         with monkeypatch.context() as patch, _Deadline(120):
             patch.setattr(futures, "ProcessPoolExecutor", BreaksOnFourthSubmit)
-            with pytest.raises(MatrixWorkerLost) as excinfo:
+            with pytest.raises(WorkerLost) as excinfo:
                 run_scenario_matrix(run_dir=store_dir, on_cell=seen.append, **kwargs)
-        assert excinfo.value.cells == refused
+        assert excinfo.value.tasks == refused
         # The three tasks already in flight finished and were recorded.
         assert len(seen) == 3
         assert len(RunStore(store_dir).entries(stage="evaluate")) == 3

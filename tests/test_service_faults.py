@@ -175,8 +175,8 @@ class TestWorkerCrash:
             message="job with a lost pool worker to fail",
         )
         failed = service.status(view.job_id)[0]
-        assert "MatrixWorkerLost" in failed.error
-        assert "lost cell(s): evaluate pendulum:" in failed.error
+        assert "WorkerLost" in failed.error
+        assert "lost task(s): evaluate pendulum:" in failed.error
         retry, _ = service.submit(pooled.to_json())
         _wait_until(
             lambda: service.status(retry.job_id)[0].state == "done",

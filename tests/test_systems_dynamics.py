@@ -139,8 +139,9 @@ class TestControlSystemBase:
 
     def test_step_batch_clips_control(self, vanderpol):
         # A huge command must have the same effect as the saturated one.
-        a = vanderpol.step_batch(np.zeros((2, 2)), [[1000.0], [-1000.0]], disturbances=np.zeros((2, 1)))
-        b = vanderpol.step_batch(np.zeros((2, 2)), [[20.0], [-20.0]], disturbances=np.zeros((2, 1)))
+        states, zeros = np.zeros((2, 2)), np.zeros((2, 1))
+        a = vanderpol.dynamics_batch(states, vanderpol.clip_control_batch([[1000.0], [-1000.0]]), zeros)
+        b = vanderpol.dynamics_batch(states, vanderpol.clip_control_batch([[20.0], [-20.0]]), zeros)
         np.testing.assert_array_equal(a, b)
 
     def test_clip_control_batch(self, vanderpol):

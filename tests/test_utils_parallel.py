@@ -12,11 +12,14 @@ the same ``repro train`` trains the same controller on any machine.
 from __future__ import annotations
 
 import os
+import signal
+import time
 
 import numpy as np
 import pytest
 
-from repro.utils.parallel import available_cpu_count, default_worker_count
+import repro.verification.sweep as sweep_module
+from repro.utils.parallel import TaskExecutor, WorkerLost, available_cpu_count, default_worker_count
 from repro.verification.sweep import SweepJob, VerificationSweep
 
 
@@ -111,29 +114,25 @@ class TestSweepPoolRegression:
         """Each sweep worker limits its BLAS to one thread, like the matrix
         and kappa_D pools: the pool is the parallelism."""
 
-        import multiprocessing
+        from concurrent import futures
 
         from repro.utils.parallel import single_threaded_blas
 
         created = []
 
         class RecordingPool:
-            def __init__(self, processes, initializer=None):
-                created.append((processes, initializer))
+            def __init__(self, max_workers, mp_context=None, initializer=None):
+                created.append((max_workers, initializer))
 
-            def __enter__(self):
-                return self
+            def submit(self, function, job):
+                future = futures.Future()
+                future.set_result(job.name)
+                return future
 
-            def __exit__(self, *exc_info):
-                return False
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
 
-            def imap(self, function, jobs):
-                return [job.name for job in jobs]
-
-        class RecordingContext:
-            Pool = RecordingPool
-
-        monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: RecordingContext())
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordingPool)
         report = VerificationSweep(_dummy_jobs(3), processes=2).run()
         assert created == [(2, single_threaded_blas)]
         assert report.results == ["job0", "job1", "job2"]
@@ -218,21 +217,224 @@ def _openblas_thread_counts():
 
 class TestPoolWorkersKeepOneBlasThread:
     def test_initializer_pins_the_worker_and_leaves_the_parent(self):
-        import multiprocessing
-        from concurrent import futures
-
-        from repro.utils.parallel import single_threaded_blas
-
         try:
             parent = _openblas_thread_counts()
         except OSError:
             pytest.skip("no /proc/self/maps on this platform")
         if not parent:
             pytest.skip("NumPy is not linked against OpenBLAS here")
-        context = multiprocessing.get_context("fork")
-        with futures.ProcessPoolExecutor(
-            1, mp_context=context, initializer=single_threaded_blas
-        ) as pool:
-            worker = pool.submit(_openblas_thread_counts).result()
+        outcomes = {}
+        with TaskExecutor(1, outcomes.__setitem__) as executor:
+            executor.submit("counts", _openblas_thread_counts)
+            executor.drain()
+        worker = outcomes["counts"]
         assert worker and set(worker.values()) == {1}
         assert _openblas_thread_counts() == parent
+
+    def test_initializer_sets_each_loaded_openblas_and_skips_the_unloadable(self, monkeypatch):
+        import ctypes
+
+        from repro.utils.parallel import single_threaded_blas
+
+        try:
+            loaded = set(_openblas_thread_counts())
+        except OSError:
+            pytest.skip("no /proc/self/maps on this platform")
+        if not loaded:
+            pytest.skip("NumPy is not linked against OpenBLAS here")
+        calls = []
+
+        class FakeLibrary:
+            def __init__(self, path):
+                self.path = path
+
+            def openblas_set_num_threads(self, count):
+                calls.append((self.path, count))
+
+        monkeypatch.setattr(ctypes, "CDLL", FakeLibrary)
+        single_threaded_blas()
+        assert sorted(calls) == sorted((path, 1) for path in loaded)
+
+        def unloadable(path):
+            raise OSError("cannot load")
+
+        monkeypatch.setattr(ctypes, "CDLL", unloadable)
+        assert single_threaded_blas() is None
+
+    def test_initializer_without_proc_maps_changes_nothing(self, monkeypatch):
+        import builtins
+
+        from repro.utils.parallel import single_threaded_blas
+
+        def no_maps(*args, **kwargs):
+            raise OSError("no /proc here")
+
+        monkeypatch.setattr(builtins, "open", no_maps)
+        assert single_threaded_blas() is None
+
+
+def _exit_with(code):
+    os._exit(code)
+
+
+def test_spawn_workers_returns_each_exit_code():
+    from repro.utils.parallel import spawn_workers
+
+    assert spawn_workers(_exit_with, [(0,), (3,)]) == [0, 3]
+
+
+_PARENT = os.getpid()
+
+
+def _square(value):
+    return value * value
+
+
+def _pid():
+    return os.getpid()
+
+
+def _die():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _raise():
+    raise ArithmeticError("task exploded")
+
+
+class _Deadline:
+    """Fail (instead of hanging) when the body outlives ``seconds``."""
+
+    def __init__(self, seconds):
+        self.seconds = seconds
+
+    def __enter__(self):
+        def expire(signum, frame):
+            raise TimeoutError(f"the pool hung for {self.seconds}s after a worker died")
+
+        self.previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(self.seconds)
+
+    def __exit__(self, *exc_info):
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, self.previous)
+
+
+class TestTaskExecutor:
+    @pytest.mark.parametrize("workers", [0, 1, 2])
+    def test_every_task_is_delivered_once_with_its_result(self, workers):
+        delivered = []
+        with TaskExecutor(workers, lambda label, result: delivered.append((label, result))) as executor:
+            for value in range(5):
+                executor.submit(f"t{value}", _square, value)
+            executor.drain()
+        assert sorted(delivered) == [(f"t{value}", value * value) for value in range(5)]
+        if workers == 0:
+            assert [label for label, _ in delivered] == [f"t{value}" for value in range(5)]
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_one_task_beyond_the_width_stays_in_flight(self, workers):
+        with TaskExecutor(workers, lambda label, result: None) as executor:
+            for value in range(workers):
+                executor.submit(f"t{value}", _square, value)
+                assert not executor.full
+            executor.submit("last", _square, 0)
+            assert executor.full
+            executor.drain()
+            assert not executor.full
+
+    def test_callers_submit_between_waits(self):
+        """A delivered result may enqueue follow-up work, as the matrix's
+        trains do; the caller submits it before the next wait."""
+
+        follow_ups, delivered = [], []
+
+        def deliver(label, result):
+            delivered.append((label, result))
+            if label == "first":
+                follow_ups.append(result)
+
+        with TaskExecutor(2, deliver) as executor:
+            executor.submit("first", _square, 3)
+            executor.wait()
+            for value in follow_ups:
+                executor.submit("second", _square, value)
+            executor.drain()
+        assert delivered == [("first", 9), ("second", 81)]
+
+    def test_a_daemonic_parent_runs_inline(self, monkeypatch):
+        import multiprocessing
+
+        monkeypatch.setitem(multiprocessing.current_process()._config, "daemon", True)
+        pids = {}
+        with TaskExecutor(2, pids.__setitem__) as executor:
+            assert executor.workers == 0
+            executor.submit("pid", _pid)
+            executor.drain()
+        assert pids == {"pid": _PARENT}
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_a_task_error_propagates(self, workers):
+        with TaskExecutor(workers, lambda label, result: None) as executor:
+            executor.submit("boom", _raise)
+            with pytest.raises(ArithmeticError, match="exploded"):
+                executor.drain()
+
+    def test_a_killed_worker_raises_worker_lost_after_delivering_the_finished(self):
+        delivered = {}
+        with _Deadline(60), TaskExecutor(1, delivered.__setitem__) as executor:
+            executor.submit("quick", _square, 7)
+            executor.wait()
+            executor.submit("doomed", _die)
+            with pytest.raises(WorkerLost) as excinfo:
+                executor.drain()
+        assert delivered == {"quick": 49}
+        assert excinfo.value.tasks == ["doomed"]
+        assert "doomed" in str(excinfo.value) and "resume" in str(excinfo.value)
+
+
+_REAL_SWEEP_JOB = sweep_module.run_sweep_job
+
+
+class _DieOn:
+    """A stand-in sweep task that SIGKILLs its pool worker on one job (picklable)."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def __call__(self, job):
+        if job.name == self.name:
+            assert os.getpid() != _PARENT, "the killer must run in a pool worker"
+            time.sleep(0.5)  # let the other jobs finish first
+            os.kill(os.getpid(), signal.SIGKILL)
+        return _REAL_SWEEP_JOB(job)
+
+
+class TestSweepWorkerLoss:
+    def test_killed_sweep_worker_raises_worker_lost_and_keeps_the_finished(
+        self, monkeypatch, tmp_path
+    ):
+        """A dead sweep worker is a typed error within the deadline, not a
+        hang, and every job that finished first is in the store."""
+
+        from repro.experiments import RunStore
+        from repro.nn.network import MLP
+
+        jobs = [
+            SweepJob.from_network(
+                f"job{index}", "vanderpol", MLP(2, 1, hidden_sizes=(4,), seed=index),
+                target_error=1.0, degree=2, max_partitions=64, reach_steps=2,
+            )
+            for index in range(3)
+        ]
+        store = RunStore(tmp_path / "store")
+        monkeypatch.setattr(sweep_module, "run_sweep_job", _DieOn("job1"))
+        with _Deadline(60):
+            with pytest.raises(WorkerLost) as excinfo:
+                VerificationSweep(jobs, processes=2, store=store).run()
+        lost = excinfo.value.tasks
+        assert "#1 job1" in lost
+        assert "resume" in str(excinfo.value)
+        for index, job in enumerate(jobs):
+            stored = store.contains(store.key("verify", job.cache_config()))
+            assert stored == (f"#{index} {job.name}" not in lost), job.name
