@@ -47,13 +47,17 @@
 # IBP, reach steps, invariant set); `verify-digests` prints, per frozen
 # perfbench student, the reach status, partition count, epsilon and a
 # sha256 over the reach boxes and invariant mask (run it on two trees and
-# diff the output to check that verdicts are bit-identical); `lint` is a fast
+# diff the output to check that verdicts are bit-identical); `train-digests`,
+# its training twin, trains each paper system at the benchmark's `train`
+# budgets and widths, seed 0, and prints the weights digest of A_W's policy,
+# kappa* and kappa_D and a sha256 of each stage logger's history (diff it
+# across two trees to check that training is bit-identical); `lint` is a fast
 # syntax gate (no third-party linter is vendored into the image).
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test test-fast test-cov shard-smoke watch-smoke serve-smoke scenario-smoke bench train-bench perf-train perf-verify perf-matrix verify-digests lint
+.PHONY: test test-fast test-cov shard-smoke watch-smoke serve-smoke scenario-smoke bench train-bench perf-train perf-verify perf-matrix verify-digests train-digests lint
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -168,6 +172,9 @@ perf-matrix:
 
 verify-digests:
 	$(PYTHON) tools/verify_digests.py
+
+train-digests:
+	$(PYTHON) tools/train_digests.py
 
 lint:
 	$(PYTHON) -m compileall -q src tests benchmarks examples

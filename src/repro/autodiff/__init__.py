@@ -4,8 +4,10 @@
 computed here: every training loss in the repository -- the PPO policy and
 critic, the DDPG actor and critic, the distillers -- and the FGSM input
 gradient take theirs in closed form from :meth:`repro.nn.MLP._vjp`, one
-layerwise vector-Jacobian product, and store them in ``.grad`` for an
-optimizer to read.
+layerwise vector-Jacobian product.  The training losses write them into
+their optimizer's flat gradient vector (``out=optimizer.grads``, see
+:class:`repro.nn.optim.FlatParameters`), and the optimizer points each
+parameter's ``.grad`` at its view of that vector.
 
 >>> from repro.autodiff import Tensor
 >>> weight = Tensor([[1.0, 2.0]], requires_grad=True)

@@ -3,7 +3,9 @@
 A :class:`Tensor` is a float64 array with a ``.grad`` slot.  Networks own
 their weights and biases as tensors; a training step computes every
 gradient in closed form (:meth:`repro.nn.MLP._vjp` and the losses built on
-it), stores it in ``.grad``, and an optimizer reads it from there.
+it) into its optimizer's flat gradient vector, and the optimizer points
+``.grad`` at each parameter's view of it (a ``.grad`` set by hand is copied
+in).
 
 The class stays at ``repro.autodiff.tensor.Tensor`` because the benchmark
 tracer (``perfbench/tracer.py``) imports this module and reads that name.

@@ -29,7 +29,7 @@ from repro.core.config import DistillationConfig
 from repro.experts.base import Controller, NeuralController
 from repro.nn.lipschitz import network_lipschitz
 from repro.nn.network import MLP
-from repro.nn.optim import Adam
+from repro.nn.optim import Adam, FlatParameters
 from repro.systems.base import ControlSystem
 from repro.systems.simulation import batch_controls, rollout_batch, sample_initial_states
 from repro.utils.logging import TrainingLogger
@@ -164,10 +164,14 @@ class _BaseDistiller:
         parameters: Sequence[Tensor],
         adversarial: bool,
     ) -> Tuple[float, List[np.ndarray]]:
-        """Minibatch loss and the gradient of each of ``parameters`` (which is
-        ``student.parameters()``, hoisted out of the per-batch loop), computed
-        without a tape; ``adversarial`` is the batch's flag from
-        :meth:`_draw_epoch`."""
+        """Minibatch loss and the gradient of each of ``parameters``, in closed
+        form; ``adversarial`` is the batch's flag from :meth:`_draw_epoch`.
+
+        ``parameters`` is ``student.parameters()``, hoisted out of the
+        per-batch loop; :meth:`distill` passes its optimizer's
+        :class:`~repro.nn.optim.FlatParameters`, and the gradients come back
+        as views of its flat gradient, ready for ``apply_gradients``.  A plain
+        list gets a flat layout of its own."""
 
         raise NotImplementedError
 
@@ -185,8 +189,8 @@ class _BaseDistiller:
         """Train the student on the dataset and return it as a controller."""
 
         student = self._build_student()
-        parameters = student.parameters()
-        optimizer = Adam(parameters, lr=self.config.learning_rate)
+        optimizer = Adam(student.parameters(), lr=self.config.learning_rate)
+        parameters = optimizer.parameters
         epochs = epochs if epochs is not None else self.config.epochs
         batch_size = self.config.batch_size
         for _ in range(epochs):
@@ -234,7 +238,7 @@ class DirectDistiller(_BaseDistiller):
         parameters: Sequence[Tensor],
         adversarial: bool,
     ) -> Tuple[float, List[np.ndarray]]:
-        loss, _, grads = student.mse_gradients(states, controls)
+        loss, _, grads = student.mse_gradients(states, controls, out=FlatParameters.of(parameters).grads)
         return loss, grads
 
 
@@ -252,17 +256,22 @@ class RobustDistiller(_BaseDistiller):
         return self.config.perturbation_fraction * self.system.state_scale()
 
     def _fgsm_states(
-        self, states: np.ndarray, controls: np.ndarray, student: MLP
+        self,
+        states: np.ndarray,
+        controls: np.ndarray,
+        student: MLP,
+        out: Optional[Sequence[np.ndarray]] = None,
     ) -> Tuple[np.ndarray, List[np.ndarray]]:
         """Algorithm 1 line 13: ``delta = Delta * sign(grad_s l(kappa*(s), u))``.
 
         Also returns the clean-loss parameter gradients that the same
-        backward pass computes: :meth:`_batch_gradients` adds them to the
-        adversarial step's gradients (a known defect kept so trained weights
-        do not change; see ROADMAP).
+        backward pass computes (written into ``out`` when given):
+        :meth:`_batch_gradients` adds them to the adversarial step's
+        gradients (a known defect kept so trained weights do not change; see
+        ROADMAP).
         """
 
-        _, input_gradient, clean_grads = student.mse_gradients(states, controls, input_grad=True)
+        _, input_gradient, clean_grads = student.mse_gradients(states, controls, input_grad=True, out=out)
         gradient_sign = np.sign(input_gradient)
         gradient_sign[gradient_sign == 0.0] = 1.0
         delta = self.perturbation_bound() * gradient_sign
@@ -283,23 +292,30 @@ class RobustDistiller(_BaseDistiller):
         parameters: Sequence[Tensor],
         adversarial: bool,
     ) -> Tuple[float, List[np.ndarray]]:
-        """MSE + ``lambda * ||q||_2^2`` with the gradients summed in the
-        order of the composed tape: ``clean + ((mse + lambda q) + lambda q)``,
-        ``clean`` being the FGSM pass's leftover on the adversarial branch."""
+        """MSE + ``lambda * ||q||_2^2`` and its gradient.
 
-        clean_grads = None
+        On the flat vectors of ``parameters`` (``q`` the parameter vector,
+        ``g`` the MSE gradient) the gradient is grouped
+        ``clean + ((g + lambda q) + lambda q)``, ``clean`` being the FGSM
+        pass's leftover on the adversarial branch (zero on the clean one);
+        the penalty sums ``q * q`` parameter by parameter.  Returns views of
+        the flat gradient."""
+
+        flat = FlatParameters.of(parameters)
+        clean = None
         if adversarial:
-            states, clean_grads = self._fgsm_states(states, controls, student)
-        loss, _, grads = student.mse_gradients(states, controls)
+            clean = np.empty(flat.size)
+            states, _ = self._fgsm_states(states, controls, student, flat.views(clean))
+        loss, _, grads = student.mse_gradients(states, controls, out=flat.grads)
         # Line 14: + lambda * ||q||_2^2
         weight = self.config.l2_weight
         penalty = np.asarray(0.0)
-        for index, parameter in enumerate(parameters):
+        for parameter in flat:
             array = parameter.data
             penalty = penalty + (array * array).sum()
-            share = weight * array
-            grads[index] = (grads[index] + share) + share
-            if clean_grads is not None:
-                grads[index] = clean_grads[index] + grads[index]
+        grad, share = flat.grad, weight * flat.data()
+        np.add(grad, share, out=grad)
+        np.add(grad, share, out=grad)
+        if clean is not None:
+            np.add(clean, grad, out=grad)
         return loss + weight * penalty, grads
-

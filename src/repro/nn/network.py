@@ -82,10 +82,19 @@ class MLP(Module):
             is_last = index == len(sizes) - 2
             layers.append(make_activation(output_activation if is_last else activation))
         self.layers = layers
+        # Per layer: (weight, bias, activation name), read by _run and _vjp.
+        self._plan = tuple(
+            (linear.weight, linear.bias, activation.name)
+            for linear, activation in zip(layers[0::2], layers[1::2])
+        )
 
     # ------------------------------------------------------------------
     def mse_gradients(
-        self, inputs: np.ndarray, targets: np.ndarray, input_grad: bool = False
+        self,
+        inputs: np.ndarray,
+        targets: np.ndarray,
+        input_grad: bool = False,
+        out: Optional[Sequence[np.ndarray]] = None,
     ) -> Tuple[float, Optional[np.ndarray], List[np.ndarray]]:
         """The loss and gradients of one MSE regression step.
 
@@ -97,7 +106,8 @@ class MLP(Module):
         Returns ``(loss, input gradient or None, parameter gradients)``: one
         gradient per weight and bias, layer by layer (the :meth:`parameters`
         order when every parameter requires grad), ``None`` for one that
-        does not.
+        does not; with ``out`` they are written into its arrays (see
+        :meth:`_vjp`).
         """
 
         saved: list = []
@@ -105,36 +115,50 @@ class MLP(Module):
         diff = output - np.asarray(targets, dtype=np.float64)
         share = np.float64(1.0) / diff.size * diff
         grad = _unbroadcast(share + share, output.shape)
-        input_gradient, parameter_grads = self._vjp(saved, grad, input_grad)
+        input_gradient, parameter_grads = self._vjp(saved, grad, input_grad, out)
         return (diff * diff).mean(), input_gradient, parameter_grads
 
-    def _vjp(self, saved: list, grad: np.ndarray, input_grad: bool):
+    def _vjp(
+        self, saved: list, grad: np.ndarray, input_grad: bool, out: Optional[Sequence[np.ndarray]] = None
+    ):
         """The layerwise VJP of the forward pass recorded in ``saved``.
 
         ``grad`` is the upstream gradient of the network output.  Walks the
         layers in reverse: activation VJP, then ``g.sum(axis=0)`` for the
         bias, ``x^T @ g`` for the weight and ``g @ W^T`` for the layer input.
-        The first layer's input VJP runs only when ``input_grad`` is set.
-        Returns ``(input gradient or None, [weight, bias, ...] gradients)``.
+        On ``(k, n, d)`` stacks the weight and bias gradients are also
+        summed over the blocks.  The first layer's input VJP runs only when
+        ``input_grad`` is set.
+
+        ``out``, when given, holds one array per weight and bias, layer by
+        layer (an optimizer's :attr:`~repro.nn.optim.Optimizer.grads`, views
+        of its flat gradient): each gradient is written into its array
+        instead of a new one.  Returns ``(input gradient or None, [weight,
+        bias, ...] gradients)``, ``None`` for a parameter that does not
+        require grad.
         """
 
-        linears = self.linear_layers()
-        layer_grads = []
+        layer_grads: list = [None] * (2 * len(saved))
         for index in reversed(range(len(saved))):
             layer_input, weight, name, activated = saved[index]
-            linear = linears[index]
+            weight_param, bias_param, _ = self._plan[index]
+            weight_out, bias_out = (None, None) if out is None else out[2 * index : 2 * index + 2]
             grad = _activation_vjp(name, activated, grad)
-            layer_grads.append(
-                (
-                    _unbroadcast(np.swapaxes(layer_input, -1, -2) @ grad, weight.shape)
-                    if linear.weight.requires_grad
-                    else None,
-                    _unbroadcast(grad, linear.bias.data.shape) if linear.bias.requires_grad else None,
-                )
-            )
+            if grad.ndim == 2:
+                if weight_param.requires_grad:
+                    layer_grads[2 * index] = np.matmul(layer_input.T, grad, out=weight_out)
+                if bias_param.requires_grad:
+                    layer_grads[2 * index + 1] = np.add.reduce(grad, axis=0, out=bias_out)
+            else:
+                if weight_param.requires_grad:
+                    layer_grads[2 * index] = _into(
+                        _unbroadcast(np.swapaxes(layer_input, -1, -2) @ grad, weight.shape), weight_out
+                    )
+                if bias_param.requires_grad:
+                    layer_grads[2 * index + 1] = _into(_unbroadcast(grad, bias_param.data.shape), bias_out)
             if index or input_grad:
-                grad = _unbroadcast(grad @ np.swapaxes(weight, -1, -2), layer_input.shape)
-        return (grad if input_grad else None), [g for pair in reversed(layer_grads) for g in pair]
+                grad = grad @ weight.T
+        return (grad if input_grad else None), layer_grads
 
     def predict(self, inputs: np.ndarray) -> np.ndarray:
         """Forward pass on 1-D or 2-D inputs."""
@@ -154,11 +178,13 @@ class MLP(Module):
         """
 
         output = rows
-        for linear, activation in zip(self.layers[0::2], self.layers[1::2]):
-            weight = linear.weight.data
-            activated = _apply_activation_array_named(activation.name, output @ weight + linear.bias.data)
+        for weight_param, bias_param, name in self._plan:
+            weight = weight_param.data
+            hidden = output @ weight
+            hidden += bias_param.data
+            activated = _apply_activation_array_named(name, hidden, out=hidden)
             if saved is not None:
-                saved.append((output, weight, activation.name, activated))
+                saved.append((output, weight, name, activated))
             output = activated
         return output
 
@@ -204,13 +230,27 @@ class MLP(Module):
         )
 
 
-def _apply_activation_array_named(name: str, values: np.ndarray) -> np.ndarray:
+def _into(value: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
+    """``value``, copied into ``out`` when one is given."""
+
+    if out is None:
+        return value
+    out[...] = value
+    return out
+
+
+def _apply_activation_array_named(
+    name: str, values: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """The activation ``name`` of ``values``; ``out=values`` evaluates it in place."""
+
     if name == "relu":
-        return np.maximum(values, 0.0)
+        return np.maximum(values, 0.0, out=out)
     if name == "tanh":
-        return np.tanh(values)
+        return np.tanh(values, out=out)
     if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-values))
+        exp = np.exp(np.negative(values, out=out), out=out)
+        return np.divide(1.0, np.add(1.0, exp, out=out), out=out)
     return values
 
 
@@ -218,7 +258,8 @@ def _activation_vjp(name: str, activated: np.ndarray, grad: np.ndarray) -> np.nd
     """The activations' VJPs, from the activation output ``activated``."""
 
     if name == "tanh":
-        return grad * (1.0 - activated ** 2)
+        slope = np.square(activated)
+        return np.multiply(grad, np.subtract(1.0, slope, out=slope), out=slope)
     if name == "relu":
         return grad * (activated > 0).astype(np.float64)
     if name == "sigmoid":

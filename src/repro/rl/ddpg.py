@@ -127,7 +127,7 @@ class DDPGTrainer:
         targets = rewards + self.config.gamma * (1.0 - dones) * next_q
 
         critic_loss, _, grads = self.critic.net.mse_gradients(
-            self.critic.joined(states, actions), targets.reshape(-1, 1)
+            self.critic.joined(states, actions), targets.reshape(-1, 1), out=self.critic_optimizer.grads
         )
         self.critic_optimizer.apply_gradients(grads, self.config.max_grad_norm)
 
@@ -139,7 +139,9 @@ class DDPGTrainer:
         q = self.critic.net._run(joined, critic_saved)
         actor_loss = -q.mean()
         input_grad, _ = self.critic.net._vjp(critic_saved, np.full(q.shape, -1.0 / q.size), True)
-        grads = self.actor.actions_vjp(actor_saved, input_grad[:, self.critic.state_dim :])
+        grads = self.actor.actions_vjp(
+            actor_saved, input_grad[:, self.critic.state_dim :], self.actor_optimizer.grads
+        )
         self.actor_optimizer.apply_gradients(grads, self.config.max_grad_norm)
 
         soft_update(self.target_actor, self.actor, self.config.tau)

@@ -72,8 +72,11 @@ class GaussianMLPPolicy(Module):
             saved += [network_saved, std, diff, z]
         return (z * z * (-0.5) - log_std - 0.5 * _LOG_2PI).sum(axis=-1)
 
-    def log_prob_vjp(self, saved: list, grad: np.ndarray) -> List[np.ndarray]:
-        """Gradients of ``sum(grad * log_prob)`` for :meth:`parameters`.
+    def log_prob_vjp(
+        self, saved: list, grad: np.ndarray, out: Optional[Sequence[np.ndarray]] = None
+    ) -> List[np.ndarray]:
+        """Gradients of ``sum(grad * log_prob)`` for :meth:`parameters`,
+        written into ``out`` (one array per parameter) when given.
 
         ``log_prob = sum(-z^2 / 2 - log_std) - const`` with
         ``z = (a - mean) / exp(log_std)``: the mean gets ``z / std`` per row
@@ -86,8 +89,9 @@ class GaussianMLPPolicy(Module):
         share = grad * (-0.5) * z
         grad_z = share + share
         grad_std = (-grad_z * diff / (std ** 2)).sum(axis=0)
-        grad_log_std = (-grad).sum(axis=0) + grad_std * std
-        _, grads = self.mean_net._vjp(network_saved, -(grad_z / std), False)
+        grad_log_std = np.add((-grad).sum(axis=0), grad_std * std, out=None if out is None else out[-1])
+        network_out = None if out is None else out[:-1]
+        _, grads = self.mean_net._vjp(network_saved, -(grad_z / std), False, network_out)
         return grads + [grad_log_std]
 
     def entropy(self) -> float:
@@ -184,16 +188,19 @@ class CategoricalMLPPolicy(Module):
             saved += [network_saved, actions, exp, total]
         return log_probs[np.arange(len(actions)), actions]
 
-    def log_prob_vjp(self, saved: list, grad: np.ndarray) -> List[np.ndarray]:
-        """Gradients of ``sum(grad * log_prob)`` for :meth:`parameters`: the
-        logits get ``grad`` at the taken action minus ``grad * softmax``."""
+    def log_prob_vjp(
+        self, saved: list, grad: np.ndarray, out: Optional[Sequence[np.ndarray]] = None
+    ) -> List[np.ndarray]:
+        """Gradients of ``sum(grad * log_prob)`` for :meth:`parameters`
+        (written into ``out`` when given): the logits get ``grad`` at the
+        taken action minus ``grad * softmax``."""
 
         network_saved, actions, exp, total = saved
         picked = np.zeros(exp.shape)
         picked[np.arange(len(actions)), actions] += grad
         grad_total = (-picked).sum(axis=-1, keepdims=True) / total
         grad_logits = picked + np.broadcast_to(grad_total, exp.shape) * exp
-        _, grads = self.logits_net._vjp(network_saved, grad_logits, False)
+        _, grads = self.logits_net._vjp(network_saved, grad_logits, False, out)
         return grads
 
     def act(self, state: np.ndarray, rng: RngLike = None, deterministic: bool = False) -> Tuple[int, float]:
@@ -277,10 +284,13 @@ class DeterministicMLPPolicy(Module):
 
         return self.net._run(np.asarray(states, dtype=np.float64), saved) * self._scale + self._offset
 
-    def actions_vjp(self, saved: list, grad: np.ndarray) -> List[np.ndarray]:
-        """Gradients of ``sum(grad * actions)`` for :meth:`parameters`."""
+    def actions_vjp(
+        self, saved: list, grad: np.ndarray, out: Optional[Sequence[np.ndarray]] = None
+    ) -> List[np.ndarray]:
+        """Gradients of ``sum(grad * actions)`` for :meth:`parameters`
+        (written into ``out`` when given)."""
 
-        _, grads = self.net._vjp(saved, grad * self._scale, False)
+        _, grads = self.net._vjp(saved, grad * self._scale, False, out)
         return grads
 
     def act(self, state: np.ndarray, noise_scale: float = 0.0, rng: RngLike = None) -> np.ndarray:

@@ -11,7 +11,7 @@ switching baseline).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -135,9 +135,12 @@ class PPOTrainer:
     # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------
-    def _policy_gradients(self, batch: dict) -> Tuple[float, List[np.ndarray]]:
+    def _policy_gradients(
+        self, batch: dict, out: Optional[Sequence[np.ndarray]] = None
+    ) -> Tuple[float, List[np.ndarray]]:
         """The surrogate loss of Algorithm 1 line 10 and its gradient for each
-        policy parameter, in closed form.
+        policy parameter, in closed form, written into ``out`` when given
+        (:meth:`update` passes the policy optimizer's flat gradient).
 
         ``r = exp(log pi(a|s) - log pi_old(a|s))`` per row.  The clip
         objective is ``-mean(min(r A, clip(r) A))`` with the min written
@@ -178,19 +181,19 @@ class PPOTrainer:
             loss = -(surrogate - beta * kl)
             # -mean(r A) through exp, plus beta * mean(log r ^ 2) / 2 through the square.
             grad_log_ratio = row_share * advantages * ratio + beta * 0.5 / ratio.size * 2 * log_ratio
-        grads = self.policy.log_prob_vjp(saved, grad_log_ratio)
+        grads = self.policy.log_prob_vjp(saved, grad_log_ratio, out)
 
         if self.config.entropy_coefficient and isinstance(self.policy, GaussianMLPPolicy):
             loss = loss - self.config.entropy_coefficient * self.policy.entropy()
             # d(-c * entropy)/d(log_std) = -c; log_std is the last parameter.
-            grads[-1] = grads[-1] - self.config.entropy_coefficient
+            grads[-1] -= self.config.entropy_coefficient
         return float(loss), grads
 
     def _value_step(self, batch: dict) -> float:
         """One critic update on the MSE to the returns; returns the loss."""
 
         loss, _, grads = self.value_network.net.mse_gradients(
-            batch["states"], batch["returns"].reshape(-1, 1)
+            batch["states"], batch["returns"].reshape(-1, 1), out=self.value_optimizer.grads
         )
         self.value_optimizer.apply_gradients(grads, self.config.max_grad_norm)
         return float(loss)
@@ -216,7 +219,7 @@ class PPOTrainer:
         for _ in range(self.config.update_iterations):
             stop = False
             for batch in buffer.minibatches(self.config.minibatch_size, rng=self._rng):
-                policy_loss, grads = self._policy_gradients(batch)
+                policy_loss, grads = self._policy_gradients(batch, self.policy_optimizer.grads)
                 self.policy_optimizer.apply_gradients(grads, self.config.max_grad_norm)
                 policy_losses.append(policy_loss)
 

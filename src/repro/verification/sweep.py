@@ -158,7 +158,12 @@ class SweepJobResult:
 
 @dataclass
 class SweepReport:
-    """Aggregated outcome of a :class:`VerificationSweep` run."""
+    """Aggregated outcome of a :class:`VerificationSweep` run.
+
+    ``processes`` is the width the sweep actually ran at: 1 when it ran
+    inline (one uncached job, or every job replayed from the store), else
+    the pool size, ``min(requested, uncached jobs)``.
+    """
 
     results: List[SweepJobResult]
     elapsed_seconds: float
@@ -401,5 +406,5 @@ class VerificationSweep:
         return SweepReport(
             results=list(results),
             elapsed_seconds=time.perf_counter() - start,
-            processes=self.processes,
+            processes=max(1, executor.workers),
         )

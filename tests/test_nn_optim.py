@@ -1,11 +1,16 @@
-"""Tests for SGD and Adam optimisers."""
+"""Tests for SGD and Adam optimisers and the flat training step."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.autodiff import Tensor
+from repro.core.config import DistillationConfig
+from repro.core.distillation import RobustDistiller
 from repro.nn.network import MLP
-from repro.nn.optim import SGD, Adam
+from repro.nn.optim import SGD, Adam, FlatParameters
+from repro.systems import make_system
 
 
 def quadratic_step(optimizer, parameter, target):
@@ -184,3 +189,202 @@ class TestFlatAdam:
         before = parameter.data
         optimizer.step()
         assert parameter.data is before
+
+
+def _reference_clip(parameters, max_norm):
+    """The per-parameter global-norm clip the flat one must match bit for bit."""
+
+    total = 0.0
+    for parameter in parameters:
+        if parameter.grad is not None:
+            total += float(np.sum(parameter.grad ** 2))
+    norm = float(np.sqrt(total))
+    if norm > max_norm and norm > 0.0:
+        for parameter in parameters:
+            if parameter.grad is not None:
+                parameter.grad = parameter.grad * (max_norm / norm)
+    return norm
+
+
+_SHAPES = st.lists(
+    st.one_of(
+        st.tuples(st.integers(1, 6), st.integers(1, 6)),
+        st.tuples(st.integers(1, 9)),
+        st.just(()),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+class TestFlatStepProperties:
+    """The flat Adam step, clip and L2 term against per-parameter loops."""
+
+    @given(
+        shapes=_SHAPES,
+        seed=st.integers(0, 2**16),
+        steps=st.integers(1, 6),
+        max_grad_norm=st.one_of(st.none(), st.floats(0.05, 5.0)),
+        scale=st.sampled_from([0.01, 1.0, 100.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_flat_adam_and_clip_match_the_reference_loop(self, shapes, seed, steps, max_grad_norm, scale):
+        rng = np.random.default_rng(seed)
+        initial = [rng.normal(size=shape) for shape in shapes]
+        flat = [Tensor(array.copy(), requires_grad=True) for array in initial]
+        frozen = [Tensor(array.copy(), requires_grad=True) for array in initial]
+        optimizer = Adam(flat, lr=0.01)
+        reference = _ReferenceAdam(frozen, lr=0.01)
+        for step in range(steps):
+            grads = [scale * rng.normal(size=shape) for shape in shapes]
+            # Through the optimizer's own buffer on even steps, as fresh arrays on odd ones.
+            if step % 2 == 0:
+                for view, grad in zip(optimizer.grads, grads):
+                    view[...] = grad
+                optimizer.apply_gradients(optimizer.grads, max_grad_norm)
+            else:
+                optimizer.apply_gradients([grad.copy() for grad in grads], max_grad_norm)
+            for parameter, grad in zip(frozen, grads):
+                parameter.grad = grad.copy()
+            if max_grad_norm is not None:
+                _reference_clip(frozen, max_grad_norm)
+            reference.step()
+            for index, (left, right) in enumerate(zip(flat, frozen)):
+                np.testing.assert_array_equal(left.grad, right.grad, err_msg=f"step {step} grad {index}")
+                np.testing.assert_array_equal(left.data, right.data, err_msg=f"step {step} param {index}")
+                assert left.data.shape == right.data.shape
+
+    @given(shapes=_SHAPES, seed=st.integers(0, 2**16), scale=st.sampled_from([0.01, 1.0, 100.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_flat_clip_norm_is_the_per_parameter_sum(self, shapes, seed, scale):
+        rng = np.random.default_rng(seed)
+        grads = [scale * rng.normal(size=shape) for shape in shapes]
+        parameters = [Tensor(np.zeros(shape), requires_grad=True) for shape in shapes]
+        twins = [Tensor(np.zeros(shape), requires_grad=True) for shape in shapes]
+        for parameter, twin, grad in zip(parameters, twins, grads):
+            parameter.grad, twin.grad = grad.copy(), grad.copy()
+        max_norm = 0.5 * scale
+        assert Adam(parameters).clip_grad_norm(max_norm) == _reference_clip(twins, max_norm)
+        for parameter, twin in zip(parameters, twins):
+            np.testing.assert_array_equal(parameter.grad, twin.grad)
+
+    @given(
+        hidden=st.lists(st.integers(1, 12), min_size=0, max_size=2),
+        rows=st.integers(1, 20),
+        seed=st.integers(0, 2**16),
+        l2_weight=st.sampled_from([0.0, 5e-3, 0.3]),
+        adversarial=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_flat_l2_term_matches_the_per_parameter_loop(self, hidden, rows, seed, l2_weight, adversarial):
+        """``clean + ((g + lambda q) + lambda q)`` on the flat vectors is the
+        per-parameter sum, and the penalty the per-parameter ``q * q`` sum."""
+
+        system = make_system("vanderpol")
+        rng = np.random.default_rng(seed)
+        states, controls = rng.uniform(-2.0, 2.0, size=(rows, 2)), rng.normal(size=(rows, 1))
+        config = DistillationConfig(hidden_sizes=tuple(hidden), l2_weight=l2_weight, seed=seed)
+        distiller = RobustDistiller(system, config=config, rng=seed)
+        student = distiller._build_student()
+        optimizer = Adam(student.parameters())
+        loss, grads = distiller._batch_gradients(states, controls, student, optimizer.parameters, adversarial)
+
+        clean = None
+        batch = states
+        if adversarial:
+            batch, clean = distiller._fgsm_states(states, controls, student)
+        expected_loss, _, expected = student.mse_gradients(batch, controls)
+        penalty = np.asarray(0.0)
+        for index, parameter in enumerate(student.parameters()):
+            array = parameter.data
+            penalty = penalty + (array * array).sum()
+            share = l2_weight * array
+            expected[index] = (expected[index] + share) + share
+            if clean is not None:
+                expected[index] = clean[index] + expected[index]
+        assert loss == expected_loss + l2_weight * penalty
+        for index, (got, want, view) in enumerate(zip(grads, expected, optimizer.grads)):
+            assert got is view, "the gradient lands in the optimizer's flat vector"
+            np.testing.assert_array_equal(got, want, err_msg=f"param {index}")
+
+
+class TestRebindingBetweenSteps:
+    """A parameter rebound after a step is the one the next step updates."""
+
+    @staticmethod
+    def _twins():
+        rng = np.random.default_rng(5)
+        rows, targets = rng.normal(size=(16, 3)), rng.normal(size=(16, 2))
+        net, twin = MLP(3, 2, hidden_sizes=(6,), seed=1), MLP(3, 2, hidden_sizes=(6,), seed=1)
+        optimizer, reference = Adam(net.parameters(), lr=0.05), _ReferenceAdam(twin.parameters(), lr=0.05)
+        return rows, targets, net, twin, optimizer, reference
+
+    @staticmethod
+    def _step(rows, targets, net, twin, optimizer, reference):
+        _, _, grads = net.mse_gradients(rows, targets, out=optimizer.grads)
+        optimizer.apply_gradients(grads)
+        _, _, twin_grads = twin.mse_gradients(rows, targets)
+        for parameter, grad in zip(twin.parameters(), twin_grads):
+            parameter.grad = grad
+        reference.step()
+        for left, right in zip(net.parameters(), twin.parameters()):
+            np.testing.assert_array_equal(left.data, right.data)
+
+    def test_load_state_dict_mid_training(self):
+        rows, targets, net, twin, optimizer, reference = self._twins()
+        for _ in range(3):
+            self._step(rows, targets, net, twin, optimizer, reference)
+        loaded = MLP(3, 2, hidden_sizes=(6,), seed=9).state_dict()
+        net.load_state_dict(loaded)
+        twin.load_state_dict(loaded)
+        self._step(rows, targets, net, twin, optimizer, reference)
+        stale = [parameter.data.copy() for parameter in net.parameters()]
+        for _ in range(2):
+            self._step(rows, targets, net, twin, optimizer, reference)
+        assert not np.array_equal(net.parameters()[0].data, stale[0])
+
+    def test_rebound_last_layer_bias(self):
+        rows, targets, net, twin, optimizer, reference = self._twins()
+        for _ in range(2):
+            self._step(rows, targets, net, twin, optimizer, reference)
+        for network in (net, twin):
+            network.linear_layers()[-1].bias.data = np.array([0.75, -1.5])
+        self._step(rows, targets, net, twin, optimizer, reference)
+        self._step(rows, targets, net, twin, optimizer, reference)
+
+    def test_step_rebinds_views_of_a_fresh_flat_vector(self):
+        rows, targets, net, twin, optimizer, reference = self._twins()
+        self._step(rows, targets, net, twin, optimizer, reference)
+        before = [parameter.data for parameter in net.parameters()]
+        snapshot = [array.copy() for array in before]
+        self._step(rows, targets, net, twin, optimizer, reference)
+        after = [parameter.data for parameter in net.parameters()]
+        assert all(new.base is after[0].base for new in after), "one flat parameter vector"
+        for old, kept in zip(before, snapshot):
+            np.testing.assert_array_equal(old, kept)
+
+
+class TestVJPOutViews:
+    """``_vjp(..., out=views)`` writes the list path's arrays into the views."""
+
+    @pytest.mark.parametrize(
+        "activation,output_activation", [("tanh", "identity"), ("relu", "tanh"), ("sigmoid", "sigmoid")]
+    )
+    @pytest.mark.parametrize("shape", [(9, 3), (4, 6, 3)], ids=["rows", "stacks"])
+    def test_out_views_match_the_list_path(self, activation, output_activation, shape):
+        net = MLP(3, 2, hidden_sizes=(7, 5), activation=activation,
+                  output_activation=output_activation, seed=2)
+        rng = np.random.default_rng(3)
+        rows, upstream = rng.normal(size=shape), rng.normal(size=shape[:-1] + (2,))
+        saved: list = []
+        net._run(rows, saved)
+        expected_input, expected = net._vjp(saved, upstream, True)
+        flat = FlatParameters(net.parameters())
+        flat.grad[...] = np.nan
+        got_input, got = net._vjp(saved, upstream, True, out=flat.grads)
+        np.testing.assert_array_equal(got_input, expected_input)
+        assert len(got) == len(expected) == len(flat.grads)
+        for left, right, view in zip(got, expected, flat.grads):
+            assert left is view
+            np.testing.assert_array_equal(left, right)
+        np.testing.assert_array_equal(flat.grad, np.concatenate([grad.ravel() for grad in expected]))

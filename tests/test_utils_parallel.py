@@ -137,6 +137,37 @@ class TestSweepPoolRegression:
         assert created == [(2, single_threaded_blas)]
         assert report.results == ["job0", "job1", "job2"]
 
+    @staticmethod
+    def _verify_jobs(count):
+        from repro.nn.network import MLP
+
+        return [
+            SweepJob.from_network(
+                f"job{index}", "vanderpol", MLP(2, 1, hidden_sizes=(4,), seed=index),
+                target_error=1.0, degree=2, max_partitions=64, reach_steps=2,
+            )
+            for index in range(count)
+        ]
+
+    def test_report_gives_the_width_it_ran_at(self, tmp_path):
+        """``SweepReport.processes`` is the width used, not the one asked for:
+        1 for a one-job sweep, for a sweep with one uncached job and for an
+        all-cached one; ``min(processes, uncached jobs)`` for a pool."""
+
+        from repro.experiments import RunStore
+
+        jobs = self._verify_jobs(3)
+        assert VerificationSweep(jobs[:1], processes=4).run().processes == 1
+        store = RunStore(tmp_path / "store")
+        assert VerificationSweep(jobs[:2], processes=4, store=store).run().processes == 2
+        one_uncached = VerificationSweep(jobs, processes=4, store=store).run()
+        assert [result.cached for result in one_uncached.results] == [True, True, False]
+        assert one_uncached.processes == 1
+        all_cached = VerificationSweep(jobs, processes=4, store=store).run()
+        assert all(result.cached for result in all_cached.results)
+        assert all_cached.processes == 1
+        assert "| 1 process(es) |" in all_cached.table()
+
     def test_pinned_to_one_cpu_of_many_gets_an_inline_sweep(self, monkeypatch):
         """``taskset -c 0`` on a wide machine must not fork a wide pool."""
 
