@@ -16,7 +16,8 @@
 # src/repro/systems via the systems and scenario-conformance packs (every
 # plant's dynamics_batch, step_batch, the rollout engine), on
 # src/repro/experts via the expert, MPC and expert batch-kernel packs (the
-# batched LQR linearisation and MPC costs, the expert gain digest), on
+# batched LQR linearisation and MPC costs, the expert gain digest, the
+# catalog control digests), on
 # src/repro/core via the core packs plus the training-determinism pack
 # (the kappa_D worker and its failure paths included), on
 # src/repro/utils/parallel.py (the one task executor) via the parallel
@@ -177,4 +178,4 @@ train-digests:
 	$(PYTHON) tools/train_digests.py
 
 lint:
-	$(PYTHON) -m compileall -q src tests benchmarks examples
+	$(PYTHON) -m compileall -q src tests benchmarks examples tools

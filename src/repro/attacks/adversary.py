@@ -15,8 +15,9 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from repro.experts.base import Controller
 from repro.systems.base import ControlSystem
-from repro.systems.simulation import ControllerFn, batch_controls
+from repro.systems.simulation import batch_controls
 from repro.utils.seeding import get_rng
 
 
@@ -45,7 +46,7 @@ def safety_margin(system: ControlSystem, states: np.ndarray) -> np.ndarray:
 
 
 def _margins_after(
-    system: ControlSystem, controller: ControllerFn, states: np.ndarray, observations: np.ndarray
+    system: ControlSystem, controller: Controller, states: np.ndarray, observations: np.ndarray
 ) -> np.ndarray:
     """Next-state safety margins when ``controller`` sees ``observations``.
 
@@ -75,7 +76,7 @@ class WorstCaseSampler:
     def __init__(
         self,
         system: ControlSystem,
-        controller: ControllerFn,
+        controller: Controller,
         bound: Union[float, Sequence[float]],
         candidates: int = 8,
         include_corners: bool = True,
@@ -127,7 +128,7 @@ class GradientClosedLoopAttack:
     def __init__(
         self,
         system: ControlSystem,
-        controller: ControllerFn,
+        controller: Controller,
         bound: Union[float, Sequence[float]],
         epsilon: float = 1e-4,
     ):

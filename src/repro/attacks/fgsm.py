@@ -11,13 +11,13 @@ Two uses, matching Algorithm 1 and Section IV:
   attacker as a perturbation for :func:`repro.systems.rollout_batch`.
 
 For neural controllers the input gradient is the network's closed-form VJP
-(:meth:`repro.nn.MLP._vjp`); for arbitrary (black-box) controllers a
+(:meth:`repro.nn.MLP._input_vjp`); for arbitrary (black-box) controllers a
 finite-difference fallback estimates the same sign vector.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -25,11 +25,9 @@ from repro.experts.base import Controller, NeuralController
 from repro.systems.simulation import batch_controls
 from repro.utils.seeding import get_rng
 
-ControllerLike = Union[Controller, Callable[[np.ndarray], np.ndarray]]
-
 
 def _control_change_gradient_batch(
-    controller: ControllerLike, states: np.ndarray, epsilon: float = 1e-4
+    controller: Controller, states: np.ndarray, epsilon: float = 1e-4
 ) -> np.ndarray:
     """Per-row gradient of the control-change objective for an ``(N, state_dim)`` batch.
 
@@ -58,8 +56,7 @@ def _control_change_gradient_batch(
         saved: list = []
         controller.network._run(states, saved)
         upstream = direction if controller._scale is None else direction * controller._scale
-        gradient, _ = controller.network._vjp(saved, upstream, True)
-        return gradient
+        return controller.network._input_vjp(saved, upstream)
 
     gradient = np.zeros_like(states, dtype=np.float64)
     for index in range(states.shape[1]):
@@ -74,7 +71,7 @@ def _control_change_gradient_batch(
 
 
 def fgsm_perturbation_batch(
-    controller: ControllerLike,
+    controller: Controller,
     states: np.ndarray,
     bound: Union[float, Sequence[float]],
     maximize_control: bool = True,
@@ -121,7 +118,7 @@ class FGSMAttack:
 
     def __init__(
         self,
-        controller: ControllerLike,
+        controller: Controller,
         bound: Union[float, Sequence[float]],
         probability: float = 1.0,
         alternate: bool = True,

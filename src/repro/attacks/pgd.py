@@ -14,12 +14,13 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from repro.attacks.fgsm import ControllerLike, _control_change_gradient_batch
+from repro.attacks.fgsm import _control_change_gradient_batch
+from repro.experts.base import Controller
 from repro.utils.seeding import get_rng
 
 
 def pgd_perturbation_batch(
-    controller: ControllerLike,
+    controller: Controller,
     states: np.ndarray,
     bound: Union[float, Sequence[float]],
     steps: int = 5,
@@ -52,7 +53,7 @@ class PGDAttack:
 
     def __init__(
         self,
-        controller: ControllerLike,
+        controller: Controller,
         bound: Union[float, Sequence[float]],
         steps: int = 5,
         step_size_fraction: float = 0.5,

@@ -16,6 +16,7 @@ from repro.core.config import DistillationConfig
 from repro.core.distillation import DirectDistiller, collect_distillation_dataset
 from repro.experts.base import Controller, NeuralController
 from repro.systems.base import ControlSystem
+from repro.systems.simulation import weighted_expert_controls
 from repro.utils.seeding import RngLike
 
 
@@ -38,11 +39,11 @@ class FixedWeightEnsemble(Controller):
             raise ValueError("fixed ensemble weights must be a convex combination (>= 0, sum to 1)")
         self.weights = weights
 
-    def control(self, state: np.ndarray) -> np.ndarray:
-        control = np.zeros(self.system.control_dim)
-        for weight, expert in zip(self.weights, self.experts):
-            control = control + weight * np.atleast_1d(expert(state))
-        return self.system.clip_control(control)
+    def batch_control(self, states: np.ndarray) -> np.ndarray:
+        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+        weights = np.broadcast_to(self.weights, (len(states), len(self.experts)))
+        controls = weighted_expert_controls(self.experts, weights, states, self.system.control_dim)
+        return self.system.clip_control_batch(controls)
 
 
 def distill_fixed_ensemble(

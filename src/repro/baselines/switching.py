@@ -34,12 +34,16 @@ def selected_expert_controls(
     The one kernel behind both the switching environment
     (:meth:`SwitchingEnv.actions_to_controls`) and the trained baseline
     (:meth:`SwitchingController.batch_control`); indices are clamped to the
-    expert list.  Each expert sees only its own row, so a row's control does
-    not depend on what else is in the batch.
+    expert list.  Each expert sees only its own row, as a batch of one: a
+    multi-row linear kernel rounds differently from a one-row call on some
+    rows, so gathering each expert's rows into one call would move the
+    switching baseline's bits.
     """
 
     indices = np.clip(np.asarray(indices).astype(int), 0, len(experts) - 1)
-    return np.stack([np.atleast_1d(experts[index](state)) for index, state in zip(indices, states)])
+    return np.concatenate(
+        [experts[index].batch_control(states[row : row + 1]) for row, index in enumerate(indices)]
+    )
 
 
 class SwitchingEnv(ControlEnv):
@@ -81,14 +85,6 @@ class SwitchingController(Controller):
         self.system = system
         self.experts = list(experts)
         self.policy = policy
-
-    def selected_expert(self, state: np.ndarray) -> int:
-        action, _ = self.policy.act(state, deterministic=True)
-        return int(action)
-
-    def control(self, state: np.ndarray) -> np.ndarray:
-        index = self.selected_expert(state)
-        return self.system.clip_control(np.atleast_1d(self.experts[index](state)))
 
     def batch_control(self, states: np.ndarray) -> np.ndarray:
         """Clipped controls for an ``(N, state_dim)`` batch: one policy pass

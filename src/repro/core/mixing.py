@@ -98,22 +98,6 @@ class MixedController(Controller):
         self.weight_bounds = np.atleast_1d(np.asarray(weight_bounds, dtype=np.float64))
         self.name = name
 
-    def weights(self, state: np.ndarray) -> np.ndarray:
-        """The dynamically-assigned expert weights for one state."""
-
-        if isinstance(self.policy, GaussianMLPPolicy):
-            raw = self.policy.mean_action(state)
-        else:
-            raw = self.policy.act(state, noise_scale=0.0)
-        return np.clip(np.atleast_1d(raw), -self.weight_bounds, self.weight_bounds)
-
-    def control(self, state: np.ndarray) -> np.ndarray:
-        weights = self.weights(state)
-        control = np.zeros(self.system.control_dim)
-        for weight, expert in zip(weights, self.experts):
-            control = control + weight * np.atleast_1d(expert(state))
-        return self.system.clip_control(control)
-
     def weights_batch(self, states: np.ndarray) -> np.ndarray:
         """Dynamically-assigned weights for an ``(N, state_dim)`` batch."""
 
@@ -125,13 +109,8 @@ class MixedController(Controller):
         return np.clip(np.atleast_2d(raw), -self.weight_bounds, self.weight_bounds)
 
     def batch_control(self, states: np.ndarray) -> np.ndarray:
-        """Vectorised teacher evaluation: one policy forward pass and one
-        batched query per expert for a whole ``(N, state_dim)`` batch.
-
-        Row ``i`` equals :meth:`control` on ``states[i]`` (the distillation
-        and evaluation harnesses rely on the batch-of-one case being
-        bit-identical to the scalar call).
-        """
+        """Teacher evaluation: one policy forward pass and one batched
+        query per expert for a whole ``(N, state_dim)`` batch."""
 
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
         weights = self.weights_batch(states)

@@ -1,10 +1,13 @@
 """Controller interface and generic controller wrappers.
 
-A controller is a mapping from the observed state to a control command (the
-plant clips the command to its bound).  Controllers are used in four places:
-as experts fed to the adaptive mixer, as the teacher during distillation, as
-the student produced by distillation, and as baselines in the evaluation
-harness -- so the interface is deliberately minimal.
+A controller is a memoryless map from observed states to control commands
+(the plant clips the command to its bound), evaluated on batches: its one
+method, :meth:`Controller.batch_control`, maps an ``(N, state_dim)`` batch
+to ``(N, control_dim)`` controls, and a single state is a batch of one.
+Controllers are used in four places: as experts fed to the adaptive mixer,
+as the teacher during distillation, as the student produced by
+distillation, and as baselines in the evaluation harness -- so the
+interface is deliberately minimal.
 """
 
 from __future__ import annotations
@@ -18,37 +21,27 @@ from repro.utils.seeding import RngLike, get_rng
 
 
 class Controller:
-    """Base controller: callable mapping a state vector to a control vector."""
+    """Base controller: a memoryless map from a batch of states to controls."""
 
     #: Human-readable name used in result tables.
     name: str = "controller"
 
-    def control(self, state: np.ndarray) -> np.ndarray:  # pragma: no cover - abstract
+    def batch_control(self, states: np.ndarray) -> np.ndarray:  # pragma: no cover - abstract
+        """Controls ``(N, control_dim)`` for an ``(N, state_dim)`` batch of states."""
+
         raise NotImplementedError
-
-    def __call__(self, state: Sequence[float]) -> np.ndarray:
-        state = np.asarray(state, dtype=np.float64)
-        return np.atleast_1d(np.asarray(self.control(state), dtype=np.float64))
-
-    def reset(self) -> None:
-        """Clear any internal state (stateful controllers such as PID)."""
-
-    def batch_control(self, states: np.ndarray) -> np.ndarray:
-        """Vectorised evaluation, default loops over rows."""
-
-        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        return np.stack([self(state) for state in states], axis=0)
 
 
 class FunctionController(Controller):
-    """Wrap any plain function ``state -> control`` as a controller."""
+    """Wrap a row-batched function ``(N, state_dim) -> (N, control_dim)`` as a controller."""
 
-    def __init__(self, function: Callable[[np.ndarray], Sequence[float]], name: str = "function"):
+    def __init__(self, function: Callable[[np.ndarray], np.ndarray], name: str = "function"):
         self._function = function
         self.name = name
 
-    def control(self, state: np.ndarray) -> np.ndarray:
-        return np.atleast_1d(np.asarray(self._function(state), dtype=np.float64))
+    def batch_control(self, states: np.ndarray) -> np.ndarray:
+        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+        return np.asarray(self._function(states), dtype=np.float64).reshape(len(states), -1)
 
 
 class LinearStateFeedback(Controller):
@@ -60,9 +53,6 @@ class LinearStateFeedback(Controller):
             np.zeros(self.gain.shape[0]) if offset is None else np.asarray(offset, dtype=np.float64)
         )
         self.name = name
-
-    def control(self, state: np.ndarray) -> np.ndarray:
-        return -self.gain @ state + self.offset
 
     def batch_control(self, states: np.ndarray) -> np.ndarray:
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
@@ -99,12 +89,6 @@ class NeuralController(Controller):
             self._scale = None
             self._offset = None
 
-    def control(self, state: np.ndarray) -> np.ndarray:
-        output = np.atleast_1d(self.network.predict(state))
-        if self._scale is not None:
-            output = output * self._scale + self._offset
-        return output
-
     def batch_control(self, states: np.ndarray) -> np.ndarray:
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
         outputs = np.atleast_2d(self.network.predict(states))
@@ -121,8 +105,8 @@ class ZeroController(Controller):
     def __init__(self, control_dim: int = 1):
         self.control_dim = int(control_dim)
 
-    def control(self, state: np.ndarray) -> np.ndarray:
-        return np.zeros(self.control_dim)
+    def batch_control(self, states: np.ndarray) -> np.ndarray:
+        return np.zeros((len(np.atleast_2d(states)), self.control_dim))
 
 
 class RandomController(Controller):
@@ -135,5 +119,5 @@ class RandomController(Controller):
         self.high = np.atleast_1d(np.asarray(high, dtype=np.float64))
         self._rng = get_rng(rng)
 
-    def control(self, state: np.ndarray) -> np.ndarray:
-        return self._rng.uniform(self.low, self.high)
+    def batch_control(self, states: np.ndarray) -> np.ndarray:
+        return self._rng.uniform(self.low, self.high, size=(len(np.atleast_2d(states)), self.low.size))

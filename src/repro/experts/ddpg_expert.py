@@ -60,13 +60,8 @@ class DDPGExpertController(Controller):
         self.actor = actor
         self.name = name
 
-    def control(self, state: np.ndarray) -> np.ndarray:
-        return self.actor.act(state, noise_scale=0.0)
-
     def batch_control(self, states: np.ndarray) -> np.ndarray:
-        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        raw = self.actor.net.predict(states)
-        return raw * self.actor._scale + self.actor._offset
+        return self.actor.act_batch(states)
 
     @property
     def network(self):

@@ -30,19 +30,11 @@ class VanDerPolFeedbackLinearization(Controller):
         self.mu = float(mu)
         self.name = name
 
-    def control(self, state: np.ndarray) -> np.ndarray:
-        s1, s2 = state
-        cancel = -(1.0 - s1**2) * self.mu * s2 + s1
-        stabilise = -self.k1 * s1 - self.k2 * s2
-        return np.array([cancel + stabilise])
-
     def batch_control(self, states: np.ndarray) -> np.ndarray:
-        """Row-for-row bit-identical to :meth:`control`.
-
-        The scalar ``s1**2`` on an ``np.float64`` goes through libm ``pow``;
-        the array ``s1**2`` is a plain multiply and rounds differently on a
-        few rows in 10^5, so the square is ``np.float_power(s1, 2.0)``.
-        """
+        """The square is ``np.float_power(s1, 2.0)``, which goes through libm
+        ``pow`` like the scalar ``s1**2`` of the per-row formula; the array
+        ``s1**2`` is a plain multiply and rounds differently on a few rows
+        in 10^5."""
 
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
         s1 = states[:, 0]
@@ -76,13 +68,6 @@ class PendulumFeedbackLinearization(Controller):
         self.length = float(length)
         self.gravity = float(gravity)
         self.name = name
-
-    def control(self, state: np.ndarray) -> np.ndarray:
-        theta, omega = state
-        inertia = self.mass * self.length**2
-        cancel = -(self.gravity / self.length) * np.sin(theta)
-        stabilise = -self.k1 * theta - self.k2 * omega
-        return np.array([inertia * (cancel + stabilise)])
 
     def batch_control(self, states: np.ndarray) -> np.ndarray:
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))

@@ -99,9 +99,6 @@ class LQRController(Controller):
         )
         self.name = name
 
-    def control(self, state: np.ndarray) -> np.ndarray:
-        return -self.gain @ (state - self.state_equilibrium)
-
     def batch_control(self, states: np.ndarray) -> np.ndarray:
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
         return -((states - self.state_equilibrium) @ self.gain.T)

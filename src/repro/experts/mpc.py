@@ -11,18 +11,17 @@ cross-entropy-method loop), rolls them all out in lockstep over the
 prediction horizon on the nominal (disturbance-free) model, scores them
 with a quadratic state/control cost plus a large penalty for every step
 outside the safe region, and applies the first control of the best
-sequence.
+sequence.  The controller is memoryless: each call starts its search from
+scratch, and a batch of states runs one CEM loop per row in lockstep.
 
 It is slower than the analytic experts (one batched model rollout of
-``num_samples`` sequences per CEM iteration and control step) and
-therefore not part of ``make_default_experts``, but it is a drop-in expert
-for the mixing step and is exercised by the unit tests on shortened
-horizons.
+``N * num_samples`` sequences per CEM iteration for a batch of ``N``
+states) and therefore not part of ``make_default_experts``, but it is a
+drop-in expert for the mixing step and is exercised by the unit tests on
+shortened horizons.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -84,55 +83,60 @@ class MPCController(Controller):
         self.unsafe_penalty = float(unsafe_penalty)
         self._rng = get_rng(rng)
         self.name = name
-        self._warm_start: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
-    def reset(self) -> None:
-        self._warm_start = None
+    def _sequence_costs(self, states: np.ndarray, samples: np.ndarray) -> np.ndarray:
+        """Quadratic costs of ``(N, S, horizon, control_dim)`` control sequences.
 
-    def _sequence_costs(self, state: np.ndarray, samples: np.ndarray) -> np.ndarray:
-        """Quadratic costs of ``(S, horizon, control_dim)`` control sequences.
-
-        All ``S`` sequences roll out in lockstep on the nominal model from
-        ``state``: one batched clip and plant update per lookahead step.
+        Row ``i``'s ``S`` sequences start from ``states[i]``; all ``N * S``
+        roll out in lockstep on the nominal model, one batched clip and
+        plant update per lookahead step.  Returns the ``(N, S)`` costs.
         """
 
-        count = len(samples)
-        current = np.tile(np.asarray(state, dtype=np.float64), (count, 1))
-        zero_disturbance = np.zeros((count, self.system.disturbance.dimension))
-        costs = np.zeros(count)
+        count, num_sequences = samples.shape[:2]
+        current = np.repeat(np.asarray(states, dtype=np.float64), num_sequences, axis=0)
+        sequences = samples.reshape(count * num_sequences, self.horizon, -1)
+        zero_disturbance = np.zeros((len(current), self.system.disturbance.dimension))
+        costs = np.zeros(len(current))
         for step in range(self.horizon):
-            controls = self.system.clip_control_batch(samples[:, step])
+            controls = self.system.clip_control_batch(sequences[:, step])
             current = self.system.dynamics_batch(current, controls, zero_disturbance)
             costs += np.einsum("ni,ij,nj->n", current, self.state_cost, current)
             costs += np.einsum("ni,ij,nj->n", controls, self.control_cost, controls)
             costs += np.where(self.system.is_safe_batch(current), 0.0, self.unsafe_penalty)
-        return costs
+        return costs.reshape(count, num_sequences)
 
-    def control(self, state: np.ndarray) -> np.ndarray:
+    def batch_control(self, states: np.ndarray) -> np.ndarray:
+        """First control of each row's best sampled sequence.
+
+        Every row runs its own CEM loop from a zero mean and the full
+        control span, all rows in lockstep: one ``(N, S, horizon,
+        control_dim)`` draw and one batched model rollout per iteration.
+        Nothing carries over between calls.
+        """
+
+        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+        count = len(states)
         low = self.system.control_bound.low
         high = self.system.control_bound.high
-        span = (high - low) / 2.0
+        shape = (count, self.horizon, self.system.control_dim)
+        mean = np.zeros(shape)
+        std = np.broadcast_to((high - low) / 2.0, shape).astype(np.float64)
+        rows = np.arange(count)
 
-        if self._warm_start is not None:
-            mean = np.vstack([self._warm_start[1:], self._warm_start[-1:]])
-        else:
-            mean = np.zeros((self.horizon, self.system.control_dim))
-        std = np.broadcast_to(span, mean.shape).astype(np.float64).copy()
-
-        best_sequence = mean
-        best_cost = np.inf
+        best_sequences = mean
+        best_costs = np.full(count, np.inf)
         for _ in range(self.num_iterations):
-            samples = self._rng.normal(mean, std, size=(self.num_samples, self.horizon, self.system.control_dim))
+            samples = self._rng.normal(mean[:, None], std[:, None], size=(count, self.num_samples) + shape[1:])
             samples = np.clip(samples, low, high)
-            costs = self._sequence_costs(state, samples)
-            elite_index = np.argsort(costs)[: self.num_elites]
-            elites = samples[elite_index]
-            mean = elites.mean(axis=0)
-            std = elites.std(axis=0) + 1e-6
-            if costs[elite_index[0]] < best_cost:
-                best_cost = float(costs[elite_index[0]])
-                best_sequence = samples[elite_index[0]]
+            costs = self._sequence_costs(states, samples)
+            elite_index = np.argsort(costs, axis=1)[:, : self.num_elites]
+            elites = samples[rows[:, None], elite_index]
+            mean = elites.mean(axis=1)
+            std = elites.std(axis=1) + 1e-6
+            leaders = costs[rows, elite_index[:, 0]]
+            improved = leaders < best_costs
+            best_costs = np.where(improved, leaders, best_costs)
+            best_sequences = np.where(improved[:, None, None], samples[rows, elite_index[:, 0]], best_sequences)
 
-        self._warm_start = best_sequence
-        return self.system.clip_control(best_sequence[0])
+        return self.system.clip_control_batch(best_sequences[:, 0])

@@ -32,19 +32,10 @@ class PolynomialController(Controller):
             self._polynomials.append(parsed)
         self.name = name
 
-    def control(self, state: np.ndarray) -> np.ndarray:
-        outputs = []
-        for monomials in self._polynomials:
-            value = 0.0
-            for coefficient, exponents in monomials:
-                value += coefficient * float(np.prod(state ** exponents))
-            outputs.append(value)
-        return np.asarray(outputs)
-
     def batch_control(self, states: np.ndarray) -> np.ndarray:
-        """Row-for-row bit-identical to :meth:`control`: the same array
-        ``**`` per monomial, the product taken left to right, and the terms
-        summed in order from zero."""
+        """One array ``**`` per monomial, the product taken left to right and
+        the terms summed in order from zero, so a row's control does not
+        depend on the rest of the batch."""
 
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
         outputs = []

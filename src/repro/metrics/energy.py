@@ -6,14 +6,15 @@ from typing import Optional
 
 import numpy as np
 
+from repro.experts.base import Controller
 from repro.systems.base import ControlSystem
-from repro.systems.simulation import ControllerFn, evaluate_rollouts, sample_initial_states
+from repro.systems.simulation import evaluate_rollouts, sample_initial_states
 from repro.utils.seeding import RngLike, get_rng
 
 
 def energy_metric(
     system: ControlSystem,
-    controller: ControllerFn,
+    controller: Controller,
     samples: int = 500,
     horizon: Optional[int] = None,
     rng: RngLike = None,

@@ -16,8 +16,9 @@ import numpy as np
 from repro.attacks.adversary import perturbation_budget
 from repro.attacks.fgsm import FGSMAttack
 from repro.attacks.noise import UniformMeasurementNoise
+from repro.experts.base import Controller
 from repro.systems.base import ControlSystem
-from repro.systems.simulation import ControllerFn, evaluate_rollouts, sample_initial_states
+from repro.systems.simulation import evaluate_rollouts, sample_initial_states
 from repro.utils.seeding import RngLike, get_rng
 
 
@@ -41,7 +42,7 @@ class RobustnessResult:
 
 def evaluate_robustness(
     system: ControlSystem,
-    controller: ControllerFn,
+    controller: Controller,
     perturbation: str = "none",
     fraction: float = 0.1,
     samples: int = 500,

@@ -15,8 +15,9 @@ import numpy as np
 
 from repro.attacks.adversary import perturbation_budget
 from repro.attacks.fgsm import FGSMAttack
+from repro.experts.base import Controller
 from repro.systems.base import ControlSystem
-from repro.systems.simulation import ControllerFn, rollout
+from repro.systems.simulation import rollout
 from repro.utils.seeding import RngLike, get_rng
 
 
@@ -35,7 +36,7 @@ class SignalTrace:
 
 def control_signal_trace(
     system: ControlSystem,
-    controller: ControllerFn,
+    controller: Controller,
     initial_state: Optional[Sequence[float]] = None,
     attack_fraction: float = 0.1,
     horizon: Optional[int] = None,
@@ -73,7 +74,7 @@ def control_signal_trace(
 
 def compare_signal_traces(
     system: ControlSystem,
-    controllers: Dict[str, ControllerFn],
+    controllers: Dict[str, Controller],
     attack_fraction: float = 0.1,
     horizon: Optional[int] = None,
     seed: int = 0,

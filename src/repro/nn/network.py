@@ -160,6 +160,15 @@ class MLP(Module):
                 grad = grad @ weight.T
         return (grad if input_grad else None), layer_grads
 
+    def _input_vjp(self, saved: list, grad: np.ndarray) -> np.ndarray:
+        """The input gradient of the forward pass recorded in ``saved``, and
+        nothing else: the activation and ``g @ W^T`` steps of :meth:`_vjp`,
+        bit for bit, without any weight or bias gradient."""
+
+        for _, weight, name, activated in reversed(saved):
+            grad = _activation_vjp(name, activated, grad) @ weight.T
+        return grad
+
     def predict(self, inputs: np.ndarray) -> np.ndarray:
         """Forward pass on 1-D or 2-D inputs."""
 

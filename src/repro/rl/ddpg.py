@@ -113,7 +113,7 @@ class DDPGTrainer:
         noise = self._noise_scale if explore else 0.0
         if explore and self._total_steps < self.config.warmup_steps:
             return self.env.action_space.sample(self._rng)
-        return self.actor.act(state, noise_scale=noise, rng=self._rng)
+        return self.actor.act_batch(state, noise_scale=noise, rng=self._rng)[0]
 
     def update(self) -> dict:
         """One gradient step on the critic and the actor from replayed data."""
@@ -138,7 +138,7 @@ class DDPGTrainer:
         joined = self.critic.joined(states, self.actor.actions(states, actor_saved))
         q = self.critic.net._run(joined, critic_saved)
         actor_loss = -q.mean()
-        input_grad, _ = self.critic.net._vjp(critic_saved, np.full(q.shape, -1.0 / q.size), True)
+        input_grad = self.critic.net._input_vjp(critic_saved, np.full(q.shape, -1.0 / q.size))
         grads = self.actor.actions_vjp(
             actor_saved, input_grad[:, self.critic.state_dim :], self.actor_optimizer.grads
         )

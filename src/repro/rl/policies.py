@@ -100,31 +100,13 @@ class GaussianMLPPolicy(Module):
         return float(self.log_std.data.sum() + 0.5 * self.action_dim * (1.0 + _LOG_2PI))
 
     # -- rollouts --------------------------------------------------------------
-    def act(self, state: np.ndarray, rng: RngLike = None, deterministic: bool = False) -> Tuple[np.ndarray, float]:
-        """Sample a clipped action and return it with its log probability."""
-
-        generator = get_rng(rng)
-        mean = self.mean_net.predict(np.asarray(state, dtype=np.float64))
-        std = np.exp(self.log_std.data)
-        if deterministic:
-            action = mean
-        else:
-            action = mean + std * generator.normal(size=self.action_dim)
-        log_prob = float(
-            np.sum(-0.5 * ((action - mean) / std) ** 2 - np.log(std) - 0.5 * np.log(2.0 * np.pi))
-        )
-        return np.clip(action, self.action_low, self.action_high), log_prob
-
     def act_batch(
         self, states: np.ndarray, rng: RngLike = None, deterministic: bool = False
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Sample one clipped action per row of ``states``.
 
-        The vectorised counterpart of :meth:`act`: one ``(N, state_dim)``
-        forward pass and one ``(N, action_dim)`` noise draw.  With ``N = 1``
-        it consumes the generator stream exactly like a single :meth:`act`
-        call and returns the same action/log-probability bit for bit.
-        Returns ``(actions (N, action_dim), log_probs (N,))``.
+        One ``(N, state_dim)`` forward pass and one ``(N, action_dim)`` noise
+        draw.  Returns ``(actions (N, action_dim), log_probs (N,))``.
         """
 
         generator = get_rng(rng)
@@ -140,10 +122,6 @@ class GaussianMLPPolicy(Module):
             axis=1,
         )
         return np.clip(actions, self.action_low, self.action_high), log_probs
-
-    def mean_action(self, state: np.ndarray) -> np.ndarray:
-        mean = self.mean_net.predict(np.asarray(state, dtype=np.float64))
-        return np.clip(mean, self.action_low, self.action_high)
 
     def mean_actions(self, states: np.ndarray) -> np.ndarray:
         """Deterministic (mean) actions for an ``(N, state_dim)`` batch."""
@@ -203,26 +181,13 @@ class CategoricalMLPPolicy(Module):
         _, grads = self.logits_net._vjp(network_saved, grad_logits, False, out)
         return grads
 
-    def act(self, state: np.ndarray, rng: RngLike = None, deterministic: bool = False) -> Tuple[int, float]:
-        generator = get_rng(rng)
-        logits = self.logits_net.predict(np.asarray(state, dtype=np.float64))
-        logits = logits - np.max(logits)
-        probabilities = np.exp(logits)
-        probabilities /= probabilities.sum()
-        if deterministic:
-            action = int(np.argmax(probabilities))
-        else:
-            action = int(generator.choice(self.num_actions, p=probabilities))
-        return action, float(np.log(probabilities[action] + 1e-12))
-
     def act_batch(
         self, states: np.ndarray, rng: RngLike = None, deterministic: bool = False
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Sample one action per row of ``states``.
 
-        Returns ``(actions (N,) int, log_probs (N,))``.  With ``N = 1`` the
-        generator stream and the sampled action match a single :meth:`act`
-        call (one ``choice`` draw per row, in row order).
+        Returns ``(actions (N,) int, log_probs (N,))``; a stochastic draw
+        takes one ``choice`` per row, in row order.
         """
 
         generator = get_rng(rng)
@@ -240,12 +205,6 @@ class CategoricalMLPPolicy(Module):
         rows = np.arange(len(states))
         log_probs = np.log(probabilities[rows, actions] + 1e-12)
         return actions, log_probs
-
-    def probabilities(self, state: np.ndarray) -> np.ndarray:
-        logits = self.logits_net.predict(np.asarray(state, dtype=np.float64))
-        logits = logits - np.max(logits)
-        exp = np.exp(logits)
-        return exp / exp.sum()
 
 
 class DeterministicMLPPolicy(Module):
@@ -293,12 +252,6 @@ class DeterministicMLPPolicy(Module):
         _, grads = self.net._vjp(saved, grad * self._scale, False, out)
         return grads
 
-    def act(self, state: np.ndarray, noise_scale: float = 0.0, rng: RngLike = None) -> np.ndarray:
-        action = self.net.predict(np.asarray(state, dtype=np.float64)) * self._scale + self._offset
-        if noise_scale > 0.0:
-            action = action + noise_scale * self._scale * get_rng(rng).normal(size=self.action_dim)
-        return np.clip(action, self.action_low, self.action_high)
-
     def act_batch(self, states: np.ndarray, noise_scale: float = 0.0, rng: RngLike = None) -> np.ndarray:
         """Deterministic actions for an ``(N, state_dim)`` batch (optional
         exploration noise, one draw per row)."""
@@ -316,9 +269,6 @@ class ValueNetwork(Module):
 
     def __init__(self, state_dim: int, hidden_sizes: Sequence[int] = (64, 64), activation: str = "tanh", seed: Optional[int] = None):
         self.net = MLP(state_dim, 1, hidden_sizes, activation=activation, seed=seed)
-
-    def value(self, state: np.ndarray) -> float:
-        return float(np.atleast_1d(self.net.predict(np.asarray(state, dtype=np.float64)))[0])
 
     def values(self, states: np.ndarray) -> np.ndarray:
         return self.net.predict(np.atleast_2d(np.asarray(states, dtype=np.float64)))[:, 0]

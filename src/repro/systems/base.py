@@ -13,7 +13,7 @@ control input which the plant clips to ``U``.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
@@ -100,16 +100,6 @@ class ControlSystem:
     # ------------------------------------------------------------------
     # Common behaviour
     # ------------------------------------------------------------------
-    def clip_control(self, control: Union[float, Sequence[float]]) -> np.ndarray:
-        """Clip a raw control command to the admissible box ``U``."""
-
-        control = np.atleast_1d(np.asarray(control, dtype=np.float64))
-        if control.size != self.control_dim:
-            raise ValueError(
-                f"control has dimension {control.size}, expected {self.control_dim}"
-            )
-        return self.control_bound.clip(control)
-
     def clip_control_batch(self, controls: np.ndarray) -> np.ndarray:
         """Clip a ``(N, control_dim)`` batch of raw commands to ``U``."""
 

@@ -92,9 +92,6 @@ class Box:
     def intersects(self, other: "Box") -> bool:
         return bool(np.all(self.low <= other.high) and np.all(other.low <= self.high))
 
-    def clip(self, point: Sequence[float]) -> np.ndarray:
-        return np.clip(np.asarray(point, dtype=np.float64), self.low, self.high)
-
     def expand(self, margin: Union[float, Sequence[float]]) -> "Box":
         """Minkowski sum with a symmetric box of the given margin."""
 

@@ -19,9 +19,12 @@ Threat model (matching Section II of the paper): the perturbation ``delta``
 is applied to the *measurement only*.  At every step the controller observes
 ``s(t) + delta(t)`` (bounded attack or noise), but the plant always evolves
 from the true state ``s(t)``.  Perturbations are injected through an optional
-callable so the same rollout code serves the clean, noisy and attacked
-evaluations; batched perturbations (``perturb_batch``) are used when the
-callable provides them, with a per-row fallback otherwise.
+object with a batched ``perturb_batch`` (see :class:`PerturbationFn`), so
+the same rollout code serves the clean, noisy and attacked evaluations.
+
+Controllers are :class:`repro.experts.Controller` objects: memoryless maps
+evaluated on the whole active batch at every step through
+``batch_control``.
 
 ``stop_on_violation`` semantics: when ``True`` (the default, and what every
 metric uses) a trajectory stops at the *first* unsafe state -- no further
@@ -35,18 +38,15 @@ the first offence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Protocol, Sequence
+from typing import TYPE_CHECKING, List, Optional, Protocol, Sequence
 
 import numpy as np
 
 from repro.systems.base import ControlSystem
 from repro.utils.seeding import RngLike, get_rng
 
-#: A controller maps the observed state to a (possibly unclipped) control.
-#: Controllers may additionally expose ``batch_control(states) -> controls``
-#: (mapping ``(N, state_dim)`` to ``(N, control_dim)``), which the batched
-#: engine uses when present instead of looping over rows.
-ControllerFn = Callable[[np.ndarray], np.ndarray]
+if TYPE_CHECKING:
+    from repro.experts.base import Controller
 
 
 class PerturbationFn(Protocol):
@@ -163,24 +163,15 @@ class TrajectoryBatch:
         )
 
 
-def batch_controls(controller: ControllerFn, states: np.ndarray) -> np.ndarray:
-    """Evaluate a controller on an ``(N, state_dim)`` batch of observations.
+def batch_controls(controller: Controller, states: np.ndarray) -> np.ndarray:
+    """The (unclipped) ``(N, control_dim)`` float64 controls of ``controller``
+    on an ``(N, state_dim)`` batch of observations."""
 
-    Uses the controller's ``batch_control`` method when available and falls
-    back to looping over rows; always returns shape ``(N, control_dim)``.
-    """
-
-    batch = getattr(controller, "batch_control", None)
-    if batch is not None:
-        return np.atleast_2d(np.asarray(batch(states), dtype=np.float64))
-    return np.stack(
-        [np.atleast_1d(np.asarray(controller(state), dtype=np.float64)) for state in states],
-        axis=0,
-    )
+    return np.atleast_2d(np.asarray(controller.batch_control(states), dtype=np.float64))
 
 
 def weighted_expert_controls(
-    experts: Sequence[ControllerFn], weights: np.ndarray, states: np.ndarray, control_dim: int
+    experts: Sequence[Controller], weights: np.ndarray, states: np.ndarray, control_dim: int
 ) -> np.ndarray:
     """Eq. (4)'s weighted expert sum over an ``(N, state_dim)`` batch.
 
@@ -203,7 +194,7 @@ def weighted_expert_controls(
 
 def rollout_batch(
     system: ControlSystem,
-    controller: ControllerFn,
+    controller: Controller,
     initial_states: Sequence[Sequence[float]],
     horizon: Optional[int] = None,
     perturbation: Optional[PerturbationFn] = None,
@@ -230,10 +221,8 @@ def rollout_batch(
     system:
         The plant to control.
     controller:
-        Maps the observed state to a control command; ``batch_control`` is
-        used when available.  Stateful controllers (e.g. PID) keep a single
-        internal state, which lockstep evaluation would interleave across
-        batch members -- roll those out one by one via :func:`rollout`.
+        Maps each step's ``(n_active, state_dim)`` observations to control
+        commands through its ``batch_control``.
     initial_states:
         Array-like of shape ``(N, state_dim)``.
     horizon:
@@ -335,7 +324,7 @@ def rollout_batch(
 
 def rollout(
     system: ControlSystem,
-    controller: ControllerFn,
+    controller: Controller,
     initial_state: Sequence[float],
     horizon: Optional[int] = None,
     perturbation: Optional[PerturbationFn] = None,
@@ -391,7 +380,7 @@ class EvaluationResult:
 
 def evaluate_rollouts(
     system: ControlSystem,
-    controller: ControllerFn,
+    controller: Controller,
     initial_states: np.ndarray,
     perturbation: Optional[PerturbationFn] = None,
     horizon: Optional[int] = None,
@@ -450,7 +439,7 @@ def evaluate_rollouts(
 
 def safe_control_rate(
     system: ControlSystem,
-    controller: ControllerFn,
+    controller: Controller,
     samples: int = 500,
     perturbation: Optional[PerturbationFn] = None,
     horizon: Optional[int] = None,
@@ -475,7 +464,7 @@ def safe_control_rate(
 
 def control_energy(
     system: ControlSystem,
-    controller: ControllerFn,
+    controller: Controller,
     samples: int = 500,
     perturbation: Optional[PerturbationFn] = None,
     horizon: Optional[int] = None,

@@ -42,6 +42,7 @@ from repro.nn.network import MLP
 from repro.systems.sets import Box
 from repro.verification.intervals import Interval, apply_row_blocked
 
+#: An MLP, or a function mapping an ``(N, dim)`` batch of points to ``(N, out)``.
 FunctionLike = Union[MLP, Callable[[np.ndarray], np.ndarray]]
 
 
@@ -158,12 +159,15 @@ def _evaluate_function_batch(function: FunctionLike, points: np.ndarray) -> np.n
 
     MLPs are evaluated through :func:`apply_row_blocked` so the forward pass
     runs in fixed-width blocks: the coefficients of a box are then identical
-    whether it was fitted alone or stacked with any number of others.
+    whether it was fitted alone or stacked with any number of others.  Any
+    other function is called once on the whole ``(N, dim)`` batch, like the
+    functions :func:`repro.nn.lipschitz.empirical_lipschitz` takes; the same
+    holds for it as long as its rows do not depend on each other.
     """
 
     if isinstance(function, MLP):
         return np.atleast_2d(apply_row_blocked(function._run, points))
-    return np.atleast_2d(np.stack([np.atleast_1d(function(point)) for point in points], axis=0))
+    return np.asarray(function(points), dtype=np.float64).reshape(len(points), -1)
 
 
 def _distinct_grid_points(

@@ -78,12 +78,11 @@ class TestFGSM:
         rng = np.random.default_rng(0)
         state = np.array([0.3, 0.2])
         bound = 0.2
-        nominal = controller(state)
-        adversarial = fgsm_perturbation_batch(controller, state[None, :], bound)[0]
-        adversarial_shift = abs(controller(adversarial)[0] - nominal[0])
-        random_shifts = [
-            abs(controller(state + rng.uniform(-bound, bound, size=2))[0] - nominal[0]) for _ in range(32)
-        ]
+        nominal = controller.batch_control(state[None, :])[0, 0]
+        adversarial = fgsm_perturbation_batch(controller, state[None, :], bound)
+        adversarial_shift = abs(controller.batch_control(adversarial)[0, 0] - nominal)
+        randoms = state + rng.uniform(-bound, bound, size=(32, 2))
+        random_shifts = np.abs(controller.batch_control(randoms)[:, 0] - nominal)
         assert adversarial_shift >= np.mean(random_shifts)
 
     @pytest.mark.parametrize("scaled", [False, True])
@@ -191,8 +190,8 @@ class TestAdversaries:
         states = vanderpol.initial_set.sample(np.random.default_rng(4), count=6) * 0.9
 
         def margin_after(state, observation):
-            control = vanderpol.clip_control(controller(observation))
-            next_state = vanderpol.dynamics_batch(state[None, :], control[None, :], np.zeros((1, 1)))
+            control = vanderpol.clip_control_batch(controller.batch_control(observation[None, :]))
+            next_state = vanderpol.dynamics_batch(state[None, :], control, np.zeros((1, 1)))
             return safety_margin(vanderpol, next_state[0])
 
         for state, perturbed in zip(states, attack.perturb_batch(states, None)):

@@ -30,15 +30,15 @@ class TestSwitchingEnv:
         env = SwitchingEnv(vanderpol, vanderpol_experts, rng=0)
         states = np.array([[0.4, -0.4], [0.4, -0.4]])
         controls = env.actions_to_controls(np.array([[0.0], [1.0]]), states)
-        np.testing.assert_array_equal(controls[0], vanderpol_experts[0](states[0]))
-        np.testing.assert_array_equal(controls[1], vanderpol_experts[1](states[1]))
+        np.testing.assert_array_equal(controls[:1], vanderpol_experts[0].batch_control(states[:1]))
+        np.testing.assert_array_equal(controls[1:], vanderpol_experts[1].batch_control(states[1:]))
 
     def test_out_of_range_action_clamped(self, vanderpol, vanderpol_experts):
         env = SwitchingEnv(vanderpol, vanderpol_experts, rng=0)
         states = np.array([[0.1, 0.1], [0.1, 0.1]])
         controls = env.actions_to_controls(np.array([[7.0], [-3.0]]), states)
-        np.testing.assert_array_equal(controls[0], vanderpol_experts[1](states[0]))
-        np.testing.assert_array_equal(controls[1], vanderpol_experts[0](states[1]))
+        np.testing.assert_array_equal(controls[:1], vanderpol_experts[1].batch_control(states[:1]))
+        np.testing.assert_array_equal(controls[1:], vanderpol_experts[0].batch_control(states[1:]))
 
     def test_episode_runs(self, vanderpol, vanderpol_experts):
         env = SwitchingEnv(vanderpol, vanderpol_experts, rng=0)
@@ -55,10 +55,10 @@ class TestSwitchingController:
 
     def test_control_matches_selected_expert(self, vanderpol, vanderpol_experts):
         controller = self._controller(vanderpol, vanderpol_experts)
-        state = np.array([0.3, 0.3])
-        index = controller.selected_expert(state)
+        states = np.array([[0.3, 0.3]])
+        index = controller.switching_profile(states)[0]
         np.testing.assert_allclose(
-            controller(state), np.clip(vanderpol_experts[index](state), -20, 20)
+            controller.batch_control(states), np.clip(vanderpol_experts[index].batch_control(states), -20, 20)
         )
 
     @pytest.mark.parametrize("name", ["vanderpol", "3d", "cartpole"])
@@ -68,10 +68,10 @@ class TestSwitchingController:
         states = system.initial_set.sample(np.random.default_rng(3), count=200)
         batched = controller.batch_control(states)
         assert batched.shape == (200, system.control_dim)
-        for state, row in zip(states, batched):
-            np.testing.assert_array_equal(row, controller(state))
+        for index, row in enumerate(batched):
+            np.testing.assert_array_equal(row, controller.batch_control(states[index : index + 1])[0])
         profile = controller.switching_profile(states)
-        assert profile.tolist() == [controller.selected_expert(state) for state in states]
+        assert profile.tolist() == [controller.switching_profile(state)[0] for state in states]
 
     def test_batched_rollout_takes_one_policy_pass_per_step(self, vanderpol, vanderpol_experts):
         controller = self._controller(vanderpol, vanderpol_experts)
@@ -82,7 +82,6 @@ class TestSwitchingController:
             passes.append(len(states))
             return act_batch(states, **kwargs)
 
-        controller.policy.act = None  # a per-row fallback would fail here
         controller.policy.act_batch = counting_act_batch
         states = vanderpol.initial_set.sample(np.random.default_rng(0), count=8) * 0.5
         batch = rollout_batch(vanderpol, controller, states, horizon=5, rng=0)
@@ -125,9 +124,9 @@ class TestSwitchingTrainer:
 class TestFixedEnsemble:
     def test_control_is_convex_combination(self, vanderpol, vanderpol_experts):
         ensemble = FixedWeightEnsemble(vanderpol, vanderpol_experts, weights=[0.25, 0.75])
-        state = np.array([0.2, 0.4])
-        expected = 0.25 * vanderpol_experts[0](state) + 0.75 * vanderpol_experts[1](state)
-        np.testing.assert_allclose(ensemble(state), np.clip(expected, -20, 20))
+        states = np.array([[0.2, 0.4], [-1.5, 2.0]])
+        expected = 0.25 * vanderpol_experts[0].batch_control(states) + 0.75 * vanderpol_experts[1].batch_control(states)
+        np.testing.assert_allclose(ensemble.batch_control(states), np.clip(expected, -20, 20))
 
     def test_default_weights_uniform(self, vanderpol, vanderpol_experts):
         ensemble = FixedWeightEnsemble(vanderpol, vanderpol_experts)
@@ -147,4 +146,4 @@ class TestFixedEnsemble:
         config = DistillationConfig(hidden_sizes=(8,), epochs=10, dataset_size=200, seed=0)
         student = distill_fixed_ensemble(vanderpol, vanderpol_experts, config=config, rng=0)
         assert student.name == "fixed-ensemble-student"
-        assert student(np.array([0.1, 0.1])).shape == (1,)
+        assert student.batch_control(np.array([[0.1, 0.1]])).shape == (1, 1)

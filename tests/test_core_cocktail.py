@@ -70,15 +70,14 @@ class TestPipelineQuality:
     def test_student_controls_are_bounded_after_clipping(self, vanderpol_result):
         system, _, result = vanderpol_result
         states = system.safe_region.sample(np.random.default_rng(0), count=50)
-        for state in states:
-            control = system.clip_control(result.student(state))
-            assert np.all(np.abs(control) <= 20.0)
+        controls = system.clip_control_batch(result.student.batch_control(states))
+        assert np.all(np.abs(controls) <= 20.0)
 
     def test_student_tracks_teacher(self, vanderpol_result):
         system, _, result = vanderpol_result
         states = system.safe_region.sample(np.random.default_rng(1), count=100)
-        teacher_controls = np.stack([system.clip_control(result.mixed_controller(s)) for s in states])
-        student_controls = np.stack([result.student(s) for s in states])
+        teacher_controls = system.clip_control_batch(result.mixed_controller.batch_control(states))
+        student_controls = result.student.batch_control(states)
         mse = float(np.mean((teacher_controls - student_controls) ** 2))
         assert mse < 25.0  # controls span [-20, 20]; the student stays close
 
@@ -112,8 +111,8 @@ class TestPipelineOnOtherSystems:
         experts = make_default_experts(threed)
         pipeline = CocktailPipeline(threed, experts, CocktailConfig.fast(seed=0))
         result = pipeline.run(include_direct_baseline=False)
-        control = result.student(np.zeros(3))
-        assert control.shape == (1,)
+        control = result.student.batch_control(np.zeros((1, 3)))
+        assert control.shape == (1, 1)
         assert np.isfinite(control).all()
 
     def test_cartpole_run(self, cartpole):

@@ -51,8 +51,8 @@ class TestDataset:
         assert small_dataset.states.shape == (400, 2)
         assert small_dataset.controls.shape == (400, 1)
         # Labels are the clipped teacher outputs.
-        for state, control in zip(small_dataset.states[:20], small_dataset.controls[:20]):
-            np.testing.assert_allclose(control, np.clip(teacher(state), -20, 20))
+        states = small_dataset.states[:20]
+        np.testing.assert_allclose(small_dataset.controls[:20], np.clip(teacher.batch_control(states), -20, 20))
 
     def test_collect_invalid_size(self, vanderpol, teacher):
         with pytest.raises(ValueError):
@@ -101,7 +101,7 @@ class TestRobustDistillation:
         config = DistillationConfig(hidden_sizes=(16,), epochs=20, seed=0)
         student = RobustDistiller(vanderpol, config=config, rng=0).distill(small_dataset)
         assert student.name == "kappa_star"
-        assert student(np.array([0.1, 0.1])).shape == (1,)
+        assert student.batch_control(np.array([[0.1, 0.1]])).shape == (1, 1)
 
     def test_perturbation_bound_scales_with_state_bound(self, vanderpol):
         config = DistillationConfig(perturbation_fraction=0.1)
@@ -143,7 +143,7 @@ class TestRobustDistillation:
         config = DistillationConfig(hidden_sizes=(8,), epochs=5, adversarial_probability=0.0, seed=0)
         distiller = RobustDistiller(vanderpol, config=config, rng=0)
         student = distiller.distill(small_dataset)
-        assert np.isfinite(student(np.zeros(2))).all()
+        assert np.isfinite(student.batch_control(np.zeros((1, 2)))).all()
 
     @pytest.mark.xfail(strict=True, reason=(
         "known defect: RobustDistiller._batch_gradients adds the clean-loss "

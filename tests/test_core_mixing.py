@@ -48,12 +48,12 @@ class TestAdaptiveMixingEnv:
 
     def test_actions_to_controls_is_the_weighted_sum(self, vanderpol, vanderpol_experts):
         env = AdaptiveMixingEnv(vanderpol, vanderpol_experts, weight_bound=1.5, rng=0)
-        state = np.array([0.5, 0.5])
-        weights = np.array([0.7, -0.3])
-        expected = 0.7 * vanderpol_experts[0](state) - 0.3 * vanderpol_experts[1](state)
+        states = np.array([[0.5, 0.5]])
+        weights = np.array([[0.7, -0.3]])
+        expected = 0.7 * vanderpol_experts[0].batch_control(states) - 0.3 * vanderpol_experts[1].batch_control(states)
         expected = np.clip(expected, -20.0, 20.0)
-        control = vanderpol.clip_control_batch(env.actions_to_controls(weights[None], state[None]))
-        np.testing.assert_allclose(control[0], expected)
+        control = vanderpol.clip_control_batch(env.actions_to_controls(weights, states))
+        np.testing.assert_allclose(control, expected)
 
     def test_step_saturates_at_control_bound(self, vanderpol, vanderpol_experts):
         env = AdaptiveMixingEnv(vanderpol, vanderpol_experts, weight_bound=1.5, rng=0)
@@ -90,19 +90,21 @@ class TestMixedController:
 
     def test_weights_match_prior(self, vanderpol, vanderpol_experts):
         mixed = self._mixed(vanderpol, vanderpol_experts, prior=(0.8, 0.2))
-        np.testing.assert_allclose(mixed.weights(np.array([0.3, -0.3])), [0.8, 0.2])
+        np.testing.assert_allclose(mixed.weights_batch(np.array([[0.3, -0.3]])), [[0.8, 0.2]])
 
     def test_control_matches_manual_combination(self, vanderpol, vanderpol_experts):
         mixed = self._mixed(vanderpol, vanderpol_experts, prior=(0.8, 0.2))
-        state = np.array([0.5, -0.5])
+        states = np.array([[0.5, -0.5], [1.5, 1.5]])
         expected = np.clip(
-            0.8 * vanderpol_experts[0](state) + 0.2 * vanderpol_experts[1](state), -20.0, 20.0
+            0.8 * vanderpol_experts[0].batch_control(states) + 0.2 * vanderpol_experts[1].batch_control(states),
+            -20.0,
+            20.0,
         )
-        np.testing.assert_allclose(mixed.control(state), expected)
+        np.testing.assert_allclose(mixed.batch_control(states), expected)
 
     def test_weights_are_clipped_to_bounds(self, vanderpol, vanderpol_experts):
         mixed = self._mixed(vanderpol, vanderpol_experts, prior=(4.0, -4.0))
-        weights = mixed.weights(np.zeros(2))
+        weights = mixed.weights_batch(np.zeros((1, 2)))
         assert np.all(np.abs(weights) <= 1.5)
 
     def test_num_parameters_counts_policy(self, vanderpol, vanderpol_experts):
@@ -112,9 +114,9 @@ class TestMixedController:
     def test_uniform_mixture_reference(self, vanderpol, vanderpol_experts):
         # The no-learning reference: the fixed ensemble at its default equal weights.
         mixture = FixedWeightEnsemble(vanderpol, vanderpol_experts)
-        state = np.array([0.2, 0.3])
-        expected = 0.5 * (vanderpol_experts[0](state) + vanderpol_experts[1](state))
-        np.testing.assert_allclose(mixture(state), np.clip(expected, -20, 20))
+        states = np.array([[0.2, 0.3]])
+        expected = 0.5 * (vanderpol_experts[0].batch_control(states) + vanderpol_experts[1].batch_control(states))
+        np.testing.assert_allclose(mixture.batch_control(states), np.clip(expected, -20, 20))
 
 
 class TestMixingTrainer:
@@ -146,13 +148,13 @@ class TestMixingTrainer:
     def test_warm_started_policy_outputs_prior(self, vanderpol, vanderpol_experts):
         trainer = MixingTrainer(vanderpol, vanderpol_experts, config=MixingConfig(seed=0), rng=0)
         policy = trainer._build_warm_started_policy()
-        weights = policy.mean_action(np.array([0.7, -0.7]))
-        np.testing.assert_allclose(weights, [0.5, 0.5], atol=0.05)
+        weights = policy.mean_actions(np.array([[0.7, -0.7]]))
+        np.testing.assert_allclose(weights, [[0.5, 0.5]], atol=0.05)
 
     def test_ddpg_algorithm_path(self, vanderpol, vanderpol_experts):
         config = MixingConfig(algorithm="ddpg", epochs=1, seed=0)
         trainer = MixingTrainer(vanderpol, vanderpol_experts, config=config, rng=0)
         mixed = trainer.train(epochs=1)
         assert isinstance(mixed, MixedController)
-        control = mixed(np.array([0.1, 0.1]))
-        assert control.shape == (1,)
+        control = mixed.batch_control(np.array([[0.1, 0.1]]))
+        assert control.shape == (1, 1)

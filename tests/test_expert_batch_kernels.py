@@ -1,31 +1,54 @@
-"""The experts' array kernels against the row loop they replace.
+"""The experts' array kernels against the per-row formulas they replace.
 
-``Controller.batch_control`` -- the base-class fallback that calls the
-scalar controller once per row -- is the reference: every expert's own
-``batch_control`` must return exactly its bits, since the rollouts, the FGSM
-finite differences and the distillation labels all go through the kernel.
+The nonlinear experts' one-state formulas, frozen in
+``tests/expert_reference.py``, are the reference: every such expert's
+``batch_control`` must return exactly their bits, since the rollouts, the
+FGSM finite differences and the distillation labels all go through the
+kernel.  The linear experts (LQR, linear state feedback) are one matmul, and
+a multi-row matmul rounds differently from a one-row call on some rows, so
+every catalog expert's kernel is pinned by digest at both ``N = 1`` and a
+many-row ``N``.
 """
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from expert_reference import reference_controls
 from repro.experts.base import Controller
-from repro.experts.feedback_linearization import VanDerPolFeedbackLinearization
+from repro.experts.feedback_linearization import (
+    PendulumFeedbackLinearization,
+    VanDerPolFeedbackLinearization,
+)
 from repro.experts.polynomial import PolynomialController
 from repro.scenarios import get_scenario, list_scenarios
-from repro.systems import ThreeDimensionalSystem, VanDerPolOscillator
+from repro.systems import InvertedPendulum, ThreeDimensionalSystem, VanDerPolOscillator
+
+#: sha256 prefix, per catalog scenario, over each default expert's controls on
+#: 257 safe-region samples (seed 0): first every row called alone
+#: (``N = 1``), then all rows in one call (``N = 257``); recorded when every
+#: expert still had a scalar ``control`` beside its kernel.
+CATALOG_CONTROL_DIGESTS = {
+    "3d": "73e862aa7e1d2c1e",
+    "acc": "8a6e9b2d1c8fd911",
+    "cartpole": "f48ccc25bcab6973",
+    "pendulum": "7b23338bf206ea68",
+    "vanderpol": "f7c5adcee283aebe",
+}
 
 
 def _row_loop(expert: Controller, states) -> np.ndarray:
-    return Controller.batch_control(expert, states)
+    return reference_controls(expert, states)
 
 
 def _experts():
     return [
         (VanDerPolFeedbackLinearization(k1=4.0, k2=6.0, mu=1.0), VanDerPolOscillator()),
         (VanDerPolFeedbackLinearization(k1=2.5, k2=3.0, mu=1.7), VanDerPolOscillator()),
+        (PendulumFeedbackLinearization(), InvertedPendulum()),
         (PolynomialController.default_three_dimensional(), ThreeDimensionalSystem()),
         (
             PolynomialController(
@@ -56,7 +79,6 @@ def test_kernel_matches_row_loop_on_one_row(index):
     flat = expert.batch_control(state[0])
     assert flat.shape == single.shape
     np.testing.assert_array_equal(flat, single)
-    np.testing.assert_array_equal(flat[0], expert(state[0]))
 
 
 def test_vanderpol_kernel_squares_through_libm_pow():
@@ -84,3 +106,19 @@ def test_every_catalog_expert_has_its_own_kernel(name):
         assert type(expert).batch_control is not Controller.batch_control, (
             f"{name}: {type(expert).__name__} falls back to the row loop"
         )
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_CONTROL_DIGESTS))
+def test_catalog_expert_controls_keep_their_bits(name):
+    assert sorted(CATALOG_CONTROL_DIGESTS) == sorted(
+        scenario for scenario in list_scenarios() if get_scenario(scenario).expert_factory is not None
+    )
+    spec = get_scenario(name)
+    system = spec.make_system()
+    states = system.safe_region.sample(np.random.default_rng(0), count=257)
+    digest = hashlib.sha256()
+    for expert in spec.make_experts(system):
+        one_row = np.concatenate([expert.batch_control(states[i : i + 1]) for i in range(len(states))])
+        digest.update(np.ascontiguousarray(one_row).tobytes())
+        digest.update(np.ascontiguousarray(expert.batch_control(states)).tobytes())
+    assert digest.hexdigest()[:16] == CATALOG_CONTROL_DIGESTS[name]

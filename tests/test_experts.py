@@ -11,7 +11,6 @@ from repro.experts import (
     LinearStateFeedback,
     LQRController,
     NeuralController,
-    PIDController,
     PolynomialController,
     RandomController,
     VanDerPolFeedbackLinearization,
@@ -33,42 +32,44 @@ EXPERT_GAIN_DIGEST = "25386f726b166418"
 
 class TestBaseControllers:
     def test_function_controller(self):
-        controller = FunctionController(lambda s: [s[0] * 2.0], name="double")
-        np.testing.assert_allclose(controller(np.array([1.5])), [3.0])
+        controller = FunctionController(lambda states: states[:, :1] * 2.0, name="double")
+        np.testing.assert_allclose(controller.batch_control(np.array([[1.5], [-1.0]])), [[3.0], [-2.0]])
         assert controller.name == "double"
 
     def test_zero_controller(self):
         controller = ZeroController(control_dim=2)
-        np.testing.assert_allclose(controller(np.array([1.0, 2.0, 3.0])), [0.0, 0.0])
+        np.testing.assert_allclose(controller.batch_control(np.ones((4, 3))), np.zeros((4, 2)))
 
     def test_random_controller_bounded(self):
         controller = RandomController([-1.0], [1.0], rng=0)
-        for _ in range(50):
-            assert np.all(np.abs(controller(np.zeros(2))) <= 1.0)
+        controls = controller.batch_control(np.zeros((50, 2)))
+        assert controls.shape == (50, 1)
+        assert np.all(np.abs(controls) <= 1.0)
+        assert len(np.unique(controls)) == 50  # one draw per row
 
     def test_linear_state_feedback(self):
         controller = LinearStateFeedback([[1.0, 2.0]])
-        np.testing.assert_allclose(controller(np.array([1.0, 1.0])), [-3.0])
+        np.testing.assert_allclose(controller.batch_control(np.array([[1.0, 1.0]])), [[-3.0]])
 
     def test_linear_state_feedback_batch_matches_single(self):
         controller = LinearStateFeedback([[0.5, -0.3]])
         states = np.random.default_rng(0).normal(size=(10, 2))
         batch = controller.batch_control(states)
-        singles = np.stack([controller(state) for state in states])
+        singles = np.concatenate([controller.batch_control(state[None, :]) for state in states])
         np.testing.assert_allclose(batch, singles)
 
-    def test_controller_output_is_1d_array(self):
-        controller = FunctionController(lambda s: 3.0)
-        output = controller(np.zeros(2))
-        assert output.shape == (1,)
+    def test_controller_output_is_2d_array(self):
+        controller = FunctionController(lambda states: np.full(len(states), 3.0))
+        assert controller.batch_control(np.zeros(2)).shape == (1, 1)
+        assert controller.batch_control(np.zeros((5, 2))).shape == (5, 1)
 
 
 class TestNeuralController:
     def test_wraps_mlp(self):
         net = MLP(2, 1, hidden_sizes=(8,), seed=0)
         controller = NeuralController(net, name="student")
-        state = np.array([0.3, -0.3])
-        np.testing.assert_allclose(controller(state), net.predict(state))
+        states = np.array([[0.3, -0.3], [0.1, 0.2]])
+        np.testing.assert_allclose(controller.batch_control(states), net.predict(states))
 
     def test_output_scaling(self):
         net = MLP(2, 1, hidden_sizes=(8,), output_activation="tanh", seed=0)
@@ -86,7 +87,8 @@ class TestNeuralController:
         controller = NeuralController(net)
         states = np.random.default_rng(0).normal(size=(5, 3))
         np.testing.assert_allclose(
-            controller.batch_control(states), np.stack([controller(s) for s in states])
+            controller.batch_control(states),
+            np.concatenate([controller.batch_control(s[None, :]) for s in states]),
         )
 
 
@@ -127,50 +129,26 @@ class TestLQR:
         controller = LQRController(cartpole, control_cost=0.1)
         states = np.random.default_rng(0).normal(size=(6, 4)) * 0.1
         np.testing.assert_allclose(
-            controller.batch_control(states), np.stack([controller(s) for s in states])
+            controller.batch_control(states),
+            np.concatenate([controller.batch_control(s[None, :]) for s in states]),
         )
-
-
-class TestPID:
-    def test_proportional_only(self):
-        controller = PIDController(kp=2.0, selection=[1.0, 0.0], setpoint=0.0)
-        np.testing.assert_allclose(controller(np.array([0.5, 9.0])), [-1.0])
-
-    def test_integral_accumulates(self):
-        controller = PIDController(kp=0.0, ki=1.0, dt=1.0, selection=[1.0])
-        first = controller(np.array([1.0]))
-        second = controller(np.array([1.0]))
-        assert second[0] < first[0] < 0.0
-
-    def test_reset_clears_state(self):
-        controller = PIDController(kp=1.0, ki=1.0, kd=1.0, dt=0.1, selection=[1.0])
-        controller(np.array([1.0]))
-        controller(np.array([2.0]))
-        controller.reset()
-        after_reset = controller(np.array([1.0]))
-        fresh = PIDController(kp=1.0, ki=1.0, kd=1.0, dt=0.1, selection=[1.0])(np.array([1.0]))
-        np.testing.assert_allclose(after_reset, fresh)
-
-    def test_output_limit(self):
-        controller = PIDController(kp=100.0, selection=[1.0], output_limit=5.0)
-        assert abs(controller(np.array([10.0]))[0]) <= 5.0
 
 
 class TestPolynomial:
     def test_linear_factory(self):
         controller = PolynomialController.linear([1.0, 2.0, 3.0])
-        np.testing.assert_allclose(controller(np.array([1.0, 1.0, 1.0])), [-6.0])
+        np.testing.assert_allclose(controller.batch_control(np.array([[1.0, 1.0, 1.0]])), [[-6.0]])
         assert controller.degree() == 1
 
     def test_quadratic_terms(self):
         controller = PolynomialController([[(1.0, (2, 0)), (-1.0, (0, 1))]])
-        np.testing.assert_allclose(controller(np.array([3.0, 2.0])), [9.0 - 2.0])
+        np.testing.assert_allclose(controller.batch_control(np.array([[3.0, 2.0]])), [[9.0 - 2.0]])
         assert controller.degree() == 2
 
     def test_default_three_dimensional_is_low_gain(self, threed):
         controller = PolynomialController.default_three_dimensional()
-        outputs = [abs(controller(state)[0]) for state in threed.safe_region.sample(np.random.default_rng(0), 100)]
-        assert max(outputs) < 2.0  # small controls within the unit box
+        outputs = controller.batch_control(threed.safe_region.sample(np.random.default_rng(0), 100))
+        assert np.max(np.abs(outputs)) < 2.0  # small controls within the unit box
 
     def test_requires_polynomials(self):
         with pytest.raises(ValueError):
@@ -207,8 +185,8 @@ class TestFactory:
         assert experts[1].name == "kappa2"
         for expert in experts:
             assert isinstance(expert, Controller)
-            output = expert(system.initial_set.center)
-            assert output.shape == (system.control_dim,)
+            output = expert.batch_control(system.initial_set.center[None, :])
+            assert output.shape == (1, system.control_dim)
 
     def test_experts_have_complementary_quality(self, vanderpol):
         kappa1, kappa2 = make_default_experts(vanderpol)
@@ -233,8 +211,8 @@ class TestDDPGExpert:
         spec = DDPGExpertSpec(hidden_sizes=(16,), episodes=2, seed=0, name="tiny")
         expert = train_ddpg_expert(vanderpol, spec, rng=0, episodes=1)
         assert expert.name == "tiny"
-        output = expert(np.array([0.1, -0.1]))
-        assert output.shape == (1,)
+        output = expert.batch_control(np.array([[0.1, -0.1]]))
+        assert output.shape == (1, 1)
         assert np.all(np.abs(output) <= 20.0)
         assert expert.network.num_parameters() > 0
 

@@ -28,15 +28,14 @@ class TestMPCConstruction:
 
 class TestMPCBehaviour:
     def test_control_is_bounded(self, vanderpol, mpc):
-        for _ in range(5):
-            state = vanderpol.initial_set.sample(np.random.default_rng(0))
-            control = mpc(state)
-            assert control.shape == (1,)
-            assert np.all(np.abs(control) <= 20.0 + 1e-12)
+        states = vanderpol.initial_set.sample(np.random.default_rng(0), count=5)
+        controls = mpc.batch_control(states)
+        assert controls.shape == (5, 1)
+        assert np.all(np.abs(controls) <= 20.0 + 1e-12)
 
     def test_pushes_state_towards_origin(self, vanderpol, mpc):
         states = np.array([[1.0, 1.0], [1.0, 1.0]])
-        controls = np.stack([mpc(states[0]), np.zeros(1)])
+        controls = np.concatenate([mpc.batch_control(states[:1]), np.zeros((1, 1))])
         next_state, baseline = vanderpol.dynamics_batch(states, controls, np.zeros((2, 1)))
         assert np.linalg.norm(next_state) < np.linalg.norm(baseline)
 
@@ -46,17 +45,35 @@ class TestMPCBehaviour:
         assert trajectory.safe
         assert np.linalg.norm(trajectory.states[-1]) < np.linalg.norm(trajectory.states[0])
 
-    def test_warm_start_reused_and_reset(self, vanderpol, mpc):
-        mpc(np.array([0.5, 0.5]))
-        assert mpc._warm_start is not None
-        mpc.reset()
-        assert mpc._warm_start is None
+    def test_rows_search_independently_in_lockstep(self, vanderpol):
+        """Row ``i`` of a batch is the CEM search a lone call makes on the
+        ``i``-th slice of the same draws: one ``(N, S, horizon, m)`` draw per
+        iteration, consumed row-major."""
+
+        states = np.array([[1.0, 1.0], [-0.5, 0.8], [0.2, -1.4]])
+        batched = MPCController(vanderpol, horizon=5, num_samples=16, num_iterations=1, rng=3)
+        controls = batched.batch_control(states)
+        draws = np.random.default_rng(3).normal(0.0, 20.0, size=(3, 16, 5, 1))
+        for row, state in enumerate(states):
+            samples = np.clip(draws[row], -20.0, 20.0)
+            costs = batched._sequence_costs(state[None, :], samples[None])[0]
+            np.testing.assert_allclose(controls[row], samples[np.argmin(costs), 0], rtol=1e-12)
+
+    def test_memoryless(self, vanderpol):
+        state = np.array([[0.5, 0.5]])
+        first = MPCController(vanderpol, horizon=4, num_samples=16, rng=0)
+        fresh = MPCController(vanderpol, horizon=4, num_samples=16, rng=0)
+        first.batch_control(np.array([[1.5, -1.0]]))
+        second_call = first.batch_control(state)
+        # A repeat call differs only through the generator stream it consumes.
+        fresh.batch_control(np.array([[0.0, 0.0]]))
+        np.testing.assert_array_equal(second_call, fresh.batch_control(state))
 
     def test_unsafe_predictions_penalised(self, threed):
         # From a state near the boundary the MPC must brake rather than push out.
         mpc = MPCController(threed, horizon=5, num_samples=48, num_iterations=2, rng=0)
         states = np.array([[0.45, 0.3, 0.2], [0.45, 0.3, 0.2]])
-        controls = np.stack([mpc(states[0]), np.zeros(1)])
+        controls = np.concatenate([mpc.batch_control(states[:1]), np.zeros((1, 1))])
         next_state, uncontrolled = threed.dynamics_batch(states, controls, np.zeros((2, 3)))
         assert next_state[2] <= uncontrolled[2]  # z is braked downward
 
@@ -64,7 +81,7 @@ class TestMPCBehaviour:
         mpc = MPCController(vanderpol, horizon=4, num_samples=8, rng=0)
         samples = np.random.default_rng(1).uniform(-30.0, 30.0, size=(8, 4, 1))
         state = np.array([1.5, 1.0])
-        costs = mpc._sequence_costs(state, samples)
+        costs = mpc._sequence_costs(state[None, :], samples[None])[0]
         penalised = 0
         for sample, cost in zip(samples, costs):
             expected, current = 0.0, state[None, :]

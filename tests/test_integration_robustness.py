@@ -69,8 +69,8 @@ class TestLipschitzMechanism:
         system, direct, robust = distilled_pair
         rng = np.random.default_rng(2)
         states = system.initial_set.sample(rng, count=50) * 0.5
-        direct_controls = np.stack([direct(s) for s in states])
-        robust_controls = np.stack([robust(s) for s in states])
+        direct_controls = direct.batch_control(states)
+        robust_controls = robust.batch_control(states)
         # Both regressed the same teacher; near the origin they should agree
         # to within a couple of control units (the teacher spans ~[-10, 10]).
         assert float(np.mean(np.abs(direct_controls - robust_controls))) < 2.0

@@ -90,7 +90,7 @@ def _reference_bernstein_grid_batch(lows, highs, degrees):
 def _reference_evaluate_function_batch(function, points):
     if isinstance(function, MLP):
         return np.atleast_2d(_reference_apply_row_blocked(function.predict, points))
-    return np.atleast_2d(np.stack([np.atleast_1d(function(point)) for point in points], axis=0))
+    return np.asarray(function(points), dtype=np.float64).reshape(len(points), -1)
 
 
 def _reference_bernstein_coefficients_batch(function, lows, highs, degrees):
@@ -470,11 +470,10 @@ def test_dedup_fit_on_a_kd_bisection(seed, dimension, leaves, degree):
     _assert_matches_per_box_fits(_network(rng, dimension), lows, highs, [degree] * dimension)
 
 
-def _signed_zero_probe(point):
+def _signed_zero_probe(points):
     """Tells ``-0.0`` from ``0.0``: ``atan2(+-0, -1) = +-pi``."""
 
-    point = np.asarray(point)
-    return np.array([np.arctan2(point[0], -1.0), np.sum(np.copysign(1.0, point))])
+    return np.stack([np.arctan2(points[:, 0], -1.0), np.sum(np.copysign(1.0, points), axis=1)], axis=1)
 
 
 def test_dedup_keeps_signed_zeros_apart():
@@ -492,9 +491,9 @@ def test_dedup_keeps_signed_zeros_apart():
 def test_dedup_evaluates_each_distinct_point_once_for_a_plain_callable():
     seen = []
 
-    def function(point):
-        seen.append(np.asarray(point).tobytes())
-        return np.array([np.sin(point[0]) * np.cos(point[1]), point[0] - point[1] ** 2])
+    def function(points):
+        seen.extend(point.tobytes() for point in points)
+        return np.stack([np.sin(points[:, 0]) * np.cos(points[:, 1]), points[:, 0] - points[:, 1] ** 2], axis=1)
 
     lows, highs = _uniform_tiling(np.array([-1.0, 0.0]), np.array([1.0, 2.0]), 4)
     _assert_matches_per_box_fits(function, lows, highs, [3, 2])

@@ -1,4 +1,5 @@
-"""Tests for the one gradient path: ``MLP._run`` + ``MLP._vjp``.
+"""Tests for the one gradient path: ``MLP._run`` + ``MLP._vjp`` (and
+``MLP._input_vjp``, its input-gradient-only walk).
 
 Every training loss hands :meth:`MLP._vjp` an upstream gradient of the
 network output and reads back the parameter (and optionally input)
@@ -146,6 +147,24 @@ class TestVJP:
         np.testing.assert_array_equal(first[0], second[0])
         for left, right in zip(first[1], second[1]):
             np.testing.assert_array_equal(left, right)
+
+    @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+    @pytest.mark.parametrize("shape", [(9, 3), (4, 6, 3)])
+    def test_input_vjp_is_the_input_gradient_alone(self, activation, shape):
+        """``_input_vjp`` (the DDPG actor step and FGSM) returns ``_vjp``'s
+        input gradient bit for bit, and no parameter gradient at all."""
+
+        network = _network(activation, "tanh")
+        rng = np.random.default_rng(10)
+        rows, upstream = rng.normal(size=shape), rng.normal(size=shape[:-1] + (2,))
+        saved: list = []
+        network._run(rows, saved)
+        expected, _ = network._vjp(saved, upstream, True)
+        upstream_copy = upstream.copy()
+        gradient = network._input_vjp(saved, upstream)
+        assert isinstance(gradient, np.ndarray) and gradient.shape == rows.shape
+        assert gradient.tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(upstream, upstream_copy)
 
 
 class TestActivationVJP:

@@ -177,8 +177,8 @@ class TestControlEnv:
         _obs, _rewards, _dones, info = env.step(actions)
         assert info["controls"].shape == (4, system.control_dim)
         for index, action in enumerate(actions):
-            expected = system.clip_control(experts[action](states[index]))
-            np.testing.assert_array_equal(info["controls"][index], expected)
+            expected = system.clip_control_batch(experts[action].batch_control(states[index : index + 1]))
+            np.testing.assert_array_equal(info["controls"][index], expected[0])
         # Rows given different experts at the same step must not all
         # receive row 0's control.
         assert not np.allclose(info["controls"][0], info["controls"][1])
@@ -218,10 +218,11 @@ class TestAdaptiveMixingEnv:
         actions = rng.uniform(-1.0, 1.0, size=(6, len(experts)))
         batched = system.clip_control_batch(env.actions_to_controls(actions, states))
         for index in range(6):
-            expected = system.clip_control(
-                sum(weight * expert(states[index]) for weight, expert in zip(actions[index], experts))
+            row = states[index : index + 1]
+            expected = system.clip_control_batch(
+                sum(weight * expert.batch_control(row) for weight, expert in zip(actions[index], experts))
             )
-            np.testing.assert_allclose(batched[index], expected, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(batched[index], expected[0], rtol=1e-12, atol=1e-12)
 
     def test_requires_two_experts(self):
         system = make_system("vanderpol")

@@ -19,25 +19,25 @@ class TestGaussianPolicy:
 
     def test_act_within_bounds(self):
         policy = self._policy()
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            action, log_prob = policy.act(np.array([0.3, -0.4]), rng=rng)
-            assert np.all(action >= -1.5) and np.all(action <= 1.5)
-            assert np.isfinite(log_prob)
+        actions, log_probs = policy.act_batch(np.tile([0.3, -0.4], (50, 1)), rng=np.random.default_rng(0))
+        assert actions.shape == (50, 2) and log_probs.shape == (50,)
+        assert np.all(actions >= -1.5) and np.all(actions <= 1.5)
+        assert np.all(np.isfinite(log_probs))
 
     def test_deterministic_action_is_mean(self):
         policy = self._policy()
-        state = np.array([0.1, 0.2])
-        action, _ = policy.act(state, deterministic=True)
-        np.testing.assert_allclose(action, policy.mean_action(state))
+        states = np.array([[0.1, 0.2], [3.0, -2.0]])
+        actions, _ = policy.act_batch(states, deterministic=True)
+        np.testing.assert_allclose(actions, policy.mean_actions(states))
 
     def test_log_prob_matches_act(self):
         policy = self._policy()
-        state = np.array([0.5, -0.5])
-        action, log_prob = policy.act(state, rng=np.random.default_rng(1))
-        # act() clips the action; for unclipped samples the densities agree.
-        if np.all(np.abs(action) < 1.5):
-            np.testing.assert_allclose(policy.log_prob(state[None, :], action[None, :])[0], log_prob, rtol=1e-9)
+        states = np.tile([0.5, -0.5], (20, 1))
+        actions, log_probs = policy.act_batch(states, rng=np.random.default_rng(1))
+        # act_batch() clips the actions; for unclipped samples the densities agree.
+        inside = np.all(np.abs(actions) < 1.5, axis=1)
+        assert inside.any()
+        np.testing.assert_allclose(policy.log_prob(states, actions)[inside], log_probs[inside], rtol=1e-9)
 
     def test_log_prob_matches_the_gaussian_formula(self):
         policy = self._policy()
@@ -92,33 +92,26 @@ class TestCategoricalPolicy:
     def _policy(self, num_actions=3):
         return CategoricalMLPPolicy(2, num_actions, hidden_sizes=(16,), seed=0)
 
-    def test_probabilities_sum_to_one(self):
-        policy = self._policy()
-        probabilities = policy.probabilities(np.array([0.2, -0.3]))
-        assert probabilities.shape == (3,)
-        assert probabilities.sum() == pytest.approx(1.0)
-        assert np.all(probabilities >= 0.0)
-
     def test_act_returns_valid_index(self):
         policy = self._policy()
-        rng = np.random.default_rng(0)
-        actions = {policy.act(np.array([0.0, 0.0]), rng=rng)[0] for _ in range(100)}
-        assert actions <= {0, 1, 2}
+        actions, _ = policy.act_batch(np.zeros((100, 2)), rng=np.random.default_rng(0))
+        assert actions.shape == (100,)
+        assert set(actions.tolist()) <= {0, 1, 2}
 
     def test_deterministic_act_is_argmax(self):
         policy = self._policy()
-        state = np.array([0.4, 0.1])
-        action, _ = policy.act(state, deterministic=True)
-        assert action == int(np.argmax(policy.probabilities(state)))
+        states = np.array([[0.4, 0.1], [-2.0, 1.0]])
+        actions, _ = policy.act_batch(states, deterministic=True)
+        np.testing.assert_array_equal(actions, np.argmax(policy.logits_net.predict(states), axis=1))
 
     def test_log_prob_matches_probabilities(self):
         policy = self._policy()
         states = np.array([[0.1, 0.2], [0.3, -0.1]])
         actions = np.array([0, 2])
         log_probs = policy.log_prob(states, actions)
-        for row, (state, action) in enumerate(zip(states, actions)):
-            expected = np.log(policy.probabilities(state)[action])
-            assert log_probs[row] == pytest.approx(expected, rel=1e-6)
+        exp = np.exp(policy.logits_net.predict(states))
+        probabilities = exp / exp.sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(log_probs, np.log(probabilities[[0, 1], actions]), rtol=1e-6)
 
     def test_log_probs_over_every_action_normalise(self):
         policy = self._policy(num_actions=4)
@@ -135,22 +128,16 @@ class TestDeterministicPolicy:
     def test_output_within_bounds(self):
         policy = DeterministicMLPPolicy(3, 2, action_low=[-5, -1], action_high=[5, 1], hidden_sizes=(16,), seed=0)
         states = np.random.default_rng(0).normal(size=(50, 3)) * 10
-        for state in states:
-            action = policy.act(state)
-            assert np.all(action >= [-5, -1]) and np.all(action <= [5, 1])
+        actions = policy.act_batch(states)
+        assert np.all(actions >= [-5, -1]) and np.all(actions <= [5, 1])
 
     def test_noise_changes_action_but_stays_bounded(self):
         policy = DeterministicMLPPolicy(2, 1, action_low=[-1], action_high=[1], seed=0)
-        state = np.array([0.1, 0.1])
-        clean = policy.act(state)
-        noisy = policy.act(state, noise_scale=0.5, rng=np.random.default_rng(0))
-        assert not np.allclose(clean, noisy)
+        states = np.tile([0.1, 0.1], (8, 1))
+        clean = policy.act_batch(states)
+        noisy = policy.act_batch(states, noise_scale=0.5, rng=np.random.default_rng(0))
+        assert not np.any(np.isclose(clean, noisy))
         assert np.all(np.abs(noisy) <= 1.0)
-
-    def test_actions_match_act(self):
-        policy = DeterministicMLPPolicy(2, 1, action_low=[-3], action_high=[3], seed=0)
-        state = np.array([0.4, -0.2])
-        np.testing.assert_allclose(policy.actions(state[None, :])[0], policy.act(state), atol=1e-12)
 
     def test_act_batch_clips_the_noise_free_actions(self):
         policy = DeterministicMLPPolicy(2, 2, action_low=[-1, 0], action_high=[1, 4], hidden_sizes=(8,), seed=1)
@@ -162,11 +149,11 @@ class TestDeterministicPolicy:
 
 
 class TestValueAndQNetworks:
-    def test_value_network_scalar(self):
+    def test_value_network_values(self):
         value_net = ValueNetwork(3, hidden_sizes=(8,), seed=0)
-        assert isinstance(value_net.value(np.zeros(3)), float)
         values = value_net.values(np.zeros((5, 3)))
         assert values.shape == (5,)
+        assert value_net.values(np.zeros(3)).shape == (1,)
 
     def test_q_network_shapes(self):
         q_net = QNetwork(3, 2, hidden_sizes=(8,), seed=0)
@@ -208,17 +195,12 @@ def _deterministic():
 _ENTRY_POINTS = {
     "gaussian-log_prob": (_gaussian, lambda p, s, a: p.log_prob(s, a)),
     "gaussian-act_batch": (_gaussian, lambda p, s, a: p.act_batch(s, rng=0)),
-    "gaussian-act": (_gaussian, lambda p, s, a: p.act(s[0], rng=0)),
     "gaussian-mean_actions": (_gaussian, lambda p, s, a: p.mean_actions(s)),
-    "gaussian-mean_action": (_gaussian, lambda p, s, a: p.mean_action(s[0])),
     "categorical-log_prob": (_categorical, lambda p, s, a: p.log_prob(s, np.array([0, 2, 1, 0]))),
     "categorical-act_batch": (_categorical, lambda p, s, a: p.act_batch(s, rng=0)),
-    "categorical-probabilities": (_categorical, lambda p, s, a: p.probabilities(s[0])),
     "deterministic-actions": (_deterministic, lambda p, s, a: p.actions(s)),
     "deterministic-act_batch": (_deterministic, lambda p, s, a: p.act_batch(s, noise_scale=0.1, rng=0)),
-    "deterministic-act": (_deterministic, lambda p, s, a: p.act(s[0])),
     "value-values": (lambda: ValueNetwork(2, hidden_sizes=(8,), seed=0), lambda p, s, a: p.values(s)),
-    "value-value": (lambda: ValueNetwork(2, hidden_sizes=(8,), seed=0), lambda p, s, a: p.value(s[0])),
     "q-q_values": (lambda: QNetwork(2, 2, hidden_sizes=(8,), seed=0), lambda p, s, a: p.q_values(s, a)),
 }
 

@@ -126,11 +126,11 @@ class TestScenarioConformance:
         assert experts[1].name == "kappa2"
         states = np.stack([system.initial_set.center] * 5)
         for expert in experts:
-            scalar = expert(system.initial_set.center)
-            assert scalar.shape == (system.control_dim,)
+            single = expert.batch_control(states[:1])
+            assert single.shape == (1, system.control_dim)
             batched = expert.batch_control(states)
             assert batched.shape == (5, system.control_dim)
-            np.testing.assert_allclose(batched[0], scalar, atol=1e-12)
+            np.testing.assert_allclose(batched[:1], single, atol=1e-12)
 
     def test_disturbance_batch_within_bound(self, name, bundles):
         _, system = bundles[name]

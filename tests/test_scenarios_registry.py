@@ -177,8 +177,8 @@ class TestExpertFactoryRewiring:
         assert len(experts) == 2
         assert [expert.name for expert in experts] == ["kappa1", "kappa2"]
         for expert in experts:
-            output = expert(system.initial_set.center)
-            assert output.shape == (system.control_dim,)
+            output = expert.batch_control(system.initial_set.center[None, :])
+            assert output.shape == (1, system.control_dim)
             batched = expert.batch_control(np.stack([system.initial_set.center] * 3))
             assert batched.shape == (3, system.control_dim)
 

@@ -23,7 +23,7 @@ from repro.attacks import (
     pgd_perturbation_batch,
     perturbation_budget,
 )
-from repro.experts import LinearStateFeedback, NeuralController, ZeroController
+from repro.experts import FunctionController, LinearStateFeedback, NeuralController, ZeroController
 from repro.nn.network import MLP
 from repro.systems import make_system
 from repro.systems.simulation import (
@@ -34,13 +34,17 @@ from repro.systems.simulation import (
 )
 
 
-def stabilising_controller(state):
-    s1, s2 = state
-    return np.array([-(1 - s1**2) * s2 + s1 - 4 * s1 - 6 * s2])
+def _stabilising(states):
+    s1, s2 = states[:, 0], states[:, 1]
+    return (-(1 - s1**2) * s2 + s1 - 4 * s1 - 6 * s2)[:, None]
 
 
-def destabilising_controller(state):
-    return np.array([20.0 * np.sign(state[1] if state[1] != 0 else 1.0)])
+def _destabilising(states):
+    return 20.0 * np.where(states[:, 1:] != 0, np.sign(states[:, 1:]), 1.0)
+
+
+stabilising_controller = FunctionController(_stabilising, name="stabilising")
+destabilising_controller = FunctionController(_destabilising, name="destabilising")
 
 
 SYSTEM_NAMES = ["vanderpol", "3d", "cartpole"]

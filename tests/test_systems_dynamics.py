@@ -124,15 +124,6 @@ class TestCartPole:
 
 
 class TestControlSystemBase:
-    def test_clip_control(self, vanderpol):
-        np.testing.assert_allclose(vanderpol.clip_control([100.0]), [20.0])
-        np.testing.assert_allclose(vanderpol.clip_control([-100.0]), [-20.0])
-        np.testing.assert_allclose(vanderpol.clip_control([3.0]), [3.0])
-
-    def test_clip_control_dimension_check(self, vanderpol):
-        with pytest.raises(ValueError):
-            vanderpol.clip_control([1.0, 2.0])
-
     def test_step_batch_validates_state_shape(self, vanderpol):
         with pytest.raises(ValueError):
             vanderpol.step_batch(np.zeros((1, 3)), np.zeros((1, 1)))

@@ -66,10 +66,6 @@ class TestGeometry:
         assert overlap == Box([1, 1], [2, 2])
         assert a.intersection(c) is None
 
-    def test_clip(self):
-        box = Box([-1, -1], [1, 1])
-        np.testing.assert_allclose(box.clip([5.0, -5.0]), [1.0, -1.0])
-
     def test_expand_and_scale(self):
         box = Box([-1, -1], [1, 1])
         expanded = box.expand(0.5)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.experts import ZeroController
+from repro.experts import FunctionController, ZeroController
 from repro.systems.simulation import (
     control_energy,
     evaluate_rollouts,
@@ -13,17 +13,21 @@ from repro.systems.simulation import (
 )
 
 
-def stabilising_controller(state):
+def _stabilising(states):
     """Feedback-linearising controller used as a known-safe reference."""
 
-    s1, s2 = state
-    return np.array([-(1 - s1**2) * s2 + s1 - 4 * s1 - 6 * s2])
+    s1, s2 = states[:, 0], states[:, 1]
+    return (-(1 - s1**2) * s2 + s1 - 4 * s1 - 6 * s2)[:, None]
 
 
-def destabilising_controller(state):
+def _destabilising(states):
     """Pushes the state outward: guaranteed to violate safety quickly."""
 
-    return np.array([20.0 * np.sign(state[1] if state[1] != 0 else 1.0)])
+    return 20.0 * np.where(states[:, 1:] != 0, np.sign(states[:, 1:]), 1.0)
+
+
+stabilising_controller = FunctionController(_stabilising, name="stabilising")
+destabilising_controller = FunctionController(_destabilising, name="destabilising")
 
 
 class TestRollout:
@@ -62,7 +66,8 @@ class TestRollout:
         assert trajectory.steps == 7
 
     def test_controls_are_clipped(self, vanderpol):
-        trajectory = rollout(vanderpol, lambda s: np.array([1000.0]), [0.0, 0.0], horizon=5, rng=0)
+        huge = FunctionController(lambda states: np.full((len(states), 1), 1000.0))
+        trajectory = rollout(vanderpol, huge, [0.0, 0.0], horizon=5, rng=0)
         assert np.all(np.abs(trajectory.controls) <= 20.0)
 
     def test_perturbation_applied_to_observation_only(self, vanderpol):
@@ -70,9 +75,11 @@ class TestRollout:
         # (and outputs zero control), but the true state still evolves.
         observed = []
 
-        def spy_controller(state):
-            observed.append(state.copy())
-            return np.array([0.0])
+        def spy(states):
+            observed.append(states.copy())
+            return np.zeros((len(states), 1))
+
+        spy_controller = FunctionController(spy)
 
         class ZeroObservation:
             def perturb_batch(self, states, rng):

@@ -92,8 +92,8 @@ def test_vectorized_training_runs_and_reloads(scenario, tmp_path):
     directory = tmp_path / scenario
     save_cocktail_result(result, directory, record={"system": scenario})
     reloaded = load_student_controller(directory, name="kappa_star")
-    state = system.initial_set.sample(np.random.default_rng(0))
-    np.testing.assert_array_equal(reloaded(state), result.student(state))
+    states = system.initial_set.sample(np.random.default_rng(0), count=1)
+    np.testing.assert_array_equal(reloaded.batch_control(states), result.student.batch_control(states))
 
     exit_code = main(
         [

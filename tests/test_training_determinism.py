@@ -5,11 +5,11 @@ Two load-bearing guarantees pin the PR that vectorized training:
 * **Width 1 is the batch-of-one case, bit for bit.**  ``num_envs=1`` /
   ``train_batch_size=1`` runs the historical per-step training flow
   through the batched kernels.  The reference loops in this file are the
-  historical per-step bodies: PPO rollout collection with per-state
-  ``act``/``value`` calls (it drives row 0 of the same width-1
+  historical per-step bodies: PPO rollout collection with the policy's
+  and critic's per-state formulas (it drives row 0 of the same width-1
   ``ControlEnv`` the trainer uses, so it pins the PPO loop against
   ``act_batch``/``values``, not the environment), flat-sequence GAE, and
-  per-trajectory dataset collection with per-state teacher labelling.
+  per-trajectory dataset collection with one teacher query per state.
   The batched code at width 1 must reproduce them exactly -- same
   random-stream consumption, same floating-point operations, same bits.
   The environment's own random-stream order and bits are pinned by the
@@ -43,22 +43,38 @@ from repro.utils.seeding import get_rng, set_global_seed
 # ---------------------------------------------------------------------------
 
 
+def legacy_act(policy, state, rng):
+    """The historical one-state Gaussian sample: clipped action, log density."""
+
+    mean = policy.mean_net.predict(np.asarray(state, dtype=np.float64))
+    std = np.exp(policy.log_std.data)
+    action = mean + std * rng.normal(size=policy.action_dim)
+    log_prob = float(np.sum(-0.5 * ((action - mean) / std) ** 2 - np.log(std) - 0.5 * np.log(2.0 * np.pi)))
+    return np.clip(action, policy.action_low, policy.action_high), log_prob
+
+
+def legacy_value(value_network, state):
+    """The historical one-state critic value."""
+
+    return float(np.atleast_1d(value_network.net.predict(np.asarray(state, dtype=np.float64)))[0])
+
+
 def legacy_collect_rollouts(env, policy, value_network, rng, steps):
     """The historical scalar ``PPOTrainer.collect_rollouts`` body, driving
-    row 0 of a width-1 environment (per-state policy and value calls)."""
+    row 0 of a width-1 environment (per-state policy and value formulas)."""
 
     transitions = []
     observation = env.reset()[0]
     for _ in range(steps):
-        action, log_prob = policy.act(observation, rng=rng)
-        value = value_network.value(observation)
+        action, log_prob = legacy_act(policy, observation, rng)
+        value = legacy_value(value_network, observation)
         next_observations, rewards, dones, _info = env.step(action[None, :])
         reward, done = float(rewards[0]), bool(dones[0])
         transitions.append((observation, action, reward, done, value, log_prob))
         observation = next_observations[0]
         if done:
             observation = env.reset()[0]
-    last_value = value_network.value(observation)
+    last_value = legacy_value(value_network, observation)
     return transitions, last_value
 
 
@@ -81,9 +97,7 @@ def legacy_collect_dataset(system, teacher, size, trajectory_fraction, rng):
         uniform = system.safe_region.sample(generator, count=remaining)
         states.extend(list(uniform))
     states = np.asarray(states[:size])
-    controls = np.stack(
-        [system.clip_control(np.atleast_1d(teacher(state))) for state in states], axis=0
-    )
+    controls = np.concatenate([system.clip_control_batch(teacher.batch_control(state[None, :])) for state in states])
     return states, controls
 
 
@@ -175,18 +189,14 @@ class TestVectorizedScalarEquivalence:
         np.testing.assert_array_equal(dataset.states, reference_states)
         np.testing.assert_array_equal(dataset.controls, reference_controls)
 
-    def test_mixed_controller_batch_of_one_matches_scalar_call(self):
+    def test_mixed_controller_rows_match_batches_of_one(self):
         _system, _experts, trainer = _mixing_env_and_policy(seed=0)
         teacher = trainer.train()
         states = trainer.system.safe_region.sample(np.random.default_rng(5), count=8)
-        for state in states:
-            np.testing.assert_array_equal(
-                teacher.batch_control(state[None, :])[0], teacher(state)
-            )
         # Wider batches agree numerically (BLAS rounding may differ per row).
         np.testing.assert_allclose(
             teacher.batch_control(states),
-            np.stack([teacher(state) for state in states]),
+            np.concatenate([teacher.batch_control(state[None, :]) for state in states]),
             rtol=1e-12, atol=1e-12,
         )
 
@@ -287,5 +297,5 @@ class TestEndToEndGolden:
         self._train(tmp_path / "vec", ("--num-envs", "4", "--train-batch-size", "32"))
         for directory in (tmp_path / "scalar", tmp_path / "vec"):
             controller = load_student_controller(directory, name="kappa_star")
-            state = make_system("vanderpol").initial_set.sample(np.random.default_rng(0))
-            assert np.all(np.isfinite(controller(state)))
+            states = make_system("vanderpol").initial_set.sample(np.random.default_rng(0), count=1)
+            assert np.all(np.isfinite(controller.batch_control(states)))

@@ -96,16 +96,15 @@ class TestCocktailResultPersistence:
         system, result, directory = saved_result
         reloaded = load_student_controller(directory, name="kappa_star")
         points = system.safe_region.sample(np.random.default_rng(0), count=20)
-        np.testing.assert_allclose(
-            np.stack([reloaded(p) for p in points]),
-            np.stack([result.student(p) for p in points]),
-            atol=1e-12,
-        )
+        np.testing.assert_allclose(reloaded.batch_control(points), result.student.batch_control(points), atol=1e-12)
 
     def test_direct_student_roundtrip(self, saved_result):
         _, result, directory = saved_result
         reloaded = load_student_controller(directory, name="kappaD")
-        np.testing.assert_allclose(reloaded(np.zeros(2)), result.direct_student(np.zeros(2)), atol=1e-12)
+        origin = np.zeros((1, 2))
+        np.testing.assert_allclose(
+            reloaded.batch_control(origin), result.direct_student.batch_control(origin), atol=1e-12
+        )
 
     def test_missing_controller_name(self, saved_result):
         _, _, directory = saved_result

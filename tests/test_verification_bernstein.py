@@ -74,7 +74,7 @@ class TestBinomials:
 class TestApproximationQuality:
     def test_exactly_reproduces_linear_function(self):
         box = Box([-1, -2], [1, 2])
-        approx = BernsteinApproximation(lambda x: [2.0 * x[0] - x[1] + 0.5], box, degrees=2, lipschitz_constant=3.0)
+        approx = BernsteinApproximation(lambda x: 2.0 * x[:, 0] - x[:, 1] + 0.5, box, degrees=2, lipschitz_constant=3.0)
         for point in box.sample(np.random.default_rng(0), count=50):
             expected = 2.0 * point[0] - point[1] + 0.5
             assert approx.evaluate(point)[0] == pytest.approx(expected, abs=1e-9)
@@ -94,7 +94,7 @@ class TestApproximationQuality:
 
     def test_vector_valued_function(self):
         box = Box([-1], [1])
-        approx = BernsteinApproximation(lambda x: [x[0], -x[0]], box, degrees=3, lipschitz_constant=1.5)
+        approx = BernsteinApproximation(lambda x: np.stack([x[:, 0], -x[:, 0]], axis=1), box, degrees=3, lipschitz_constant=1.5)
         assert approx.output_dim == 2
         value = approx.evaluate([0.3])
         np.testing.assert_allclose(value, [0.3, -0.3], atol=1e-9)
@@ -105,15 +105,15 @@ class TestApproximationQuality:
         assert approx.lipschitz_constant == pytest.approx(network_lipschitz(net))
 
     def test_error_bound_requires_lipschitz_constant(self):
-        approx = BernsteinApproximation(lambda x: [x[0]], Box([-1], [1]), degrees=2)
+        approx = BernsteinApproximation(lambda x: x[:, :1], Box([-1], [1]), degrees=2)
         with pytest.raises(ValueError):
             approx.error_bound()
 
     def test_degree_validation(self):
         with pytest.raises(ValueError):
-            BernsteinApproximation(lambda x: [x[0]], Box([-1], [1]), degrees=0)
+            BernsteinApproximation(lambda x: x[:, :1], Box([-1], [1]), degrees=0)
         with pytest.raises(ValueError):
-            BernsteinApproximation(lambda x: [x[0]], Box([-1, -1], [1, 1]), degrees=[2, 2, 2])
+            BernsteinApproximation(lambda x: x[:, :1], Box([-1, -1], [1, 1]), degrees=[2, 2, 2])
 
 
 class TestRangeEnclosure:
@@ -134,5 +134,5 @@ class TestRangeEnclosure:
         assert np.all(without_error.width <= with_error.width + 1e-12)
 
     def test_num_coefficients(self):
-        approx = BernsteinApproximation(lambda x: [x[0]], Box([-1, -1], [1, 1]), degrees=[2, 3], lipschitz_constant=1.0)
+        approx = BernsteinApproximation(lambda x: x[:, :1], Box([-1, -1], [1, 1]), degrees=[2, 3], lipschitz_constant=1.0)
         assert approx.num_coefficients() == 3 * 4

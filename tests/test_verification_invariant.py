@@ -24,7 +24,7 @@ def oscillator_student():
     teacher = VanDerPolFeedbackLinearization(k1=3.0, k2=4.0)
     rng = np.random.default_rng(0)
     states = system.safe_region.sample(rng, count=1000)
-    controls = np.stack([system.clip_control(teacher(state)) for state in states])
+    controls = system.clip_control_batch(teacher.batch_control(states))
     net = MLP(2, 1, hidden_sizes=(12, 12), activation="tanh", seed=0)
     optimizer = Adam(net.parameters(), lr=5e-3)
     for _ in range(300):
