@@ -16,8 +16,8 @@
 # src/repro/systems via the systems and scenario-conformance packs (every
 # plant's dynamics_batch, step_batch, the rollout engine), on
 # src/repro/experts via the expert, MPC and expert batch-kernel packs (the
-# batched LQR linearisation and MPC costs, the expert gain digest, the
-# catalog control digests), on
+# batched LQR linearisation and MPC costs, the Riccati solver and each of its
+# LinAlgError paths, the expert gain digest, the catalog control digests), on
 # src/repro/core via the core packs plus the training-determinism pack
 # (the kappa_D worker and its failure paths included), on
 # src/repro/utils/parallel.py (the one task executor) via the parallel

@@ -21,7 +21,7 @@ setup(
     package_dir={"": "src"},
     python_requires=">=3.9",
     install_requires=["numpy>=1.22"],
-    extras_require={"test": ["pytest", "pytest-benchmark"]},
+    extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis", "scipy"]},
     entry_points={"console_scripts": ["repro=repro.cli:main"]},
     classifiers=[
         "Programming Language :: Python :: 3",

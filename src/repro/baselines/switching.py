@@ -29,21 +29,23 @@ from repro.utils.seeding import RngLike, get_rng
 def selected_expert_controls(
     experts: Sequence[Controller], indices: np.ndarray, states: np.ndarray
 ) -> np.ndarray:
-    """Row ``i``'s selected expert ``experts[indices[i]]`` called on ``states[i]`` alone.
+    """Row ``i``'s control from its selected expert ``experts[indices[i]]``.
 
     The one kernel behind both the switching environment
     (:meth:`SwitchingEnv.actions_to_controls`) and the trained baseline
     (:meth:`SwitchingController.batch_control`); indices are clamped to the
-    expert list.  Each expert sees only its own row, as a batch of one: a
-    multi-row linear kernel rounds differently from a one-row call on some
-    rows, so gathering each expert's rows into one call would move the
-    switching baseline's bits.
+    expert list.  Each expert is called once, on the rows that selected it
+    gathered in row order, and its controls are scattered back to those rows.
     """
 
     indices = np.clip(np.asarray(indices).astype(int), 0, len(experts) - 1)
-    return np.concatenate(
-        [experts[index].batch_control(states[row : row + 1]) for row, index in enumerate(indices)]
+    rows = [np.flatnonzero(indices == index) for index in range(len(experts))]
+    gathered = np.concatenate(
+        [experts[index].batch_control(states[rows[index]]) for index in np.unique(indices)]
     )
+    controls = np.empty_like(gathered)
+    controls[np.concatenate(rows)] = gathered
+    return controls
 
 
 class SwitchingEnv(ControlEnv):
@@ -67,7 +69,7 @@ class SwitchingEnv(ControlEnv):
         return DiscreteSpace(len(self.experts))
 
     def actions_to_controls(self, actions: np.ndarray, states: np.ndarray) -> np.ndarray:
-        """Each row's selected expert, called on that row's state alone."""
+        """Each row's control from its selected expert (one call per expert)."""
 
         return selected_expert_controls(self.experts, actions[:, 0], states)
 
@@ -88,7 +90,7 @@ class SwitchingController(Controller):
 
     def batch_control(self, states: np.ndarray) -> np.ndarray:
         """Clipped controls for an ``(N, state_dim)`` batch: one policy pass
-        picks every row's expert, then each row calls its expert."""
+        picks every row's expert, then each expert runs on its rows."""
 
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
         indices = self.switching_profile(states)

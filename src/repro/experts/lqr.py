@@ -3,7 +3,9 @@
 The paper's model-based experts include LQR; we build one generically for
 any :class:`repro.systems.ControlSystem` by linearising the discrete dynamics
 around an equilibrium with central finite differences and solving the
-discrete algebraic Riccati equation.
+discrete algebraic Riccati equation with the structure-preserving doubling
+algorithm (SDA; Chu, Fan, Lin & Wang, Int. J. Control 2004) -- a dozen
+NumPy solves, no SciPy.
 """
 
 from __future__ import annotations
@@ -14,6 +16,52 @@ import numpy as np
 
 from repro.experts.base import Controller
 from repro.systems.base import ControlSystem
+
+
+#: Doubling step ``k`` sums ``2**k`` steps of the Riccati recursion, so a
+#: problem that has not converged after this many never will.
+MAX_DOUBLINGS = 64
+
+
+def solve_discrete_riccati(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Stabilising solution ``P`` of ``P = A'PA - A'PB (R + B'PB)^-1 B'PA + Q``.
+
+    SDA doubling from ``A_0 = A``, ``G_0 = B R^-1 B'``, ``H_0 = Q``: every
+    step squares the horizon that ``H_k`` sums, so ``H_k`` converges
+    quadratically to ``P`` (9-11 steps on the catalog plants).  Like SciPy's
+    ``solve_discrete_are`` it raises :class:`numpy.linalg.LinAlgError`, and
+    returns no matrix, when the pair is not stabilisable or not detectable:
+    an iterate overflows, the doubling does not converge, or the closed loop
+    ``A - B K`` is not stable.
+    """
+
+    identity = np.eye(A.shape[0])
+    A_k, G, H = A, B @ np.linalg.solve(R, B.T), Q
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(MAX_DOUBLINGS):
+            # W^-1 A_k and W^-1 G_k in one solve, W = I + G_k H_k.
+            WA, WG = np.hsplit(np.linalg.solve(identity + G @ H, np.hstack([A_k, G])), 2)
+            H_next = H + A_k.T @ H @ WA
+            G = G + A_k @ WG @ A_k.T
+            A_k = A_k @ WA
+            if not np.all(np.isfinite(H_next)):
+                raise np.linalg.LinAlgError("Riccati doubling overflowed: no finite stabilising solution")
+            converged = np.linalg.norm(H_next - H, 1) <= 1e-14 * np.linalg.norm(H_next, 1)
+            H = H_next
+            if converged:
+                break
+        else:
+            raise np.linalg.LinAlgError(f"Riccati doubling did not converge in {MAX_DOUBLINGS} steps")
+    P = (H + H.T) / 2
+    if np.max(np.abs(np.linalg.eigvals(A - B @ riccati_gain(A, B, R, P)))) >= 1.0:
+        raise np.linalg.LinAlgError("Riccati solution does not stabilise the closed loop A - B K")
+    return P
+
+
+def riccati_gain(A: np.ndarray, B: np.ndarray, R: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """LQR gain ``K = (R + B'PB)^-1 B'PA`` of a Riccati solution ``P``."""
+
+    return np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
 
 
 def linearize(
@@ -86,10 +134,7 @@ class LQRController(Controller):
             if np.isscalar(control_cost)
             else np.asarray(control_cost)
         )
-        from scipy.linalg import solve_discrete_are  # only LQR needs SciPy; keep it off `import repro`
-
-        P = solve_discrete_are(A, B, Q, R)
-        self.gain = np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
+        self.gain = riccati_gain(A, B, R, solve_discrete_riccati(A, B, Q, R))
         self.A = A
         self.B = B
         self.state_equilibrium = (

@@ -39,9 +39,6 @@ class BoxSpace:
         value = np.asarray(value, dtype=np.float64)
         return bool(np.all(value >= self.low) and np.all(value <= self.high))
 
-    def clip(self, value: Sequence[float]) -> np.ndarray:
-        return np.clip(np.asarray(value, dtype=np.float64), self.low, self.high)
-
     def __repr__(self) -> str:
         return f"BoxSpace(dim={self.dimension})"
 

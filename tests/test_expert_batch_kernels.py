@@ -30,11 +30,13 @@ from repro.systems import InvertedPendulum, ThreeDimensionalSystem, VanDerPolOsc
 #: sha256 prefix, per catalog scenario, over each default expert's controls on
 #: 257 safe-region samples (seed 0): first every row called alone
 #: (``N = 1``), then all rows in one call (``N = 257``); recorded when every
-#: expert still had a scalar ``control`` beside its kernel.
+#: expert still had a scalar ``control`` beside its kernel, and for the three
+#: LQR scenarios (3d, acc, cartpole) re-recorded when the SDA Riccati solver
+#: replaced SciPy's.
 CATALOG_CONTROL_DIGESTS = {
-    "3d": "73e862aa7e1d2c1e",
-    "acc": "8a6e9b2d1c8fd911",
-    "cartpole": "f48ccc25bcab6973",
+    "3d": "fccf639ca9a1aebe",
+    "acc": "35d03a71f7c63aa2",
+    "cartpole": "2ca123ad3c213072",
     "pendulum": "7b23338bf206ea68",
     "vanderpol": "f7c5adcee283aebe",
 }

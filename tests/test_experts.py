@@ -1,9 +1,16 @@
 """Tests for the expert controllers and the default expert factory."""
 
 import hashlib
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.experts import (
     Controller,
@@ -19,6 +26,7 @@ from repro.experts import (
     make_default_experts,
 )
 from repro.experts.ddpg_expert import DDPGExpertSpec, train_ddpg_expert
+from repro.experts.lqr import riccati_gain, solve_discrete_riccati
 from repro.nn.network import MLP
 from repro.scenarios import list_scenarios
 from repro.systems import make_system
@@ -26,8 +34,19 @@ from repro.systems.simulation import rollout, safe_control_rate
 
 #: sha256 prefix over ``gain``, ``A`` and ``B`` (each made contiguous) of every
 #: default expert of the catalog scenarios plus ``vanderpol?mu=1.5``, in that
-#: order; recorded when ``linearize`` still stepped the plant one state at a time.
-EXPERT_GAIN_DIGEST = "25386f726b166418"
+#: order.  ``A`` and ``B`` hold the bits ``linearize`` had when it stepped the
+#: plant one state at a time; the LQR gains were re-recorded when the SDA
+#: Riccati solver replaced SciPy's (they agree with SciPy's to ~1e-14).
+EXPERT_GAIN_DIGEST = "1a99dabe37d74742"
+
+#: Control cost ``R / I`` of every catalog LQR expert, by (scenario, name);
+#: every one has state cost ``Q = I``.
+CATALOG_LQR_CONTROL_COSTS = {
+    ("3d", "kappa1"): 0.05,
+    ("acc", "kappa1"): 0.05,
+    ("acc", "kappa2"): 8.0,
+    ("cartpole", "kappa1"): 0.05,
+}
 
 
 class TestBaseControllers:
@@ -132,6 +151,125 @@ class TestLQR:
             controller.batch_control(states),
             np.concatenate([controller.batch_control(s[None, :]) for s in states]),
         )
+
+
+def _stabilisability_margin(A, B) -> float:
+    """Smallest singular value of ``[A - lam I, B]`` over the eigenvalues
+    ``lam`` of ``A`` outside the open unit disc (the PBH test); ``inf`` when
+    ``A`` is stable.  ``(A', C')`` gives the detectability margin of ``(A, C)``."""
+
+    identity = np.eye(len(A))
+    return min(
+        (
+            np.linalg.svd(np.hstack([A - lam * identity, B]), compute_uv=False)[-1]
+            for lam in np.linalg.eigvals(A)
+            if abs(lam) >= 1.0
+        ),
+        default=np.inf,
+    )
+
+
+def _riccati_residual(A, B, Q, R, P) -> float:
+    """1-norm of the Riccati equation's residual at ``P``, relative to its terms."""
+
+    residual = A.T @ P @ A - P - A.T @ P @ B @ riccati_gain(A, B, R, P) + Q
+    scale = np.linalg.norm(P, 1) * (1.0 + np.linalg.norm(A, 1) ** 2) + np.linalg.norm(Q, 1)
+    return np.linalg.norm(residual, 1) / scale
+
+
+class TestRiccati:
+    """The SDA solver against SciPy's ``solve_discrete_are``, a test-only oracle."""
+
+    @given(
+        n=st.integers(1, 5),
+        m=st.integers(1, 2),
+        rank=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scipy_on_stabilisable_detectable_problems(self, n, m, rank, seed):
+        from scipy.linalg import solve_discrete_are
+
+        rng = np.random.default_rng(seed)
+        A = rng.normal(scale=0.8, size=(n, n))
+        B = rng.normal(size=(n, m))
+        C = rng.normal(size=(min(rank, n), n))
+        N = rng.normal(size=(m, m))
+        Q, R = C.T @ C, N @ N.T + 0.1 * np.eye(m)
+        assume(min(_stabilisability_margin(A, B), _stabilisability_margin(A.T, C.T)) >= 0.25)
+
+        P = solve_discrete_riccati(A, B, Q, R)
+        np.testing.assert_array_equal(P, P.T)
+        assert np.linalg.eigvalsh(P).min() >= -1e-12 * np.linalg.norm(P, 2)
+        P_scipy = solve_discrete_are(A, B, Q, R)
+        K, K_scipy = riccati_gain(A, B, R, P), riccati_gain(A, B, R, P_scipy)
+        assert np.linalg.norm(K - K_scipy) <= 1e-10 * np.linalg.norm(K_scipy)
+        # Below ~1e-14 the residual is the rounding of evaluating it.
+        assert _riccati_residual(A, B, Q, R, P) <= 10.0 * max(_riccati_residual(A, B, Q, R, P_scipy), 1e-14)
+
+    def test_catalog_lqr_gains_match_scipy(self):
+        from scipy.linalg import solve_discrete_are
+
+        seen = set()
+        for name in list_scenarios():
+            system = make_system(name)
+            for expert in make_default_experts(system):
+                if not isinstance(expert, LQRController):
+                    continue
+                seen.add((name, expert.name))
+                R = np.eye(system.control_dim) * CATALOG_LQR_CONTROL_COSTS[(name, expert.name)]
+                P = solve_discrete_are(expert.A, expert.B, np.eye(system.state_dim), R)
+                K = riccati_gain(expert.A, expert.B, R, P)
+                assert np.linalg.norm(expert.gain - K) <= 1e-13 * np.linalg.norm(K), (name, expert.name)
+        assert seen == set(CATALOG_LQR_CONTROL_COSTS)
+
+    @pytest.mark.parametrize(
+        "A,B,Q,match",
+        [
+            # The unstable mode 2 is not controllable: the iterates overflow.
+            (np.diag([2.0, 0.5]), [[0.0], [1.0]], np.eye(2), "overflowed"),
+            # A marginal mode that no control reaches: H doubles every step.
+            ([[1.0]], [[0.0]], [[1.0]], "did not converge"),
+            # The unstable mode is not observed (Q = 0): H stays 0, K = 0.
+            ([[2.0]], [[1.0]], [[0.0]], "does not stabilise"),
+            # A marginal mode that is not observed: the closed loop stays at 1.
+            ([[1.0]], [[1.0]], [[0.0]], "does not stabilise"),
+        ],
+        ids=["not-stabilisable", "no-convergence", "not-detectable", "marginal-closed-loop"],
+    )
+    def test_raises_linalg_error_without_a_solution(self, A, B, Q, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow is an error, not a RuntimeWarning
+            with pytest.raises(np.linalg.LinAlgError, match=match):
+                solve_discrete_riccati(np.array(A), np.array(B), np.array(Q), np.eye(1))
+
+    def test_controller_raises_on_an_uncontrollable_plant(self, vanderpol, monkeypatch):
+        monkeypatch.setattr(vanderpol, "dynamics_batch", lambda states, controls, disturbances: 2.0 * states)
+        with pytest.raises(np.linalg.LinAlgError):
+            LQRController(vanderpol)
+
+    def test_runtime_imports_no_scipy(self):
+        """The CLI and every registered scenario's experts build with SciPy
+        unimportable, and leave no SciPy module loaded."""
+
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import repro.cli\n"
+            "from repro.experts import make_default_experts\n"
+            "from repro.scenarios import list_scenarios\n"
+            "from repro.systems import make_system\n"
+            "for name in list_scenarios():\n"
+            "    make_default_experts(make_system(name))\n"
+            "print(sorted(m for m, module in sys.modules.items() if m.split('.')[0] == 'scipy' and module))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
 
 class TestPolynomial:

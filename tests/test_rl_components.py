@@ -23,10 +23,6 @@ class TestSpaces:
         assert space.dimension == 3
         np.testing.assert_allclose(space.low, [-2, -2, -2])
 
-    def test_box_space_clip(self):
-        space = BoxSpace([-1], [1])
-        np.testing.assert_allclose(space.clip([5.0]), [1.0])
-
     def test_box_space_validation(self):
         with pytest.raises(ValueError):
             BoxSpace([1.0], [0.0])

@@ -9,11 +9,14 @@ value.  The digests pin the random-stream order of the environment
 (initial states, disturbances, resets) together with every gradient step,
 so any change to how an episode is stepped or restarted shows up here.
 The values were recorded before the environment became one lockstep
-class and hold unchanged since.
+class.  The three 3d cases were re-recorded once, when the SDA Riccati
+solver replaced SciPy's and moved the 3d LQR gain in its last bits; the
+switching cases at the same time, when the switching kernel started calling
+each expert once on its gathered rows instead of once per row.
 
 The 3d experts are LQR plus polynomial and the vanderpol plant is
-stochastic, so the cases cover batched expert calls, the per-row switching
-call and the disturbance draws.  Like ``tests/test_gradient_digests.py``
+stochastic, so the cases cover batched expert calls, the gathered
+switching call and the disturbance draws.  Like ``tests/test_gradient_digests.py``
 they assume IEEE float64 NumPy with the default BLAS on x86-64.
 """
 
@@ -47,9 +50,9 @@ def test_ddpg_expert_matches_the_recorded_digest(rng, expected):
 
 
 MIXING_CASES = {
-    "ddpg-3d": ("3d", dict(algorithm="ddpg", epochs=12), "31a77953b3456e4b"),
+    "ddpg-3d": ("3d", dict(algorithm="ddpg", epochs=12), "392d788d6b5858b1"),
     "ddpg-vanderpol": ("vanderpol", dict(algorithm="ddpg", epochs=6), "e514b91a4ca7a264"),
-    "ppo-3d-width16": ("3d", dict(epochs=2, steps_per_epoch=256, num_envs=16), "c7c5fe68faec484f"),
+    "ppo-3d-width16": ("3d", dict(epochs=2, steps_per_epoch=256, num_envs=16), "5e370003c5dc201f"),
     "ppo-vanderpol-width1": (
         "vanderpol", dict(epochs=1, steps_per_epoch=128, num_envs=1), "96a98ff1f254bcef"
     ),
@@ -66,7 +69,7 @@ def test_mixing_policy_matches_the_recorded_digest(case):
     assert _weights_digest(trainer.train().policy) == expected
 
 
-SWITCHING_DIGESTS = {1: "807c881b31c224a6", 4: "2e234f5ef07c5b51"}
+SWITCHING_DIGESTS = {1: "be413334c2fdadd2", 4: "9697e3ff4c298a11"}
 
 
 @pytest.mark.parametrize("width", sorted(SWITCHING_DIGESTS))
