@@ -46,9 +46,10 @@
 # evaluation, run store, shards and merge); `perf-verify SEED=N` runs its
 # `verify` workload with the trace on (partition, Bernstein coefficients,
 # IBP, reach steps, invariant set); `verify-digests` prints, per frozen
-# perfbench student, the reach status, partition count, epsilon and a
-# sha256 over the reach boxes and invariant mask (run it on two trees and
-# diff the output to check that verdicts are bit-identical); `train-digests`,
+# perfbench student, the reach status, partition count, epsilon, reach steps
+# completed and work, invariant elimination sweeps and a sha256 over the
+# reach boxes and invariant mask (run it on two trees and diff the output
+# to check that verdicts are bit-identical); `train-digests`,
 # its training twin, trains each paper system at the benchmark's `train`
 # budgets and widths, seed 0, and prints the weights digest of A_W's policy,
 # kappa* and kappa_D and a sha256 of each stage logger's history (diff it

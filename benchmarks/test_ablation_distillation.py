@@ -1,6 +1,6 @@
 """Ablation: effect of the adversarial probability p and the L2 weight lambda.
 
-Not a table in the paper, but DESIGN.md calls out the two knobs of the
+Not a table in the paper: the two knobs are those of the paper's
 robust-distillation step (Algorithm 1 lines 11-15).  The ablation sweeps
 (p, lambda) on the oscillator with a shared teacher dataset and reports the
 student's Lipschitz constant and attacked safe rate, confirming the

@@ -16,10 +16,9 @@ from __future__ import annotations
 import numpy as np
 
 from benchmarks.conftest import run_once
-from repro.nn.lipschitz import network_lipschitz
 from repro.systems.simulation import rollout
 from repro.utils.plotting import ascii_heatmap
-from repro.verification import compute_invariant_set
+from repro.verification import verify_controller
 
 SIMULATION_CHECKS = 150  # the paper uses 1500; scaled down for the quick mode
 
@@ -33,13 +32,14 @@ def test_fig3_invariant_set(benchmark, scale, pipeline_results):
     def compute_all():
         reports = {}
         for name, controller in students.items():
-            reports[name] = compute_invariant_set(
+            reports[name] = verify_controller(
                 system,
                 controller.network,
-                grid_resolution=scale.invariant_grid,
+                name=name,
                 target_error=0.5,
                 degree=3,
                 max_partitions=scale.max_partitions,
+                invariant_grid=scale.invariant_grid,
             )
         return reports
 
@@ -48,18 +48,18 @@ def test_fig3_invariant_set(benchmark, scale, pipeline_results):
     print()
     print(f"Fig. 3 (oscillator invariant sets, {scale.name} scale)")
     for name, report in reports.items():
-        lipschitz = network_lipschitz(students[name].network)
+        invariant = report.invariant
         print(
-            f"  {name}: L = {lipschitz:.2f}, partitions = {report.num_partitions}, "
-            f"invariant fraction = {100 * report.volume_fraction():.1f}% of X, "
-            f"iterations = {report.iterations}, time = {report.elapsed_seconds:.1f}s"
+            f"  {name}: L = {report.lipschitz_constant:.2f}, partitions = {invariant.num_partitions}, "
+            f"invariant fraction = {100 * invariant.volume_fraction():.1f}% of X, "
+            f"iterations = {invariant.iterations}, time = {report.total_seconds:.1f}s"
         )
-        if report.volume_fraction() > 0:
-            heatmap = ascii_heatmap(report.invariant_mask, report.grid_resolution, title=f"X_I for {name}")
+        if invariant.volume_fraction() > 0:
+            heatmap = ascii_heatmap(invariant.invariant_mask, invariant.grid_resolution, title=f"X_I for {name}")
             print("  " + heatmap.replace("\n", "\n  "))
 
-    robust_report = reports["kappa_star"]
-    direct_report = reports["kappaD"]
+    robust_report = reports["kappa_star"].invariant
+    direct_report = reports["kappaD"].invariant
 
     # Shape checks mirroring the paper's observations.
     # 1) The robust student needs no more partitions (verification work) than

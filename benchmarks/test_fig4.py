@@ -17,7 +17,7 @@ from benchmarks.conftest import run_once
 from repro.nn.lipschitz import network_lipschitz
 from repro.systems.sets import Box
 from repro.utils.plotting import box_series_table
-from repro.verification import verify_reach_safety
+from repro.verification import verify_controller
 
 PAPER_INITIAL_BOX = Box([-0.11, 0.205, 0.1], [-0.105, 0.21, 0.11])
 REACH_STEPS = 15
@@ -36,16 +36,17 @@ def test_fig4_reachability(benchmark, scale, pipeline_results):
     def compute_all():
         reports = {}
         for name, controller in students.items():
-            reports[name] = verify_reach_safety(
+            reports[name] = verify_controller(
                 system,
                 controller.network,
-                PAPER_INITIAL_BOX,
-                steps=REACH_STEPS,
+                name=name,
                 target_error=0.4,
                 degree=3,
                 max_partitions=scale.max_partitions,
-                work_budget=work_budget,
-            )
+                reach_initial_box=PAPER_INITIAL_BOX,
+                reach_steps=REACH_STEPS,
+                reach_work_budget=work_budget,
+            ).reachability
         return reports
 
     reports = run_once(benchmark, compute_all)

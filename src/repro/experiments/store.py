@@ -26,6 +26,7 @@ of the work, which is what the byte-stability regression tests pin.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import shutil
@@ -42,6 +43,30 @@ PathLike = Union[str, Path]
 _ENTRY_FILE = "entry.json"
 _RESULT_FILE = "result.json"
 _TMP_PREFIX = ".tmp-"
+
+
+def _publish(staging: Path, final: Path) -> None:
+    """Rename ``staging`` to ``final``, replacing any entry already there.
+
+    Two writers of one key (a forced rerun finishing beside its primary)
+    may publish at once.  Each retires the entry it finds by renaming it
+    to a fresh staging name before deleting it, so neither deletes a
+    directory the other is renaming; the last rename wins.
+    """
+
+    while True:
+        try:
+            os.replace(staging, final)
+            return
+        except OSError as error:
+            if error.errno not in (errno.ENOTEMPTY, errno.EEXIST):
+                raise
+        retired = final.parent / f"{_TMP_PREFIX}{final.name[:16]}-{uuid.uuid4().hex[:8]}"
+        try:
+            os.replace(final, retired)
+        except FileNotFoundError:
+            continue
+        shutil.rmtree(retired, ignore_errors=True)
 
 
 @dataclass(frozen=True)
@@ -90,13 +115,6 @@ class RunStore:
         with (self.entry_dir(key) / _RESULT_FILE).open() as handle:
             return json.load(handle)
 
-    def load_entry(self, key: RunKey) -> Dict:
-        with (self.entry_dir(key) / _ENTRY_FILE).open() as handle:
-            return json.load(handle)
-
-    def artefact_path(self, key: RunKey, name: str) -> Path:
-        return self.entry_dir(key) / name
-
     def load_network(self, key: RunKey, name: str):
         """Reload a network artefact saved by :meth:`save` as an MLP."""
 
@@ -144,9 +162,7 @@ class RunStore:
             with (staging / _ENTRY_FILE).open("w") as handle:
                 json.dump(entry, handle, indent=2, sort_keys=True)
                 handle.write("\n")
-            if final.exists():
-                shutil.rmtree(final)
-            os.replace(staging, final)
+            _publish(staging, final)
         except BaseException:
             shutil.rmtree(staging, ignore_errors=True)
             raise

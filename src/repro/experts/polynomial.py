@@ -5,7 +5,8 @@ Bartocci, Sankaranarayanan 2017) obtained from an LP-based stabilisation
 procedure; its distinguishing feature in Table I is a very small Lipschitz
 constant (0.72).  We reproduce the *role* of that expert with a generic
 polynomial controller class plus a default low-gain stabilising polynomial
-for the 3-D system (see DESIGN.md, substitution table).
+for the 3-D system; the LP-based synthesis of [25] itself is not
+reproduced, the fixed default polynomial stands in for its output.
 """
 
 from __future__ import annotations

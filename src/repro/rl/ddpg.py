@@ -174,8 +174,3 @@ class DDPGTrainer:
             self._noise_scale = max(self._noise_scale * self.config.exploration_decay, 0.01)
             self.logger.log(episode_return=episode_return, noise=self._noise_scale, **losses)
         return self.logger
-
-    def policy_network(self):
-        """The trained actor's underlying MLP (used to wrap experts)."""
-
-        return self.actor

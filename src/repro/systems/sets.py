@@ -9,7 +9,7 @@ partitions used by the Bernstein-polynomial verifier).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -40,11 +40,6 @@ class Box:
                 raise ValueError("dimension is required for a scalar half width")
             half = np.full(dimension, float(half))
         return cls(-half, half)
-
-    @classmethod
-    def from_intervals(cls, intervals: Iterable[Tuple[float, float]]) -> "Box":
-        intervals = list(intervals)
-        return cls([lo for lo, _ in intervals], [hi for _, hi in intervals])
 
     # -- basic properties ----------------------------------------------------
     @property
@@ -111,11 +106,6 @@ class Box:
         if np.any(high < low):
             return None
         return Box(low, high)
-
-    def union_bound(self, other: "Box") -> "Box":
-        """Smallest box containing both boxes."""
-
-        return Box(np.minimum(self.low, other.low), np.maximum(self.high, other.high))
 
     # -- sampling and subdivision ----------------------------------------------
     def sample(self, rng: RngLike = None, count: Optional[int] = None) -> np.ndarray:

@@ -25,10 +25,6 @@ def set_global_seed(seed: int) -> None:
     np.random.seed(seed)
 
 
-def get_global_seed() -> Optional[int]:
-    return _GLOBAL_SEED
-
-
 def get_rng(seed: RngLike = None) -> np.random.Generator:
     """Normalise ``seed`` into a :class:`numpy.random.Generator`.
 

@@ -12,38 +12,38 @@ Flow*, the invariant-set tool of Xue & Zhan, and the original ReachNN code
 are not available offline, so this package implements the same chain with
 interval arithmetic: the qualitative dependence the paper exploits -- a
 larger Lipschitz constant forces finer partitions / higher polynomial degree
-and therefore longer verification time -- is preserved (see DESIGN.md).
+and therefore longer verification time -- is preserved (see
+``docs/verification.md``).
 
-The hot path is **batched and parallel**: Bernstein coefficients, error
-bounds and IBP enclosures for whole stacks of boxes are computed with a few
-NumPy kernels, whole refinement frontiers are split per iteration, and many
-(controller, system) jobs fan out across processes via
-:class:`VerificationSweep`.  A frozen one-box-at-a-time reference under
-``tests/`` pins the batched flow bit for bit (see ``docs/verification.md``).
+Every analysis runs on ``(P, dim)`` box stacks, one box being a one-row
+stack: Bernstein coefficients, error bounds and IBP enclosures for whole
+stacks of boxes are computed with a few NumPy kernels, whole refinement
+frontiers are split per iteration, and many (controller, system) jobs fan
+out across processes via :class:`VerificationSweep`.
+:func:`verify_controller` is the one driver that partitions; the analyses
+(:func:`reachable_sets`, :func:`compute_invariant_set`) take the
+:class:`PartitionedApproximation` they are given.  A frozen
+one-box-at-a-time reference under ``tests/`` pins the batched flow bit for
+bit.
 """
 
 from repro.verification.intervals import (
     Interval,
-    network_output_bounds,
     network_output_bounds_batch,
     refined_network_output_bounds_batch,
 )
 from repro.verification.bernstein import (
-    BernsteinApproximation,
     bernstein_coefficients_batch,
     bernstein_enclosure_batch,
-    bernstein_error_bound,
     bernstein_error_bound_batch,
-    bernstein_evaluate_batch,
     bernstein_grid_batch,
 )
 from repro.verification.partition import PartitionedApproximation, partition_network
 from repro.verification.system_models import (
     MissingInclusionFunction,
-    interval_dynamics,
     interval_dynamics_batch,
 )
-from repro.verification.reachability import ReachabilityResult, reachable_sets, verify_reach_safety
+from repro.verification.reachability import ReachabilityResult, reachable_sets
 from repro.verification.invariant import InvariantSetResult, compute_invariant_set
 from repro.verification.verifier import VerificationReport, verify_controller
 from repro.verification.sweep import (
@@ -56,24 +56,18 @@ from repro.verification.sweep import (
 
 __all__ = [
     "Interval",
-    "network_output_bounds",
     "network_output_bounds_batch",
     "refined_network_output_bounds_batch",
-    "BernsteinApproximation",
     "bernstein_coefficients_batch",
     "bernstein_enclosure_batch",
-    "bernstein_error_bound",
     "bernstein_error_bound_batch",
-    "bernstein_evaluate_batch",
     "bernstein_grid_batch",
     "PartitionedApproximation",
     "partition_network",
     "MissingInclusionFunction",
-    "interval_dynamics",
     "interval_dynamics_batch",
     "ReachabilityResult",
     "reachable_sets",
-    "verify_reach_safety",
     "InvariantSetResult",
     "compute_invariant_set",
     "VerificationReport",

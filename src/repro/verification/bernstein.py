@@ -19,51 +19,36 @@ this useful for verification:
 
 The module is organised around **batched kernels** that operate on a
 ``(num_partitions, ...)`` stacked representation: grids, coefficients, error
-bounds, range enclosures and evaluations for a whole stack of boxes are
-computed with a handful of NumPy calls (one network forward pass over the
-distinct points of all grids).  :class:`BernsteinApproximation` is the
-single-box view: its fit is the batch-of-one special case of the same
-kernels, so a box fitted alone and the same box fitted in a stack have
-bit-identical coefficients.  Each fit batch evaluates every distinct grid
-point once: boxes that tile a region share faces, edges and corners, and a
-shared grid point is evaluated once and gathered back onto every grid
-holding it.
+bounds and range enclosures for a whole stack of boxes are computed with a
+handful of NumPy calls (one network forward pass over the distinct points of
+all grids).  A single box is a one-row stack: every network forward pass runs
+in fixed-width row blocks, so a box fitted alone and the same box fitted in a
+stack have bit-identical coefficients.  Each fit batch evaluates every
+distinct grid point once: boxes that tile a region share faces, edges and
+corners, and a shared grid point is evaluated once and gathered back onto
+every grid holding it.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.nn.lipschitz import network_lipschitz
 from repro.nn.network import MLP
-from repro.systems.sets import Box
-from repro.verification.intervals import Interval, apply_row_blocked
+from repro.verification.intervals import apply_row_blocked
 
 #: An MLP, or a function mapping an ``(N, dim)`` batch of points to ``(N, out)``.
 FunctionLike = Union[MLP, Callable[[np.ndarray], np.ndarray]]
 
 
-def bernstein_error_bound(lipschitz_constant: float, box: Box, degrees: Sequence[int]) -> float:
-    """Lipschitz-based uniform error bound of the Bernstein approximation."""
-
-    degrees = np.asarray(degrees, dtype=np.float64)
-    if np.any(degrees < 1):
-        raise ValueError("degrees must be at least 1")
-    widths = box.widths
-    return float(0.5 * lipschitz_constant * np.sqrt(np.sum(widths**2 / degrees)))
-
-
 def bernstein_error_bound_batch(
     lipschitz_constant: float, lows: np.ndarray, highs: np.ndarray, degrees: Sequence[int]
 ) -> np.ndarray:
-    """Error bounds for a ``(P, dim)`` stack of boxes, shape ``(P,)``.
+    """Lipschitz error bounds for a ``(P, dim)`` stack of boxes, shape ``(P,)``.
 
-    Row ``p`` equals ``bernstein_error_bound(L, Box(lows[p], highs[p]),
-    degrees)`` bit for bit: the arithmetic is identical, only vectorised
-    across the partition axis.
+    Row ``p`` is ``L/2 * sqrt(sum_i w_i^2 / d_i)`` for box ``p``'s widths
+    ``w``; each row is computed from its own box alone.
     """
 
     degrees = np.asarray(degrees, dtype=np.float64)
@@ -75,35 +60,9 @@ def bernstein_error_bound_batch(
     return 0.5 * lipschitz_constant * np.sqrt(np.sum(widths**2 / degrees, axis=-1))
 
 
-def degrees_for_error(lipschitz_constant: float, box: Box, target_error: float, max_degree: int = 64) -> np.ndarray:
-    """Smallest per-dimension degree achieving ``target_error`` (uniform degrees).
-
-    Inverts the error bound; degrees are capped at ``max_degree``, mirroring
-    how a real verifier would give up and partition instead.
-    """
-
-    if target_error <= 0:
-        raise ValueError("target_error must be positive")
-    widths = box.widths
-    # With a uniform degree d: error = L/2 * sqrt(sum(w_i^2) / d)  =>  d = L^2 sum(w^2) / (4 err^2)
-    required = (lipschitz_constant**2) * float(np.sum(widths**2)) / (4.0 * target_error**2)
-    degree = int(np.clip(np.ceil(required), 1, max_degree))
-    return np.full(box.dimension, degree, dtype=int)
-
-
 # ----------------------------------------------------------------------
 # Batched kernels on the (num_partitions, ...) stacked representation
 # ----------------------------------------------------------------------
-
-
-def _binomials(degree: int) -> np.ndarray:
-    """``C(degree, k)`` for ``k = 0..degree`` as float64.
-
-    Exact integers rounded once; equal to SciPy's float ``comb`` bit for bit
-    up to degree 30, where SciPy's own rounding starts to differ.
-    """
-
-    return np.array([math.comb(degree, k) for k in range(degree + 1)], dtype=np.float64)
 
 
 def _normalised_degrees(degrees: Union[int, Sequence[int]], dimension: int) -> np.ndarray:
@@ -128,10 +87,9 @@ def _normalised_box_stack(lows: np.ndarray, highs: np.ndarray) -> Tuple[np.ndarr
 def bernstein_grid_batch(lows: np.ndarray, highs: np.ndarray, degrees: Sequence[int]) -> np.ndarray:
     """Coefficient grids for a ``(P, dim)`` box stack, shape ``(P, G, dim)``.
 
-    ``G = prod(degrees + 1)`` points per box, in the same ``ij`` meshgrid
-    order (and with the same per-axis ``linspace`` arithmetic) as the
-    single-box grid, so row ``p`` reproduces ``Box(lows[p], highs[p])``'s
-    scalar grid exactly.  In ``ij`` order, axis ``k``'s column of the
+    ``G = prod(degrees + 1)`` points per box: the ``ij`` meshgrid of each
+    axis's ``linspace``, so row ``p`` equals the grid of the one-row stack
+    ``lows[p:p + 1]`` exactly.  In ``ij`` order, axis ``k``'s column of the
     flattened grid is its ``degree + 1`` points with the trailing axes'
     point count as inner repeat and the leading axes' as outer tile -- a
     pattern a broadcast assignment reproduces directly, with no ``(G, dim)``
@@ -244,7 +202,7 @@ def bernstein_coefficients_batch(
     ``(U, dim)`` batch through the function -- and gathers the values back
     onto every box's grid.  Each row's value does not depend on the other
     rows evaluated with it (see :func:`_evaluate_function_batch`), so the
-    coefficients equal a per-box fit bit for bit.
+    coefficients equal each box's one-row fit bit for bit.
     """
 
     lows, highs = _normalised_box_stack(lows, highs)
@@ -280,134 +238,3 @@ def bernstein_enclosure_batch(
         np.subtract(lower, errors, out=lower)
         np.add(upper, errors, out=upper)
     return lower, upper
-
-
-def bernstein_evaluate_batch(
-    coefficients: np.ndarray,
-    lows: np.ndarray,
-    highs: np.ndarray,
-    degrees: Sequence[int],
-    points: np.ndarray,
-) -> np.ndarray:
-    """Evaluate box ``p``'s polynomial at ``points[p]``, shape ``(P, out)``.
-
-    Contracts one axis of the stacked coefficient tensor per input
-    dimension against the batched Bernstein basis -- ``dim`` einsum calls
-    for the whole stack instead of ``P`` scalar de-Casteljau loops.
-    """
-
-    lows = np.atleast_2d(np.asarray(lows, dtype=np.float64))
-    highs = np.atleast_2d(np.asarray(highs, dtype=np.float64))
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    degrees = _normalised_degrees(degrees, lows.shape[1])
-    widths = highs - lows
-    widths = np.where(widths == 0.0, 1.0, widths)
-    t = np.clip((points - lows) / widths, 0.0, 1.0)
-    result = coefficients
-    for axis, degree in enumerate(degrees):
-        ks = np.arange(int(degree) + 1)
-        t_axis = t[:, axis : axis + 1]
-        basis = _binomials(int(degree)) * (t_axis**ks) * ((1.0 - t_axis) ** (int(degree) - ks))
-        result = np.einsum("pk,pk...->p...", basis, result)
-    return result
-
-
-class BernsteinApproximation:
-    """Bernstein polynomial fit of a (possibly vector-valued) function on a box.
-
-    The single-box view of the batched kernels above: construction fits the
-    coefficients as the batch-of-one special case of
-    :func:`bernstein_coefficients_batch` (same grid arithmetic, same stacked
-    network evaluation), so a scalar fit and row ``p`` of a batched fit are
-    bit-for-bit identical.
-    """
-
-    def __init__(
-        self,
-        function: FunctionLike,
-        box: Box,
-        degrees: Union[int, Sequence[int]],
-        lipschitz_constant: Optional[float] = None,
-        coefficients: Optional[np.ndarray] = None,
-    ):
-        self.box = box
-        self.degrees = _normalised_degrees(degrees, box.dimension)
-        self._function = function
-        if lipschitz_constant is None and isinstance(function, MLP):
-            lipschitz_constant = network_lipschitz(function)
-        self.lipschitz_constant = lipschitz_constant
-        if coefficients is None:
-            coefficients = bernstein_coefficients_batch(
-                function, box.low[None, :], box.high[None, :], self.degrees
-            )[0]
-        self.coefficients = coefficients
-
-    @classmethod
-    def from_coefficients(
-        cls,
-        function: FunctionLike,
-        box: Box,
-        degrees: Union[int, Sequence[int]],
-        coefficients: np.ndarray,
-        lipschitz_constant: Optional[float] = None,
-    ) -> "BernsteinApproximation":
-        """Wrap a precomputed coefficient tensor (e.g. one row of a batched fit)."""
-
-        return cls(function, box, degrees, lipschitz_constant=lipschitz_constant, coefficients=coefficients)
-
-    # ------------------------------------------------------------------
-    def _evaluate_function(self, points: np.ndarray) -> np.ndarray:
-        return _evaluate_function_batch(self._function, points)
-
-    # ------------------------------------------------------------------
-    @property
-    def output_dim(self) -> int:
-        return int(self.coefficients.shape[-1])
-
-    def _basis(self, t: float, degree: int) -> np.ndarray:
-        ks = np.arange(degree + 1)
-        return _binomials(degree) * (t**ks) * ((1.0 - t) ** (degree - ks))
-
-    def evaluate(self, point: Sequence[float]) -> np.ndarray:
-        """Evaluate the Bernstein polynomial at one point inside the box."""
-
-        point = np.asarray(point, dtype=np.float64)
-        widths = np.where(self.box.widths == 0.0, 1.0, self.box.widths)
-        t = np.clip((point - self.box.low) / widths, 0.0, 1.0)
-        result = self.coefficients
-        for axis, (value, degree) in enumerate(zip(t, self.degrees)):
-            basis = self._basis(float(value), int(degree))
-            result = np.tensordot(basis, result, axes=([0], [0]))
-        return np.atleast_1d(result)
-
-    def error_bound(self) -> float:
-        """Uniform approximation error bound epsilon over the box."""
-
-        if self.lipschitz_constant is None:
-            raise ValueError("a Lipschitz constant is needed for the analytic error bound")
-        return bernstein_error_bound(self.lipschitz_constant, self.box, self.degrees)
-
-    def empirical_error(self, samples: int = 256, rng=None) -> float:
-        """Sampled maximum deviation between the polynomial and the function."""
-
-        points = self.box.sample(rng, count=samples)
-        function_values = self._evaluate_function(points)
-        polynomial_values = np.stack([self.evaluate(point) for point in points], axis=0)
-        return float(np.max(np.abs(function_values - polynomial_values)))
-
-    def range_enclosure(self, include_error: bool = True) -> Interval:
-        """Output bounds over the box from the coefficient min/max (+ error)."""
-
-        flat = self.coefficients.reshape(-1, self.output_dim)
-        lower = flat.min(axis=0)
-        upper = flat.max(axis=0)
-        if include_error and self.lipschitz_constant is not None:
-            epsilon = self.error_bound()
-            lower = lower - epsilon
-            upper = upper + epsilon
-        return Interval(lower, upper)
-
-    def num_coefficients(self) -> int:
-        """Number of stored coefficients: the verification-cost driver."""
-
-        return int(np.prod([degree + 1 for degree in self.degrees]))

@@ -11,13 +11,12 @@ intervals and push them through the same code paths as a single ``(dim,)``
 interval.  The batched interval-bound-propagation kernels at the bottom of
 the module (:func:`network_output_bounds_batch`,
 :func:`refined_network_output_bounds_batch`) propagate a whole ``(M, dim)``
-stack of boxes through an MLP with one matrix product per layer;
-:func:`network_output_bounds` is the single-box ``M = 1`` wrapper.
+stack of boxes through an MLP with one matrix product per layer.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -195,35 +194,9 @@ class Interval:
             return Interval(self.lower * factor, self.upper * factor)
         return Interval(self.upper * factor, self.lower * factor)
 
-    def hull(self, other: "Interval") -> "Interval":
-        other = self._coerce(other)
-        return Interval(np.minimum(self.lower, other.lower), np.maximum(self.upper, other.upper))
-
-    def widen(self, margin) -> "Interval":
-        margin = np.abs(np.asarray(margin, dtype=np.float64))
-        return Interval(self.lower - margin, self.upper + margin)
-
-    @staticmethod
-    def concatenate(intervals: Sequence["Interval"]) -> "Interval":
-        return Interval(
-            np.concatenate([interval.lower for interval in intervals]),
-            np.concatenate([interval.upper for interval in intervals]),
-        )
-
     def __repr__(self) -> str:
         pieces = ", ".join(f"[{lo:.4g}, {hi:.4g}]" for lo, hi in zip(self.lower, self.upper))
         return f"Interval({pieces})"
-
-
-def interval_matmul(matrix: np.ndarray, interval: Interval) -> Interval:
-    """Tight interval image of ``matrix @ x`` for ``x`` in the interval."""
-
-    matrix = np.asarray(matrix, dtype=np.float64)
-    center = interval.center
-    radius = interval.width / 2.0
-    new_center = matrix @ center
-    new_radius = np.abs(matrix) @ radius
-    return Interval(new_center - new_radius, new_center + new_radius)
 
 
 def network_output_bounds_batch(network, lows: np.ndarray, highs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -232,8 +205,8 @@ def network_output_bounds_batch(network, lows: np.ndarray, highs: np.ndarray) ->
     Propagates all ``M`` boxes with one centre/radius matrix product per
     linear layer and one elementwise monotone map per activation, returning
     ``(lower, upper)`` arrays of shape ``(M, output_dim)``.  This is the
-    kernel behind every IBP query of the verification analyses; the scalar
-    :func:`network_output_bounds` is its ``M = 1`` wrapper.
+    kernel behind every IBP query of the verification analyses; one box is
+    the ``M = 1`` stack.
     """
 
     from repro.nn.layers import Activation, Linear
@@ -327,14 +300,3 @@ def refined_network_output_bounds_batch(
     upper = piece_upper.reshape(count, pieces, -1).max(axis=1)
     return lower, upper
 
-
-def network_output_bounds(network, box: Box) -> Interval:
-    """Interval bound propagation (IBP) through an :class:`repro.nn.MLP`.
-
-    Gives a fast but conservative enclosure of the network's output over a
-    box -- used as a cross-check of the Bernstein range enclosure and by the
-    property tests.  ``M = 1`` wrapper of :func:`network_output_bounds_batch`.
-    """
-
-    lower, upper = network_output_bounds_batch(network, box.low[None, :], box.high[None, :])
-    return Interval(lower[0], upper[0])

@@ -34,11 +34,10 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.nn.network import MLP
 from repro.systems.base import ControlSystem
 from repro.systems.sets import Box
 from repro.verification.intervals import Interval
-from repro.verification.partition import PartitionedApproximation, partition_network
+from repro.verification.partition import PartitionedApproximation
 from repro.verification.system_models import interval_dynamics_batch
 
 
@@ -102,28 +101,17 @@ def _cell_index_ranges_batch(
 
 def compute_invariant_set(
     system: ControlSystem,
-    network: MLP,
+    approximation: PartitionedApproximation,
     grid_resolution: int = 16,
-    target_error: float = 0.5,
-    degree: int = 3,
-    max_partitions: int = 2048,
     max_iterations: int = 200,
-    approximation: Optional[PartitionedApproximation] = None,
 ) -> InvariantSetResult:
-    """Grid-based inner approximation of the control invariant set."""
+    """Grid-based inner approximation of the control invariant set under
+    the partitioned Bernstein surrogate ``approximation``."""
 
     if grid_resolution < 2:
         raise ValueError("grid_resolution must be at least 2")
     start = time.perf_counter()
     domain = system.safe_region
-    if approximation is None:
-        approximation = partition_network(
-            network,
-            domain,
-            target_error=target_error,
-            degree=degree,
-            max_partitions=max_partitions,
-        )
     epsilon = approximation.max_error
     disturbance_interval = Interval.from_box(system.disturbance.bound())
 

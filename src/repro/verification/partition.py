@@ -23,7 +23,7 @@ fitted on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -31,12 +31,10 @@ from repro.nn.lipschitz import network_lipschitz
 from repro.nn.network import MLP
 from repro.systems.sets import Box
 from repro.verification.bernstein import (
-    BernsteinApproximation,
     bernstein_coefficients_batch,
     bernstein_enclosure_batch,
     bernstein_error_bound_batch,
 )
-from repro.verification.intervals import Interval
 
 
 @dataclass(eq=False)
@@ -64,7 +62,7 @@ class PartitionedApproximation:
         self._degrees = np.array(self.coefficients.shape[1:-1], dtype=int) - 1
         # Every partition shares one degree vector, so the summaries are
         # computed once here: row p of the batched bound is partition p's
-        # scalar ``bernstein_error_bound`` bit for bit.
+        # error bound eps_p.
         self._max_error = float(
             bernstein_error_bound_batch(self.lipschitz_constant, self.lows, self.highs, self._degrees).max()
         )
@@ -104,31 +102,6 @@ class PartitionedApproximation:
             mask &= np.less_equal(self.lows[:, axis], highs[:, axis, None], out=scratch)
             mask &= np.less_equal(lows[:, axis, None], self.highs[:, axis], out=scratch)
         return mask
-
-    def locate(self, point: Sequence[float]) -> int:
-        """Index of the partition containing ``point`` (first match)."""
-
-        point = np.asarray(point, dtype=np.float64)
-        mask = np.all(point >= self.lows - 1e-12, axis=-1) & np.all(
-            point <= self.highs + 1e-12, axis=-1
-        )
-        indices = np.nonzero(mask)[0]
-        if indices.size == 0:
-            raise ValueError("point lies outside the partitioned domain")
-        return int(indices[0])
-
-    def evaluate(self, point: Sequence[float]) -> np.ndarray:
-        """Evaluate the piecewise-polynomial surrogate controller."""
-
-        index = self.locate(point)
-        model = BernsteinApproximation.from_coefficients(
-            self.network,
-            Box(self.lows[index], self.highs[index]),
-            self._degrees,
-            self.coefficients[index],
-            lipschitz_constant=self.lipschitz_constant,
-        )
-        return model.evaluate(point)
 
     # ------------------------------------------------------------------
     # Output enclosures
@@ -251,12 +224,6 @@ class PartitionedApproximation:
         # grouped by query, so the hulls are contiguous segment reductions).
         starts = np.searchsorted(query_index, np.arange(lows.shape[0]))
         return np.minimum.reduceat(lower, starts), np.maximum.reduceat(upper, starts)
-
-    def control_bounds(self, box: Box, include_error: bool = True) -> Interval:
-        """Output enclosure over one query box: :meth:`control_bounds_batch` of one."""
-
-        lower, upper = self.control_bounds_batch(box.low[None, :], box.high[None, :], include_error=include_error)
-        return Interval(lower[0], upper[0])
 
 
 def _frozen_clone(network: MLP) -> MLP:

@@ -7,11 +7,13 @@ evaluated with interval arithmetic.  Starting from an initial box, the
 procedure produces one state box per step; safety over the horizon holds if
 every box stays inside the safe region ``X`` (Fig. 4's experiment).
 
-Each horizon step consumes the **batched** surrogate: the controller
-enclosure over the current box is one stacked Bernstein + IBP evaluation
-across every overlapped partition (through the partition's coefficient
-cache), followed by one vectorised interval-dynamics step -- a handful of
-NumPy calls per step instead of a Python loop over partitions.
+Each horizon step consumes the **batched** surrogate on a one-row stack:
+the controller enclosure over the current box is one
+:meth:`PartitionedApproximation.control_bounds_batch` call (one stacked
+Bernstein + IBP evaluation across every overlapped partition, through the
+partition's coefficient cache), followed by one
+:func:`interval_dynamics_batch` step -- a handful of NumPy calls per step
+instead of a Python loop over partitions.
 
 A per-run resource budget models the behaviour the paper reports for
 ``kappa_D`` on the 3-D system ("memory segmentation fault after 12 reachable
@@ -23,17 +25,16 @@ evaluated across partitions) exceeds the budget, verification aborts with
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
-from repro.nn.network import MLP
 from repro.systems.base import ControlSystem
 from repro.systems.sets import Box
 from repro.verification.intervals import Interval
-from repro.verification.partition import PartitionedApproximation, partition_network
-from repro.verification.system_models import interval_dynamics
+from repro.verification.partition import PartitionedApproximation
+from repro.verification.system_models import interval_dynamics_batch
 
 
 @dataclass
@@ -72,7 +73,9 @@ def reachable_sets(
     if steps <= 0:
         raise ValueError("steps must be positive")
     start = time.perf_counter()
-    disturbance_box = system.disturbance.bound()
+    disturbance = Interval.from_box(system.disturbance.bound())
+    control_low = system.control_bound.low
+    control_high = system.control_bound.high
     epsilon = approximation.max_error
     boxes: List[Box] = [initial_box]
     current = initial_box
@@ -83,23 +86,22 @@ def reachable_sets(
         if not system.safe_region.contains_box(current, tolerance=1e-9):
             status = "unsafe"
             break
-        clipped_query = system.safe_region.intersection(current) or current
-        control_bounds = approximation.control_bounds(clipped_query)
+        query = system.safe_region.intersection(current) or current
+        lower, upper = approximation.control_bounds_batch(query.low[None, :], query.high[None, :])
         work += approximation.total_coefficients()
         if work_budget is not None and work > work_budget:
             status = "resource-exhausted"
             break
-        # control_bounds already accounts for the Bernstein approximation
+        # The control bounds already account for the Bernstein approximation
         # error (Omega_hat = Omega (+) eps in the paper's notation), so the
         # only remaining step is clipping to the admissible control box.
-        control = control_bounds.clip(system.control_bound.low, system.control_bound.high)
-        state_interval = Interval.from_box(current)
-        disturbance_interval = Interval.from_box(disturbance_box)
-        next_interval = interval_dynamics(system, state_interval, control, disturbance_interval)
-        current = next_interval.to_box()
+        control = Interval(np.clip(lower, control_low, control_high), np.clip(upper, control_low, control_high))
+        image = interval_dynamics_batch(
+            system, Interval(current.low[None, :], current.high[None, :]), control, disturbance
+        )
+        current = Box(image.lower[0], image.upper[0])
         boxes.append(current)
     else:
-        step = steps - 1
         if not system.safe_region.contains_box(current, tolerance=1e-9):
             status = "unsafe"
 
@@ -107,36 +109,10 @@ def reachable_sets(
     return ReachabilityResult(
         boxes=boxes,
         status=status,
-        steps_completed=min(step + 1, steps) if steps else 0,
+        steps_completed=step + 1,
         elapsed_seconds=elapsed,
         work=work,
         num_partitions=approximation.num_partitions,
         approximation_error=epsilon,
     )
 
-
-def verify_reach_safety(
-    system: ControlSystem,
-    network: MLP,
-    initial_box: Box,
-    steps: int,
-    target_error: float = 0.5,
-    degree: int = 3,
-    max_partitions: int = 2048,
-    work_budget: Optional[int] = None,
-) -> ReachabilityResult:
-    """End-to-end reachability verification of a neural controller.
-
-    Builds the partitioned Bernstein surrogate over the safe region and runs
-    :func:`reachable_sets`; this is the entry point the Fig. 4 benchmark
-    uses, reporting both the verdict and the verification time.
-    """
-
-    approximation = partition_network(
-        network,
-        system.safe_region,
-        target_error=target_error,
-        degree=degree,
-        max_partitions=max_partitions,
-    )
-    return reachable_sets(system, approximation, initial_box, steps, work_budget=work_budget)

@@ -15,10 +15,9 @@ cannot be verified and raises :class:`MissingInclusionFunction`.
 The inclusion functions are written **batched-native**: every state
 component is addressed with ``[..., i]`` slices, so the same formulas push
 an ``(N, dim)`` stack of state boxes (one row per invariant-set cell or
-verification query) through the dynamics in one vectorised pass.
-:func:`interval_dynamics` is the single-box wrapper -- the batch-of-one
-special case, bit-identical to a per-box loop because every operation is
-elementwise.
+verification query) through the dynamics in one vectorised pass; every
+operation is elementwise, so a row's image does not depend on the rows
+stacked with it, and one box is the ``N = 1`` stack.
 """
 
 from __future__ import annotations
@@ -71,28 +70,6 @@ def interval_dynamics_batch(
             "register one with register_scenario(..., interval_dynamics=...) to verify it"
         )
     return spec.interval_dynamics(system, states, controls, disturbance)
-
-
-def interval_dynamics(
-    system: ControlSystem,
-    state: Interval,
-    control: Interval,
-    disturbance: Interval,
-) -> Interval:
-    """One-step interval image of ``system`` from a state box and control interval.
-
-    The ``N = 1`` wrapper of :func:`interval_dynamics_batch`: the inclusion
-    functions are purely elementwise, so the single-box result is
-    bit-identical to the corresponding row of a batched call.
-    """
-
-    batched = interval_dynamics_batch(
-        system,
-        Interval(state.lower[None, :], state.upper[None, :]),
-        Interval(control.lower[None, :], control.upper[None, :]),
-        disturbance,
-    )
-    return Interval(batched.lower[0], batched.upper[0])
 
 
 def vanderpol_interval(

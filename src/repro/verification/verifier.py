@@ -4,10 +4,13 @@ Wraps the partitioning, reachability and invariant-set machinery into a
 single call that reports everything the paper's verifiability comparison
 needs: verdicts, wall-clock times, the number of partitions, the Bernstein
 approximation error and the work performed, for a given neural controller.
+It is the one place that partitions: the network is partitioned once and
+both analyses take that :class:`PartitionedApproximation`.
 
 The analyses run the frontier-batched partitioner and the stacked
-Bernstein/IBP enclosure kernels.  Many (controller, system) verification jobs can be fanned out across
-processes with :class:`repro.verification.sweep.VerificationSweep`.
+Bernstein/IBP enclosure kernels.  Many (controller, system) verification
+jobs can be fanned out across processes with
+:class:`repro.verification.sweep.VerificationSweep`.
 """
 
 from __future__ import annotations
@@ -140,15 +143,7 @@ def verify_controller(
 
     invariant_result: Optional[InvariantSetResult] = None
     if invariant_grid is not None and not budget_exhausted():
-        invariant_result = compute_invariant_set(
-            system,
-            network,
-            grid_resolution=invariant_grid,
-            target_error=target_error,
-            degree=degree,
-            max_partitions=max_partitions,
-            approximation=approximation,
-        )
+        invariant_result = compute_invariant_set(system, approximation, grid_resolution=invariant_grid)
 
     return VerificationReport(
         controller_name=name,

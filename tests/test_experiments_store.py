@@ -103,6 +103,34 @@ class TestGetOrRun:
         assert removed == []
         assert not staging.exists()
 
+    def test_concurrent_saves_of_one_key_all_succeed(self, tmp_path):
+        # A forced rerun can finish beside its primary: two processes then
+        # publish the same key at once.  Every save must succeed, one
+        # complete entry must remain and no staging directory may be left.
+        import multiprocessing
+
+        context = multiprocessing.get_context("fork")
+        barrier = context.Barrier(2)
+        rounds = 60
+
+        def publish(writer):
+            store = RunStore(tmp_path)
+            key = store.key("evaluate", {"cell": 1})
+            for round_index in range(rounds):
+                barrier.wait(timeout=10)
+                store.save(key, {"writer": writer, "round": round_index})
+
+        writers = [context.Process(target=publish, args=(writer,)) for writer in range(2)]
+        for process in writers:
+            process.start()
+        for process in writers:
+            process.join(60)
+        assert [process.exitcode for process in writers] == [0, 0]
+        store = RunStore(tmp_path)
+        key = store.key("evaluate", {"cell": 1})
+        assert store.load_result(key)["round"] == rounds - 1
+        assert [entry.name for entry in (store.root / "evaluate").iterdir()] == [key.digest]
+
 
 class TestInspection:
     @pytest.fixture

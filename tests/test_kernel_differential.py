@@ -5,7 +5,7 @@ blocked-row evaluator and the IBP forward pass) are rewritten for speed
 from time to time; today the blocked evaluator hands the kernels
 ``(k, 64, ...)`` stacks of row blocks.  Speed work on verification kernels is only safe if
 the float64 results are **bit-identical** -- the repo's soundness story
-rests on the scalar path being the batch-of-one special case, and any
+rests on one box being a one-row stack of the same kernels, and any
 rounding drift would silently invalidate the committed golden runs.
 
 This module freezes the pre-audit implementations verbatim as private
@@ -26,7 +26,6 @@ from repro.nn.network import MLP
 from repro.scenarios import get_scenario, list_scenarios
 from repro.systems.sets import Box
 from repro.verification.bernstein import (
-    BernsteinApproximation,
     _distinct_grid_points,
     bernstein_coefficients_batch,
     bernstein_enclosure_batch,
@@ -401,8 +400,8 @@ def _assert_matches_per_box_fits(function, lows, highs, degrees):
     """The stacked fit equals each box's own fit and the full-grid reference."""
 
     coeffs = bernstein_coefficients_batch(function, lows, highs, degrees)
-    per_box = np.stack(
-        [BernsteinApproximation(function, Box(low, high), degrees).coefficients for low, high in zip(lows, highs)]
+    per_box = np.concatenate(
+        [bernstein_coefficients_batch(function, low[None, :], high[None, :], degrees) for low, high in zip(lows, highs)]
     )
     assert_bit_identical(coeffs, per_box, "stacked fit vs per-box fits")
     ref = _reference_bernstein_coefficients_batch(function, lows, highs, degrees)

@@ -21,7 +21,7 @@ import pytest
 from repro.experts import make_default_experts
 from repro.scenarios import get_scenario, list_scenarios
 from repro.verification.intervals import Interval
-from repro.verification.system_models import interval_dynamics, interval_dynamics_batch
+from repro.verification.system_models import interval_dynamics_batch
 
 SCENARIOS = list_scenarios()
 
@@ -104,19 +104,23 @@ class TestScenarioConformance:
     def test_interval_scalar_is_batch_of_one(self, name, bundles):
         _, system = bundles[name]
         rng = np.random.default_rng(3)
-        lows, highs = _random_subboxes(system, rng, count=1)
-        control = Interval(system.control_bound.low, system.control_bound.high)
+        lows, highs = _random_subboxes(system, rng, count=4)
+        control_lows = np.tile(system.control_bound.low, (4, 1))
+        control_highs = np.tile(system.control_bound.high, (4, 1))
         disturbance_box = system.disturbance.bound()
         disturbance = Interval(disturbance_box.low, disturbance_box.high)
-        scalar = interval_dynamics(system, Interval(lows[0], highs[0]), control, disturbance)
         batched = interval_dynamics_batch(
-            system,
-            Interval(lows, highs),
-            Interval(control.lower[None, :], control.upper[None, :]),
-            disturbance,
+            system, Interval(lows, highs), Interval(control_lows, control_highs), disturbance
         )
-        np.testing.assert_array_equal(scalar.lower, batched.lower[0])
-        np.testing.assert_array_equal(scalar.upper, batched.upper[0])
+        for row in range(4):
+            single = interval_dynamics_batch(
+                system,
+                Interval(lows[row : row + 1], highs[row : row + 1]),
+                Interval(control_lows[row : row + 1], control_highs[row : row + 1]),
+                disturbance,
+            )
+            np.testing.assert_array_equal(single.lower[0], batched.lower[row])
+            np.testing.assert_array_equal(single.upper[0], batched.upper[row])
 
     def test_expert_pair_conforms(self, name, bundles):
         _, system = bundles[name]

@@ -220,17 +220,17 @@ class TestBudgetHints:
 class TestMissingInclusionFunction:
     def test_unregistered_plant_raises_a_typed_error(self):
         from repro.verification.intervals import Interval
-        from repro.verification.system_models import MissingInclusionFunction, interval_dynamics
+        from repro.verification.system_models import MissingInclusionFunction, interval_dynamics_batch
 
         class Anonymous(VanDerPolOscillator):
             name = "anon-plant-inclusion-probe"
 
         system = Anonymous()
-        state = Interval(np.zeros(2), np.full(2, 0.1))
-        control = Interval([-1.0], [1.0])
+        state = Interval(np.zeros((1, 2)), np.full((1, 2), 0.1))
+        control = Interval([[-1.0]], [[1.0]])
         disturbance = Interval([-0.05], [0.05])
         with pytest.raises(MissingInclusionFunction, match="anon-plant-inclusion-probe") as raised:
-            interval_dynamics(system, state, control, disturbance)
+            interval_dynamics_batch(system, state, control, disturbance)
         assert "register_scenario(..., interval_dynamics=...)" in str(raised.value)
         assert isinstance(raised.value, LookupError)
 

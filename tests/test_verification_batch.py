@@ -1,10 +1,10 @@
-"""Batched verification against single-box results and the frozen reference.
+"""Batched verification against one-row stacks and the frozen reference.
 
 The load-bearing guarantees, mirroring ``tests/test_systems_batch.py`` for
 the rollout engine:
 
 * the batched kernels (grids, coefficients, error bounds, enclosures, IBP)
-  reproduce the single-box results **bit for bit** -- every network forward
+  reproduce their one-row stacks **bit for bit** -- every network forward
   pass runs in fixed-width row blocks, so a box's numbers do not depend on
   how many boxes were batched with it;
 * the batched flow and the frozen one-box-at-a-time reference
@@ -20,6 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from verification_reference import (
+    BernsteinApproximation,
+    bernstein_error_bound,
+    interval_dynamics,
+    network_output_bounds,
     reference_control_bounds,
     reference_invariant_set,
     reference_partition,
@@ -33,17 +37,13 @@ from repro.nn.network import MLP
 from repro.systems import make_system
 from repro.systems.sets import Box
 from repro.verification.bernstein import (
-    BernsteinApproximation,
     bernstein_coefficients_batch,
     bernstein_enclosure_batch,
-    bernstein_error_bound,
     bernstein_error_bound_batch,
-    bernstein_evaluate_batch,
     bernstein_grid_batch,
 )
 from repro.verification.intervals import (
     Interval,
-    network_output_bounds,
     network_output_bounds_batch,
     refined_network_output_bounds_batch,
 )
@@ -51,7 +51,7 @@ from repro.verification.invariant import compute_invariant_set
 from repro.verification.partition import partition_network
 from repro.verification.reachability import reachable_sets
 from repro.verification.sweep import SweepJob, VerificationSweep, run_sweep_job
-from repro.verification.system_models import interval_dynamics, interval_dynamics_batch
+from repro.verification.system_models import interval_dynamics_batch
 from repro.verification.verifier import verify_controller
 
 SYSTEM_NAMES = ["vanderpol", "3d", "cartpole"]
@@ -75,7 +75,7 @@ def random_boxes(domain, count, rng):
 
 
 class TestBatchedKernels:
-    """Row p of every batched kernel == the single-box computation, bitwise."""
+    """Row p of every batched kernel == its one-row stack (or the scalar reference), bitwise."""
 
     def setup_method(self):
         self.network = MLP(2, 1, hidden_sizes=(16, 16), seed=0)
@@ -121,16 +121,6 @@ class TestBatchedKernels:
             ).range_enclosure(include_error=True)
             np.testing.assert_array_equal(lower[index], scalar.lower)
             np.testing.assert_array_equal(upper[index], scalar.upper)
-
-    def test_evaluate_batch_matches_scalar(self):
-        stacked = bernstein_coefficients_batch(self.network, self.lows, self.highs, self.degrees)
-        points = (self.lows + self.highs) / 2.0
-        values = bernstein_evaluate_batch(stacked, self.lows, self.highs, self.degrees, points)
-        for index in range(self.lows.shape[0]):
-            scalar = BernsteinApproximation(
-                self.network, Box(self.lows[index], self.highs[index]), self.degrees
-            ).evaluate(points[index])
-            np.testing.assert_allclose(values[index], scalar, rtol=0, atol=1e-12)
 
     def test_ibp_rows_match_single_box(self):
         lower, upper = network_output_bounds_batch(self.network, self.lows, self.highs)
@@ -247,8 +237,8 @@ class TestEngineEquivalence:
         for index in range(lows.shape[0]):
             query = Box(lows[index], highs[index])
             expected = reference_control_bounds(reference, query)
-            single = approximation.control_bounds(query)
-            for lower, upper in ((batched_lower[index], batched_upper[index]), (single.lower, single.upper)):
+            single_lower, single_upper = approximation.control_bounds_batch(query.low[None, :], query.high[None, :])
+            for lower, upper in ((batched_lower[index], batched_upper[index]), (single_lower[0], single_upper[0])):
                 np.testing.assert_array_equal(lower, expected.lower)
                 np.testing.assert_array_equal(upper, expected.upper)
 
@@ -275,7 +265,8 @@ class TestEngineEquivalence:
         network = seeded_controller(system)
         reference = reference_partition(network, system.safe_region, target_error=0.4, degree=2)
         expected = reference_invariant_set(system, reference, grid_resolution=10)
-        batched = compute_invariant_set(system, network, grid_resolution=10, target_error=0.4, degree=2)
+        approximation = partition_network(network, system.safe_region, target_error=0.4, degree=2)
+        batched = compute_invariant_set(system, approximation, grid_resolution=10)
         np.testing.assert_array_equal(expected.invariant_mask, batched.invariant_mask)
         assert expected.iterations == batched.iterations
         assert expected.work == batched.work

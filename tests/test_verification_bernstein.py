@@ -1,19 +1,41 @@
-"""Tests for the Bernstein-polynomial approximation of neural controllers."""
+"""Tests for the Bernstein-polynomial approximation of neural controllers.
+
+The kernels run on one-row box stacks; the scalar point evaluator and the
+binomial table it uses live in ``verification_reference.py``.
+"""
 
 import math
 
 import numpy as np
 import pytest
+from verification_reference import BernsteinApproximation, binomials
 
 from repro.nn.lipschitz import network_lipschitz
 from repro.nn.network import MLP
 from repro.systems.sets import Box
 from repro.verification.bernstein import (
-    BernsteinApproximation,
-    _binomials,
-    bernstein_error_bound,
-    degrees_for_error,
+    bernstein_coefficients_batch,
+    bernstein_enclosure_batch,
+    bernstein_error_bound_batch,
 )
+
+
+def bernstein_error_bound(lipschitz_constant, box, degrees):
+    """The error bound of ``box`` as a one-row stack."""
+
+    return bernstein_error_bound_batch(lipschitz_constant, box.low[None, :], box.high[None, :], degrees)[0]
+
+
+def one_box_enclosure(function, box, degrees, lipschitz_constant=None):
+    """Range enclosure of ``box`` as a one-row stack, inflated by its error
+    bound when a Lipschitz constant is given."""
+
+    coefficients = bernstein_coefficients_batch(function, box.low[None, :], box.high[None, :], degrees)
+    errors = None
+    if lipschitz_constant is not None:
+        errors = bernstein_error_bound_batch(lipschitz_constant, box.low[None, :], box.high[None, :], degrees)
+    lower, upper = bernstein_enclosure_batch(coefficients, errors)
+    return lower[0], upper[0]
 
 
 class TestErrorBound:
@@ -35,23 +57,6 @@ class TestErrorBound:
         with pytest.raises(ValueError):
             bernstein_error_bound(1.0, Box([-1], [1]), [0])
 
-    def test_degrees_for_error_meets_target(self):
-        box = Box([-1, -1], [1, 1])
-        lipschitz = 4.0
-        target = 0.5
-        degrees = degrees_for_error(lipschitz, box, target, max_degree=256)
-        assert bernstein_error_bound(lipschitz, box, degrees) <= target + 1e-9
-
-    def test_degrees_for_error_higher_for_larger_lipschitz(self):
-        box = Box([-1, -1], [1, 1])
-        low = degrees_for_error(2.0, box, 0.3, max_degree=10_000)[0]
-        high = degrees_for_error(8.0, box, 0.3, max_degree=10_000)[0]
-        assert high > low
-
-    def test_degrees_for_error_invalid_target(self):
-        with pytest.raises(ValueError):
-            degrees_for_error(1.0, Box([-1], [1]), 0.0)
-
 
 class TestBinomials:
     @pytest.mark.parametrize("degree", range(31))
@@ -59,11 +64,11 @@ class TestBinomials:
         from scipy.special import comb
 
         expected = comb(degree, np.arange(degree + 1))
-        assert _binomials(degree).tobytes() == expected.tobytes()
+        assert binomials(degree).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("degree", [31, 40, 52])
     def test_exact_beyond_degree_30(self, degree):
-        table = _binomials(degree)
+        table = binomials(degree)
         # Every C(n, k) with n <= 52 is an integer below 2**53, so exact
         # entries are symmetric and sum to 2**n with no rounding.
         assert np.array_equal(table, table[::-1])
@@ -120,19 +125,20 @@ class TestRangeEnclosure:
     def test_encloses_sampled_network_outputs(self):
         net = MLP(2, 1, hidden_sizes=(8,), activation="tanh", seed=2)
         box = Box([-0.5, -0.5], [0.5, 0.5])
-        approx = BernsteinApproximation(net, box, degrees=4)
-        enclosure = approx.range_enclosure(include_error=True)
+        lower, upper = one_box_enclosure(net, box, 4, lipschitz_constant=network_lipschitz(net))
         outputs = net.predict(box.sample(np.random.default_rng(1), count=300))
-        assert np.all(outputs >= enclosure.lower - 1e-9)
-        assert np.all(outputs <= enclosure.upper + 1e-9)
+        assert np.all(outputs >= lower - 1e-9)
+        assert np.all(outputs <= upper + 1e-9)
 
     def test_enclosure_without_error_is_tighter(self):
         net = MLP(2, 1, hidden_sizes=(8,), seed=3)
-        approx = BernsteinApproximation(net, Box([-1, -1], [1, 1]), degrees=3)
-        with_error = approx.range_enclosure(include_error=True)
-        without_error = approx.range_enclosure(include_error=False)
-        assert np.all(without_error.width <= with_error.width + 1e-12)
+        box = Box([-1, -1], [1, 1])
+        with_lower, with_upper = one_box_enclosure(net, box, 3, lipschitz_constant=network_lipschitz(net))
+        without_lower, without_upper = one_box_enclosure(net, box, 3)
+        assert np.all(without_upper - without_lower <= with_upper - with_lower + 1e-12)
 
     def test_num_coefficients(self):
-        approx = BernsteinApproximation(lambda x: x[:, :1], Box([-1, -1], [1, 1]), degrees=[2, 3], lipschitz_constant=1.0)
-        assert approx.num_coefficients() == 3 * 4
+        box = Box([-1, -1], [1, 1])
+        coefficients = bernstein_coefficients_batch(lambda x: x[:, :1], box.low[None, :], box.high[None, :], [2, 3])
+        assert coefficients.shape == (1, 3, 4, 1)
+        assert coefficients[0].size == 3 * 4

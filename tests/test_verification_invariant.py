@@ -11,6 +11,8 @@ from repro.systems import VanDerPolOscillator
 from repro.systems.sets import Box
 from repro.systems.simulation import rollout
 from repro.verification.invariant import compute_invariant_set
+from repro.verification.partition import partition_network
+from repro.verification.reachability import reachable_sets
 from repro.verification.verifier import verify_controller
 
 GRID_RESOLUTION = 20
@@ -38,9 +40,8 @@ def invariant_result(oscillator_student):
     """One shared invariant-set computation (the expensive step) for all tests."""
 
     system, net = oscillator_student
-    result = compute_invariant_set(
-        system, net, grid_resolution=GRID_RESOLUTION, target_error=0.5, degree=3, max_partitions=4096
-    )
+    approximation = partition_network(net, system.safe_region, target_error=0.5, degree=3, max_partitions=4096)
+    result = compute_invariant_set(system, approximation, grid_resolution=GRID_RESOLUTION)
     return system, net, result
 
 
@@ -88,17 +89,28 @@ class TestInvariantSet:
 
     def test_grid_resolution_validation(self, oscillator_student):
         system, net = oscillator_student
+        approximation = partition_network(net, system.safe_region, target_error=0.5, degree=2)
         with pytest.raises(ValueError):
-            compute_invariant_set(system, net, grid_resolution=1)
+            compute_invariant_set(system, approximation, grid_resolution=1)
 
     def test_coarse_grid_is_more_conservative(self, oscillator_student, invariant_result):
         """A too-coarse grid cannot certify invariance (more conservative)."""
 
         system, net = oscillator_student
-        coarse = compute_invariant_set(system, net, grid_resolution=6, target_error=0.5, degree=3)
+        approximation = partition_network(net, system.safe_region, target_error=0.5, degree=3, max_partitions=2048)
+        coarse = compute_invariant_set(system, approximation, grid_resolution=6)
         _, _, fine = invariant_result
         assert coarse.volume_fraction() <= fine.volume_fraction() + 1e-9
 
+
+    def test_uses_the_partition_it_is_given(self, oscillator_student):
+        """No second partitioning: the result reports the caller's surrogate."""
+
+        system, net = oscillator_student
+        approximation = partition_network(net, system.safe_region, target_error=0.5, degree=2, max_partitions=16)
+        result = compute_invariant_set(system, approximation, grid_resolution=6)
+        assert result.num_partitions == approximation.num_partitions <= 16
+        assert result.approximation_error == approximation.max_error
 
 class TestVerifierDriver:
     def test_report_contains_both_analyses(self, oscillator_student):
@@ -147,3 +159,61 @@ class TestVerifierDriver:
         inflated_report = verify_controller(system, inflated, target_error=0.5, degree=2, max_partitions=8192)
         assert inflated_report.lipschitz_constant > base_report.lipschitz_constant
         assert inflated_report.num_partitions >= base_report.num_partitions
+
+    def test_driver_partitions_once_for_both_analyses(self, oscillator_student, monkeypatch):
+        from repro.verification import verifier
+
+        calls = []
+
+        def counting_partition(*args, **kwargs):
+            calls.append(1)
+            return partition_network(*args, **kwargs)
+
+        monkeypatch.setattr(verifier, "partition_network", counting_partition)
+        system, net = oscillator_student
+        report = verify_controller(
+            system,
+            net,
+            target_error=0.5,
+            degree=2,
+            reach_initial_box=Box([0.0, 0.0], [0.1, 0.1]),
+            reach_steps=3,
+            invariant_grid=6,
+        )
+        assert calls == [1]
+        assert report.reachability.num_partitions == report.invariant.num_partitions == report.num_partitions
+
+    def test_analyses_match_direct_calls_on_the_driver_partition(self, oscillator_student):
+        """``verify_controller`` = one ``partition_network`` + each analysis on it."""
+
+        system, net = oscillator_student
+        initial_box = Box([0.0, 0.0], [0.1, 0.1])
+        report = verify_controller(
+            system,
+            net,
+            target_error=0.5,
+            degree=2,
+            reach_initial_box=initial_box,
+            reach_steps=5,
+            invariant_grid=6,
+        )
+        approximation = partition_network(
+            net,
+            system.safe_region,
+            target_error=0.5,
+            degree=2,
+            max_partitions=2048,
+            lipschitz_constant=report.lipschitz_constant,
+        )
+        reach = reachable_sets(system, approximation, initial_box, steps=5)
+        reported = report.reachability
+        assert (reach.status, reach.steps_completed, reach.work) == (
+            reported.status, reported.steps_completed, reported.work
+        )
+        assert len(reach.boxes) == len(reported.boxes)
+        for direct, driven in zip(reach.boxes, reported.boxes):
+            assert direct.low.tobytes() == driven.low.tobytes()
+            assert direct.high.tobytes() == driven.high.tobytes()
+        invariant = compute_invariant_set(system, approximation, grid_resolution=6)
+        np.testing.assert_array_equal(invariant.invariant_mask, report.invariant.invariant_mask)
+        assert (invariant.iterations, invariant.work) == (report.invariant.iterations, report.invariant.work)

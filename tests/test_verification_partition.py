@@ -1,16 +1,31 @@
 """Tests for the partition-refined Bernstein surrogate."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from verification_reference import BernsteinApproximation
 
+from repro.experiments.digest import weights_digest
 from repro.nn.network import MLP
+from repro.nn.serialization import load_state_dict
+from repro.scenarios import get_scenario
+from repro.systems import make_system
 from repro.systems.sets import Box
-from repro.verification.bernstein import BernsteinApproximation
+from repro.verification.intervals import Interval
 from repro.verification.partition import partition_network
 
 
 def partition_boxes(approx):
     return [Box(low, high) for low, high in zip(approx.lows, approx.highs)]
+
+
+def one_box_bounds(approx, box, include_error=True):
+    """Control enclosure over one query box, as a one-row stack."""
+
+    lower, upper = approx.control_bounds_batch(box.low[None, :], box.high[None, :], include_error=include_error)
+    return Interval(lower[0], upper[0])
 
 
 @pytest.fixture
@@ -71,21 +86,19 @@ class TestPiecewiseEvaluation:
         approx = partition_network(small_network, domain, target_error=0.5, degree=3)
         rng = np.random.default_rng(0)
         for point in domain.sample(rng, count=40):
-            index = approx.locate(point)
-            assert Box(approx.lows[index], approx.highs[index]).contains(point, tolerance=1e-9)
-            surrogate = approx.evaluate(point)[0]
+            inside = np.all(point >= approx.lows - 1e-12, axis=-1) & np.all(point <= approx.highs + 1e-12, axis=-1)
+            index = int(np.nonzero(inside)[0][0])
+            box = Box(approx.lows[index], approx.highs[index])
+            surrogate = BernsteinApproximation.from_coefficients(
+                small_network, box, approx.coefficients[index], lipschitz_constant=approx.lipschitz_constant
+            )
             actual = small_network.predict(point)[0]
-            assert abs(surrogate - actual) <= approx.max_error + 1e-6
-
-    def test_locate_outside_domain_raises(self, small_network, domain):
-        approx = partition_network(small_network, domain, target_error=1.0, degree=2)
-        with pytest.raises(ValueError):
-            approx.locate([10.0, 10.0])
+            assert abs(surrogate.evaluate(point)[0] - actual) <= approx.max_error + 1e-6
 
     def test_control_bounds_enclose_network_outputs(self, small_network, domain):
         approx = partition_network(small_network, domain, target_error=0.5, degree=3)
         query = Box([-0.4, -0.3], [0.6, 0.9])
-        bounds = approx.control_bounds(query)
+        bounds = one_box_bounds(approx, query)
         outputs = small_network.predict(query.sample(np.random.default_rng(1), count=300))
         assert np.all(outputs >= bounds.lower - 1e-9)
         assert np.all(outputs <= bounds.upper + 1e-9)
@@ -93,12 +106,12 @@ class TestPiecewiseEvaluation:
     def test_control_bounds_outside_domain_raises(self, small_network, domain):
         approx = partition_network(small_network, domain, target_error=1.0, degree=2)
         with pytest.raises(ValueError):
-            approx.control_bounds(Box([10, 10], [11, 11]))
+            one_box_bounds(approx, Box([10, 10], [11, 11]))
 
     def test_smaller_query_box_gives_tighter_bounds(self, small_network, domain):
         approx = partition_network(small_network, domain, target_error=0.5, degree=3)
-        wide = approx.control_bounds(Box([-1, -1], [1, 1]), include_error=False)
-        narrow = approx.control_bounds(Box([-0.1, -0.1], [0.1, 0.1]), include_error=False)
+        wide = one_box_bounds(approx, Box([-1, -1], [1, 1]), include_error=False)
+        narrow = one_box_bounds(approx, Box([-0.1, -0.1], [0.1, 0.1]), include_error=False)
         assert np.all(narrow.width <= wide.width + 1e-9)
 
 
@@ -121,7 +134,7 @@ class TestSummaries:
         )
         models = [
             BernsteinApproximation.from_coefficients(
-                small_network, box, degree, approx.coefficients[index], lipschitz_constant=approx.lipschitz_constant
+                small_network, box, approx.coefficients[index], lipschitz_constant=approx.lipschitz_constant
             )
             for index, box in enumerate(partition_boxes(approx))
         ]
@@ -138,7 +151,7 @@ class TestSummaries:
         partition: the bound has no memo, so a per-partition call would cost
         one SVD per layer per box."""
 
-        from repro.verification import bernstein, partition
+        from repro.verification import partition
 
         original = partition.network_lipschitz
         calls = []
@@ -148,13 +161,54 @@ class TestSummaries:
             return original(network)
 
         monkeypatch.setattr(partition, "network_lipschitz", counting_lipschitz)
-        monkeypatch.setattr(bernstein, "network_lipschitz", counting_lipschitz)
         counts = {}
         for target in (0.4, 0.2):
             calls.clear()
             approx = partition_network(small_network, domain, target_error=target, degree=3)
-            approx.evaluate([0.1, -0.3])
             counts[approx.num_partitions] = len(calls)
         fewer, more = sorted(counts)
         assert 256 <= fewer < more
         assert counts[fewer] == counts[more] == 1
+
+
+STUDENTS = Path(__file__).resolve().parents[1] / "perfbench" / "students"
+STUDENT_SCENARIOS = ("vanderpol", "3d", "cartpole", "pendulum", "acc")
+
+
+class TestFrozenStudents:
+    """``|B_p(x) - kappa*(x)| <= eps_p`` on the five frozen kappa* students.
+
+    Each student is partitioned at its catalog verify budget; a seeded
+    sample of partitions and of points inside them is checked with the
+    scalar evaluator of ``verification_reference.py``.  The students are
+    only read.
+    """
+
+    @pytest.mark.parametrize("name", STUDENT_SCENARIOS)
+    def test_epsilon_is_sound_on_frozen_students(self, name):
+        entry = json.loads((STUDENTS / "manifest.json").read_text())["students"][name]
+        network = load_state_dict(STUDENTS / entry["file"])
+        assert weights_digest(network.state_dict(), extra=network.architecture()) == entry["weights_digest"]
+        system = make_system(name)
+        budget = get_scenario(name).verify_budget
+        approx = partition_network(
+            network,
+            system.safe_region,
+            target_error=budget["target_error"],
+            degree=budget["degree"],
+            max_partitions=budget["max_partitions"],
+        )
+        rng = np.random.default_rng(0)
+        indices = rng.choice(approx.num_partitions, size=min(64, approx.num_partitions), replace=False)
+        for index in indices:
+            box = Box(approx.lows[index], approx.highs[index])
+            model = BernsteinApproximation.from_coefficients(
+                network, box, approx.coefficients[index], lipschitz_constant=approx.lipschitz_constant
+            )
+            epsilon = model.error_bound()
+            assert epsilon <= approx.max_error
+            points = np.vstack([box.center, box.sample(rng, count=8)])
+            actual = network.predict(points)
+            for point, value in zip(points, actual):
+                deviation = np.max(np.abs(model.evaluate(point) - value))
+                assert deviation <= epsilon, f"{name} partition {index}: {deviation} > eps_p {epsilon}"

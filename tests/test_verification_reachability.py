@@ -2,14 +2,15 @@
 
 import numpy as np
 import pytest
+from verification_reference import interval_dynamics
 
 from repro.nn.network import MLP
 from repro.systems import CartPole, ThreeDimensionalSystem, VanDerPolOscillator
 from repro.systems.sets import Box
 from repro.verification.intervals import Interval
 from repro.verification.partition import partition_network
-from repro.verification.reachability import reachable_sets, verify_reach_safety
-from repro.verification.system_models import interval_dynamics
+from repro.verification.reachability import reachable_sets
+from repro.verification.verifier import verify_controller
 
 
 class TestIntervalDynamics:
@@ -99,7 +100,9 @@ class TestReachability:
         system = ThreeDimensionalSystem()
         network = self._trained_student(system, seed=1)
         initial_box = Box([-0.05] * 3, [0.05] * 3)
-        result = verify_reach_safety(system, network, initial_box, steps=5, target_error=0.3, degree=3)
+        result = verify_controller(
+            system, network, target_error=0.3, degree=3, reach_initial_box=initial_box, reach_steps=5
+        ).reachability
         assert result.status in ("verified", "unsafe", "resource-exhausted")
         assert len(result.boxes) >= 1
         assert result.elapsed_seconds >= 0.0
@@ -121,6 +124,33 @@ class TestReachability:
         result = reachable_sets(system, approx, initial_box, steps=10, work_budget=1)
         assert result.status == "resource-exhausted"
         assert result.steps_completed < 10
+
+    def test_full_run_counts_every_step(self):
+        system = VanDerPolOscillator()
+        network = self._trained_student(system)
+        approx = partition_network(network, system.safe_region, target_error=0.5, degree=2)
+        result = reachable_sets(system, approx, Box([0.0, 0.0], [0.05, 0.05]), steps=5)
+        assert result.status == "verified"
+        assert result.steps_completed == 5
+        assert len(result.boxes) == 6
+        assert result.work == 5 * approx.total_coefficients()
+
+    def test_stopped_run_counts_the_step_that_stopped_it(self):
+        # A run that stops at step k (unsafe box or exhausted budget) reports
+        # k + 1 steps and keeps only the boxes it reached.
+        system = VanDerPolOscillator()
+        network = self._trained_student(system)
+        approx = partition_network(network, system.safe_region, target_error=0.5, degree=2)
+        outside = Box([1.9, 1.9], [2.5, 2.5])
+        unsafe = reachable_sets(system, approx, outside, steps=4)
+        assert (unsafe.status, unsafe.steps_completed, unsafe.work) == ("unsafe", 1, 0)
+        assert unsafe.boxes == [outside]
+        inside = Box([0.0, 0.0], [0.05, 0.05])
+        budget = 2 * approx.total_coefficients()
+        exhausted = reachable_sets(system, approx, inside, steps=4, work_budget=budget)
+        assert (exhausted.status, exhausted.steps_completed) == ("resource-exhausted", 3)
+        assert exhausted.work == 3 * approx.total_coefficients()
+        assert len(exhausted.boxes) == 3
 
     def test_invalid_steps(self):
         system = VanDerPolOscillator()

@@ -1,9 +1,14 @@
 """Frozen one-box-at-a-time reference of the verification flow.
 
 A helper module, not a test module (pytest does not collect it).  It keeps
-the scalar orchestration that ``repro.verification`` used to ship beside
-its batched path, so the tests can pin the batched path to it bit for bit:
+the scalar code that ``repro.verification`` used to ship beside its batched
+path, so the tests can pin the batched path to it bit for bit:
 
+* the one-box views of the kernels: :class:`BernsteinApproximation` (a
+  one-row coefficient fit plus the scalar point evaluator, the range
+  enclosure and the analytic error bound), :func:`bernstein_error_bound`,
+  :func:`binomials`, :func:`network_output_bounds`,
+  :func:`refined_network_output_bounds` and :func:`interval_dynamics`;
 * :func:`reference_partition` -- the FIFO-queue partitioner: pop a box,
   accept it when its Lipschitz error bound meets the target (or when
   splitting would overrun ``max_partitions``), otherwise bisect it with
@@ -17,13 +22,15 @@ its batched path, so the tests can pin the batched path to it bit for bit:
 * :func:`reference_invariant_set` -- one control enclosure and one
   interval-dynamics image per grid cell, then the elimination fixed point.
 
-Only orchestration lives here.  The kernels it calls (grids, coefficient
-fits, IBP, interval dynamics) are pinned separately against their own frozen
-references by ``test_kernel_differential.py``.
+Beside the point evaluator and the scalar error bound, only one-row
+wrappers and orchestration live here.  The kernels they call (grids,
+coefficient fits, IBP, interval dynamics) are pinned separately against
+their own frozen references by ``test_kernel_differential.py``.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -32,13 +39,128 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.nn.lipschitz import network_lipschitz
+from repro.nn.network import MLP
 from repro.systems.sets import Box
-from repro.verification.bernstein import BernsteinApproximation, bernstein_error_bound
-from repro.verification.intervals import Interval, refined_network_output_bounds_batch
+from repro.verification.bernstein import bernstein_coefficients_batch
+from repro.verification.intervals import (
+    Interval,
+    network_output_bounds_batch,
+    refined_network_output_bounds_batch,
+)
 from repro.verification.invariant import InvariantSetResult
 from repro.verification.reachability import ReachabilityResult
-from repro.verification.system_models import interval_dynamics
+from repro.verification.system_models import interval_dynamics_batch
 from repro.verification.verifier import VerificationReport
+
+
+def binomials(degree: int) -> np.ndarray:
+    """``C(degree, k)`` for ``k = 0..degree`` as float64 (exact integers rounded once)."""
+
+    return np.array([math.comb(degree, k) for k in range(degree + 1)], dtype=np.float64)
+
+
+def bernstein_error_bound(lipschitz_constant: float, box: Box, degrees) -> float:
+    """Lipschitz error bound ``L/2 * sqrt(sum_i w_i^2 / d_i)`` of one box."""
+
+    degrees = np.asarray(degrees, dtype=np.float64)
+    if np.any(degrees < 1):
+        raise ValueError("degrees must be at least 1")
+    widths = box.widths
+    return float(0.5 * lipschitz_constant * np.sqrt(np.sum(widths**2 / degrees)))
+
+
+class BernsteinApproximation:
+    """Bernstein polynomial of a function on one box, with a scalar evaluator.
+
+    The fit is the one-row stack of
+    :func:`repro.verification.bernstein.bernstein_coefficients_batch`;
+    :meth:`evaluate` contracts the coefficient tensor with one Bernstein
+    basis vector per axis at a single point.
+    """
+
+    def __init__(self, function, box: Box, degrees, lipschitz_constant=None, coefficients=None):
+        if coefficients is None:
+            coefficients = bernstein_coefficients_batch(function, box.low[None, :], box.high[None, :], degrees)[0]
+        self.box = box
+        self.coefficients = coefficients
+        self.degrees = np.array(coefficients.shape[:-1], dtype=int) - 1
+        self._function = function
+        if lipschitz_constant is None and isinstance(function, MLP):
+            lipschitz_constant = network_lipschitz(function)
+        self.lipschitz_constant = lipschitz_constant
+
+    @classmethod
+    def from_coefficients(cls, function, box: Box, coefficients: np.ndarray, lipschitz_constant=None):
+        """Wrap a precomputed coefficient tensor (e.g. one row of a batched fit)."""
+
+        return cls(function, box, None, lipschitz_constant=lipschitz_constant, coefficients=coefficients)
+
+    @property
+    def output_dim(self) -> int:
+        return int(self.coefficients.shape[-1])
+
+    def evaluate(self, point) -> np.ndarray:
+        """Evaluate the polynomial at one point inside the box."""
+
+        point = np.asarray(point, dtype=np.float64)
+        widths = np.where(self.box.widths == 0.0, 1.0, self.box.widths)
+        t = np.clip((point - self.box.low) / widths, 0.0, 1.0)
+        result = self.coefficients
+        for value, degree in zip(t, self.degrees):
+            ks = np.arange(degree + 1)
+            basis = binomials(int(degree)) * (float(value) ** ks) * ((1.0 - float(value)) ** (degree - ks))
+            result = np.tensordot(basis, result, axes=([0], [0]))
+        return np.atleast_1d(result)
+
+    def error_bound(self) -> float:
+        if self.lipschitz_constant is None:
+            raise ValueError("a Lipschitz constant is needed for the analytic error bound")
+        return bernstein_error_bound(self.lipschitz_constant, self.box, self.degrees)
+
+    def empirical_error(self, samples: int = 256, rng=None) -> float:
+        """Sampled maximum deviation between the polynomial and the function."""
+
+        points = self.box.sample(rng, count=samples)
+        if isinstance(self._function, MLP):
+            function_values = self._function.predict(points)
+        else:
+            function_values = np.asarray(self._function(points), dtype=np.float64).reshape(samples, -1)
+        polynomial_values = np.stack([self.evaluate(point) for point in points], axis=0)
+        return float(np.max(np.abs(function_values - polynomial_values)))
+
+    def range_enclosure(self, include_error: bool = True) -> Interval:
+        """Output bounds over the box from the coefficient min/max (+ error)."""
+
+        flat = self.coefficients.reshape(-1, self.output_dim)
+        lower = flat.min(axis=0)
+        upper = flat.max(axis=0)
+        if include_error and self.lipschitz_constant is not None:
+            epsilon = self.error_bound()
+            lower = lower - epsilon
+            upper = upper + epsilon
+        return Interval(lower, upper)
+
+    def num_coefficients(self) -> int:
+        return int(np.prod(self.degrees + 1))
+
+
+def network_output_bounds(network, box: Box) -> Interval:
+    """IBP bounds of one box: the ``M = 1`` stack of the batch kernel."""
+
+    lower, upper = network_output_bounds_batch(network, box.low[None, :], box.high[None, :])
+    return Interval(lower[0], upper[0])
+
+
+def interval_dynamics(system, state: Interval, control: Interval, disturbance: Interval) -> Interval:
+    """One-step interval image of one state box: the ``N = 1`` stack."""
+
+    image = interval_dynamics_batch(
+        system,
+        Interval(state.lower[None, :], state.upper[None, :]),
+        Interval(control.lower[None, :], control.upper[None, :]),
+        disturbance,
+    )
+    return Interval(image.lower[0], image.upper[0])
 
 
 @dataclass
@@ -147,7 +269,11 @@ def reference_control_bounds(partition: ReferencePartition, box: Box, include_er
         lower = np.maximum(bounds.lower, ibp.lower)
         upper = np.minimum(bounds.upper, ibp.upper)
         tightened = Interval(np.minimum(lower, upper), upper)
-        enclosure = tightened if enclosure is None else enclosure.hull(tightened)
+        if enclosure is not None:
+            tightened = Interval(
+                np.minimum(enclosure.lower, tightened.lower), np.maximum(enclosure.upper, tightened.upper)
+            )
+        enclosure = tightened
     if enclosure is None:
         raise ValueError("query box does not intersect the partitioned domain")
     return enclosure

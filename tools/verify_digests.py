@@ -5,13 +5,16 @@ Runs ``verify_controller`` on each frozen kappa* student under
 ``perfbench/students/`` with the benchmark's own ``verify`` budgets and
 prints, per scenario::
 
-    <scenario> status=<reach status> partitions=<P> epsilon=<repr(eps)> sha256=<digest>
+    <scenario> status=<reach status> partitions=<P> epsilon=<repr(eps)>
+        steps=<reach steps completed> work=<reach work>
+        iterations=<invariant elimination sweeps, or - without one> sha256=<digest>
 
-where the digest covers every reach box (low and high bytes, in order) and
-the invariant mask (when the scenario computes one).  Two trees print the
-same lines exactly when their verdicts, reach boxes, approximation errors,
-partition counts and invariant masks are bit-identical, so comparing the
-output before and after a change is a one-command identity check::
+(on one line), where the digest covers every reach box (low and high bytes,
+in order) and the invariant mask (when the scenario computes one).  Two
+trees print the same lines exactly when their verdicts, reach boxes, reach
+counters, approximation errors, partition counts, invariant masks and
+elimination sweep counts are identical, so comparing the output before and
+after a change is a one-command identity check::
 
     make verify-digests          # or: python tools/verify_digests.py
 
@@ -48,9 +51,11 @@ def digest_line(name: str, report) -> str:
         digest.update(np.ascontiguousarray(box.high, dtype=np.float64).tobytes())
     if report.invariant is not None:
         digest.update(np.ascontiguousarray(report.invariant.invariant_mask, dtype=bool).tobytes())
+    iterations = "-" if report.invariant is None else report.invariant.iterations
     return (
         f"{name} status={reach.status} partitions={report.num_partitions} "
-        f"epsilon={report.approximation_error!r} sha256={digest.hexdigest()}"
+        f"epsilon={report.approximation_error!r} steps={reach.steps_completed} work={reach.work} "
+        f"iterations={iterations} sha256={digest.hexdigest()}"
     )
 
 
