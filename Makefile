@@ -53,13 +53,18 @@
 # its training twin, trains each paper system at the benchmark's `train`
 # budgets and widths, seed 0, and prints the weights digest of A_W's policy,
 # kappa* and kappa_D and a sha256 of each stage logger's history (diff it
-# across two trees to check that training is bit-identical); `lint` is a fast
-# syntax gate (no third-party linter is vendored into the image).
+# across two trees to check that training is bit-identical); `inputs-digests`
+# prints the repo benchmark's inputs digest of its `train`, `verify` and
+# `matrix` workloads (what each asks the program to compute, resolved through
+# the job layer) and its input-drift list (diff it across two trees to check
+# that a change leaves the benchmark's inputs alone; perfbench is only read);
+# `lint` is a fast syntax gate (no third-party linter is vendored into the
+# image).
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test test-fast test-cov shard-smoke watch-smoke serve-smoke scenario-smoke bench train-bench perf-train perf-verify perf-matrix verify-digests train-digests lint
+.PHONY: test test-fast test-cov shard-smoke watch-smoke serve-smoke scenario-smoke bench train-bench perf-train perf-verify perf-matrix verify-digests train-digests inputs-digests lint
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -177,6 +182,9 @@ verify-digests:
 
 train-digests:
 	$(PYTHON) tools/train_digests.py
+
+inputs-digests:
+	$(PYTHON) tools/inputs_digests.py
 
 lint:
 	$(PYTHON) -m compileall -q src tests benchmarks examples tools

@@ -25,6 +25,7 @@ import numpy as np
 
 from repro import register_scenario, run_scenario_matrix
 from repro.experts import LinearStateFeedback
+from repro.jobs.messages import MatrixJobSpec
 from repro.scenarios import ScenarioSpec, unregister_scenario
 from repro.systems import Box, ControlSystem, NoDisturbance
 from repro.verification.intervals import Interval
@@ -104,11 +105,14 @@ def main() -> None:
 
     try:
         report = run_scenario_matrix(
-            scenarios=["double-integrator", "vanderpol", "pendulum"],
-            samples=args.samples,
-            train=args.train,
-            verify=args.train,
-            budget_scale=0.25,
+            MatrixJobSpec(
+                jobs=1,
+                scenarios=["double-integrator", "vanderpol", "pendulum"],
+                samples=args.samples,
+                train=args.train,
+                verify=args.train,
+                budget_scale=0.25,
+            ),
             progress=print,
         )
     finally:

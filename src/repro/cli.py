@@ -64,9 +64,6 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro import make_system
-from repro.verification import verify_controller
-
 
 def _scenario_argument(value: str) -> str:
     """Validate a ``--system`` value against the scenario registry.
@@ -217,11 +214,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="controller directory for the --system shorthand")
     sweep.add_argument("--jobs", type=int, default=0,
                        help="worker processes for the sweep pool (0 = one per job, capped at the CPU count)")
-    sweep.add_argument("--target-error", type=float, default=0.5)
-    sweep.add_argument("--degree", type=int, default=3)
-    sweep.add_argument("--max-partitions", type=int, default=2048)
-    sweep.add_argument("--reach-steps", type=int, default=15, help="reachability horizon per job")
-    sweep.add_argument("--reach-box-scale", type=float, default=0.1, help="initial reach box as a fraction of X0")
+    # Analysis budgets default to each job's scenario verify_budget hints,
+    # exactly as on `repro verify`.
+    sweep.add_argument("--target-error", type=float, default=None, help=f"Bernstein error target {hint}")
+    sweep.add_argument("--degree", type=int, default=None, help=f"Bernstein degree {hint}")
+    sweep.add_argument("--max-partitions", type=int, default=None, help=f"partition cap {hint}")
+    sweep.add_argument("--reach-steps", type=int, default=None, help=f"reachability horizon {hint}")
+    sweep.add_argument("--reach-box-scale", type=float, default=None,
+                       help=f"initial reach box as a fraction of X0 {hint}")
     sweep.add_argument("--invariant-grid", type=int, default=0, help="0 disables the invariant-set analysis")
     sweep.add_argument("--work-budget", type=int, default=0,
                        help="per-job reachability work budget in Bernstein coefficients (0 = unbounded); "
@@ -473,30 +473,27 @@ def _command_evaluate(args: argparse.Namespace) -> int:
 
 
 def _command_verify(args: argparse.Namespace) -> int:
-    from repro.jobs.runner import JobSpecError, _load_controller, resolve_budget
-    from repro.scenarios import get_scenario
+    from repro.jobs.runner import JobSpecError, _load_controller
+    from repro.verification.sweep import SweepJob, run_sweep_job, scenario_budgets
 
-    system = make_system(args.system)
     try:
         controller = _load_controller(args.controller_dir, args.controller)
     except JobSpecError as error:
         raise SystemExit(str(error))
-    hints = get_scenario(args.system).verify_budget
-    reach_box = system.initial_set.scale(
-        resolve_budget(args.reach_box_scale, hints, "reach_box_scale", 0.1)
-    )
-    report = verify_controller(
-        system,
-        controller.network,
-        name=args.controller,
-        target_error=resolve_budget(args.target_error, hints, "target_error", 0.5),
-        degree=resolve_budget(args.degree, hints, "degree", 3),
-        max_partitions=resolve_budget(args.max_partitions, hints, "max_partitions", 4096),
-        reach_initial_box=reach_box,
-        reach_steps=resolve_budget(args.reach_steps, hints, "reach_steps", 15),
+    budgets = scenario_budgets(
+        args.system,
+        target_error=args.target_error,
+        degree=args.degree,
+        max_partitions=args.max_partitions,
+        reach_steps=args.reach_steps,
+        reach_box_scale=args.reach_box_scale,
         invariant_grid=args.invariant_grid or None,
     )
-    for key, value in report.summary().items():
+    job = SweepJob.from_network(args.controller, args.system, controller.network, **budgets)
+    result = run_sweep_job(job)
+    if result.status != "ok":
+        raise SystemExit(result.error)
+    for key, value in result.summary.items():
         print(f"{key:20s}: {value}")
     return 0
 
@@ -566,8 +563,10 @@ def _command_scenarios(args: argparse.Namespace) -> int:
         raise SystemExit("--csv is not available on a single shard (its rows are partial); "
                          "merge the full CSV afterwards with `repro runs merge --csv`")
 
-    matrix_kwargs = dict(
-        scenarios=args.scenario,
+    from repro.jobs.messages import MatrixJobSpec
+
+    spec = MatrixJobSpec(
+        scenarios=tuple(args.scenario or ()),
         samples=args.samples,
         fraction=args.fraction,
         train=not args.no_train,
@@ -575,40 +574,26 @@ def _command_scenarios(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         seed=args.seed,
         budget_scale=args.budget_scale,
-        run_dir=args.run_dir,
-        force=args.force,
-        telemetry=False if args.no_telemetry else None,
     )
+    telemetry = False if args.no_telemetry else None
     if args.shard is not None:
         report = run_scenario_matrix(
-            progress=print,
+            spec,
+            run_dir=args.run_dir,
+            force=args.force,
             shard=args.shard,
             shard_time_budget=args.shard_time_budget or None,
-            **matrix_kwargs,
+            telemetry=telemetry,
+            progress=print,
         )
     else:
         # The plain (unsharded) run routes through the reusable job layer,
         # so this path and a daemon-submitted matrix job are the same code.
-        from repro.jobs.messages import MatrixJobSpec
         from repro.jobs.runner import JobSpecError, execute_matrix
 
-        spec = MatrixJobSpec(
-            scenarios=tuple(args.scenario or ()),
-            samples=args.samples,
-            fraction=args.fraction,
-            train=not args.no_train,
-            verify=not args.no_verify,
-            jobs=args.jobs,
-            seed=args.seed,
-            budget_scale=args.budget_scale,
-        )
         try:
             report = execute_matrix(
-                spec,
-                run_dir=args.run_dir,
-                say=print,
-                force=args.force,
-                telemetry=False if args.no_telemetry else None,
+                spec, run_dir=args.run_dir, say=print, force=args.force, telemetry=telemetry
             )
         except JobSpecError as error:
             raise SystemExit(str(error))
@@ -683,7 +668,7 @@ def _runs_stats(args: argparse.Namespace) -> int:
     )
     print(
         f"cells: {stats['cells_computed']} computed, {stats['cells_cached']} cached "
-        f"(hit rate {hit_rate}), {stats['cells_stolen']} stolen"
+        f"(hit rate {hit_rate})"
     )
     for kind, summary in stats["cell_seconds_by_kind"].items():
         print(

@@ -162,20 +162,23 @@ class EvaluateJobSpec(JobSpec):
 class VerifySweepJobSpec(JobSpec):
     """Verify many saved controllers (mirrors ``repro verify-sweep``).
 
-    ``specs`` entries use the CLI's ``SYSTEM:DIR[:CONTROLLER]`` syntax;
-    zero-valued budgets mean "unbounded", as on the command line.  Schema
-    v2 dropped the ``engine`` field; a payload that still carries it is
-    refused.
+    ``specs`` entries use the CLI's ``SYSTEM:DIR[:CONTROLLER]`` syntax.
+    ``None`` analysis budgets resolve to each entry's scenario
+    ``verify_budget`` hints and then to the ``SweepJob`` defaults, exactly
+    like the CLI flags; zero-valued ``invariant_grid`` / ``work_budget`` /
+    ``time_budget`` mean "off" / "unbounded", as on the command line.
+    Schema v2 dropped the ``engine`` field (a payload that still carries it
+    is refused); v3 made the five analysis budgets optional.
     """
 
     TYPE: ClassVar[str] = "verify-sweep"
-    SCHEMA_VERSION: ClassVar[int] = 2
+    SCHEMA_VERSION: ClassVar[int] = 3
     specs: Tuple[str, ...] = ()
-    target_error: float = 0.5
-    degree: int = 3
-    max_partitions: int = 2048
-    reach_steps: int = 15
-    reach_box_scale: float = 0.1
+    target_error: Optional[float] = None
+    degree: Optional[int] = None
+    max_partitions: Optional[int] = None
+    reach_steps: Optional[int] = None
+    reach_box_scale: Optional[float] = None
     invariant_grid: int = 0
     work_budget: int = 0
     time_budget: float = 0.0
@@ -193,7 +196,10 @@ class VerifySweepJobSpec(JobSpec):
 class MatrixJobSpec(JobSpec):
     """Run the scenario matrix (mirrors ``repro scenarios run``).
 
-    An empty ``scenarios`` tuple means the whole catalog.  Shard fields are
+    The one description of a matrix run: the CLI builds it,
+    :func:`repro.scenarios.run_scenario_matrix` takes it, a sharded run's
+    manifest records it (all but ``jobs``) and the merge replays it.  An
+    empty ``scenarios`` tuple means the whole catalog.  Shard fields are
     deliberately absent: sharding is a run-topology concern, not part of a
     job's identity -- the daemon's worker pool plays that role.  Schema v2
     dropped the ``engine`` field; a payload that still carries it is

@@ -49,7 +49,6 @@ __all__ = [
     "JobSpecError",
     "resolve_job",
     "job_key",
-    "resolve_budget",
     "execute_train",
     "execute_evaluate",
     "expand_sweep_specs",
@@ -72,14 +71,6 @@ class JobSpecError(ValueError):
     rather than the execution.  Messages are exactly what the CLI verbs
     print, so ``raise SystemExit(str(error))`` preserves historical output.
     """
-
-
-def resolve_budget(explicit, hints, key, fallback):
-    """An explicitly passed value wins; then the scenario hint; then ``fallback``."""
-
-    if explicit is not None:
-        return explicit
-    return type(fallback)(hints.get(key, fallback))
 
 
 def _resolve_scenario(name: str):
@@ -109,38 +100,35 @@ def _load_controller(directory, name: str):
 # ---------------------------------------------------------------------------
 
 
-def _resolve_train(spec: TrainJobSpec):
-    """(scenario, overrides, CocktailConfig, resolved identity dict)."""
+#: The train spec's budget fields; each names its ``train_budget`` hint key.
+_TRAIN_BUDGET_FIELDS = (
+    "mixing_epochs",
+    "mixing_steps",
+    "distill_epochs",
+    "dataset_size",
+    "eval_samples",
+    "num_envs",
+    "train_batch_size",
+)
 
-    from repro import CocktailConfig, DistillationConfig, EvaluationConfig, MixingConfig
-    from repro.core.config import DEFAULT_NUM_ENVS, DEFAULT_TRAIN_BATCH_SIZE
+
+def _resolve_train(spec: TrainJobSpec):
+    """(scenario, overrides, CocktailConfig, resolved identity dict).
+
+    An explicit spec budget wins over the scenario's ``train_budget`` hint;
+    :meth:`CocktailConfig.from_budget_hints` supplies every other default.
+    """
+
+    from repro import CocktailConfig
 
     scenario, overrides = _resolve_scenario(spec.system)
-    hints = scenario.train_budget
-    config = CocktailConfig(
-        mixing=MixingConfig(
-            epochs=resolve_budget(spec.mixing_epochs, hints, "mixing_epochs", 10),
-            steps_per_epoch=resolve_budget(spec.mixing_steps, hints, "mixing_steps", 1024),
-            num_envs=resolve_budget(spec.num_envs, hints, "num_envs", DEFAULT_NUM_ENVS),
-            seed=spec.seed,
-        ),
-        distillation=DistillationConfig(
-            epochs=resolve_budget(spec.distill_epochs, hints, "distill_epochs", 100),
-            dataset_size=resolve_budget(spec.dataset_size, hints, "dataset_size", 2500),
-            hidden_sizes=(32, 32),
-            l2_weight=5e-3,
-            trajectory_fraction=float(hints.get("trajectory_fraction", 0.6)),
-            train_batch_size=resolve_budget(
-                spec.train_batch_size, hints, "train_batch_size", DEFAULT_TRAIN_BATCH_SIZE
-            ),
-            seed=spec.seed,
-        ),
-        evaluation=EvaluationConfig(
-            samples=resolve_budget(spec.eval_samples, hints, "eval_samples", 150),
-            batch_size=spec.eval_batch_size or None,
-        ),
-        seed=spec.seed,
-    )
+    explicit = {
+        name: getattr(spec, name)
+        for name in _TRAIN_BUDGET_FIELDS
+        if getattr(spec, name) is not None
+    }
+    config = CocktailConfig.from_budget_hints({**scenario.train_budget, **explicit}, seed=spec.seed)
+    config.evaluation.batch_size = spec.eval_batch_size or None
     params = dict(scenario.default_params)
     params.update(overrides)
     # direct_baseline distinguishes this entry (kappa_star + kappa_d +
@@ -319,17 +307,17 @@ def execute_evaluate(
 def expand_sweep_specs(spec: VerifySweepJobSpec) -> List:
     """Turn ``SYSTEM:DIR[:CONTROLLER]`` entries into SweepJobs.
 
-    Moved verbatim from the CLI: omitting CONTROLLER expands to every
-    controller recorded in DIR, and every failure mode keeps its historical
-    message (now a :class:`JobSpecError`).
+    Omitting CONTROLLER expands to every controller recorded in DIR, and
+    every failure mode keeps the CLI's historical message (now a
+    :class:`JobSpecError`).  Budgets the spec leaves ``None`` resolve per
+    entry through :func:`repro.verification.sweep.scenario_budgets`.
     """
 
     import json
 
-    from repro.scenarios import resolve_scenario
-    from repro.verification.sweep import SweepJob
+    from repro.verification.sweep import SweepJob, scenario_budgets
 
-    parameters = dict(
+    explicit = dict(
         target_error=spec.target_error,
         degree=spec.degree,
         max_partitions=spec.max_partitions,
@@ -360,7 +348,7 @@ def expand_sweep_specs(spec: VerifySweepJobSpec) -> List:
         else:
             raise JobSpecError(f"bad --spec {entry!r}; expected SYSTEM:DIR[:CONTROLLER]")
         try:
-            resolve_scenario(system)
+            parameters = scenario_budgets(system, **explicit)
         except ValueError as error:
             raise JobSpecError(f"bad --spec {entry!r}: {error}")
         for controller in controllers:
@@ -404,23 +392,18 @@ def sweep_payload(spec: VerifySweepJobSpec, report) -> Tuple[Dict, bool]:
     """JSON-able sweep outcome + whether it may be cached at the job level.
 
     Per-job wall clocks are stripped (the job digest must serve identical
-    bytes forever); errors and wall-clock-truncated verdicts
-    are never cached, mirroring ``repro.verification.sweep.is_cacheable``.
+    bytes forever); the payload is cacheable when every job's result is
+    (:func:`repro.verification.sweep.is_cacheable`).
     """
 
+    from repro.verification.sweep import is_cacheable
+
     records = []
-    cacheable = True
     for record in report.as_records():
         record = dict(record)
         record.pop("elapsed_seconds", None)
         records.append(record)
-        if record.get("status") != "ok":
-            cacheable = False
-        elif spec.time_budget and "resource-exhausted" in (
-            record.get("reach_status"),
-            record.get("invariant_status"),
-        ):
-            cacheable = False
+    cacheable = all(is_cacheable(result, spec.time_budget) for result in report.results)
     payload = {
         "num_verified": report.num_verified,
         "num_failed": report.num_failed,
@@ -435,24 +418,12 @@ def sweep_payload(spec: VerifySweepJobSpec, report) -> Tuple[Dict, bool]:
 
 
 def _resolve_matrix(spec: MatrixJobSpec) -> Dict:
-    from repro.scenarios import list_scenarios
     from repro.scenarios.matrix import matrix_manifest
 
-    names = list(spec.scenarios) if spec.scenarios else list_scenarios()
-    for name in names:
+    manifest = matrix_manifest(spec)
+    for name in manifest["scenarios"]:
         _resolve_scenario(name)
-    return matrix_manifest(
-        scenarios=names,
-        perturbations=list(spec.perturbations),
-        samples=spec.samples,
-        fraction=spec.fraction,
-        train=spec.train,
-        verify=spec.verify,
-        seed=spec.seed,
-        budget_scale=spec.budget_scale,
-        train_overrides=spec.train_overrides or None,
-        verify_overrides=spec.verify_overrides or None,
-    )
+    return manifest
 
 
 def execute_matrix(
@@ -463,7 +434,6 @@ def execute_matrix(
     force: bool = False,
     telemetry: Optional[bool] = None,
     telemetry_source: Optional[str] = None,
-    on_cell=None,
 ):
     """Run the scenario matrix; returns the :class:`ScenarioMatrixReport`.
 
@@ -478,17 +448,7 @@ def execute_matrix(
     for name in spec.scenarios:
         _resolve_scenario(name)
     return run_scenario_matrix(
-        scenarios=list(spec.scenarios) or None,
-        perturbations=list(spec.perturbations),
-        samples=spec.samples,
-        fraction=spec.fraction,
-        train=spec.train,
-        verify=spec.verify,
-        jobs=spec.jobs,
-        seed=spec.seed,
-        budget_scale=spec.budget_scale,
-        train_overrides=spec.train_overrides or None,
-        verify_overrides=spec.verify_overrides or None,
+        spec,
         progress=say if say is not _SILENT else None,
         store=store,
         run_dir=run_dir,

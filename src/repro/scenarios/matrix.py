@@ -82,7 +82,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.cocktail import CocktailPipeline
 from repro.core.config import CocktailConfig
@@ -103,6 +103,9 @@ from repro.telemetry.events import (
 )
 from repro.utils.parallel import TaskExecutor, default_worker_count
 from repro.utils.seeding import set_global_seed
+
+if TYPE_CHECKING:  # the job layer is imported lazily: `import repro` must not load it
+    from repro.jobs.messages import MatrixJobSpec
 
 #: Non-deterministic keys stripped from verification rows.
 _TIMING_KEYS = ("total_seconds", "reach_seconds", "invariant_seconds")
@@ -561,7 +564,7 @@ class _MatrixExecution:
                 for index, expert in enumerate(spec.make_experts(system), start=1)
             }
             controller_names = list(experts)
-            if self.train:
+            if self.spec.train:
                 controller_names.append("kappa_star")
             contexts.append(
                 _ScenarioContext(
@@ -593,9 +596,9 @@ class _MatrixExecution:
 
     # -- student (kappa_star) ------------------------------------------
     def _train_config(self, ctx: _ScenarioContext) -> Tuple[CocktailConfig, Dict]:
-        hints = scale_budget_hints(ctx.spec.train_budget, self.budget_scale)
-        hints.update(self.train_overrides or {})
-        return CocktailConfig.from_budget_hints(hints, seed=self.seed), hints
+        hints = scale_budget_hints(ctx.spec.train_budget, self.spec.budget_scale)
+        hints.update(self.spec.train_overrides)
+        return CocktailConfig.from_budget_hints(hints, seed=self.spec.seed), hints
 
     def _train_work(self, ctx: _ScenarioContext) -> Optional[_Work]:
         """Restore kappa* from the store, or the task that trains it.
@@ -612,7 +615,7 @@ class _MatrixExecution:
                 "system": ctx.spec.name,
                 "params": ctx.params,
                 "cocktail": config,
-                "seed": self.seed,
+                "seed": self.spec.seed,
                 "direct_baseline": False,
             },
         )
@@ -654,7 +657,7 @@ class _MatrixExecution:
         return _Work(
             identity={"scenario": ctx.name, "controller": "kappa_star", "cell": "train"},
             fn=_train_task,
-            args=(ctx.name, config, self.seed),
+            args=(ctx.name, config, self.spec.seed),
             finish=finish,
         )
 
@@ -689,9 +692,9 @@ class _MatrixExecution:
                 "params": ctx.params,
                 "controller": _controller_identity(controller_name, controller),
                 "perturbation": perturbation,
-                "samples": self.samples,
-                "fraction": self.fraction,
-                "seed": self.seed,
+                "samples": self.spec.samples,
+                "fraction": self.spec.fraction,
+                "seed": self.spec.seed,
             },
         )
         if self.reuse and self.store.contains(key):
@@ -722,9 +725,9 @@ class _MatrixExecution:
                 ctx.name,
                 controller_name,
                 perturbation,
-                self.samples,
-                self.fraction,
-                self.seed,
+                self.spec.samples,
+                self.spec.fraction,
+                self.spec.seed,
                 student,
             ),
             finish=finish,
@@ -737,15 +740,14 @@ class _MatrixExecution:
             is_cacheable,
             load_cached_result,
             save_sweep_result,
+            scenario_budgets,
         )
 
-        parameters = dict(ctx.spec.verify_budget)
-        parameters.update(self.verify_overrides or {})
         job = SweepJob.from_network(
             name=f"kappa_star@{ctx.name}",
             system=ctx.name,
             network=ctx.student.network,
-            **parameters,
+            **scenario_budgets(ctx.name, **self.spec.verify_overrides),
         )
         identity = {"scenario": ctx.name, "controller": "kappa_star", "cell": "verify"}
         key = self.store.key("verify", job.cache_config())
@@ -761,7 +763,7 @@ class _MatrixExecution:
 
         def finish(result) -> None:
             self.store.misses += 1
-            if is_cacheable(job, result):
+            if is_cacheable(result, job.time_budget_seconds):
                 save_sweep_result(self.store, key, result)
             self.report.cells_computed += 1
             self._finish_verify(result)
@@ -819,8 +821,8 @@ class _MatrixExecution:
         contexts = self._contexts()
         cells = _enumerate_cells(
             [(ctx.name, ctx.controller_names) for ctx in contexts],
-            self.perturbations,
-            include_verify=self.train and self.verify,
+            self.spec.perturbations,
+            include_verify=self.spec.train and self.spec.verify,
         )
         owned = cells if self.shard is None else [cells[p] for p in self.shard.owned(cells)]
         self.tele.emit(
@@ -872,7 +874,7 @@ class _MatrixExecution:
             if cell.controller == "kappa_star":
                 students.setdefault(cell.scenario, []).append(cell)
         trains = [MatrixCell("train", name, "kappa_star") for name in students]
-        width = self.jobs if self.jobs else default_worker_count()
+        width = self.spec.jobs if self.spec.jobs else default_worker_count()
         width = 0 if self.offline else min(width, len(owned) + len(trains))
         self.say(
             f"running {len(owned)} cell(s) and {len(trains)} training(s) "
@@ -935,40 +937,33 @@ class _MatrixExecution:
 
 
 def run_scenario_matrix(
-    scenarios: Optional[Sequence[str]] = None,
-    perturbations: Sequence[str] = ("none", "attack", "noise"),
-    samples: int = 32,
-    fraction: float = 0.1,
-    train: bool = True,
-    verify: bool = True,
-    jobs: int = 1,
-    seed: int = 0,
-    budget_scale: float = 1.0,
-    train_overrides: Optional[Mapping[str, object]] = None,
-    verify_overrides: Optional[Mapping[str, object]] = None,
-    progress: Optional[Callable[[str], None]] = None,
+    spec: "MatrixJobSpec",
+    *,
     store=None,
     run_dir: Optional[Union[str, Path]] = None,
     force: bool = False,
-    on_cell: Optional[Callable[[Dict], None]] = None,
     shard: Optional[Union[str, ShardSpec]] = None,
     shard_time_budget: Optional[float] = None,
     offline: bool = False,
     telemetry: Optional[bool] = None,
     telemetry_source: Optional[str] = None,
+    progress: Optional[Callable[[str], None]] = None,
+    on_cell: Optional[Callable[[Dict], None]] = None,
 ) -> ScenarioMatrixReport:
-    """Run the ``(scenario x controller x perturbation)`` matrix.
+    """Run the ``(scenario x controller x perturbation)`` matrix ``spec``.
 
-    For every scenario (default: the whole catalog) the runner builds the
+    The :class:`~repro.jobs.messages.MatrixJobSpec` is the matrix's whole
+    identity; every keyword here is execution context.  For every scenario
+    (an empty ``spec.scenarios``: the whole catalog) the runner builds the
     plant and its default experts, optionally trains a Cocktail student
-    (``train=True``) on the scenario's budget hints scaled by
-    ``budget_scale``, evaluates every controller under every perturbation
-    regime on the batched rollout engine, and verifies every trained
-    student.  ``jobs`` is the width of the process pool that runs all of
-    these cells (``0``/``None``: one worker per CPU; ``1``: inline, no
-    pool); results do not depend on it.  ``train_overrides`` / ``verify_overrides`` replace
-    individual budget-hint keys after scaling (the smoke harness pins tiny
-    values this way).
+    (``spec.train``) on the scenario's budget hints scaled by
+    ``spec.budget_scale``, evaluates every controller under every
+    perturbation regime on the batched rollout engine, and verifies every
+    trained student.  ``spec.jobs`` is the width of the process pool that
+    runs all of these cells (``0``: one worker per CPU; ``1``: inline, no
+    pool); results do not depend on it.  ``spec.train_overrides`` /
+    ``spec.verify_overrides`` replace individual budget-hint keys after
+    scaling (the smoke harness pins tiny values this way).
 
     Scenario names may be variants (``"vanderpol?mu=1.5"``); the override
     string travels into the verification worker, which rebuilds the exact
@@ -1014,9 +1009,10 @@ def run_scenario_matrix(
     own stream.
     """
 
-    names = list(scenarios) if scenarios is not None else list_scenarios()
+    manifest = matrix_manifest(spec)
+    names = manifest["scenarios"]
     if not names:
-        raise ValueError("no scenarios to run; the catalog (or the requested list) is empty")
+        raise ValueError("no scenarios to run; the catalog is empty")
     if isinstance(shard, str):
         shard = ShardSpec.parse(shard)
     if offline and (force or shard is not None):
@@ -1040,21 +1036,7 @@ def run_scenario_matrix(
         store, telemetry = RunStore(scratch.name), False
 
     if shard is not None:
-        write_matrix_manifest(
-            store.root,
-            matrix_manifest(
-                scenarios=names,
-                perturbations=perturbations,
-                samples=samples,
-                fraction=fraction,
-                train=train,
-                verify=verify,
-                seed=seed,
-                budget_scale=budget_scale,
-                train_overrides=train_overrides,
-                verify_overrides=verify_overrides,
-            ),
-        )
+        write_matrix_manifest(store.root, manifest)
 
     if telemetry:
         # telemetry_source lets a host running many matrices against one run
@@ -1068,17 +1050,8 @@ def run_scenario_matrix(
         tele = NullTelemetryEmitter()
 
     execution = _MatrixExecution(
+        spec=spec,
         names=names,
-        perturbations=perturbations,
-        samples=samples,
-        fraction=fraction,
-        train=train,
-        verify=verify,
-        jobs=jobs,
-        seed=seed,
-        budget_scale=budget_scale,
-        train_overrides=train_overrides,
-        verify_overrides=verify_overrides,
         say=progress if progress is not None else (lambda message: None),
         emit=on_cell if on_cell is not None else (lambda row: None),
         store=store,
@@ -1096,32 +1069,21 @@ def run_scenario_matrix(
             scratch.cleanup()
 
 
-def matrix_manifest(
-    scenarios: Sequence[str],
-    perturbations: Sequence[str],
-    samples: int,
-    fraction: float,
-    train: bool,
-    verify: bool,
-    seed: int,
-    budget_scale: float,
-    train_overrides: Optional[Mapping[str, object]],
-    verify_overrides: Optional[Mapping[str, object]],
-) -> Dict:
-    """The identity a sharded run records so the merge can replay it."""
+def matrix_manifest(spec: "MatrixJobSpec") -> Dict:
+    """The matrix identity: ``spec``'s fields, minus the pool width.
 
-    return {
-        "scenarios": list(scenarios),
-        "perturbations": list(perturbations),
-        "samples": samples,
-        "fraction": fraction,
-        "train": train,
-        "verify": verify,
-        "seed": seed,
-        "budget_scale": budget_scale,
-        "train_overrides": dict(train_overrides or {}),
-        "verify_overrides": dict(verify_overrides or {}),
+    A sharded run records it so the merge can replay the same grid, and it
+    is the resolved config a matrix job's digest is taken over.  An empty
+    ``spec.scenarios`` is spelled out as the catalog it stands for.
+    """
+
+    manifest = {
+        key: dict(value) if isinstance(value, dict) else value
+        for key, value in spec.to_json().items()
+        if key not in ("type", "version", "jobs")
     }
+    manifest["scenarios"] = manifest["scenarios"] or list_scenarios()
+    return manifest
 
 
 def merge_matrix_run(
@@ -1138,28 +1100,16 @@ def merge_matrix_run(
     pack pins.
     """
 
-    manifest = read_matrix_manifest(run_dir)
-    return run_scenario_matrix(
-        scenarios=manifest["scenarios"],
-        perturbations=tuple(manifest["perturbations"]),
-        samples=manifest["samples"],
-        fraction=manifest["fraction"],
-        train=manifest["train"],
-        verify=manifest["verify"],
-        seed=manifest["seed"],
-        budget_scale=manifest["budget_scale"],
-        train_overrides=manifest["train_overrides"] or None,
-        verify_overrides=manifest["verify_overrides"] or None,
-        progress=progress,
-        run_dir=run_dir,
-        offline=True,
-    )
+    from repro.jobs.messages import MatrixJobSpec
+
+    spec = MatrixJobSpec(**read_matrix_manifest(run_dir))
+    return run_scenario_matrix(spec, run_dir=run_dir, offline=True, progress=progress)
 
 
-def _shard_worker(index: int, count: int, run_dir: str, matrix_kwargs: Dict) -> None:
+def _shard_worker(index: int, count: int, run_dir: str, spec: "MatrixJobSpec") -> None:
     """Worker-process body of :func:`run_sharded_matrix` (must pickle)."""
 
-    run_scenario_matrix(shard=ShardSpec(index=index, count=count), run_dir=run_dir, **matrix_kwargs)
+    run_scenario_matrix(spec, run_dir=run_dir, shard=ShardSpec(index=index, count=count))
 
 
 def run_sharded_matrix(
@@ -1170,28 +1120,28 @@ def run_sharded_matrix(
 ) -> ScenarioMatrixReport:
     """Run ``shards`` local ``--shard i/N`` processes against one store, then merge.
 
-    The single-host stand-in for N hosts: each worker runs one
-    :class:`ShardSpec` slice against the shared ``run_dir`` (workers are
-    plain non-daemonic processes, so each may host its own pool when
-    ``jobs > 1``).  A crashed worker leaves its unfinished cells missing:
-    the merge then raises :class:`MatrixIncompleteError` naming them, and
-    rerunning against the same ``run_dir`` completes them.
+    ``matrix_kwargs`` are the :class:`~repro.jobs.messages.MatrixJobSpec`
+    fields of the grid.  The single-host stand-in for N hosts: each worker
+    runs one :class:`ShardSpec` slice against the shared ``run_dir``
+    (workers are plain non-daemonic processes, so each may host its own
+    pool when ``jobs > 1``).  A crashed worker leaves its unfinished cells
+    missing: the merge then raises :class:`MatrixIncompleteError` naming
+    them, and rerunning against the same ``run_dir`` completes them.
     """
 
+    from repro.jobs.messages import MatrixJobSpec
     from repro.utils.parallel import spawn_workers
 
     shards = int(shards)
     if shards < 1:
         raise ValueError(f"need at least one shard, got {shards}")
+    spec = MatrixJobSpec(**matrix_kwargs)
     say = progress if progress is not None else (lambda message: None)
     run_dir = Path(run_dir)
-    worker_kwargs = dict(matrix_kwargs)
-    worker_kwargs.pop("progress", None)
-    worker_kwargs.pop("on_cell", None)
     say(f"running {shards} matrix shard(s) against {run_dir}")
     exit_codes = spawn_workers(
         _shard_worker,
-        [(index, shards, str(run_dir), worker_kwargs) for index in range(1, shards + 1)],
+        [(index, shards, str(run_dir), spec) for index in range(1, shards + 1)],
     )
     failed = [index + 1 for index, code in enumerate(exit_codes) if code != 0]
     if failed:

@@ -27,7 +27,6 @@ from repro.telemetry.events import (
     CellCached,
     CellFinished,
     CellStarted,
-    CellStolen,
     EventValidationError,
     RunFinished,
     RunStarted,
@@ -64,7 +63,6 @@ __all__ = [
     "CellCached",
     "CellFinished",
     "CellStarted",
-    "CellStolen",
     "EventTailer",
     "EventValidationError",
     "FleetState",

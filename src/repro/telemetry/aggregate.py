@@ -27,7 +27,6 @@ from repro.telemetry.events import (
     CellCached,
     CellFinished,
     CellStarted,
-    CellStolen,
     RunFinished,
     RunStarted,
     ShardHeartbeat,
@@ -72,7 +71,6 @@ class ShardState:
     cells_owned: int = 0
     computed: int = 0
     cached: int = 0
-    stolen: int = 0
     skipped: int = 0
     status: str = "running"
     finished: bool = False
@@ -102,7 +100,6 @@ class FleetState:
     scenarios: List[str] = field(default_factory=list)
     #: Every finished cell: (identity, seconds, status, safe_rate).
     finished_cells: List[Tuple[CellIdentity, float, str, Optional[float]]] = field(default_factory=list)
-    stolen_cells: List[Tuple[CellIdentity, bool]] = field(default_factory=list)
     stage_seconds: Dict[str, float] = field(default_factory=dict)
     sweep_jobs: List[SweepJobFinished] = field(default_factory=list)
 
@@ -113,10 +110,6 @@ class FleetState:
     @property
     def cells_cached(self) -> int:
         return sum(shard.cached for shard in self.shards.values())
-
-    @property
-    def cells_stolen(self) -> int:
-        return sum(shard.stolen for shard in self.shards.values())
 
     @property
     def all_finished(self) -> bool:
@@ -162,11 +155,6 @@ def fold_events(events: Sequence[TelemetryEvent], state: Optional[FleetState] = 
             identity = (event.scenario, event.controller, event.cell, event.perturbation)
             shard.in_flight.pop(identity, None)
             shard.cached += 1
-        elif isinstance(event, CellStolen):
-            shard.stolen += 1
-            state.stolen_cells.append(
-                ((event.scenario, event.controller, event.cell, event.perturbation), event.stale)
-            )
         elif isinstance(event, ShardHeartbeat):
             shard.skipped = max(shard.skipped, event.cells_skipped)
         elif isinstance(event, StageTiming):
@@ -189,7 +177,6 @@ def accounting(state: FleetState) -> Dict[str, int]:
     return {
         "cells_computed": state.cells_computed,
         "cells_cached": state.cells_cached,
-        "cells_stolen": state.cells_stolen,
     }
 
 
@@ -306,7 +293,6 @@ def fleet_stats(
         "all_finished": state.all_finished,
         "cells_computed": computed,
         "cells_cached": cached,
-        "cells_stolen": state.cells_stolen,
         "cache_hit_rate": (cached / served) if served else 0.0,
         "cell_seconds": _seconds_summary([seconds for _, seconds, _, _ in state.finished_cells]),
         "cell_seconds_by_kind": {kind: _seconds_summary(samples) for kind, samples in sorted(by_kind.items())},
@@ -334,7 +320,7 @@ def render_watch(
     now = time.time() if now is None else now
     header = (
         f"{'shard':16s} {'status':20s} {'done':>9s} {'comp':>6s} {'cache':>6s} "
-        f"{'stolen':>6s} {'age':>7s}  current"
+        f"{'age':>7s}  current"
     )
     lines = [header, "-" * len(header)]
     stale = set(stale_shards(state, now=now, stale_after=stale_after))
@@ -350,14 +336,14 @@ def render_watch(
             busy = f"{_cell_label(identity)} ({max(0.0, now - started):.1f}s)"
         lines.append(
             f"{source:16s} {status:20s} {total:>9s} {shard.computed:6d} {shard.cached:6d} "
-            f"{shard.stolen:6d} {age:6.1f}s  {busy}"
+            f"{age:6.1f}s  {busy}"
         )
     computed, cached = state.cells_computed, state.cells_cached
     served = computed + cached
     hit_rate = f"{100.0 * cached / served:.1f}%" if served else "-"
     lines.append(
         f"{len(state.shards)} shard(s) | {computed} computed, {cached} cached "
-        f"(hit rate {hit_rate}), {state.cells_stolen} stolen | "
+        f"(hit rate {hit_rate}) | "
         f"{'all finished' if state.all_finished else 'running'}"
     )
     return "\n".join(lines)

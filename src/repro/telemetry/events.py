@@ -54,7 +54,6 @@ __all__ = [
     "CellStarted",
     "CellFinished",
     "CellCached",
-    "CellStolen",
     "ShardHeartbeat",
     "SweepJobFinished",
     "StageTiming",
@@ -174,29 +173,6 @@ class CellCached(TelemetryEvent):
     controller: str = ""
     cell: str = "evaluate"
     perturbation: Optional[str] = None
-
-    def _validate(self) -> None:
-        _require_cell_kind(self)
-
-
-@register_event
-@dataclass(frozen=True)
-class CellStolen(TelemetryEvent):
-    """A shard computed a cell owned by another shard (work-stealing).
-
-    Only older versions, which stole work, write it; it stays registered so
-    their logs still fold.
-
-    ``stale`` marks a stale-lease takeover: the owning worker's claim had
-    stopped heartbeating (it died) and this shard reaped it.
-    """
-
-    TYPE: ClassVar[str] = "cell-stolen"
-    scenario: str = ""
-    controller: str = ""
-    cell: str = "evaluate"
-    perturbation: Optional[str] = None
-    stale: bool = False
 
     def _validate(self) -> None:
         _require_cell_kind(self)

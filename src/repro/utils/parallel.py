@@ -8,7 +8,9 @@ out to processes derives its default worker count from
 matrix, the verification sweep and kappa_D's distillation run their tasks
 on :class:`TaskExecutor`, whose lost worker is a typed :class:`WorkerLost`,
 never a hang; the job daemon's long-running, cancellable job processes
-share only :func:`_fork_context`.
+share only :func:`_fork_context`.  Every process that computes beside
+another -- a pool worker, a :func:`spawn_workers` child, a daemon job --
+first calls :func:`single_threaded_blas`.
 
 The CPU count sizes process pools and nothing else: vectorization widths
 (``num_envs``, ``train_batch_size``) change the trained controller, so they
@@ -215,6 +217,13 @@ class TaskExecutor:
         raise WorkerLost(lost)
 
 
+def _single_threaded(target: Callable, *args) -> None:
+    """A :func:`spawn_workers` child: one BLAS thread, then ``target(*args)``."""
+
+    single_threaded_blas()
+    target(*args)
+
+
 def spawn_workers(target: Callable, args_list: Sequence[Tuple]) -> List[int]:
     """Run ``target(*args)`` once per entry in plain worker processes.
 
@@ -224,11 +233,13 @@ def spawn_workers(target: Callable, args_list: Sequence[Tuple]) -> List[int]:
     up front (the caller sizes the list; shards are coarse units, not a
     queue of small jobs) and joined in order; returns one exit code per
     worker (0 = clean, negative = killed by that signal), letting the
-    caller decide whether a crashed worker is fatal.
+    caller decide whether a crashed worker is fatal.  The workers run side
+    by side, so each first limits its BLAS to one thread, as pool workers
+    do.
     """
 
     context = _fork_context()
-    workers = [context.Process(target=target, args=tuple(args)) for args in args_list]
+    workers = [context.Process(target=_single_threaded, args=(target, *args)) for args in args_list]
     for worker in workers:
         worker.start()
     for worker in workers:

@@ -110,27 +110,12 @@ class Interval:
     def from_box(cls, box: Box) -> "Interval":
         return cls(box.low, box.high)
 
-    def to_box(self) -> Box:
-        return Box(self.lower, self.upper)
-
     # -- helpers ---------------------------------------------------------------
-    @property
-    def width(self) -> np.ndarray:
-        return self.upper - self.lower
-
-    @property
-    def center(self) -> np.ndarray:
-        return (self.upper + self.lower) / 2.0
-
     def __getitem__(self, index) -> "Interval":
         return Interval(self.lower[index], self.upper[index])
 
     def __len__(self) -> int:
         return int(self.lower.size)
-
-    def contains(self, value) -> bool:
-        value = np.asarray(value, dtype=np.float64)
-        return bool(np.all(value >= self.lower - 1e-12) and np.all(value <= self.upper + 1e-12))
 
     # -- arithmetic ---------------------------------------------------------------
     @staticmethod
@@ -182,11 +167,6 @@ class Interval:
     def cos(self) -> "Interval":
         shifted = Interval(self.lower + np.pi / 2.0, self.upper + np.pi / 2.0)
         return shifted.sin()
-
-    def clip(self, low, high) -> "Interval":
-        low = np.asarray(low, dtype=np.float64)
-        high = np.asarray(high, dtype=np.float64)
-        return Interval(np.clip(self.lower, low, high), np.clip(self.upper, low, high))
 
     def scale(self, factor: Scalar) -> "Interval":
         factor = float(factor)

@@ -55,7 +55,6 @@ class PartitionedApproximation:
     coefficients: np.ndarray
     target_error: float
     lipschitz_constant: float
-    refinement_steps: int = 0
 
     def __post_init__(self):
         self.network = _frozen_clone(self.network)
@@ -161,9 +160,7 @@ class PartitionedApproximation:
             upper[covered] = memo_upper[partition_index[covered]]
         return lower, upper
 
-    def control_bounds_batch(
-        self, lows: np.ndarray, highs: np.ndarray, include_error: bool = True
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def control_bounds_batch(self, lows: np.ndarray, highs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Output enclosures for a whole ``(B, dim)`` stack of query boxes.
 
         Every (query, partition) overlap of the stack is collected into one
@@ -171,10 +168,9 @@ class PartitionedApproximation:
         partition's fit; the Bernstein fits over all other overlaps run as
         a single stacked network evaluation of their distinct grid points,
         the IBP cross-check runs as one stacked bound propagation, and the
-        per-query hulls are segment reductions.  Each
-        per-overlap enclosure is the intersection of the Bernstein range
-        enclosure (inflated by the approximation error when
-        ``include_error``) with a refined interval-bound-propagation
+        per-query hulls are segment reductions.  Each per-overlap enclosure
+        is the intersection of the Bernstein range enclosure (inflated by the
+        approximation error) with a refined interval-bound-propagation
         enclosure: both are sound, so their intersection is a sound but much
         tighter bound.  Returns ``(lower, upper)`` of shape ``(B, out)``.
         """
@@ -201,12 +197,11 @@ class PartitionedApproximation:
             )
             bern_lower[partial], bern_upper[partial] = bernstein_enclosure_batch(coefficients)
             del coefficients
-        if include_error:
-            errors = bernstein_error_bound_batch(
-                self.lipschitz_constant, overlap_lows, overlap_highs, self._degrees
-            )[:, None]
-            np.subtract(bern_lower, errors, out=bern_lower)
-            np.add(bern_upper, errors, out=bern_upper)
+        errors = bernstein_error_bound_batch(
+            self.lipschitz_constant, overlap_lows, overlap_highs, self._degrees
+        )[:, None]
+        np.subtract(bern_lower, errors, out=bern_lower)
+        np.add(bern_upper, errors, out=bern_upper)
 
         # Finer IBP refinement for low-dimensional plants (cheap), coarser in
         # higher dimensions where the sub-box count grows geometrically.
@@ -241,7 +236,7 @@ def _refine_frontier(
     lipschitz_constant: float,
     target_error: float,
     max_partitions: int,
-) -> Tuple[np.ndarray, np.ndarray, int]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Frontier-batched breadth-first refinement of ``domain``.
 
     Scores the whole pending frontier per iteration (one vectorised error
@@ -256,7 +251,6 @@ def _refine_frontier(
     accepted_lows: List[np.ndarray] = []
     accepted_highs: List[np.ndarray] = []
     num_accepted = 0
-    refinements = 0
 
     while pending_lows.shape[0]:
         frontier = pending_lows.shape[0]
@@ -279,7 +273,6 @@ def _refine_frontier(
         if accept.any():
             accepted_lows.append(pending_lows[accept])
             accepted_highs.append(pending_highs[accept])
-        refinements += splits_so_far
 
         split = ~accept
         split_lows = pending_lows[split]
@@ -302,7 +295,7 @@ def _refine_frontier(
         pending_highs[0::2] = first_highs
         pending_highs[1::2] = split_highs
 
-    return np.concatenate(accepted_lows, axis=0), np.concatenate(accepted_highs, axis=0), refinements
+    return np.concatenate(accepted_lows, axis=0), np.concatenate(accepted_highs, axis=0)
 
 
 def partition_network(
@@ -331,7 +324,7 @@ def partition_network(
         lipschitz_constant = network_lipschitz(network)
 
     degrees = np.full(domain.dimension, int(degree), dtype=int)
-    lows, highs, refinements = _refine_frontier(domain, degrees, lipschitz_constant, target_error, max_partitions)
+    lows, highs = _refine_frontier(domain, degrees, lipschitz_constant, target_error, max_partitions)
     return PartitionedApproximation(
         network=network,
         domain=domain,
@@ -340,5 +333,4 @@ def partition_network(
         coefficients=bernstein_coefficients_batch(network, lows, highs, degrees),
         target_error=target_error,
         lipschitz_constant=lipschitz_constant,
-        refinement_steps=refinements,
     )

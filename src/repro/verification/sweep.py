@@ -41,6 +41,22 @@ from repro.utils.parallel import TaskExecutor, default_worker_count
 from repro.verification.verifier import VerificationReport, verify_controller
 
 
+def scenario_budgets(system: str, **explicit) -> Dict[str, object]:
+    """The analysis budgets of a verification job on ``system``.
+
+    The one place a verification budget is resolved: an explicit value
+    (anything but ``None``) wins, then the scenario's ``verify_budget``
+    hint; a budget neither names keeps the :class:`SweepJob` field default
+    when the job is built from the returned keywords.
+    """
+
+    from repro.scenarios import resolve_scenario
+
+    budgets = dict(resolve_scenario(system)[0].verify_budget)
+    budgets.update((key, value) for key, value in explicit.items() if value is not None)
+    return budgets
+
+
 @dataclass
 class SweepJob:
     """One verification job: a controller, a system and analysis parameters."""
@@ -304,19 +320,19 @@ def load_cached_result(store, key, job: SweepJob) -> SweepJobResult:
     )
 
 
-def is_cacheable(job: SweepJob, result: SweepJobResult) -> bool:
+def is_cacheable(result: SweepJobResult, time_budget_seconds: Optional[float]) -> bool:
     """Only deterministic outcomes may be recorded.
 
-    Errors always rerun.  A wall-clock-truncated analysis
-    (``time_budget_seconds`` bound and a ``resource-exhausted`` verdict)
-    depends on machine load, so replaying it would make a transient
-    slowdown permanent; work-budget exhaustion is a deterministic count
-    and caches fine.
+    Errors always rerun.  A wall-clock-truncated analysis (a job run under
+    ``time_budget_seconds`` with a ``resource-exhausted`` verdict) depends
+    on machine load, so replaying it would make a transient slowdown
+    permanent; work-budget exhaustion is a deterministic count and caches
+    fine.
     """
 
     if result.status != "ok":
         return False
-    if job.time_budget_seconds:
+    if time_budget_seconds:
         statuses = (
             result.summary.get("reach_status"),
             result.summary.get("invariant_status"),
@@ -393,7 +409,7 @@ class VerificationSweep:
             index = labels[label]
             if self.store is not None:
                 self.store.misses += 1
-                if is_cacheable(self.jobs[index], result):
+                if is_cacheable(result, self.jobs[index].time_budget_seconds):
                     save_sweep_result(self.store, keys[index], result)
             results[index] = result
 

@@ -34,12 +34,13 @@ class TestParser:
         assert args.mixing_epochs is None
 
     def test_budget_resolution_prefers_explicit_then_hint(self):
-        from repro.jobs.runner import resolve_budget
+        from repro.verification.sweep import SweepJob, scenario_budgets
 
-        hints = {"mixing_epochs": 3}
-        assert resolve_budget(7, hints, "mixing_epochs", 10) == 7
-        assert resolve_budget(None, hints, "mixing_epochs", 10) == 3
-        assert resolve_budget(None, {}, "mixing_epochs", 10) == 10
+        assert scenario_budgets("cartpole", degree=5)["degree"] == 5
+        assert scenario_budgets("cartpole", degree=None)["degree"] == 2  # the hint
+        # A budget no hint names falls back to the SweepJob field default.
+        assert "work_budget" not in scenario_budgets("cartpole")
+        assert SweepJob("j", "cartpole", {}, {}, **scenario_budgets("cartpole")).work_budget is None
 
     def test_unknown_system_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

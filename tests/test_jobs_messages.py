@@ -296,8 +296,28 @@ class TestEngineFieldRetired:
 
     @pytest.mark.parametrize("spec", [VerifySweepJobSpec(specs=("a:b",)), MatrixJobSpec(samples=4)])
     def test_v1_payload_without_engine_decodes(self, spec):
-        assert type(spec).SCHEMA_VERSION == 2
+        # verify-sweep is at v3: its analysis budgets became optional.
+        assert type(spec).SCHEMA_VERSION == {VerifySweepJobSpec: 3, MatrixJobSpec: 2}[type(spec)]
         assert parse_job_spec(dict(spec.to_json(), version=1)) == spec
+
+
+class TestVerifySweepBudgetsOptional:
+    """Schema v3 of the verify-sweep spec: ``None`` budgets mean the hints."""
+
+    def test_budgets_default_to_none_and_round_trip(self):
+        spec = VerifySweepJobSpec(specs=("a:b",))
+        assert (spec.target_error, spec.degree, spec.max_partitions) == (None, None, None)
+        assert (spec.reach_steps, spec.reach_box_scale) == (None, None)
+        assert parse_job_spec(spec.to_json()) == spec
+
+    def test_v2_payload_with_explicit_budgets_decodes(self):
+        payload = {
+            "type": "verify-sweep", "version": 2, "specs": ["a:b"], "target_error": 0.5,
+            "degree": 3, "max_partitions": 2048, "reach_steps": 15, "reach_box_scale": 0.1,
+            "invariant_grid": 0, "work_budget": 0, "time_budget": 0.0, "jobs": 0,
+        }
+        spec = parse_job_spec(payload)
+        assert (spec.degree, spec.max_partitions, spec.reach_steps) == (3, 2048, 15)
 
 
 class TestApiTolerance:
@@ -362,9 +382,9 @@ class TestGoldenWireLog:
             '{"type":"evaluate","version":1,"system":"pendulum",'
             '"controller_dir":"runs/p","controller":"kappa_star",'
             '"perturbation":"none","fraction":0.1,"samples":8,"batch_size":0,"seed":0}\n'
-            '{"type":"verify-sweep","version":2,"specs":["pendulum:runs/p"],'
-            '"target_error":0.5,"degree":2,"max_partitions":2048,"reach_steps":15,'
-            '"reach_box_scale":0.1,"invariant_grid":0,"work_budget":0,'
+            '{"type":"verify-sweep","version":3,"specs":["pendulum:runs/p"],'
+            '"target_error":null,"degree":2,"max_partitions":null,"reach_steps":null,'
+            '"reach_box_scale":null,"invariant_grid":0,"work_budget":0,'
             '"time_budget":0.0,"jobs":0}\n'
             '{"type":"submit-job","version":1,'
             '"spec":{"type":"evaluate","version":1},"force":true}\n'

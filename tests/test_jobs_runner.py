@@ -13,6 +13,7 @@ the *same* code through :mod:`repro.jobs.runner`, so
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -39,8 +40,6 @@ TINY_TRAIN = ["--mixing-epochs", "1", "--mixing-steps", "64", "--distill-epochs"
 TINY_TRAIN_SPEC = dict(mixing_epochs=1, mixing_steps=64, distill_epochs=2,
                        dataset_size=64, eval_samples=8)
 
-MATRIX_KWARGS = dict(scenarios=["pendulum"], perturbations=("none", "noise"),
-                     samples=4, train=False, verify=False, seed=0)
 MATRIX_SPEC = MatrixJobSpec(scenarios=("pendulum",), perturbations=("none", "noise"),
                             samples=4, train=False, verify=False, seed=0)
 
@@ -172,38 +171,34 @@ class TestSweepSpecErrors:
         assert "records no controllers" in message
 
 
-class _StubReport:
-    num_verified = 1
-    num_failed = 0
+def _sweep_report(**result):
+    from repro.verification.sweep import SweepJobResult, SweepReport
 
-    def __init__(self, records):
-        self._records = records
-
-    def as_records(self):
-        return self._records
+    result = SweepJobResult(name="a", system="pendulum", **result)
+    return SweepReport(results=[result], elapsed_seconds=0.0, processes=1)
 
 
 class TestSweepPayload:
     SPEC = VerifySweepJobSpec(specs=("pendulum:somewhere",))
 
     def test_strips_wall_clock_and_caches_clean_reports(self):
-        report = _StubReport([{"job": "a", "status": "ok", "elapsed_seconds": 1.25}])
+        report = _sweep_report(status="ok", elapsed_seconds=1.25)
         payload, cacheable = sweep_payload(self.SPEC, report)
         assert cacheable
-        assert payload["records"] == [{"job": "a", "status": "ok"}]
+        assert payload["records"] == [{"job": "a", "system": "pendulum", "status": "ok"}]
 
     def test_errors_are_never_cached(self):
-        report = _StubReport([{"job": "a", "status": "error", "elapsed_seconds": 0.1}])
+        report = _sweep_report(status="error", error="boom", elapsed_seconds=0.1)
         _, cacheable = sweep_payload(self.SPEC, report)
         assert not cacheable
 
     def test_time_budget_truncation_is_never_cached(self):
         spec = VerifySweepJobSpec(specs=("pendulum:somewhere",), time_budget=1.0)
-        record = {"job": "a", "status": "ok", "reach_status": "resource-exhausted"}
-        _, cacheable = sweep_payload(spec, _StubReport([record]))
+        summary = {"reach_status": "resource-exhausted"}
+        _, cacheable = sweep_payload(spec, _sweep_report(status="ok", summary=summary))
         assert not cacheable
         # Without a time budget the same truncation is deterministic: cache it.
-        _, cacheable = sweep_payload(self.SPEC, _StubReport([dict(record)]))
+        _, cacheable = sweep_payload(self.SPEC, _sweep_report(status="ok", summary=summary))
         assert cacheable
 
 
@@ -214,7 +209,7 @@ class TestMatrixEquivalence:
         # Store-backed rows carry no wall-clock columns, so two independent
         # runs serialise identical bytes -- the byte-identity guarantee the
         # daemon inherits by routing through the same layer.
-        direct = run_scenario_matrix(run_dir=tmp_path / "a", **MATRIX_KWARGS)
+        direct = run_scenario_matrix(replace(MATRIX_SPEC, jobs=1), run_dir=tmp_path / "a")
         through_jobs = execute_matrix(MATRIX_SPEC, run_dir=tmp_path / "b")
         a = direct.to_csv(tmp_path / "direct.csv").read_bytes()
         b = through_jobs.to_csv(tmp_path / "jobs.csv").read_bytes()
@@ -223,12 +218,12 @@ class TestMatrixEquivalence:
     def test_resolution_is_the_matrix_manifest(self):
         from repro.scenarios.matrix import matrix_manifest
 
-        assert resolve_job(MATRIX_SPEC) == matrix_manifest(
-            scenarios=["pendulum"], perturbations=["none", "noise"],
-            samples=4, fraction=0.1, train=False, verify=False,
-            seed=0, budget_scale=1.0, train_overrides=None,
-            verify_overrides=None,
-        )
+        assert resolve_job(MATRIX_SPEC) == matrix_manifest(MATRIX_SPEC) == {
+            "scenarios": ["pendulum"], "perturbations": ["none", "noise"],
+            "samples": 4, "fraction": 0.1, "train": False, "verify": False,
+            "seed": 0, "budget_scale": 1.0, "train_overrides": {},
+            "verify_overrides": {},
+        }
 
     def test_digest_is_stable_and_sensitive(self, tmp_path):
         from repro.experiments import RunStore

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import repro.scenarios.matrix as matrix_module
 from repro.experiments import RunStore
+from repro.jobs.messages import MatrixJobSpec
 from repro.scenarios import (
     ShardSpec,
     merge_matrix_run,
@@ -52,7 +53,7 @@ def reference(tmp_path_factory):
     """The inline (``jobs=1``) store-backed run: its CSV bytes."""
 
     root = tmp_path_factory.mktemp("executor-ref")
-    report = run_scenario_matrix(run_dir=root / "store", jobs=1, **GRID)
+    report = run_scenario_matrix(MatrixJobSpec(jobs=1, **GRID), run_dir=root / "store")
     assert report.num_cells == NUM_ROWS and report.status == "ok"
     return report.to_csv(root / "reference.csv").read_bytes()
 
@@ -64,7 +65,7 @@ def _csv(report, path: Path) -> bytes:
 class TestWidthInvariance:
     @pytest.mark.parametrize("jobs", [2, 3])
     def test_store_backed_csv_is_byte_identical_at_every_width(self, jobs, reference, tmp_path):
-        report = run_scenario_matrix(run_dir=tmp_path / "store", jobs=jobs, **GRID)
+        report = run_scenario_matrix(MatrixJobSpec(jobs=jobs, **GRID), run_dir=tmp_path / "store")
         assert report.cells_computed == NUM_ROWS + 2  # + the two trainings
         assert _csv(report, tmp_path / "m.csv") == reference
 
@@ -72,7 +73,11 @@ class TestWidthInvariance:
     def test_merged_shards_are_byte_identical(self, count, reference, tmp_path):
         shard_dir = tmp_path / "store"
         reports = [
-            run_scenario_matrix(run_dir=shard_dir, shard=f"{index}/{count}", jobs=1, **GRID)
+            run_scenario_matrix(
+                MatrixJobSpec(jobs=1, **GRID),
+                run_dir=shard_dir,
+                shard=f"{index}/{count}",
+            )
             for index in range(1, count + 1)
         ]
         # Every cell and every training ran exactly once across the shards.
@@ -100,7 +105,7 @@ class TestTemporaryStore:
     def test_store_less_csv_is_byte_identical_to_the_store_backed_one(
         self, jobs, reference, private_tempdir, tmp_path
     ):
-        report = run_scenario_matrix(jobs=jobs, **GRID)
+        report = run_scenario_matrix(MatrixJobSpec(jobs=jobs, **GRID))
         assert report.cells_computed == NUM_ROWS + 2
         assert _csv(report, tmp_path / "m.csv") == reference
         assert not list(private_tempdir.glob("repro-matrix-*"))
@@ -114,7 +119,7 @@ class TestTemporaryStore:
             raise RuntimeError("on_cell exploded")
 
         with pytest.raises(RuntimeError, match="on_cell exploded"):
-            run_scenario_matrix(jobs=2, on_cell=bomb, **{**GRID, "train": False})
+            run_scenario_matrix(MatrixJobSpec(jobs=2, **{**GRID, "train": False}), on_cell=bomb)
         assert len(during) == 1, "one temporary store, and no event log in it"
         assert not list(private_tempdir.glob("repro-matrix-*"))
 
@@ -130,7 +135,7 @@ class TestParentWrites:
             stored = len(store.entries(stage="evaluate")) + len(store.entries(stage="verify"))
             assert stored == len(seen), "a row reached on_cell before its store entry"
 
-        report = run_scenario_matrix(store=store, jobs=jobs, on_cell=on_cell, **GRID)
+        report = run_scenario_matrix(MatrixJobSpec(jobs=jobs, **GRID), store=store, on_cell=on_cell)
         assert len(seen) == NUM_ROWS
         assert sorted(map(repr, seen)) == sorted(map(repr, report.rows))
 
@@ -138,13 +143,15 @@ class TestParentWrites:
         # At this scale vanderpol's budget (1 x 10 mixing steps) outranks
         # pendulum's (1 x 8), although pendulum is listed first.
         run_scenario_matrix(
+            MatrixJobSpec(
+                scenarios=["pendulum", "vanderpol"],
+                perturbations=("none",),
+                samples=4,
+                budget_scale=0.01,
+                verify_overrides=TINY_VERIFY,
+                jobs=2,
+            ),
             run_dir=tmp_path / "store",
-            scenarios=["pendulum", "vanderpol"],
-            perturbations=("none",),
-            samples=4,
-            budget_scale=0.01,
-            verify_overrides=TINY_VERIFY,
-            jobs=2,
         )
         started = [
             (event.cell, event.scenario, event.controller)
@@ -168,12 +175,16 @@ class TestParentWrites:
         monkeypatch.setattr(matrix_module, "evaluate_robustness", broken)
         with pytest.raises(ValueError, match="evaluation exploded"):
             run_scenario_matrix(
-                run_dir=tmp_path / "store", jobs=2, **{**GRID, "train": False}
+                MatrixJobSpec(jobs=2, **{**GRID, "train": False}),
+                run_dir=tmp_path / "store",
             )
 
     def test_pool_respects_the_time_budget(self, tmp_path):
         report = run_scenario_matrix(
-            run_dir=tmp_path / "store", shard="1/1", shard_time_budget=1e-9, jobs=2, **GRID
+            MatrixJobSpec(jobs=2, **GRID),
+            run_dir=tmp_path / "store",
+            shard="1/1",
+            shard_time_budget=1e-9,
         )
         assert report.status == "resource-exhausted"
         assert report.cells_computed == 0 and report.cells_skipped == NUM_ROWS
@@ -182,7 +193,9 @@ class TestParentWrites:
         monkeypatch.setattr(matrix_module, "default_worker_count", lambda: 2)
         messages = []
         report = run_scenario_matrix(
-            run_dir=tmp_path / "store", jobs=0, progress=messages.append, **GRID
+            MatrixJobSpec(jobs=0, **GRID),
+            run_dir=tmp_path / "store",
+            progress=messages.append,
         )
         assert any("across 2 process(es)" in message for message in messages)
         assert _csv(report, tmp_path / "m.csv") == reference

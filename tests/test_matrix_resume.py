@@ -7,11 +7,14 @@ same store executes only the missing cells while producing a CSV
 byte-identical to an uninterrupted run.
 """
 
+from dataclasses import replace
+
 import pytest
 
 import repro.scenarios.matrix as matrix_module
 import repro.verification.sweep as sweep_module
 from repro.core.cocktail import CocktailPipeline
+from repro.jobs.messages import MatrixJobSpec
 from repro.scenarios import run_scenario_matrix
 
 TINY_TRAIN = dict(
@@ -25,7 +28,7 @@ TINY_VERIFY = dict(target_error=1.0, degree=2, max_partitions=64, reach_steps=2)
 
 #: vanderpol: 2 experts + kappa_star, 2 perturbations -> 6 evaluate cells,
 #: plus one train stage and one verify job.
-MATRIX_KWARGS = dict(
+MATRIX_SPEC = MatrixJobSpec(
     scenarios=["vanderpol"],
     perturbations=("none", "noise"),
     samples=4,
@@ -80,7 +83,7 @@ def reference(tmp_path_factory):
     """One uninterrupted store-backed run: (store root, csv bytes)."""
 
     root = tmp_path_factory.mktemp("matrix-store")
-    report = run_scenario_matrix(**MATRIX_KWARGS, run_dir=root / "store")
+    report = run_scenario_matrix(MATRIX_SPEC, run_dir=root / "store")
     assert report.cells_computed == NUM_CELLS
     assert report.cells_cached == 0
     csv_bytes = report.to_csv(root / "reference.csv").read_bytes()
@@ -91,7 +94,7 @@ class TestWarmStoreServesEverything:
     def test_second_identical_run_does_zero_work(self, reference, monkeypatch, tmp_path):
         root, csv_bytes = reference
         counter = WorkCounter(monkeypatch)
-        report = run_scenario_matrix(**MATRIX_KWARGS, run_dir=root / "store")
+        report = run_scenario_matrix(MATRIX_SPEC, run_dir=root / "store")
         assert counter.total == 0, "a warmed store must not train/evaluate/verify anything"
         assert report.cells_computed == 0
         assert report.cells_cached == NUM_CELLS
@@ -100,7 +103,7 @@ class TestWarmStoreServesEverything:
     def test_force_recomputes_every_cell(self, reference, monkeypatch, tmp_path):
         root, csv_bytes = reference
         counter = WorkCounter(monkeypatch)
-        report = run_scenario_matrix(**MATRIX_KWARGS, run_dir=root / "store", force=True)
+        report = run_scenario_matrix(MATRIX_SPEC, run_dir=root / "store", force=True)
         assert counter.trained == 1
         assert counter.evaluated == NUM_EVAL_CELLS
         assert counter.verified == 1
@@ -111,10 +114,7 @@ class TestWarmStoreServesEverything:
     def test_changed_budget_misses_the_cache(self, reference, monkeypatch):
         root, _ = reference
         counter = WorkCounter(monkeypatch)
-        run_scenario_matrix(
-            **{**MATRIX_KWARGS, "samples": 5},  # different evaluation identity
-            run_dir=root / "store",
-        )
+        run_scenario_matrix(replace(MATRIX_SPEC, samples=5), run_dir=root / "store")
         assert counter.evaluated == NUM_EVAL_CELLS  # every evaluate cell recomputed
         assert counter.trained == 0  # training identity unchanged -> still cached
 
@@ -139,11 +139,11 @@ class TestResumeAfterInterruption:
                 raise SimulatedCrash("killed after K cells")
 
         with pytest.raises(SimulatedCrash):
-            run_scenario_matrix(**MATRIX_KWARGS, run_dir=store_dir, on_cell=bomb)
+            run_scenario_matrix(MATRIX_SPEC, run_dir=store_dir, on_cell=bomb)
         assert len(seen) == self.INTERRUPT_AFTER
 
         counter = WorkCounter(monkeypatch)
-        report = run_scenario_matrix(**MATRIX_KWARGS, run_dir=store_dir)
+        report = run_scenario_matrix(MATRIX_SPEC, run_dir=store_dir)
         # The train stage and the K flushed cells are served from the store;
         # only the missing evaluate cells and verify job execute.
         flushed_evaluate = sum(1 for row in seen if row["cell"] == "evaluate")
@@ -162,41 +162,35 @@ class TestStoreArgumentPlumbing:
         from repro.experiments import RunStore
 
         store = RunStore(tmp_path / "store")
-        report = run_scenario_matrix(
-            scenarios=["vanderpol"],
-            perturbations=("none",),
-            samples=4,
-            train=False,
-            verify=False,
-            store=store,
+        spec = MatrixJobSpec(
+            scenarios=("vanderpol",), perturbations=("none",), samples=4, train=False, verify=False,
+            jobs=1,
         )
+        report = run_scenario_matrix(spec, store=store)
         assert report.cells_computed == 2  # two experts, one perturbation
-        again = run_scenario_matrix(
-            scenarios=["vanderpol"],
-            perturbations=("none",),
-            samples=4,
-            train=False,
-            verify=False,
-            run_dir=tmp_path / "store",
-        )
+        again = run_scenario_matrix(spec, run_dir=tmp_path / "store")
         assert again.cells_cached == 2
         assert again.rows == report.rows
 
     def test_no_store_runs_against_a_temporary_one(self, tmp_path):
-        kwargs = dict(
-            scenarios=["vanderpol"], perturbations=("none",), samples=4, train=False, verify=False
+        spec = MatrixJobSpec(
+            scenarios=("vanderpol",), perturbations=("none",), samples=4, train=False, verify=False,
+            jobs=1,
         )
-        report = run_scenario_matrix(**kwargs)
+        report = run_scenario_matrix(spec)
         assert report.cells_computed == 2 and report.cells_cached == 0
-        assert report.rows == run_scenario_matrix(**kwargs, run_dir=tmp_path / "store").rows
+        assert report.rows == run_scenario_matrix(spec, run_dir=tmp_path / "store").rows
 
     def test_store_rows_are_timing_free(self, tmp_path):
         report = run_scenario_matrix(
-            scenarios=["vanderpol"],
-            perturbations=("none",),
-            samples=4,
-            train=False,
-            verify=False,
+            MatrixJobSpec(
+                jobs=1,
+                scenarios=["vanderpol"],
+                perturbations=("none",),
+                samples=4,
+                train=False,
+                verify=False,
+            ),
             run_dir=tmp_path / "store",
         )
         assert all("seconds" not in row for row in report.rows)

@@ -9,10 +9,13 @@ Hypothesis in ``test_shard_properties.py`` and ``test_matrix_executor.py``;
 the crash/rescue paths by ``test_matrix_shard_faults.py``.)
 """
 
+import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
+from repro.jobs.messages import MatrixJobSpec
 from repro.scenarios import (
     MatrixIncompleteError,
     ShardSpec,
@@ -31,15 +34,36 @@ EVAL_KWARGS = dict(
     train=False,
     verify=False,
     seed=0,
+    jobs=1,
 )
+EVAL_SPEC = MatrixJobSpec(**EVAL_KWARGS)
 NUM_EVAL_CELLS = 8
+
+#: A two-shard grid with every manifest field set away from its default.
+#: Its ``matrix.json`` bytes (and the merged CSV) were recorded before the
+#: manifest became the ``MatrixJobSpec`` identity, and must never change.
+PINNED_GRID = MatrixJobSpec(
+    scenarios=("pendulum", "cartpole"),
+    perturbations=("none", "noise"),
+    samples=4,
+    fraction=0.1,
+    train=False,
+    verify=False,
+    seed=3,
+    budget_scale=0.5,
+    train_overrides={"num_envs": 4},
+    verify_overrides={"degree": 2},
+    jobs=1,
+)
+PINNED_MANIFEST_SHA256 = "7c915d234fcdb357d545ba83e9bf5314874a53b7575e8bd0fb208e75e89c29be"
+PINNED_CSV_SHA256 = "2cf5ba19357d5f45acd241c87924cc0f65508c550c6e1d4cc7ec37864e8f0240"
 
 @pytest.fixture(scope="module")
 def eval_reference(tmp_path_factory):
     """Single-process evaluate-only run: (csv bytes, row list)."""
 
     root = tmp_path_factory.mktemp("shard-eval-ref")
-    report = run_scenario_matrix(run_dir=root / "store", **EVAL_KWARGS)
+    report = run_scenario_matrix(EVAL_SPEC, run_dir=root / "store")
     assert report.cells_computed == NUM_EVAL_CELLS
     return report.to_csv(root / "reference.csv").read_bytes(), report.rows
 
@@ -50,9 +74,7 @@ class TestShardedMergeEquivalence:
         csv_bytes, _ = eval_reference
         shard_dir = tmp_path / "store"
         for index in range(1, count + 1):
-            run_scenario_matrix(
-                run_dir=shard_dir, shard=ShardSpec(index, count), **EVAL_KWARGS
-            )
+            run_scenario_matrix(EVAL_SPEC, run_dir=shard_dir, shard=ShardSpec(index, count))
         merged = merge_matrix_run(shard_dir)
         assert merged.to_csv(tmp_path / "merged.csv").read_bytes() == csv_bytes
         assert merged.cells_cached == NUM_EVAL_CELLS and merged.cells_computed == 0
@@ -61,9 +83,7 @@ class TestShardedMergeEquivalence:
         csv_bytes, _ = eval_reference
         shard_dir = tmp_path / "store"
         for index in (3, 1, 2):
-            run_scenario_matrix(
-                run_dir=shard_dir, shard=f"{index}/3", **EVAL_KWARGS
-            )
+            run_scenario_matrix(EVAL_SPEC, run_dir=shard_dir, shard=f"{index}/3")
         merged = merge_matrix_run(shard_dir)
         assert merged.to_csv(tmp_path / "merged.csv").read_bytes() == csv_bytes
 
@@ -71,9 +91,7 @@ class TestShardedMergeEquivalence:
         _, reference_rows = eval_reference
         shard_dir = tmp_path / "store"
         reports = [
-            run_scenario_matrix(
-                run_dir=shard_dir, shard=ShardSpec(index, 2), **EVAL_KWARGS
-            )
+            run_scenario_matrix(EVAL_SPEC, run_dir=shard_dir, shard=ShardSpec(index, 2))
             for index in (1, 2)
         ]
         assert sum(r.cells_computed for r in reports) == NUM_EVAL_CELLS
@@ -89,40 +107,59 @@ class TestShardedMergeEquivalence:
         }
 
     def test_shard_string_argument_accepted(self, tmp_path):
-        report = run_scenario_matrix(run_dir=tmp_path / "s", shard="1/2", **EVAL_KWARGS)
+        report = run_scenario_matrix(EVAL_SPEC, run_dir=tmp_path / "s", shard="1/2")
         assert report.shard == "1/2"
         assert report.status == "ok"
 
 
 class TestManifest:
     def test_shard_run_writes_a_manifest(self, tmp_path):
-        run_scenario_matrix(run_dir=tmp_path / "s", shard="1/2", **EVAL_KWARGS)
+        run_scenario_matrix(EVAL_SPEC, run_dir=tmp_path / "s", shard="1/2")
         manifest = read_matrix_manifest(tmp_path / "s")
         assert manifest["scenarios"] == ["vanderpol", "pendulum"]
         assert manifest["samples"] == 4 and manifest["train"] is False
 
     def test_conflicting_matrix_is_rejected(self, tmp_path):
-        run_scenario_matrix(run_dir=tmp_path / "s", shard="1/2", **EVAL_KWARGS)
+        run_scenario_matrix(EVAL_SPEC, run_dir=tmp_path / "s", shard="1/2")
         with pytest.raises(ValueError, match="different matrix"):
-            run_scenario_matrix(
-                run_dir=tmp_path / "s", shard="2/2",
-                **{**EVAL_KWARGS, "samples": 5},
-            )
+            run_scenario_matrix(replace(EVAL_SPEC, samples=5), run_dir=tmp_path / "s", shard="2/2")
+
+    def test_manifest_bytes_are_pinned(self, tmp_path):
+        for index in (1, 2):
+            run_scenario_matrix(PINNED_GRID, run_dir=tmp_path / "s", shard=f"{index}/2")
+        manifest = (tmp_path / "s" / "matrix.json").read_bytes()
+        assert hashlib.sha256(manifest).hexdigest() == PINNED_MANIFEST_SHA256
+        csv = merge_matrix_run(tmp_path / "s").to_csv(tmp_path / "merged.csv").read_bytes()
+        assert hashlib.sha256(csv).hexdigest() == PINNED_CSV_SHA256
+
+    def test_manifest_with_integer_valued_floats_still_merges(self, eval_reference, tmp_path):
+        """Older writers recorded a float field as the caller typed it
+        (``budget_scale=1``); such run directories still merge."""
+
+        csv_bytes, _ = eval_reference
+        for index in (1, 2):
+            run_scenario_matrix(EVAL_SPEC, run_dir=tmp_path / "s", shard=f"{index}/2")
+        path = tmp_path / "s" / "matrix.json"
+        manifest = json.loads(path.read_text())
+        manifest["budget_scale"] = 1
+        path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        merged = merge_matrix_run(tmp_path / "s")
+        assert merged.to_csv(tmp_path / "merged.csv").read_bytes() == csv_bytes
 
     def test_plain_store_runs_write_no_manifest(self, tmp_path):
-        run_scenario_matrix(run_dir=tmp_path / "s", **EVAL_KWARGS)
+        run_scenario_matrix(EVAL_SPEC, run_dir=tmp_path / "s")
         with pytest.raises(FileNotFoundError):
             read_matrix_manifest(tmp_path / "s")
 
     def test_merge_without_manifest_raises(self, tmp_path):
-        run_scenario_matrix(run_dir=tmp_path / "s", **EVAL_KWARGS)
+        run_scenario_matrix(EVAL_SPEC, run_dir=tmp_path / "s")
         with pytest.raises(FileNotFoundError):
             merge_matrix_run(tmp_path / "s")
 
 
 class TestIncompleteMerge:
     def test_merge_of_a_partial_store_names_the_missing_cells(self, tmp_path):
-        run_scenario_matrix(run_dir=tmp_path / "s", shard="1/2", **EVAL_KWARGS)
+        run_scenario_matrix(EVAL_SPEC, run_dir=tmp_path / "s", shard="1/2")
         with pytest.raises(MatrixIncompleteError) as excinfo:
             merge_matrix_run(tmp_path / "s")
         missing_positions = [
@@ -137,25 +174,28 @@ class TestIncompleteMerge:
 
     def test_offline_flag_requires_a_store(self):
         with pytest.raises(ValueError, match="offline replay needs a run store"):
-            run_scenario_matrix(offline=True, **EVAL_KWARGS)
+            run_scenario_matrix(EVAL_SPEC, offline=True)
 
     def test_shard_requires_a_store(self):
         with pytest.raises(ValueError, match="sharded runs need a run store"):
-            run_scenario_matrix(shard="1/2", **EVAL_KWARGS)
+            run_scenario_matrix(EVAL_SPEC, shard="1/2")
 
 
 class TestShardTimeBudget:
     def test_exhausted_shard_reports_and_a_rerun_resumes(self, eval_reference, tmp_path):
         csv_bytes, _ = eval_reference
         exhausted = run_scenario_matrix(
-            run_dir=tmp_path / "s", shard="1/2", shard_time_budget=1e-9, **EVAL_KWARGS
+            EVAL_SPEC,
+            run_dir=tmp_path / "s",
+            shard="1/2",
+            shard_time_budget=1e-9,
         )
         assert exhausted.status == "resource-exhausted"
         assert exhausted.cells_computed == 0
         assert exhausted.cells_skipped == NUM_EVAL_CELLS // 2
         # Rerunning the exhausted shard (and its sibling) completes the grid.
         rescue = [
-            run_scenario_matrix(run_dir=tmp_path / "s", shard=f"{index}/2", **EVAL_KWARGS)
+            run_scenario_matrix(EVAL_SPEC, run_dir=tmp_path / "s", shard=f"{index}/2")
             for index in (1, 2)
         ]
         assert [r.status for r in rescue] == ["ok", "ok"]
@@ -167,7 +207,10 @@ class TestShardTimeBudget:
     def test_unexhausted_budget_changes_nothing(self, eval_reference, tmp_path):
         csv_bytes, _ = eval_reference
         report = run_scenario_matrix(
-            run_dir=tmp_path / "s", shard="1/1", shard_time_budget=3600.0, **EVAL_KWARGS
+            EVAL_SPEC,
+            run_dir=tmp_path / "s",
+            shard="1/1",
+            shard_time_budget=3600.0,
         )
         assert report.status == "ok"
         assert report.cells_computed == NUM_EVAL_CELLS

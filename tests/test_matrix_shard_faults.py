@@ -18,6 +18,7 @@ import pytest
 import repro.scenarios.matrix as matrix_module
 from repro.core.cocktail import CocktailPipeline
 from repro.experiments import RunStore
+from repro.jobs.messages import MatrixJobSpec
 from repro.scenarios import (
     ShardSpec,
     merge_matrix_run,
@@ -52,6 +53,7 @@ KILL_KWARGS = dict(
     train=False,
     verify=False,
     seed=0,
+    jobs=1,
 )
 KILL_NUM_CELLS = 4
 
@@ -96,7 +98,7 @@ def acceptance_reference(tmp_path_factory):
     """The uninterrupted single-process run of the acceptance grid."""
 
     root = tmp_path_factory.mktemp("faults-ref")
-    report = run_scenario_matrix(run_dir=root / "store", **ACCEPTANCE_KWARGS)
+    report = run_scenario_matrix(MatrixJobSpec(**ACCEPTANCE_KWARGS), run_dir=root / "store")
     assert report.cells_computed == ACCEPTANCE_NUM_CELLS
     return report.to_csv(root / "reference.csv").read_bytes()
 
@@ -122,7 +124,10 @@ class TestInterruptedShardsResumeByteIdentically:
         counter = WorkCounter(monkeypatch)
         with pytest.raises(SimulatedCrash):
             run_scenario_matrix(
-                run_dir=shard_dir, shard="1/4", on_cell=bomb, **ACCEPTANCE_KWARGS
+                MatrixJobSpec(**ACCEPTANCE_KWARGS),
+                run_dir=shard_dir,
+                shard="1/4",
+                on_cell=bomb,
             )
         interrupted_work = counter.total
         assert 0 < interrupted_work < ACCEPTANCE_NUM_CELLS
@@ -130,7 +135,11 @@ class TestInterruptedShardsResumeByteIdentically:
         # Every shard reruns (the crashed one resumes; resume is the
         # store-backed default).  Completed cells replay, missing ones run.
         reports = [
-            run_scenario_matrix(run_dir=shard_dir, shard=ShardSpec(index, 4), **ACCEPTANCE_KWARGS)
+            run_scenario_matrix(
+                MatrixJobSpec(**ACCEPTANCE_KWARGS),
+                run_dir=shard_dir,
+                shard=ShardSpec(index, 4),
+            )
             for index in (1, 2, 3, 4)
         ]
         assert all(report.status == "ok" for report in reports)
@@ -152,13 +161,18 @@ class TestInterruptedShardsResumeByteIdentically:
             raise SimulatedCrash("died on the first cell")
 
         with pytest.raises(SimulatedCrash):
-            run_scenario_matrix(run_dir=shard_dir, shard="1/1", on_cell=bomb, **KILL_KWARGS)
+            run_scenario_matrix(
+                MatrixJobSpec(**KILL_KWARGS),
+                run_dir=shard_dir,
+                shard="1/1",
+                on_cell=bomb,
+            )
         # The crash hit *after* the first cell was flushed.
         store = RunStore(shard_dir)
         assert len(store.entries(stage="evaluate")) == 1
 
         counter = WorkCounter(monkeypatch)
-        report = run_scenario_matrix(run_dir=shard_dir, shard="1/1", **KILL_KWARGS)
+        report = run_scenario_matrix(MatrixJobSpec(**KILL_KWARGS), run_dir=shard_dir, shard="1/1")
         assert counter.evaluated == KILL_NUM_CELLS - 1
         assert report.cells_cached == 1
 
@@ -218,7 +232,7 @@ class TestSigkilledPoolWorker:
         self, kwargs, target, label, monkeypatch, tmp_path
     ):
         kwargs = {**kwargs, "jobs": 2}
-        reference = run_scenario_matrix(run_dir=tmp_path / "ref", **kwargs)
+        reference = run_scenario_matrix(MatrixJobSpec(**kwargs), run_dir=tmp_path / "ref")
         reference_bytes = reference.to_csv(tmp_path / "reference.csv").read_bytes()
 
         store_dir = tmp_path / "store"
@@ -226,7 +240,7 @@ class TestSigkilledPoolWorker:
         with monkeypatch.context() as patch, _Deadline(120):
             patch.setattr(matrix_module, f"_{target[0]}_task", _DieIn(*target))
             with pytest.raises(WorkerLost) as excinfo:
-                run_scenario_matrix(run_dir=store_dir, on_cell=seen.append, **kwargs)
+                run_scenario_matrix(MatrixJobSpec(**kwargs), run_dir=store_dir, on_cell=seen.append)
         assert label in excinfo.value.tasks
         assert label in str(excinfo.value) and "resume" in str(excinfo.value)
 
@@ -235,7 +249,7 @@ class TestSigkilledPoolWorker:
         stored = len(store.entries(stage="evaluate")) + len(store.entries(stage="verify"))
         assert stored == len(seen)
 
-        resumed = run_scenario_matrix(run_dir=store_dir, **kwargs)
+        resumed = run_scenario_matrix(MatrixJobSpec(**kwargs), run_dir=store_dir)
         assert resumed.status == "ok"
         assert resumed.cells_cached >= len(seen)
         assert resumed.to_csv(tmp_path / "resumed.csv").read_bytes() == reference_bytes
@@ -248,7 +262,7 @@ class TestSigkilledPoolWorker:
         from concurrent.futures.process import BrokenProcessPool
 
         kwargs = {**KILL_KWARGS, "jobs": 2}
-        reference = run_scenario_matrix(run_dir=tmp_path / "ref", **kwargs)
+        reference = run_scenario_matrix(MatrixJobSpec(**kwargs), run_dir=tmp_path / "ref")
         refused = []
 
         class BreaksOnFourthSubmit(futures.ProcessPoolExecutor):
@@ -266,13 +280,13 @@ class TestSigkilledPoolWorker:
         with monkeypatch.context() as patch, _Deadline(120):
             patch.setattr(futures, "ProcessPoolExecutor", BreaksOnFourthSubmit)
             with pytest.raises(WorkerLost) as excinfo:
-                run_scenario_matrix(run_dir=store_dir, on_cell=seen.append, **kwargs)
+                run_scenario_matrix(MatrixJobSpec(**kwargs), run_dir=store_dir, on_cell=seen.append)
         assert excinfo.value.tasks == refused
         # The three tasks already in flight finished and were recorded.
         assert len(seen) == 3
         assert len(RunStore(store_dir).entries(stage="evaluate")) == 3
 
-        resumed = run_scenario_matrix(run_dir=store_dir, **kwargs)
+        resumed = run_scenario_matrix(MatrixJobSpec(**kwargs), run_dir=store_dir)
         assert resumed.cells_cached == 3 and resumed.cells_computed == 1
         assert resumed.to_csv(tmp_path / "resumed.csv").read_bytes() == reference.to_csv(
             tmp_path / "reference.csv"

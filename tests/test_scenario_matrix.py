@@ -1,7 +1,13 @@
 """Unit tests for the scenario matrix runner (no training in this file)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from repro.jobs.messages import MatrixJobSpec
 from repro.scenarios import run_scenario_matrix, scale_budget_hints
 
 
@@ -25,12 +31,15 @@ class TestMatrixEvaluateOnly:
     @pytest.fixture(scope="class")
     def report(self):
         return run_scenario_matrix(
-            scenarios=["vanderpol", "pendulum"],
-            perturbations=("none", "noise"),
-            samples=6,
-            train=False,
-            verify=False,
-            seed=0,
+            MatrixJobSpec(
+                jobs=1,
+                scenarios=["vanderpol", "pendulum"],
+                perturbations=("none", "noise"),
+                samples=6,
+                train=False,
+                verify=False,
+                seed=0,
+            ),
         )
 
     def test_cell_count(self, report):
@@ -54,29 +63,54 @@ class TestMatrixEvaluateOnly:
 
     def test_variant_scenario_names_flow_through(self):
         report = run_scenario_matrix(
-            scenarios=["vanderpol?mu=1.5"],
-            perturbations=("none",),
-            samples=4,
-            train=False,
-            verify=False,
+            MatrixJobSpec(
+                jobs=1,
+                scenarios=["vanderpol?mu=1.5"],
+                perturbations=("none",),
+                samples=4,
+                train=False,
+                verify=False,
+            ),
         )
         assert report.rows
         assert all(row["scenario"] == "vanderpol?mu=1.5" for row in report.rows)
 
-    def test_empty_catalog_request_rejected(self):
-        with pytest.raises(ValueError):
-            run_scenario_matrix(scenarios=[], train=False, verify=False)
+    def test_empty_catalog_request_rejected(self, monkeypatch):
+        import repro.scenarios.matrix as matrix_module
+
+        # An empty ``scenarios`` means the whole catalog; only an empty
+        # catalog leaves nothing to run.
+        monkeypatch.setattr(matrix_module, "list_scenarios", lambda: [])
+        with pytest.raises(ValueError, match="no scenarios to run"):
+            run_scenario_matrix(MatrixJobSpec(jobs=1, train=False, verify=False))
 
 
 class TestMatrixProgress:
     def test_progress_callback_invoked(self):
         messages = []
         run_scenario_matrix(
-            scenarios=["vanderpol"],
-            perturbations=("none",),
-            samples=4,
-            train=False,
-            verify=False,
+            MatrixJobSpec(
+                jobs=1,
+                scenarios=["vanderpol"],
+                perturbations=("none",),
+                samples=4,
+                train=False,
+                verify=False,
+            ),
             progress=messages.append,
         )
         assert messages
+
+
+def test_import_repro_does_not_load_the_job_layer():
+    """The matrix takes a ``MatrixJobSpec`` but imports it lazily: a bare
+    ``import repro`` (the benchmark's timed set-up) stays job-layer free."""
+
+    script = "import sys, repro\nprint(sorted(m for m in sys.modules if m.startswith('repro.jobs')))\n"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -11,6 +11,7 @@ import csv
 
 import pytest
 
+from repro.jobs.messages import MatrixJobSpec
 from repro.scenarios import list_scenarios, run_scenario_matrix
 
 TINY_TRAIN = dict(
@@ -29,13 +30,15 @@ def test_every_scenario_trains_evaluates_and_verifies(tmp_path):
     assert len(names) >= 5
 
     report = run_scenario_matrix(
-        samples=8,
-        train=True,
-        verify=True,
-        jobs=1,
-        seed=0,
-        train_overrides=TINY_TRAIN,
-        verify_overrides=TINY_VERIFY,
+        MatrixJobSpec(
+            samples=8,
+            train=True,
+            verify=True,
+            jobs=1,
+            seed=0,
+            train_overrides=TINY_TRAIN,
+            verify_overrides=TINY_VERIFY,
+        ),
     )
 
     covered = {row["scenario"] for row in report.rows}

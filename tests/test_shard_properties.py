@@ -29,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.scenarios.matrix as matrix_module
+from repro.jobs.messages import MatrixJobSpec
 from repro.scenarios import (
     MatrixCell,
     ShardSpec,
@@ -147,13 +148,14 @@ def _rows_csv(report):
 
 
 class TestMergeInvariance:
-    KWARGS = dict(
+    SPEC = MatrixJobSpec(
         scenarios=["vanderpol", "pendulum"],
         perturbations=("none", "noise"),
         samples=4,
         train=False,
         verify=False,
         seed=0,
+        jobs=1,
     )
 
     @given(count=st.integers(min_value=1, max_value=5), data=st.data())
@@ -162,15 +164,11 @@ class TestMergeInvariance:
         order = data.draw(st.permutations(list(range(1, count + 1))))
         with mock.patch.object(matrix_module, "evaluate_robustness", _fake_evaluate):
             with tempfile.TemporaryDirectory() as tmp:
-                reference = run_scenario_matrix(run_dir=Path(tmp) / "ref", **self.KWARGS)
+                reference = run_scenario_matrix(self.SPEC, run_dir=Path(tmp) / "ref")
                 reference_csv = _rows_csv(reference)
                 shard_dir = Path(tmp) / "sharded"
                 for index in order:
-                    run_scenario_matrix(
-                        run_dir=shard_dir,
-                        shard=ShardSpec(index, count),
-                        **self.KWARGS,
-                    )
+                    run_scenario_matrix(self.SPEC, run_dir=shard_dir, shard=ShardSpec(index, count))
                 merged = merge_matrix_run(shard_dir)
         assert merged.rows == reference.rows
         assert _rows_csv(merged) == reference_csv

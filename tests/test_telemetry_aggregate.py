@@ -2,7 +2,7 @@
 
 The acceptance property of the telemetry subsystem is *accounting parity*:
 ``repro runs stats`` must reproduce the matrix runner's
-``cells_computed`` / ``cells_cached`` / ``cells_stolen`` counters by
+``cells_computed`` / ``cells_cached`` counters by
 counting events, with no access to the reports or the store.  The
 synthetic tests pin the fold's semantics event by event; the integration
 tests run real matrices (cold, warm, sharded, trained + verified) and
@@ -14,13 +14,13 @@ import json
 
 import pytest
 
+from repro.jobs.messages import MatrixJobSpec
 from repro.scenarios import run_scenario_matrix
 from repro.scenarios.matrix import run_sharded_matrix
 from repro.telemetry import (
     CellCached,
     CellFinished,
     CellStarted,
-    CellStolen,
     FleetState,
     RunFinished,
     RunStarted,
@@ -37,6 +37,7 @@ from repro.telemetry import (
     watch_snapshot,
 )
 from repro.telemetry.emitter import events_dir
+from repro.telemetry.events import decode_line
 
 TINY_TRAIN = dict(mixing_epochs=1, mixing_steps=64, distill_epochs=2, dataset_size=64, eval_samples=8)
 TINY_VERIFY = dict(target_error=1.0, degree=2, max_partitions=64, reach_steps=2)
@@ -50,7 +51,9 @@ EVAL_KWARGS = dict(
     train=False,
     verify=False,
     seed=0,
+    jobs=1,
 )
+EVAL_SPEC = MatrixJobSpec(**EVAL_KWARGS)
 
 
 def _cell(event_type, shard, ts, **fields):
@@ -64,17 +67,26 @@ class TestFold:
             _cell(CellStarted, "main", 1.0),
             _cell(CellFinished, "main", 2.0, seconds=1.0),
             _cell(CellCached, "main", 3.0, perturbation="noise"),
-            _cell(CellStolen, "main", 4.0, stale=True),
             RunFinished(ts=5.0, shard="main", cells_computed=1, cells_cached=1, cells_skipped=2),
         ]
         state = fold_events(events)
-        assert accounting(state) == {"cells_computed": 1, "cells_cached": 1, "cells_stolen": 1}
+        assert accounting(state) == {"cells_computed": 1, "cells_cached": 1}
         shard = state.shards["main"]
         assert shard.cells_total == 4 and shard.cells_owned == 4
         assert shard.finished and shard.status == "ok"
         assert shard.skipped == 2
-        assert state.stolen_cells == [(("s", "c", "evaluate", None), True)]
         assert state.all_finished
+
+    def test_legacy_cell_stolen_lines_fold_as_unknown_events(self):
+        """Work-stealing versions wrote ``cell-stolen``; old logs still fold."""
+
+        line = json.dumps(
+            {"type": "cell-stolen", "version": 1, "ts": 4.0, "shard": "main", "scenario": "s",
+             "controller": "c", "cell": "evaluate", "perturbation": None, "stale": True}
+        )
+        state = fold_events([decode_line(line)])
+        assert state.unknown_events == 1
+        assert accounting(state) == {"cells_computed": 0, "cells_cached": 0}
 
     def test_fold_is_incremental(self):
         state = fold_events([_cell(CellStarted, "main", 1.0)])
@@ -149,26 +161,25 @@ class TestFold:
 class TestMatrixParity:
     def test_cold_and_warm_runs_account_exactly(self, tmp_path):
         run_dir = tmp_path / "run"
-        cold = run_scenario_matrix(run_dir=run_dir, **EVAL_KWARGS)
+        cold = run_scenario_matrix(EVAL_SPEC, run_dir=run_dir)
         assert events_dir(run_dir).is_dir()
         state = fold_events(read_events(run_dir))
         assert accounting(state) == {
             "cells_computed": cold.cells_computed,
             "cells_cached": cold.cells_cached,
-            "cells_stolen": 0,
         }
         assert cold.cells_computed == 4 and cold.cells_cached == 0
         assert state.all_finished
 
-        warm = run_scenario_matrix(run_dir=run_dir, **EVAL_KWARGS)
+        warm = run_scenario_matrix(EVAL_SPEC, run_dir=run_dir)
         assert warm.cells_cached == 4 and warm.cells_computed == 0
         # The log is cumulative across runs: cold + warm.
         total = accounting(fold_events(read_events(run_dir)))
-        assert total == {"cells_computed": 4, "cells_cached": 4, "cells_stolen": 0}
+        assert total == {"cells_computed": 4, "cells_cached": 4}
 
     def test_fleet_stats_reproduces_the_accounting(self, tmp_path):
         run_dir = tmp_path / "run"
-        report = run_scenario_matrix(run_dir=run_dir, **EVAL_KWARGS)
+        report = run_scenario_matrix(EVAL_SPEC, run_dir=run_dir)
         stats = fleet_stats([run_dir])
         assert stats["cells_computed"] == report.cells_computed
         assert stats["cells_cached"] == report.cells_cached
@@ -185,7 +196,7 @@ class TestMatrixParity:
 
     def test_fleet_stats_spans_multiple_runs(self, tmp_path):
         reports = [
-            run_scenario_matrix(run_dir=tmp_path / name, **EVAL_KWARGS) for name in ("a", "b")
+            run_scenario_matrix(EVAL_SPEC, run_dir=tmp_path / name) for name in ("a", "b")
         ]
         stats = fleet_stats([tmp_path / "a", tmp_path / "b"])
         assert stats["runs"] == 2
@@ -194,25 +205,25 @@ class TestMatrixParity:
 
     def test_telemetry_off_leaves_no_event_log(self, tmp_path):
         run_dir = tmp_path / "run"
-        run_scenario_matrix(run_dir=run_dir, telemetry=False, **EVAL_KWARGS)
+        run_scenario_matrix(EVAL_SPEC, run_dir=run_dir, telemetry=False)
         assert not events_dir(run_dir).exists()
 
     def test_telemetry_needs_a_store(self):
         with pytest.raises(ValueError, match="telemetry needs a run store"):
-            run_scenario_matrix(telemetry=True, **EVAL_KWARGS)
+            run_scenario_matrix(EVAL_SPEC, telemetry=True)
 
     def test_offline_replay_emits_nothing(self, tmp_path):
         run_dir = tmp_path / "run"
-        run_scenario_matrix(run_dir=run_dir, **EVAL_KWARGS)
+        run_scenario_matrix(EVAL_SPEC, run_dir=run_dir)
         before = len(read_events(run_dir))
-        run_scenario_matrix(run_dir=run_dir, offline=True, **EVAL_KWARGS)
+        run_scenario_matrix(EVAL_SPEC, run_dir=run_dir, offline=True)
         assert len(read_events(run_dir)) == before
         with pytest.raises(ValueError, match="offline replay"):
-            run_scenario_matrix(run_dir=run_dir, offline=True, telemetry=True, **EVAL_KWARGS)
+            run_scenario_matrix(EVAL_SPEC, run_dir=run_dir, offline=True, telemetry=True)
 
     def test_sharded_run_accounts_per_shard_and_merges_byte_identically(self, tmp_path):
         solo_dir, fleet_dir = tmp_path / "solo", tmp_path / "fleet"
-        solo = run_scenario_matrix(run_dir=solo_dir, **EVAL_KWARGS)
+        solo = run_scenario_matrix(EVAL_SPEC, run_dir=solo_dir)
         merged = run_sharded_matrix(2, fleet_dir, **EVAL_KWARGS)
 
         solo_csv, merged_csv = tmp_path / "solo.csv", tmp_path / "merged.csv"
@@ -231,22 +242,23 @@ class TestMatrixParity:
         assert accounting(state) == {
             "cells_computed": sum(s["cells_computed"] for s in summaries),
             "cells_cached": sum(s["cells_cached"] for s in summaries),
-            "cells_stolen": 0,
         }
         assert accounting(state)["cells_computed"] + accounting(state)["cells_cached"] >= 4
 
     def test_trained_matrix_emits_train_verify_and_stage_events(self, tmp_path):
         run_dir = tmp_path / "run"
         report = run_scenario_matrix(
-            scenarios=["vanderpol"],
-            perturbations=("none",),
-            samples=4,
-            train=True,
-            verify=True,
-            jobs=1,
-            seed=0,
-            train_overrides=TINY_TRAIN,
-            verify_overrides=TINY_VERIFY,
+            MatrixJobSpec(
+                scenarios=["vanderpol"],
+                perturbations=("none",),
+                samples=4,
+                train=True,
+                verify=True,
+                jobs=1,
+                seed=0,
+                train_overrides=TINY_TRAIN,
+                verify_overrides=TINY_VERIFY,
+            ),
             run_dir=run_dir,
         )
         events = read_events(run_dir)
@@ -254,7 +266,6 @@ class TestMatrixParity:
         assert accounting(state) == {
             "cells_computed": report.cells_computed,
             "cells_cached": report.cells_cached,
-            "cells_stolen": 0,
         }
         kinds = {identity[2] for identity, _, _, _ in state.finished_cells}
         assert kinds == {"train", "evaluate", "verify"}
@@ -270,15 +281,17 @@ class TestMatrixParity:
 
         # Warm rerun: everything cached, including the verify job.
         warm = run_scenario_matrix(
-            scenarios=["vanderpol"],
-            perturbations=("none",),
-            samples=4,
-            train=True,
-            verify=True,
-            jobs=1,
-            seed=0,
-            train_overrides=TINY_TRAIN,
-            verify_overrides=TINY_VERIFY,
+            MatrixJobSpec(
+                scenarios=["vanderpol"],
+                perturbations=("none",),
+                samples=4,
+                train=True,
+                verify=True,
+                jobs=1,
+                seed=0,
+                train_overrides=TINY_TRAIN,
+                verify_overrides=TINY_VERIFY,
+            ),
             run_dir=run_dir,
         )
         assert warm.cells_computed == 0

@@ -24,7 +24,6 @@ from repro.telemetry.events import (
     CellCached,
     CellFinished,
     CellStarted,
-    CellStolen,
     EventValidationError,
     RunFinished,
     RunStarted,
@@ -73,7 +72,6 @@ EVENT_STRATEGIES = {
         safe_rate=st.none() | st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
     ),
     CellCached: st.builds(CellCached, **_base, **_cell_fields),
-    CellStolen: st.builds(CellStolen, **_base, **_cell_fields, stale=st.booleans()),
     ShardHeartbeat: st.builds(
         ShardHeartbeat,
         **_base,
@@ -121,7 +119,6 @@ class TestRegistry:
             "cell-cached",
             "cell-finished",
             "cell-started",
-            "cell-stolen",
             "run-finished",
             "run-started",
             "shard-heartbeat",
@@ -212,7 +209,7 @@ class TestValidation:
         with pytest.raises(EventValidationError):
             CellFinished(ts=0.0, shard=7)
         with pytest.raises(EventValidationError):
-            CellStolen(ts=0.0, shard="main", stale="yes")
+            CellCached(ts=0.0, shard="main", perturbation=3)
         with pytest.raises(EventValidationError):
             ShardHeartbeat(ts=0.0, shard="main", cells_done=1.5)
 

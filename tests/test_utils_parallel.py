@@ -314,6 +314,24 @@ def test_spawn_workers_returns_each_exit_code():
     assert spawn_workers(_exit_with, [(0,), (3,)]) == [0, 3]
 
 
+_PINNED = []
+
+
+def _exit_pinned(code):
+    os._exit(code if _PINNED == ["blas"] else 99)
+
+
+def test_spawn_workers_children_run_single_threaded_blas(monkeypatch):
+    """Each child limits its BLAS to one thread before its target runs, as
+    pool workers do: the children run side by side."""
+
+    from repro.utils import parallel
+
+    monkeypatch.setattr(parallel, "single_threaded_blas", lambda: _PINNED.append("blas"))
+    assert parallel.spawn_workers(_exit_pinned, [(0,), (3,)]) == [0, 3]
+    assert _PINNED == []  # the parent itself keeps its threads
+
+
 _PARENT = os.getpid()
 
 

@@ -206,7 +206,7 @@ class TestEngineEquivalence:
         reference = reference_partition(network, system.safe_region, target_error=0.4, degree=2)
         batched = partition_network(network, system.safe_region, target_error=0.4, degree=2)
         assert reference.num_partitions == batched.num_partitions
-        assert reference.refinement_steps == batched.refinement_steps
+        assert reference.refinement_steps == batched.num_partitions - 1
         assert reference.max_error == batched.max_error
         assert reference.total_coefficients() == batched.total_coefficients()
         assert_boxes_identical(batched.lows, batched.highs, reference.boxes)
@@ -326,7 +326,7 @@ class TestEngineEquivalence:
             network, domain, target_error, degree=degree, max_partitions=max_partitions, lipschitz_constant=lipschitz
         )
         assert_boxes_identical(batched.lows, batched.highs, boxes)
-        assert batched.refinement_steps == refinements
+        assert batched.num_partitions == refinements + 1
         assert batched.max_error == max(bernstein_error_bound(lipschitz, box, degrees) for box in boxes)
 
 

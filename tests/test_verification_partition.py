@@ -21,10 +21,10 @@ def partition_boxes(approx):
     return [Box(low, high) for low, high in zip(approx.lows, approx.highs)]
 
 
-def one_box_bounds(approx, box, include_error=True):
+def one_box_bounds(approx, box):
     """Control enclosure over one query box, as a one-row stack."""
 
-    lower, upper = approx.control_bounds_batch(box.low[None, :], box.high[None, :], include_error=include_error)
+    lower, upper = approx.control_bounds_batch(box.low[None, :], box.high[None, :])
     return Interval(lower[0], upper[0])
 
 
@@ -110,9 +110,9 @@ class TestPiecewiseEvaluation:
 
     def test_smaller_query_box_gives_tighter_bounds(self, small_network, domain):
         approx = partition_network(small_network, domain, target_error=0.5, degree=3)
-        wide = one_box_bounds(approx, Box([-1, -1], [1, 1]), include_error=False)
-        narrow = one_box_bounds(approx, Box([-0.1, -0.1], [0.1, 0.1]), include_error=False)
-        assert np.all(narrow.width <= wide.width + 1e-9)
+        wide = one_box_bounds(approx, Box([-1, -1], [1, 1]))
+        narrow = one_box_bounds(approx, Box([-0.1, -0.1], [0.1, 0.1]))
+        assert np.all(narrow.upper - narrow.lower <= wide.upper - wide.lower + 1e-9)
 
 
 #: (domain, target error, degree, partition budget) per summary case.

@@ -23,7 +23,9 @@ path, so the tests can pin the batched path to it bit for bit:
   interval-dynamics image per grid cell, then the elimination fixed point.
 
 Beside the point evaluator and the scalar error bound, only one-row
-wrappers and orchestration live here.  The kernels they call (grids,
+wrappers, the :class:`Interval` helpers the scalar flow needs
+(:func:`interval_contains`, :func:`clip_interval`, :func:`interval_box`)
+and orchestration live here.  The kernels they call (grids,
 coefficient fits, IBP, interval dynamics) are pinned separately against
 their own frozen references by ``test_kernel_differential.py``.
 """
@@ -51,6 +53,25 @@ from repro.verification.invariant import InvariantSetResult
 from repro.verification.reachability import ReachabilityResult
 from repro.verification.system_models import interval_dynamics_batch
 from repro.verification.verifier import VerificationReport
+
+
+def interval_contains(interval: Interval, value) -> bool:
+    """Whether ``interval`` encloses ``value`` (up to 1e-12 of rounding)."""
+
+    value = np.asarray(value, dtype=np.float64)
+    return bool(np.all(value >= interval.lower - 1e-12) and np.all(value <= interval.upper + 1e-12))
+
+
+def clip_interval(interval: Interval, low, high) -> Interval:
+    """``interval`` with both bounds clipped to ``[low, high]``."""
+
+    return Interval(np.clip(interval.lower, low, high), np.clip(interval.upper, low, high))
+
+
+def interval_box(interval: Interval) -> Box:
+    """The box ``[interval.lower, interval.upper]``."""
+
+    return Box(interval.lower, interval.upper)
 
 
 def binomials(degree: int) -> np.ndarray:
@@ -300,8 +321,9 @@ def reference_reachable_sets(
         if work_budget is not None and work > work_budget:
             status = "resource-exhausted"
             break
-        control = control_bounds.clip(system.control_bound.low, system.control_bound.high)
-        current = interval_dynamics(system, Interval.from_box(current), control, disturbance_interval).to_box()
+        control = clip_interval(control_bounds, system.control_bound.low, system.control_bound.high)
+        image = interval_dynamics(system, Interval.from_box(current), control, disturbance_interval)
+        current = interval_box(image)
         boxes.append(current)
     else:
         step = steps - 1
@@ -345,9 +367,10 @@ def reference_invariant_set(
     cells = domain.subdivide(grid_resolution)
     images = []
     for cell in cells:
-        control = reference_control_bounds(partition, cell).clip(system.control_bound.low, system.control_bound.high)
+        bounds = reference_control_bounds(partition, cell)
+        control = clip_interval(bounds, system.control_bound.low, system.control_bound.high)
         image = interval_dynamics(system, Interval.from_box(cell), control, disturbance_interval)
-        images.append(cell_index_ranges(domain, image.to_box(), grid_resolution))
+        images.append(cell_index_ranges(domain, interval_box(image), grid_resolution))
 
     shape = (grid_resolution,) * domain.dimension
     alive = np.ones(shape, dtype=bool)
