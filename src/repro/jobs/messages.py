@@ -105,7 +105,8 @@ class TrainJobSpec(JobSpec):
     """Run the Cocktail pipeline on one scenario (mirrors ``repro train``).
 
     ``None`` budgets resolve to the scenario's ``train_budget`` hints and
-    then to the pinned defaults, exactly like the CLI flags.
+    then to the pinned defaults, exactly like the CLI flags.  Every field
+    that defaults to ``None`` is such a budget, named after its hint key.
     ``output`` is optional here (the daemon persists through the run store);
     the CLI always sets it.
     """
@@ -231,6 +232,9 @@ class MatrixJobSpec(JobSpec):
                     f"MatrixJobSpec.perturbations entries must be one of {_PERTURBATIONS}, "
                     f"got {perturbation!r}"
                 )
+        for name in ("train_overrides", "verify_overrides"):
+            if not isinstance(getattr(self, name), dict):
+                raise MessageValidationError(f"MatrixJobSpec.{name} must be an object")
 
 
 def parse_job_spec(payload: Mapping) -> JobSpec:

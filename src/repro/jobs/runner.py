@@ -34,6 +34,7 @@ The lifecycle has four separable steps:
 from __future__ import annotations
 
 import tempfile
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -100,35 +101,26 @@ def _load_controller(directory, name: str):
 # ---------------------------------------------------------------------------
 
 
-#: The train spec's budget fields; each names its ``train_budget`` hint key.
-_TRAIN_BUDGET_FIELDS = (
-    "mixing_epochs",
-    "mixing_steps",
-    "distill_epochs",
-    "dataset_size",
-    "eval_samples",
-    "num_envs",
-    "train_batch_size",
-)
-
-
 def _resolve_train(spec: TrainJobSpec):
     """(scenario, overrides, CocktailConfig, resolved identity dict).
 
-    An explicit spec budget wins over the scenario's ``train_budget`` hint;
-    :meth:`CocktailConfig.from_budget_hints` supplies every other default.
+    The spec's ``None``-default fields are its budgets, each named after
+    its ``train_budget`` hint key: an explicit one wins over the scenario's
+    hint, and :meth:`CocktailConfig.from_budget_hints` supplies every other
+    default.  The evaluation config is rebuilt, not mutated, so its
+    validation sees ``eval_batch_size``.
     """
 
     from repro import CocktailConfig
 
     scenario, overrides = _resolve_scenario(spec.system)
     explicit = {
-        name: getattr(spec, name)
-        for name in _TRAIN_BUDGET_FIELDS
-        if getattr(spec, name) is not None
+        item.name: getattr(spec, item.name)
+        for item in fields(spec)
+        if item.default is None and getattr(spec, item.name) is not None
     }
     config = CocktailConfig.from_budget_hints({**scenario.train_budget, **explicit}, seed=spec.seed)
-    config.evaluation.batch_size = spec.eval_batch_size or None
+    config.evaluation = replace(config.evaluation, batch_size=spec.eval_batch_size or None)
     params = dict(scenario.default_params)
     params.update(overrides)
     # direct_baseline distinguishes this entry (kappa_star + kappa_d +

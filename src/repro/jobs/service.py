@@ -73,12 +73,7 @@ from repro.jobs.messages import (
     parse_job_spec,
 )
 from repro.utils.messages import MessageValidationError
-from repro.utils.parallel import (
-    _fork_context,
-    available_cpu_count,
-    default_worker_count,
-    single_threaded_blas,
-)
+from repro.utils.parallel import _fork_context, available_cpu_count, default_worker_count
 
 __all__ = [
     "ServiceError",
@@ -152,15 +147,12 @@ def _service_worker(
 
     A matrix job's ``jobs=0`` ("one worker per CPU") becomes ``cpu_share``,
     this job's slice of the CPUs, so concurrent jobs do not each fork a
-    full-width cell pool.  The width is not part of the job's digest.  Jobs
-    run side by side, so each limits its BLAS to one thread first.
+    full-width cell pool.  The width is not part of the job's digest.
     """
 
     import sys
 
     from repro.experiments import RunStore
-
-    single_threaded_blas()
 
     outcome_file = service_dir(run_dir) / "outcomes" / f"{job_id}.json"
     outcome: Dict = {"job_id": job_id}

@@ -8,9 +8,10 @@ out to processes derives its default worker count from
 matrix, the verification sweep and kappa_D's distillation run their tasks
 on :class:`TaskExecutor`, whose lost worker is a typed :class:`WorkerLost`,
 never a hang; the job daemon's long-running, cancellable job processes
-share only :func:`_fork_context`.  Every process that computes beside
-another -- a pool worker, a :func:`spawn_workers` child, a daemon job --
-first calls :func:`single_threaded_blas`.
+share only :func:`_fork_context`.  Pool workers and :func:`spawn_workers`
+children, which always run beside another process, first call
+:func:`single_threaded_blas`; daemon job processes keep their BLAS
+threads, since a lone job verifies faster with them.
 
 The CPU count sizes process pools and nothing else: vectorization widths
 (``num_envs``, ``train_batch_size``) change the trained controller, so they

@@ -283,6 +283,12 @@ class TestSpecStrictness:
             parse_job_spec(payload)
         assert "'bogus'" in str(excinfo.value)
 
+    @pytest.mark.parametrize("name", ["train_overrides", "verify_overrides"])
+    def test_matrix_spec_rejects_null_overrides(self, name):
+        payload = dict(MatrixJobSpec(samples=4).to_json(), **{name: None})
+        with pytest.raises(MessageValidationError, match=f"MatrixJobSpec.{name} must be an object"):
+            parse_job_spec(payload)
+
 
 class TestEngineFieldRetired:
     """Schema v2 of the verify-sweep and matrix specs has no ``engine``."""

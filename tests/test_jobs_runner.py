@@ -93,6 +93,19 @@ class TestTrainDigestSharing:
         reseeded = TrainJobSpec(seed=7, **base)
         assert job_key(store, reseeded).digest != job_key(store, without).digest
 
+    def test_negative_eval_batch_size_is_rejected_before_training(self, monkeypatch):
+        import repro
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a bad spec must not reach training")
+
+        monkeypatch.setattr(repro, "CocktailPipeline", no_training)
+        spec = TrainJobSpec(system="pendulum", eval_batch_size=-3, **TINY_TRAIN_SPEC)
+        with pytest.raises(ValueError, match="batch_size must be positive"):
+            resolve_job(spec)
+        with pytest.raises(ValueError, match="batch_size must be positive"):
+            execute_job(spec)
+
 
 class TestEvaluateParity:
     def test_job_output_matches_the_cli_byte_for_byte(self, saved_controller_dir, capsys):

@@ -230,29 +230,6 @@ class TestMatrixPoolWidth:
         service.close()
         assert widths == [2, 3]
 
-    def test_job_processes_run_single_threaded_blas(self, tmp_path, monkeypatch):
-        """Jobs run side by side, so each job process limits its BLAS to one
-        thread before it executes, as pool workers do."""
-
-        import repro.jobs.service as service_module
-
-        pinned = []
-
-        def record_pinning(spec, **kwargs):
-            return {"pinned": pinned == ["blas"]}, False
-
-        monkeypatch.setattr(service_module, "single_threaded_blas", lambda: pinned.append("blas"))
-        monkeypatch.setattr(runner_module, "execute_job", record_pinning)
-        service = JobService(tmp_path / "run", workers=1)
-        view, _ = service.submit(MATRIX_SPEC.to_json())
-        _wait_until(
-            lambda: service.status(view.job_id)[0].state == "done",
-            message="matrix job to finish",
-        )
-        assert service.status(view.job_id)[1] == {"pinned": True}
-        service.close()
-        assert pinned == []  # the daemon itself keeps its threads
-
 
 class TestClientDisconnect:
     def test_half_sent_request_does_not_wedge_the_server(self, tmp_path):
