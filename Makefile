@@ -52,8 +52,10 @@
 # to check that verdicts are bit-identical); `train-digests`,
 # its training twin, trains each paper system at the benchmark's `train`
 # budgets and widths, seed 0, and prints the weights digest of A_W's policy,
-# kappa* and kappa_D and a sha256 of each stage logger's history (diff it
-# across two trees to check that training is bit-identical); `inputs-digests`
+# kappa* and kappa_D, a sha256 of each stage logger's history and a sha256
+# of the Table I record `repro train` writes (Sr, e, L per controller; diff it
+# across two trees to check that training and its Table I are bit-identical);
+# `inputs-digests`
 # prints the repo benchmark's inputs digest of its `train`, `verify` and
 # `matrix` workloads (what each asks the program to compute, resolved through
 # the job layer) and its input-drift list (diff it across two trees to check

@@ -39,7 +39,7 @@ from repro.core import (
 )
 from repro.experiments import RunStore, config_digest
 from repro.experts import Controller, make_default_experts
-from repro.metrics import evaluate_controller, evaluate_controllers
+from repro.metrics import evaluate_controllers
 from repro.scenarios import (
     ScenarioSpec,
     get_scenario,
@@ -96,7 +96,6 @@ __all__ = [
     "RobustDistiller",
     "DirectDistiller",
     # evaluation
-    "evaluate_controller",
     "evaluate_controllers",
     # utilities
     "set_global_seed",

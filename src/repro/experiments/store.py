@@ -13,8 +13,9 @@ configuration::
 ``stage`` names the kind of work (``train``, ``evaluate``, ``verify``,
 ...), and the digest covers everything that determines the stage's output
 -- scenario parameters, :class:`~repro.core.config.CocktailConfig`, seeds,
-engine and vectorization widths -- so :meth:`RunStore.get_or_run` can
-answer an unchanged request from disk instead of recomputing it.
+engine and vectorization widths -- so an unchanged request is answered
+from disk (:meth:`RunStore.contains`, :meth:`RunStore.load_result`)
+instead of being recomputed.
 
 Entries are written atomically: artefacts land in a temporary sibling
 directory that is renamed into place only once ``result.json`` exists, so
@@ -34,7 +35,7 @@ import time
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.experiments.digest import canonicalize, config_digest
 
@@ -85,16 +86,12 @@ class RunKey:
 class RunStore:
     """Content-addressed store of completed pipeline stages under ``root``.
 
-    ``hits`` / ``misses`` count how many :meth:`get_or_run` requests were
-    served from disk versus executed during this store object's lifetime
-    (the resumability tests assert a fully warmed store answers every cell
-    from cache).
+    A caller checks :meth:`contains` and replays with :meth:`load_result`,
+    or runs the stage and records it with :meth:`save`.
     """
 
     def __init__(self, root: PathLike):
         self.root = Path(root)
-        self.hits = 0
-        self.misses = 0
 
     # -- keys ----------------------------------------------------------
     def key(self, stage: str, config) -> RunKey:
@@ -167,25 +164,6 @@ class RunStore:
             shutil.rmtree(staging, ignore_errors=True)
             raise
         return final
-
-    def get_or_run(self, key: RunKey, fn: Callable, force: bool = False) -> Dict:
-        """Return the stored result for ``key``, running ``fn`` on a miss.
-
-        ``fn()`` returns the JSON-able result dictionary, or a
-        ``(result, networks)`` tuple when the stage also produces network
-        artefacts.  ``force=True`` always executes and overwrites.
-        """
-
-        if not force and self.contains(key):
-            self.hits += 1
-            return self.load_result(key)
-        produced = fn()
-        networks = None
-        if isinstance(produced, tuple):
-            produced, networks = produced
-        self.save(key, produced, networks=networks)
-        self.misses += 1
-        return self.load_result(key)
 
     # -- inspection ----------------------------------------------------
     def stages(self) -> List[str]:

@@ -376,7 +376,9 @@ def execute_verify_sweep(
     report = sweep.run()
     say(report.table())
     if store is not None:
-        say(f"run store {store.root}: {store.hits} job(s) replayed, {store.misses} executed")
+        replayed = sum(result.cached for result in report.results)
+        executed = len(report.results) - replayed
+        say(f"run store {store.root}: {replayed} job(s) replayed, {executed} executed")
     return report
 
 

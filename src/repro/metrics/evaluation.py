@@ -2,17 +2,16 @@
 
 ``evaluate_controllers`` takes the named controllers of one system (the
 experts, ``A_S``, ``A_W``, ``kappa_D``, ``kappa*``) and returns, for each,
-the metrics of Table I (clean safe rate, energy, Lipschitz constant) and
-optionally of Table II (safe rate and energy under FGSM attack and under
-measurement noise), all measured on the same set of sampled initial states.
+the metrics of Table I (clean safe rate, energy, Lipschitz constant), all
+measured on the same set of sampled initial states.  Table II is a loop over
+:func:`repro.metrics.robustness.evaluate_robustness`, one call per
+perturbation regime.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from repro.core.config import EvaluationConfig
 from repro.experts.base import Controller
@@ -20,141 +19,60 @@ from repro.metrics.lipschitz import controller_lipschitz
 from repro.metrics.robustness import RobustnessResult, evaluate_robustness
 from repro.systems.base import ControlSystem
 from repro.systems.simulation import sample_initial_states
-from repro.utils.seeding import RngLike, get_rng
+from repro.utils.seeding import get_rng
 from repro.utils.tables import ResultTable
 
 
 @dataclass
 class ControllerMetrics:
-    """All metrics for one controller on one system."""
+    """Table I's metrics for one controller on one system."""
 
     name: str
     clean: RobustnessResult
-    lipschitz: Optional[float] = None
-    under_attack: Optional[RobustnessResult] = None
-    under_noise: Optional[RobustnessResult] = None
+    lipschitz: Optional[float]
 
     def as_dict(self) -> dict:
-        record = {
+        return {
             "name": self.name,
             "safe_rate": self.clean.safe_rate,
             "energy": self.clean.mean_energy,
             "lipschitz": self.lipschitz,
         }
-        if self.under_attack is not None:
-            record["attack_safe_rate"] = self.under_attack.safe_rate
-            record["attack_energy"] = self.under_attack.mean_energy
-        if self.under_noise is not None:
-            record["noise_safe_rate"] = self.under_noise.safe_rate
-            record["noise_energy"] = self.under_noise.mean_energy
-        return record
-
-
-def evaluate_controller(
-    system: ControlSystem,
-    controller: Controller,
-    name: Optional[str] = None,
-    samples: Optional[int] = None,
-    perturbation_fraction: Optional[float] = None,
-    include_perturbed: bool = False,
-    initial_states: Optional[np.ndarray] = None,
-    rng: RngLike = None,
-    batch_size: Optional[int] = None,
-    config: Optional[EvaluationConfig] = None,
-) -> ControllerMetrics:
-    """Measure one controller; see :func:`evaluate_controllers` for the batch form.
-
-    ``config`` supplies defaults for ``samples``, ``perturbation_fraction``
-    and ``batch_size``; explicitly passed values win over it.
-    """
-
-    config = config if config is not None else EvaluationConfig()
-    samples = config.samples if samples is None else samples
-    perturbation_fraction = (
-        config.perturbation_fraction if perturbation_fraction is None else perturbation_fraction
-    )
-    batch_size = config.batch_size if batch_size is None else batch_size
-    generator = get_rng(rng)
-    if initial_states is None:
-        initial_states = sample_initial_states(system, samples, rng=generator)
-    name = name if name is not None else getattr(controller, "name", "controller")
-
-    clean = evaluate_robustness(
-        system,
-        controller,
-        perturbation="none",
-        samples=samples,
-        rng=generator,
-        initial_states=initial_states,
-        batch_size=batch_size,
-    )
-    metrics = ControllerMetrics(
-        name=name,
-        clean=clean,
-        lipschitz=controller_lipschitz(controller, system),
-    )
-    if include_perturbed:
-        metrics.under_attack = evaluate_robustness(
-            system,
-            controller,
-            perturbation="attack",
-            fraction=perturbation_fraction,
-            samples=samples,
-            rng=generator,
-            initial_states=initial_states,
-            batch_size=batch_size,
-        )
-        metrics.under_noise = evaluate_robustness(
-            system,
-            controller,
-            perturbation="noise",
-            fraction=perturbation_fraction,
-            samples=samples,
-            rng=generator,
-            initial_states=initial_states,
-            batch_size=batch_size,
-        )
-    return metrics
 
 
 def evaluate_controllers(
     system: ControlSystem,
     controllers: Dict[str, Controller],
     samples: Optional[int] = None,
-    perturbation_fraction: Optional[float] = None,
-    include_perturbed: bool = False,
     seed: int = 0,
-    batch_size: Optional[int] = None,
     config: Optional[EvaluationConfig] = None,
 ) -> Dict[str, ControllerMetrics]:
     """Evaluate every named controller on the same sampled initial states.
 
-    ``config`` supplies defaults for ``samples``, ``perturbation_fraction``
-    and ``batch_size``; explicitly passed values win over it.
+    The initial states are drawn from ``get_rng(seed)``; each controller's
+    clean rollouts then run on a fresh ``get_rng(seed + 1)``, so every
+    controller sees the same states and the same disturbance stream.
+    ``config`` supplies ``batch_size`` and the default ``samples``; an
+    explicitly passed ``samples`` wins over it.
     """
 
     config = config if config is not None else EvaluationConfig()
     samples = config.samples if samples is None else samples
-    perturbation_fraction = (
-        config.perturbation_fraction if perturbation_fraction is None else perturbation_fraction
-    )
-    batch_size = config.batch_size if batch_size is None else batch_size
-    generator = get_rng(seed)
-    initial_states = sample_initial_states(system, samples, rng=generator)
-    results: Dict[str, ControllerMetrics] = {}
-    for name, controller in controllers.items():
-        results[name] = evaluate_controller(
-            system,
-            controller,
+    initial_states = sample_initial_states(system, samples, rng=get_rng(seed))
+    return {
+        name: ControllerMetrics(
             name=name,
-            samples=samples,
-            perturbation_fraction=perturbation_fraction,
-            include_perturbed=include_perturbed,
-            initial_states=initial_states,
-            rng=get_rng(seed + 1),
-            batch_size=batch_size,
+            clean=evaluate_robustness(
+                system,
+                controller,
+                rng=get_rng(seed + 1),
+                initial_states=initial_states,
+                batch_size=config.batch_size,
+            ),
+            lipschitz=controller_lipschitz(controller, system),
         )
-    return results
+        for name, controller in controllers.items()
+    }
 
 
 def metrics_to_table(title: str, metrics: Dict[str, ControllerMetrics]) -> ResultTable:
@@ -164,33 +82,4 @@ def metrics_to_table(title: str, metrics: Dict[str, ControllerMetrics]) -> Resul
     table.add_row("Sr (%)", {name: 100.0 * metric.clean.safe_rate for name, metric in metrics.items()})
     table.add_row("e", {name: metric.clean.mean_energy for name, metric in metrics.items()})
     table.add_row("L", {name: metric.lipschitz for name, metric in metrics.items()})
-    return table
-
-
-def perturbed_metrics_to_table(title: str, metrics: Dict[str, ControllerMetrics]) -> ResultTable:
-    """Render a Table-II-style table (attack and noise rows) for the given controllers."""
-
-    table = ResultTable(title, columns=list(metrics.keys()))
-    table.add_row(
-        "Sr attack (%)",
-        {
-            name: (100.0 * metric.under_attack.safe_rate if metric.under_attack else None)
-            for name, metric in metrics.items()
-        },
-    )
-    table.add_row(
-        "e attack",
-        {name: (metric.under_attack.mean_energy if metric.under_attack else None) for name, metric in metrics.items()},
-    )
-    table.add_row(
-        "Sr noise (%)",
-        {
-            name: (100.0 * metric.under_noise.safe_rate if metric.under_noise else None)
-            for name, metric in metrics.items()
-        },
-    )
-    table.add_row(
-        "e noise",
-        {name: (metric.under_noise.mean_energy if metric.under_noise else None) for name, metric in metrics.items()},
-    )
     return table

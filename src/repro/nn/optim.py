@@ -130,8 +130,9 @@ class Optimizer:
     def clip_grad_norm(self, max_norm: float) -> float:
         """Clip the global gradient norm and return the pre-clip norm.
 
-        The norm sums ``float(np.sum(g ** 2))`` parameter by parameter, over
-        slices of the flat gradient; a clip scales that vector in place.
+        The norm sums ``float(np.sum(np.square(g)))`` parameter by
+        parameter, over slices of the flat gradient; a clip scales that
+        vector in place.
         """
 
         flat = self.parameters

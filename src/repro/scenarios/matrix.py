@@ -103,6 +103,7 @@ from repro.telemetry.events import (
 )
 from repro.utils.parallel import TaskExecutor, default_worker_count
 from repro.utils.seeding import set_global_seed
+from repro.utils.tables import write_records_csv
 
 if TYPE_CHECKING:  # the job layer is imported lazily: `import repro` must not load it
     from repro.jobs.messages import MatrixJobSpec
@@ -302,20 +303,7 @@ class ScenarioMatrixReport:
     def to_csv(self, path: Union[str, Path]) -> Path:
         """Write one row per matrix cell (union of all keys) to ``path``."""
 
-        import csv
-
-        keys: List[str] = []
-        for row in self.rows:
-            for key in row:
-                if key not in keys:
-                    keys.append(key)
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", newline="") as handle:
-            writer = csv.DictWriter(handle, fieldnames=keys, restval="")
-            writer.writeheader()
-            writer.writerows(self.rows)
-        return path
+        return write_records_csv(path, self.rows)
 
     def table(self) -> str:
         """Aligned text table of the matrix (one line per cell + a footer)."""
@@ -622,7 +610,6 @@ class _MatrixExecution:
         if self.reuse and self.store.contains(key):
             network = self.store.load_network(key, "kappa_star")
             ctx.student = NeuralController(network, name="kappa_star")
-            self.store.hits += 1
             self.report.cells_cached += 1
             self.tele.emit(CellCached, scenario=ctx.name, controller="kappa_star", cell="train")
             self.say(f"[{ctx.name}] kappa_star restored from the run store")
@@ -638,7 +625,6 @@ class _MatrixExecution:
                 {"experts": outcome["experts"], "dataset_size": outcome["dataset_size"]},
                 networks={"kappa_star": network},
             )
-            self.store.misses += 1
             self.report.cells_computed += 1
             for stage, seconds in outcome["stage_seconds"].items():
                 self.tele.emit(StageTiming, scenario=ctx.name, stage=stage, seconds=seconds)
@@ -699,7 +685,6 @@ class _MatrixExecution:
         )
         if self.reuse and self.store.contains(key):
             payload = self.store.load_result(key)
-            self.store.hits += 1
             self.report.cells_cached += 1
             self.tele.emit(CellCached, **identity)
             self._record(row_of(payload))
@@ -714,7 +699,6 @@ class _MatrixExecution:
             seconds = outcome.pop("seconds")
             self.tele.emit(CellFinished, seconds=seconds, safe_rate=outcome["safe_rate"], **identity)
             self.store.save(key, outcome)
-            self.store.misses += 1
             self.report.cells_computed += 1
             self._record(row_of(self.store.load_result(key)))
 
@@ -762,7 +746,6 @@ class _MatrixExecution:
             return None
 
         def finish(result) -> None:
-            self.store.misses += 1
             if is_cacheable(result, job.time_budget_seconds):
                 save_sweep_result(self.store, key, result)
             self.report.cells_computed += 1

@@ -19,14 +19,10 @@ from repro.systems.cartpole import CartPole
 from repro.systems.pendulum import InvertedPendulum
 from repro.systems.acc import AdaptiveCruiseControl
 from repro.systems.simulation import (
-    EvaluationResult,
     Trajectory,
     TrajectoryBatch,
-    control_energy,
-    evaluate_rollouts,
     rollout,
     rollout_batch,
-    safe_control_rate,
     sample_initial_states,
 )
 
@@ -42,12 +38,8 @@ __all__ = [
     "AdaptiveCruiseControl",
     "Trajectory",
     "TrajectoryBatch",
-    "EvaluationResult",
     "rollout",
     "rollout_batch",
-    "evaluate_rollouts",
-    "safe_control_rate",
-    "control_energy",
     "sample_initial_states",
     "make_system",
 ]

@@ -1,4 +1,4 @@
-"""Closed-loop trajectory simulation and the paper's Monte-Carlo metrics.
+"""Closed-loop trajectory simulation behind the paper's Monte-Carlo metrics.
 
 The robustness (safe control rate) and energy metrics of Section II are
 Monte-Carlo estimates: sample initial states from ``X0``, roll the closed
@@ -9,9 +9,9 @@ those rollouts:
 * :func:`rollout_batch` advances an ``(N, state_dim)`` batch of trajectories
   in lockstep, one batched perturbation, controller evaluation, clip and
   plant update (:meth:`ControlSystem.dynamics_batch`) per step, masking out
-  trajectories that have already violated safety.  All Monte-Carlo metrics
-  (:func:`evaluate_rollouts`, :func:`safe_control_rate`,
-  :func:`control_energy` and everything in :mod:`repro.metrics`) run on it.
+  trajectories that have already violated safety.  The Monte-Carlo
+  estimator of both metrics,
+  :func:`repro.metrics.robustness.evaluate_robustness`, runs on it.
 * :func:`rollout` is its ``N = 1`` case, returned as one
   :class:`Trajectory`.
 
@@ -37,8 +37,8 @@ the first offence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Protocol, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -357,131 +357,3 @@ def sample_initial_states(system: ControlSystem, count: int, rng: RngLike = None
     if count <= 0:
         raise ValueError("count must be positive")
     return system.initial_set.sample(get_rng(rng), count=count)
-
-
-@dataclass
-class EvaluationResult:
-    """Aggregate of many rollouts: the paper's Sr and e metrics."""
-
-    safe_rate: float
-    mean_energy: float
-    num_trajectories: int
-    num_safe: int
-    energies: List[float] = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return {
-            "safe_rate": self.safe_rate,
-            "mean_energy": self.mean_energy,
-            "num_trajectories": self.num_trajectories,
-            "num_safe": self.num_safe,
-        }
-
-
-def evaluate_rollouts(
-    system: ControlSystem,
-    controller: Controller,
-    initial_states: np.ndarray,
-    perturbation: Optional[PerturbationFn] = None,
-    horizon: Optional[int] = None,
-    rng: RngLike = None,
-    batch_size: Optional[int] = None,
-) -> EvaluationResult:
-    """Roll out from every row of ``initial_states`` and aggregate Sr and e.
-
-    The rollouts run on the batched engine; ``batch_size`` caps how many
-    trajectories advance in lockstep at once (``None`` runs the whole sample
-    as a single batch, which is fastest; chunk when memory or perturbation
-    cost per step matters).  Stateful perturbations exposing ``reset()``
-    (e.g. the alternating FGSM attack's step counter) are reset before every
-    chunk, so each trajectory sees the attack phase as a function of its own
-    simulation time and the aggregate does not depend on ``batch_size``.
-
-    Following Property 2 of the paper, the energy average is taken over the
-    *safe* trajectories only (the safe initial state set ``X'``); if no
-    trajectory is safe the mean energy is reported as ``inf``.
-    """
-
-    generator = get_rng(rng)
-    initial_states = np.atleast_2d(np.asarray(initial_states, dtype=np.float64))
-    total = len(initial_states)
-    if batch_size is not None and batch_size <= 0:
-        raise ValueError("batch_size must be positive (or None for one batch)")
-    chunk = total if batch_size is None else min(batch_size, total)
-    reset_perturbation = getattr(perturbation, "reset", None)
-
-    num_safe = 0
-    safe_energies: List[float] = []
-    for start in range(0, total, chunk):
-        if reset_perturbation is not None:
-            reset_perturbation()
-        batch = rollout_batch(
-            system,
-            controller,
-            initial_states[start : start + chunk],
-            horizon=horizon,
-            perturbation=perturbation,
-            rng=generator,
-            record_states=False,
-        )
-        num_safe += batch.num_safe
-        safe_energies.extend(float(value) for value in batch.safe_energies())
-
-    mean_energy = float(np.mean(safe_energies)) if safe_energies else float("inf")
-    return EvaluationResult(
-        safe_rate=num_safe / total,
-        mean_energy=mean_energy,
-        num_trajectories=total,
-        num_safe=num_safe,
-        energies=safe_energies,
-    )
-
-
-def safe_control_rate(
-    system: ControlSystem,
-    controller: Controller,
-    samples: int = 500,
-    perturbation: Optional[PerturbationFn] = None,
-    horizon: Optional[int] = None,
-    rng: RngLike = None,
-    batch_size: Optional[int] = None,
-) -> float:
-    """Monte-Carlo estimate of the safe control rate Sr (Property 1)."""
-
-    generator = get_rng(rng)
-    initial_states = sample_initial_states(system, samples, rng=generator)
-    result = evaluate_rollouts(
-        system,
-        controller,
-        initial_states,
-        perturbation=perturbation,
-        horizon=horizon,
-        rng=generator,
-        batch_size=batch_size,
-    )
-    return result.safe_rate
-
-
-def control_energy(
-    system: ControlSystem,
-    controller: Controller,
-    samples: int = 500,
-    perturbation: Optional[PerturbationFn] = None,
-    horizon: Optional[int] = None,
-    rng: RngLike = None,
-    batch_size: Optional[int] = None,
-) -> float:
-    """Monte-Carlo estimate of the control energy e (Property 2)."""
-
-    generator = get_rng(rng)
-    initial_states = sample_initial_states(system, samples, rng=generator)
-    result = evaluate_rollouts(
-        system,
-        controller,
-        initial_states,
-        perturbation=perturbation,
-        horizon=horizon,
-        rng=generator,
-        batch_size=batch_size,
-    )
-    return result.mean_energy

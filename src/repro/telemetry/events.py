@@ -199,7 +199,12 @@ class ShardHeartbeat(TelemetryEvent):
 @register_event
 @dataclass(frozen=True)
 class SweepJobFinished(TelemetryEvent):
-    """One :class:`~repro.verification.sweep.VerificationSweep` job completed."""
+    """One verification job of a scenario matrix's verify cell completed.
+
+    The matrix emits it for every verify cell, computed or replayed from
+    the run store (``cached``); :class:`~repro.verification.sweep.VerificationSweep`
+    itself emits no telemetry.
+    """
 
     TYPE: ClassVar[str] = "sweep-job-finished"
     job: str = ""

@@ -3,11 +3,14 @@
 The benchmark scripts regenerate the paper's Tables I and II; this helper
 formats rows the same way the paper lays them out (one metric row per system,
 one column per controller) without pulling in any external dependency.
+:func:`write_records_csv` writes flat per-cell / per-job records (the
+scenario matrix and the verification sweep) as one CSV.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from pathlib import Path
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 
 class ResultTable:
@@ -62,3 +65,26 @@ def _format(value: Optional[object]) -> str:
     if isinstance(value, float):
         return f"{value:.3g}"
     return str(value)
+
+
+def write_records_csv(path: Union[str, Path], records: Sequence[Mapping]) -> Path:
+    """Write ``records`` to ``path``, one row each, and return the path.
+
+    The header is the union of the records' keys in first-seen order; a
+    record without some key leaves that cell empty.
+    """
+
+    import csv
+
+    keys: List[str] = []
+    for record in records:
+        for key in record:
+            if key not in keys:
+                keys.append(key)
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="") as handle:
+        writer = csv.DictWriter(handle, fieldnames=keys, restval="")
+        writer.writeheader()
+        writer.writerows(records)
+    return path

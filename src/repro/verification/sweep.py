@@ -38,6 +38,7 @@ import numpy as np
 from repro.nn.network import MLP
 from repro.systems import make_system
 from repro.utils.parallel import TaskExecutor, default_worker_count
+from repro.utils.tables import write_records_csv
 from repro.verification.verifier import VerificationReport, verify_controller
 
 
@@ -213,21 +214,7 @@ class SweepReport:
     def to_csv(self, path: Union[str, Path]) -> Path:
         """Write one row per job (union of all summary keys) to ``path``."""
 
-        import csv
-
-        records = self.as_records()
-        keys: List[str] = []
-        for record in records:
-            for key in record:
-                if key not in keys:
-                    keys.append(key)
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", newline="") as handle:
-            writer = csv.DictWriter(handle, fieldnames=keys, restval="")
-            writer.writeheader()
-            writer.writerows(records)
-        return path
+        return write_records_csv(path, self.as_records())
 
     def table(self) -> str:
         """Aligned text table of the sweep (one line per job + a footer)."""
@@ -299,10 +286,9 @@ def run_sweep_job(job: SweepJob) -> SweepJobResult:
 
 
 def load_cached_result(store, key, job: SweepJob) -> SweepJobResult:
-    """Replay ``job``'s stored result from ``store`` (counts a hit)."""
+    """Replay ``job``'s stored result from ``store``."""
 
     payload = store.load_result(key)
-    store.hits += 1
     # Replay under the *requesting* job's labels: the digest canonicalises
     # variant spellings, so the entry may have been produced by a job
     # named after an equivalent spec (vanderpol?mu=1.50 vs ?mu=1.5).
@@ -408,7 +394,6 @@ class VerificationSweep:
         def deliver(label: str, result: SweepJobResult) -> None:
             index = labels[label]
             if self.store is not None:
-                self.store.misses += 1
                 if is_cacheable(result, self.jobs[index].time_budget_seconds):
                     save_sweep_result(self.store, keys[index], result)
             results[index] = result

@@ -16,8 +16,10 @@ from repro.attacks import (
 from repro.attacks.adversary import safety_margin
 from repro.attacks.fgsm import _control_change_gradient_batch
 from repro.experts import LinearStateFeedback, NeuralController
+from repro.metrics import evaluate_robustness
 from repro.nn.network import MLP
-from repro.systems.simulation import safe_control_rate
+from repro.systems.simulation import rollout_batch, sample_initial_states
+from repro.utils.seeding import get_rng
 
 
 class TestNoise:
@@ -123,11 +125,13 @@ class TestFGSM:
         # weak stabilising controller; the alternating attack nets out close
         # to the clean rate on this plant.
         controller = LinearStateFeedback([[0.4, 0.6]])
-        clean = safe_control_rate(vanderpol, controller, samples=80, rng=0)
+        clean = evaluate_robustness(vanderpol, controller, samples=80, rng=0).safe_rate
         attack = FGSMAttack(
             controller, perturbation_budget(vanderpol, 0.15), alternate=False, maximize_control=False
         )
-        attacked = safe_control_rate(vanderpol, controller, samples=80, perturbation=attack, rng=0)
+        generator = get_rng(0)
+        states = sample_initial_states(vanderpol, 80, rng=generator)
+        attacked = rollout_batch(vanderpol, controller, states, perturbation=attack, rng=generator).safe_rate
         assert attacked < clean
 
 

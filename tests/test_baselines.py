@@ -12,9 +12,10 @@ from repro.baselines import (
 )
 from repro.core.config import DistillationConfig, MixingConfig
 from repro.experts import make_default_experts
+from repro.metrics import evaluate_robustness
 from repro.rl.policies import CategoricalMLPPolicy
 from repro.systems import make_system
-from repro.systems.simulation import rollout_batch, safe_control_rate
+from repro.systems.simulation import rollout_batch
 
 
 class TestSwitchingEnv:
@@ -125,7 +126,7 @@ class TestSwitchingTrainer:
         controller = trainer.train()
         assert isinstance(controller, SwitchingController)
         assert trainer.logger is not None and trainer.logger.epochs() == 2
-        rate = safe_control_rate(vanderpol, controller, samples=40, rng=1)
+        rate = evaluate_robustness(vanderpol, controller, samples=40, rng=1).safe_rate
         assert 0.0 <= rate <= 1.0
 
 

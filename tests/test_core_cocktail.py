@@ -8,9 +8,8 @@ from repro.core.cocktail import CocktailResult
 from repro.core.config import DistillationConfig, MixingConfig
 from repro.core.mixing import MixedController
 from repro.experts import NeuralController
-from repro.metrics import evaluate_controllers
+from repro.metrics import evaluate_controllers, evaluate_robustness
 from repro.nn.lipschitz import network_lipschitz
-from repro.systems.simulation import safe_control_rate
 
 
 @pytest.fixture(scope="module")
@@ -83,14 +82,14 @@ class TestPipelineQuality:
 
     def test_mixed_controller_is_safe(self, vanderpol_result):
         system, _, result = vanderpol_result
-        assert safe_control_rate(system, result.mixed_controller, samples=80, rng=2) > 0.8
+        assert evaluate_robustness(system, result.mixed_controller, samples=80, rng=2).safe_rate > 0.8
 
     def test_student_safe_rate_close_to_best_expert(self, vanderpol_result):
         system, experts, result = vanderpol_result
         best_expert = max(
-            safe_control_rate(system, expert, samples=80, rng=3) for expert in experts
+            evaluate_robustness(system, expert, samples=80, rng=3).safe_rate for expert in experts
         )
-        student_rate = safe_control_rate(system, result.student, samples=80, rng=3)
+        student_rate = evaluate_robustness(system, result.student, samples=80, rng=3).safe_rate
         assert student_rate >= best_expert - 0.15
 
     def test_distilled_networks_have_finite_lipschitz(self, vanderpol_result):
@@ -129,8 +128,8 @@ class TestPipelineOnOtherSystems:
         )
         pipeline = CocktailPipeline(cartpole, experts, config)
         result = pipeline.run(include_direct_baseline=False)
-        assert safe_control_rate(cartpole, result.mixed_controller, samples=40, rng=0) > 0.8
-        assert safe_control_rate(cartpole, result.student, samples=40, rng=0) > 0.5
+        assert evaluate_robustness(cartpole, result.mixed_controller, samples=40, rng=0).safe_rate > 0.8
+        assert evaluate_robustness(cartpole, result.student, samples=40, rng=0).safe_rate > 0.5
 
 
 class TestDirectBaselineBesideRobust:

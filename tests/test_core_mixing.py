@@ -6,8 +6,8 @@ import pytest
 from repro.core.config import MixingConfig
 from repro.baselines import FixedWeightEnsemble
 from repro.core.mixing import AdaptiveMixingEnv, MixedController, MixingTrainer
+from repro.metrics import evaluate_robustness
 from repro.rl.policies import GaussianMLPPolicy
-from repro.systems.simulation import safe_control_rate
 
 
 class TestMixingConfig:
@@ -127,7 +127,7 @@ class TestMixingTrainer:
         assert isinstance(mixed, MixedController)
         # Thanks to the warm start, even a tiny training budget keeps the
         # mixed controller near the uniform mixture and thus reasonably safe.
-        assert safe_control_rate(vanderpol, mixed, samples=60, rng=1) > 0.6
+        assert evaluate_robustness(vanderpol, mixed, samples=60, rng=1).safe_rate > 0.6
         assert trainer.logger is not None and trainer.logger.epochs() == 2
 
     def test_warm_start_prior_defaults_to_uniform(self, vanderpol, vanderpol_experts):

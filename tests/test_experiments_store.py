@@ -1,7 +1,7 @@
 """Tests for the digest-keyed run store, plus the end-to-end golden pack.
 
 The unit half exercises :class:`repro.experiments.RunStore` directly
-(get_or_run semantics, artefact round-trips, atomicity, listing, gc).  The
+(save/load round-trips, artefact round-trips, atomicity, listing, gc).  The
 ``scenario_smoke``-marked half is the repo's golden regression: for every
 registered scenario one tiny train -> save -> evaluate -> verify cell whose
 ``record.json`` (minus timestamps) is byte-for-byte stable across two runs
@@ -42,28 +42,22 @@ class TestRunKey:
                 store.key(bad, {})
 
 
-class TestGetOrRun:
-    def test_miss_executes_and_hit_loads(self, tmp_path):
+class TestSaveAndLoad:
+    def test_save_then_load_round_trips_canonical_json(self, tmp_path):
         store = RunStore(tmp_path)
         key = store.key("evaluate", {"cell": 1})
-        calls = []
+        assert not store.contains(key)
+        store.save(key, {"safe_rate": 1.0, "samples": np.int64(8)})
+        assert store.contains(key)
+        assert store.load_result(key) == {"safe_rate": 1.0, "samples": 8}
 
-        def compute():
-            calls.append(1)
-            return {"safe_rate": 1.0, "samples": np.int64(8)}
-
-        first = store.get_or_run(key, compute)
-        second = store.get_or_run(key, compute)
-        assert first == second == {"safe_rate": 1.0, "samples": 8}
-        assert calls == [1]
-        assert (store.hits, store.misses) == (1, 1)
-
-    def test_force_recomputes_and_overwrites(self, tmp_path):
+    def test_save_replaces_an_existing_entry(self, tmp_path):
         store = RunStore(tmp_path)
         key = store.key("evaluate", {"cell": 1})
-        store.get_or_run(key, lambda: {"value": 1})
-        assert store.get_or_run(key, lambda: {"value": 2}, force=True) == {"value": 2}
+        store.save(key, {"value": 1})
+        store.save(key, {"value": 2})
         assert store.load_result(key) == {"value": 2}
+        assert len(store.entries()) == 1
 
     def test_network_artefacts_round_trip_bit_identically(self, tmp_path):
         from repro.nn import MLP
@@ -71,22 +65,19 @@ class TestGetOrRun:
         store = RunStore(tmp_path)
         key = store.key("train", {"seed": 0})
         network = MLP(2, 1, hidden_sizes=(4,))
-        store.get_or_run(key, lambda: ({"trained": True}, {"kappa_star": network}))
+        store.save(key, {"trained": True}, networks={"kappa_star": network})
         reloaded = store.load_network(key, "kappa_star")
         for name, value in network.state_dict().items():
             np.testing.assert_array_equal(reloaded.state_dict()[name], value)
 
-    def test_failed_fn_leaves_no_entry(self, tmp_path):
+    def test_failed_save_leaves_no_entry(self, tmp_path):
         store = RunStore(tmp_path)
         key = store.key("evaluate", {"cell": 1})
-
-        def boom():
-            raise RuntimeError("mid-cell crash")
-
-        with pytest.raises(RuntimeError):
-            store.get_or_run(key, boom)
+        with pytest.raises(FileNotFoundError):
+            store.save(key, {"value": 1}, files={"record.json": tmp_path / "missing.json"})
         assert not store.contains(key)
         assert store.entries() == []
+        assert list((store.root / "evaluate").iterdir()) == []
 
     def test_interrupted_save_is_invisible_and_collectable(self, tmp_path):
         # Simulate a crash between artefact writes and completion: a stray

@@ -27,10 +27,11 @@ from repro.experts import (
 )
 from repro.experts.ddpg_expert import DDPGExpertSpec, train_ddpg_expert
 from repro.experts.lqr import riccati_gain, solve_discrete_riccati
+from repro.metrics import evaluate_robustness
 from repro.nn.network import MLP
 from repro.scenarios import list_scenarios
 from repro.systems import make_system
-from repro.systems.simulation import rollout, safe_control_rate
+from repro.systems.simulation import rollout
 
 #: sha256 prefix over ``gain``, ``A`` and ``B`` (each made contiguous) of every
 #: default expert of the catalog scenarios plus ``vanderpol?mu=1.5``, in that
@@ -310,7 +311,7 @@ class TestFeedbackLinearization:
 
     def test_high_safe_rate(self, vanderpol):
         controller = VanDerPolFeedbackLinearization()
-        assert safe_control_rate(vanderpol, controller, samples=60, rng=0) > 0.85
+        assert evaluate_robustness(vanderpol, controller, samples=60, rng=0).safe_rate > 0.85
 
 
 class TestFactory:
@@ -328,8 +329,8 @@ class TestFactory:
 
     def test_experts_have_complementary_quality(self, vanderpol):
         kappa1, kappa2 = make_default_experts(vanderpol)
-        sr1 = safe_control_rate(vanderpol, kappa1, samples=80, rng=0)
-        sr2 = safe_control_rate(vanderpol, kappa2, samples=80, rng=0)
+        sr1 = evaluate_robustness(vanderpol, kappa1, samples=80, rng=0).safe_rate
+        sr2 = evaluate_robustness(vanderpol, kappa2, samples=80, rng=0).safe_rate
         assert sr1 > sr2  # kappa1 is the stronger expert
 
     def test_invalid_mode(self, vanderpol):

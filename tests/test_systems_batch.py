@@ -24,14 +24,10 @@ from repro.attacks import (
     perturbation_budget,
 )
 from repro.experts import FunctionController, LinearStateFeedback, NeuralController, ZeroController
+from repro.metrics import evaluate_robustness
 from repro.nn.network import MLP
 from repro.systems import make_system
-from repro.systems.simulation import (
-    evaluate_rollouts,
-    rollout,
-    rollout_batch,
-    sample_initial_states,
-)
+from repro.systems.simulation import rollout, rollout_batch, sample_initial_states
 
 
 def _stabilising(states):
@@ -155,37 +151,41 @@ class TestBatchScalarEquivalence:
             assert member.safe == scalar.safe
             assert member.steps == scalar.steps
 
-    def test_evaluate_rollouts_chunking_is_consistent(self):
+    def test_evaluate_robustness_chunking_is_consistent(self):
         # On a deterministic plant, chunked evaluation must aggregate to the
         # same result as a single batch.
         system = make_system("cartpole")
         controller = ZeroController(system.control_dim)
         initial_states = sample_initial_states(system, 30, rng=0)
-        whole = evaluate_rollouts(system, controller, initial_states, horizon=40)
-        chunked = evaluate_rollouts(system, controller, initial_states, horizon=40, batch_size=7)
+        whole = evaluate_robustness(system, controller, initial_states=initial_states, horizon=40)
+        chunked = evaluate_robustness(
+            system, controller, initial_states=initial_states, horizon=40, batch_size=7
+        )
         assert whole.num_safe == chunked.num_safe
         assert whole.safe_rate == chunked.safe_rate
         np.testing.assert_allclose(whole.energies, chunked.energies)
 
-    def test_evaluate_rollouts_chunking_consistent_under_attack(self):
+    def test_evaluate_robustness_chunking_consistent_under_attack(self):
         # The alternating FGSM attack is stateful (step counter); chunked
         # evaluation resets it per chunk so the aggregate on a deterministic
         # plant is independent of batch_size.
         system = make_system("cartpole")
         controller = NeuralController(MLP(4, 1, hidden_sizes=(8,), seed=0))
-        attack = FGSMAttack(controller, perturbation_budget(system, 0.1))
         initial_states = sample_initial_states(system, 20, rng=0)
-        whole = evaluate_rollouts(system, controller, initial_states, horizon=30, perturbation=attack)
-        chunked = evaluate_rollouts(
-            system, controller, initial_states, horizon=30, perturbation=attack, batch_size=6
+        whole = evaluate_robustness(
+            system, controller, "attack", fraction=0.1, initial_states=initial_states, horizon=30
+        )
+        chunked = evaluate_robustness(
+            system, controller, "attack", fraction=0.1, initial_states=initial_states, horizon=30,
+            batch_size=6,
         )
         assert whole.num_safe == chunked.num_safe
         np.testing.assert_allclose(whole.energies, chunked.energies, rtol=0, atol=1e-10)
 
-    def test_evaluate_rollouts_rejects_bad_batch_size(self, vanderpol):
+    def test_evaluate_robustness_rejects_bad_batch_size(self, vanderpol):
         states = sample_initial_states(vanderpol, 4, rng=0)
         with pytest.raises(ValueError):
-            evaluate_rollouts(vanderpol, ZeroController(1), states, batch_size=0)
+            evaluate_robustness(vanderpol, ZeroController(1), initial_states=states, batch_size=0)
 
 
 class TestViolationMasking:

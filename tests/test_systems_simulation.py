@@ -1,16 +1,11 @@
-"""Tests for closed-loop simulation and the Monte-Carlo metrics."""
+"""Tests for closed-loop simulation and the Monte-Carlo estimator of Sr and e."""
 
 import numpy as np
 import pytest
 
 from repro.experts import FunctionController, ZeroController
-from repro.systems.simulation import (
-    control_energy,
-    evaluate_rollouts,
-    rollout,
-    safe_control_rate,
-    sample_initial_states,
-)
+from repro.metrics import evaluate_robustness
+from repro.systems.simulation import rollout, sample_initial_states
 
 
 def _stabilising(states):
@@ -109,34 +104,35 @@ class TestMetrics:
             sample_initial_states(vanderpol, 0)
 
     def test_safe_rate_good_controller_high(self, vanderpol):
-        rate = safe_control_rate(vanderpol, stabilising_controller, samples=80, rng=0)
+        rate = evaluate_robustness(vanderpol, stabilising_controller, samples=80, rng=0).safe_rate
         assert rate > 0.9
 
     def test_safe_rate_bad_controller_low(self, vanderpol):
-        rate = safe_control_rate(vanderpol, destabilising_controller, samples=80, rng=0)
+        rate = evaluate_robustness(vanderpol, destabilising_controller, samples=80, rng=0).safe_rate
         assert rate < 0.5
 
     def test_safe_rate_bounds(self, vanderpol):
-        rate = safe_control_rate(vanderpol, ZeroController(1), samples=40, rng=0)
+        rate = evaluate_robustness(vanderpol, ZeroController(1), samples=40, rng=0).safe_rate
         assert 0.0 <= rate <= 1.0
 
     def test_energy_zero_controller(self, vanderpol):
         # Short horizon so that some uncontrolled trajectories remain safe;
         # those contribute exactly zero energy.
-        energy = control_energy(vanderpol, ZeroController(1), samples=20, horizon=3, rng=0)
+        energy = evaluate_robustness(vanderpol, ZeroController(1), samples=20, horizon=3, rng=0).mean_energy
         assert energy == pytest.approx(0.0)
 
-    def test_evaluate_rollouts_aggregation(self, vanderpol):
+    def test_evaluate_robustness_aggregation(self, vanderpol):
         initial_states = sample_initial_states(vanderpol, 30, rng=0)
-        result = evaluate_rollouts(vanderpol, stabilising_controller, initial_states, rng=0)
-        assert result.num_trajectories == 30
+        result = evaluate_robustness(vanderpol, stabilising_controller, initial_states=initial_states, rng=0)
+        assert result.samples == 30
         assert result.num_safe == len(result.energies)
-        assert result.safe_rate == pytest.approx(result.num_safe / 30)
-        assert result.mean_energy == pytest.approx(np.mean(result.energies))
+        assert result.safe_rate == result.num_safe / result.samples
+        assert result.mean_energy == float(np.mean(result.energies))
 
-    def test_evaluate_rollouts_all_unsafe_gives_inf_energy(self, vanderpol):
+    def test_evaluate_robustness_all_unsafe_gives_inf_energy(self, vanderpol):
         initial_states = np.array([[3.0, 3.0], [2.5, 2.5]])  # outside the safe region
-        result = evaluate_rollouts(vanderpol, stabilising_controller, initial_states, rng=0)
+        result = evaluate_robustness(vanderpol, stabilising_controller, initial_states=initial_states, rng=0)
+        assert (result.samples, result.num_safe, result.energies) == (2, 0, [])
         assert result.safe_rate == 0.0
         assert np.isinf(result.mean_energy)
 
@@ -144,6 +140,6 @@ class TestMetrics:
         # Mix a doomed initial state with safe ones: the mean energy must be
         # finite and computed only from the safe trajectories.
         initial_states = np.vstack([np.array([[3.0, 3.0]]), sample_initial_states(vanderpol, 5, rng=1) * 0.1])
-        result = evaluate_rollouts(vanderpol, stabilising_controller, initial_states, rng=0)
+        result = evaluate_robustness(vanderpol, stabilising_controller, initial_states=initial_states, rng=0)
         assert 0.0 < result.safe_rate < 1.0
         assert np.isfinite(result.mean_energy)

@@ -1,21 +1,29 @@
 #!/usr/bin/env python
-"""Print one identity line per trained controller and per training logger.
+"""Print one identity line per trained controller, per training logger and
+per scenario's Table I.
 
 Runs Algorithm 1 (``CocktailPipeline.run``, the training half of
 ``repro train``) on each paper system at the benchmark's ``train`` budgets
-and widths, seed 0, and prints, per scenario::
+and widths, seed 0, then evaluates the result as ``repro train`` does, and
+prints, per scenario::
 
     <scenario> AW sha256=<policy weights digest>
     <scenario> kappa_star sha256=<weights digest>
     <scenario> kappaD sha256=<weights digest>
     <scenario> log:<stage> sha256=<history digest>
+    <scenario> metrics sha256=<Table I digest>
 
 The weight digests hash every parameter's dtype, shape and bytes
 (:func:`repro.experiments.digest.weights_digest`); a history digest hashes
 each logged series (loss, Lipschitz bound, KL, ...) as float64 bytes, per
-sorted key.  Two trees print the same lines exactly when they train the
-same controllers bit for bit along the same loss curves, so comparing the
-output before and after a change is a one-command identity check::
+sorted key.  The metrics digest is
+:func:`repro.experiments.digest.config_digest` of the per-controller Table I
+record (``Sr``, ``e``, ``L``) that ``repro train`` writes to
+``record.json``: ``evaluate_controllers`` on the trained controllers with
+the scenario's evaluation config.  Two trees print the same lines exactly
+when they train the same controllers bit for bit along the same loss curves
+and measure the same Table I, so comparing the output before and after a
+change is a one-command identity check::
 
     make train-digests          # or: python tools/train_digests.py
 
@@ -71,6 +79,17 @@ def digest_lines(name: str, result) -> list:
     return lines
 
 
+def metrics_line(name: str, system, result, spec, config) -> str:
+    """The Table I identity line: the digest of ``repro train``'s record."""
+
+    from repro.experiments.digest import config_digest
+    from repro.metrics import evaluate_controllers
+
+    metrics = evaluate_controllers(system, result.controllers(), seed=spec.seed, config=config.evaluation)
+    record = {label: metric.as_dict() for label, metric in metrics.items()}
+    return f"{name} metrics sha256={config_digest(record)}"
+
+
 def main() -> int:
     from repro import CocktailPipeline, make_default_experts, make_system, set_global_seed
     from repro.jobs.runner import _resolve_train
@@ -83,6 +102,7 @@ def main() -> int:
         result = CocktailPipeline(system, make_default_experts(system), config).run()
         for line in digest_lines(name, result):
             print(line, flush=True)
+        print(metrics_line(name, system, result, spec, config), flush=True)
     return 0
 
 
