@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.config import EvaluationConfig
 from repro.experts import LinearStateFeedback, NeuralController, ZeroController, make_default_experts
 from repro.metrics import (
     control_signal_trace,
@@ -150,6 +151,28 @@ class TestEvaluationHarness:
                 rng=get_rng(seed + 1),
             )
             assert metrics[name].clean == expected
+
+    def test_config_supplies_samples_unless_passed(self, vanderpol, vanderpol_experts):
+        named = {"kappa1": vanderpol_experts[0]}
+        config = EvaluationConfig(samples=12)
+        assert evaluate_controllers(vanderpol, named, seed=0, config=config)["kappa1"].clean.samples == 12
+        assert evaluate_controllers(vanderpol, named, samples=7, seed=0, config=config)["kappa1"].clean.samples == 7
+
+    def test_config_batch_size_and_lipschitz_reach_each_row(self, vanderpol, vanderpol_experts):
+        named = {"kappa1": vanderpol_experts[0], "kappa2": vanderpol_experts[1]}
+        seed, samples = 3, 20
+        config = EvaluationConfig(samples=samples, batch_size=6)
+        metrics = evaluate_controllers(vanderpol, named, seed=seed, config=config)
+        for name, controller in named.items():
+            expected = evaluate_robustness(
+                vanderpol,
+                controller,
+                initial_states=sample_initial_states(vanderpol, samples, rng=get_rng(seed)),
+                rng=get_rng(seed + 1),
+                batch_size=6,
+            )
+            assert metrics[name].clean == expected
+            assert metrics[name].lipschitz == controller_lipschitz(controller, vanderpol)
 
     def test_table_rendering(self, vanderpol, vanderpol_experts):
         named = {"kappa1": vanderpol_experts[0], "kappa2": vanderpol_experts[1]}
