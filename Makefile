@@ -32,9 +32,7 @@
 # run unsharded on a 2-worker pool (`--jobs 2`), once with a run directory and
 # once without (one CSV schema); `watch-smoke` runs two telemetry-emitting
 # shards, then exercises `runs watch --once` and `runs stats` against the
-# shared event log; `serve-smoke` starts the job daemon, submits a matrix
-# over HTTP with `repro submit --wait`, lists the jobs, watches the run,
-# and shuts the daemon down;
+# shared event log;
 # `scenario-smoke` runs the fast train->evaluate->verify cell for every
 # registered scenario (also collected by `test` via the scenario_smoke
 # pytest marker); `bench` regenerates the paper's tables/figures at the
@@ -66,7 +64,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test test-fast test-cov shard-smoke watch-smoke serve-smoke scenario-smoke bench train-bench perf-train perf-verify perf-matrix verify-digests train-digests inputs-digests lint
+.PHONY: test test-fast test-cov shard-smoke watch-smoke scenario-smoke bench train-bench perf-train perf-verify perf-matrix verify-digests train-digests inputs-digests lint
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -84,8 +82,7 @@ test-cov:
 		tests/test_telemetry_events.py tests/test_telemetry_emitter.py \
 		tests/test_telemetry_aggregate.py
 	$(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/jobs \
-		tests/test_jobs_messages.py tests/test_jobs_runner.py \
-		tests/test_service_dedupe.py tests/test_service_faults.py
+		tests/test_jobs_messages.py tests/test_jobs_runner.py
 	$(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/verification \
 		tests/test_verification_batch.py tests/test_verification_partition.py \
 		tests/test_verification_reachability.py tests/test_verification_bernstein.py \
@@ -143,22 +140,6 @@ watch-smoke:
 		--no-train --no-verify --samples 4 --run-dir $(WATCH_SMOKE_DIR) --shard 2/2
 	$(PYTHON) -m repro runs watch --run-dir $(WATCH_SMOKE_DIR) --once
 	$(PYTHON) -m repro runs stats --run-dir $(WATCH_SMOKE_DIR)
-
-SERVE_SMOKE_DIR ?= runs/serve-smoke
-serve-smoke:
-	rm -rf $(SERVE_SMOKE_DIR)
-	$(PYTHON) -m repro serve --run-dir $(SERVE_SMOKE_DIR) & \
-	trap 'kill $$! 2>/dev/null' EXIT; \
-	for i in $$(seq 1 50); do \
-		test -f $(SERVE_SMOKE_DIR)/service/server.json && break; sleep 0.1; done; \
-	test -f $(SERVE_SMOKE_DIR)/service/server.json; \
-	$(PYTHON) -m repro submit matrix --set scenarios=pendulum --set samples=4 \
-		--set train=false --set verify=false \
-		--run-dir $(SERVE_SMOKE_DIR) --wait && \
-	$(PYTHON) -m repro jobs list --run-dir $(SERVE_SMOKE_DIR) && \
-	$(PYTHON) -m repro runs watch --run-dir $(SERVE_SMOKE_DIR) --once && \
-	$(PYTHON) -m repro jobs shutdown --run-dir $(SERVE_SMOKE_DIR) && \
-	wait $$!
 
 scenario-smoke:
 	REPRO_SCALE=quick $(PYTHON) -m pytest -q -m scenario_smoke tests

@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Five sub-commands cover the daily workflow of the reproduction:
+Six sub-commands cover the daily workflow of the reproduction:
 
 ``train``
     Run the full Cocktail pipeline (Algorithm 1) on a registered scenario
@@ -34,14 +34,6 @@ Five sub-commands cover the daily workflow of the reproduction:
     follow a running fleet live from its typed event log (``runs watch``)
     or aggregate cross-run statistics from one or more run directories
     (``runs stats``; see ``docs/telemetry.md``).
-
-``serve`` / ``submit`` / ``jobs``
-    Run the local verification-as-a-service daemon against a run
-    directory (``serve``), submit typed jobs to it (``submit KIND --set
-    KEY=VALUE ...``), and inspect/cancel them (``jobs list|show|cancel``,
-    ``jobs status``, ``jobs shutdown``).  Identical concurrent
-    submissions coalesce onto one execution (single-flight dedupe) and
-    replay from the run store afterwards; see ``docs/service.md``.
 
 Every ``--system`` argument resolves through the scenario registry
 (:mod:`repro.scenarios`), so aliases and parameter-overridable variants
@@ -353,72 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     runs_stats.add_argument("--stale-after", type=float, default=15.0, metavar="SECONDS",
                             help="staleness window for the stale-shard diagnostic (default 15)")
 
-    serve = subparsers.add_parser(
-        "serve", help="run the verification-as-a-service job daemon on this machine"
-    )
-    serve.add_argument("--run-dir", type=Path, required=True,
-                       help="run store the daemon executes against and records results into; "
-                       "the endpoint is published in <run-dir>/service/server.json")
-    serve.add_argument("--host", default="127.0.0.1", help="bind address (default 127.0.0.1)")
-    serve.add_argument("--port", type=int, default=0,
-                       help="bind port (default 0 = pick a free ephemeral port)")
-    serve.add_argument("--workers", type=int, default=0,
-                       help="concurrent worker processes (0 = CPU-derived default)")
-
-    submit = subparsers.add_parser(
-        "submit", help="submit one typed job to a running `repro serve` daemon"
-    )
-    submit.add_argument("kind", nargs="?", default=None,
-                        help="job kind: train, evaluate, verify-sweep or matrix")
-    submit.add_argument("--set", action="append", default=None, dest="assignments",
-                        metavar="KEY=VALUE",
-                        help="set one spec field (repeatable); tuples as comma lists, "
-                        "dicts as JSON objects, optional budgets as `none`")
-    submit.add_argument("--json", dest="spec_json", default=None, metavar="SPEC",
-                        help="full job-spec JSON object (alternative to KIND --set ...)")
-    submit.add_argument("--run-dir", type=Path, default=None,
-                        help="discover the daemon from this run directory's service/server.json")
-    submit.add_argument("--host", default=None, help="daemon host (alternative to --run-dir)")
-    submit.add_argument("--port", type=int, default=0, help="daemon port (with --host)")
-    submit.add_argument("--force", action="store_true",
-                        help="execute even if the job digest is already cached or in flight")
-    submit.add_argument("--wait", action="store_true",
-                        help="poll until the job reaches a terminal state and print the result")
-    submit.add_argument("--poll", type=float, default=0.2, metavar="SECONDS",
-                        help="polling interval for --wait (default 0.2)")
-    submit.add_argument("--timeout", type=float, default=0.0, metavar="SECONDS",
-                        help="give up waiting after this long (0 = wait forever)")
-
-    jobs = subparsers.add_parser("jobs", help="inspect or control a running job daemon")
-    jobs_commands = jobs.add_subparsers(dest="jobs_command", required=True)
-
-    def _add_endpoint_arguments(subparser: argparse.ArgumentParser) -> None:
-        subparser.add_argument("--run-dir", type=Path, default=None,
-                               help="discover the daemon from this run directory")
-        subparser.add_argument("--host", default=None, help="daemon host (alternative to --run-dir)")
-        subparser.add_argument("--port", type=int, default=0, help="daemon port (with --host)")
-
-    jobs_list = jobs_commands.add_parser("list", help="list every job the daemon knows")
-    jobs_list.add_argument("--state", default=None,
-                           help="restrict to one state (queued/running/done/failed/"
-                           "cancelled/cached/attached)")
-    _add_endpoint_arguments(jobs_list)
-    jobs_show = jobs_commands.add_parser("show", help="print one job's view and result as JSON")
-    jobs_show.add_argument("job_id")
-    _add_endpoint_arguments(jobs_show)
-    jobs_cancel = jobs_commands.add_parser("cancel", help="cancel a queued/running/attached job")
-    jobs_cancel.add_argument("job_id")
-    _add_endpoint_arguments(jobs_cancel)
-    jobs_events = jobs_commands.add_parser(
-        "events", help="print the telemetry event-log lines a job has produced so far"
-    )
-    jobs_events.add_argument("job_id")
-    _add_endpoint_arguments(jobs_events)
-    jobs_status = jobs_commands.add_parser("status", help="print the daemon's own status")
-    _add_endpoint_arguments(jobs_status)
-    jobs_shutdown = jobs_commands.add_parser("shutdown", help="stop the daemon")
-    _add_endpoint_arguments(jobs_shutdown)
-
     return parser
 
 
@@ -587,8 +513,8 @@ def _command_scenarios(args: argparse.Namespace) -> int:
             progress=print,
         )
     else:
-        # The plain (unsharded) run routes through the reusable job layer,
-        # so this path and a daemon-submitted matrix job are the same code.
+        # The plain (unsharded) run routes through the job layer, so this
+        # path and a library caller's execute_matrix are the same code.
         from repro.jobs.runner import JobSpecError, execute_matrix
 
         try:
@@ -710,7 +636,7 @@ def _command_runs(args: argparse.Namespace) -> int:
         raise SystemExit(f"run directory {store.root} does not exist")
 
     if args.runs_command == "merge":
-        from repro.scenarios import MatrixIncompleteError, merge_matrix_run
+        from repro.scenarios import MatrixIncompleteError, MatrixManifestError, merge_matrix_run
 
         try:
             report = merge_matrix_run(args.run_dir, progress=print)
@@ -719,7 +645,7 @@ def _command_runs(args: argparse.Namespace) -> int:
                 f"no matrix manifest in {args.run_dir}: only sharded `scenarios run "
                 f"--shard` runs record one (nothing to merge)"
             )
-        except MatrixIncompleteError as error:
+        except (MatrixIncompleteError, MatrixManifestError) as error:
             raise SystemExit(str(error))
         print(report.table())
         print(
@@ -772,151 +698,6 @@ def _command_runs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_serve(args: argparse.Namespace) -> int:
-    from repro.jobs.service import JobServer, discovery_path
-
-    try:
-        server = JobServer(
-            args.run_dir, host=args.host, port=args.port, workers=args.workers or None
-        )
-    except OSError as error:
-        raise SystemExit(f"cannot bind {args.host}:{args.port}: {error}")
-    host, port = server.address
-    print(
-        f"repro job daemon serving {args.run_dir} on http://{host}:{port} "
-        f"({server.service.workers} worker(s))"
-    )
-    print(
-        f"endpoint recorded in {discovery_path(args.run_dir)}; stop with "
-        f"`repro jobs shutdown --run-dir {args.run_dir}` or Ctrl-C"
-    )
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    return 0
-
-
-def _service_client(args: argparse.Namespace):
-    """Resolve --run-dir/--host/--port into a connected ServiceClient."""
-
-    from repro.jobs.client import ServiceClient, ServiceUnavailable
-
-    if args.host is not None:
-        if args.port <= 0:
-            raise SystemExit("--host needs an explicit --port")
-        return ServiceClient(host=args.host, port=args.port)
-    if args.run_dir is None:
-        raise SystemExit(
-            "no daemon endpoint: pass --run-dir (to discover a local daemon) or --host/--port"
-        )
-    try:
-        return ServiceClient.discover(args.run_dir)
-    except ServiceUnavailable as error:
-        raise SystemExit(str(error))
-
-
-def _print_job_result(view, result: dict) -> None:
-    import json
-
-    if view.error:
-        print(f"error: {view.error}")
-    if result:
-        print(json.dumps(result, indent=2, sort_keys=True))
-
-
-def _command_submit(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.jobs.client import RemoteError, ServiceUnavailable
-    from repro.jobs.messages import TERMINAL_STATES, build_job_spec
-    from repro.utils.messages import MessageValidationError
-
-    if (args.kind is None) == (args.spec_json is None):
-        raise SystemExit("submit needs either KIND [--set KEY=VALUE ...] or --json SPEC")
-    if args.spec_json is not None:
-        try:
-            payload = json.loads(args.spec_json)
-        except json.JSONDecodeError as error:
-            raise SystemExit(f"bad --json: {error}")
-        if not isinstance(payload, dict):
-            raise SystemExit("bad --json: the job spec must be a JSON object")
-    else:
-        try:
-            payload = build_job_spec(args.kind, args.assignments or []).to_json()
-        except MessageValidationError as error:
-            raise SystemExit(str(error))
-
-    client = _service_client(args)
-    try:
-        reply = client.submit(payload, force=args.force)
-        view = reply.view()
-        print(f"job {view.job_id} [{view.kind}] {view.state} (digest {view.digest[:16]})")
-        if view.state in TERMINAL_STATES:
-            _print_job_result(view, reply.result)
-            return 0 if view.state in ("done", "cached") else 1
-        if not args.wait:
-            return 0
-        reply = client.wait(view.job_id, poll=args.poll, timeout=args.timeout or None)
-        view = reply.view()
-        print(f"job {view.job_id} finished: {view.state}")
-        _print_job_result(view, reply.result)
-        return 0 if view.state in ("done", "cached") else 1
-    except (RemoteError, ServiceUnavailable, TimeoutError) as error:
-        raise SystemExit(str(error))
-
-
-def _command_jobs(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.jobs.client import RemoteError, ServiceUnavailable
-    from repro.utils.messages import MessageValidationError
-
-    client = _service_client(args)
-    try:
-        if args.jobs_command == "list":
-            views = client.jobs(state=args.state)
-            header = f"{'job':22s} {'kind':12s} {'state':10s} {'digest':18s} attached-to"
-            print(header)
-            print("-" * len(header))
-            for view in views:
-                print(
-                    f"{view.job_id:22s} {view.kind:12s} {view.state:10s} "
-                    f"{view.digest[:16]:18s} {view.attached_to or '-'}"
-                )
-            print(f"{len(views)} job(s)")
-            return 0
-        if args.jobs_command == "show":
-            reply = client.status(args.job_id)
-            print(json.dumps(reply.job, indent=2, sort_keys=True))
-            if reply.result:
-                print(json.dumps({"result": reply.result}, indent=2, sort_keys=True))
-            return 0
-        if args.jobs_command == "cancel":
-            view = client.cancel(args.job_id).view()
-            print(f"job {view.job_id} cancelled")
-            return 0
-        if args.jobs_command == "events":
-            for line in client.events(args.job_id).lines:
-                print(line)
-            return 0
-        if args.jobs_command == "status":
-            status = client.server_status()
-            jobs = ", ".join(f"{state}={count}" for state, count in sorted(status.jobs.items()))
-            print(
-                f"daemon pid {status.pid} serving {status.run_dir} "
-                f"({status.workers} worker(s)): {jobs or 'no jobs yet'}"
-            )
-            return 0
-        if args.jobs_command == "shutdown":
-            client.shutdown()
-            print("daemon stopping")
-            return 0
-    except (RemoteError, ServiceUnavailable, MessageValidationError) as error:
-        raise SystemExit(str(error))
-    raise SystemExit(f"unknown jobs command {args.jobs_command!r}")  # pragma: no cover
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
 
@@ -933,12 +714,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _command_scenarios(args)
     if args.command == "runs":
         return _command_runs(args)
-    if args.command == "serve":
-        return _command_serve(args)
-    if args.command == "submit":
-        return _command_submit(args)
-    if args.command == "jobs":
-        return _command_jobs(args)
     raise SystemExit(f"unknown command {args.command!r}")  # pragma: no cover - argparse guards this
 
 

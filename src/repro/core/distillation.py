@@ -213,14 +213,6 @@ class _BaseDistiller:
     def controller_name(self) -> str:
         return self.name
 
-    def evaluate_regression_error(self, dataset: DistillationDataset) -> float:
-        """Mean squared regression error of the trained student on a dataset."""
-
-        if self.student is None:
-            raise RuntimeError("distill() must be called before evaluation")
-        predictions = np.atleast_2d(self.student.predict(dataset.states))
-        return float(np.mean((predictions - dataset.controls) ** 2))
-
 
 class DirectDistiller(_BaseDistiller):
     """Plain regression distillation producing the ``kappa_D`` baseline."""

@@ -1,45 +1,25 @@
-"""The reusable job layer and the ``repro serve`` daemon built on it.
+"""The job layer: typed job specs and the one path that executes them.
 
-* :mod:`repro.jobs.messages` -- typed job specs + the daemon's RPC API.
-* :mod:`repro.jobs.runner` -- resolve / digest / execute / persist, shared
-  by the CLI verbs and the daemon.
-* :mod:`repro.jobs.service` -- the :class:`JobService` engine and the
-  :class:`JobServer` HTTP face with single-flight dedupe.
-* :mod:`repro.jobs.client` -- the thin client behind ``repro submit`` /
-  ``repro jobs``.
+* :mod:`repro.jobs.messages` -- the typed job specs, one per job kind.
+* :mod:`repro.jobs.runner` -- resolve a spec to its identity, then
+  execute it; the CLI verbs, ``tools/`` and the benchmark all call it.
 """
 
 from repro.jobs.messages import (
-    API_REGISTRY,
-    JOB_REGISTRY,
-    JOB_STATES,
-    TERMINAL_STATES,
     EvaluateJobSpec,
     JobSpec,
     MatrixJobSpec,
     TrainJobSpec,
     VerifySweepJobSpec,
-    build_job_spec,
-    parse_api_message,
-    parse_job_spec,
 )
-from repro.jobs.runner import JobSpecError, execute_job, job_key, resolve_job
+from repro.jobs.runner import JobSpecError, resolve_job
 
 __all__ = [
-    "API_REGISTRY",
-    "JOB_REGISTRY",
-    "JOB_STATES",
-    "TERMINAL_STATES",
     "JobSpec",
     "TrainJobSpec",
     "EvaluateJobSpec",
     "VerifySweepJobSpec",
     "MatrixJobSpec",
-    "build_job_spec",
-    "parse_job_spec",
-    "parse_api_message",
     "JobSpecError",
     "resolve_job",
-    "job_key",
-    "execute_job",
 ]

@@ -1,11 +1,9 @@
-"""Resolve, digest and execute job specs -- the reusable job layer.
+"""Resolve and execute job specs -- the job layer.
 
-This module is the single execution path behind both the CLI verbs
-(``repro train`` / ``verify-sweep`` / ``scenarios run``) and the
-``repro serve`` daemon: each verb builds a :mod:`repro.jobs.messages` spec
-and hands it here, so the two entry points cannot drift apart.
-
-The lifecycle has four separable steps:
+This module is the single execution path behind the CLI verbs (``repro
+train`` / ``evaluate`` / ``verify-sweep`` / ``scenarios run``): each verb
+builds a :mod:`repro.jobs.messages` spec and hands it here, so a library
+caller and the command line run the same code.
 
 ``resolve``
     :func:`resolve_job` turns a declarative spec into its *resolved
@@ -13,22 +11,12 @@ The lifecycle has four separable steps:
     replaced by their weight digests -- the dictionary that defines the
     job's identity.  Resolution failures raise :class:`JobSpecError` with
     the same messages the CLI has always printed (the CLI converts them to
-    ``SystemExit``, the daemon to a typed ``ErrorReply``).
-
-``digest``
-    :func:`job_key` folds the resolved config through the run store's
-    canonical digest.  Two submissions with the same digest *are* the same
-    job: this is the key single-flight dedupe and job-level caching share.
+    ``SystemExit``).
 
 ``execute``
     ``execute_train`` / ``execute_evaluate`` / ``execute_verify_sweep`` /
     ``execute_matrix`` run the job, printing through an injectable ``say``
     so CLI output is byte-identical to the pre-refactor commands.
-
-``persist``
-    :func:`execute_job` additionally reduces the outcome to a JSON payload
-    plus a cacheability verdict; the daemon records cacheable payloads
-    under the job digest so identical future submissions replay instantly.
 """
 
 from __future__ import annotations
@@ -36,7 +24,7 @@ from __future__ import annotations
 import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.jobs.messages import (
     EvaluateJobSpec,
@@ -49,15 +37,11 @@ from repro.jobs.messages import (
 __all__ = [
     "JobSpecError",
     "resolve_job",
-    "job_key",
     "execute_train",
     "execute_evaluate",
     "expand_sweep_specs",
     "execute_verify_sweep",
-    "sweep_payload",
     "execute_matrix",
-    "matrix_payload",
-    "execute_job",
 ]
 
 #: Swallow output by default; the CLI injects ``print``.
@@ -201,8 +185,8 @@ def execute_train(
     if spec.output:
         output = Path(spec.output)
     else:
-        # The daemon persists through the store only; artefacts are staged
-        # in a throwaway directory just long enough to publish them.
+        # Without an output directory the artefacts are staged in a
+        # throwaway directory just long enough to publish them to the store.
         scratch = tempfile.mkdtemp(prefix="repro-train-")
         output = Path(scratch)
     try:
@@ -382,30 +366,6 @@ def execute_verify_sweep(
     return report
 
 
-def sweep_payload(spec: VerifySweepJobSpec, report) -> Tuple[Dict, bool]:
-    """JSON-able sweep outcome + whether it may be cached at the job level.
-
-    Per-job wall clocks are stripped (the job digest must serve identical
-    bytes forever); the payload is cacheable when every job's result is
-    (:func:`repro.verification.sweep.is_cacheable`).
-    """
-
-    from repro.verification.sweep import is_cacheable
-
-    records = []
-    for record in report.as_records():
-        record = dict(record)
-        record.pop("elapsed_seconds", None)
-        records.append(record)
-    cacheable = all(is_cacheable(result, spec.time_budget) for result in report.results)
-    payload = {
-        "num_verified": report.num_verified,
-        "num_failed": report.num_failed,
-        "records": records,
-    }
-    return payload, cacheable
-
-
 # ---------------------------------------------------------------------------
 # matrix
 # ---------------------------------------------------------------------------
@@ -427,7 +387,6 @@ def execute_matrix(
     say: Callable[[str], None] = _SILENT,
     force: bool = False,
     telemetry: Optional[bool] = None,
-    telemetry_source: Optional[str] = None,
 ):
     """Run the scenario matrix; returns the :class:`ScenarioMatrixReport`.
 
@@ -448,24 +407,7 @@ def execute_matrix(
         run_dir=run_dir,
         force=force,
         telemetry=telemetry,
-        telemetry_source=telemetry_source,
     )
-
-
-def matrix_payload(report) -> Tuple[Dict, bool]:
-    """JSON-able matrix outcome + job-level cacheability.
-
-    Matrix rows carry no timings, so a completed (``status == "ok"``)
-    report serialises identically forever; anything else reruns.
-    """
-
-    payload = {
-        "status": report.status,
-        "scenarios": list(report.scenarios),
-        "num_cells": report.num_cells,
-        "rows": list(report.rows),
-    }
-    return payload, report.status == "ok"
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +419,7 @@ def resolve_job(spec: JobSpec) -> Dict:
     """The spec's resolved config -- the dictionary its digest is taken over.
 
     Execution context (run directory, worker counts, output paths, CSV
-    destinations) is deliberately excluded: two submissions that compute
+    destinations) is deliberately excluded: two specs that compute
     the same thing must share a digest wherever they run.
     """
 
@@ -490,49 +432,3 @@ def resolve_job(spec: JobSpec) -> Dict:
     if isinstance(spec, MatrixJobSpec):
         return _resolve_matrix(spec)
     raise JobSpecError(f"cannot resolve job kind {spec.TYPE!r}")
-
-
-def job_key(store, spec: JobSpec):
-    """The run-store key identifying this job (stage ``"job"``)."""
-
-    return store.key("job", {"kind": spec.TYPE, "config": resolve_job(spec)})
-
-
-def execute_job(
-    spec: JobSpec,
-    store=None,
-    run_dir=None,
-    say: Callable[[str], None] = _SILENT,
-    force: bool = False,
-    telemetry_source: Optional[str] = None,
-) -> Tuple[Dict, bool]:
-    """Execute any job spec; returns ``(payload, cacheable)``.
-
-    This is the daemon's worker entry point: the payload is the JSON the
-    service stores/serves, and ``cacheable`` says whether it may be
-    recorded under the job digest for future single-flight replays.
-    """
-
-    if isinstance(spec, TrainJobSpec):
-        # Train identity excludes spec.output, so the per-stage "train"
-        # entry already dedupes; restored outcomes cache like fresh ones.
-        payload = execute_train(spec, store=store, say=say, force=force)
-        payload = dict(payload)
-        payload.pop("restored", None)
-        return payload, True
-    if isinstance(spec, EvaluateJobSpec):
-        return execute_evaluate(spec, say=say), True
-    if isinstance(spec, VerifySweepJobSpec):
-        report = execute_verify_sweep(spec, store=store, say=say, force=force)
-        return sweep_payload(spec, report)
-    if isinstance(spec, MatrixJobSpec):
-        report = execute_matrix(
-            spec,
-            store=store,
-            run_dir=run_dir,
-            say=say,
-            force=force,
-            telemetry_source=telemetry_source,
-        )
-        return matrix_payload(report)
-    raise JobSpecError(f"cannot execute job kind {spec.TYPE!r}")

@@ -32,6 +32,7 @@ from repro.scenarios import catalog  # noqa: F401  (registers the built-ins)
 from repro.scenarios.matrix import (
     MatrixCell,
     MatrixIncompleteError,
+    MatrixManifestError,
     ScenarioMatrixReport,
     ShardSpec,
     merge_matrix_run,
@@ -53,6 +54,7 @@ __all__ = [
     "make_scenario_system",
     "MatrixCell",
     "MatrixIncompleteError",
+    "MatrixManifestError",
     "ScenarioMatrixReport",
     "ShardSpec",
     "merge_matrix_run",

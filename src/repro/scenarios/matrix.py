@@ -280,6 +280,10 @@ class MatrixIncompleteError(RuntimeError):
         )
 
 
+class MatrixManifestError(ValueError):
+    """A run directory's matrix manifest does not decode to a matrix spec."""
+
+
 @dataclass
 class ScenarioMatrixReport:
     """Flat per-cell records of one matrix run."""
@@ -929,7 +933,6 @@ def run_scenario_matrix(
     shard_time_budget: Optional[float] = None,
     offline: bool = False,
     telemetry: Optional[bool] = None,
-    telemetry_source: Optional[str] = None,
     progress: Optional[Callable[[str], None]] = None,
     on_cell: Optional[Callable[[Dict], None]] = None,
 ) -> ScenarioMatrixReport:
@@ -986,10 +989,8 @@ def run_scenario_matrix(
     ``True`` without a store (or with ``offline=True``, which executes
     nothing) is an error.  The log never influences rows, store entries or
     CSVs -- it is written beside them for ``repro runs watch`` / ``repro
-    runs stats``.  ``telemetry_source`` overrides the
-    event-log file name (default ``"main"`` / ``"shard-i-of-N"``); the job
-    daemon uses it to give each job running against one run directory its
-    own stream.
+    runs stats``, as ``events/main.jsonl`` (``events/shard-i-of-N.jsonl``
+    for a shard).
     """
 
     manifest = matrix_manifest(spec)
@@ -1022,12 +1023,7 @@ def run_scenario_matrix(
         write_matrix_manifest(store.root, manifest)
 
     if telemetry:
-        # telemetry_source lets a host running many matrices against one run
-        # directory (the job daemon) give each its own event-log file; the
-        # default names are what `runs watch` users expect from the CLI.
-        source = telemetry_source or (
-            "main" if shard is None else f"shard-{shard.index}-of-{shard.count}"
-        )
+        source = "main" if shard is None else f"shard-{shard.index}-of-{shard.count}"
         tele = TelemetryEmitter(store.root, source=source)
     else:
         tele = NullTelemetryEmitter()
@@ -1077,15 +1073,30 @@ def merge_matrix_run(
 
     Reads the matrix manifest the shards wrote into ``run_dir`` and
     replays every cell from the store in canonical order (nothing
-    executes; a missing cell raises :class:`MatrixIncompleteError`).  The
+    executes; a missing cell raises :class:`MatrixIncompleteError`, a
+    manifest that is not a matrix spec :class:`MatrixManifestError`).  The
     resulting report -- and its CSV -- is byte-identical to running the
     same matrix in a single process, which is what the shard regression
     pack pins.
     """
 
     from repro.jobs.messages import MatrixJobSpec
+    from repro.utils.messages import MessageValidationError
 
-    spec = MatrixJobSpec(**read_matrix_manifest(run_dir))
+    path = Path(run_dir) / MANIFEST_FILE
+    try:
+        manifest = read_matrix_manifest(run_dir)
+    except json.JSONDecodeError as error:
+        raise MatrixManifestError(f"{path} is not valid JSON: {error}")
+    if not isinstance(manifest, dict):
+        raise MatrixManifestError(
+            f"{path} is not a matrix manifest: expected a JSON object, "
+            f"got {type(manifest).__name__}"
+        )
+    try:
+        spec = MatrixJobSpec.from_json(manifest)
+    except MessageValidationError as error:
+        raise MatrixManifestError(f"{path} does not describe a matrix this version runs: {error}")
     return run_scenario_matrix(spec, run_dir=run_dir, offline=True, progress=progress)
 
 

@@ -16,9 +16,7 @@ The observability layer over the scenario-matrix / run-store machinery:
 
 Wall-clock timings live *only* in this event stream; run-store rows stay
 timing-free and deterministic, which is what keeps merged matrix CSVs
-byte-identical whether or not telemetry is enabled.  The ``repro serve``
-daemon writes each job's events with these schemas to its own
-``events/job-<id>.jsonl`` stream, which ``repro jobs events`` returns (see
+byte-identical whether or not telemetry is enabled (see
 ``docs/telemetry.md``).
 """
 

@@ -248,8 +248,7 @@ def fleet_stats(
     The returned dictionary is JSON-able with deterministic content given
     the logs (``stale_shards`` is the one wall-clock-dependent entry);
     ``repro runs stats --json`` serialises it with sorted keys for
-    scripts.  A ``repro serve`` run dir aggregates the same way: its
-    ``job-<id>`` event streams are read like any other source.
+    scripts.
     """
 
     state = FleetState()

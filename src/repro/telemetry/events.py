@@ -9,7 +9,7 @@ cross-run ``repro runs stats`` aggregation reads later.
 
 The generic machinery (field validation, strict/tolerant ``from_json``,
 registry routing) lives in :mod:`repro.utils.messages` and is shared with
-the job-service API (:mod:`repro.jobs.messages`); this module owns the
+the job specs (:mod:`repro.jobs.messages`); this module owns the
 telemetry *family*: the event classes, their registry, and the
 :class:`UnknownEvent` wrapper.
 
@@ -69,7 +69,7 @@ CELL_KINDS = ("train", "evaluate", "verify")
 
 #: Historical name for the shared validation error -- the *same* class, so
 #: ``except EventValidationError`` and ``except MessageValidationError``
-#: are interchangeable across the telemetry and job-service families.
+#: are interchangeable across the telemetry events and the job specs.
 EventValidationError = MessageValidationError
 
 #: Wire ``type`` name -> event class, populated by :func:`register_event`.

@@ -3,10 +3,10 @@
 One validated frozen dataclass per message -- the class *is* the schema.
 Each message declares a wire name (``TYPE``), a ``SCHEMA_VERSION`` and
 typed fields checked on construction, so a malformed payload fails loudly
-at the producer instead of silently corrupting whatever stream or socket
-carries it.  This module is the family-agnostic core extracted from the
-telemetry event log (:mod:`repro.telemetry.events`), so the job-service
-API (:mod:`repro.jobs.messages`) speaks the exact same dialect:
+at the producer instead of silently corrupting whatever stream or file
+carries it.  This module is the family-agnostic core shared by the
+telemetry event log (:mod:`repro.telemetry.events`) and the job specs
+(:mod:`repro.jobs.messages`):
 
 * ``to_json``/``from_json`` round-trip exactly within one version (tuples
   survive the JSON list round-trip);
@@ -16,10 +16,10 @@ API (:mod:`repro.jobs.messages`) speaks the exact same dialect:
   knows, and unknown types wrap instead of raising, so an old client
   keeps working against a newer fleet (:func:`parse_message`).
 
-Each message family owns a plain ``{wire name: class}`` registry dict and
-an "unknown" wrapper class; :func:`register_message` populates the
-registry, :func:`parse_message`/:func:`decode_message_line` route through
-it.
+A family decoded by wire name (the telemetry events) owns a plain
+``{wire name: class}`` registry dict and an "unknown" wrapper class;
+:func:`register_message` populates the registry,
+:func:`parse_message`/:func:`decode_message_line` route through it.
 
 Versioning policy (see ``docs/telemetry.md``): adding an *optional* field
 keeps the version; adding a required field, renaming or retyping anything

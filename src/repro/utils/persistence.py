@@ -43,11 +43,6 @@ def save_experiment_record(record: Dict, path: PathLike) -> Path:
     return path
 
 
-def load_experiment_record(path: PathLike) -> Dict:
-    with Path(path).open() as handle:
-        return json.load(handle)
-
-
 def save_cocktail_result(
     result,
     directory: PathLike,

@@ -37,10 +37,3 @@ def get_rng(seed: RngLike = None) -> np.random.Generator:
     if seed is None:
         seed = _GLOBAL_SEED
     return np.random.default_rng(seed)
-
-
-def spawn_seeds(seed: RngLike, count: int) -> list:
-    """Derive ``count`` child seeds deterministically from ``seed``."""
-
-    rng = get_rng(seed)
-    return [int(value) for value in rng.integers(0, 2**31 - 1, size=count)]

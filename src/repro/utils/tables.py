@@ -32,9 +32,6 @@ class ResultTable:
         self._rows.append(formatted)
         self._row_names.append(name)
 
-    def row_names(self) -> List[str]:
-        return list(self._row_names)
-
     def as_dict(self) -> Dict[str, Dict[str, str]]:
         return {name: dict(row) for name, row in zip(self._row_names, self._rows)}
 

@@ -79,7 +79,7 @@ class TestParser:
 
     @pytest.mark.parametrize(
         "verb",
-        ["train", "evaluate", "verify", "verify-sweep", "scenarios", "runs", "serve", "submit", "jobs"],
+        ["train", "evaluate", "verify", "verify-sweep", "scenarios", "runs"],
     )
     def test_every_verb_prints_its_help(self, verb, capsys):
         assert _exit_code([verb, "--help"]) == 0
@@ -238,6 +238,27 @@ class TestErrorPaths:
         code = _exit_code(["runs", "merge", "--run-dir", str(store)])
         assert isinstance(code, str)
         assert "no matrix manifest" in code
+
+    @pytest.mark.parametrize(
+        "manifest, message",
+        [
+            ('{"engine": "batched", "samples": 4}', "unexpected field(s) ['engine']"),
+            ("[1, 2]", "is not a matrix manifest: expected a JSON object, got list"),
+            ('{"samples": "four"}', "MatrixJobSpec.samples must be an integer, got 'four'"),
+            ("{torn", "is not valid JSON"),
+        ],
+        ids=["unknown-field", "not-an-object", "mistyped-field", "torn-json"],
+    )
+    def test_runs_merge_names_what_is_wrong_with_a_malformed_manifest(
+        self, tmp_path, manifest, message
+    ):
+        store = tmp_path / "store"
+        store.mkdir()
+        (store / "matrix.json").write_text(manifest)
+        code = _exit_code(["runs", "merge", "--run-dir", str(store)])
+        assert isinstance(code, str)
+        assert code.startswith(str(store / "matrix.json"))
+        assert message in code
 
     def test_runs_merge_has_no_jobs_flag(self, tmp_path, capsys):
         """Replay runs inline, so the merge takes no pool width."""
@@ -571,121 +592,3 @@ class TestTelemetryCommands:
         assert not (run_dir / "events").exists()
         code = _exit_code(["runs", "watch", "--run-dir", str(run_dir), "--once"])
         assert "no event log" in code
-
-
-class TestServiceCommands:
-    """serve / submit / jobs: error paths and a full daemon round-trip."""
-
-    def test_submit_needs_a_kind_or_json(self):
-        assert _exit_code(["submit"]) == (
-            "submit needs either KIND [--set KEY=VALUE ...] or --json SPEC"
-        )
-        code = _exit_code(["submit", "matrix", "--json", '{"type": "matrix"}'])
-        assert code == "submit needs either KIND [--set KEY=VALUE ...] or --json SPEC"
-
-    def test_submit_rejects_malformed_json(self):
-        assert str(_exit_code(["submit", "--json", "{nope"])).startswith("bad --json:")
-        code = _exit_code(["submit", "--json", "[1, 2]"])
-        assert code == "bad --json: the job spec must be a JSON object"
-
-    def test_submit_rejects_an_unknown_kind(self):
-        code = _exit_code(["submit", "quantum"])
-        assert "unknown job kind 'quantum'" in code
-        assert "evaluate" in code and "matrix" in code
-
-    def test_submit_rejects_a_bad_assignment(self):
-        code = _exit_code(["submit", "matrix", "--set", "samples=lots"])
-        assert "samples" in code
-
-    def test_submit_needs_an_endpoint(self):
-        code = _exit_code(["submit", "matrix", "--set", "train=false", "--set", "verify=false"])
-        assert code == (
-            "no daemon endpoint: pass --run-dir (to discover a local daemon) or --host/--port"
-        )
-
-    def test_host_needs_an_explicit_port(self):
-        code = _exit_code(["jobs", "status", "--host", "127.0.0.1"])
-        assert code == "--host needs an explicit --port"
-
-    def test_missing_discovery_file_names_the_fix(self, tmp_path):
-        code = _exit_code(["jobs", "list", "--run-dir", str(tmp_path / "void")])
-        assert "no job daemon is registered for" in code
-        assert "repro serve --run-dir" in code
-
-    def test_unreachable_daemon_is_reported(self):
-        code = _exit_code(["jobs", "status", "--host", "127.0.0.1", "--port", "47"])
-        assert "cannot reach the job daemon at 127.0.0.1:47" in code
-
-    def test_serve_reports_a_taken_port(self, tmp_path):
-        import socket
-
-        with socket.socket() as holder:
-            holder.bind(("127.0.0.1", 0))
-            port = holder.getsockname()[1]
-            code = _exit_code(
-                ["serve", "--run-dir", str(tmp_path / "run"), "--port", str(port)]
-            )
-        assert str(code).startswith(f"cannot bind 127.0.0.1:{port}:")
-
-    @pytest.fixture
-    def live_daemon(self, tmp_path):
-        import time
-
-        from repro.jobs.service import JobServer, discovery_path
-
-        run_dir = tmp_path / "daemon-run"
-        server = JobServer(run_dir, workers=1).start()
-        deadline = time.monotonic() + 10
-        while not discovery_path(run_dir).exists():
-            assert time.monotonic() < deadline, "daemon never wrote its discovery file"
-            time.sleep(0.02)
-        yield run_dir
-        server.shutdown()
-        server.join(15)
-
-    def test_unknown_job_id_and_late_cancel(self, live_daemon, capsys):
-        run_dir = str(live_daemon)
-        code = _exit_code(["jobs", "show", "--run-dir", run_dir, "j0-deadbeef"])
-        assert code == "unknown job id 'j0-deadbeef'"
-
-        submit = ["submit", "matrix", "--set", "scenarios=pendulum", "--set", "samples=4",
-                  "--set", "train=false", "--set", "verify=false",
-                  "--run-dir", run_dir, "--wait"]
-        assert main(submit) == 0
-        out = capsys.readouterr().out
-        job_id = out.split()[1]
-        assert "finished: done" in out
-
-        code = _exit_code(["jobs", "cancel", "--run-dir", run_dir, job_id])
-        assert code == f"job {job_id} already finished (done)"
-
-    def test_daemon_round_trip_through_the_cli(self, live_daemon, capsys):
-        run_dir = str(live_daemon)
-        submit = ["submit", "matrix", "--set", "scenarios=pendulum", "--set", "samples=4",
-                  "--set", "train=false", "--set", "verify=false",
-                  "--run-dir", run_dir, "--wait"]
-        assert main(submit) == 0
-        first = capsys.readouterr().out
-        assert "num_cells" in first
-
-        # Identical resubmission is served from the store without running.
-        assert main(submit) == 0
-        assert "cached" in capsys.readouterr().out
-
-        assert main(["jobs", "list", "--run-dir", run_dir]) == 0
-        listing = capsys.readouterr().out
-        assert "2 job(s)" in listing
-        assert "done" in listing and "cached" in listing
-
-        assert main(["jobs", "status", "--run-dir", run_dir]) == 0
-        status_line = capsys.readouterr().out
-        assert "worker(s)" in status_line and "done=1" in status_line
-
-        job_id = listing.splitlines()[2].split()[0]
-        assert main(["jobs", "events", "--run-dir", run_dir, job_id]) == 0
-        events = capsys.readouterr().out
-        assert '"run-started"' in events and '"run-finished"' in events
-
-        assert main(["runs", "watch", "--run-dir", run_dir, "--once"]) == 0
-        watch = capsys.readouterr().out
-        assert "finished" in watch

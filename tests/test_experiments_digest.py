@@ -7,13 +7,15 @@ through the JSON persistence layer (NumPy scalars/arrays included) keeps
 its digest.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.digest import canonical_json, canonicalize, config_digest, weights_digest
-from repro.utils.persistence import load_experiment_record, save_experiment_record
+from repro.utils.persistence import save_experiment_record
 
 # JSON-able scalars (no NaN: NaN != NaN makes equality-based properties vacuous).
 scalars = st.one_of(
@@ -125,14 +127,14 @@ class TestNumpyRoundTrip:
 
         with tempfile.TemporaryDirectory() as tmp:
             path = save_experiment_record(record, Path(tmp) / "record.json")
-            loaded = load_experiment_record(path)
+            loaded = json.loads(path.read_text())
         assert config_digest(loaded) == config_digest(record)
 
     def test_one_element_array_stays_a_list(self, tmp_path):
         # The historical `_jsonify` collapsed (1,)-arrays to scalars, which
         # broke digest stability across a round-trip; this pins the fix.
         record = {"array": np.asarray([2.0]), "scalar": np.float64(2.0)}
-        loaded = load_experiment_record(save_experiment_record(record, tmp_path / "r.json"))
+        loaded = json.loads(save_experiment_record(record, tmp_path / "r.json").read_text())
         assert loaded["array"] == [2.0]
         assert loaded["scalar"] == 2.0
         assert config_digest(loaded) == config_digest(record)

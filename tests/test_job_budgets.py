@@ -5,7 +5,7 @@ A scenario records its training and verification budgets once
 that trains or verifies must resolve the same budgets from them:
 
 * verification: ``repro verify``, ``repro verify-sweep``, a bare
-  ``VerifySweepJobSpec`` (the daemon's path) and the matrix's verify cell
+  ``VerifySweepJobSpec`` (the library path) and the matrix's verify cell
   all build a ``SweepJob`` whose ``cache_config()["budgets"]`` agree;
 * training: ``resolve_job(TrainJobSpec(system=s))`` resolves the config
   the matrix trains at ``budget_scale=1``.

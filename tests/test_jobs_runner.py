@@ -1,11 +1,13 @@
-"""The reusable job layer: CLI equivalence, digests, payload cacheability.
+"""The job layer: CLI equivalence and job identity.
 
-The refactor's contract (see ``docs/service.md``): ``repro train`` /
-``evaluate`` / ``verify-sweep`` / ``scenarios run`` and the daemon execute
-the *same* code through :mod:`repro.jobs.runner`, so
+``repro train`` / ``evaluate`` / ``verify-sweep`` / ``scenarios run`` and
+a library caller execute the *same* code through :mod:`repro.jobs.runner`
+(see ``docs/architecture.md``), so
 
 * a job resolved from a spec produces the exact store digest the CLI
-  writes (an earlier CLI train is *restored* by a job submission);
+  writes (an earlier CLI train is *restored* by ``execute_train``);
+* ``resolve_job`` is the job's identity: what it computes, not where it
+  runs or writes;
 * CLI output and error messages are byte-identical to the pre-refactor
   commands (spec-resolution failures carry the historical text);
 * a matrix executed through the job layer serialises the byte-identical
@@ -18,6 +20,7 @@ from dataclasses import replace
 import pytest
 
 from repro.cli import main
+from repro.experiments.digest import config_digest
 from repro.jobs.messages import (
     EvaluateJobSpec,
     MatrixJobSpec,
@@ -27,12 +30,10 @@ from repro.jobs.messages import (
 from repro.jobs.runner import (
     JobSpecError,
     execute_evaluate,
-    execute_job,
     execute_matrix,
+    execute_train,
     expand_sweep_specs,
-    job_key,
     resolve_job,
-    sweep_payload,
 )
 
 TINY_TRAIN = ["--mixing-epochs", "1", "--mixing-steps", "64", "--distill-epochs", "2",
@@ -76,22 +77,18 @@ class TestTrainDigestSharing:
         store = RunStore(run_dir)
         spec = TrainJobSpec(system="pendulum", **TINY_TRAIN_SPEC)
         said = []
-        payload, cacheable = execute_job(spec, store=store, say=said.append)
-        assert cacheable
-        assert "restored" not in payload, "job payloads serve identical bytes forever"
+        payload = execute_train(spec, store=store, say=said.append)
+        assert payload["restored"]
         assert payload["metrics"], "a restored train still reports its recorded metrics"
         assert any("restored saved controllers" in line for line in said)
 
     def test_output_path_is_not_part_of_the_job_identity(self, tmp_path):
-        from repro.experiments import RunStore
-
-        store = RunStore(tmp_path / "store")
         base = dict(system="pendulum", **TINY_TRAIN_SPEC)
         with_output = TrainJobSpec(output=str(tmp_path / "a"), **base)
         without = TrainJobSpec(**base)
-        assert job_key(store, with_output).digest == job_key(store, without).digest
+        assert config_digest(resolve_job(with_output)) == config_digest(resolve_job(without))
         reseeded = TrainJobSpec(seed=7, **base)
-        assert job_key(store, reseeded).digest != job_key(store, without).digest
+        assert config_digest(resolve_job(reseeded)) != config_digest(resolve_job(without))
 
     def test_negative_eval_batch_size_is_rejected_before_training(self, monkeypatch):
         import repro
@@ -104,7 +101,7 @@ class TestTrainDigestSharing:
         with pytest.raises(ValueError, match="batch_size must be positive"):
             resolve_job(spec)
         with pytest.raises(ValueError, match="batch_size must be positive"):
-            execute_job(spec)
+            execute_train(spec)
 
 
 class TestEvaluateParity:
@@ -127,16 +124,13 @@ class TestEvaluateParity:
     def test_resolution_digests_the_weights_not_the_path(self, tmp_path, saved_controller_dir):
         import shutil
 
-        from repro.experiments import RunStore
-
         copy = tmp_path / "elsewhere"
         shutil.copytree(saved_controller_dir, copy)
-        store = RunStore(tmp_path / "store")
         original = EvaluateJobSpec(system="pendulum", controller_dir=str(saved_controller_dir))
         moved = EvaluateJobSpec(system="pendulum", controller_dir=str(copy))
-        assert job_key(store, original).digest == job_key(store, moved).digest
+        assert config_digest(resolve_job(original)) == config_digest(resolve_job(moved))
         different = EvaluateJobSpec(system="pendulum", controller_dir=str(copy), samples=7)
-        assert job_key(store, different).digest != job_key(store, original).digest
+        assert config_digest(resolve_job(different)) != config_digest(resolve_job(original))
 
     def test_missing_controllers_keep_the_cli_message(self, tmp_path):
         spec = EvaluateJobSpec(system="pendulum", controller_dir=str(tmp_path / "void"))
@@ -184,44 +178,12 @@ class TestSweepSpecErrors:
         assert "records no controllers" in message
 
 
-def _sweep_report(**result):
-    from repro.verification.sweep import SweepJobResult, SweepReport
-
-    result = SweepJobResult(name="a", system="pendulum", **result)
-    return SweepReport(results=[result], elapsed_seconds=0.0, processes=1)
-
-
-class TestSweepPayload:
-    SPEC = VerifySweepJobSpec(specs=("pendulum:somewhere",))
-
-    def test_strips_wall_clock_and_caches_clean_reports(self):
-        report = _sweep_report(status="ok", elapsed_seconds=1.25)
-        payload, cacheable = sweep_payload(self.SPEC, report)
-        assert cacheable
-        assert payload["records"] == [{"job": "a", "system": "pendulum", "status": "ok"}]
-
-    def test_errors_are_never_cached(self):
-        report = _sweep_report(status="error", error="boom", elapsed_seconds=0.1)
-        _, cacheable = sweep_payload(self.SPEC, report)
-        assert not cacheable
-
-    def test_time_budget_truncation_is_never_cached(self):
-        spec = VerifySweepJobSpec(specs=("pendulum:somewhere",), time_budget=1.0)
-        summary = {"reach_status": "resource-exhausted"}
-        _, cacheable = sweep_payload(spec, _sweep_report(status="ok", summary=summary))
-        assert not cacheable
-        # Without a time budget the same truncation is deterministic: cache it.
-        _, cacheable = sweep_payload(self.SPEC, _sweep_report(status="ok", summary=summary))
-        assert cacheable
-
-
 class TestMatrixEquivalence:
     def test_job_layer_csv_is_byte_identical_to_direct_run(self, tmp_path):
         from repro.scenarios import run_scenario_matrix
 
         # Store-backed rows carry no wall-clock columns, so two independent
-        # runs serialise identical bytes -- the byte-identity guarantee the
-        # daemon inherits by routing through the same layer.
+        # runs serialise identical bytes.
         direct = run_scenario_matrix(replace(MATRIX_SPEC, jobs=1), run_dir=tmp_path / "a")
         through_jobs = execute_matrix(MATRIX_SPEC, run_dir=tmp_path / "b")
         a = direct.to_csv(tmp_path / "direct.csv").read_bytes()
@@ -238,16 +200,13 @@ class TestMatrixEquivalence:
             "verify_overrides": {},
         }
 
-    def test_digest_is_stable_and_sensitive(self, tmp_path):
-        from repro.experiments import RunStore
-
-        store = RunStore(tmp_path / "store")
-        assert job_key(store, MATRIX_SPEC).digest == job_key(store, MATRIX_SPEC).digest
+    def test_digest_is_stable_and_sensitive(self):
+        assert config_digest(resolve_job(MATRIX_SPEC)) == config_digest(resolve_job(MATRIX_SPEC))
         bigger = MatrixJobSpec(**dict(
             scenarios=("pendulum",), perturbations=("none", "noise"),
             samples=8, train=False, verify=False, seed=0,
         ))
-        assert job_key(store, bigger).digest != job_key(store, MATRIX_SPEC).digest
+        assert config_digest(resolve_job(bigger)) != config_digest(resolve_job(MATRIX_SPEC))
 
     def test_unknown_scenario_keeps_the_registry_message(self):
         with pytest.raises(JobSpecError) as excinfo:

@@ -8,7 +8,6 @@ import pytest
 from repro import CocktailConfig, CocktailPipeline, make_default_experts
 from repro.systems.sets import Box
 from repro.utils.persistence import (
-    load_experiment_record,
     load_student_controller,
     save_cocktail_result,
     save_experiment_record,
@@ -64,7 +63,7 @@ class TestExperimentRecords:
     def test_json_roundtrip_with_numpy_values(self, tmp_path):
         record = {"safe_rate": np.float64(0.97), "energies": np.array([1.0, 2.0])}
         path = save_experiment_record(record, tmp_path / "nested" / "record.json")
-        loaded = load_experiment_record(path)
+        loaded = json.loads(path.read_text())
         assert loaded["safe_rate"] == pytest.approx(0.97)
         assert loaded["energies"] == [1.0, 2.0]
 

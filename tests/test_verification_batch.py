@@ -50,7 +50,13 @@ from repro.verification.intervals import (
 from repro.verification.invariant import compute_invariant_set
 from repro.verification.partition import partition_network
 from repro.verification.reachability import reachable_sets
-from repro.verification.sweep import SweepJob, VerificationSweep, run_sweep_job
+from repro.verification.sweep import (
+    SweepJob,
+    SweepJobResult,
+    VerificationSweep,
+    is_cacheable,
+    run_sweep_job,
+)
 from repro.verification.system_models import interval_dynamics_batch
 from repro.verification.verifier import verify_controller
 
@@ -416,6 +422,18 @@ class TestVerificationSweep:
         result = run_sweep_job(job)
         assert result.status == "ok"
         assert result.summary["reach_status"] == "resource-exhausted"
+
+    def test_errors_are_never_cached(self):
+        error = SweepJobResult(name="a", system="pendulum", status="error", error="boom")
+        assert not is_cacheable(error, None)
+        assert is_cacheable(SweepJobResult(name="a", system="pendulum", status="ok"), None)
+
+    def test_time_budget_truncation_is_never_cached(self):
+        summary = {"reach_status": "resource-exhausted"}
+        truncated = SweepJobResult(name="a", system="pendulum", status="ok", summary=summary)
+        assert not is_cacheable(truncated, 1.0)
+        # Without a time budget the same truncation is deterministic: cache it.
+        assert is_cacheable(truncated, None)
 
     def test_work_budget_passes_through(self):
         system = make_system("vanderpol")
