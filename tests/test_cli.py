@@ -246,8 +246,19 @@ class TestErrorPaths:
             ("[1, 2]", "is not a matrix manifest: expected a JSON object, got list"),
             ('{"samples": "four"}', "MatrixJobSpec.samples must be an integer, got 'four'"),
             ("{torn", "is not valid JSON"),
+            ('{"engine": "batched", "backend": "numpy"}', "unexpected field(s) ['backend', 'engine']"),
+            ('"matrix"', "is not a matrix manifest: expected a JSON object, got str"),
+            ("", "is not valid JSON"),
+            ('{"samples": true}', "MatrixJobSpec.samples must be an integer, got True"),
+            ('{"perturbations": "none"}', "MatrixJobSpec.perturbations must be a sequence"),
+            ('{"perturbations": ["none", "bogus"]}', "perturbations entries must be one of"),
+            ('{"samples": 0}', "MatrixJobSpec.samples must be > 0"),
+            ('{"train_overrides": null}', "MatrixJobSpec.train_overrides must be an object"),
         ],
-        ids=["unknown-field", "not-an-object", "mistyped-field", "torn-json"],
+        ids=["unknown-field", "not-an-object", "mistyped-field", "torn-json",
+             "unknown-fields-sorted", "bare-string", "empty-file", "bool-as-integer",
+             "string-as-sequence", "unknown-perturbation", "non-positive-samples",
+             "null-overrides"],
     )
     def test_runs_merge_names_what_is_wrong_with_a_malformed_manifest(
         self, tmp_path, manifest, message

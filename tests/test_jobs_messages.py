@@ -7,6 +7,8 @@ Mirrors ``tests/test_telemetry_events.py`` for the job specs of
   (Hypothesis property over arbitrary field values);
 * decoding is strict: an unknown field is an error, because silently
   dropping it would change which job the spec describes;
+* every field is checked against its annotation on construction and on
+  decode, and the error names the field;
 * the wire bytes are pinned by a golden log, since a sharded run's matrix
   manifest and every job digest are built from them.
 """
@@ -151,6 +153,86 @@ class TestSpecStrictness:
         manifest = dict(matrix_manifest(MatrixJobSpec(samples=4)), **{name: None})
         with pytest.raises(MessageValidationError, match=f"MatrixJobSpec.{name} must be an object"):
             MatrixJobSpec.from_json(manifest)
+
+
+_MISTYPED = [
+    (TrainJobSpec, dict(system=3), "TrainJobSpec.system must be a string"),
+    (TrainJobSpec, dict(output=None), "TrainJobSpec.output must be a string"),
+    (TrainJobSpec, dict(mixing_epochs="1"), "TrainJobSpec.mixing_epochs must be an integer"),
+    (TrainJobSpec, dict(num_envs=2.0), "TrainJobSpec.num_envs must be an integer"),
+    (TrainJobSpec, dict(eval_batch_size=True), "TrainJobSpec.eval_batch_size must be an integer"),
+    (TrainJobSpec, dict(seed=1.5), "TrainJobSpec.seed must be an integer"),
+    (EvaluateJobSpec, dict(controller_dir=["x"]), "EvaluateJobSpec.controller_dir must be a string"),
+    (EvaluateJobSpec, dict(fraction="0.1"), "EvaluateJobSpec.fraction must be a number"),
+    (EvaluateJobSpec, dict(samples=True), "EvaluateJobSpec.samples must be an integer"),
+    (EvaluateJobSpec, dict(seed=None), "EvaluateJobSpec.seed must be an integer"),
+    (VerifySweepJobSpec, dict(specs="a:b"), "VerifySweepJobSpec.specs must be a sequence"),
+    (VerifySweepJobSpec, dict(specs=("a:b", 1)), "VerifySweepJobSpec.specs must be a string"),
+    (VerifySweepJobSpec, dict(degree=2.5), "VerifySweepJobSpec.degree must be an integer"),
+    (VerifySweepJobSpec, dict(time_budget="1"), "VerifySweepJobSpec.time_budget must be a number"),
+    (MatrixJobSpec, dict(scenarios="pendulum"), "MatrixJobSpec.scenarios must be a sequence"),
+    (MatrixJobSpec, dict(perturbations=("none", 3)), "MatrixJobSpec.perturbations must be a string"),
+    (MatrixJobSpec, dict(train=1), "MatrixJobSpec.train must be a boolean"),
+    (MatrixJobSpec, dict(verify="yes"), "MatrixJobSpec.verify must be a boolean"),
+    (MatrixJobSpec, dict(budget_scale=None), "MatrixJobSpec.budget_scale must be a number"),
+]
+
+#: Smallest valid constructor arguments of each spec kind.
+_VALID = {
+    TrainJobSpec: dict(system="pendulum"),
+    EvaluateJobSpec: dict(system="pendulum", controller_dir="runs/p"),
+    VerifySweepJobSpec: dict(specs=("pendulum:runs/p",)),
+    MatrixJobSpec: dict(samples=4),
+}
+
+
+class TestFieldTyping:
+    """Each field is checked against its annotation on construction and decode."""
+
+    @pytest.mark.parametrize(
+        "cls, bad, message", _MISTYPED,
+        ids=[f"{cls.__name__}.{next(iter(bad))}-{type(next(iter(bad.values()))).__name__}"
+             for cls, bad, _ in _MISTYPED],
+    )
+    def test_mistyped_field_is_named(self, cls, bad, message):
+        with pytest.raises(MessageValidationError, match=message):
+            cls(**dict(_VALID[cls], **bad))
+        payload = dict(cls(**_VALID[cls]).to_json(), **bad)
+        with pytest.raises(MessageValidationError, match=message):
+            cls.from_json(payload)
+
+    @pytest.mark.parametrize(
+        "cls, name",
+        [
+            (EvaluateJobSpec, "fraction"),
+            (VerifySweepJobSpec, "target_error"),
+            (VerifySweepJobSpec, "reach_box_scale"),
+            (VerifySweepJobSpec, "time_budget"),
+            (MatrixJobSpec, "fraction"),
+            (MatrixJobSpec, "budget_scale"),
+        ],
+    )
+    def test_integer_spelling_of_a_float_field_has_the_float_bytes(self, cls, name):
+        """``1`` and ``1.0`` describe one job, so they serialise (and digest) alike."""
+
+        as_int = cls(**dict(_VALID[cls], **{name: 1}))
+        as_float = cls(**dict(_VALID[cls], **{name: 1.0}))
+        assert type(getattr(as_int, name)) is float
+        assert as_int.to_line() == as_float.to_line()
+
+
+class TestSpecsAreFrozen:
+    @pytest.mark.parametrize("cls", list(_VALID), ids=lambda cls: cls.__name__)
+    def test_fields_cannot_be_reassigned(self, cls):
+        """A spec is a job's identity; mutating one after validation is refused."""
+
+        from dataclasses import FrozenInstanceError
+
+        spec = cls(**_VALID[cls])
+        name, value = next(iter(_VALID[cls].items()))
+        with pytest.raises(FrozenInstanceError):
+            setattr(spec, name, value)
+        assert cls.from_json(spec.to_json()) == spec
 
 
 class TestEngineFieldRetired:

@@ -104,6 +104,55 @@ class TestTrainDigestSharing:
             execute_train(spec)
 
 
+#: (spec field, explicit value, where the resolved CocktailConfig keeps it).
+TRAIN_BUDGETS = [
+    ("mixing_epochs", 2, ("mixing", "epochs")),
+    ("mixing_steps", 96, ("mixing", "steps_per_epoch")),
+    ("num_envs", 3, ("mixing", "num_envs")),
+    ("distill_epochs", 4, ("distillation", "epochs")),
+    ("dataset_size", 80, ("distillation", "dataset_size")),
+    ("train_batch_size", 5, ("distillation", "train_batch_size")),
+    ("eval_samples", 9, ("evaluation", "samples")),
+    ("eval_batch_size", 6, ("evaluation", "batch_size")),
+]
+
+
+class TestTrainResolution:
+    """Resolution is where a train job's budgets become its identity."""
+
+    def test_every_optional_spec_field_is_a_budget(self):
+        from dataclasses import fields
+
+        optional = [item.name for item in fields(TrainJobSpec) if item.default is None]
+        assert sorted(optional) == sorted(name for name, _, _ in TRAIN_BUDGETS
+                                          if name != "eval_batch_size")
+
+    @pytest.mark.parametrize("name, value, path", TRAIN_BUDGETS,
+                             ids=[name for name, _, _ in TRAIN_BUDGETS])
+    def test_explicit_budget_reaches_the_config_and_the_digest(self, name, value, path):
+        default = resolve_job(TrainJobSpec(system="pendulum"))
+        explicit = resolve_job(TrainJobSpec(system="pendulum", **{name: value}))
+        section, attribute = path
+        assert getattr(getattr(explicit["cocktail"], section), attribute) == value
+        assert getattr(getattr(default["cocktail"], section), attribute) != value
+        assert config_digest(explicit) != config_digest(default)
+
+    @pytest.mark.parametrize("system", ["3d", "acc", "cartpole", "pendulum", "vanderpol"])
+    def test_unset_budgets_take_the_scenario_hints(self, system):
+        from repro import CocktailConfig
+        from repro.scenarios import resolve_scenario
+
+        scenario, _ = resolve_scenario(system)
+        resolved = resolve_job(TrainJobSpec(system=system, seed=4))
+        assert resolved["system"] == scenario.name
+        assert resolved["params"] == dict(scenario.default_params)
+        assert resolved["cocktail"] == CocktailConfig.from_budget_hints(scenario.train_budget, seed=4)
+
+    def test_unknown_system_is_a_spec_error(self):
+        with pytest.raises(JobSpecError, match="unknown scenario 'quadrotor'"):
+            resolve_job(TrainJobSpec(system="quadrotor"))
+
+
 class TestEvaluateParity:
     def test_job_output_matches_the_cli_byte_for_byte(self, saved_controller_dir, capsys):
         code = main(["evaluate", "--system", "pendulum",
@@ -131,6 +180,24 @@ class TestEvaluateParity:
         assert config_digest(resolve_job(original)) == config_digest(resolve_job(moved))
         different = EvaluateJobSpec(system="pendulum", controller_dir=str(copy), samples=7)
         assert config_digest(resolve_job(different)) != config_digest(resolve_job(original))
+
+    @pytest.mark.parametrize(
+        "change",
+        [dict(perturbation="noise"), dict(fraction=0.2), dict(samples=7),
+         dict(batch_size=4), dict(seed=1), dict(controller="kappa_d")],
+        ids=lambda change: next(iter(change)),
+    )
+    def test_every_computing_field_changes_the_digest(self, saved_controller_dir, change):
+        from repro.nn import MLP
+        from repro.nn.serialization import save_state_dict
+
+        save_state_dict(MLP(2, 1, hidden_sizes=(5,)), saved_controller_dir / "kappa_d.npz")
+        (saved_controller_dir / "record.json").write_text(json.dumps({"controllers": {
+            "kappa_star": "kappa_star.npz", "kappa_d": "kappa_d.npz"}}))
+        base = dict(system="pendulum", controller_dir=str(saved_controller_dir))
+        original = resolve_job(EvaluateJobSpec(**base))
+        changed = resolve_job(EvaluateJobSpec(**base, **change))
+        assert config_digest(changed) != config_digest(original)
 
     def test_missing_controllers_keep_the_cli_message(self, tmp_path):
         spec = EvaluateJobSpec(system="pendulum", controller_dir=str(tmp_path / "void"))
@@ -207,6 +274,29 @@ class TestMatrixEquivalence:
             samples=8, train=False, verify=False, seed=0,
         ))
         assert config_digest(resolve_job(bigger)) != config_digest(resolve_job(MATRIX_SPEC))
+
+    def test_pool_width_is_not_part_of_the_identity(self):
+        assert resolve_job(replace(MATRIX_SPEC, jobs=3)) == resolve_job(MATRIX_SPEC)
+
+    @pytest.mark.parametrize(
+        "change",
+        [dict(scenarios=("vanderpol",)), dict(perturbations=("none",)), dict(samples=5),
+         dict(fraction=0.2), dict(train=True), dict(verify=True), dict(seed=1),
+         dict(budget_scale=0.5), dict(train_overrides={"mixing_epochs": 1}),
+         dict(verify_overrides={"degree": 2})],
+        ids=lambda change: next(iter(change)),
+    )
+    def test_every_grid_field_changes_the_digest(self, change):
+        changed = resolve_job(replace(MATRIX_SPEC, **change))
+        assert config_digest(changed) != config_digest(resolve_job(MATRIX_SPEC))
+
+    def test_empty_scenarios_resolve_to_the_whole_catalog(self):
+        from repro.scenarios import list_scenarios
+
+        catalog = replace(MATRIX_SPEC, scenarios=())
+        spelled_out = replace(MATRIX_SPEC, scenarios=tuple(list_scenarios()))
+        assert resolve_job(catalog)["scenarios"] == list_scenarios()
+        assert config_digest(resolve_job(catalog)) == config_digest(resolve_job(spelled_out))
 
     def test_unknown_scenario_keeps_the_registry_message(self):
         with pytest.raises(JobSpecError) as excinfo:

@@ -24,7 +24,11 @@ from repro.scenarios import (
     run_scenario_matrix,
     run_sharded_matrix,
 )
-from repro.scenarios.matrix import read_matrix_manifest
+from repro.scenarios.matrix import (
+    matrix_manifest,
+    read_matrix_manifest,
+    write_matrix_manifest,
+)
 
 #: Evaluate-only two-scenario matrix: (2 + 2 experts) x 2 perturbations.
 EVAL_KWARGS = dict(
@@ -145,6 +149,19 @@ class TestManifest:
         path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         merged = merge_matrix_run(tmp_path / "s")
         assert merged.to_csv(tmp_path / "merged.csv").read_bytes() == csv_bytes
+
+    @pytest.mark.parametrize(
+        "spec",
+        [EVAL_SPEC, PINNED_GRID, MatrixJobSpec(scenarios=("acc",), perturbations=("attack",),
+                                               samples=2, fraction=0.25, seed=9, jobs=4)],
+        ids=["eval-grid", "pinned-grid", "train-and-verify"],
+    )
+    def test_written_manifest_decodes_to_the_spec_it_records(self, tmp_path, spec):
+        """The merge rebuilds the sharded run's spec from the manifest alone."""
+
+        write_matrix_manifest(tmp_path, matrix_manifest(spec))
+        decoded = MatrixJobSpec.from_json(read_matrix_manifest(tmp_path))
+        assert decoded == replace(spec, scenarios=tuple(spec.scenarios), jobs=0)
 
     def test_plain_store_runs_write_no_manifest(self, tmp_path):
         run_scenario_matrix(EVAL_SPEC, run_dir=tmp_path / "s")
