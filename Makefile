@@ -47,7 +47,9 @@
 # perfbench student, the reach status, partition count, epsilon, reach steps
 # completed and work, invariant elimination sweeps and a sha256 over the
 # reach boxes and invariant mask (run it on two trees and diff the output
-# to check that verdicts are bit-identical); `train-digests`,
+# to check that verdicts are bit-identical; the digests do not depend on the
+# CPU count, and `taskset -c 0 $(MAKE) verify-digests` gives the one-CPU run,
+# where the invariant analysis computes every grid cell inline); `train-digests`,
 # its training twin, trains each paper system at the benchmark's `train`
 # budgets and widths, seed 0, and prints the weights digest of A_W's policy,
 # kappa* and kappa_D, a sha256 of each stage logger's history and a sha256

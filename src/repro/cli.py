@@ -105,7 +105,11 @@ def _add_system_argument(parser: argparse.ArgumentParser, default: Optional[str]
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="repro", description=__doc__)
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Cocktail reproduction: mix experts, distil a robust student, "
+        "evaluate and verify it, and run the scenario matrix.",
+    )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     train = subparsers.add_parser("train", help="run the Cocktail pipeline and save the students")

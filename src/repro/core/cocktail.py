@@ -143,10 +143,11 @@ class CocktailPipeline:
         ``kappa_D``'s distiller gets a copy of the generator advanced past
         ``kappa*``'s epochs, so it draws exactly what it would after
         ``kappa*``; afterwards this generator skips ``kappa_D``'s epochs and
-        ends where the sequential order leaves it.  On one CPU (or in a
-        daemonic process, which may not fork) the same task runs inline,
-        ``kappa*`` first.  A worker that dies raises
-        :class:`~repro.utils.parallel.WorkerLost` naming
+        ends where the sequential order leaves it.  On one CPU, or inside
+        another executor's pool worker or a daemonic process (executors do
+        not nest, so a matrix train cell distils both students in its
+        worker), the same task runs inline, ``kappa*`` first.  A worker that
+        dies raises :class:`~repro.utils.parallel.WorkerLost` naming
         ``direct_distillation``.  Returns both students and ``kappa_D``'s
         seconds.
         """

@@ -130,7 +130,8 @@ def execute_train(
     With a ``store``, an identical earlier train is restored instead of
     retrained; a fresh run is recorded under its config digest.  With
     ``spec.output`` the artefacts also land in that directory, exactly as
-    ``repro train --output`` always has.
+    ``repro train --output`` always has.  With neither, nothing is saved:
+    the returned payload is the whole result.
     """
 
     import shutil
@@ -180,6 +181,9 @@ def execute_train(
     )
     say(metrics_to_table(f"Cocktail on {spec.system}", metrics))
     record = {name: metric.as_dict() for name, metric in metrics.items()}
+    payload = {"system": spec.system, "seed": spec.seed, "metrics": record, "restored": False}
+    if not spec.output and store is None:
+        return payload  # nowhere to publish the artefacts
 
     scratch = None
     if spec.output:
@@ -210,7 +214,7 @@ def execute_train(
     finally:
         if scratch is not None:
             shutil.rmtree(scratch, ignore_errors=True)
-    return {"system": spec.system, "seed": spec.seed, "metrics": record, "restored": False}
+    return payload
 
 
 # ---------------------------------------------------------------------------

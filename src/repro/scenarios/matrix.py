@@ -1117,7 +1117,7 @@ def run_sharded_matrix(
     ``matrix_kwargs`` are the :class:`~repro.jobs.messages.MatrixJobSpec`
     fields of the grid.  The single-host stand-in for N hosts: each worker
     runs one :class:`ShardSpec` slice against the shared ``run_dir``
-    (workers are plain non-daemonic processes, so each may host its own
+    (workers are plain processes, not pool workers, so each may host its own
     pool when ``jobs > 1``).  A crashed worker leaves its unfinished cells
     missing: the merge then raises :class:`MatrixIncompleteError` naming
     them, and rerunning against the same ``run_dir`` completes them.

@@ -5,9 +5,12 @@ where spawning one worker process per job oversubscribes the machine and
 *loses* wall clock to context switching.  Every component that fans work
 out to processes derives its default worker count from
 :func:`available_cpu_count` instead of hard-coding one.  The scenario
-matrix, the verification sweep and kappa_D's distillation run their tasks
-on :class:`TaskExecutor`, whose lost worker is a typed :class:`WorkerLost`,
-never a hang.  Pool workers and :func:`spawn_workers` children, which
+matrix, the verification sweep, kappa_D's distillation and the
+invariant-set analysis's grid enclosures run their tasks on
+:class:`TaskExecutor`, whose lost worker is a typed :class:`WorkerLost`,
+never a hang.  Executors do not nest: one built inside a pool worker (or a
+daemonic process) runs its tasks inline, so a sweep's workers never fork
+pools of their own.  Pool workers and :func:`spawn_workers` children, which
 always run beside another process, first call :func:`single_threaded_blas`.
 
 The CPU count sizes process pools and nothing else: vectorization widths
@@ -89,6 +92,20 @@ def single_threaded_blas() -> None:
                 break
 
 
+#: True in a :class:`TaskExecutor` pool worker (set by its initializer).
+_IN_POOL_WORKER = False
+
+
+def _pool_worker() -> None:
+    """A :class:`TaskExecutor` worker's initializer: mark the process as a
+    pool worker, so an executor built in it runs inline, and keep one BLAS
+    thread."""
+
+    global _IN_POOL_WORKER
+    _IN_POOL_WORKER = True
+    single_threaded_blas()
+
+
 def _fork_context():
     """The multiprocessing context of every pool here: fork where the OS has it."""
 
@@ -116,7 +133,8 @@ class WorkerLost(RuntimeError):
 
 
 class TaskExecutor:
-    """The one executor of the matrix, the verification sweep and kappa_D.
+    """The one executor of the matrix, the verification sweep, kappa_D and
+    the invariant-set analysis.
 
     ``submit(label, fn, *args)`` queues ``fn(*args)`` on a fork pool of
     ``workers`` processes, each running :func:`single_threaded_blas` (the
@@ -126,8 +144,10 @@ class TaskExecutor:
     is some.  :meth:`wait` blocks until a task finishes and calls
     ``deliver(label, result)`` for every finished one in submission order,
     or re-raises a task's exception; the caller may submit between waits.
-    ``workers=0``, or a daemonic parent (which may not fork), runs each
-    task inline when it is waited for.  When a worker dies -- seen at
+    ``workers=0`` runs each task inline when it is waited for, and so does
+    an executor built inside another executor's pool worker or a daemonic
+    process: executors do not nest, so the outer pool's width stays the
+    process count.  When a worker dies -- seen at
     :meth:`wait` or at ``submit`` -- every finished task is still
     delivered, then one :class:`WorkerLost` names the lost ones.
     """
@@ -137,11 +157,12 @@ class TaskExecutor:
         from concurrent import futures
 
         self.deliver = deliver
-        self.workers = 0 if multiprocessing.current_process().daemon else max(0, int(workers))
+        nested = _IN_POOL_WORKER or multiprocessing.current_process().daemon
+        self.workers = 0 if nested else max(0, int(workers))
         self._pool = None
         if self.workers:
             self._pool = futures.ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=_fork_context(), initializer=single_threaded_blas
+                max_workers=self.workers, mp_context=_fork_context(), initializer=_pool_worker
             )
         #: In-flight tasks in submission order: a future (or, inline, the
         #: deferred call) -> its label.
@@ -225,8 +246,9 @@ def _single_threaded(target: Callable, *args) -> None:
 def spawn_workers(target: Callable, args_list: Sequence[Tuple]) -> List[int]:
     """Run ``target(*args)`` once per entry in plain worker processes.
 
-    Unlike a pool's, these workers are *not* daemonic, so each may fork its
-    own pool -- which is what a matrix shard with ``jobs > 1`` does
+    Unlike a :class:`TaskExecutor`'s pool workers, these are not marked as
+    pool workers (nor daemonic), so each may fork its own pool -- which is
+    what a matrix shard with ``jobs > 1`` does
     (:func:`repro.scenarios.run_sharded_matrix`).  All workers are started
     up front (the caller sizes the list; shards are coarse units, not a
     queue of small jobs) and joined in order; returns one exit code per

@@ -10,7 +10,11 @@ both analyses take that :class:`PartitionedApproximation`.
 The analyses run the frontier-batched partitioner and the stacked
 Bernstein/IBP enclosure kernels.  Many (controller, system) verification
 jobs can be fanned out across processes with
-:class:`repro.verification.sweep.VerificationSweep`.
+:class:`repro.verification.sweep.VerificationSweep`; with two CPUs the
+invariant-set analysis splits its grid's control enclosures between this
+process and one :class:`~repro.utils.parallel.TaskExecutor` worker.  Both
+run on the executor of the matrix and kappa_D, which does not nest: inside
+a sweep's pool worker the invariant analysis runs inline.
 """
 
 from __future__ import annotations

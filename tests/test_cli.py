@@ -85,6 +85,13 @@ class TestParser:
         assert _exit_code([verb, "--help"]) == 0
         assert f"usage: repro {verb}" in capsys.readouterr().out
 
+    def test_top_level_help_is_plain_and_lists_every_verb(self, capsys):
+        assert _exit_code(["--help"]) == 0
+        out = capsys.readouterr().out
+        assert "``" not in out
+        for verb in ("train", "evaluate", "verify", "verify-sweep", "scenarios", "runs"):
+            assert f"    {verb} " in out
+
     def test_verify_sweep_defaults(self):
         args = build_parser().parse_args(["verify-sweep", "--spec", "vanderpol:runs/vdp"])
         assert args.command == "verify-sweep"

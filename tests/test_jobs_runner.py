@@ -90,6 +90,25 @@ class TestTrainDigestSharing:
         reseeded = TrainJobSpec(seed=7, **base)
         assert config_digest(resolve_job(reseeded)) != config_digest(resolve_job(without))
 
+    def test_nowhere_to_publish_saves_nothing(self, tmp_path, monkeypatch):
+        """Without an output directory or a store the artefacts would be
+        staged and deleted unseen, so nothing is saved; the payload is the
+        one a saving run returns."""
+
+        import tempfile
+
+        from repro.utils import persistence
+
+        spec = TrainJobSpec(system="pendulum", **TINY_TRAIN_SPEC)
+        saved = execute_train(replace(spec, output=str(tmp_path / "out")))
+        calls = []
+        monkeypatch.setattr(persistence, "save_cocktail_result", lambda *a, **k: calls.append("save"))
+        monkeypatch.setattr(tempfile, "mkdtemp", lambda *a, **k: calls.append("mkdtemp"))
+        payload = execute_train(spec)
+        assert calls == []
+        assert payload == saved
+        assert payload["metrics"] and not payload["restored"]
+
     def test_negative_eval_batch_size_is_rejected_before_training(self, monkeypatch):
         import repro
 

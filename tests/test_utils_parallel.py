@@ -116,7 +116,7 @@ class TestSweepPoolRegression:
 
         from concurrent import futures
 
-        from repro.utils.parallel import single_threaded_blas
+        from repro.utils import parallel
 
         created = []
 
@@ -134,8 +134,14 @@ class TestSweepPoolRegression:
 
         monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordingPool)
         report = VerificationSweep(_dummy_jobs(3), processes=2).run()
-        assert created == [(2, single_threaded_blas)]
+        assert [width for width, _ in created] == [2]
         assert report.results == ["job0", "job1", "job2"]
+        # The initializer pins BLAS and marks the process as a pool worker.
+        pinned = []
+        monkeypatch.setattr(parallel, "single_threaded_blas", lambda: pinned.append("blas"))
+        monkeypatch.setattr(parallel, "_IN_POOL_WORKER", False)
+        created[0][1]()
+        assert pinned == ["blas"] and parallel._IN_POOL_WORKER
 
     @staticmethod
     def _verify_jobs(count):
@@ -351,6 +357,23 @@ def _raise():
     raise ArithmeticError("task exploded")
 
 
+def _nested_executor():
+    """A task that builds an executor of its own and reports
+    ``(its pid, the nested width, the pid the nested task ran in)``."""
+
+    pids = {}
+    with TaskExecutor(1, pids.__setitem__) as inner:
+        width = inner.workers
+        inner.submit("pid", _pid)
+        inner.drain()
+    return os.getpid(), width, pids["pid"]
+
+
+def _exit_unless_the_nested_executor_forks():
+    _, width, task_pid = _nested_executor()
+    os._exit(0 if width == 1 and task_pid != os.getpid() else 7)
+
+
 class _Deadline:
     """Fail (instead of hanging) when the body outlives ``seconds``."""
 
@@ -421,6 +444,26 @@ class TestTaskExecutor:
             executor.submit("pid", _pid)
             executor.drain()
         assert pids == {"pid": _PARENT}
+
+    def test_an_executor_inside_a_pool_worker_runs_inline(self):
+        """Executors do not nest: a pool worker's own executor runs its
+        tasks in that worker, so the outer width stays the process count."""
+
+        outcomes = {}
+        with TaskExecutor(1, outcomes.__setitem__) as executor:
+            executor.submit("nested", _nested_executor)
+            executor.drain()
+        worker_pid, width, task_pid = outcomes["nested"]
+        assert worker_pid != _PARENT
+        assert width == 0 and task_pid == worker_pid
+
+    def test_a_spawn_workers_child_still_forks_its_own_pool(self):
+        """The local matrix shards are not pool workers: each hosts its own pool."""
+
+        from repro.utils.parallel import spawn_workers
+
+        with _Deadline(60):
+            assert spawn_workers(_exit_unless_the_nested_executor_forks, [()]) == [0]
 
     @pytest.mark.parametrize("workers", [0, 1])
     def test_a_task_error_propagates(self, workers):

@@ -11,9 +11,10 @@ from repro.systems import VanDerPolOscillator
 from repro.systems.sets import Box
 from repro.systems.simulation import rollout
 from repro.verification.invariant import compute_invariant_set
-from repro.verification.partition import partition_network
+from repro.verification.partition import PartitionedApproximation, partition_network
 from repro.verification.reachability import reachable_sets
 from repro.verification.verifier import verify_controller
+from test_utils_parallel import _fake_cpu_count
 
 GRID_RESOLUTION = 20
 
@@ -111,6 +112,55 @@ class TestInvariantSet:
         result = compute_invariant_set(system, approximation, grid_resolution=6)
         assert result.num_partitions == approximation.num_partitions <= 16
         assert result.approximation_error == approximation.max_error
+
+
+class TestGridFanOut:
+    """With two CPUs half of the grid's control enclosures run on a worker."""
+
+    @staticmethod
+    def _compute(student, monkeypatch, cpus):
+        system, net = student
+        _fake_cpu_count(monkeypatch, cpus)
+        approximation = partition_network(net, system.safe_region, target_error=0.5, degree=3, max_partitions=4096)
+        return compute_invariant_set(system, approximation, grid_resolution=GRID_RESOLUTION)
+
+    def test_the_cpu_count_changes_no_result(self, oscillator_student, monkeypatch):
+        rows = []
+        original = PartitionedApproximation.control_bounds_batch
+
+        def record(self, lows, highs):
+            rows.append(len(lows))  # only calls made in this process land here
+            return original(self, lows, highs)
+
+        monkeypatch.setattr(PartitionedApproximation, "control_bounds_batch", record)
+        inline = self._compute(oscillator_student, monkeypatch, 1)
+        assert rows == [GRID_RESOLUTION**2 // 2] * 2
+        rows.clear()
+        fanned = self._compute(oscillator_student, monkeypatch, 2)
+        assert rows == [GRID_RESOLUTION**2 // 2]
+        assert 0 < inline.invariant_mask.sum() < GRID_RESOLUTION**2
+        assert inline.invariant_mask.tobytes() == fanned.invariant_mask.tobytes()
+        assert (inline.iterations, inline.work) == (fanned.iterations, fanned.work)
+
+    def test_killed_worker_raises_a_typed_error_naming_the_task(self, oscillator_student, monkeypatch):
+        import os
+        import signal
+
+        from repro.utils.parallel import WorkerLost
+
+        parent = os.getpid()
+        original = PartitionedApproximation.control_bounds_batch
+
+        def die_in_the_worker(self, lows, highs):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return original(self, lows, highs)
+
+        monkeypatch.setattr(PartitionedApproximation, "control_bounds_batch", die_in_the_worker)
+        with pytest.raises(WorkerLost, match="invariant_control_bounds") as caught:
+            self._compute(oscillator_student, monkeypatch, 2)
+        assert caught.value.tasks == ["invariant_control_bounds"]
+
 
 class TestVerifierDriver:
     def test_report_contains_both_analyses(self, oscillator_student):

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from verification_reference import BernsteinApproximation
 
 from repro.experiments.digest import weights_digest
@@ -113,6 +115,53 @@ class TestPiecewiseEvaluation:
         wide = one_box_bounds(approx, Box([-1, -1], [1, 1]))
         narrow = one_box_bounds(approx, Box([-0.1, -0.1], [0.1, 0.1]))
         assert np.all(narrow.upper - narrow.lower <= wide.upper - wide.lower + 1e-9)
+
+
+@pytest.fixture(scope="module")
+def split_approximation():
+    network = MLP(2, 1, hidden_sizes=(8, 8), activation="tanh", seed=0)
+    return partition_network(network, Box([-2, -2], [2, 2]), target_error=0.5, degree=3)
+
+
+def _query_stack(approximation, seed, count):
+    """``count`` query boxes: random sub-boxes of the domain and, every third
+    row, a whole partition (the memoised, covered path)."""
+
+    rng = np.random.default_rng(seed)
+    corners = rng.uniform(-2.0, 2.0, size=(2, count, 2))
+    lows, highs = corners.min(axis=0), corners.max(axis=0)
+    whole = rng.integers(0, approximation.num_partitions, size=count)
+    lows[::3] = approximation.lows[whole[::3]]
+    highs[::3] = approximation.highs[whole[::3]]
+    return lows, highs
+
+
+class TestSplitStacks:
+    """Each query row's enclosure is computed on its own: the invariant-set
+    analysis splits its grid stack across processes and concatenates."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(2, 150),
+        where=st.floats(0.0, 1.0),
+        warm=st.booleans(),
+    )
+    def test_split_and_concatenated_equals_the_whole_stack(self, split_approximation, seed, count, where, warm):
+        import copy
+
+        lows, highs = _query_stack(split_approximation, seed, count)
+        whole_lower, whole_upper = copy.deepcopy(split_approximation).control_bounds_batch(lows, highs)
+        approximation = copy.deepcopy(split_approximation)  # a fresh partition memo
+        if warm:  # every partition's refined IBP already memoised
+            approximation.control_bounds_batch(approximation.lows, approximation.highs)
+        split = min(count - 1, 1 + int(where * (count - 1)))
+        pieces = [
+            approximation.control_bounds_batch(lows[:split], highs[:split]),
+            approximation.control_bounds_batch(lows[split:], highs[split:]),
+        ]
+        assert np.concatenate([lower for lower, _ in pieces]).tobytes() == whole_lower.tobytes()
+        assert np.concatenate([upper for _, upper in pieces]).tobytes() == whole_upper.tobytes()
 
 
 #: (domain, target error, degree, partition budget) per summary case.
