@@ -4,9 +4,10 @@
 # when touching the experiments run store); `test-cov` enforces a >=80%
 # line-coverage floor on src/repro/experiments via tools/check_coverage.py
 # (pytest-cov when installed, a stdlib settrace collector otherwise), with
-# the shard/merge packs in its test list so the coverage floor spans the
-# sharded-run code too, and enforces the same floor on src/repro/scenarios
-# via the matrix executor, shard and resume packs, on src/repro/telemetry
+# the resume and shard/merge packs in its test list (the shard packs cover
+# the local two-shard stand-in the repo benchmark runs), and enforces the
+# same floor on src/repro/scenarios via the matrix executor, shard and
+# resume packs, on src/repro/telemetry
 # and src/repro/jobs via their test packs, on src/repro/rl via the PPO,
 # DDPG, policy, component, lockstep-env, GAE-property and training-digest
 # packs (the closed-form policy, critic and actor gradients, the caller-reset
@@ -27,12 +28,11 @@
 # differential pack, on src/repro/nn via the test_nn_*.py packs (layers,
 # Lipschitz bound, network, optimisers, serialisation, closed-form VJP),
 # and on src/repro/metrics via the metrics pack;
-# `shard-smoke` runs a real 2-shard matrix against one run directory,
-# merges it back end-to-end, and `cmp`s the merged CSV with the same matrix
-# run unsharded on a 2-worker pool (`--jobs 2`), once with a run directory and
-# once without (one CSV schema); `watch-smoke` runs two telemetry-emitting
-# shards, then exercises `runs watch --once` and `runs stats` against the
-# shared event log;
+# `matrix-smoke` runs a two-scenario evaluate-only matrix three times --
+# inline (`--jobs 1`) and on a 2-worker pool (`--jobs 2`) against run
+# directories, and on the pool without one -- `cmp`s the three CSVs (one
+# schema, the same bytes at every width) and runs `runs stats` on the
+# inline run's event log;
 # `scenario-smoke` runs the fast train->evaluate->verify cell for every
 # registered scenario (also collected by `test` via the scenario_smoke
 # pytest marker); `bench` regenerates the paper's tables/figures at the
@@ -41,7 +41,7 @@
 # repo benchmark's `train` workload with the per-layer trace on (optimizer
 # step, distillation, PPO collect and update); `perf-matrix SEED=N`
 # runs its `matrix` workload with the trace on (expert batch_controls, FGSM,
-# evaluation, run store, shards and merge); `perf-verify SEED=N` runs its
+# evaluation, run store, the two-shard stand-in and its merge); `perf-verify SEED=N` runs its
 # `verify` workload with the trace on (partition, Bernstein coefficients,
 # IBP, reach steps, invariant set); `verify-digests` prints, per frozen
 # perfbench student, the reach status, partition count, epsilon, reach steps
@@ -66,7 +66,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test test-fast test-cov shard-smoke watch-smoke scenario-smoke bench train-bench perf-train perf-verify perf-matrix verify-digests train-digests inputs-digests lint
+.PHONY: test test-fast test-cov matrix-smoke scenario-smoke bench train-bench perf-train perf-verify perf-matrix verify-digests train-digests inputs-digests lint
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -117,31 +117,17 @@ test-cov:
 	$(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/metrics \
 		tests/test_metrics.py
 
-SHARD_SMOKE_DIR ?= runs/shard-smoke
-shard-smoke:
-	rm -rf $(SHARD_SMOKE_DIR) $(SHARD_SMOKE_DIR)-jobs2
-	$(PYTHON) -m repro scenarios run --scenario pendulum --scenario cartpole \
-		--no-train --no-verify --samples 4 --run-dir $(SHARD_SMOKE_DIR) --shard 1/2
-	$(PYTHON) -m repro scenarios run --scenario pendulum --scenario cartpole \
-		--no-train --no-verify --samples 4 --run-dir $(SHARD_SMOKE_DIR) --shard 2/2
-	$(PYTHON) -m repro runs merge --run-dir $(SHARD_SMOKE_DIR) --csv $(SHARD_SMOKE_DIR)/matrix.csv
-	$(PYTHON) -m repro scenarios run --scenario pendulum --scenario cartpole \
-		--no-train --no-verify --samples 4 --run-dir $(SHARD_SMOKE_DIR)-jobs2 --jobs 2 \
-		--csv $(SHARD_SMOKE_DIR)-jobs2/matrix.csv
-	cmp $(SHARD_SMOKE_DIR)/matrix.csv $(SHARD_SMOKE_DIR)-jobs2/matrix.csv
-	$(PYTHON) -m repro scenarios run --scenario pendulum --scenario cartpole \
-		--no-train --no-verify --samples 4 --jobs 2 --csv $(SHARD_SMOKE_DIR)-jobs2/no-run-dir.csv
-	cmp $(SHARD_SMOKE_DIR)/matrix.csv $(SHARD_SMOKE_DIR)-jobs2/no-run-dir.csv
-
-WATCH_SMOKE_DIR ?= runs/watch-smoke
-watch-smoke:
-	rm -rf $(WATCH_SMOKE_DIR)
-	$(PYTHON) -m repro scenarios run --scenario pendulum --scenario cartpole \
-		--no-train --no-verify --samples 4 --run-dir $(WATCH_SMOKE_DIR) --shard 1/2
-	$(PYTHON) -m repro scenarios run --scenario pendulum --scenario cartpole \
-		--no-train --no-verify --samples 4 --run-dir $(WATCH_SMOKE_DIR) --shard 2/2
-	$(PYTHON) -m repro runs watch --run-dir $(WATCH_SMOKE_DIR) --once
-	$(PYTHON) -m repro runs stats --run-dir $(WATCH_SMOKE_DIR)
+MATRIX_SMOKE_DIR ?= runs/matrix-smoke
+MATRIX_SMOKE = $(PYTHON) -m repro scenarios run --scenario pendulum --scenario cartpole \
+	--no-train --no-verify --samples 4
+matrix-smoke:
+	rm -rf $(MATRIX_SMOKE_DIR)
+	$(MATRIX_SMOKE) --jobs 1 --run-dir $(MATRIX_SMOKE_DIR)/jobs1 --csv $(MATRIX_SMOKE_DIR)/jobs1.csv
+	$(MATRIX_SMOKE) --jobs 2 --run-dir $(MATRIX_SMOKE_DIR)/jobs2 --csv $(MATRIX_SMOKE_DIR)/jobs2.csv
+	$(MATRIX_SMOKE) --jobs 2 --csv $(MATRIX_SMOKE_DIR)/no-run-dir.csv
+	cmp $(MATRIX_SMOKE_DIR)/jobs1.csv $(MATRIX_SMOKE_DIR)/jobs2.csv
+	cmp $(MATRIX_SMOKE_DIR)/jobs1.csv $(MATRIX_SMOKE_DIR)/no-run-dir.csv
+	$(PYTHON) -m repro runs stats --run-dir $(MATRIX_SMOKE_DIR)/jobs1
 
 scenario-smoke:
 	REPRO_SCALE=quick $(PYTHON) -m pytest -q -m scenario_smoke tests

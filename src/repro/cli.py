@@ -29,10 +29,8 @@ Six sub-commands cover the daily workflow of the reproduction:
 
 ``runs``
     Inspect a digest-keyed experiment run store (``runs list``, ``runs
-    show DIGEST``), reassemble a sharded matrix run into the canonical
-    single-process CSV (``runs merge``), collect garbage (``runs gc``),
-    follow a running fleet live from its typed event log (``runs watch``)
-    or aggregate cross-run statistics from one or more run directories
+    show DIGEST``), collect garbage (``runs gc``) or aggregate cross-run
+    statistics from the typed event logs of one or more run directories
     (``runs stats``; see ``docs/telemetry.md``).
 
 Every ``--system`` argument resolves through the scenario registry
@@ -44,9 +42,6 @@ digest of its resolved config: rerunning an unchanged command serves the
 results from the store, and an interrupted ``scenarios run`` rerun against
 the same ``--run-dir`` executes only the missing cells (see
 ``docs/experiments.md``).
-``scenarios run --shard i/N`` splits one matrix into disjoint slices for
-hosts sharing a run directory, and ``runs merge`` reproduces the
-byte-identical single-process CSV.
 """
 
 from __future__ import annotations
@@ -72,21 +67,6 @@ def _scenario_argument(value: str) -> str:
     except ValueError as error:
         raise argparse.ArgumentTypeError(str(error))
     return value
-
-
-def _shard_argument(value: str):
-    """Validate a ``--shard I/N`` spec at parse time.
-
-    Malformed specs (``0/0``, ``3/2``, non-integers) are argparse errors:
-    exit code 2 with the reason on stderr.
-    """
-
-    from repro.scenarios import ShardSpec
-
-    try:
-        return ShardSpec.parse(value)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error))
 
 
 def _add_system_argument(parser: argparse.ArgumentParser, default: Optional[str] = "vanderpol") -> None:
@@ -275,28 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="recompute every cell and overwrite the store entries (needs --run-dir)",
     )
     run.add_argument(
-        "--shard",
-        type=_shard_argument,
-        default=None,
-        metavar="I/N",
-        help="run only shard I of N (1-based) against the shared --run-dir; every shard "
-        "writes digest-keyed cells into the same store, and `repro runs merge` "
-        "reassembles the full CSV once all cells exist",
-    )
-    run.add_argument(
-        "--shard-time-budget",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="with --shard: wall-clock budget for this shard; on exhaustion the report "
-        "status is 'resource-exhausted' and the remaining cells wait for a rerun of "
-        "this shard (0 = unbounded)",
-    )
-    run.add_argument(
         "--no-telemetry",
         action="store_true",
         help="do not append the typed event log under <run-dir>/events/ "
-        "(runs with --run-dir write it by default; see `repro runs watch`)",
+        "(runs with --run-dir write it by default; see `repro runs stats`)",
     )
 
     runs = subparsers.add_parser("runs", help="inspect or clean an experiment run store")
@@ -312,13 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     runs_show = runs_commands.add_parser("show", help="print one entry's config and result")
     runs_show.add_argument("--run-dir", type=Path, required=True)
     runs_show.add_argument("digest", help="entry digest (any unambiguous prefix)")
-    runs_merge = runs_commands.add_parser(
-        "merge", help="reassemble a sharded `scenarios run` into the single-process CSV"
-    )
-    runs_merge.add_argument("--run-dir", type=Path, required=True,
-                            help="the run directory the shards wrote into")
-    runs_merge.add_argument("--csv", type=Path, default=None,
-                            help="write the merged per-cell CSV to this path")
     runs_gc = runs_commands.add_parser(
         "gc", help="remove incomplete entries (and, with --stage, whole stages)"
     )
@@ -326,28 +281,14 @@ def build_parser() -> argparse.ArgumentParser:
     runs_gc.add_argument("--stage", action="append", default=None,
                          help="also remove every complete entry of this stage (repeatable)")
     runs_gc.add_argument("--dry-run", action="store_true", help="report what would be removed")
-    runs_watch = runs_commands.add_parser(
-        "watch", help="follow a running matrix fleet live from its event log"
-    )
-    runs_watch.add_argument("--run-dir", type=Path, required=True,
-                            help="the run directory a `scenarios run --run-dir` writes into")
-    runs_watch.add_argument("--once", action="store_true",
-                            help="print one snapshot frame and exit (for scripts and smoke tests)")
-    runs_watch.add_argument("--interval", type=float, default=2.0, metavar="SECONDS",
-                            help="seconds between frames (default 2)")
-    runs_watch.add_argument("--stale-after", type=float, default=15.0, metavar="SECONDS",
-                            help="seconds of event silence before an unfinished shard "
-                            "is flagged 'stale?' (default 15)")
     runs_stats = runs_commands.add_parser(
-        "stats", help="aggregate cross-run fleet statistics from event logs"
+        "stats", help="aggregate cross-run statistics from event logs"
     )
     runs_stats.add_argument("--run-dir", type=Path, action="append", required=True,
                             help="a run directory with an events/ log; repeatable to "
                             "aggregate across runs")
     runs_stats.add_argument("--json", action="store_true",
                             help="emit the full statistics as JSON with sorted keys")
-    runs_stats.add_argument("--stale-after", type=float, default=15.0, metavar="SECONDS",
-                            help="staleness window for the stale-shard diagnostic (default 15)")
 
     return parser
 
@@ -468,7 +409,7 @@ def _command_verify_sweep(args: argparse.Namespace) -> int:
 
 
 def _command_scenarios(args: argparse.Namespace) -> int:
-    from repro.scenarios import run_scenario_matrix, scenario_specs
+    from repro.scenarios import scenario_specs
 
     if args.scenario_command == "list":
         header = f"{'name':12s} {'dims':>4s} {'horizon':>8s} {'aliases':24s} description"
@@ -485,15 +426,9 @@ def _command_scenarios(args: argparse.Namespace) -> int:
 
     if args.force and args.run_dir is None:
         raise SystemExit("--force needs --run-dir (there is no store to overwrite)")
-    if args.shard_time_budget and args.shard is None:
-        raise SystemExit("--shard-time-budget needs --shard")
-    if args.shard is not None and args.run_dir is None:
-        raise SystemExit("--shard needs --run-dir (shards share one run store)")
-    if args.shard is not None and args.csv is not None:
-        raise SystemExit("--csv is not available on a single shard (its rows are partial); "
-                         "merge the full CSV afterwards with `repro runs merge --csv`")
 
     from repro.jobs.messages import MatrixJobSpec
+    from repro.jobs.runner import JobSpecError, execute_matrix
 
     spec = MatrixJobSpec(
         scenarios=tuple(args.scenario or ()),
@@ -506,70 +441,23 @@ def _command_scenarios(args: argparse.Namespace) -> int:
         budget_scale=args.budget_scale,
     )
     telemetry = False if args.no_telemetry else None
-    if args.shard is not None:
-        report = run_scenario_matrix(
-            spec,
-            run_dir=args.run_dir,
-            force=args.force,
-            shard=args.shard,
-            shard_time_budget=args.shard_time_budget or None,
-            telemetry=telemetry,
-            progress=print,
+    # The run routes through the job layer, so this path and a library
+    # caller's execute_matrix are the same code.
+    try:
+        report = execute_matrix(
+            spec, run_dir=args.run_dir, say=print, force=args.force, telemetry=telemetry
         )
-    else:
-        # The plain (unsharded) run routes through the job layer, so this
-        # path and a library caller's execute_matrix are the same code.
-        from repro.jobs.runner import JobSpecError, execute_matrix
-
-        try:
-            report = execute_matrix(
-                spec, run_dir=args.run_dir, say=print, force=args.force, telemetry=telemetry
-            )
-        except JobSpecError as error:
-            raise SystemExit(str(error))
+    except JobSpecError as error:
+        raise SystemExit(str(error))
     print(report.table())
     if args.run_dir is not None:
         print(
             f"run store {args.run_dir}: {report.cells_cached} cell(s) served from the store, "
             f"{report.cells_computed} computed"
         )
-    if args.shard is not None:
-        print(
-            f"shard {report.shard} ({report.status}): {report.cells_skipped} owned cell(s) "
-            f"left unrun; assemble the full matrix with "
-            f"`repro runs merge --run-dir {args.run_dir}`"
-        )
     if args.csv is not None:
         path = report.to_csv(args.csv)
         print(f"wrote per-cell records to {path}")
-    return 0
-
-
-def _runs_watch(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.telemetry import EventTailer, fold_events, render_watch
-    from repro.telemetry.emitter import events_dir
-
-    root = events_dir(args.run_dir)
-    if not root.is_dir():
-        raise SystemExit(
-            f"no event log under {args.run_dir} (expected {root}); telemetry is written "
-            "by `scenarios run --run-dir` -- pass the same --run-dir here"
-        )
-    tailer = EventTailer(args.run_dir)
-    state = fold_events(tailer.poll())
-    print(render_watch(state, stale_after=args.stale_after))
-    if args.once:
-        return 0
-    try:
-        while not state.all_finished:
-            time.sleep(args.interval)
-            state = fold_events(tailer.poll(), state=state)
-            print()
-            print(render_watch(state, stale_after=args.stale_after))
-    except KeyboardInterrupt:
-        pass
     return 0
 
 
@@ -586,7 +474,7 @@ def _runs_stats(args: argparse.Namespace) -> int:
             f"no event log under: {', '.join(missing)} (telemetry is written by "
             "`scenarios run --run-dir`)"
         )
-    stats = fleet_stats(run_dirs, stale_after=args.stale_after)
+    stats = fleet_stats(run_dirs)
     if args.json:
         print(json.dumps(stats, indent=2, sort_keys=True))
         return 0
@@ -615,13 +503,6 @@ def _runs_stats(args: argparse.Namespace) -> int:
         if "mean_safe_rate" in row:
             pieces.append(f"mean Sr {100.0 * row['mean_safe_rate']:.1f}%")
         print(f"  {name:14s} {' | '.join(pieces)}")
-    for straggler in stats["stragglers"]:
-        print(
-            f"  straggler: {straggler['cell']} {straggler['scenario']}:{straggler['controller']} "
-            f"took {straggler['seconds']:.2f}s ({straggler['factor']:.1f}x its kind's median)"
-        )
-    if stats["stale_shards"]:
-        print(f"  stale shard(s): {', '.join(stats['stale_shards'])}")
     return 0
 
 
@@ -630,36 +511,12 @@ def _command_runs(args: argparse.Namespace) -> int:
 
     from repro.experiments import RunStore
 
-    if args.runs_command == "watch":
-        return _runs_watch(args)
     if args.runs_command == "stats":
         return _runs_stats(args)
 
     store = RunStore(args.run_dir)
     if args.runs_command != "gc" and not store.root.is_dir():
         raise SystemExit(f"run directory {store.root} does not exist")
-
-    if args.runs_command == "merge":
-        from repro.scenarios import MatrixIncompleteError, MatrixManifestError, merge_matrix_run
-
-        try:
-            report = merge_matrix_run(args.run_dir, progress=print)
-        except FileNotFoundError:
-            raise SystemExit(
-                f"no matrix manifest in {args.run_dir}: only sharded `scenarios run "
-                f"--shard` runs record one (nothing to merge)"
-            )
-        except (MatrixIncompleteError, MatrixManifestError) as error:
-            raise SystemExit(str(error))
-        print(report.table())
-        print(
-            f"merged {report.num_cells} cell(s) from {store.root} "
-            f"({report.cells_cached} replayed)"
-        )
-        if args.csv is not None:
-            path = report.to_csv(args.csv)
-            print(f"wrote per-cell records to {path}")
-        return 0
 
     if args.runs_command == "list":
         entries = store.entries(stage=args.stage)

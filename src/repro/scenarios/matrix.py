@@ -41,36 +41,33 @@ matrix from disk.  Rows are deterministic (wall-clock timings stay in the
 telemetry log, not in the rows), so the CSV has one schema and is
 byte-identical whether the run was fresh, resumed, pooled or merged.
 
-Sharding
---------
-A :class:`ShardSpec` (``"i/N"``) gives each of N shards a disjoint slice
-of the grid, and each shard runs ``run_scenario_matrix(..., shard=...)``
-against a *shared* run directory -- on one host via
-:func:`run_sharded_matrix` worker processes, or across hosts via
-``repro scenarios run --shard i/N``.  Ownership is dealt so that shards
-never wait on each other (see :meth:`ShardSpec.owned`): a student's
-training, its kappa* evaluate cells and its verify cell belong to one
-shard, so every student is trained exactly once, and the expert evaluate
-cells are dealt after them, snake-wise.  A shard-level wall-clock budget mirrors the
-sweep's ``resource-exhausted`` semantics: on exhaustion the shard stops
-starting cells and a later run of the same shard resumes them.
-
-:func:`merge_matrix_run` then replays the whole grid from the store
-(``offline=True``: nothing may execute) and reassembles the rows in
-canonical order -- producing a CSV byte-identical to a single-process run,
-regardless of shard count or completion order.
+The local two-shard stand-in
+----------------------------
+The matrix runs on one host; ``jobs`` is its parallelism.
+:func:`run_sharded_matrix` is kept only because the repository benchmark's
+``matrix-shard2`` operation calls it, and it leaves with that operation in
+the benchmark cleanup (ROADMAP items 8 and 15).  It starts N plain worker
+processes, each running ``run_scenario_matrix(..., shard=ShardSpec(i, N))``
+against one shared run directory.  Ownership is dealt so that shards never
+wait on each other (see :meth:`ShardSpec.owned`): a student's training,
+its kappa* evaluate cells and its verify cell belong to one shard, so every
+student is trained exactly once, and the expert evaluate cells are dealt
+after them, snake-wise.  :func:`merge_matrix_run` then replays the whole
+grid from the store (``offline=True``: nothing may execute) and reassembles
+the rows in canonical order -- a CSV byte-identical to a single-process
+run, regardless of shard count or completion order.
 
 Telemetry
 ---------
 Runs against a caller's run store additionally append a typed event log
 under ``<run_dir>/events/`` (see :mod:`repro.telemetry`): every counter
 increment in the report pairs with exactly one ``cell-finished`` /
-``cell-cached`` event, plus run lifecycle, heartbeat, stage-timing and
-sweep-job events -- which is what ``repro runs watch`` tails live and
-``repro runs stats`` aggregates.  All wall-clock timings live *only* in
-that log; store entries and rows stay deterministic, so enabling telemetry
-cannot perturb the byte-identical CSV guarantee.  Offline replays (the
-merge) execute nothing and therefore emit nothing.
+``cell-cached`` event, plus run lifecycle, stage-timing and sweep-job
+events -- which is what ``repro runs stats`` aggregates.  All wall-clock
+timings live *only* in that log; store entries and rows stay
+deterministic, so enabling telemetry cannot perturb the byte-identical CSV
+guarantee.  Offline replays (the merge) execute nothing and therefore emit
+nothing.
 """
 
 from __future__ import annotations
@@ -115,7 +112,7 @@ _TIMING_KEYS = ("total_seconds", "reach_seconds", "invariant_seconds")
 _SCALABLE_HINTS = ("mixing_epochs", "mixing_steps", "distill_epochs", "dataset_size", "eval_samples")
 
 #: Manifest file a sharded run writes into its run directory so that
-#: ``repro runs merge`` can replay the exact same grid.
+#: :func:`merge_matrix_run` can replay the exact same grid.
 MANIFEST_FILE = "matrix.json"
 
 def scale_budget_hints(hints: Mapping[str, object], factor: float) -> Dict[str, object]:
@@ -137,7 +134,8 @@ class ShardSpec:
     and :meth:`owned` maps the canonical cells (:func:`plan_matrix_cells`)
     to units.  Every unit is owned by exactly one shard, shards are
     pairwise disjoint, their union is exhaustive, and unit counts differ by
-    at most one.
+    at most one.  Only :func:`run_sharded_matrix` deals shards; both leave
+    with the benchmark's ``matrix-shard2`` operation (ROADMAP items 8 and 15).
     """
 
     index: int
@@ -150,19 +148,6 @@ class ShardSpec:
             raise ValueError(
                 f"bad shard spec {self.index}/{self.count}: index must be in 1..{self.count}"
             )
-
-    @classmethod
-    def parse(cls, text: str) -> "ShardSpec":
-        """Parse an ``"i/N"`` spec; raises ValueError with the reason."""
-
-        pieces = str(text).split("/")
-        if len(pieces) != 2:
-            raise ValueError(f"bad shard spec {text!r}: expected I/N (e.g. 2/4)")
-        try:
-            index, count = int(pieces[0]), int(pieces[1])
-        except ValueError:
-            raise ValueError(f"bad shard spec {text!r}: I and N must be integers")
-        return cls(index=index, count=count)
 
     def owns(self, unit: int) -> bool:
         """Whether the unit numbered ``unit`` belongs to this shard.
@@ -204,9 +189,6 @@ class ShardSpec:
             if self.owns(unit):
                 positions.append(position)
         return positions
-
-    def __str__(self) -> str:
-        return f"{self.index}/{self.count}"
 
 
 @dataclass(frozen=True)
@@ -275,8 +257,7 @@ class MatrixIncompleteError(RuntimeError):
             preview += ", ..."
         super().__init__(
             f"run store is missing {len(self.missing)} cell(s): {preview} -- "
-            "run the remaining shards (or rerun an interrupted shard against the same "
-            "--run-dir) before merging"
+            "rerun the matrix against the same run directory to compute them, then merge"
         )
 
 
@@ -294,11 +275,11 @@ class ScenarioMatrixReport:
     #: Stage executions vs run-store replays.
     cells_computed: int = 0
     cells_cached: int = 0
-    #: Owned cells left unrun because ``shard_time_budget`` expired.
+    #: Owned cells that produced no row: 0 whenever the run returns.  It
+    #: and ``status`` (always ``"ok"``) stay because the repository
+    #: benchmark checks both; they leave with it (ROADMAP items 8 and 15).
     cells_skipped: int = 0
-    #: ``"resource-exhausted"`` when a shard wall-clock budget expired.
     status: str = "ok"
-    shard: Optional[str] = None
 
     @property
     def num_cells(self) -> int:
@@ -528,22 +509,11 @@ class _MatrixExecution:
 
     def __init__(self, **kwargs):
         self.__dict__.update(kwargs)
-        self.report = ScenarioMatrixReport(
-            scenarios=list(self.names), shard=str(self.shard) if self.shard else None
-        )
+        self.report = ScenarioMatrixReport(scenarios=list(self.names))
         self.missing: List[str] = []
         self.start = time.perf_counter()
-        self.deadline = (
-            None if self.shard_time_budget is None else self.start + float(self.shard_time_budget)
-        )
 
     # -- helpers -------------------------------------------------------
-    def _out_of_time(self) -> bool:
-        if self.deadline is not None and time.perf_counter() > self.deadline:
-            self.report.status = "resource-exhausted"
-            return True
-        return False
-
     def _contexts(self) -> List[_ScenarioContext]:
         contexts = []
         for name in self.names:
@@ -791,17 +761,6 @@ class _MatrixExecution:
         self._record(row)
 
     # -- main flow -----------------------------------------------------
-    def _telemetry_counters(self) -> Dict[str, int]:
-        """Heartbeat payload: the report's counters (read-only snapshot)."""
-
-        report = self.report
-        return {
-            "cells_done": report.cells_computed + report.cells_cached,
-            "cells_computed": report.cells_computed,
-            "cells_cached": report.cells_cached,
-            "cells_skipped": report.cells_skipped,
-        }
-
     def run(self) -> ScenarioMatrixReport:
         global _CONTEXTS
 
@@ -821,8 +780,7 @@ class _MatrixExecution:
         )
         previous, _CONTEXTS = _CONTEXTS, {ctx.name: ctx for ctx in contexts}
         try:
-            with self.tele.heartbeats(self._telemetry_counters):
-                self._execute(owned)
+            self._execute(owned)
         finally:
             _CONTEXTS = previous
 
@@ -842,8 +800,6 @@ class _MatrixExecution:
             rows=len(self.report.rows),
             seconds=self.report.elapsed_seconds,
         )
-        if self.shard is not None:
-            self._write_shard_summary()
         return self.report
 
     def _execute(self, owned: Sequence[MatrixCell]) -> None:
@@ -887,7 +843,7 @@ class _MatrixExecution:
 
         with TaskExecutor(width if width > 1 else 0, deliver) as executor:
             while True:
-                while ready and not executor.full and not self._out_of_time():
+                while ready and not executor.full:
                     cell = ready.popleft()
                     work = self._work(cell)
                     if work is None:
@@ -901,27 +857,6 @@ class _MatrixExecution:
                     break
                 executor.wait()
 
-    def _write_shard_summary(self) -> None:
-        """Per-shard accounting dropped next to the store (ops + tests)."""
-
-        root = self.store.root / "shards"
-        root.mkdir(parents=True, exist_ok=True)
-        path = root / f"{self.shard.index}-of-{self.shard.count}.json"
-        staging = path.with_name(f".tmp-{path.name}-{os.getpid()}")
-        summary = {
-            "shard": str(self.shard),
-            "status": self.report.status,
-            "cells_computed": self.report.cells_computed,
-            "cells_cached": self.report.cells_cached,
-            "cells_skipped": self.report.cells_skipped,
-            "rows": len(self.report.rows),
-            "elapsed_seconds": self.report.elapsed_seconds,
-        }
-        with staging.open("w") as handle:
-            json.dump(summary, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        os.replace(staging, path)
-
 
 def run_scenario_matrix(
     spec: "MatrixJobSpec",
@@ -929,8 +864,7 @@ def run_scenario_matrix(
     store=None,
     run_dir: Optional[Union[str, Path]] = None,
     force: bool = False,
-    shard: Optional[Union[str, ShardSpec]] = None,
-    shard_time_budget: Optional[float] = None,
+    shard: Optional[ShardSpec] = None,
     offline: bool = False,
     telemetry: Optional[bool] = None,
     progress: Optional[Callable[[str], None]] = None,
@@ -966,15 +900,11 @@ def run_scenario_matrix(
     is invoked with each row right after it is flushed and appended; an
     exception raised there aborts the run but loses no completed cell.
 
-    ``shard`` (a :class:`ShardSpec` or ``"i/N"`` string; requires a store)
-    restricts execution to that shard's slice of the grid
-    (:meth:`ShardSpec.owned`); shards share nothing but the store and never
-    wait on each other.  ``shard_time_budget`` bounds the shard's wall
-    clock: on expiry it starts no further cell, counts the rest as
-    ``cells_skipped`` and reports ``status == "resource-exhausted"``; a
-    rerun of the same shard resumes them.  A sharded run writes a
-    matrix manifest into the run directory; assemble the full CSV
-    afterwards with :func:`merge_matrix_run` (``repro runs merge``).
+    ``shard`` (a :class:`ShardSpec`; requires a store) restricts execution
+    to that shard's slice of the grid (:meth:`ShardSpec.owned`) and writes
+    a matrix manifest into the run directory for :func:`merge_matrix_run`.
+    Only :func:`run_sharded_matrix`, the benchmark's two-shard stand-in,
+    passes it.
 
     ``offline=True`` replays *everything* from the store and raises
     :class:`MatrixIncompleteError` if any cell is missing -- the merge
@@ -988,17 +918,14 @@ def run_scenario_matrix(
     temporary store never gets one); ``False`` disables it explicitly, and
     ``True`` without a store (or with ``offline=True``, which executes
     nothing) is an error.  The log never influences rows, store entries or
-    CSVs -- it is written beside them for ``repro runs watch`` / ``repro
-    runs stats``, as ``events/main.jsonl`` (``events/shard-i-of-N.jsonl``
-    for a shard).
+    CSVs -- it is written beside them for ``repro runs stats``, as
+    ``events/main.jsonl`` (``events/shard-i-of-N.jsonl`` for a shard).
     """
 
     manifest = matrix_manifest(spec)
     names = manifest["scenarios"]
     if not names:
         raise ValueError("no scenarios to run; the catalog is empty")
-    if isinstance(shard, str):
-        shard = ShardSpec.parse(shard)
     if offline and (force or shard is not None):
         raise ValueError("offline replay cannot be combined with force= or shard=")
     scratch = None
@@ -1036,7 +963,6 @@ def run_scenario_matrix(
         store=store,
         reuse=not force,
         shard=shard,
-        shard_time_budget=shard_time_budget,
         offline=offline,
         tele=tele,
     )
@@ -1077,7 +1003,9 @@ def merge_matrix_run(
     manifest that is not a matrix spec :class:`MatrixManifestError`).  The
     resulting report -- and its CSV -- is byte-identical to running the
     same matrix in a single process, which is what the shard regression
-    pack pins.
+    pack pins.  It is the second half of :func:`run_sharded_matrix`, which
+    the repository benchmark calls (and times by name); both leave with
+    that benchmark operation (ROADMAP items 8 and 15).
     """
 
     from repro.jobs.messages import MatrixJobSpec
@@ -1112,13 +1040,16 @@ def run_sharded_matrix(
     progress: Optional[Callable[[str], None]] = None,
     **matrix_kwargs,
 ) -> ScenarioMatrixReport:
-    """Run ``shards`` local ``--shard i/N`` processes against one store, then merge.
+    """Run ``shards`` local shard processes against one store, then merge.
 
     ``matrix_kwargs`` are the :class:`~repro.jobs.messages.MatrixJobSpec`
-    fields of the grid.  The single-host stand-in for N hosts: each worker
-    runs one :class:`ShardSpec` slice against the shared ``run_dir``
-    (workers are plain processes, not pool workers, so each may host its own
-    pool when ``jobs > 1``).  A crashed worker leaves its unfinished cells
+    fields of the grid.  Each worker runs one :class:`ShardSpec` slice
+    against the shared ``run_dir`` (workers are plain processes, not pool
+    workers, so each may host its own pool when ``jobs > 1``) and logs to
+    ``events/shard-i-of-N.jsonl``.  On one host ``jobs`` does the same work
+    with no merge: this function stays only because the repository
+    benchmark's ``matrix-shard2`` operation calls it, and it leaves with
+    that operation (ROADMAP items 8 and 15).  A crashed worker leaves its unfinished cells
     missing: the merge then raises :class:`MatrixIncompleteError` naming
     them, and rerunning against the same ``run_dir`` completes them.
     """

@@ -1,4 +1,4 @@
-"""Typed run telemetry: versioned event log, live tailer, fleet stats.
+"""Typed run telemetry: versioned event log, one-shot reader, run stats.
 
 The observability layer over the scenario-matrix / run-store machinery:
 
@@ -7,12 +7,16 @@ The observability layer over the scenario-matrix / run-store machinery:
   reads);
 * :mod:`repro.telemetry.emitter` -- crash-safe append-only JSONL logs
   under ``<run_dir>/events/<source>.jsonl``, one file per process;
-* :mod:`repro.telemetry.reader` -- a tailer that multiplexes and
-  time-orders events across shard files for live follow;
-* :mod:`repro.telemetry.aggregate` -- cross-run fleet statistics (exact
-  computed/cached accounting, cache hit rate, cost per cell, verified
-  fractions, straggler and stale-shard detection) plus the ``repro runs
-  watch`` rendering.
+* :mod:`repro.telemetry.reader` -- a one-shot read that multiplexes and
+  time-orders the events of every file of a run directory;
+* :mod:`repro.telemetry.aggregate` -- cross-run statistics behind ``repro
+  runs stats`` (exact computed/cached accounting, cache hit rate, cost per
+  cell and stage, verified fractions).
+
+A matrix run on one host writes ``events/main.jsonl``.  The per-shard
+files (``events/shard-i-of-N.jsonl``) come only from
+:func:`repro.scenarios.run_sharded_matrix`, the two-shard stand-in the
+repository benchmark calls; they leave with it (ROADMAP items 8 and 15).
 
 Wall-clock timings live *only* in this event stream; run-store rows stay
 timing-free and deterministic, which is what keeps merged matrix CSVs
@@ -28,7 +32,6 @@ from repro.telemetry.events import (
     EventValidationError,
     RunFinished,
     RunStarted,
-    ShardHeartbeat,
     StageTiming,
     SweepJobFinished,
     TelemetryEvent,
@@ -42,17 +45,13 @@ from repro.telemetry.emitter import (
     TelemetryEmitter,
     events_dir,
 )
-from repro.telemetry.reader import EventTailer, read_events
+from repro.telemetry.reader import read_events
 from repro.telemetry.aggregate import (
     FleetState,
     ShardState,
     accounting,
-    find_stragglers,
     fleet_stats,
     fold_events,
-    render_watch,
-    stale_shards,
-    watch_snapshot,
 )
 
 __all__ = [
@@ -61,13 +60,11 @@ __all__ = [
     "CellCached",
     "CellFinished",
     "CellStarted",
-    "EventTailer",
     "EventValidationError",
     "FleetState",
     "NullTelemetryEmitter",
     "RunFinished",
     "RunStarted",
-    "ShardHeartbeat",
     "ShardState",
     "StageTiming",
     "SweepJobFinished",
@@ -77,12 +74,8 @@ __all__ = [
     "accounting",
     "decode_line",
     "events_dir",
-    "find_stragglers",
     "fleet_stats",
     "fold_events",
     "parse_event",
     "read_events",
-    "render_watch",
-    "stale_shards",
-    "watch_snapshot",
 ]

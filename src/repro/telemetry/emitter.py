@@ -1,17 +1,17 @@
 """Crash-safe append-only JSONL event logs.
 
 One :class:`TelemetryEmitter` owns one file, ``<run_dir>/events/<source>.jsonl``
--- one file per emitting process, so concurrent shards never contend on a
-lock, and the reader multiplexes.  Every event is a single complete line
-written with one ``os.write`` to an ``O_APPEND`` descriptor, which POSIX
-guarantees lands atomically: a fleet of workers (or threads inside one
-worker -- the heartbeat thread emits concurrently) can only ever interleave
-whole lines, never tear one.  A worker killed mid-write leaves at most one
-truncated final line, which the reader skips; everything before it is
-intact -- the same at-most-one-partial-artefact contract the run store's
-atomic publish gives.
+-- one file per emitting process, so concurrent processes never contend
+on a lock, and the reader multiplexes.  Every event is a single complete
+line written with one ``os.write`` to an ``O_APPEND`` descriptor, which
+POSIX guarantees lands atomically: concurrent writers (processes, or
+threads sharing one emitter) can only ever interleave whole lines, never
+tear one.  A worker killed mid-write leaves at most one truncated final
+line, which the reader skips; everything before it is intact -- the same
+at-most-one-partial-artefact contract the run store's atomic publish
+gives.
 
-Telemetry must never take a fleet down: once the log file cannot be
+Telemetry must never take a run down: once the log file cannot be
 written (disk full, directory removed), the emitter goes quiet instead of
 raising, and ``broken`` reports it.
 
@@ -21,14 +21,13 @@ pin the wire format byte for byte.
 
 from __future__ import annotations
 
-import contextlib
 import os
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Dict, Optional, Type, Union
+from typing import Callable, Optional, Type, Union
 
-from repro.telemetry.events import ShardHeartbeat, TelemetryEvent
+from repro.telemetry.events import TelemetryEvent
 
 __all__ = ["EVENTS_DIRNAME", "events_dir", "TelemetryEmitter", "NullTelemetryEmitter"]
 
@@ -45,7 +44,7 @@ def events_dir(run_dir: Union[str, Path]) -> Path:
 class TelemetryEmitter:
     """Appends typed events to ``<run_dir>/events/<source>.jsonl``.
 
-    ``source`` labels the emitting process (``"main"``, ``"shard-1-of-4"``)
+    ``source`` labels the emitting process (``"main"``, ``"shard-1-of-2"``)
     and becomes both the file name and every event's ``shard`` field; the
     emitter stamps ``ts`` from ``clock`` at emit time.  Use as a context
     manager, or call :meth:`close` when the run ends.
@@ -67,8 +66,6 @@ class TelemetryEmitter:
         self.broken = False
         self._fd: Optional[int] = None
         self._lock = threading.Lock()
-        self._hb_stop: Optional[threading.Event] = None
-        self._hb_thread: Optional[threading.Thread] = None
 
     # -- lifecycle -----------------------------------------------------
     def __enter__(self) -> "TelemetryEmitter":
@@ -78,9 +75,8 @@ class TelemetryEmitter:
         self.close()
 
     def close(self) -> None:
-        """Stop heartbeats and release the file descriptor (idempotent)."""
+        """Release the file descriptor (idempotent)."""
 
-        self.stop_heartbeats()
         with self._lock:
             if self._fd is not None:
                 os.close(self._fd)
@@ -111,46 +107,6 @@ class TelemetryEmitter:
             return None
         return event
 
-    # -- heartbeats ----------------------------------------------------
-    def start_heartbeats(
-        self, snapshot: Callable[[], Dict[str, int]], interval: float = 5.0
-    ) -> None:
-        """Emit a :class:`ShardHeartbeat` now and then every ``interval`` s.
-
-        ``snapshot`` supplies the heartbeat's counter fields; it runs on the
-        beacon thread, so it must only read (the matrix passes a closure
-        over its report counters).
-        """
-
-        self.stop_heartbeats()
-        stop = threading.Event()
-
-        def beat() -> None:
-            while not stop.wait(interval):
-                self.emit(ShardHeartbeat, **snapshot())
-
-        self.emit(ShardHeartbeat, **snapshot())
-        self._hb_stop = stop
-        self._hb_thread = threading.Thread(target=beat, daemon=True)
-        self._hb_thread.start()
-
-    def stop_heartbeats(self) -> None:
-        if self._hb_stop is not None:
-            self._hb_stop.set()
-            self._hb_thread.join()
-            self._hb_stop = None
-            self._hb_thread = None
-
-    @contextlib.contextmanager
-    def heartbeats(self, snapshot: Callable[[], Dict[str, int]], interval: float = 5.0):
-        """Scoped :meth:`start_heartbeats`/:meth:`stop_heartbeats`."""
-
-        self.start_heartbeats(snapshot, interval=interval)
-        try:
-            yield self
-        finally:
-            self.stop_heartbeats()
-
 
 class NullTelemetryEmitter:
     """The do-nothing emitter used when telemetry is disabled.
@@ -172,16 +128,6 @@ class NullTelemetryEmitter:
 
     def emit(self, event_type, **fields) -> None:
         return None
-
-    def start_heartbeats(self, snapshot, interval: float = 5.0) -> None:
-        return None
-
-    def stop_heartbeats(self) -> None:
-        return None
-
-    @contextlib.contextmanager
-    def heartbeats(self, snapshot, interval: float = 5.0):
-        yield self
 
     def close(self) -> None:
         return None

@@ -4,8 +4,8 @@ Every message the telemetry stream carries is one validated dataclass --
 the ``named_types`` idiom: the class *is* the schema.  Each event declares
 a wire name (``TYPE``), a ``SCHEMA_VERSION``, and typed fields that are
 checked on construction, so a malformed event fails loudly at the emitter
-instead of silently corrupting a log that a live ``repro runs watch`` or a
-cross-run ``repro runs stats`` aggregation reads later.
+instead of silently corrupting a log that a cross-run ``repro runs stats``
+aggregation reads later.
 
 The generic machinery (field validation, strict/tolerant ``from_json``,
 registry routing) lives in :mod:`repro.utils.messages` and is shared with
@@ -24,8 +24,9 @@ round-trip), and :func:`parse_event` is *forward tolerant*: a payload whose
 ``version`` is newer than this reader's class is decoded best-effort from
 the fields it knows (unknown extra fields are ignored), and a payload whose
 type is unknown altogether comes back as an :class:`UnknownEvent` instead
-of an exception -- an old ``watch`` client keeps working against a newer
-fleet.  Within the *same* version the contract is strict: missing or
+of an exception -- an old reader keeps working against a newer log (and a
+log line of a retired type, such as ``shard-heartbeat`` or ``cell-stolen``,
+folds as an unknown event).  Within the *same* version the contract is strict: missing or
 mistyped fields raise :class:`EventValidationError`.
 
 Versioning policy (see ``docs/telemetry.md``): adding an *optional* field
@@ -54,7 +55,6 @@ __all__ = [
     "CellStarted",
     "CellFinished",
     "CellCached",
-    "ShardHeartbeat",
     "SweepJobFinished",
     "StageTiming",
     "RunFinished",
@@ -84,8 +84,8 @@ class TelemetryEvent(TypedMessage):
     """Base event: a timestamp plus the emitting source ("shard") label.
 
     ``ts`` is unix seconds stamped by the emitter; ``shard`` names the
-    event-log file the line lives in (``"main"``, ``"shard-2-of-4"``, ...),
-    which is how the reader attributes liveness per worker.
+    event-log file the line lives in (``"main"``, ``"shard-2-of-2"``), which
+    is how the fold attributes accounting per process.
     """
 
     ts: float
@@ -180,24 +180,6 @@ class CellCached(TelemetryEvent):
 
 @register_event
 @dataclass(frozen=True)
-class ShardHeartbeat(TelemetryEvent):
-    """Periodic liveness beacon with the shard's running accounting."""
-
-    TYPE: ClassVar[str] = "shard-heartbeat"
-    cells_done: int = 0
-    cells_computed: int = 0
-    cells_cached: int = 0
-    cells_stolen: int = 0
-    cells_skipped: int = 0
-
-    def _validate(self) -> None:
-        _require_counts(
-            self, "cells_done", "cells_computed", "cells_cached", "cells_stolen", "cells_skipped"
-        )
-
-
-@register_event
-@dataclass(frozen=True)
 class SweepJobFinished(TelemetryEvent):
     """One verification job of a scenario matrix's verify cell completed.
 
@@ -239,7 +221,12 @@ class StageTiming(TelemetryEvent):
 @register_event
 @dataclass(frozen=True)
 class RunFinished(TelemetryEvent):
-    """A matrix runner finished; final accounting mirrors its report."""
+    """A matrix runner finished; final accounting mirrors its report.
+
+    ``cells_stolen`` is always 0 (work stealing is gone); it stays because
+    the repository benchmark reads it, and leaves with that benchmark
+    operation (ROADMAP items 8 and 15).
+    """
 
     TYPE: ClassVar[str] = "run-finished"
     status: str = "ok"
@@ -303,7 +290,7 @@ def decode_line(line) -> Optional[TelemetryEvent]:
 
     Torn or truncated lines (a worker died mid-append) and non-JSON debris
     return ``None``; structurally valid JSON that fails typing comes back
-    as :class:`UnknownEvent` -- a live tailer must never crash on one bad
+    as :class:`UnknownEvent` -- a reader must never crash on one bad
     line.
     """
 

@@ -1,16 +1,12 @@
-"""Multiplexing tailer over a run directory's shard event logs.
+"""One-shot, multiplexed read of a run directory's event logs.
 
-Each worker process appends to its own ``events/<source>.jsonl``; the
-reader's job is the other half of the contract: discover every log file
-(including files that appear mid-run, e.g. a late-joining shard), read only
-what is new since the last poll, skip a torn final line until its writer
-completes it, and hand back one time-ordered stream -- events sorted by
-``ts`` with a stable (file, sequence) tie-break so replays are
-deterministic even when shards share a clock tick.
-
-:class:`EventTailer` is the incremental interface ``repro runs watch``
-polls; :func:`read_events` is the one-shot whole-history read that
-aggregation (``repro runs stats``) uses.
+Each process appends to its own ``events/<source>.jsonl``;
+:func:`read_events` is the other half of that contract: read every log
+file, skip a torn final line (its writer died mid-append, or is still
+appending), and hand back one time-ordered stream -- events sorted by
+``ts`` with a stable (file, sequence) tie-break, so a read is
+deterministic even when two processes share a clock tick.  Aggregation
+(``repro runs stats``) folds what it returns.
 """
 
 from __future__ import annotations
@@ -21,53 +17,25 @@ from typing import List, Union
 from repro.telemetry.emitter import events_dir
 from repro.telemetry.events import TelemetryEvent, decode_line
 
-__all__ = ["EventTailer", "read_events"]
-
-
-class EventTailer:
-    """Incremental, multiplexed reads over ``<run_dir>/events/*.jsonl``.
-
-    Per-file byte offsets persist across :meth:`poll` calls, so each call
-    returns exactly the events appended since the previous one (first call:
-    the whole history).  A trailing line without its newline is *not*
-    consumed -- the offset stays before it, and the next poll retries once
-    the writer (or its crash) resolves it.
-    """
-
-    def __init__(self, run_dir: Union[str, Path]):
-        self.root = events_dir(run_dir)
-        self._offsets: dict = {}
-        self._sequence: dict = {}
-
-    def poll(self) -> List[TelemetryEvent]:
-        """All events appended since the last poll, time-ordered."""
-
-        if not self.root.is_dir():
-            return []
-        batch = []
-        for path in sorted(self.root.glob("*.jsonl")):
-            name = path.name
-            offset = self._offsets.get(name, 0)
-            try:
-                with path.open("rb") as handle:
-                    handle.seek(offset)
-                    data = handle.read()
-            except OSError:
-                continue
-            end = data.rfind(b"\n")
-            if end < 0:
-                continue  # nothing complete yet (or a torn final line)
-            self._offsets[name] = offset + end + 1
-            for line in data[:end].split(b"\n"):
-                sequence = self._sequence[name] = self._sequence.get(name, 0) + 1
-                event = decode_line(line)
-                if event is not None:
-                    batch.append((event.ts, name, sequence, event))
-        batch.sort(key=lambda item: item[:3])
-        return [item[3] for item in batch]
+__all__ = ["read_events"]
 
 
 def read_events(run_dir: Union[str, Path]) -> List[TelemetryEvent]:
-    """One-shot time-ordered read of a run directory's full event history."""
+    """Every complete event under ``<run_dir>/events/``, time-ordered."""
 
-    return EventTailer(run_dir).poll()
+    root = events_dir(run_dir)
+    if not root.is_dir():
+        return []
+    batch = []
+    for path in sorted(root.glob("*.jsonl")):
+        try:
+            data = path.read_bytes()
+        except OSError:
+            continue
+        # What follows the last newline is a torn line (or nothing).
+        for sequence, line in enumerate(data.split(b"\n")[:-1]):
+            event = decode_line(line)
+            if event is not None:
+                batch.append((event.ts, path.name, sequence, event))
+    batch.sort(key=lambda item: item[:3])
+    return [item[3] for item in batch]

@@ -249,7 +249,8 @@ def spawn_workers(target: Callable, args_list: Sequence[Tuple]) -> List[int]:
     Unlike a :class:`TaskExecutor`'s pool workers, these are not marked as
     pool workers (nor daemonic), so each may fork its own pool -- which is
     what a matrix shard with ``jobs > 1`` does
-    (:func:`repro.scenarios.run_sharded_matrix`).  All workers are started
+    (:func:`repro.scenarios.run_sharded_matrix`, its one caller, kept for
+    the repository benchmark and leaving with it).  All workers are started
     up front (the caller sizes the list; shards are coarse units, not a
     queue of small jobs) and joined in order; returns one exit code per
     worker (0 = clean, negative = killed by that signal), letting the

@@ -79,11 +79,16 @@ class TestParser:
 
     @pytest.mark.parametrize(
         "verb",
-        ["train", "evaluate", "verify", "verify-sweep", "scenarios", "runs"],
+        ["train", "evaluate", "verify", "verify-sweep", "scenarios", "runs",
+         "scenarios list", "scenarios run", "runs list", "runs show", "runs gc", "runs stats"],
     )
     def test_every_verb_prints_its_help(self, verb, capsys):
-        assert _exit_code([verb, "--help"]) == 0
+        assert _exit_code([*verb.split(), "--help"]) == 0
         assert f"usage: repro {verb}" in capsys.readouterr().out
+
+    def test_runs_has_exactly_the_store_and_stats_verbs(self, capsys):
+        assert _exit_code(["runs", "--help"]) == 0
+        assert "{list,show,gc,stats}" in capsys.readouterr().out
 
     def test_top_level_help_is_plain_and_lists_every_verb(self, capsys):
         assert _exit_code(["--help"]) == 0
@@ -199,98 +204,26 @@ class TestErrorPaths:
         assert code == 2
         assert "unrecognized arguments: --resume" in capsys.readouterr().err
 
-    def test_shard_time_budget_without_shard(self, tmp_path):
-        code = _exit_code([
-            "scenarios", "run", "--scenario", "vanderpol", "--no-train",
-            "--run-dir", str(tmp_path / "store"), "--shard-time-budget", "5",
-        ])
-        assert code == "--shard-time-budget needs --shard"
-        assert not (tmp_path / "store").exists(), "the matrix must not start"
-
-    # "-1/3" is absent: argparse consumes a leading dash as an option flag
-    # before the validator runs (still exit 2, but a different message).
-    @pytest.mark.parametrize("spec", ["0/0", "3/2", "0/4", "a/b", "1", "1/2/3", "1.5/2", ""])
-    def test_malformed_shard_spec_exits_2_with_reason(self, spec, capsys):
-        code = _exit_code(["scenarios", "run", "--scenario", "vanderpol", "--shard", spec])
-        assert code == 2  # argparse usage error
-        assert "bad shard spec" in capsys.readouterr().err
-
-    def test_shard_without_run_dir(self):
-        code = _exit_code(["scenarios", "run", "--scenario", "vanderpol", "--shard", "1/2"])
-        assert isinstance(code, str)
-        assert "--shard needs --run-dir" in code
-
     @pytest.mark.parametrize(
-        "flags", [["--shard-workers", "2"], ["--no-steal"], ["--claim-lease", "5"]]
-    )
-    def test_retired_shard_flags_are_rejected(self, flags, tmp_path, capsys):
-        code = _exit_code(
-            ["scenarios", "run", "--scenario", "vanderpol", "--run-dir", str(tmp_path / "s"),
-             "--shard", "1/2", *flags]
-        )
-        assert code == 2  # argparse: unrecognized arguments
-        assert "unrecognized arguments" in capsys.readouterr().err
-
-    def test_shard_rejects_csv(self, tmp_path):
-        code = _exit_code(
-            ["scenarios", "run", "--scenario", "vanderpol", "--run-dir", str(tmp_path / "s"),
-             "--shard", "1/2", "--csv", str(tmp_path / "out.csv")]
-        )
-        assert isinstance(code, str)
-        assert "runs merge" in code
-
-    def test_runs_merge_without_manifest(self, tmp_path):
-        store = tmp_path / "store"
-        store.mkdir()
-        code = _exit_code(["runs", "merge", "--run-dir", str(store)])
-        assert isinstance(code, str)
-        assert "no matrix manifest" in code
-
-    @pytest.mark.parametrize(
-        "manifest, message",
+        "argv, error",
         [
-            ('{"engine": "batched", "samples": 4}', "unexpected field(s) ['engine']"),
-            ("[1, 2]", "is not a matrix manifest: expected a JSON object, got list"),
-            ('{"samples": "four"}', "MatrixJobSpec.samples must be an integer, got 'four'"),
-            ("{torn", "is not valid JSON"),
-            ('{"engine": "batched", "backend": "numpy"}', "unexpected field(s) ['backend', 'engine']"),
-            ('"matrix"', "is not a matrix manifest: expected a JSON object, got str"),
-            ("", "is not valid JSON"),
-            ('{"samples": true}', "MatrixJobSpec.samples must be an integer, got True"),
-            ('{"perturbations": "none"}', "MatrixJobSpec.perturbations must be a sequence"),
-            ('{"perturbations": ["none", "bogus"]}', "perturbations entries must be one of"),
-            ('{"samples": 0}', "MatrixJobSpec.samples must be > 0"),
-            ('{"train_overrides": null}', "MatrixJobSpec.train_overrides must be an object"),
+            (["scenarios", "run", "--shard-workers", "2"], "unrecognized arguments"),
+            (["scenarios", "run", "--no-steal"], "unrecognized arguments"),
+            (["scenarios", "run", "--claim-lease", "5"], "unrecognized arguments"),
+            (["scenarios", "run", "--shard", "1/2"], "unrecognized arguments"),
+            (["scenarios", "run", "--shard-time-budget", "5"], "unrecognized arguments"),
+            (["runs", "merge"], "invalid choice: 'merge'"),
+            (["runs", "watch"], "invalid choice: 'watch'"),
+            (["runs", "stats", "--stale-after", "1"], "unrecognized arguments"),
         ],
-        ids=["unknown-field", "not-an-object", "mistyped-field", "torn-json",
-             "unknown-fields-sorted", "bare-string", "empty-file", "bool-as-integer",
-             "string-as-sequence", "unknown-perturbation", "non-positive-samples",
-             "null-overrides"],
+        ids=["shard-workers", "no-steal", "claim-lease", "shard", "shard-time-budget",
+             "runs-merge", "runs-watch", "stats-stale-after"],
     )
-    def test_runs_merge_names_what_is_wrong_with_a_malformed_manifest(
-        self, tmp_path, manifest, message
-    ):
-        store = tmp_path / "store"
-        store.mkdir()
-        (store / "matrix.json").write_text(manifest)
-        code = _exit_code(["runs", "merge", "--run-dir", str(store)])
-        assert isinstance(code, str)
-        assert code.startswith(str(store / "matrix.json"))
-        assert message in code
-
-    def test_runs_merge_has_no_jobs_flag(self, tmp_path, capsys):
-        """Replay runs inline, so the merge takes no pool width."""
-
-        store = tmp_path / "store"
-        store.mkdir()
-        assert _exit_code(["runs", "merge", "--run-dir", str(store), "--jobs", "2"]) == 2
-        assert "--jobs" in capsys.readouterr().err
-
-    def test_runs_merge_missing_directory(self, tmp_path):
-        code = _exit_code(["runs", "merge", "--run-dir", str(tmp_path / "absent")])
-        assert isinstance(code, str)
-        assert "does not exist" in code
-
+    def test_retired_shard_flags_are_rejected(self, argv, error, tmp_path, capsys):
+        code = _exit_code([*argv, "--run-dir", str(tmp_path / "s")])
+        assert code == 2  # argparse usage error
+        assert error in capsys.readouterr().err
+        assert not (tmp_path / "s").exists(), "nothing may start"
 
 class TestEndToEnd:
     @pytest.fixture(scope="class")
@@ -481,36 +414,24 @@ class TestEndToEnd:
         shown = capsys.readouterr().out
         assert '"stage": "train"' in shown
 
-    def test_scenarios_run_sharded_and_merged_matches_single_process(self, tmp_path, capsys):
-        """The CLI shard protocol end-to-end: N shard commands + runs merge."""
+    @pytest.mark.parametrize(
+        "run_dir", [True, False], ids=["pool-with-run-dir", "pool-without-run-dir"]
+    )
+    def test_scenarios_run_csv_does_not_depend_on_width_or_run_dir(self, tmp_path, run_dir, capsys):
+        """What ``make matrix-smoke`` checks, on one scenario."""
 
         base = [
             "scenarios", "run", "--scenario", "pendulum", "--no-train", "--no-verify",
             "--samples", "4",
         ]
-        reference_csv = tmp_path / "reference.csv"
-        assert main(base + ["--run-dir", str(tmp_path / "ref"), "--csv", str(reference_csv)]) == 0
-        shard_dir = tmp_path / "sharded"
-        assert main(base + ["--run-dir", str(shard_dir), "--shard", "1/2"]) == 0
-        output = capsys.readouterr().out
-        assert "shard 1/2 (ok)" in output and "repro runs merge" in output
-        assert main(base + ["--run-dir", str(shard_dir), "--shard", "2/2"]) == 0
-        capsys.readouterr()
-        merged_csv = tmp_path / "merged.csv"
-        assert main(["runs", "merge", "--run-dir", str(shard_dir), "--csv", str(merged_csv)]) == 0
-        assert "merged" in capsys.readouterr().out
-        assert merged_csv.read_bytes() == reference_csv.read_bytes()
-
-    def test_runs_merge_incomplete_store_names_missing_cells(self, tmp_path, capsys):
-        base = [
-            "scenarios", "run", "--scenario", "pendulum", "--no-train", "--no-verify",
-            "--samples", "4", "--run-dir", str(tmp_path / "partial"),
-        ]
-        assert main(base + ["--shard", "1/2"]) == 0
-        capsys.readouterr()
-        code = _exit_code(["runs", "merge", "--run-dir", str(tmp_path / "partial")])
-        assert isinstance(code, str)
-        assert "missing" in code and "evaluate/" in code
+        reference, pooled = tmp_path / "inline.csv", tmp_path / "pooled.csv"
+        assert main(base + ["--jobs", "1", "--run-dir", str(tmp_path / "inline"),
+                            "--csv", str(reference)]) == 0
+        flags = ["--jobs", "2", "--csv", str(pooled)]
+        if run_dir:
+            flags += ["--run-dir", str(tmp_path / "pooled")]
+        assert main(base + flags) == 0
+        assert pooled.read_bytes() == reference.read_bytes()
 
     def test_verify_sweep_explicit_spec_and_pool(self, trained_dir, capsys):
         exit_code = main(
@@ -535,7 +456,7 @@ class TestEndToEnd:
 
 
 class TestTelemetryCommands:
-    """``runs watch`` / ``runs stats`` / ``runs list --json`` over a real log."""
+    """``runs stats`` / ``runs list --json`` over a real log."""
 
     @pytest.fixture(scope="class")
     def telemetry_run_dir(self, tmp_path_factory):
@@ -548,16 +469,6 @@ class TestTelemetryCommands:
         )
         assert exit_code == 0
         return run_dir
-
-    def test_watch_once_prints_a_finished_frame(self, telemetry_run_dir, capsys):
-        assert main(["runs", "watch", "--run-dir", str(telemetry_run_dir), "--once"]) == 0
-        output = capsys.readouterr().out
-        assert "main" in output and "all finished" in output
-
-    def test_watch_without_event_log_exits_with_reason(self, tmp_path, capsys):
-        code = _exit_code(["runs", "watch", "--run-dir", str(tmp_path / "absent"), "--once"])
-        assert isinstance(code, str)
-        assert "no event log" in code
 
     def test_stats_reports_the_exact_accounting(self, telemetry_run_dir, capsys):
         assert main(["runs", "stats", "--run-dir", str(telemetry_run_dir)]) == 0
@@ -573,12 +484,17 @@ class TestTelemetryCommands:
         assert stats["all_finished"] is True
         assert list(stats) == sorted(stats)
 
-    def test_stats_dedupes_repeated_run_dirs(self, telemetry_run_dir, capsys):
+    @pytest.mark.parametrize("spelling", ["same", "relative-and-absolute"])
+    def test_stats_dedupes_repeated_run_dirs(self, telemetry_run_dir, spelling, monkeypatch, capsys):
+        other = str(telemetry_run_dir)
+        if spelling == "relative-and-absolute":
+            monkeypatch.chdir(telemetry_run_dir.parent)
+            other = telemetry_run_dir.name
         assert main(
             [
                 "runs", "stats",
                 "--run-dir", str(telemetry_run_dir),
-                "--run-dir", str(telemetry_run_dir),
+                "--run-dir", other,
                 "--json",
             ]
         ) == 0
@@ -608,5 +524,5 @@ class TestTelemetryCommands:
         )
         assert exit_code == 0
         assert not (run_dir / "events").exists()
-        code = _exit_code(["runs", "watch", "--run-dir", str(run_dir), "--once"])
+        code = _exit_code(["runs", "stats", "--run-dir", str(run_dir)])
         assert "no event log" in code

@@ -76,7 +76,7 @@ class TestWidthInvariance:
             run_scenario_matrix(
                 MatrixJobSpec(jobs=1, **GRID),
                 run_dir=shard_dir,
-                shard=f"{index}/{count}",
+                shard=ShardSpec(index, count),
             )
             for index in range(1, count + 1)
         ]
@@ -178,16 +178,6 @@ class TestParentWrites:
                 MatrixJobSpec(jobs=2, **{**GRID, "train": False}),
                 run_dir=tmp_path / "store",
             )
-
-    def test_pool_respects_the_time_budget(self, tmp_path):
-        report = run_scenario_matrix(
-            MatrixJobSpec(jobs=2, **GRID),
-            run_dir=tmp_path / "store",
-            shard="1/1",
-            shard_time_budget=1e-9,
-        )
-        assert report.status == "resource-exhausted"
-        assert report.cells_computed == 0 and report.cells_skipped == NUM_ROWS
 
     def test_zero_jobs_means_one_worker_per_cpu(self, monkeypatch, reference, tmp_path):
         monkeypatch.setattr(matrix_module, "default_worker_count", lambda: 2)

@@ -1,7 +1,8 @@
 """Sharded scenario-matrix runs: split, merge — byte-identically.
 
-Integration pack for the shard protocol on the *real* engines (training,
-batched evaluation, verification): shards splitting one run directory must
+Integration pack for the local two-shard stand-in the repository benchmark
+runs (``run_sharded_matrix``), on the *real* engines (training, batched
+evaluation, verification): shards splitting one run directory must
 jointly compute every cell exactly once, and ``merge_matrix_run`` must
 reproduce the single-process CSV byte-for-byte regardless of shard count
 or execution order.  (The algebraic shard properties are covered by
@@ -18,6 +19,7 @@ import pytest
 from repro.jobs.messages import MatrixJobSpec
 from repro.scenarios import (
     MatrixIncompleteError,
+    MatrixManifestError,
     ShardSpec,
     merge_matrix_run,
     plan_matrix_cells,
@@ -29,6 +31,7 @@ from repro.scenarios.matrix import (
     read_matrix_manifest,
     write_matrix_manifest,
 )
+from repro.telemetry import read_events
 
 #: Evaluate-only two-scenario matrix: (2 + 2 experts) x 2 perturbations.
 EVAL_KWARGS = dict(
@@ -87,7 +90,7 @@ class TestShardedMergeEquivalence:
         csv_bytes, _ = eval_reference
         shard_dir = tmp_path / "store"
         for index in (3, 1, 2):
-            run_scenario_matrix(EVAL_SPEC, run_dir=shard_dir, shard=f"{index}/3")
+            run_scenario_matrix(EVAL_SPEC, run_dir=shard_dir, shard=ShardSpec(index, 3))
         merged = merge_matrix_run(shard_dir)
         assert merged.to_csv(tmp_path / "merged.csv").read_bytes() == csv_bytes
 
@@ -110,27 +113,22 @@ class TestShardedMergeEquivalence:
             (row["scenario"], row["controller"], row["perturbation"]) for row in reference_rows
         }
 
-    def test_shard_string_argument_accepted(self, tmp_path):
-        report = run_scenario_matrix(EVAL_SPEC, run_dir=tmp_path / "s", shard="1/2")
-        assert report.shard == "1/2"
-        assert report.status == "ok"
-
 
 class TestManifest:
     def test_shard_run_writes_a_manifest(self, tmp_path):
-        run_scenario_matrix(EVAL_SPEC, run_dir=tmp_path / "s", shard="1/2")
+        run_scenario_matrix(EVAL_SPEC, run_dir=tmp_path / "s", shard=ShardSpec(1, 2))
         manifest = read_matrix_manifest(tmp_path / "s")
         assert manifest["scenarios"] == ["vanderpol", "pendulum"]
         assert manifest["samples"] == 4 and manifest["train"] is False
 
     def test_conflicting_matrix_is_rejected(self, tmp_path):
-        run_scenario_matrix(EVAL_SPEC, run_dir=tmp_path / "s", shard="1/2")
+        run_scenario_matrix(EVAL_SPEC, run_dir=tmp_path / "s", shard=ShardSpec(1, 2))
         with pytest.raises(ValueError, match="different matrix"):
-            run_scenario_matrix(replace(EVAL_SPEC, samples=5), run_dir=tmp_path / "s", shard="2/2")
+            run_scenario_matrix(replace(EVAL_SPEC, samples=5), run_dir=tmp_path / "s", shard=ShardSpec(2, 2))
 
     def test_manifest_bytes_are_pinned(self, tmp_path):
         for index in (1, 2):
-            run_scenario_matrix(PINNED_GRID, run_dir=tmp_path / "s", shard=f"{index}/2")
+            run_scenario_matrix(PINNED_GRID, run_dir=tmp_path / "s", shard=ShardSpec(index, 2))
         manifest = (tmp_path / "s" / "matrix.json").read_bytes()
         assert hashlib.sha256(manifest).hexdigest() == PINNED_MANIFEST_SHA256
         csv = merge_matrix_run(tmp_path / "s").to_csv(tmp_path / "merged.csv").read_bytes()
@@ -142,7 +140,7 @@ class TestManifest:
 
         csv_bytes, _ = eval_reference
         for index in (1, 2):
-            run_scenario_matrix(EVAL_SPEC, run_dir=tmp_path / "s", shard=f"{index}/2")
+            run_scenario_matrix(EVAL_SPEC, run_dir=tmp_path / "s", shard=ShardSpec(index, 2))
         path = tmp_path / "s" / "matrix.json"
         manifest = json.loads(path.read_text())
         manifest["budget_scale"] = 1
@@ -173,21 +171,54 @@ class TestManifest:
         with pytest.raises(FileNotFoundError):
             merge_matrix_run(tmp_path / "s")
 
+    @pytest.mark.parametrize(
+        "manifest, message",
+        [
+            ('{"engine": "batched", "samples": 4}', "unexpected field(s) ['engine']"),
+            ("[1, 2]", "is not a matrix manifest: expected a JSON object, got list"),
+            ('{"samples": "four"}', "MatrixJobSpec.samples must be an integer, got 'four'"),
+            ("{torn", "is not valid JSON"),
+            ('{"engine": "batched", "backend": "numpy"}', "unexpected field(s) ['backend', 'engine']"),
+            ('"matrix"', "is not a matrix manifest: expected a JSON object, got str"),
+            ("", "is not valid JSON"),
+            ('{"samples": true}', "MatrixJobSpec.samples must be an integer, got True"),
+            ('{"perturbations": "none"}', "MatrixJobSpec.perturbations must be a sequence"),
+            ('{"perturbations": ["none", "bogus"]}', "perturbations entries must be one of"),
+            ('{"samples": 0}', "MatrixJobSpec.samples must be > 0"),
+            ('{"train_overrides": null}', "MatrixJobSpec.train_overrides must be an object"),
+        ],
+        ids=["unknown-field", "not-an-object", "mistyped-field", "torn-json",
+             "unknown-fields-sorted", "bare-string", "empty-file", "bool-as-integer",
+             "string-as-sequence", "unknown-perturbation", "non-positive-samples",
+             "null-overrides"],
+    )
+    def test_merge_names_what_is_wrong_with_a_malformed_manifest(
+        self, tmp_path, manifest, message
+    ):
+        store = tmp_path / "store"
+        store.mkdir()
+        (store / "matrix.json").write_text(manifest)
+        with pytest.raises(MatrixManifestError) as excinfo:
+            merge_matrix_run(store)
+        assert str(excinfo.value).startswith(str(store / "matrix.json"))
+        assert message in str(excinfo.value)
+
 
 class TestIncompleteMerge:
-    def test_merge_of_a_partial_store_names_the_missing_cells(self, tmp_path):
-        run_scenario_matrix(EVAL_SPEC, run_dir=tmp_path / "s", shard="1/2")
+    @pytest.mark.parametrize("ran, count", [(1, 2), (2, 2), (2, 3)])
+    def test_merge_of_a_partial_store_names_the_missing_cells(self, tmp_path, ran, count):
+        run_scenario_matrix(EVAL_SPEC, run_dir=tmp_path / "s", shard=ShardSpec(ran, count))
         with pytest.raises(MatrixIncompleteError) as excinfo:
             merge_matrix_run(tmp_path / "s")
         missing_positions = [
             p for p in range(len(plan_matrix_cells(**{
                 k: EVAL_KWARGS[k] for k in ("scenarios", "perturbations", "train", "verify")
             })))
-            if ShardSpec(2, 2).owns(p)
+            if not ShardSpec(ran, count).owns(p)
         ]
         assert len(excinfo.value.missing) == len(missing_positions)
         assert all(entry.startswith("evaluate/") for entry in excinfo.value.missing)
-        assert "against the same --run-dir" in str(excinfo.value)
+        assert "against the same run directory" in str(excinfo.value)
 
     def test_offline_flag_requires_a_store(self):
         with pytest.raises(ValueError, match="offline replay needs a run store"):
@@ -195,56 +226,23 @@ class TestIncompleteMerge:
 
     def test_shard_requires_a_store(self):
         with pytest.raises(ValueError, match="sharded runs need a run store"):
-            run_scenario_matrix(EVAL_SPEC, shard="1/2")
-
-
-class TestShardTimeBudget:
-    def test_exhausted_shard_reports_and_a_rerun_resumes(self, eval_reference, tmp_path):
-        csv_bytes, _ = eval_reference
-        exhausted = run_scenario_matrix(
-            EVAL_SPEC,
-            run_dir=tmp_path / "s",
-            shard="1/2",
-            shard_time_budget=1e-9,
-        )
-        assert exhausted.status == "resource-exhausted"
-        assert exhausted.cells_computed == 0
-        assert exhausted.cells_skipped == NUM_EVAL_CELLS // 2
-        # Rerunning the exhausted shard (and its sibling) completes the grid.
-        rescue = [
-            run_scenario_matrix(EVAL_SPEC, run_dir=tmp_path / "s", shard=f"{index}/2")
-            for index in (1, 2)
-        ]
-        assert [r.status for r in rescue] == ["ok", "ok"]
-        assert sum(r.cells_computed for r in rescue) == NUM_EVAL_CELLS
-        assert all(r.cells_skipped == 0 for r in rescue)
-        merged = merge_matrix_run(tmp_path / "s")
-        assert merged.to_csv(tmp_path / "merged.csv").read_bytes() == csv_bytes
-
-    def test_unexhausted_budget_changes_nothing(self, eval_reference, tmp_path):
-        csv_bytes, _ = eval_reference
-        report = run_scenario_matrix(
-            EVAL_SPEC,
-            run_dir=tmp_path / "s",
-            shard="1/1",
-            shard_time_budget=3600.0,
-        )
-        assert report.status == "ok"
-        assert report.cells_computed == NUM_EVAL_CELLS
-        merged = merge_matrix_run(tmp_path / "s")
-        assert merged.to_csv(tmp_path / "merged.csv").read_bytes() == csv_bytes
+            run_scenario_matrix(EVAL_SPEC, shard=ShardSpec(1, 2))
 
 
 class TestLocalShardWorkers:
-    def test_run_sharded_matrix_merges_to_the_reference_csv(self, eval_reference, tmp_path):
+    @pytest.mark.parametrize("shards", [1, 2, 3])
+    def test_run_sharded_matrix_merges_to_the_reference_csv(self, eval_reference, tmp_path, shards):
         csv_bytes, _ = eval_reference
-        report = run_sharded_matrix(2, tmp_path / "s", **EVAL_KWARGS)
+        report = run_sharded_matrix(shards, tmp_path / "s", **EVAL_KWARGS)
         assert report.to_csv(tmp_path / "merged.csv").read_bytes() == csv_bytes
-        summaries = sorted((tmp_path / "s" / "shards").glob("*.json"))
-        assert [path.name for path in summaries] == ["1-of-2.json", "2-of-2.json"]
-        accounted = [json.loads(path.read_text()) for path in summaries]
-        assert all(summary["status"] == "ok" for summary in accounted)
-        assert sum(summary["cells_computed"] for summary in accounted) == NUM_EVAL_CELLS
+        assert (report.status, report.cells_skipped) == ("ok", 0)
+        # Each shard's accounting lives in its own event log, nowhere else.
+        finished = [e for e in read_events(tmp_path / "s") if e.TYPE == "run-finished"]
+        assert sorted(event.shard for event in finished) == [
+            f"shard-{index}-of-{shards}" for index in range(1, shards + 1)
+        ]
+        assert sum(event.cells_computed for event in finished) == NUM_EVAL_CELLS
+        assert not (tmp_path / "s" / "shards").exists()
 
     def test_rejects_a_nonpositive_shard_count(self, tmp_path):
         with pytest.raises(ValueError, match="at least one shard"):

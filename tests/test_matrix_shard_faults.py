@@ -126,7 +126,7 @@ class TestInterruptedShardsResumeByteIdentically:
             run_scenario_matrix(
                 MatrixJobSpec(**ACCEPTANCE_KWARGS),
                 run_dir=shard_dir,
-                shard="1/4",
+                shard=ShardSpec(1, 4),
                 on_cell=bomb,
             )
         interrupted_work = counter.total
@@ -164,7 +164,7 @@ class TestInterruptedShardsResumeByteIdentically:
             run_scenario_matrix(
                 MatrixJobSpec(**KILL_KWARGS),
                 run_dir=shard_dir,
-                shard="1/1",
+                shard=ShardSpec(1, 1),
                 on_cell=bomb,
             )
         # The crash hit *after* the first cell was flushed.
@@ -172,7 +172,7 @@ class TestInterruptedShardsResumeByteIdentically:
         assert len(store.entries(stage="evaluate")) == 1
 
         counter = WorkCounter(monkeypatch)
-        report = run_scenario_matrix(MatrixJobSpec(**KILL_KWARGS), run_dir=shard_dir, shard="1/1")
+        report = run_scenario_matrix(MatrixJobSpec(**KILL_KWARGS), run_dir=shard_dir, shard=ShardSpec(1, 1))
         assert counter.evaluated == KILL_NUM_CELLS - 1
         assert report.cells_cached == 1
 

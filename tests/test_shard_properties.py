@@ -42,21 +42,15 @@ shard_counts = st.integers(min_value=1, max_value=12)
 positions = st.integers(min_value=0, max_value=300)
 
 
-class TestShardSpecParsing:
-    @given(index=st.integers(min_value=1, max_value=64), extra=st.integers(min_value=0, max_value=64))
-    @settings(max_examples=60, deadline=None)
-    def test_parse_roundtrips_for_every_valid_spec(self, index, extra):
-        count = index + extra  # guarantees 1 <= index <= count
-        spec = ShardSpec.parse(f"{index}/{count}")
-        assert (spec.index, spec.count) == (index, count)
-        assert ShardSpec.parse(str(spec)) == spec
-
+class TestShardSpecValidation:
     @pytest.mark.parametrize(
-        "text", ["0/0", "3/2", "0/4", "-1/3", "a/b", "1", "1/2/3", "1.5/2", "", "/", "2/"]
+        "index, count",
+        [(0, 0), (3, 2), (0, 4), (-1, 3), (1, 0), (0, 1), (2, 1), (5, 4), (1, -2), (-3, -3),
+         (65, 64)],
     )
-    def test_malformed_specs_raise_with_reason(self, text):
+    def test_out_of_range_specs_raise_with_reason(self, index, count):
         with pytest.raises(ValueError, match="bad shard spec"):
-            ShardSpec.parse(text)
+            ShardSpec(index, count)
 
 
 class TestPartitionProperties:

@@ -1,13 +1,13 @@
-"""Fleet aggregation: exact accounting from the log alone, end to end.
+"""Run aggregation: exact accounting from the log alone, end to end.
 
 The acceptance property of the telemetry subsystem is *accounting parity*:
 ``repro runs stats`` must reproduce the matrix runner's
 ``cells_computed`` / ``cells_cached`` counters by
 counting events, with no access to the reports or the store.  The
 synthetic tests pin the fold's semantics event by event; the integration
-tests run real matrices (cold, warm, sharded, trained + verified) and
-check the folded log against the returned reports -- and that enabling
-telemetry leaves the merged CSV byte-identical.
+tests run real matrices (cold, warm, the benchmark's two-shard stand-in,
+trained + verified) and check the folded log against the returned reports
+-- and that enabling telemetry leaves the merged CSV byte-identical.
 """
 
 import json
@@ -21,20 +21,14 @@ from repro.telemetry import (
     CellCached,
     CellFinished,
     CellStarted,
-    FleetState,
     RunFinished,
     RunStarted,
-    ShardHeartbeat,
     StageTiming,
     SweepJobFinished,
     accounting,
-    find_stragglers,
     fleet_stats,
     fold_events,
     read_events,
-    render_watch,
-    stale_shards,
-    watch_snapshot,
 )
 from repro.telemetry.emitter import events_dir
 from repro.telemetry.events import decode_line
@@ -77,44 +71,41 @@ class TestFold:
         assert shard.skipped == 2
         assert state.all_finished
 
-    def test_legacy_cell_stolen_lines_fold_as_unknown_events(self):
-        """Work-stealing versions wrote ``cell-stolen``; old logs still fold."""
-
-        line = json.dumps(
+    @pytest.mark.parametrize(
+        "payload",
+        [
             {"type": "cell-stolen", "version": 1, "ts": 4.0, "shard": "main", "scenario": "s",
-             "controller": "c", "cell": "evaluate", "perturbation": None, "stale": True}
-        )
-        state = fold_events([decode_line(line)])
+             "controller": "c", "cell": "evaluate", "perturbation": None, "stale": True},
+            {"type": "shard-heartbeat", "version": 1, "ts": 4.0, "shard": "shard-1-of-2",
+             "cells_done": 3, "cells_computed": 2, "cells_cached": 1, "cells_stolen": 0,
+             "cells_skipped": 5},
+        ],
+        ids=["cell-stolen", "shard-heartbeat"],
+    )
+    def test_legacy_cell_stolen_lines_fold_as_unknown_events(self, payload):
+        """Retired event types (work stealing's ``cell-stolen``, the shard
+        heartbeat) still fold from old logs: as unknown events that count
+        toward nothing."""
+
+        state = fold_events([decode_line(json.dumps(payload))])
         assert state.unknown_events == 1
         assert accounting(state) == {"cells_computed": 0, "cells_cached": 0}
+        assert all(shard.skipped == 0 for shard in state.shards.values())
 
     def test_fold_is_incremental(self):
         state = fold_events([_cell(CellStarted, "main", 1.0)])
-        assert state.shards["main"].in_flight  # started, not finished
+        assert state.cells_computed == 0 and state.unknown_events == 0
         state = fold_events([_cell(CellFinished, "main", 2.0, seconds=1.0)], state=state)
-        assert not state.shards["main"].in_flight
-        assert state.cells_computed == 1
+        assert state.cells_computed == 1 and state.events == 2
         assert not state.all_finished
 
-    def test_current_cell_is_the_oldest_in_flight(self):
-        state = fold_events(
-            [
-                _cell(CellStarted, "main", 5.0, perturbation="noise"),
-                _cell(CellStarted, "main", 2.0),
-            ]
-        )
-        identity, started = state.shards["main"].current_cell()
-        assert started == 2.0 and identity == ("s", "c", "evaluate", None)
-
-    def test_heartbeat_and_stage_and_sweep_events(self):
+    def test_stage_and_sweep_events(self):
         events = [
-            ShardHeartbeat(ts=1.0, shard="main", cells_skipped=3),
             StageTiming(ts=2.0, shard="main", scenario="s", stage="mixing", seconds=1.5),
             StageTiming(ts=3.0, shard="main", scenario="s", stage="mixing", seconds=0.5),
             SweepJobFinished(ts=4.0, shard="main", job="j", system="s", verified=True),
         ]
         state = fold_events(events)
-        assert state.shards["main"].skipped == 3
         assert state.stage_seconds == {"mixing": 2.0}
         assert [event.verified for event in state.sweep_jobs] == [True]
 
@@ -124,39 +115,6 @@ class TestFold:
         state = fold_events([UnknownEvent.wrap({"type": "laser", "ts": 1.0, "shard": "m"})])
         assert state.unknown_events == 1
         assert state.events == 1
-
-    def test_stragglers_exceed_the_kind_median(self):
-        events = [
-            _cell(CellFinished, "main", float(i), perturbation=str(i), seconds=1.0)
-            for i in range(4)
-        ]
-        events.append(_cell(CellFinished, "main", 9.0, perturbation="slow", seconds=50.0))
-        stragglers = find_stragglers(fold_events(events))
-        assert [row["perturbation"] for row in stragglers] == ["slow"]
-        assert stragglers[0]["factor"] == pytest.approx(50.0)
-
-    def test_stale_shards_respect_the_window(self):
-        state = fold_events(
-            [
-                _cell(CellStarted, "idle", 0.0),
-                _cell(CellStarted, "busy", 99.0),
-                RunFinished(ts=1.0, shard="done"),
-            ]
-        )
-        assert stale_shards(state, now=100.0, stale_after=15.0) == ["idle"]
-        assert stale_shards(state, now=100.0, stale_after=1000.0) == []
-
-    def test_render_watch_shows_every_shard(self):
-        state = fold_events(
-            [
-                RunStarted(ts=0.0, shard="main", cells_total=2, cells_owned=2),
-                _cell(CellStarted, "main", 1.0),
-            ]
-        )
-        frame = render_watch(state, now=2.0)
-        assert "main" in frame and "running" in frame
-        assert "evaluate s:c" in frame  # the in-flight cell is displayed
-
 
 class TestMatrixParity:
     def test_cold_and_warm_runs_account_exactly(self, tmp_path):
@@ -191,8 +149,27 @@ class TestMatrixParity:
         assert json.loads(json.dumps(stats, sort_keys=True)) == json.loads(
             json.dumps(stats, sort_keys=True)
         )
-        # The one-shot watch frame renders from the same fold.
-        assert "all finished" in watch_snapshot(run_dir)
+
+    @pytest.mark.parametrize("spelling", ["dotdot", "relative", "symlink", "trailing-slash"])
+    def test_fleet_stats_folds_one_directory_once_under_any_spelling(
+        self, tmp_path, monkeypatch, spelling
+    ):
+        run_dir = tmp_path / "run"
+        report = run_scenario_matrix(EVAL_SPEC, run_dir=run_dir)
+        if spelling == "dotdot":
+            other = tmp_path / "run" / ".." / "run"
+        elif spelling == "relative":
+            monkeypatch.chdir(tmp_path)
+            other = "run"
+        elif spelling == "trailing-slash":
+            other = f"{run_dir}/"
+        else:
+            other = tmp_path / "link"
+            other.symlink_to(run_dir, target_is_directory=True)
+        stats = fleet_stats([run_dir, other])
+        assert stats["runs"] == 1
+        assert stats["cells_computed"] == report.cells_computed
+        assert list(stats["per_run"]) == [str(run_dir)]
 
     def test_fleet_stats_spans_multiple_runs(self, tmp_path):
         reports = [
@@ -222,28 +199,31 @@ class TestMatrixParity:
             run_scenario_matrix(EVAL_SPEC, run_dir=run_dir, offline=True, telemetry=True)
 
     def test_sharded_run_accounts_per_shard_and_merges_byte_identically(self, tmp_path):
-        solo_dir, fleet_dir = tmp_path / "solo", tmp_path / "fleet"
+        """What the repository benchmark's ``matrix-shard2`` op relies on."""
+
+        solo_dir, shard_dir = tmp_path / "solo", tmp_path / "shards"
         solo = run_scenario_matrix(EVAL_SPEC, run_dir=solo_dir)
-        merged = run_sharded_matrix(2, fleet_dir, **EVAL_KWARGS)
+        merged = run_sharded_matrix(2, shard_dir, **EVAL_KWARGS)
 
         solo_csv, merged_csv = tmp_path / "solo.csv", tmp_path / "merged.csv"
         solo.to_csv(solo_csv)
         merged.to_csv(merged_csv)
         assert merged_csv.read_bytes() == solo_csv.read_bytes()
+        assert merged.status == "ok" and merged.cells_skipped == 0
 
-        # Both shard emitters wrote their own log file; the folded totals
-        # match the per-shard summaries the workers dropped next to the store.
-        state = fold_events(read_events(fleet_dir))
-        assert set(state.shards) == {"shard-1-of-2", "shard-2-of-2"}
+        # Exactly one run-finished per shard, each from its own log file.
+        events = read_events(shard_dir)
+        finished = [event for event in events if event.TYPE == "run-finished"]
+        assert sorted(event.shard for event in finished) == ["shard-1-of-2", "shard-2-of-2"]
+        assert [event.cells_stolen for event in finished] == [0, 0]
+        # The folded totals are the sum over the two run-finished events.
+        state = fold_events(events)
         assert state.all_finished
-        summaries = [
-            json.loads(path.read_text()) for path in sorted((fleet_dir / "shards").glob("*.json"))
-        ]
         assert accounting(state) == {
-            "cells_computed": sum(s["cells_computed"] for s in summaries),
-            "cells_cached": sum(s["cells_cached"] for s in summaries),
+            "cells_computed": sum(event.cells_computed for event in finished),
+            "cells_cached": sum(event.cells_cached for event in finished),
         }
-        assert accounting(state)["cells_computed"] + accounting(state)["cells_cached"] >= 4
+        assert accounting(state) == {"cells_computed": solo.cells_computed, "cells_cached": 0}
 
     def test_trained_matrix_emits_train_verify_and_stage_events(self, tmp_path):
         run_dir = tmp_path / "run"

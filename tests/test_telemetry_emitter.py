@@ -1,4 +1,4 @@
-"""Crash-safe event-log emitter and the multiplexing tailer.
+"""Crash-safe event-log emitter and the one-shot multiplexing reader.
 
 Pins the contracts downstream tooling builds on:
 
@@ -7,8 +7,8 @@ Pins the contracts downstream tooling builds on:
   interleave complete lines, never tear one;
 * a torn trailing line (a worker died mid-append) is skipped by the
   reader and picked up once completed;
-* the tailer multiplexes many shard files into one time-ordered stream
-  and is incremental across polls;
+* the reader multiplexes many per-process files into one stream ordered
+  by (ts, file, sequence);
 * an emitter whose log cannot be written goes quiet (``broken``) instead
   of taking the run down.
 """
@@ -18,8 +18,8 @@ import threading
 import pytest
 
 from repro.telemetry.emitter import EVENTS_DIRNAME, NullTelemetryEmitter, TelemetryEmitter, events_dir
-from repro.telemetry.events import CellCached, CellFinished, CellStarted, RunStarted, ShardHeartbeat
-from repro.telemetry.reader import EventTailer, read_events
+from repro.telemetry.events import CellCached, CellFinished, CellStarted, RunStarted
+from repro.telemetry.reader import read_events
 
 
 class FakeClock:
@@ -107,76 +107,70 @@ class TestEmitter:
         seen = {(event.scenario, event.controller) for event in events}
         assert len(seen) == 100  # every append landed exactly once, untorn
 
-    def test_heartbeats_emit_immediately_and_stop(self, tmp_path):
-        counters = {"cells_done": 0, "cells_computed": 0, "cells_cached": 0,
-                    "cells_stolen": 0, "cells_skipped": 0}
-        with TelemetryEmitter(tmp_path, source="main", clock=FakeClock()) as tele:
-            with tele.heartbeats(lambda: dict(counters), interval=3600.0):
-                pass  # one immediate beat; the interval never elapses
-            tele.stop_heartbeats()  # idempotent
-        events = read_events(tmp_path)
-        assert [type(event) for event in events] == [ShardHeartbeat]
-
     def test_null_emitter_mirrors_the_surface(self):
         tele = NullTelemetryEmitter()
         with tele:
             assert tele.emit(CellCached, scenario="s", controller="c") is None
-            with tele.heartbeats(lambda: {}):
-                pass
         tele.close()
         assert tele.emitted == 0 and not tele.broken
 
 
-class TestTailer:
-    def _emitters(self, tmp_path, clock):
-        return (
-            TelemetryEmitter(tmp_path, source="shard-1-of-2", clock=clock),
-            TelemetryEmitter(tmp_path, source="shard-2-of-2", clock=clock),
-        )
-
-    def test_multiplexes_shard_files_in_time_order(self, tmp_path):
-        clock = FakeClock()
-        one, two = self._emitters(tmp_path, clock)
-        one.emit(CellCached, scenario="a", controller="c")  # ts 0
-        two.emit(CellCached, scenario="b", controller="c")  # ts 1
-        one.emit(CellCached, scenario="c", controller="c")  # ts 2
-        two.emit(CellCached, scenario="d", controller="c")  # ts 3
+class TestReadEvents:
+    # Distinct stamps order by time across files; one shared tick orders by
+    # file, then by line.
+    @pytest.mark.parametrize("tie, order", [(False, "abcd"), (True, "acbd")], ids=["by-ts", "ts-tie"])
+    def test_multiplexes_shard_files_in_time_order(self, tmp_path, tie, order):
+        clock = (lambda: 5.0) if tie else FakeClock()
+        one = TelemetryEmitter(tmp_path, source="shard-1-of-2", clock=clock)
+        two = TelemetryEmitter(tmp_path, source="shard-2-of-2", clock=clock)
+        one.emit(CellCached, scenario="a", controller="c")
+        two.emit(CellCached, scenario="b", controller="c")
+        one.emit(CellCached, scenario="c", controller="c")
+        two.emit(CellCached, scenario="d", controller="c")
         one.close(), two.close()
         events = read_events(tmp_path)
-        assert [event.scenario for event in events] == ["a", "b", "c", "d"]
+        assert "".join(event.scenario for event in events) == order
         assert [event.shard for event in events] == [
-            "shard-1-of-2", "shard-2-of-2", "shard-1-of-2", "shard-2-of-2",
+            "shard-1-of-2" if name in "ac" else "shard-2-of-2" for name in order
         ]
 
-    def test_poll_is_incremental(self, tmp_path):
+    def test_each_read_returns_the_whole_history(self, tmp_path):
         tele = TelemetryEmitter(tmp_path, source="main", clock=FakeClock())
-        tailer = EventTailer(tmp_path)
-        assert tailer.poll() == []
         tele.emit(CellCached, scenario="a", controller="c")
         tele.emit(CellCached, scenario="b", controller="c")
-        assert [event.scenario for event in tailer.poll()] == ["a", "b"]
-        assert tailer.poll() == []
+        assert [event.scenario for event in read_events(tmp_path)] == ["a", "b"]
         tele.emit(CellCached, scenario="c", controller="c")
-        assert [event.scenario for event in tailer.poll()] == ["c"]
+        assert [event.scenario for event in read_events(tmp_path)] == ["a", "b", "c"]
         tele.close()
 
-    def test_torn_trailing_line_is_deferred_until_complete(self, tmp_path):
+    # Where the writer died: after one byte, halfway, or before the newline
+    # only (the JSON is whole, but the line is not finished).
+    @pytest.mark.parametrize("cut", [1, 0.5, -1], ids=["one-byte", "half", "no-newline"])
+    def test_torn_trailing_line_is_skipped_until_complete(self, tmp_path, cut):
         tele = TelemetryEmitter(tmp_path, source="main", clock=FakeClock())
         tele.emit(CellCached, scenario="a", controller="c")
         tele.close()
         path = events_dir(tmp_path) / "main.jsonl"
         whole = CellCached(ts=9.0, shard="main", scenario="b", controller="c").to_line() + "\n"
+        cut = int(len(whole) * cut) if isinstance(cut, float) else cut
         with path.open("a") as handle:
-            handle.write(whole[: len(whole) // 2])  # a worker died mid-append
-        tailer = EventTailer(tmp_path)
-        assert [event.scenario for event in tailer.poll()] == ["a"]
+            handle.write(whole[:cut])  # a worker died mid-append
+        assert [event.scenario for event in read_events(tmp_path)] == ["a"]
         with path.open("a") as handle:
-            handle.write(whole[len(whole) // 2 :])
-        assert [event.scenario for event in tailer.poll()] == ["b"]
+            handle.write(whole[cut:])
+        assert [event.scenario for event in read_events(tmp_path)] == ["a", "b"]
 
     def test_missing_events_dir_reads_empty(self, tmp_path):
         assert read_events(tmp_path) == []
-        assert EventTailer(tmp_path).poll() == []
+
+    def test_only_readable_jsonl_files_are_read(self, tmp_path):
+        with TelemetryEmitter(tmp_path, source="main", clock=FakeClock()) as tele:
+            tele.emit(CellCached, scenario="a", controller="c")
+        line = CellCached(ts=0.5, shard="x", scenario="stray", controller="c").to_line() + "\n"
+        (events_dir(tmp_path) / "notes.txt").write_text(line)
+        (events_dir(tmp_path) / ".tmp-main.jsonl.partial").write_text(line)
+        (events_dir(tmp_path) / "dir.jsonl").mkdir()  # unreadable as a file
+        assert [event.scenario for event in read_events(tmp_path)] == ["a"]
 
     def test_events_dirname_is_the_reader_writer_contract(self, tmp_path):
         assert events_dir(tmp_path) == tmp_path / EVENTS_DIRNAME

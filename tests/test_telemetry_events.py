@@ -27,7 +27,6 @@ from repro.telemetry.events import (
     EventValidationError,
     RunFinished,
     RunStarted,
-    ShardHeartbeat,
     StageTiming,
     SweepJobFinished,
     UnknownEvent,
@@ -72,15 +71,6 @@ EVENT_STRATEGIES = {
         safe_rate=st.none() | st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
     ),
     CellCached: st.builds(CellCached, **_base, **_cell_fields),
-    ShardHeartbeat: st.builds(
-        ShardHeartbeat,
-        **_base,
-        cells_done=_count,
-        cells_computed=_count,
-        cells_cached=_count,
-        cells_stolen=_count,
-        cells_skipped=_count,
-    ),
     SweepJobFinished: st.builds(
         SweepJobFinished,
         **_base,
@@ -121,7 +111,6 @@ class TestRegistry:
             "cell-started",
             "run-finished",
             "run-started",
-            "shard-heartbeat",
             "stage-timing",
             "sweep-job-finished",
         ]
@@ -211,11 +200,11 @@ class TestValidation:
         with pytest.raises(EventValidationError):
             CellCached(ts=0.0, shard="main", perturbation=3)
         with pytest.raises(EventValidationError):
-            ShardHeartbeat(ts=0.0, shard="main", cells_done=1.5)
+            RunFinished(ts=0.0, shard="main", cells_computed=1.5)
 
     def test_bool_is_not_an_integer(self):
         with pytest.raises(EventValidationError):
-            ShardHeartbeat(ts=0.0, shard="main", cells_done=True)
+            RunFinished(ts=0.0, shard="main", cells_computed=True)
 
     def test_int_promotes_to_float(self):
         event = CellFinished(ts=3, shard="main", seconds=2)
