@@ -84,6 +84,24 @@ def _add_system_argument(parser: argparse.ArgumentParser, default: Optional[str]
     )
 
 
+def _add_analysis_budget_arguments(parser: argparse.ArgumentParser) -> None:
+    """The analysis-budget flags shared by ``verify`` and ``verify-sweep``.
+
+    Each defaults to the scenario's ``verify_budget`` hint (e.g. the
+    cartpole pins a lower Bernstein degree for its 4-D state); explicit
+    values win.
+    """
+
+    hint = "(default: the scenario's budget hint)"
+    parser.add_argument("--target-error", type=float, default=None, help=f"Bernstein error target {hint}")
+    parser.add_argument("--degree", type=int, default=None, help=f"Bernstein degree {hint}")
+    parser.add_argument("--max-partitions", type=int, default=None, help=f"partition cap {hint}")
+    parser.add_argument("--reach-steps", type=int, default=None, help=f"reachability horizon {hint}")
+    parser.add_argument("--reach-box-scale", type=float, default=None,
+                        help=f"initial reach box as a fraction of X0 {hint}")
+    parser.add_argument("--invariant-grid", type=int, default=0, help="0 disables the invariant-set analysis")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -163,16 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="kappa_star",
         help="any controller saved in --controller-dir (default kappa_star)",
     )
-    # Analysis parameters default to the scenario's verify_budget hints
-    # (e.g. the cartpole pins a lower Bernstein degree for its 4-D state).
-    hint = "(default: the scenario's budget hint)"
-    verify.add_argument("--target-error", type=float, default=None, help=f"Bernstein error target {hint}")
-    verify.add_argument("--degree", type=int, default=None, help=f"Bernstein degree {hint}")
-    verify.add_argument("--max-partitions", type=int, default=None, help=f"partition cap {hint}")
-    verify.add_argument("--reach-steps", type=int, default=None, help=f"reachability horizon {hint}")
-    verify.add_argument("--reach-box-scale", type=float, default=None,
-                        help=f"initial reach box as a fraction of X0 {hint}")
-    verify.add_argument("--invariant-grid", type=int, default=0, help="0 disables the invariant-set analysis")
+    _add_analysis_budget_arguments(verify)
 
     sweep = subparsers.add_parser(
         "verify-sweep", help="verify many saved controllers across a process pool"
@@ -190,20 +199,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="controller directory for the --system shorthand")
     sweep.add_argument("--jobs", type=int, default=0,
                        help="worker processes for the sweep pool (0 = one per job, capped at the CPU count)")
-    # Analysis budgets default to each job's scenario verify_budget hints,
-    # exactly as on `repro verify`.
-    sweep.add_argument("--target-error", type=float, default=None, help=f"Bernstein error target {hint}")
-    sweep.add_argument("--degree", type=int, default=None, help=f"Bernstein degree {hint}")
-    sweep.add_argument("--max-partitions", type=int, default=None, help=f"partition cap {hint}")
-    sweep.add_argument("--reach-steps", type=int, default=None, help=f"reachability horizon {hint}")
-    sweep.add_argument("--reach-box-scale", type=float, default=None,
-                       help=f"initial reach box as a fraction of X0 {hint}")
-    sweep.add_argument("--invariant-grid", type=int, default=0, help="0 disables the invariant-set analysis")
+    _add_analysis_budget_arguments(sweep)
     sweep.add_argument("--work-budget", type=int, default=0,
                        help="per-job reachability work budget in Bernstein coefficients (0 = unbounded); "
                        "exceeding it aborts with status 'resource-exhausted'")
-    sweep.add_argument("--time-budget", type=float, default=0.0,
-                       help="per-job wall-clock budget in seconds, checked at phase boundaries (0 = unbounded)")
     sweep.add_argument("--csv", type=Path, default=None, help="write one CSV row per job to this path")
     sweep.add_argument(
         "--run-dir",
@@ -390,7 +389,6 @@ def _command_verify_sweep(args: argparse.Namespace) -> int:
         reach_box_scale=args.reach_box_scale,
         invariant_grid=args.invariant_grid,
         work_budget=args.work_budget,
-        time_budget=args.time_budget,
         jobs=args.jobs,
     )
     store = None

@@ -18,7 +18,7 @@ from repro.experiments.digest import (
     config_digest,
     weights_digest,
 )
-from repro.experiments.store import RunKey, RunStore
+from repro.experiments.store import RunKey, RunStore, run_key
 
 __all__ = [
     "canonicalize",
@@ -27,4 +27,5 @@ __all__ = [
     "weights_digest",
     "RunKey",
     "RunStore",
+    "run_key",
 ]

@@ -83,6 +83,18 @@ class RunKey:
             raise ValueError(f"bad stage name {self.stage!r}")
 
 
+def run_key(stage: str, config) -> RunKey:
+    """The :class:`RunKey` of ``stage`` with resolved ``config``.
+
+    The one digest formula of a stored stage.  It needs no store, so a run
+    that writes no entry still names the one it would have written.
+    """
+
+    canonical = canonicalize(config)
+    digest = config_digest({"stage": stage, "config": canonical})
+    return RunKey(stage=stage, digest=digest, config=canonical)
+
+
 class RunStore:
     """Content-addressed store of completed pipeline stages under ``root``.
 
@@ -97,9 +109,7 @@ class RunStore:
     def key(self, stage: str, config) -> RunKey:
         """Build the :class:`RunKey` for ``stage`` with resolved ``config``."""
 
-        canonical = canonicalize(config)
-        digest = config_digest({"stage": stage, "config": canonical})
-        return RunKey(stage=stage, digest=digest, config=canonical)
+        return run_key(stage, config)
 
     def entry_dir(self, key: RunKey) -> Path:
         return self.root / key.stage / key.digest

@@ -97,14 +97,15 @@ class VerifySweepJobSpec(JobSpec):
     ``specs`` entries use the CLI's ``SYSTEM:DIR[:CONTROLLER]`` syntax.
     ``None`` analysis budgets resolve to each entry's scenario
     ``verify_budget`` hints and then to the ``SweepJob`` defaults, exactly
-    like the CLI flags; zero-valued ``invariant_grid`` / ``work_budget`` /
-    ``time_budget`` mean "off" / "unbounded", as on the command line.
-    Schema v2 dropped the ``engine`` field (a payload that still carries it
-    is refused); v3 made the five analysis budgets optional.
+    like the CLI flags; a zero ``invariant_grid`` / ``work_budget`` means
+    "off" / "unbounded", as on the command line.  Schema v2 dropped the
+    ``engine`` field, v3 made the five analysis budgets optional and v4
+    dropped the wall-clock time budget; a payload that still carries a
+    dropped field is refused.
     """
 
     TYPE: ClassVar[str] = "verify-sweep"
-    SCHEMA_VERSION: ClassVar[int] = 3
+    SCHEMA_VERSION: ClassVar[int] = 4
     specs: Tuple[str, ...] = ()
     target_error: Optional[float] = None
     degree: Optional[int] = None
@@ -113,7 +114,6 @@ class VerifySweepJobSpec(JobSpec):
     reach_box_scale: Optional[float] = None
     invariant_grid: int = 0
     work_budget: int = 0
-    time_budget: float = 0.0
     jobs: int = 0
 
     def _validate(self) -> None:

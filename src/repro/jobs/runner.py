@@ -130,13 +130,15 @@ def execute_train(
     With a ``store``, an identical earlier train is restored instead of
     retrained; a fresh run is recorded under its config digest.  With
     ``spec.output`` the artefacts also land in that directory, exactly as
-    ``repro train --output`` always has.  With neither, nothing is saved:
-    the returned payload is the whole result.
+    ``repro train --output`` always has; ``record.json``'s ``digest`` is
+    the train key's either way.  With neither, nothing is saved: the
+    returned payload is the whole result.
     """
 
     import shutil
 
     from repro import CocktailPipeline, make_default_experts, make_system, set_global_seed
+    from repro.experiments.store import run_key
     from repro.metrics import evaluate_controllers
     from repro.metrics.evaluation import metrics_to_table
     from repro.utils.persistence import save_cocktail_result
@@ -146,7 +148,7 @@ def execute_train(
     system = make_system(spec.system)
     experts = make_default_experts(system)
 
-    train_key = store.key("train", resolved) if store is not None else None
+    train_key = store.key("train", resolved) if store is not None else run_key("train", resolved)
     if store is not None and not force and store.contains(train_key):
         if spec.output:
             output = Path(spec.output)
@@ -198,8 +200,7 @@ def execute_train(
             result,
             output,
             record={"system": spec.system, "metrics": record, "seed": spec.seed},
-            context={"system": scenario.name, "seed": spec.seed},
-            digest=train_key.digest if train_key is not None else None,
+            digest=train_key.digest,
         )
         if spec.output:
             say(f"saved controllers and record to {output}")
@@ -305,7 +306,6 @@ def expand_sweep_specs(spec: VerifySweepJobSpec) -> List:
         reach_box_scale=spec.reach_box_scale,
         invariant_grid=spec.invariant_grid or None,
         work_budget=spec.work_budget or None,
-        time_budget_seconds=spec.time_budget or None,
     )
     jobs = []
     for entry in spec.specs:

@@ -695,7 +695,6 @@ class _MatrixExecution:
     def _verify_work(self, ctx: _ScenarioContext) -> Optional[_Work]:
         from repro.verification.sweep import (
             SweepJob,
-            is_cacheable,
             load_cached_result,
             save_sweep_result,
             scenario_budgets,
@@ -720,7 +719,7 @@ class _MatrixExecution:
             return None
 
         def finish(result) -> None:
-            if is_cacheable(result, job.time_budget_seconds):
+            if result.status == "ok":
                 save_sweep_result(self.store, key, result)
             self.report.cells_computed += 1
             self._finish_verify(result)

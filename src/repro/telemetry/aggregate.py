@@ -22,7 +22,6 @@ from repro.telemetry.events import (
     CellCached,
     CellFinished,
     RunFinished,
-    RunStarted,
     StageTiming,
     SweepJobFinished,
     TelemetryEvent,
@@ -47,12 +46,8 @@ class ShardState:
     """Everything the fold knows about one emitting process."""
 
     source: str
-    cells_total: int = 0
-    cells_owned: int = 0
     computed: int = 0
     cached: int = 0
-    skipped: int = 0
-    status: str = "running"
     finished: bool = False
 
 
@@ -63,7 +58,6 @@ class FleetState:
     shards: Dict[str, ShardState] = field(default_factory=dict)
     events: int = 0
     unknown_events: int = 0
-    scenarios: List[str] = field(default_factory=list)
     #: Every finished cell: (identity, seconds, status, safe_rate).
     finished_cells: List[Tuple[CellIdentity, float, str, Optional[float]]] = field(default_factory=list)
     stage_seconds: Dict[str, float] = field(default_factory=dict)
@@ -88,8 +82,8 @@ def fold_events(events: Sequence[TelemetryEvent], state: Optional[FleetState] = 
     """Fold a time-ordered event batch into (or onto) a :class:`FleetState`.
 
     Passing ``state`` folds onto it, which is how :func:`fleet_stats`
-    accumulates several run directories.  ``cell-started`` events carry
-    nothing the fold needs.
+    accumulates several run directories.  ``run-started`` and
+    ``cell-started`` events carry nothing the fold needs.
     """
 
     if state is None:
@@ -99,13 +93,7 @@ def fold_events(events: Sequence[TelemetryEvent], state: Optional[FleetState] = 
         shard = state.shards.get(event.shard)
         if shard is None:
             shard = state.shards[event.shard] = ShardState(source=event.shard)
-        if isinstance(event, RunStarted):
-            shard.cells_total = max(shard.cells_total, event.cells_total)
-            shard.cells_owned = max(shard.cells_owned, event.cells_owned)
-            for name in event.scenarios:
-                if name not in state.scenarios:
-                    state.scenarios.append(name)
-        elif isinstance(event, CellFinished):
+        if isinstance(event, CellFinished):
             identity = (event.scenario, event.controller, event.cell, event.perturbation)
             shard.computed += 1
             state.finished_cells.append((identity, event.seconds, event.status, event.safe_rate))
@@ -117,8 +105,6 @@ def fold_events(events: Sequence[TelemetryEvent], state: Optional[FleetState] = 
             state.sweep_jobs.append(event)
         elif isinstance(event, RunFinished):
             shard.finished = True
-            shard.status = event.status
-            shard.skipped = max(shard.skipped, event.cells_skipped)
         elif isinstance(event, UnknownEvent):
             state.unknown_events += 1
     return state

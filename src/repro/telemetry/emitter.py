@@ -9,7 +9,8 @@ threads sharing one emitter) can only ever interleave whole lines, never
 tear one.  A worker killed mid-write leaves at most one truncated final
 line, which the reader skips; everything before it is intact -- the same
 at-most-one-partial-artefact contract the run store's atomic publish
-gives.
+gives.  A later run appending to the same file first ends that torn line,
+so the fragment cannot swallow its first event.
 
 Telemetry must never take a run down: once the log file cannot be
 written (disk full, directory removed), the emitter goes quiet instead of
@@ -99,7 +100,10 @@ class TelemetryEmitter:
             with self._lock:
                 if self._fd is None:
                     self.root.mkdir(parents=True, exist_ok=True)
-                    self._fd = os.open(self.path, os.O_CREAT | os.O_WRONLY | os.O_APPEND, 0o644)
+                    self._fd = os.open(self.path, os.O_CREAT | os.O_RDWR | os.O_APPEND, 0o644)
+                    size = os.fstat(self._fd).st_size
+                    if size and os.pread(self._fd, 1, size - 1) != b"\n":
+                        line = b"\n" + line  # end a torn line left by a killed writer
                 os.write(self._fd, line)
             self.emitted += 1
         except OSError:

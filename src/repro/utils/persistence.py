@@ -47,7 +47,6 @@ def save_cocktail_result(
     result,
     directory: PathLike,
     record: Optional[Dict] = None,
-    context: Optional[Dict] = None,
     timestamp: bool = True,
     digest: Optional[str] = None,
 ) -> Path:
@@ -57,17 +56,15 @@ def save_cocktail_result(
     baseline was trained) and ``record.json`` with the experiment record
     plus basic bookkeeping (expert names, dataset size).  When the result
     carries the :class:`~repro.core.config.CocktailConfig` it was trained
-    with, the record additionally stores the full resolved config and the
-    canonical digest of ``{config, context}`` -- ``context`` is the
-    caller-side identity (system name, seed, ...) that the configuration
-    alone does not capture.  ``timestamp=False`` omits ``created_unix``
-    (the only non-deterministic field) for byte-stable records.  An
-    explicit ``digest`` wins over the computed one; the CLI passes its
-    run-store key digest here so ``repro runs show <record digest>``
-    resolves to the entry that produced the record.
+    with, the record additionally stores the full resolved config.
+    ``timestamp=False`` omits ``created_unix`` (the only non-deterministic
+    field) for byte-stable records.  ``digest`` is the run's identity:
+    :func:`repro.jobs.runner.execute_train` passes its train key's digest,
+    so ``repro runs show <record digest>`` resolves to the entry that
+    produced the record (or would have, for a run without a store).
     """
 
-    from repro.experiments.digest import canonicalize, config_digest
+    from repro.experiments.digest import canonicalize
 
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -84,14 +81,8 @@ def save_cocktail_result(
     config = getattr(result, "config", None)
     if config is not None:
         payload["config"] = canonicalize(config)
-    if context:
-        payload["context"] = canonicalize(context)
     if digest is not None:
         payload["digest"] = digest
-    elif config is not None or context:
-        payload["digest"] = config_digest(
-            {"config": payload.get("config"), "context": payload.get("context")}
-        )
     if timestamp:
         payload["created_unix"] = time.time()
     if record:

@@ -3,8 +3,8 @@
 :class:`StageTimer` is the one way the repo measures named stages: the
 Cocktail pipeline times its four training stages with it (the
 ``stage_seconds`` dict on :class:`repro.core.cocktail.CocktailResult` is a
-``StageTimer`` export), and the scenario matrix forwards those stages into
-``StageTiming`` telemetry events.
+``StageTimer`` export), and the scenario matrix emits one ``StageTiming``
+telemetry event per entry of a train cell's ``stage_seconds``.
 """
 
 from __future__ import annotations
@@ -64,17 +64,3 @@ class StageTimer:
         """Plain ``{stage: seconds}`` copy, in first-start order."""
 
         return dict(self._seconds)
-
-    def emit_to(self, telemetry, scenario: str = "") -> None:
-        """Emit one ``StageTiming`` event per stage to a telemetry emitter.
-
-        ``telemetry`` is any object with the
-        :class:`repro.telemetry.TelemetryEmitter` ``emit(event_cls, **fields)``
-        surface; the import is deferred so profiling stays dependency-free
-        for callers that never touch telemetry.
-        """
-
-        from repro.telemetry import StageTiming
-
-        for stage, seconds in self._seconds.items():
-            telemetry.emit(StageTiming, scenario=scenario, stage=stage, seconds=seconds)

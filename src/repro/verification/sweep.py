@@ -12,16 +12,12 @@ summaries into one :class:`SweepReport`.  A lost worker raises
 
 Jobs are transported as plain data (system name, MLP architecture dict and
 weight arrays, analysis parameters), so they pickle cheaply and the worker
-rebuilds the network locally.  Two budgets bound each job:
-
-* ``work_budget`` -- the in-analysis resource proxy (Bernstein coefficients
-  evaluated during reachability); exceeding it aborts the reachability
-  analysis with ``status='resource-exhausted'``, mirroring the paper's
-  report of ``kappa_D`` dying after 12 reachable-set computations;
-* ``time_budget_seconds`` -- a wall-clock budget checked at phase
-  boundaries (after partitioning and after reachability); when exceeded,
-  the remaining analyses are skipped and the job is marked
-  ``resource-exhausted`` rather than running unboundedly.
+rebuilds the network locally.  ``work_budget`` bounds each job: it counts
+the Bernstein coefficients evaluated during reachability, and exceeding
+it aborts the analysis with ``status='resource-exhausted'``, mirroring the
+paper's report of ``kappa_D`` dying after 12 reachable-set computations.
+Being a count, it gives every job a verdict that depends only on its
+inputs, so every ``ok`` result may be cached.
 
 The CLI front end is ``python -m repro verify-sweep``.
 """
@@ -73,7 +69,6 @@ class SweepJob:
     reach_box_scale: float = 0.1
     work_budget: Optional[int] = None
     invariant_grid: Optional[int] = None
-    time_budget_seconds: Optional[float] = None
 
     @classmethod
     def from_network(cls, name: str, system: str, network: MLP, **parameters) -> "SweepJob":
@@ -116,7 +111,7 @@ class SweepJob:
             f"target_error={self.target_error}, degree={self.degree}, "
             f"max_partitions={self.max_partitions}, reach_steps={self.reach_steps}, "
             f"reach_box_scale={self.reach_box_scale}, work_budget={self.work_budget}, "
-            f"invariant_grid={self.invariant_grid}, time_budget_seconds={self.time_budget_seconds}"
+            f"invariant_grid={self.invariant_grid}"
         )
         return f"job {self.name}: system={self.system}, {budgets}"
 
@@ -149,7 +144,6 @@ class SweepJob:
                 "reach_box_scale": self.reach_box_scale,
                 "work_budget": self.work_budget,
                 "invariant_grid": self.invariant_grid,
-                "time_budget_seconds": self.time_budget_seconds,
             },
         }
 
@@ -242,10 +236,7 @@ class SweepReport:
 def run_sweep_job(job: SweepJob) -> SweepJobResult:
     """Execute one job (also the pool worker body; must stay picklable).
 
-    Delegates to :func:`~repro.verification.verifier.verify_controller`,
-    which enforces the job's wall-clock budget at every phase boundary; an
-    invariant-set analysis skipped by the budget is reported as
-    ``invariant_status='resource-exhausted'``.
+    Delegates to :func:`~repro.verification.verifier.verify_controller`.
     """
 
     start = time.perf_counter()
@@ -263,16 +254,12 @@ def run_sweep_job(job: SweepJob) -> SweepJobResult:
             reach_steps=job.reach_steps,
             reach_work_budget=job.work_budget,
             invariant_grid=job.invariant_grid,
-            time_budget_seconds=job.time_budget_seconds,
         )
-        summary = report.summary()
-        if job.invariant_grid and report.invariant is None:
-            summary["invariant_status"] = "resource-exhausted"
         return SweepJobResult(
             name=job.name,
             system=job.system,
             status="ok",
-            summary=summary,
+            summary=report.summary(),
             elapsed_seconds=time.perf_counter() - start,
         )
     except Exception as error:  # noqa: BLE001 - a failed job must not kill the sweep
@@ -306,30 +293,13 @@ def load_cached_result(store, key, job: SweepJob) -> SweepJobResult:
     )
 
 
-def is_cacheable(result: SweepJobResult, time_budget_seconds: Optional[float]) -> bool:
-    """Only deterministic outcomes may be recorded.
-
-    Errors always rerun.  A wall-clock-truncated analysis (a job run under
-    ``time_budget_seconds`` with a ``resource-exhausted`` verdict) depends
-    on machine load, so replaying it would make a transient slowdown
-    permanent; work-budget exhaustion is a deterministic count and caches
-    fine.
-    """
-
-    if result.status != "ok":
-        return False
-    if time_budget_seconds:
-        statuses = (
-            result.summary.get("reach_status"),
-            result.summary.get("invariant_status"),
-        )
-        if "resource-exhausted" in statuses:
-            return False
-    return True
-
-
 def save_sweep_result(store, key, result: SweepJobResult) -> None:
-    """Record ``result`` under ``key`` (callers check :func:`is_cacheable`)."""
+    """Record ``result`` under ``key``; callers record only ``ok`` results.
+
+    A failed job reruns on the next sweep.  Every ``ok`` verdict is a
+    function of the job's inputs (its budgets are counts), so a replay is
+    indistinguishable from a rerun.
+    """
 
     payload = {
         "name": result.name,
@@ -358,10 +328,9 @@ class VerificationSweep:
     budgets), successful results are recorded in the
     :class:`~repro.experiments.store.RunStore`, and jobs whose digest is
     already present are replayed from disk instead of dispatched -- only
-    the misses ever reach the pool.  Errors and wall-clock-truncated
-    verdicts are never cached (they rerun on every sweep; see
-    :func:`is_cacheable`), and ``force=True`` executes every job but still
-    records the fresh results.
+    the misses ever reach the pool.  Errors are never cached (they rerun on
+    every sweep), and ``force=True`` executes every job but still records
+    the fresh results.
     """
 
     def __init__(
@@ -393,9 +362,8 @@ class VerificationSweep:
 
         def deliver(label: str, result: SweepJobResult) -> None:
             index = labels[label]
-            if self.store is not None:
-                if is_cacheable(result, self.jobs[index].time_budget_seconds):
-                    save_sweep_result(self.store, keys[index], result)
+            if self.store is not None and result.status == "ok":
+                save_sweep_result(self.store, keys[index], result)
             results[index] = result
 
         width = min(self.processes, len(labels))

@@ -94,22 +94,17 @@ def verify_controller(
     reach_steps: int = 15,
     reach_work_budget: Optional[int] = None,
     invariant_grid: Optional[int] = None,
-    time_budget_seconds: Optional[float] = None,
 ) -> VerificationReport:
     """Run the selected verification analyses on one neural controller.
 
     ``reach_initial_box`` enables the bounded-horizon reachability analysis
     (Fig. 4); ``invariant_grid`` enables the invariant-set computation
     (Fig. 3).  Either may be omitted to run only the other analysis.
-
-    ``time_budget_seconds`` is a wall-clock budget checked at phase
-    boundaries: a reachability analysis that has not started when the
-    budget runs out is reported with ``status='resource-exhausted'`` (zero
-    steps), and a pending invariant-set analysis is skipped.
+    ``reach_work_budget`` bounds the reachability analysis by a count of
+    Bernstein coefficients, so the verdict depends only on the inputs.
     """
 
     start = time.perf_counter()
-    deadline = start + float(time_budget_seconds) if time_budget_seconds is not None else None
     lipschitz_constant = network_lipschitz(network)
     approximation: PartitionedApproximation = partition_network(
         network,
@@ -121,32 +116,18 @@ def verify_controller(
     )
     partition_seconds = time.perf_counter() - start
 
-    def budget_exhausted() -> bool:
-        return deadline is not None and time.perf_counter() > deadline
-
     reach_result: Optional[ReachabilityResult] = None
     if reach_initial_box is not None:
-        if budget_exhausted():
-            reach_result = ReachabilityResult(
-                boxes=[reach_initial_box],
-                status="resource-exhausted",
-                steps_completed=0,
-                elapsed_seconds=0.0,
-                work=0,
-                num_partitions=approximation.num_partitions,
-                approximation_error=approximation.max_error,
-            )
-        else:
-            reach_result = reachable_sets(
-                system,
-                approximation,
-                reach_initial_box,
-                steps=reach_steps,
-                work_budget=reach_work_budget,
-            )
+        reach_result = reachable_sets(
+            system,
+            approximation,
+            reach_initial_box,
+            steps=reach_steps,
+            work_budget=reach_work_budget,
+        )
 
     invariant_result: Optional[InvariantSetResult] = None
-    if invariant_grid is not None and not budget_exhausted():
+    if invariant_grid is not None:
         invariant_result = compute_invariant_set(system, approximation, grid_resolution=invariant_grid)
 
     return VerificationReport(

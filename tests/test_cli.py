@@ -225,6 +225,20 @@ class TestErrorPaths:
         assert error in capsys.readouterr().err
         assert not (tmp_path / "s").exists(), "nothing may start"
 
+    def test_retired_time_budget_is_rejected(self, saved_controller_dir, tmp_path, capsys, monkeypatch):
+        """The wall-clock verify budget is gone; only ``--work-budget`` bounds a job."""
+
+        from repro.jobs import runner
+
+        monkeypatch.setattr(runner, "execute_verify_sweep", lambda *a, **k: pytest.fail("a job ran"))
+        code = _exit_code(["verify-sweep", "--spec", f"vanderpol:{saved_controller_dir}",
+                           "--time-budget", "1", "--run-dir", str(tmp_path / "s"),
+                           "--csv", str(tmp_path / "f.csv")])
+        assert code == 2  # argparse usage error
+        assert "unrecognized arguments: --time-budget 1" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists() and not (tmp_path / "f.csv").exists()
+
+
 class TestEndToEnd:
     @pytest.fixture(scope="class")
     def trained_dir(self, tmp_path_factory):

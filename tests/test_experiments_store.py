@@ -14,7 +14,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.experiments import RunStore, config_digest
+from repro.experiments import RunStore, run_key
 
 TINY_HINTS = dict(
     mixing_epochs=1,
@@ -154,6 +154,12 @@ class TestInspection:
         assert [e["stage"] for e in populated.entries()] == ["train"]
 
 
+def _train_identity(name, config, seed=0):
+    """The resolved train config a golden cell's record digest names."""
+
+    return {"system": name, "cocktail": config, "seed": seed}
+
+
 def _golden_cell(name, directory, seed=0):
     """One tiny train -> save -> evaluate -> verify cell for ``name``."""
 
@@ -192,7 +198,8 @@ def _golden_cell(name, directory, seed=0):
         "evaluate": {"safe_rate": outcome.safe_rate, "mean_energy": outcome.mean_energy},
         "verify": summary,
     }
-    save_cocktail_result(result, directory, record=record, context={"system": spec.name, "seed": seed})
+    digest = run_key("train", _train_identity(spec.name, config, seed)).digest
+    save_cocktail_result(result, directory, record=record, digest=digest)
     return directory / "record.json"
 
 
@@ -215,10 +222,9 @@ def test_every_scenario_record_is_byte_stable(tmp_path):
         second = _golden_cell(name, tmp_path / f"{name}-2")
         record = json.loads(first.read_text())
         # The record carries its identity: the full resolved config and the
-        # canonical digest over {config, context}.
+        # train key digest, which the config read back from JSON reproduces.
         assert record["config"]["mixing"]["epochs"] == TINY_HINTS["mixing_epochs"]
-        assert record["digest"] == config_digest(
-            {"config": record["config"], "context": record["context"]}
-        )
+        assert "context" not in record
+        assert record["digest"] == run_key("train", _train_identity(name, record["config"])).digest
         assert "created_unix" in record
         assert _stable_bytes(first) == _stable_bytes(second), f"{name} record drifted"

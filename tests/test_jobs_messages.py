@@ -36,7 +36,6 @@ _count = st.integers(min_value=0, max_value=10**9)
 _positive = st.integers(min_value=1, max_value=10**6)
 _budget = st.none() | st.integers(min_value=1, max_value=10**6)
 _fraction = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
-_seconds = st.floats(min_value=0.0, max_value=2.0e9, allow_nan=False, allow_infinity=False)
 _perturbation = st.sampled_from(["none", "attack", "noise"])
 _json_dict = st.dictionaries(_name, st.integers(min_value=0, max_value=99) | _name, max_size=3)
 
@@ -76,7 +75,6 @@ SPEC_STRATEGIES = {
         reach_box_scale=_fraction,
         invariant_grid=_count,
         work_budget=_count,
-        time_budget=_seconds,
         jobs=_count,
     ),
     MatrixJobSpec: st.builds(
@@ -169,7 +167,7 @@ _MISTYPED = [
     (VerifySweepJobSpec, dict(specs="a:b"), "VerifySweepJobSpec.specs must be a sequence"),
     (VerifySweepJobSpec, dict(specs=("a:b", 1)), "VerifySweepJobSpec.specs must be a string"),
     (VerifySweepJobSpec, dict(degree=2.5), "VerifySweepJobSpec.degree must be an integer"),
-    (VerifySweepJobSpec, dict(time_budget="1"), "VerifySweepJobSpec.time_budget must be a number"),
+    (VerifySweepJobSpec, dict(work_budget="1"), "VerifySweepJobSpec.work_budget must be an integer"),
     (MatrixJobSpec, dict(scenarios="pendulum"), "MatrixJobSpec.scenarios must be a sequence"),
     (MatrixJobSpec, dict(perturbations=("none", 3)), "MatrixJobSpec.perturbations must be a string"),
     (MatrixJobSpec, dict(train=1), "MatrixJobSpec.train must be a boolean"),
@@ -207,7 +205,6 @@ class TestFieldTyping:
             (EvaluateJobSpec, "fraction"),
             (VerifySweepJobSpec, "target_error"),
             (VerifySweepJobSpec, "reach_box_scale"),
-            (VerifySweepJobSpec, "time_budget"),
             (MatrixJobSpec, "fraction"),
             (MatrixJobSpec, "budget_scale"),
         ],
@@ -245,6 +242,16 @@ class TestEngineFieldRetired:
         assert "'engine'" in str(excinfo.value)
 
 
+class TestTimeBudgetFieldRetired:
+    """Schema v4 of the verify-sweep spec has no wall-clock ``time_budget``."""
+
+    def test_v3_payload_with_time_budget_is_refused(self):
+        payload = dict(VerifySweepJobSpec(specs=("a:b",)).to_json(), version=3, time_budget=0.0)
+        with pytest.raises(MessageValidationError) as excinfo:
+            VerifySweepJobSpec.from_json(payload)
+        assert "'time_budget'" in str(excinfo.value)
+
+
 class TestVerifySweepBudgetsOptional:
     """Schema v3 of the verify-sweep spec: ``None`` budgets mean the hints."""
 
@@ -276,10 +283,9 @@ class TestGoldenWireLog:
             '{"type":"evaluate","version":1,"system":"pendulum",'
             '"controller_dir":"runs/p","controller":"kappa_star",'
             '"perturbation":"none","fraction":0.1,"samples":8,"batch_size":0,"seed":0}\n'
-            '{"type":"verify-sweep","version":3,"specs":["pendulum:runs/p"],'
+            '{"type":"verify-sweep","version":4,"specs":["pendulum:runs/p"],'
             '"target_error":null,"degree":2,"max_partitions":null,"reach_steps":null,'
-            '"reach_box_scale":null,"invariant_grid":0,"work_budget":0,'
-            '"time_budget":0.0,"jobs":0}\n'
+            '"reach_box_scale":null,"invariant_grid":0,"work_budget":0,"jobs":0}\n'
         )
         log = "".join(message.to_line() + "\n" for message in messages)
         assert log.encode("utf-8") == expected.encode("utf-8")

@@ -90,6 +90,23 @@ class TestTrainDigestSharing:
         reseeded = TrainJobSpec(seed=7, **base)
         assert config_digest(resolve_job(reseeded)) != config_digest(resolve_job(without))
 
+    def test_record_digest_is_the_train_key_with_or_without_a_store(self, tmp_path):
+        """One training has one identity: ``record.json`` names the store
+        entry whether or not the run also wrote one."""
+
+        from repro.experiments import RunStore
+
+        spec = TrainJobSpec(system="pendulum", **TINY_TRAIN_SPEC)
+        store = RunStore(tmp_path / "store")
+        key = store.key("train", resolve_job(spec))
+        execute_train(replace(spec, output=str(tmp_path / "alone")))
+        execute_train(replace(spec, output=str(tmp_path / "stored")), store=store)
+        for output in ("alone", "stored"):
+            record = json.loads((tmp_path / output / "record.json").read_text())
+            assert record["digest"] == key.digest, output
+            assert "context" not in record
+        assert store.contains(key)
+
     def test_nowhere_to_publish_saves_nothing(self, tmp_path, monkeypatch):
         """Without an output directory or a store the artefacts would be
         staged and deleted unseen, so nothing is saved; the payload is the

@@ -6,7 +6,8 @@ Pins the contracts downstream tooling builds on:
 * appends are whole-line atomic -- concurrent emitting threads can only
   interleave complete lines, never tear one;
 * a torn trailing line (a worker died mid-append) is skipped by the
-  reader and picked up once completed;
+  reader and picked up once completed, and a later run appending to the
+  same log ends it first instead of gluing its first event to it;
 * the reader multiplexes many per-process files into one stream ordered
   by (ts, file, sequence);
 * an emitter whose log cannot be written goes quiet (``broken``) instead
@@ -159,6 +160,24 @@ class TestReadEvents:
         with path.open("a") as handle:
             handle.write(whole[cut:])
         assert [event.scenario for event in read_events(tmp_path)] == ["a", "b"]
+
+    def test_next_run_ends_a_torn_line_before_its_first_event(self, tmp_path):
+        path = events_dir(tmp_path) / "main.jsonl"
+        path.parent.mkdir()
+        whole = CellCached(ts=0.0, shard="main", scenario="a", controller="c").to_line() + "\n"
+        path.write_text(whole + whole[:20])  # the earlier run was killed mid-append
+        with TelemetryEmitter(tmp_path, source="main", clock=FakeClock()) as tele:
+            tele.emit(RunStarted, scenarios=("b",), cells_total=1, cells_owned=1)
+            tele.emit(CellCached, scenario="b", controller="c")
+        events = read_events(tmp_path)
+        assert [type(event) for event in events] == [CellCached, RunStarted, CellCached]
+        assert [event.scenarios for event in events[1:2]] == [("b",)]
+        assert events[2].scenario == "b"
+        # An intact log gets no blank line: the next run appends right after it.
+        size = path.stat().st_size
+        with TelemetryEmitter(tmp_path, source="main", clock=FakeClock()) as tele:
+            tele.emit(CellCached, scenario="d", controller="c")
+        assert path.read_bytes()[size - 1 : size + 1] == b"\n{"
 
     def test_missing_events_dir_reads_empty(self, tmp_path):
         assert read_events(tmp_path) == []

@@ -41,21 +41,3 @@ class TestStageTimer:
         with pytest.raises(ValueError):
             with timer.stage(""):
                 pass
-
-    def test_emit_to_produces_stage_timing_events(self):
-        from repro.telemetry import StageTiming
-
-        emitted = []
-
-        class Emitter:
-            def emit(self, event_cls, **fields):
-                emitted.append((event_cls, fields))
-
-        timer = StageTimer()
-        timer.timed("mixing", lambda: None)
-        timer.timed("dataset", lambda: None)
-        timer.emit_to(Emitter(), scenario="vanderpol")
-        assert [cls for cls, _ in emitted] == [StageTiming, StageTiming]
-        assert [fields["stage"] for _, fields in emitted] == ["mixing", "dataset"]
-        assert all(fields["scenario"] == "vanderpol" for _, fields in emitted)
-        assert all(fields["seconds"] >= 0.0 for _, fields in emitted)

@@ -12,7 +12,8 @@ the rollout engine:
   verdicts and work counts for seeded controllers on every catalog system
   -- reach tubes and invariant masks included;
 * the sweep harness returns the same verdicts inline and across a pool,
-  and enforces its per-job budgets.
+  enforces its per-job work budget, and (store-backed) records every
+  ``ok`` result once while an error reruns.
 """
 
 import numpy as np
@@ -33,6 +34,7 @@ from verification_reference import (
     refined_network_output_bounds,
 )
 
+from repro.experiments import RunStore
 from repro.nn.network import MLP
 from repro.systems import make_system
 from repro.systems.sets import Box
@@ -52,9 +54,7 @@ from repro.verification.partition import partition_network
 from repro.verification.reachability import reachable_sets
 from repro.verification.sweep import (
     SweepJob,
-    SweepJobResult,
     VerificationSweep,
-    is_cacheable,
     run_sweep_job,
 )
 from repro.verification.system_models import interval_dynamics_batch
@@ -336,6 +336,16 @@ class TestEngineEquivalence:
         assert batched.max_error == max(bernstein_error_bound(lipschitz, box, degrees) for box in boxes)
 
 
+class _CountingStore(RunStore):
+    """A run store that counts the entries written through it."""
+
+    saves = 0
+
+    def save(self, key, result, **artefacts):
+        self.saves += 1
+        return super().save(key, result, **artefacts)
+
+
 DETERMINISTIC_SUMMARY_KEYS = (
     "controller", "lipschitz", "partitions", "epsilon", "verified",
     "reach_status", "reach_work", "reach_steps",
@@ -413,28 +423,6 @@ class TestVerificationSweep:
         assert "target_error=0.7" in error
         assert "reach_steps=2" in error
 
-    def test_time_budget_marks_resource_exhausted(self):
-        system = make_system("vanderpol")
-        job = SweepJob.from_network(
-            "budget", "vanderpol", seeded_controller(system),
-            target_error=0.5, degree=2, reach_steps=4, time_budget_seconds=1e-9,
-        )
-        result = run_sweep_job(job)
-        assert result.status == "ok"
-        assert result.summary["reach_status"] == "resource-exhausted"
-
-    def test_errors_are_never_cached(self):
-        error = SweepJobResult(name="a", system="pendulum", status="error", error="boom")
-        assert not is_cacheable(error, None)
-        assert is_cacheable(SweepJobResult(name="a", system="pendulum", status="ok"), None)
-
-    def test_time_budget_truncation_is_never_cached(self):
-        summary = {"reach_status": "resource-exhausted"}
-        truncated = SweepJobResult(name="a", system="pendulum", status="ok", summary=summary)
-        assert not is_cacheable(truncated, 1.0)
-        # Without a time budget the same truncation is deterministic: cache it.
-        assert is_cacheable(truncated, None)
-
     def test_work_budget_passes_through(self):
         system = make_system("vanderpol")
         job = SweepJob.from_network(
@@ -443,6 +431,35 @@ class TestVerificationSweep:
         )
         result = run_sweep_job(job)
         assert result.summary["reach_status"] == "resource-exhausted"
+
+    # The single cache rule of a store-backed sweep: every ``ok`` result is
+    # recorded (budgets are counts, so a replay equals a rerun), errors rerun.
+
+    def test_failed_job_leaves_no_entry_and_reruns(self, tmp_path):
+        store = _CountingStore(tmp_path)
+        wrong_dims = MLP(4, 1, hidden_sizes=(8,), seed=1)
+        jobs = [SweepJob.from_network("bad@vanderpol", "vanderpol", wrong_dims, reach_steps=2)]
+        for _ in range(2):
+            (result,) = VerificationSweep(jobs, processes=1, store=store).run().results
+            assert result.status == "error" and not result.cached
+        assert store.saves == 0 and store.entries() == []
+
+    def test_work_budget_exhaustion_is_recorded_once_and_replayed(self, tmp_path):
+        store = _CountingStore(tmp_path)
+        system = make_system("vanderpol")
+        jobs = [
+            SweepJob.from_network(
+                "wbudget", "vanderpol", seeded_controller(system),
+                target_error=0.3, degree=3, reach_steps=8, work_budget=1,
+            )
+        ]
+        (fresh,) = VerificationSweep(jobs, processes=1, store=store).run().results
+        (replayed,) = VerificationSweep(jobs, processes=1, store=store).run().results
+        assert fresh.status == "ok" and not fresh.cached
+        assert fresh.summary["reach_status"] == "resource-exhausted"
+        assert replayed.cached
+        assert replayed.summary == fresh.summary
+        assert store.saves == 1 and len(store.entries("verify")) == 1
 
     def test_report_table_and_csv(self, tmp_path):
         report = VerificationSweep(self._jobs()[:1], processes=1).run()
